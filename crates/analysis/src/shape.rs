@@ -119,7 +119,7 @@ fn shape_cache() -> &'static MemoCache<u64, AppShape> {
     static REGISTER: Once = Once::new();
     let cache = CACHE.get_or_init(|| {
         MemoCache::new("shape", 256, |shape: &AppShape| {
-            shape.trees.iter().map(|t| t.tree.heap_bytes()).sum()
+            shape.trees.iter().map(|t| t.tree.resident_bytes()).sum()
         })
     });
     REGISTER.call_once(|| memo::register(cache));

@@ -637,13 +637,11 @@ impl MigrationEngine {
                 report.unmapped += 1;
                 return;
             };
-            let mut state = node.attrs.save_user_state();
-            if !node.freezes_text {
-                state.remove("text");
-            }
             match sunny.view_mut(peer) {
                 Ok(target) => {
-                    target.attrs.restore_user_state(&state);
+                    if let Some(state) = node.attrs.user_state(node.freezes_text) {
+                        target.attrs.restore_user_state(&state);
+                    }
                     report.migrated += 1;
                 }
                 Err(e) => failure = Some(e),

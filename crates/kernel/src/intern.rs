@@ -59,6 +59,9 @@ use std::sync::{OnceLock, RwLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
+/// Prefix of every hierarchy-state bundle key ([`Symbol::hierarchy_key`]).
+const HIERARCHY_KEY_PREFIX: &str = "view:";
+
 /// Number of name→index shards. A power of two so shard selection is a
 /// mask; 16 is comfortably above any worker count the fleet driver runs.
 const SHARD_COUNT: usize = 16;
@@ -172,7 +175,7 @@ impl Symbol {
         let idx = it.next.fetch_add(1, Ordering::Relaxed);
         assert!(idx != u32::MAX, "symbol table overflow");
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let key: &'static str = Box::leak(format!("view:{name}").into_boxed_str());
+        let key: &'static str = Box::leak(format!("{HIERARCHY_KEY_PREFIX}{name}").into_boxed_str());
         it.publish(
             idx,
             Slot {
@@ -206,6 +209,14 @@ impl Symbol {
     /// bundles. Lock-free, like [`Symbol::as_str`].
     pub fn hierarchy_key(self) -> &'static str {
         interner().resolve(self.0).hierarchy_key
+    }
+
+    /// The inverse of [`Symbol::hierarchy_key`]: the already-interned
+    /// symbol whose `view:{name}` key is `key`. `None` for any other key
+    /// or an unknown name; like [`Symbol::lookup`], it never grows the
+    /// table.
+    pub fn from_hierarchy_key(key: &str) -> Option<Symbol> {
+        Symbol::lookup(key.strip_prefix(HIERARCHY_KEY_PREFIX)?)
     }
 
     /// The raw table index. Only for diagnostics — the value depends on
@@ -256,6 +267,9 @@ mod tests {
     fn hierarchy_key_is_prefixed() {
         let s = Symbol::intern("listMessages");
         assert_eq!(s.hierarchy_key(), "view:listMessages");
+        assert_eq!(Symbol::from_hierarchy_key(s.hierarchy_key()), Some(s));
+        assert_eq!(Symbol::from_hierarchy_key("listMessages"), None);
+        assert_eq!(Symbol::from_hierarchy_key("view:never-interned-qq"), None);
     }
 
     #[test]

@@ -135,27 +135,21 @@ impl RuntimeDroid {
         // Dynamic migration: RuntimeDroid's patch copies live view values
         // object-to-object, so state survives even for views that do not
         // implement onSaveInstanceState — as long as the view is declared
-        // in the layout resource and can be matched by id.
-        for id in tree.iter_ids() {
-            let Some(name) = tree.view(id).ok().and_then(|v| v.id_name) else {
-                continue;
-            };
-            if let Some(old_id) = activity.tree.id_name_index().get(&name).copied() {
-                if let Ok(old) = activity.tree.view(old_id) {
-                    // Direct object access: user values migrate even when
-                    // the view skips the save/restore protocol, while the
-                    // freshly-loaded resources (drawables, strings) of the
-                    // new configuration are kept.
-                    let mut user_state = old.attrs.save_user_state();
-                    if !old.freezes_text {
-                        // Label text is content (possibly localized for
-                        // the old configuration), not user state.
-                        user_state.remove("text");
-                    }
-                    if let Ok(new) = tree.view_mut(id) {
-                        new.attrs.restore_user_state(&user_state);
-                    }
-                }
+        // in the layout resource and can be matched by id. Each old name's
+        // indexed view hands its user state to every new view of that
+        // name (names never share a view, so the index's iteration order
+        // cannot matter), while the freshly loaded resources (drawables,
+        // strings) of the new configuration are kept: label text is
+        // content (possibly localized for the old configuration), not
+        // user state.
+        for (&name, &old_id) in activity.tree.id_name_index() {
+            let user_state = activity
+                .tree
+                .view(old_id)
+                .ok()
+                .and_then(|old| old.attrs.user_state(old.freezes_text));
+            if let Some(state) = user_state {
+                tree.restore_user_state_of(name, &state);
             }
         }
         let new_count = tree.view_count();

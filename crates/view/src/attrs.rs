@@ -60,12 +60,41 @@ impl ViewAttrs {
         bytes
     }
 
-    /// Saves the *user state* (what `View.onSaveInstanceState` persists:
+    /// Bytes this attribute set owns on the process heap: its strings and
+    /// its checked-item list. Unlike [`ViewAttrs::heap_bytes`] nothing is
+    /// charged for a drawable's decoded pixels, which the simulator never
+    /// allocates.
+    pub(crate) fn owned_bytes(&self) -> u64 {
+        let strings = self.text.as_ref().map_or(0, String::capacity)
+            + self
+                .drawable
+                .as_ref()
+                .map_or(0, |(name, _)| name.capacity())
+            + self.video_uri.as_ref().map_or(0, String::capacity);
+        (strings + self.checked_items.capacity() * std::mem::size_of::<i32>()) as u64
+    }
+
+    /// The *user state* (what `View.onSaveInstanceState` persists:
     /// entered text, scroll, selection, checked state, progress — not
-    /// static content like drawables) into a bundle.
-    pub fn save_user_state(&self) -> Bundle {
+    /// static content like drawables) as a bundle, or `None` when the view
+    /// holds none. `freezes_text` is Android's `freezesText`: without it
+    /// the text is content (a label set by the app or from resources), so
+    /// it is left out. Every user-state copy — hierarchy save, RCHDroid's
+    /// seeding, RuntimeDroid's hot reload — goes through here, so a
+    /// stateless view costs a few field checks and no allocation.
+    pub fn user_state(&self, freezes_text: bool) -> Option<Bundle> {
+        let text = self.text.as_deref().filter(|_| freezes_text);
+        if text.is_none()
+            && self.selector_position.is_none()
+            && self.checked_items.is_empty()
+            && self.scroll_y == 0
+            && self.progress.is_none()
+            && self.checked.is_none()
+        {
+            return None;
+        }
         let mut b = Bundle::new();
-        if let Some(t) = &self.text {
+        if let Some(t) = text {
             b.put_string("text", t);
         }
         if let Some(p) = self.selector_position {
@@ -83,10 +112,10 @@ impl ViewAttrs {
         if let Some(c) = self.checked {
             b.put_bool("checked", c);
         }
-        b
+        Some(b)
     }
 
-    /// Restores user state saved by [`ViewAttrs::save_user_state`].
+    /// Restores user state produced by [`ViewAttrs::user_state`].
     /// Missing keys leave the current value untouched.
     pub fn restore_user_state(&mut self, state: &Bundle) {
         if let Some(t) = state.string("text") {
@@ -128,7 +157,7 @@ mod tests {
     #[test]
     fn save_restore_round_trips_user_state() {
         let original = rich_attrs();
-        let saved = original.save_user_state();
+        let saved = original.user_state(true).unwrap();
         let mut restored = ViewAttrs::new();
         restored.restore_user_state(&saved);
         assert_eq!(restored.text, original.text);
@@ -143,7 +172,29 @@ mod tests {
     fn drawables_are_content_not_user_state() {
         let mut a = ViewAttrs::new();
         a.drawable = Some(("hero.png".to_owned(), 10_000));
-        assert!(a.save_user_state().is_empty());
+        assert_eq!(a.user_state(true), None);
+    }
+
+    #[test]
+    fn label_text_is_left_out_without_freezes_text() {
+        let mut label = ViewAttrs::new();
+        label.text = Some("Load".to_owned());
+        assert_eq!(label.user_state(false), None, "text alone is content");
+        assert!(label.user_state(true).unwrap().contains_key("text"));
+
+        let mut scrolled = rich_attrs();
+        scrolled.scroll_y = 9;
+        let state = scrolled.user_state(false).unwrap();
+        assert!(!state.contains_key("text"));
+        assert_eq!(state.i32("scroll_y"), Some(9));
+    }
+
+    #[test]
+    fn owned_bytes_ignore_decoded_drawable_size() {
+        let mut a = ViewAttrs::new();
+        a.drawable = Some(("x.png".to_owned(), 1_000_000));
+        let owned = a.owned_bytes();
+        assert!((5..1_000).contains(&owned), "{owned}");
     }
 
     #[test]

@@ -134,7 +134,7 @@ fn inflate_cache() -> &'static MemoCache<InflateKey, (ViewTree, InflateStats)> {
     static REGISTER: Once = Once::new();
     let cache = CACHE.get_or_init(|| {
         MemoCache::new("inflate", 256, |(tree, _): &(ViewTree, InflateStats)| {
-            tree.heap_bytes()
+            tree.resident_bytes()
         })
         .with_admission_touches(3)
     });

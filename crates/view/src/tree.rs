@@ -14,7 +14,9 @@
 //! Production code in this module is panic-free: every fallible lookup
 //! returns [`ViewError`] (or `Option`), and the arena is append-only with
 //! ids handed out by [`ViewTree::add_view`], so an id obtained from this
-//! tree cannot dangle. The `unwrap`/`expect` calls below all live in
+//! tree cannot dangle — until [`ViewTree::release`] drops the whole arena,
+//! after which every lookup fails with [`ViewError::NullPointer`] before
+//! touching it. The `unwrap`/`expect` calls below all live in
 //! `#[cfg(test)]` code or doc examples, where a panic *is* the failure
 //! report; keep it that way when adding code here.
 
@@ -22,7 +24,7 @@ use crate::attrs::ViewAttrs;
 use crate::error::ViewError;
 use crate::kind::ViewKind;
 use crate::ops::{DirtyMask, ViewOp};
-use droidsim_bundle::Bundle;
+use droidsim_bundle::{Bundle, Value};
 use droidsim_kernel::{alloc_track, Symbol};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -106,6 +108,17 @@ impl ViewNode {
     pub fn id_name_str(&self) -> Option<&'static str> {
         self.id_name.map(Symbol::as_str)
     }
+
+    /// What `onSaveInstanceState` writes for this view: its name and its
+    /// user state. `None` for a view that skips the protocol, has no id,
+    /// or holds no user state.
+    fn saved_state(&self) -> Option<(Symbol, Bundle)> {
+        if !self.saves_state {
+            return None; // custom view without onSaveInstanceState
+        }
+        let name = self.id_name?;
+        Some((name, self.attrs.user_state(self.freezes_text)?))
+    }
 }
 
 /// A per-activity view hierarchy.
@@ -124,6 +137,9 @@ impl ViewNode {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ViewTree {
     nodes: Vec<Option<ViewNode>>,
+    /// Live views in `nodes`, kept by add, remove and release so
+    /// [`ViewTree::view_count`] never scans the arena.
+    live: usize,
     root: ViewId,
     released: bool,
     /// Pending invalidations, coalesced *at insert time*: one entry per
@@ -182,6 +198,7 @@ impl ViewTree {
         alloc_track::note(1);
         ViewTree {
             nodes: vec![Some(decor)],
+            live: 1,
             root,
             released: false,
             pending: Vec::new(),
@@ -218,10 +235,22 @@ impl ViewTree {
 
     /// Releases the tree: every subsequent access raises
     /// [`ViewError::NullPointer`] — the stock-Android crash scenario.
+    ///
+    /// The views themselves are freed: the arena, the id-name index, the
+    /// shadowed-duplicate lists and the pending invalidations are all
+    /// dropped, so a released tree holds no views ([`ViewTree::view_count`]
+    /// and [`ViewTree::heap_bytes`] read 0, [`ViewTree::find_by_id_name`]
+    /// finds nothing). Only the decor id survives, for
+    /// [`ViewTree::root`]: a callback captured before the release still
+    /// names the view its `NullPointer` is about.
     pub fn release(&mut self) {
         self.released = true;
-        self.pending.clear();
-        self.pending_pos.clear();
+        self.nodes = Vec::new();
+        self.live = 0;
+        self.id_name_index = HashMap::new();
+        self.shadowed_ids = HashMap::new();
+        self.pending = Vec::new();
+        self.pending_pos = HashMap::new();
         self.raw_pending = 0;
     }
 
@@ -285,6 +314,7 @@ impl ViewTree {
             saves_state: true,
             freezes_text,
         }));
+        self.live += 1;
         if let Some(name) = id_name {
             // New ids are strictly increasing, so the first bearer stays
             // the lowest; later bearers queue in the shadowed list, which
@@ -323,6 +353,7 @@ impl ViewTree {
                 .get_mut(current.raw() as usize)
                 .and_then(Option::take)
             {
+                self.live -= 1;
                 if let Some(name) = node.id_name {
                     removed_names.push((name, node.id));
                 }
@@ -510,11 +541,18 @@ impl ViewTree {
     /// list: the ids stream through `f` while the DFS runs on this
     /// thread's reusable scratch stack.
     pub fn for_each_id(&self, mut f: impl FnMut(ViewId)) {
+        self.for_each_node(|node| f(node.id));
+    }
+
+    /// Pre-order traversal of live views, like [`ViewTree::for_each_id`]
+    /// but handing out each node the walk already resolved, so a visitor
+    /// that reads attributes pays no second lookup.
+    fn for_each_node(&self, mut f: impl FnMut(&ViewNode)) {
         with_scratch_stack(|stack| {
             stack.push(self.root);
             while let Some(id) = stack.pop() {
                 if let Some(node) = self.nodes.get(id.raw() as usize).and_then(Option::as_ref) {
-                    f(id);
+                    f(node);
                     for &child in node.children.iter().rev() {
                         stack.push(child);
                     }
@@ -523,9 +561,10 @@ impl ViewTree {
         });
     }
 
-    /// Number of live views.
+    /// Number of live views (0 once released). O(1): a counter kept by
+    /// add, remove and release.
     pub fn view_count(&self) -> usize {
-        self.nodes.iter().flatten().count()
+        self.live
     }
 
     /// Finds a view by its `android:id` name — an O(1) lookup against the
@@ -537,29 +576,42 @@ impl ViewTree {
         self.id_name_index.get(&sym).copied()
     }
 
-    /// Total heap footprint of the hierarchy in bytes.
+    /// Total *simulated* heap footprint of the hierarchy in bytes: the ART
+    /// cost model, which charges every drawable at its decoded size.
     pub fn heap_bytes(&self) -> u64 {
         self.nodes.iter().flatten().map(ViewNode::heap_bytes).sum()
     }
 
+    /// What the tree really occupies in this process's memory: the arena
+    /// at its capacity, plus the strings and child lists the live views
+    /// own. Caches weigh trees with this; [`ViewTree::heap_bytes`] is the
+    /// simulated device heap and overstates a tree with drawables by
+    /// orders of magnitude.
+    pub fn resident_bytes(&self) -> u64 {
+        let arena = self.nodes.capacity() * std::mem::size_of::<Option<ViewNode>>();
+        let owned: u64 = self
+            .nodes
+            .iter()
+            .flatten()
+            .map(|n| {
+                (n.children.capacity() * std::mem::size_of::<ViewId>()) as u64
+                    + n.attrs.owned_bytes()
+            })
+            .sum();
+        arena as u64 + owned
+    }
+
     /// Saves the hierarchy state: for every view *with an id name*, its
     /// user state goes into the bundle under `view:{id_name}`. Views
-    /// without ids are skipped — exactly Android's (lossy) contract.
+    /// without ids are skipped — exactly Android's (lossy) contract — and
+    /// so are views without user state, which cost no allocation. When
+    /// several views share a name, the last one in pre-order that has
+    /// state wins.
     pub fn save_hierarchy_state(&self) -> Bundle {
         let mut out = Bundle::new();
-        self.for_each_id(|id| {
-            let Ok(node) = self.view(id) else { return };
-            if !node.saves_state {
-                return; // custom view without onSaveInstanceState
-            }
-            if let Some(name) = node.id_name {
-                let mut state = node.attrs.save_user_state();
-                if !node.freezes_text {
-                    state.remove("text");
-                }
-                if !state.is_empty() {
-                    out.put_bundle(name.hierarchy_key(), state);
-                }
+        self.for_each_node(|node| {
+            if let Some((name, state)) = node.saved_state() {
+                out.put_bundle(name.hierarchy_key(), state);
             }
         });
         out
@@ -568,31 +620,43 @@ impl ViewTree {
     /// Restores state previously produced by
     /// [`ViewTree::save_hierarchy_state`], matching views by id name.
     /// Unknown names are ignored (the new layout may not contain them).
+    ///
+    /// Driven by the saved entries, not by the tree: each `view:{name}`
+    /// entry goes to [`ViewTree::restore_user_state_of`], so the cost
+    /// follows the number of saved views rather than the size of the
+    /// tree.
     pub fn restore_hierarchy_state(&mut self, state: &Bundle) {
         if self.released {
             return;
         }
-        with_scratch_stack(|stack| {
-            stack.push(self.root);
-            while let Some(id) = stack.pop() {
-                let Some(node) = self
-                    .nodes
-                    .get_mut(id.raw() as usize)
-                    .and_then(Option::as_mut)
-                else {
-                    continue;
-                };
-                for &child in node.children.iter().rev() {
-                    stack.push(child);
-                }
-                let Some(name) = node.id_name else {
-                    continue;
-                };
-                if let Some(saved) = state.bundle(name.hierarchy_key()) {
-                    node.attrs.restore_user_state(saved);
-                }
+        for (key, value) in state.iter() {
+            let Value::Nested(saved) = value else {
+                continue;
+            };
+            if let Some(name) = Symbol::from_hierarchy_key(key) {
+                self.restore_user_state_of(name, saved);
             }
-        });
+        }
+    }
+
+    /// Restores a [`ViewAttrs::user_state`] bundle onto every live view
+    /// named `name`: the indexed bearer and each shadowed duplicate, found
+    /// through the id-name index without walking the tree. An unknown name
+    /// (or a released tree) is a no-op.
+    pub fn restore_user_state_of(&mut self, name: Symbol, state: &Bundle) {
+        let Some(&first) = self.id_name_index.get(&name) else {
+            return;
+        };
+        let shadowed = self.shadowed_ids.get(&name).map_or(&[][..], Vec::as_slice);
+        for id in std::iter::once(first).chain(shadowed.iter().copied()) {
+            if let Some(node) = self
+                .nodes
+                .get_mut(id.raw() as usize)
+                .and_then(Option::as_mut)
+            {
+                node.attrs.restore_user_state(state);
+            }
+        }
     }
 
     // ---- RCHDroid hook points (Table 2 patch surface) ----
@@ -773,6 +837,7 @@ mod tests {
         let (mut t, _, text, _) = tree_with_views();
         let err = t.add_view(text, ViewKind::TextView, None).unwrap_err();
         assert_eq!(err, ViewError::NotAContainer { parent: text });
+        assert_eq!(t.view_count(), 4, "a failed add leaves the count alone");
     }
 
     #[test]
@@ -866,6 +931,85 @@ mod tests {
         let err = t.apply(text, ViewOp::SetText("boom".into())).unwrap_err();
         assert!(err.is_crash());
         assert!(t.view(text).is_err());
+    }
+
+    #[test]
+    fn release_frees_the_arena() {
+        let (mut t, panel, ..) = tree_with_views();
+        t.add_view(panel, ViewKind::EditText, Some("name")).unwrap();
+        let root = t.root();
+        t.release();
+        assert_eq!(t.root(), root, "the decor id survives for crash reports");
+        assert_eq!(t.view_count(), 0);
+        assert_eq!(t.heap_bytes(), 0);
+        assert_eq!(t.resident_bytes(), 0);
+        assert_eq!(t.find_by_id_name("name"), None);
+        assert!(t.id_name_index().is_empty());
+        assert_eq!(t.shadowed_duplicate_count(), 0);
+        assert!(t.iter_ids().is_empty());
+        assert!(t.save_hierarchy_state().is_empty());
+    }
+
+    #[test]
+    fn duplicate_names_save_the_last_bearer_in_pre_order() {
+        let mut t = ViewTree::new();
+        let first = t.add_view(t.root(), ViewKind::LinearLayout, None).unwrap();
+        let second = t.add_view(t.root(), ViewKind::LinearLayout, None).unwrap();
+        // Ids run against pre-order: the later id comes first in the walk.
+        let late = t.add_view(second, ViewKind::EditText, Some("dup")).unwrap();
+        let early = t.add_view(first, ViewKind::EditText, Some("dup")).unwrap();
+        t.apply(late, ViewOp::SetText("last in pre-order".into()))
+            .unwrap();
+        t.apply(early, ViewOp::SetText("first in pre-order".into()))
+            .unwrap();
+        let saved = t.save_hierarchy_state();
+        let dup = saved.bundle("view:dup").unwrap();
+        assert_eq!(dup.string("text"), Some("last in pre-order"));
+    }
+
+    #[test]
+    fn restore_reaches_every_bearer_of_a_duplicate_name() {
+        let (mut t, panel, text, _) = tree_with_views();
+        let dup = t.add_view(panel, ViewKind::EditText, Some("name")).unwrap();
+        let mut state = Bundle::new();
+        state.put_string("text", "restored");
+        let mut saved = Bundle::new();
+        saved.put_bundle("view:name", state);
+        saved.put_i32("view:panel", 7); // not a view bundle: ignored
+        t.restore_hierarchy_state(&saved);
+        for id in [text, dup] {
+            assert_eq!(t.view(id).unwrap().attrs.text.as_deref(), Some("restored"));
+        }
+        assert_eq!(t.view(panel).unwrap().attrs, ViewAttrs::new());
+    }
+
+    #[test]
+    fn resident_bytes_weigh_the_arena_not_decoded_drawables() {
+        let mut t = ViewTree::new();
+        let root = t
+            .add_view(t.root(), ViewKind::LinearLayout, Some("root"))
+            .unwrap();
+        for i in 0..2046 {
+            let v = t
+                .add_view(root, ViewKind::ImageView, Some(&format!("v{i}")))
+                .unwrap();
+            t.apply(v, ViewOp::SetDrawable(format!("img_{i}.png"), 1 << 20))
+                .unwrap();
+        }
+        let views = t.view_count() as u64;
+        assert_eq!(views, 2048);
+        let node = std::mem::size_of::<Option<ViewNode>>() as u64;
+        let resident = t.resident_bytes();
+        // The arena alone, at most doubled by growth, plus the root's
+        // child list and a short asset name per view.
+        assert!(resident >= views * node, "{resident}");
+        assert!(
+            resident <= 2 * views * (node + 8) + views * 32,
+            "{resident}"
+        );
+        // The simulated heap charges every drawable at 1 MiB decoded.
+        assert!(t.heap_bytes() > 2046 << 20);
+        assert!(resident * 100 < t.heap_bytes());
     }
 
     #[test]

@@ -1,7 +1,11 @@
-//! The Shadow state's system-kill exemption (§3.2) under memory pressure.
+//! The Shadow state's system-kill exemption (§3.2) under memory pressure,
+//! and relaunch churn: destroyed instances must not keep their views.
 
-use droidsim_device::{Device, HandlingMode};
+use droidsim_app::{ActivityInstanceId, ActivityState, AsyncResult, AsyncSpec};
+use droidsim_device::{Device, DeviceEvent, HandlingMode};
 use droidsim_kernel::SimDuration;
+use droidsim_metrics::MemorySnapshot;
+use droidsim_view::ViewOp;
 use rch_workloads::GenericAppSpec;
 
 fn two_apps(mode: HandlingMode) -> (Device, String, String) {
@@ -70,7 +74,6 @@ fn reclaimed_activity_restores_from_the_retained_bundle() {
     // Android keeps onSaveInstanceState's bundle in the system server:
     // the user can return to a reclaimed background activity and find
     // their (view-held) state back.
-    use droidsim_view::ViewOp;
     let (mut d, a, b) = two_apps(HandlingMode::rchdroid_default());
     d.switch_to_app(&a).unwrap();
     d.with_foreground_activity_mut(|act| {
@@ -110,4 +113,157 @@ fn async_task_to_a_reclaimed_background_activity_crashes_like_stock() {
         d.is_crashed(&a),
         "the stopped instance was reclaimed under the task"
     );
+}
+
+/// Views in the relaunch-churn app: the largest trees `rotation_storm`
+/// rotates.
+const CHURN_VIEWS: usize = 2048;
+
+/// The PSS model's reading after the stock churn below. Pinned from the
+/// code that kept every destroyed tree resident: freeing the dead arenas
+/// must not move the simulated device memory, which counts alive
+/// instances only.
+const STOCK_CHURN_SNAPSHOT: MemorySnapshot = MemorySnapshot {
+    base_bytes: 150_766_727,
+    activities_bytes: 14_495_428,
+};
+
+/// The PSS model's reading after the RCHDroid GC cycles below, pinned
+/// the same way.
+const RCH_CHURN_SNAPSHOT: MemorySnapshot = MemorySnapshot {
+    base_bytes: 150_766_727,
+    activities_bytes: 14_495_467,
+};
+
+fn churn_app(mode: HandlingMode) -> (Device, String, GenericAppSpec) {
+    let mut spec = GenericAppSpec::sized("ChurnApp", "1M+", true);
+    spec.view_count = CHURN_VIEWS;
+    let mut d = Device::new(mode);
+    let c = d
+        .install_and_launch(
+            Box::new(spec.build()),
+            spec.base_memory_bytes,
+            spec.complexity,
+        )
+        .unwrap();
+    (d, c, spec)
+}
+
+/// `(state, view count, simulated heap)` of every instance the app's
+/// thread ever created, destroyed ones included: instance ids are dense
+/// from 0 and a destroyed instance stays on its thread.
+fn all_instances(d: &Device, component: &str) -> Vec<(ActivityState, usize, u64)> {
+    let thread = d.process(component).unwrap().thread();
+    (0..)
+        .map_while(|i| thread.instance(ActivityInstanceId::new(i)).ok())
+        .map(|a| (a.state(), a.tree.view_count(), a.tree.heap_bytes()))
+        .collect()
+}
+
+/// Every destroyed instance holds an empty tree; every alive one keeps
+/// its full layout.
+fn assert_only_alive_trees_hold_views(d: &Device, component: &str, destroyed: usize) {
+    let (dead, alive): (Vec<_>, Vec<_>) = all_instances(d, component)
+        .into_iter()
+        .partition(|(state, ..)| *state == ActivityState::Destroyed);
+    assert_eq!(dead.len(), destroyed);
+    for (_, views, heap) in dead {
+        assert_eq!((views, heap), (0, 0), "a destroyed tree kept its views");
+    }
+    assert!(!alive.is_empty());
+    for (_, views, _) in alive {
+        assert!(views > CHURN_VIEWS, "an alive tree lost views: {views}");
+    }
+}
+
+/// The rendered exception of the device's first crash.
+fn crash_text(d: &Device) -> String {
+    d.events()
+        .iter()
+        .find_map(|e| match e {
+            DeviceEvent::Crash { exception, .. } => Some(exception.clone()),
+            _ => None,
+        })
+        .expect("the device crashed")
+}
+
+/// A 5 s task whose callback shows a dialog.
+fn dialog_task() -> AsyncSpec {
+    AsyncSpec {
+        duration: SimDuration::from_secs(5),
+        result: AsyncResult {
+            ops: vec![("async_target".to_owned(), ViewOp::SetText("done".into()))],
+            shows_dialog: true,
+        },
+    }
+}
+
+/// 128 stock relaunches, each destroying the previous instance.
+fn stock_churn() -> (Device, String, GenericAppSpec) {
+    let (mut d, c, spec) = churn_app(HandlingMode::Android10);
+    for _ in 0..128 {
+        d.rotate().unwrap();
+        d.advance(SimDuration::from_secs(2));
+    }
+    (d, c, spec)
+}
+
+#[test]
+fn stock_relaunch_churn_frees_every_destroyed_tree() {
+    let (mut d, c, spec) = stock_churn();
+    assert_only_alive_trees_hold_views(&d, &c, 128);
+    assert_eq!(d.memory_snapshot(&c).unwrap(), STOCK_CHURN_SNAPSHOT);
+
+    // A callback captured before one more restart still dereferences
+    // the released tree, with the very same exception.
+    d.start_async_on_foreground(spec.async_task()).unwrap();
+    d.rotate().unwrap();
+    d.advance(SimDuration::from_secs(8));
+    assert!(d.is_crashed(&c));
+    assert_eq!(
+        crash_text(&d),
+        "java.lang.NullPointerException: view ViewId#0 of a destroyed activity"
+    );
+}
+
+#[test]
+fn stock_dialog_after_relaunch_churn_still_leaks_its_window() {
+    let (mut d, c, _) = stock_churn();
+    d.start_async_on_foreground(dialog_task()).unwrap();
+    d.rotate().unwrap();
+    d.advance(SimDuration::from_secs(8));
+    assert!(d.is_crashed(&c));
+    assert_eq!(
+        crash_text(&d),
+        "android.view.WindowLeaked: view ViewId#0 outlived its window"
+    );
+}
+
+#[test]
+fn rchdroid_gc_cycles_free_every_collected_shadow_tree() {
+    let (mut d, c, _) = churn_app(HandlingMode::rchdroid_default());
+    for _ in 0..4 {
+        // Init, two flips, then an idle long enough for the GC.
+        for _ in 0..3 {
+            d.rotate().unwrap();
+            d.advance(SimDuration::from_secs(2));
+        }
+        d.advance(SimDuration::from_secs(70));
+    }
+    let collected = d
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                DeviceEvent::GcPass {
+                    collected: true,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(collected, 4);
+    assert_only_alive_trees_hold_views(&d, &c, 4);
+    assert_eq!(d.memory_snapshot(&c).unwrap(), RCH_CHURN_SNAPSHOT);
 }

@@ -1,17 +1,35 @@
 //! Property tests: view-tree structural invariants under random operation
-//! sequences, and save/restore behaviour.
+//! sequences, and save/restore behaviour — including reference oracles
+//! that replay the whole-tree save/restore and user-state copies the
+//! entry-driven code must match bit for bit.
 
-use droidsim_view::{ViewKind, ViewOp, ViewTree};
+use droidsim_app::{ActivityThread, AppModel};
+use droidsim_atms::{Atms, Intent};
+use droidsim_bundle::Bundle;
+use droidsim_config::Configuration;
+use droidsim_view::{inflate, ViewAttrs, ViewError, ViewKind, ViewOp, ViewTree};
 use proptest::prelude::*;
+use rch_workloads::{GenericAppSpec, StateItem, StateMechanism};
+use rchdroid::{MigrationEngine, MigrationReport};
+use runtimedroid_baseline::RuntimeDroid;
 
-/// A random tree-building script: each step adds a view under one of the
-/// already-created containers.
+/// Id names the scripts draw from. A small pool, so names repeat: a
+/// tree ends up with several bearers of one name, and two trees built
+/// from different scripts share names the way two inflations do.
+const NAMES: [&str; 6] = ["v0", "v1", "v2", "v3", "v4", "v5"];
+
+/// A random tree-building script: each step adds a view, removes a
+/// subtree, mutates a view, or flips a view's save flags.
 #[derive(Debug, Clone)]
 enum BuildStep {
+    /// Adds a view under any live view (so most adds under a leaf fail
+    /// with `NotAContainer` and must change nothing) or, with
+    /// `under_container`, under a container only, so trees grow deep.
     Add {
         parent_choice: usize,
+        under_container: bool,
         kind: ViewKind,
-        with_id: bool,
+        name: Option<usize>,
     },
     Remove {
         choice: usize,
@@ -19,6 +37,13 @@ enum BuildStep {
     Mutate {
         choice: usize,
         op: ViewOp,
+    },
+    /// A custom view without `onSaveInstanceState` (`saves_state`), or
+    /// `freezesText` declared on a label (or dropped from an editor).
+    Flags {
+        choice: usize,
+        saves_state: bool,
+        freezes_text: bool,
     },
 }
 
@@ -44,66 +69,246 @@ fn arb_op() -> impl Strategy<Value = ViewOp> {
         (0i32..50, any::<bool>()).prop_map(|(i, c)| ViewOp::SetItemChecked(i, c)),
         (-5_000i32..5_000).prop_map(ViewOp::ScrollTo),
         (0i32..100).prop_map(ViewOp::SetProgress),
+        any::<bool>().prop_map(ViewOp::SetChecked),
         any::<bool>().prop_map(ViewOp::SetEnabled),
         any::<bool>().prop_map(ViewOp::SetVisible),
     ]
 }
 
+fn arb_add(under_container: bool) -> impl Strategy<Value = BuildStep> {
+    (any::<usize>(), arb_kind(), any::<bool>(), any::<usize>()).prop_map(
+        move |(parent_choice, kind, named, n)| BuildStep::Add {
+            parent_choice,
+            under_container,
+            kind,
+            name: named.then_some(n),
+        },
+    )
+}
+
+fn arb_mutate() -> impl Strategy<Value = BuildStep> {
+    (any::<usize>(), arb_op()).prop_map(|(choice, op)| BuildStep::Mutate { choice, op })
+}
+
+/// Adds (one under any view, one under a container) and mutations are
+/// listed twice so trees grow and carry state; removals and flag flips
+/// are rarer.
 fn arb_step() -> impl Strategy<Value = BuildStep> {
     prop_oneof![
-        (any::<usize>(), arb_kind(), any::<bool>()).prop_map(|(parent_choice, kind, with_id)| {
-            BuildStep::Add {
-                parent_choice,
-                kind,
-                with_id,
-            }
-        }),
+        arb_add(false),
+        arb_add(true),
         any::<usize>().prop_map(|choice| BuildStep::Remove { choice }),
-        (any::<usize>(), arb_op()).prop_map(|(choice, op)| BuildStep::Mutate { choice, op }),
+        arb_mutate(),
+        arb_mutate(),
+        (any::<usize>(), any::<bool>(), any::<bool>()).prop_map(
+            |(choice, saves_state, freezes_text)| BuildStep::Flags {
+                choice,
+                saves_state,
+                freezes_text,
+            }
+        ),
     ]
 }
 
-fn run_script(steps: &[BuildStep]) -> ViewTree {
-    let mut tree = ViewTree::new();
-    let mut next_id = 0usize;
+fn arb_script(max: usize) -> impl Strategy<Value = Vec<BuildStep>> {
+    proptest::collection::vec(arb_step(), 0..max)
+}
+
+/// Runs `steps` against `tree`, naming added views from `names`.
+fn apply_script(tree: &mut ViewTree, steps: &[BuildStep], names: &[&str]) {
     for step in steps {
         let ids = tree.iter_ids();
         match step {
             BuildStep::Add {
                 parent_choice,
+                under_container,
                 kind,
-                with_id,
+                name,
             } => {
-                let parent = ids[parent_choice % ids.len()];
-                let id_name = with_id.then(|| {
-                    next_id += 1;
-                    format!("v{next_id}")
-                });
-                let _ = tree.add_view(parent, kind.clone(), id_name.as_deref());
+                let parents: Vec<_> = ids
+                    .iter()
+                    .copied()
+                    .filter(|&id| {
+                        !under_container || tree.view(id).is_ok_and(|n| n.kind.is_container())
+                    })
+                    .collect();
+                let parent = parents[parent_choice % parents.len()];
+                let id_name = name.map(|n| names[n % names.len()]);
+                let _ = tree.add_view(parent, kind.clone(), id_name);
             }
             BuildStep::Remove { choice } => {
-                let target = ids[choice % ids.len()];
-                let _ = tree.remove_view(target);
+                let _ = tree.remove_view(ids[choice % ids.len()]);
             }
             BuildStep::Mutate { choice, op } => {
-                let target = ids[choice % ids.len()];
-                let _ = tree.apply(target, op.clone());
+                let _ = tree.apply(ids[choice % ids.len()], op.clone());
+            }
+            BuildStep::Flags {
+                choice,
+                saves_state,
+                freezes_text,
+            } => {
+                let node = tree.view_mut(ids[choice % ids.len()]).unwrap();
+                node.saves_state = *saves_state;
+                node.freezes_text = *freezes_text;
             }
         }
     }
+}
+
+fn run_script(steps: &[BuildStep]) -> ViewTree {
+    let mut tree = ViewTree::new();
+    apply_script(&mut tree, steps, &NAMES);
     tree
+}
+
+// ---- Reference oracles: the whole-tree save/restore and put-then-remove
+// ---- user-state copies the production code replaced.
+
+/// Every user-state field, label text included.
+fn oracle_user_state(attrs: &ViewAttrs) -> Bundle {
+    let mut b = Bundle::new();
+    if let Some(t) = &attrs.text {
+        b.put_string("text", t);
+    }
+    if let Some(p) = attrs.selector_position {
+        b.put_i32("selector_position", p);
+    }
+    if !attrs.checked_items.is_empty() {
+        b.put("checked_items", attrs.checked_items.clone());
+    }
+    if attrs.scroll_y != 0 {
+        b.put_i32("scroll_y", attrs.scroll_y);
+    }
+    if let Some(p) = attrs.progress {
+        b.put_i32("progress", p);
+    }
+    if let Some(c) = attrs.checked {
+        b.put_bool("checked", c);
+    }
+    b
+}
+
+/// Save everything, then take label text back out.
+fn oracle_copy_state(freezes_text: bool, attrs: &ViewAttrs) -> Bundle {
+    let mut state = oracle_user_state(attrs);
+    if !freezes_text {
+        state.remove("text");
+    }
+    state
+}
+
+/// Pre-order walk of every view; a named, saving view with a non-empty
+/// state bundle gets an entry.
+fn oracle_save(tree: &ViewTree) -> Bundle {
+    let mut out = Bundle::new();
+    for id in tree.iter_ids() {
+        let node = tree.view(id).unwrap();
+        if !node.saves_state {
+            continue;
+        }
+        if let Some(name) = node.id_name {
+            let state = oracle_copy_state(node.freezes_text, &node.attrs);
+            if !state.is_empty() {
+                out.put_bundle(name.hierarchy_key(), state);
+            }
+        }
+    }
+    out
+}
+
+/// Pre-order walk of every view, each looking up its own entry.
+fn oracle_restore(tree: &mut ViewTree, state: &Bundle) {
+    for id in tree.iter_ids() {
+        let node = tree.view_mut(id).unwrap();
+        let Some(name) = node.id_name else { continue };
+        if let Some(saved) = state.bundle(name.hierarchy_key()) {
+            node.attrs.restore_user_state(saved);
+        }
+    }
+}
+
+/// `MigrationEngine::seed_user_state` as it was: a put-then-remove copy
+/// into every mapped peer.
+fn oracle_seed(shadow: &ViewTree, sunny: &mut ViewTree) -> Result<MigrationReport, ViewError> {
+    let mut report = MigrationReport::default();
+    for view in shadow.iter_ids() {
+        let node = shadow.view(view)?;
+        report.examined += 1;
+        let Some(peer) = node.sunny_peer else {
+            report.unmapped += 1;
+            continue;
+        };
+        let state = oracle_copy_state(node.freezes_text, &node.attrs);
+        sunny.view_mut(peer)?.attrs.restore_user_state(&state);
+        report.migrated += 1;
+    }
+    Ok(report)
+}
+
+/// RuntimeDroid's hot reload as it was: re-inflate for `config`, restore
+/// the old tree's oracle-saved hierarchy, then copy each named view's
+/// state object-to-object from its old bearer.
+fn oracle_hot_reload(old: &ViewTree, model: &dyn AppModel, config: &Configuration) -> ViewTree {
+    let template = model
+        .resources()
+        .resolve_layout(model.main_layout(), config)
+        .unwrap();
+    let (mut tree, _) = inflate(template, model.resources(), config);
+    oracle_restore(&mut tree, &oracle_save(old));
+    for id in tree.iter_ids() {
+        let Some(name) = tree.view(id).unwrap().id_name else {
+            continue;
+        };
+        if let Some(&old_id) = old.id_name_index().get(&name) {
+            let old_node = old.view(old_id).unwrap();
+            let state = oracle_copy_state(old_node.freezes_text, &old_node.attrs);
+            tree.view_mut(id).unwrap().attrs.restore_user_state(&state);
+        }
+    }
+    tree
+}
+
+/// A launched generic app whose layout holds a framework `EditText`, a
+/// non-saving custom view, a label and `images` image views.
+fn launched_generic_app(
+    images: usize,
+) -> (
+    rch_workloads::GenericApp,
+    Atms,
+    ActivityThread,
+    droidsim_app::ActivityInstanceId,
+) {
+    let mut spec = GenericAppSpec::sized("PropViewHotReload", "1M+", false)
+        .with_issue(
+            "State is lost after restart",
+            StateItem::new("custom_field", StateMechanism::CustomViewNoSave, "typed"),
+        )
+        .with_issue(
+            "State is lost after restart",
+            StateItem::new("framework_field", StateMechanism::FrameworkView, "typed"),
+        );
+    spec.view_count = images;
+    let model = spec.build();
+    let mut atms = Atms::new(Configuration::phone_portrait());
+    let mut thread = ActivityThread::new();
+    let start = atms.start_activity(&Intent::new(model.component_name()));
+    let instance =
+        thread.perform_launch_activity(&model, start.record, Configuration::phone_portrait(), None);
+    thread.resume_sequence(instance, false).unwrap();
+    (model, atms, thread, instance)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn structure_stays_consistent(steps in proptest::collection::vec(arb_step(), 0..60)) {
+    fn structure_stays_consistent(steps in arb_script(60)) {
         let tree = run_script(&steps);
         let ids = tree.iter_ids();
         // The root is always alive and first in pre-order.
         prop_assert_eq!(ids[0], tree.root());
-        // Every live view is reachable from the root exactly once.
+        // Every live view is reachable from the root exactly once, and
+        // the O(1) live counter agrees with the walk.
         prop_assert_eq!(ids.len(), tree.view_count());
         // Parent/child links are symmetric.
         for id in &ids {
@@ -118,7 +323,7 @@ proptest! {
     }
 
     #[test]
-    fn invalidations_reference_live_views(steps in proptest::collection::vec(arb_step(), 0..60)) {
+    fn invalidations_reference_live_views(steps in arb_script(60)) {
         let mut tree = run_script(&steps);
         let live = tree.iter_ids();
         for inv in tree.drain_invalidations() {
@@ -131,7 +336,7 @@ proptest! {
     }
 
     #[test]
-    fn save_restore_is_idempotent(steps in proptest::collection::vec(arb_step(), 0..60)) {
+    fn save_restore_is_idempotent(steps in arb_script(60)) {
         let tree = run_script(&steps);
         let saved_once = tree.save_hierarchy_state();
         let mut copy = tree.clone();
@@ -143,7 +348,59 @@ proptest! {
     }
 
     #[test]
-    fn released_trees_reject_everything(steps in proptest::collection::vec(arb_step(), 0..30)) {
+    fn save_matches_the_whole_tree_oracle(steps in arb_script(200)) {
+        // Long scripts, so that some trees hold a stateful name whose
+        // bearers' ids run against pre-order.
+        let tree = run_script(&steps);
+        prop_assert_eq!(tree.save_hierarchy_state(), oracle_save(&tree));
+    }
+
+    #[test]
+    fn restore_matches_the_whole_tree_oracle(
+        source in arb_script(80),
+        target in arb_script(80),
+    ) {
+        // Two trees sharing the name pool: the saved entries land on
+        // duplicate bearers, on removed names, and on views that do not
+        // save state themselves.
+        let saved = oracle_save(&run_script(&source));
+        let fresh = run_script(&target);
+        let mut restored = fresh.clone();
+        restored.restore_hierarchy_state(&saved);
+        let mut expected = fresh;
+        oracle_restore(&mut expected, &saved);
+        prop_assert_eq!(&restored, &expected);
+        // And a tree's own state, restored onto itself.
+        let own = restored.save_hierarchy_state();
+        let mut again = restored.clone();
+        again.restore_hierarchy_state(&own);
+        oracle_restore(&mut restored, &own);
+        prop_assert_eq!(again, restored);
+    }
+
+    #[test]
+    fn seed_user_state_matches_the_put_then_remove_oracle(
+        layout in arb_script(80),
+        shadow_edits in arb_script(40),
+        sunny_edits in arb_script(40),
+    ) {
+        // Two inflations of one layout, each edited on its own.
+        let mut shadow = run_script(&[layout.clone(), shadow_edits].concat());
+        let mut sunny = run_script(&[layout, sunny_edits].concat());
+        let engine = {
+            let mut e = MigrationEngine::new();
+            e.build_mapping(&mut shadow, &mut sunny);
+            e
+        };
+        let mut seeded = sunny.clone();
+        let report = engine.seed_user_state(&shadow, &mut seeded);
+        let mut expected = sunny;
+        prop_assert_eq!(report, oracle_seed(&shadow, &mut expected));
+        prop_assert_eq!(seeded, expected);
+    }
+
+    #[test]
+    fn released_trees_reject_everything(steps in arb_script(30)) {
         let mut tree = run_script(&steps);
         let ids = tree.iter_ids();
         tree.release();
@@ -151,12 +408,49 @@ proptest! {
             prop_assert!(tree.view(id).is_err());
             prop_assert!(tree.apply(id, ViewOp::SetVisible(false)).is_err());
         }
+        // The arena is gone, not just fenced off.
+        prop_assert_eq!(tree.view_count(), 0);
+        prop_assert_eq!(tree.heap_bytes(), 0);
+        for name in NAMES.iter().chain(&["decor"]) {
+            prop_assert_eq!(tree.find_by_id_name(name), None);
+        }
     }
 
     #[test]
-    fn heap_accounting_never_underflows(steps in proptest::collection::vec(arb_step(), 0..60)) {
+    fn heap_accounting_never_underflows(steps in arb_script(60)) {
         let tree = run_script(&steps);
         // decor view alone is > 0.
         prop_assert!(tree.heap_bytes() >= 512);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn runtimedroid_hot_reload_matches_the_put_then_remove_oracle(
+        images in 1usize..6,
+        steps in arb_script(40),
+    ) {
+        let (model, mut atms, mut thread, instance) = launched_generic_app(images);
+        let tree = &mut thread.instance_mut(instance).unwrap().tree;
+        // Label text (content) and typed text (user state) to start
+        // with, then random edits and code-created views whose names
+        // collide with the layout's.
+        for (name, text) in [("async_target", "old label"), ("framework_field", "typed")] {
+            let view = tree.find_by_id_name(name).unwrap();
+            tree.apply(view, ViewOp::SetText(text.into())).unwrap();
+        }
+        let names = ["root", "async_target", "custom_field", "framework_field", "content_0", "extra"];
+        apply_script(tree, &steps, &names);
+        let old = tree.clone();
+
+        let landscape = Configuration::phone_landscape();
+        atms.update_global_config(landscape.clone());
+        RuntimeDroid::new()
+            .handle_configuration_change(&mut thread, &mut atms, &model)
+            .unwrap();
+        let expected = oracle_hot_reload(&old, &model, &landscape);
+        prop_assert_eq!(&thread.instance(instance).unwrap().tree, &expected);
     }
 }
