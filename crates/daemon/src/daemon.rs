@@ -376,12 +376,7 @@ impl Daemon {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
                 let path = dir.join("daemon.journal");
-                // Open for append *first*: it repairs whatever a crash
-                // tore (a half-written record, even a half-written
-                // header) by truncating to the valid prefix, so the
-                // load that follows always sees a clean file.
-                let journal = DaemonJournal::open_append_with(&path, cfg.io_faults.clone())?;
-                let view = DaemonJournal::load(&path)?;
+                let (journal, view) = DaemonJournal::open(&path, cfg.io_faults.clone())?;
                 (Some(journal), view)
             }
             None => (
@@ -1444,6 +1439,35 @@ mod tests {
             }
         );
         d3.shutdown(ShutdownMode::Drain);
+    }
+
+    #[test]
+    fn a_journal_in_the_pinned_format_resumes() {
+        let dir = scratch("pinned");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("daemon.journal"),
+            crate::journal::tests::PINNED_JOURNAL,
+        )
+        .unwrap();
+        let d = Daemon::start(
+            DaemonConfig::new().with_journal_dir(&dir),
+            TestExecutor::instant(),
+        )
+        .unwrap();
+        assert_eq!(d.stats().ledger.resumed, 1, "job 2 was never settled");
+        assert_eq!(
+            d.wait(2, Duration::from_secs(5)).unwrap().state,
+            JobState::Done {
+                digest: digest_of_seed(24301)
+            }
+        );
+        assert_eq!(
+            d.submit(spec(1).with_dedupe_key("k=1")),
+            Admission::Duplicate { id: 1 }
+        );
+        assert_eq!(accepted_id(&d.submit(spec(5))), 4, "ids move on past 3");
+        d.shutdown(ShutdownMode::Drain);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! `ENOSPC` at the same record, the same reset on the same connection.
 //!
 //! The shim decides *that* a fault strikes; the call sites decide what
-//! it means. [`IoFaults::journal_write_fault`] additionally picks the
-//! flavor — a clean `ENOSPC` before any byte lands, or a short write
-//! that tears the record mid-line — alternating deterministically so
-//! both repair paths stay exercised.
+//! it means. As the journal's [`FaultHook`], a write fault additionally
+//! picks the flavor — a clean `ENOSPC` before any byte lands, or a short
+//! write that tears the record mid-line — alternating deterministically
+//! so both repair paths stay exercised.
 //!
 //! A disarmed shim ([`IoFaults::disarmed`], the default everywhere) is
 //! a no-op: the production daemon pays one mutex lock per probe only
@@ -21,17 +21,7 @@ use std::io;
 use std::sync::{Arc, Mutex};
 
 use droidsim_faults::{FaultPlan, FaultSite};
-
-/// How an injected journal-write fault manifests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
-    /// The write fails outright before any byte reaches the file —
-    /// the classic `ENOSPC` answer.
-    Enospc,
-    /// Roughly half the record's bytes land, then the write fails:
-    /// the torn line a crash-during-append leaves, forced on demand.
-    Short,
-}
+use droidsim_kernel::journal::{FaultHook, WriteFault};
 
 /// Shared, cloneable handle to the daemon edge's fault schedule (see
 /// module docs). Clones share the same underlying plan, so the journal
@@ -74,28 +64,6 @@ impl IoFaults {
         self.lock().should_inject(site)
     }
 
-    /// Probes [`FaultSite::JournalWrite`]; on a hit, picks the flavor
-    /// by alternating on the site's injection count so ENOSPC and
-    /// short-write repairs are both replayed deterministically.
-    pub fn journal_write_fault(&self) -> Option<WriteFault> {
-        let mut plan = self.lock();
-        if !plan.should_inject(FaultSite::JournalWrite) {
-            return None;
-        }
-        if plan.injected(FaultSite::JournalWrite) % 2 == 1 {
-            Some(WriteFault::Enospc)
-        } else {
-            Some(WriteFault::Short)
-        }
-    }
-
-    /// Probes [`FaultSite::JournalSync`], returning the injected fsync
-    /// error on a hit.
-    pub fn journal_sync_fault(&self) -> Option<io::Error> {
-        self.should_inject(FaultSite::JournalSync)
-            .then(|| injected_io_error("injected fsync failure"))
-    }
-
     /// Injections recorded at `site` so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
         self.lock().injected(site)
@@ -113,15 +81,28 @@ impl IoFaults {
     }
 }
 
-/// The error an injected `ENOSPC` surfaces as. `StorageFull` is the
-/// std mapping of `ENOSPC`, so real and injected full disks take the
-/// same degraded path.
-pub(crate) fn enospc_error() -> io::Error {
-    io::Error::new(io::ErrorKind::StorageFull, "injected ENOSPC")
-}
+impl FaultHook for IoFaults {
+    /// Probes [`FaultSite::JournalWrite`]; on a hit, picks the flavor
+    /// by alternating on the site's injection count so ENOSPC and
+    /// short-write repairs are both replayed deterministically.
+    fn write_fault(&self) -> Option<WriteFault> {
+        let mut plan = self.lock();
+        if !plan.should_inject(FaultSite::JournalWrite) {
+            return None;
+        }
+        if plan.injected(FaultSite::JournalWrite) % 2 == 1 {
+            Some(WriteFault::Enospc)
+        } else {
+            Some(WriteFault::Short)
+        }
+    }
 
-fn injected_io_error(what: &str) -> io::Error {
-    io::Error::other(what.to_owned())
+    /// Probes [`FaultSite::JournalSync`], returning the injected fsync
+    /// error on a hit.
+    fn sync_fault(&self) -> Option<io::Error> {
+        self.should_inject(FaultSite::JournalSync)
+            .then(|| io::Error::other("injected fsync failure"))
+    }
 }
 
 #[cfg(test)]
@@ -133,8 +114,8 @@ mod tests {
         let io = IoFaults::disarmed();
         assert!(!io.is_armed());
         for _ in 0..100 {
-            assert_eq!(io.journal_write_fault(), None);
-            assert!(io.journal_sync_fault().is_none());
+            assert_eq!(io.write_fault(), None);
+            assert!(io.sync_fault().is_none());
             assert!(!io.should_inject(FaultSite::SocketRead));
             assert!(!io.should_inject(FaultSite::SocketWrite));
         }
@@ -150,9 +131,9 @@ mod tests {
         let clone = io.clone();
         // The clone's probe consumes the shared schedule's first forced
         // index; the original sees the second.
-        assert!(clone.journal_write_fault().is_some());
-        assert!(io.journal_write_fault().is_some());
-        assert_eq!(io.journal_write_fault(), None, "schedule is shared");
+        assert!(clone.write_fault().is_some());
+        assert!(io.write_fault().is_some());
+        assert_eq!(io.write_fault(), None, "schedule is shared");
         assert_eq!(io.probes(FaultSite::JournalWrite), 3);
         assert_eq!(io.injected(FaultSite::JournalWrite), 2);
     }
@@ -160,7 +141,7 @@ mod tests {
     #[test]
     fn write_fault_flavors_alternate_deterministically() {
         let io = IoFaults::new(FaultPlan::seeded(1).with_rate(FaultSite::JournalWrite, 1.0));
-        let flavors: Vec<WriteFault> = (0..4).filter_map(|_| io.journal_write_fault()).collect();
+        let flavors: Vec<WriteFault> = (0..4).filter_map(|_| io.write_fault()).collect();
         assert_eq!(
             flavors,
             [
@@ -175,11 +156,11 @@ mod tests {
     #[test]
     fn set_plan_opens_and_closes_windows() {
         let io = IoFaults::disarmed();
-        assert_eq!(io.journal_write_fault(), None);
+        assert_eq!(io.write_fault(), None);
         io.set_plan(FaultPlan::seeded(2).with_rate(FaultSite::JournalWrite, 1.0));
         assert!(io.is_armed());
-        assert!(io.journal_write_fault().is_some());
+        assert!(io.write_fault().is_some());
         io.set_plan(FaultPlan::disarmed());
-        assert_eq!(io.journal_write_fault(), None, "window closed");
+        assert_eq!(io.write_fault(), None, "window closed");
     }
 }

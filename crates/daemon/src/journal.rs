@@ -1,4 +1,5 @@
-//! The daemon's crash-safe acceptance journal.
+//! The daemon's crash-safe acceptance journal: its header and record
+//! schema.
 //!
 //! The durability contract of the daemon is **accept-before-ack**: a
 //! submission is journaled (and fsync'd) *before* the client receives
@@ -9,23 +10,21 @@
 //! per-job fleet journals (written by the supervised runner) let a
 //! half-finished study resume task-by-task to the same digest.
 //!
-//! The format is the same kernel `key=value` line codec as the fleet
-//! journal, with the same torn-tail rule: reading stops at the first
-//! malformed line, so a crash mid-append costs at most the record
-//! being written — never the records before it. A file whose header is
-//! not `kind=daemon-journal` is rejected outright (foreign journal),
-//! never silently reinterpreted.
+//! The file is a `kind=daemon-journal version=…` header, then
+//! `accepted`, `state` and `probe` records. What a crash or a failed
+//! append may cost, and how the file is repaired, are the crash rules
+//! of [`droidsim_kernel::journal`]. A header that is not this daemon's
+//! (a foreign journal, another version) is rejected outright, never
+//! silently reinterpreted.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use droidsim_kernel::journal;
+use droidsim_kernel::journal::{self, Log};
 
-use crate::faultio::{enospc_error, IoFaults, WriteFault};
+use crate::faultio::IoFaults;
 use crate::spec::{JobSpec, JobState};
-use crate::{encode_fields, DaemonError};
+use crate::DaemonError;
 
 /// Journal format version written into (and required of) the header.
 pub const JOURNAL_VERSION: u32 = 1;
@@ -59,86 +58,24 @@ impl JournalView {
     }
 }
 
-/// Append handle to a daemon journal (see module docs).
-///
-/// Every append goes through the [`IoFaults`] shim, and the handle
-/// tracks the byte length of the last *known-durable* prefix: when a
-/// write or fsync fails — injected or real — the bytes past that
-/// prefix are untrustworthy, so the next append (or an explicit
-/// [`DaemonJournal::probe`]) first rolls the file back to the clean
-/// length. A failed append therefore never corrupts the records before
-/// it, and a later successful append never lands after a tear.
+/// Append handle to a daemon journal (see module docs). Every append
+/// goes through the [`IoFaults`] shim.
 #[derive(Debug)]
 pub struct DaemonJournal {
-    file: File,
-    path: PathBuf,
-    /// Bytes known fully written *and* fsync'd.
-    clean_len: u64,
-    /// A write or sync failed after `clean_len`: roll back before the
-    /// next append.
-    dirty: bool,
-    faults: IoFaults,
+    log: Log<IoFaults>,
 }
 
 impl DaemonJournal {
-    /// Opens `path` for appending with a disarmed fault shim (see
-    /// [`DaemonJournal::open_append_with`]).
-    pub fn open_append(path: &Path) -> Result<DaemonJournal, DaemonError> {
-        DaemonJournal::open_append_with(path, IoFaults::disarmed())
-    }
-
-    /// Opens `path` for appending, writing the header if the file is
-    /// new or empty. An existing file must be a daemon journal of the
-    /// supported version — anything else is a [`DaemonError::Journal`]
-    /// — and a torn tail (the half-line a crash mid-append leaves) is
-    /// truncated away first, so new records land after the last valid
-    /// one instead of merging into the tear. `faults` shims every
-    /// subsequent append (the open itself is never fault-injected: a
-    /// daemon that cannot even open its journal should fail loudly at
-    /// startup, not degrade).
-    pub fn open_append_with(path: &Path, faults: IoFaults) -> Result<DaemonJournal, DaemonError> {
-        let mut exists = path.exists() && std::fs::metadata(path)?.len() > 0;
-        if exists {
-            // Full validation: a foreign or corrupt header must fail
-            // *here*, before anything is appended after it. One
-            // exception: a header line torn mid-write (a crash during
-            // the very first append — no newline anywhere) proves no
-            // record was ever accepted, so the file restarts empty.
-            match DaemonJournal::replay(path) {
-                Ok((_, clean_len)) => {
-                    if clean_len < std::fs::metadata(path)?.len() {
-                        OpenOptions::new()
-                            .write(true)
-                            .open(path)?
-                            .set_len(clean_len)?;
-                    }
-                }
-                Err(e) => {
-                    if !DaemonJournal::is_torn_header(path)? {
-                        return Err(e);
-                    }
-                    OpenOptions::new().write(true).open(path)?.set_len(0)?;
-                    exists = false;
-                }
-            }
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if !exists {
-            let header = journal::encode_line(&[
-                ("kind", "daemon-journal"),
-                ("version", &JOURNAL_VERSION.to_string()),
-            ]);
-            writeln!(file, "{header}")?;
-            file.sync_data()?;
-        }
-        let clean_len = std::fs::metadata(path)?.len();
-        Ok(DaemonJournal {
-            file,
-            path: path.to_path_buf(),
-            clean_len,
-            dirty: false,
-            faults,
-        })
+    /// Opens `path` for appending, repairing a torn file first, and
+    /// returns the handle with the view the journal's records rebuild.
+    /// A file that is not a daemon journal of the supported version is
+    /// a [`DaemonError::Journal`], and nothing is written to it.
+    pub fn open(
+        path: &Path,
+        faults: IoFaults,
+    ) -> Result<(DaemonJournal, JournalView), DaemonError> {
+        let (log, view) = Log::open(path, &Records, faults)?;
+        Ok((DaemonJournal { log }, view))
     }
 
     /// Journals an acceptance. Must complete (including fsync) before
@@ -147,7 +84,7 @@ impl DaemonJournal {
     pub fn record_accepted(&mut self, id: u64, spec: &JobSpec) -> Result<(), DaemonError> {
         let mut fields = vec![("kind", "accepted".to_owned()), ("id", id.to_string())];
         fields.extend(spec.kv_fields());
-        self.append(&fields)
+        Ok(self.log.append(&fields)?)
     }
 
     /// Journals a terminal state transition. Non-terminal states are
@@ -156,7 +93,7 @@ impl DaemonJournal {
         debug_assert!(state.is_terminal(), "only terminal states are journaled");
         let mut fields = vec![("kind", "state".to_owned()), ("id", id.to_string())];
         fields.extend(state.kv_fields());
-        self.append(&fields)
+        Ok(self.log.append(&fields)?)
     }
 
     /// Appends one fsync'd probe record. The replay skips probe
@@ -165,114 +102,50 @@ impl DaemonJournal {
     /// takes, that the journal accepts bytes again. The degraded
     /// daemon's watchdog calls this each tick until it succeeds.
     pub fn probe(&mut self) -> Result<(), DaemonError> {
-        self.append(&[("kind", "probe".to_owned())])
+        Ok(self.log.append(&[("kind", "probe")])?)
     }
 
-    /// Whether the last append left untrusted bytes past the clean
-    /// prefix (rolled back automatically before the next append).
+    /// Whether the last append failed; whatever it left is rolled back
+    /// before the next append.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.log.is_dirty()
     }
 
-    fn append(&mut self, fields: &[(&'static str, String)]) -> Result<(), DaemonError> {
-        if self.dirty {
-            self.rollback()?;
-        }
-        let mut line = encode_fields(fields);
-        line.push('\n');
-        match self.faults.journal_write_fault() {
-            Some(WriteFault::Enospc) => {
-                // Refused before any byte lands: the file is still
-                // clean, only the record is lost.
-                return Err(DaemonError::Io(enospc_error()));
-            }
-            Some(WriteFault::Short) => {
-                // Half the record lands, then the device gives up: the
-                // torn line a crash leaves, forced on demand. The next
-                // append rolls it back.
-                let half = &line.as_bytes()[..line.len() / 2];
-                let wrote = self.file.write_all(half);
-                self.dirty = true;
-                wrote?;
-                return Err(DaemonError::Io(enospc_error()));
-            }
-            None => {}
-        }
-        if let Err(e) = self.file.write_all(line.as_bytes()) {
-            // A real write failure of unknown extent: distrust the tail.
-            self.dirty = true;
-            return Err(DaemonError::Io(e));
-        }
-        let synced = match self.faults.journal_sync_fault() {
-            Some(injected) => Err(injected),
-            None => self.file.sync_data(),
-        };
-        if let Err(e) = synced {
-            // After a failed fsync the bytes may or may not be on disk;
-            // the only safe stance is "not journaled": roll back and
-            // rewrite later.
-            self.dirty = true;
-            return Err(DaemonError::Io(e));
-        }
-        self.clean_len += line.len() as u64;
-        Ok(())
-    }
-
-    /// Discards whatever a failed append left past the clean prefix.
-    fn rollback(&mut self) -> Result<(), DaemonError> {
-        OpenOptions::new()
-            .write(true)
-            .open(&self.path)?
-            .set_len(self.clean_len)?;
-        // Reopen the append handle: its internal cursor may sit past
-        // the truncation point.
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.dirty = false;
-        Ok(())
-    }
-
-    /// Whether the file's first line is torn mid-write: non-empty but
-    /// with no newline anywhere. Such a file never completed its
-    /// header, so it cannot contain an accepted record.
-    fn is_torn_header(path: &Path) -> Result<bool, DaemonError> {
-        use std::io::Read;
-        let mut first = Vec::new();
-        let mut reader = BufReader::new(File::open(path)?);
-        reader.read_to_end(&mut first)?;
-        Ok(!first.is_empty() && !first.contains(&b'\n'))
-    }
-
-    /// Replays a journal. Malformed tails (a torn final line, a record
-    /// referencing an id no `accepted` line introduced, an unknown
-    /// record kind) end the replay at that point — everything decoded
-    /// before the tear stands. A missing/foreign header is an error.
+    /// Replays a journal without repairing it. A missing, torn or
+    /// foreign header is an error.
     pub fn load(path: &Path) -> Result<JournalView, DaemonError> {
-        DaemonJournal::replay(path).map(|(view, _)| view)
+        journal::replay(path, &Records)?.ok_or_else(|| {
+            DaemonError::Journal(format!("{}: missing or unreadable header", path.display()))
+        })
+    }
+}
+
+/// The daemon journal's header and record schema.
+struct Records;
+
+impl journal::Schema for Records {
+    type State = JournalView;
+    type Error = DaemonError;
+
+    fn header(&self) -> String {
+        journal::encode_line(&[
+            ("kind", "daemon-journal"),
+            ("version", &JOURNAL_VERSION.to_string()),
+        ])
     }
 
-    /// [`DaemonJournal::load`] plus the byte length of the valid prefix
-    /// (everything up to and including the last decodable record) —
-    /// what [`DaemonJournal::open_append`] truncates a torn file to.
-    fn replay(path: &Path) -> Result<(JournalView, u64), DaemonError> {
-        let mut reader = BufReader::new(File::open(path)?);
-        let mut line = String::new();
-        let mut clean_len: u64 = 0;
-        let header_len = reader.read_line(&mut line)?;
-        let header = if line.ends_with('\n') {
-            journal::decode_line(&line)
-        } else {
-            None // empty, or a header torn mid-write: unreadable
-        }
-        .ok_or_else(|| {
-            DaemonError::Journal(format!("{}: missing or unreadable header", path.display()))
-        })?;
-        if journal::field(&header, "kind") != Some("daemon-journal") {
+    fn check_header(
+        &self,
+        path: &Path,
+        header: &[(String, String)],
+    ) -> Result<JournalView, DaemonError> {
+        if journal::field(header, "kind") != Some("daemon-journal") {
             return Err(DaemonError::Journal(format!(
                 "{}: not a daemon journal",
                 path.display()
             )));
         }
-        let version: u32 = journal::field(&header, "version")
+        let version: u32 = journal::field(header, "version")
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| {
                 DaemonError::Journal(format!("{}: header lacks a version", path.display()))
@@ -283,63 +156,53 @@ impl DaemonJournal {
                 path.display()
             )));
         }
-        clean_len += header_len as u64;
-        let mut view = JournalView {
+        Ok(JournalView {
             next_id: 1,
             ..JournalView::default()
-        };
-        loop {
-            line.clear();
-            let read = reader.read_line(&mut line)?;
-            if read == 0 || !line.ends_with('\n') {
-                break; // EOF, or a record torn mid-write
-            }
-            // `clean_len` only advances once the record is *accepted* —
-            // a complete-but-invalid line is part of the corrupt tail.
-            let Some(fields) = journal::decode_line(&line) else {
-                break;
-            };
-            let id: Option<u64> = journal::field(&fields, "id").and_then(|v| v.parse().ok());
-            let record = (journal::field(&fields, "kind"), id);
-            match record {
-                // A degraded-mode health probe: proves the journal
-                // accepts writes again, carries no job state.
-                (Some("probe"), _) => {}
-                (Some("accepted"), Some(id)) => {
-                    let Ok(spec) = JobSpec::from_fields(&fields) else {
-                        break;
-                    };
-                    view.jobs.insert(
+        })
+    }
+
+    /// Rejects a record that references an id no `accepted` line
+    /// introduced, an unknown record kind, or unparseable fields.
+    fn apply(&self, view: &mut JournalView, fields: &[(String, String)]) -> bool {
+        let id: Option<u64> = journal::field(fields, "id").and_then(|v| v.parse().ok());
+        match (journal::field(fields, "kind"), id) {
+            // A degraded-mode health probe: proves the journal accepts
+            // writes again, carries no job state.
+            (Some("probe"), _) => true,
+            (Some("accepted"), Some(id)) => {
+                let Ok(spec) = JobSpec::from_fields(fields) else {
+                    return false;
+                };
+                view.jobs.insert(
+                    id,
+                    JournaledJob {
                         id,
-                        JournaledJob {
-                            id,
-                            spec,
-                            terminal: None,
-                        },
-                    );
-                    view.next_id = view.next_id.max(id + 1);
-                }
-                (Some("state"), Some(id)) => {
-                    let Ok(state) = JobState::from_fields(&fields) else {
-                        break;
-                    };
-                    let Some(entry) = view.jobs.get_mut(&id) else {
-                        break; // state for an id never accepted: corrupt tail
-                    };
-                    if state.is_terminal() {
-                        entry.terminal = Some(state);
-                    }
-                }
-                _ => break, // unknown record kind or unparseable id
+                        spec,
+                        terminal: None,
+                    },
+                );
+                view.next_id = view.next_id.max(id + 1);
+                true
             }
-            clean_len += read as u64;
+            (Some("state"), Some(id)) => {
+                let (Ok(state), Some(entry)) =
+                    (JobState::from_fields(fields), view.jobs.get_mut(&id))
+                else {
+                    return false;
+                };
+                if state.is_terminal() {
+                    entry.terminal = Some(state);
+                }
+                true
+            }
+            _ => false,
         }
-        Ok((view, clean_len))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::JobKind;
     use std::fs;
@@ -361,7 +224,7 @@ mod tests {
     fn replay_reconstructs_accepted_and_terminal_jobs() {
         let path = scratch("replay");
         {
-            let mut j = DaemonJournal::open_append(&path).unwrap();
+            let (mut j, _) = DaemonJournal::open(&path, IoFaults::disarmed()).unwrap();
             j.record_accepted(1, &spec(11)).unwrap();
             j.record_accepted(2, &spec(22)).unwrap();
             j.record_state(1, &JobState::Done { digest: 0xABCD })
@@ -392,7 +255,7 @@ mod tests {
     fn torn_tail_keeps_the_prefix() {
         let path = scratch("torn");
         {
-            let mut j = DaemonJournal::open_append(&path).unwrap();
+            let (mut j, _) = DaemonJournal::open(&path, IoFaults::disarmed()).unwrap();
             j.record_accepted(1, &spec(1)).unwrap();
             j.record_state(1, &JobState::Done { digest: 7 }).unwrap();
             j.record_accepted(2, &spec(2)).unwrap();
@@ -404,7 +267,7 @@ mod tests {
         assert_eq!(view.jobs[&1].terminal, Some(JobState::Done { digest: 7 }));
         assert!(!view.jobs.contains_key(&2), "torn acceptance is dropped");
         // And the journal reopens for appending after the tear.
-        let mut j = DaemonJournal::open_append(&path).unwrap();
+        let (mut j, _) = DaemonJournal::open(&path, IoFaults::disarmed()).unwrap();
         j.record_accepted(9, &spec(9)).unwrap();
         assert!(DaemonJournal::load(&path).unwrap().jobs.contains_key(&9));
     }
@@ -419,7 +282,7 @@ mod tests {
         ));
         assert!(
             matches!(
-                DaemonJournal::open_append(&path),
+                DaemonJournal::open(&path, IoFaults::disarmed()),
                 Err(DaemonError::Journal(_))
             ),
             "appending to a foreign file must fail before writing"
@@ -441,13 +304,13 @@ mod tests {
         );
         // …but append recovery is safe: no record can exist before the
         // header, so the file restarts empty instead of bricking.
-        let mut j = DaemonJournal::open_append(&path).unwrap();
+        let (mut j, _) = DaemonJournal::open(&path, IoFaults::disarmed()).unwrap();
         j.record_accepted(1, &spec(1)).unwrap();
         let view = DaemonJournal::load(&path).unwrap();
         assert_eq!(view.jobs.len(), 1);
         // A *complete* foreign header still refuses recovery.
         fs::write(&path, "kind=fleet-journal version=1\n").unwrap();
-        assert!(DaemonJournal::open_append(&path).is_err());
+        assert!(DaemonJournal::open(&path, IoFaults::disarmed()).is_err());
     }
 
     #[test]
@@ -457,13 +320,13 @@ mod tests {
         // Every odd append fails (alternating ENOSPC and short write);
         // the journal must repair itself so every *successful* append
         // replays, and nothing before a failure is ever lost.
-        let io = crate::faultio::IoFaults::new(
+        let io = IoFaults::new(
             FaultPlan::seeded(3)
                 .on_nth_probe(FaultSite::JournalWrite, 1)
                 .on_nth_probe(FaultSite::JournalWrite, 3)
                 .on_nth_probe(FaultSite::JournalWrite, 5),
         );
-        let mut j = DaemonJournal::open_append_with(&path, io).unwrap();
+        let (mut j, _) = DaemonJournal::open(&path, io).unwrap();
         let mut accepted = Vec::new();
         for id in 1..=6u64 {
             if j.record_accepted(id, &spec(id)).is_ok() {
@@ -486,10 +349,8 @@ mod tests {
     fn sync_faults_roll_back_and_probe_records_replay_clean() {
         use droidsim_faults::{FaultPlan, FaultSite};
         let path = scratch("sync-fault");
-        let io = crate::faultio::IoFaults::new(
-            FaultPlan::seeded(4).on_nth_probe(FaultSite::JournalSync, 1),
-        );
-        let mut j = DaemonJournal::open_append_with(&path, io).unwrap();
+        let io = IoFaults::new(FaultPlan::seeded(4).on_nth_probe(FaultSite::JournalSync, 1));
+        let (mut j, _) = DaemonJournal::open(&path, io).unwrap();
         assert!(
             j.record_accepted(1, &spec(1)).is_err(),
             "a failed fsync means not journaled"
@@ -511,7 +372,7 @@ mod tests {
     fn state_for_unknown_id_ends_the_replay() {
         let path = scratch("unknown-id");
         {
-            let mut j = DaemonJournal::open_append(&path).unwrap();
+            let (mut j, _) = DaemonJournal::open(&path, IoFaults::disarmed()).unwrap();
             j.record_accepted(1, &spec(1)).unwrap();
         }
         let mut text = fs::read_to_string(&path).unwrap();
@@ -521,5 +382,56 @@ mod tests {
         let view = DaemonJournal::load(&path).unwrap();
         assert_eq!(view.jobs.len(), 1);
         assert!(view.jobs.contains_key(&1));
+    }
+
+    /// The on-disk format, pinned: accepted, state and probe records
+    /// byte for byte, so journals already on disk keep opening.
+    pub(crate) const PINNED_JOURNAL: &str = "kind=daemon-journal version=1\n\
+        kind=accepted id=1 job=table5 apps=3 seed=11 priority=normal inner_jobs=1 retries=3 tag=nightly%20run dedupe=k%3d1\n\
+        kind=accepted id=2 job=fig10 seed=24301 priority=normal inner_jobs=1 deadline_ms=500 retries=3\n\
+        kind=state id=1 state=done digest=000000000000abcd\n\
+        kind=probe\n\
+        kind=accepted id=3 job=table5 apps=3 seed=33 priority=normal inner_jobs=1 retries=3\n\
+        kind=state id=3 state=shed reason=memory-pressure\n";
+
+    #[test]
+    fn records_keep_their_pinned_bytes_and_old_journals_replay() {
+        let path = scratch("pinned");
+        {
+            let (mut j, _) = DaemonJournal::open(&path, IoFaults::disarmed()).unwrap();
+            let tagged = spec(11).with_tag("nightly run").with_dedupe_key("k=1");
+            j.record_accepted(1, &tagged).unwrap();
+            j.record_accepted(2, &JobSpec::new(JobKind::Fig10).with_deadline_ms(500))
+                .unwrap();
+            j.record_state(1, &JobState::Done { digest: 0xABCD })
+                .unwrap();
+            j.probe().unwrap();
+            j.record_accepted(3, &spec(33)).unwrap();
+            let shed = JobState::Shed {
+                reason: "memory-pressure".to_owned(),
+            };
+            j.record_state(3, &shed).unwrap();
+        }
+        assert_eq!(fs::read_to_string(&path).unwrap(), PINNED_JOURNAL);
+
+        // A journal already on disk in this format opens, replays, and
+        // takes new records after its last line.
+        fs::write(&path, PINNED_JOURNAL).unwrap();
+        let (mut j, view) = DaemonJournal::open(&path, IoFaults::disarmed()).unwrap();
+        assert_eq!(view, DaemonJournal::load(&path).unwrap());
+        assert_eq!(view.next_id, 4);
+        assert_eq!(view.jobs[&1].spec.tag, "nightly run");
+        assert_eq!(view.jobs[&1].spec.dedupe_key, "k=1");
+        assert_eq!(
+            view.jobs[&1].terminal,
+            Some(JobState::Done { digest: 0xABCD })
+        );
+        let incomplete: Vec<u64> = view.incomplete().map(|j| j.id).collect();
+        assert_eq!(incomplete, vec![2]);
+        j.record_state(2, &JobState::Done { digest: 7 }).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            format!("{PINNED_JOURNAL}kind=state id=2 state=done digest=0000000000000007\n")
+        );
     }
 }

@@ -42,7 +42,7 @@ pub use daemon::{
     Admission, Daemon, DaemonConfig, DaemonStats, JobControl, JobExecutor, JobStatus, JobVerdict,
     ShutdownMode,
 };
-pub use faultio::{IoFaults, WriteFault};
+pub use faultio::IoFaults;
 pub use headroom::HeadroomProbe;
 pub use journal::{DaemonJournal, JournalView, JournaledJob};
 pub use queue::{AdmissionQueue, Admit, QueuedJob};
@@ -76,10 +76,4 @@ impl From<std::io::Error> for DaemonError {
     fn from(e: std::io::Error) -> Self {
         DaemonError::Io(e)
     }
-}
-
-/// Encodes owned `(key, value)` pairs with the kernel line codec.
-pub(crate) fn encode_fields(fields: &[(&'static str, String)]) -> String {
-    let borrowed: Vec<(&str, &str)> = fields.iter().map(|(k, v)| (*k, v.as_str())).collect();
-    droidsim_kernel::journal::encode_line(&borrowed)
 }

@@ -42,7 +42,7 @@ use droidsim_kernel::journal;
 use crate::daemon::{Admission, Daemon, ShutdownMode};
 use crate::faultio::IoFaults;
 use crate::spec::JobSpec;
-use crate::{encode_fields, DaemonError};
+use crate::DaemonError;
 
 /// Default `cmd=wait` timeout when the request names none.
 pub const DEFAULT_WAIT_MS: u64 = 60_000;
@@ -183,7 +183,7 @@ pub fn serve_with(
                     let _ = writeln!(
                         stream,
                         "{}",
-                        encode_fields(&error_response("too-many-connections"))
+                        journal::encode_line(&error_response("too-many-connections"))
                     );
                 }
             },
@@ -278,7 +278,7 @@ fn handle_connection(
                 let _ = writeln!(
                     write_half,
                     "{}",
-                    encode_fields(&error_response("line-too-long"))
+                    journal::encode_line(&error_response("line-too-long"))
                 );
                 return;
             }
@@ -298,7 +298,7 @@ fn handle_connection(
         if cfg.io_faults.should_inject(FaultSite::SocketWrite) {
             return; // injected reset after processing: a lost ack
         }
-        if writeln!(write_half, "{}", encode_fields(&response)).is_err() {
+        if writeln!(write_half, "{}", journal::encode_line(&response)).is_err() {
             return;
         }
         let _ = write_half.flush();

@@ -384,10 +384,9 @@ fn parse_field<T: std::str::FromStr>(fields: &[(String, String)], key: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode_fields;
 
     fn round_trip(spec: &JobSpec) -> JobSpec {
-        let line = encode_fields(&spec.kv_fields());
+        let line = journal::encode_line(&spec.kv_fields());
         let fields = journal::decode_line(&line).expect("spec line decodes");
         JobSpec::from_fields(&fields).expect("spec fields parse")
     }
@@ -470,7 +469,7 @@ mod tests {
             },
         ];
         for state in &states {
-            let line = encode_fields(&state.kv_fields());
+            let line = journal::encode_line(&state.kv_fields());
             let fields = journal::decode_line(&line).unwrap();
             assert_eq!(&JobState::from_fields(&fields).unwrap(), state);
             assert_eq!(

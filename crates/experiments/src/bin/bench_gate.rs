@@ -18,10 +18,11 @@
 //! Both checks are only meaningful on hardware comparable to the
 //! reference runner. Each JSON document carries the machine block the
 //! vendored criterion harness emits (`logical_cores`, the
-//! `DROIDSIM_JOBS` resolution); when the fresh machine's core count
-//! differs from the baseline's — a laptop checking against the 8-core
-//! CI reference — every violation is downgraded to a warning and the
-//! gate exits 0.
+//! `DROIDSIM_JOBS` resolution); when a fresh file's core count differs
+//! from its baseline's — a laptop checking against the 8-core CI
+//! reference — that pair's violations are downgraded to warnings. The
+//! other pairs still fail the gate, so it exits 0 only when every
+//! violation comes from a mismatched pair.
 //!
 //! The parser is deliberately small and hand-rolled (the workspace has
 //! no JSON dependency): it reads the exact one-benchmark-per-line
@@ -300,6 +301,78 @@ fn check_memo(label: &str, doc: &BenchDoc) -> Vec<Violation> {
     violations
 }
 
+/// The gate's violations, split by whether they fail it.
+#[derive(Default)]
+struct Verdict {
+    /// From pairs measured on their baseline's core count.
+    failures: Vec<Violation>,
+    /// From pairs whose fresh and baseline core counts differ.
+    warnings: Vec<Violation>,
+}
+
+impl Verdict {
+    /// Prints the summary; only failures fail the gate.
+    fn report(&self) -> ExitCode {
+        if !self.warnings.is_empty() {
+            println!(
+                "bench gate: {} violation(s) on mismatched hardware — reported as warnings only:",
+                self.warnings.len()
+            );
+            for v in &self.warnings {
+                println!("  warning: {}", v.message);
+            }
+        }
+        if self.failures.is_empty() {
+            if self.warnings.is_empty() {
+                println!(
+                    "bench gate: all benchmarks within ±{:.0}%",
+                    TOLERANCE * 100.0
+                );
+            }
+            return ExitCode::SUCCESS;
+        }
+        eprintln!("bench gate: {} violation(s):", self.failures.len());
+        for v in &self.failures {
+            eprintln!("  {}", v.message);
+        }
+        ExitCode::FAILURE
+    }
+}
+
+/// Runs every check over each `(baseline path, fresh, baseline)` pair.
+/// A pair whose fresh and baseline `logical_cores` differ has all its
+/// violations (band, scaling, throughput, memo) downgraded to warnings.
+fn gate(pairs: &[(String, BenchDoc, BenchDoc)]) -> Verdict {
+    let mut verdict = Verdict::default();
+    for (base_path, fresh, baseline) in pairs {
+        let mut mismatch = false;
+        if let (Some(f), Some(b)) = (fresh.logical_cores, baseline.logical_cores) {
+            if f != b {
+                mismatch = true;
+                println!(
+                    "== {base_path}: machine mismatch — baseline has {b} logical core(s) \
+                     (jobs={}), this machine has {f} (jobs={})",
+                    baseline.droidsim_jobs.as_deref().unwrap_or("unset"),
+                    fresh.droidsim_jobs.as_deref().unwrap_or("unset"),
+                );
+            }
+        }
+        let mut violations = compare_pair(base_path, fresh, baseline);
+        violations.extend(check_scaling("fresh run", fresh));
+        violations.extend(check_scaling(base_path, baseline));
+        violations.extend(check_throughput("fresh run", fresh));
+        violations.extend(check_throughput(base_path, baseline));
+        violations.extend(check_memo("fresh run", fresh));
+        violations.extend(check_memo(base_path, baseline));
+        if mismatch {
+            verdict.warnings.extend(violations);
+        } else {
+            verdict.failures.extend(violations);
+        }
+    }
+    verdict
+}
+
 fn main() -> ExitCode {
     rch_experiments::version_flag();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -308,8 +381,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut core_mismatch = false;
+    let mut pairs = Vec::new();
     for pair in args.chunks(2) {
         let (fresh_path, base_path) = (&pair[0], &pair[1]);
         let read = |path: &str| match std::fs::read_to_string(path) {
@@ -322,48 +394,9 @@ fn main() -> ExitCode {
         let (Some(fresh), Some(baseline)) = (read(fresh_path), read(base_path)) else {
             return ExitCode::from(2);
         };
-        if let (Some(f), Some(b)) = (fresh.logical_cores, baseline.logical_cores) {
-            if f != b {
-                core_mismatch = true;
-                println!(
-                    "== {base_path}: machine mismatch — baseline has {b} logical core(s) \
-                     (jobs={}), this machine has {f} (jobs={})",
-                    baseline.droidsim_jobs.as_deref().unwrap_or("unset"),
-                    fresh.droidsim_jobs.as_deref().unwrap_or("unset"),
-                );
-            }
-        }
-        violations.extend(compare_pair(base_path, &fresh, &baseline));
-        violations.extend(check_scaling("fresh run", &fresh));
-        violations.extend(check_scaling(base_path, &baseline));
-        violations.extend(check_throughput("fresh run", &fresh));
-        violations.extend(check_throughput(base_path, &baseline));
-        violations.extend(check_memo("fresh run", &fresh));
-        violations.extend(check_memo(base_path, &baseline));
+        pairs.push((base_path.clone(), fresh, baseline));
     }
-
-    if violations.is_empty() {
-        println!(
-            "bench gate: all benchmarks within ±{:.0}%",
-            TOLERANCE * 100.0
-        );
-        return ExitCode::SUCCESS;
-    }
-    if core_mismatch {
-        println!(
-            "bench gate: {} violation(s) on mismatched hardware — reported as warnings only:",
-            violations.len()
-        );
-        for v in &violations {
-            println!("  warning: {}", v.message);
-        }
-        return ExitCode::SUCCESS;
-    }
-    eprintln!("bench gate: {} violation(s):", violations.len());
-    for v in &violations {
-        eprintln!("  {}", v.message);
-    }
-    ExitCode::FAILURE
+    gate(&pairs).report()
 }
 
 #[cfg(test)]
@@ -515,5 +548,44 @@ mod tests {
         }
         assert!(compare_pair("t", &fresh, &baseline).is_empty());
         assert!(check_scaling("t", &fresh).is_empty());
+    }
+
+    /// A pair whose fresh means run 30 % slower than the 8-core
+    /// baseline's, measured on `cores` logical cores.
+    fn slow_pair(cores: u64) -> (String, BenchDoc, BenchDoc) {
+        let baseline = parse_doc(DOC);
+        let mut fresh = baseline.clone();
+        fresh.logical_cores = Some(cores);
+        for b in &mut fresh.benchmarks {
+            b.mean_ns *= 1.30;
+        }
+        (format!("baseline-for-{cores}"), fresh, baseline)
+    }
+
+    #[test]
+    fn a_pair_on_other_hardware_only_warns() {
+        let verdict = gate(&[slow_pair(2)]);
+        assert!(verdict.failures.is_empty());
+        assert_eq!(verdict.warnings.len(), 2, "both arms regressed");
+        assert_eq!(verdict.report(), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn a_pair_on_matching_hardware_fails_even_next_to_a_mismatched_one() {
+        let verdict = gate(&[slow_pair(8)]);
+        assert_eq!(verdict.failures.len(), 2);
+        assert!(verdict.warnings.is_empty());
+        assert_eq!(verdict.report(), ExitCode::FAILURE);
+        let mixed = gate(&[slow_pair(2), slow_pair(8)]);
+        assert_eq!((mixed.failures.len(), mixed.warnings.len()), (2, 2));
+        assert!(mixed.failures[0].message.contains("baseline-for-8"));
+        assert_eq!(mixed.report(), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn all_mismatched_pairs_still_exit_zero() {
+        let verdict = gate(&[slow_pair(2), slow_pair(4)]);
+        assert_eq!(verdict.warnings.len(), 4);
+        assert_eq!(verdict.report(), ExitCode::SUCCESS);
     }
 }

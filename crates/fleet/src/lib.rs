@@ -57,7 +57,7 @@ pub mod supervise;
 pub use digest::{combine_indexed, combine_ordered, mix_indexed, Digest};
 pub use supervise::{
     run_fleet_supervised, FleetError, FleetJournal, FleetOptions, FleetReport, FleetRun,
-    JournalState, QuarantinedTask, TaskOutcome,
+    QuarantinedTask, TaskOutcome,
 };
 
 use droidsim_kernel::Xoshiro256;
@@ -771,8 +771,9 @@ mod supervise_tests {
         kept.push_str("kind=task index=6 outco"); // torn mid-write
         std::fs::write(&path, kept).unwrap();
 
-        let state = FleetJournal::load(&path).unwrap();
-        assert_eq!(state.completed.len(), 4, "torn line discarded");
+        let schema = FleetJournal { seed: 13, items: 8 };
+        let completed = droidsim_kernel::journal::replay(&path, &schema).unwrap();
+        assert_eq!(completed.unwrap().len(), 4, "torn line discarded");
 
         let resumed = supervised(&cfg, &FleetOptions::new().resuming(&path));
         assert_eq!(resumed.report.ledger.skipped, 4);
@@ -801,6 +802,52 @@ mod supervise_tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("different run"), "got: {err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The on-disk format, pinned: a jobs=1 journal with task 2
+    /// quarantined, byte for byte, so journals already on disk resume.
+    const PINNED_JOURNAL: &str = "kind=header seed=13 items=8\n\
+        kind=task index=0 outcome=ok digest=a812b35aa693e654 attempts=1\n\
+        kind=task index=1 outcome=ok digest=6d749c4603e69da1 attempts=1\n\
+        kind=task index=2 outcome=quarantined digest= attempts=1\n\
+        kind=task index=3 outcome=ok digest=7a9225aff3e2d431 attempts=1\n\
+        kind=task index=4 outcome=ok digest=77f391e7e6a1ce24 attempts=1\n\
+        kind=task index=5 outcome=ok digest=1d16c0dd44724dbf attempts=1\n\
+        kind=task index=6 outcome=ok digest=b586c5aa32443f23 attempts=1\n\
+        kind=task index=7 outcome=ok digest=721825a220d53dcf attempts=1\n";
+
+    #[test]
+    fn journal_keeps_its_pinned_bytes_and_old_journals_resume() {
+        let cfg = FleetConfig::new(1, 13);
+        let path = tmp("pinned");
+        let _ = supervised(
+            &cfg,
+            &FleetOptions::new()
+                .with_hard_fail(vec![2])
+                .with_journal(&path),
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), PINNED_JOURNAL);
+
+        // A journal already on disk in this format replays and resumes:
+        // only the quarantined task re-runs, and its record lands last.
+        std::fs::write(&path, PINNED_JOURNAL).unwrap();
+        let schema = FleetJournal { seed: 13, items: 8 };
+        let completed = droidsim_kernel::journal::replay(&path, &schema).unwrap();
+        let indices: Vec<usize> = completed.unwrap().into_keys().collect();
+        assert_eq!(indices, [0, 1, 3, 4, 5, 6, 7]);
+        let clean = supervised(&cfg, &FleetOptions::new());
+        let resumed = supervised(&cfg, &FleetOptions::new().resuming(&path));
+        assert_eq!(resumed.report.ledger.skipped, 7);
+        assert_eq!(resumed.report.ledger.ok, 1);
+        assert_eq!(resumed.combined_digest(), clean.combined_digest());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!(
+                "{PINNED_JOURNAL}kind=task index=2 outcome=ok digest={:016x} attempts=1\n",
+                clean.digests[2].unwrap()
+            )
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -37,15 +37,13 @@
 //! it strikes the first attempt only, and the retry succeeds.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_kernel::journal;
+use droidsim_kernel::journal::{self, Log};
 use droidsim_metrics::FleetLedger;
 
 use crate::{combine_ordered, CancelToken, FleetConfig, TaskCtx};
@@ -245,140 +243,87 @@ impl From<std::io::Error> for FleetError {
     }
 }
 
-/// The append-only checkpoint journal: a header line naming the run
-/// (seed + item count), then one line per completed task. Lines are
-/// written through [`droidsim_kernel::journal`] and fsync'd one by one,
-/// so a crash leaves at most one truncated line — which the loader
-/// discards along with everything after it.
-#[derive(Debug)]
+/// The checkpoint journal's schema: a `kind=header seed=… items=…` line
+/// naming the run, then one `kind=task index=… outcome=… digest=…
+/// attempts=…` record per finished task. The state a replay rebuilds is
+/// the digest per task index recorded `ok`; quarantined tasks are not
+/// completed, so a resumed run retries them. What a crash may cost is
+/// [`droidsim_kernel::journal`]'s rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetJournal {
-    file: File,
-}
-
-/// What a journal recorded before the run was interrupted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalState {
-    /// The interrupted run's root seed.
+    /// The run's root seed.
     pub seed: u64,
-    /// The interrupted run's item count.
+    /// The run's item count.
     pub items: usize,
-    /// Digest per task index recorded `ok`.
-    pub completed: BTreeMap<usize, u64>,
 }
 
 impl FleetJournal {
-    /// Opens `path` for appending, writing the header when the file is
-    /// new or empty. An existing header must match `seed` and `items`.
-    pub fn create_or_append(
+    /// One finished task's record; `digest` is recorded for `ok` only.
+    fn task(index: usize, tag: &str, digest: Option<u64>, attempts: u32) -> [(&str, String); 5] {
+        let digest = digest.map(|d| format!("{d:016x}")).unwrap_or_default();
+        [
+            ("kind", "task".to_owned()),
+            ("index", index.to_string()),
+            ("outcome", tag.to_owned()),
+            ("digest", digest),
+            ("attempts", attempts.to_string()),
+        ]
+    }
+}
+
+impl journal::Schema for FleetJournal {
+    type State = BTreeMap<usize, u64>;
+    type Error = FleetError;
+
+    fn header(&self) -> String {
+        journal::encode_line(&[
+            ("kind", "header".to_owned()),
+            ("seed", self.seed.to_string()),
+            ("items", self.items.to_string()),
+        ])
+    }
+
+    fn check_header(
+        &self,
         path: &Path,
-        seed: u64,
-        items: usize,
-    ) -> Result<FleetJournal, FleetError> {
-        let exists = path.exists() && std::fs::metadata(path)?.len() > 0;
-        if exists {
-            let state = FleetJournal::load(path)?;
-            if state.seed != seed || state.items != items {
-                return Err(FleetError::Journal(format!(
-                    "{} belongs to a different run (seed {} items {}, this run: seed {} items {})",
-                    path.display(),
-                    state.seed,
-                    state.items,
-                    seed,
-                    items
-                )));
-            }
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if !exists {
-            let header = journal::encode_line(&[
-                ("kind", "header"),
-                ("seed", &seed.to_string()),
-                ("items", &items.to_string()),
-            ]);
-            writeln!(file, "{header}")?;
-            file.sync_data()?;
-        }
-        Ok(FleetJournal { file })
-    }
-
-    /// Appends and fsyncs one completed-task line.
-    pub fn record(
-        &mut self,
-        index: usize,
-        tag: &str,
-        digest: Option<u64>,
-        attempts: u32,
-    ) -> Result<(), FleetError> {
-        let digest_hex = digest.map(|d| format!("{d:016x}")).unwrap_or_default();
-        let line = journal::encode_line(&[
-            ("kind", "task"),
-            ("index", &index.to_string()),
-            ("outcome", tag),
-            ("digest", &digest_hex),
-            ("attempts", &attempts.to_string()),
-        ]);
-        writeln!(self.file, "{line}")?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
-    /// Reads a journal back, stopping silently at the first malformed
-    /// (truncated) line. Quarantined entries are *not* treated as
-    /// completed — a resumed run retries them.
-    pub fn load(path: &Path) -> Result<JournalState, FleetError> {
-        let reader = BufReader::new(File::open(path)?);
-        let mut lines = reader.lines();
-        let header = lines
-            .next()
-            .transpose()?
-            .and_then(|l| journal::decode_line(&l))
-            .ok_or_else(|| {
-                FleetError::Journal(format!("{}: missing or unreadable header", path.display()))
-            })?;
-        if journal::field(&header, "kind") != Some("header") {
+        header: &[(String, String)],
+    ) -> Result<Self::State, FleetError> {
+        if journal::field(header, "kind") != Some("header") {
             return Err(FleetError::Journal(format!(
                 "{}: first line is not a header",
                 path.display()
             )));
         }
-        let parse_u64 = |key: &str| -> Result<u64, FleetError> {
-            journal::field(&header, key)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| {
-                    FleetError::Journal(format!("{}: header lacks {key}", path.display()))
-                })
-        };
-        let seed = parse_u64("seed")?;
-        let items = parse_u64("items")? as usize;
-        let mut completed = BTreeMap::new();
-        for line in lines {
-            let Some(fields) = journal::decode_line(&line?) else {
-                break; // truncated tail — everything before it stands
-            };
-            if journal::field(&fields, "kind") != Some("task") {
-                break;
-            }
-            let entry = (|| {
-                let index: usize = journal::field(&fields, "index")?.parse().ok()?;
-                let outcome = journal::field(&fields, "outcome")?;
-                let digest = journal::field(&fields, "digest")?;
-                Some((index, outcome.to_owned(), digest.to_owned()))
-            })();
-            let Some((index, outcome, digest)) = entry else {
-                break;
-            };
-            if outcome == "ok" && index < items {
-                if let Ok(d) = u64::from_str_radix(&digest, 16) {
-                    completed.insert(index, d);
-                }
-            }
+        let recorded = |key| journal::field(header, key).unwrap_or("-");
+        if recorded("seed").parse() != Ok(self.seed) || recorded("items").parse() != Ok(self.items)
+        {
+            return Err(FleetError::Journal(format!(
+                "{} belongs to a different run (seed {} items {}, this run: seed {} items {})",
+                path.display(),
+                recorded("seed"),
+                recorded("items"),
+                self.seed,
+                self.items
+            )));
         }
-        Ok(JournalState {
-            seed,
-            items,
-            completed,
-        })
+        Ok(BTreeMap::new())
+    }
+
+    fn apply(&self, completed: &mut Self::State, record: &[(String, String)]) -> bool {
+        let field = |key| journal::field(record, key);
+        let index = field("index").and_then(|v| v.parse::<usize>().ok());
+        match (field("kind"), index, field("outcome")) {
+            (Some("task"), Some(i), Some("ok")) if i < self.items => {
+                let Some(digest) = field("digest").and_then(|d| u64::from_str_radix(d, 16).ok())
+                else {
+                    return false;
+                };
+                completed.insert(i, digest);
+                true
+            }
+            (Some("task"), Some(i), Some("quarantined")) => i < self.items,
+            _ => false,
+        }
     }
 }
 
@@ -672,28 +617,23 @@ where
     D: Fn(&R) -> u64 + Sync,
 {
     let n = items.len();
-    let resumed: BTreeMap<usize, u64> = match &opts.resume {
-        Some(path) if path.exists() => {
-            let state = FleetJournal::load(path)?;
-            if state.seed != cfg.seed || state.items != n {
-                return Err(FleetError::Journal(format!(
-                    "{} belongs to a different run (seed {} items {}, this run: seed {} items {})",
-                    path.display(),
-                    state.seed,
-                    state.items,
-                    cfg.seed,
-                    n
-                )));
-            }
-            state.completed
-        }
-        _ => BTreeMap::new(),
+    let schema = FleetJournal {
+        seed: cfg.seed,
+        items: n,
     };
-    let journal = match &opts.journal {
-        Some(path) => Some(Mutex::new(FleetJournal::create_or_append(
-            path, cfg.seed, n,
-        )?)),
-        None => None,
+    let (journal, recorded) = match &opts.journal {
+        Some(path) => {
+            let (log, recorded) = Log::open(path, &schema, ())?;
+            (Some(Mutex::new(log)), recorded)
+        }
+        None => (None, BTreeMap::new()),
+    };
+    // A resume usually appends to the journal it resumes from, which the
+    // open above has already read.
+    let resumed = match &opts.resume {
+        Some(path) if opts.journal.as_ref() == Some(path) => recorded,
+        Some(path) if path.exists() => journal::replay(path, &schema)?.unwrap_or_default(),
+        _ => BTreeMap::new(),
     };
 
     let run = Arc::new(run);
@@ -754,7 +694,8 @@ where
                 Attempt::Done(r) => {
                     let digest = digest_of(&r);
                     if let Some(j) = &journal {
-                        let _ = lock(j).record(i, "ok", Some(digest), attempt + 1);
+                        let _ =
+                            lock(j).append(&FleetJournal::task(i, "ok", Some(digest), attempt + 1));
                     }
                     rec.digest = Some(digest);
                     rec.outcome = TaskOutcome::Ok(r);
@@ -776,7 +717,7 @@ where
                 continue;
             }
             if let Some(j) = &journal {
-                let _ = lock(j).record(i, "quarantined", None, attempt + 1);
+                let _ = lock(j).append(&FleetJournal::task(i, "quarantined", None, attempt + 1));
             }
             rec.outcome = if last_was_timeout {
                 TaskOutcome::TimedOut {

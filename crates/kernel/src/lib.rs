@@ -12,8 +12,8 @@
 //!   PRNGs used for workload generation and jitter injection,
 //! * [`IdGen`] — monotonically increasing id allocation for tokens, views,
 //!   records, …
-//! * [`journal`] — `key=value` line serialization for the fleet's
-//!   append-only checkpoint journals.
+//! * [`journal`] — the `key=value` line codec and the crash-safe
+//!   append-only log behind the fleet and daemon journals.
 //! * [`alloc_track`] — coarse allocation-event accounting so the fleet
 //!   ledger can report allocations-per-sim.
 //! * [`memo`] — shard-per-key, content-addressed memoization for the

@@ -10,8 +10,8 @@ use droidsim_app::SimpleApp;
 use droidsim_device::{Device, HandlingMode};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_fleet::{
-    combine_indexed, combine_ordered, run_fleet, run_fleet_reduce, run_fleet_supervised, Digest,
-    FleetConfig, FleetOptions, TaskCtx, TaskOutcome,
+    combine_indexed, combine_ordered, run_fleet, run_fleet_reduce, run_fleet_supervised,
+    CancelToken, Digest, FleetConfig, FleetOptions, TaskCtx, TaskOutcome,
 };
 use droidsim_kernel::SimDuration;
 
@@ -284,5 +284,122 @@ fn resuming_a_half_finished_journal_matches_the_uninterrupted_run() {
         "resumed digest diverged from the uninterrupted run"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Six devices under supervision — the crash-point fixture's fleet.
+fn six_devices(
+    opts: &FleetOptions,
+) -> Result<droidsim_fleet::FleetRun<u64>, droidsim_fleet::FleetError> {
+    run_fleet_supervised(
+        &FleetConfig::new(1, 9),
+        opts,
+        (0..6).collect(),
+        device_task,
+        |d| *d,
+    )
+}
+
+/// Journals the six-device fleet at jobs=1 with device 1 hard-broken, so
+/// the file holds a `quarantined` record among the `ok` ones. Returns the
+/// journal's bytes and the digest of an uninterrupted clean run.
+fn crash_point_journal(path: &std::path::Path) -> (Vec<u8>, u64) {
+    let clean = six_devices(&FleetOptions::new()).unwrap();
+    let _ = std::fs::remove_file(path);
+    six_devices(
+        &FleetOptions::new()
+            .with_hard_fail(vec![1])
+            .with_journal(path),
+    )
+    .unwrap();
+    (
+        std::fs::read(path).unwrap(),
+        clean.combined_digest().unwrap(),
+    )
+}
+
+#[test]
+fn every_crash_point_of_a_journal_resumes_to_the_uninterrupted_digest() {
+    // A crash can cut the journal at any byte. Whatever prefix survives,
+    // resuming must finish the study with the uninterrupted digest, and
+    // a second resume over the journal the first one completed must
+    // agree: a torn header restarts the file, a torn record is dropped.
+    let dir = std::env::temp_dir().join(format!("droidsim-crash-point-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet.journal");
+    let (bytes, uninterrupted) = crash_point_journal(&path);
+    assert_eq!(bytes.len() + 1, 405, "prefixes of the fixture journal");
+
+    let mut failures = Vec::new();
+    for cut in 0..=bytes.len() {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        for pass in ["first", "second"] {
+            match six_devices(&FleetOptions::new().resuming(&path)) {
+                Ok(run) if run.combined_digest() == Some(uninterrupted) => {}
+                Ok(run) => failures.push(format!(
+                    "cut {cut} {pass} resume: digest {:?}",
+                    run.combined_digest()
+                )),
+                Err(e) => failures.push(format!("cut {cut} {pass} resume: {e}")),
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failed resume(s):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_append_after_a_torn_record_never_merges_into_it() {
+    // Cut task 5's record inside its digest field, resume with a token
+    // that the re-run task 1 fires, then resume again. Task 1's record
+    // must land on its own line, not glued onto task 5's torn bytes.
+    let dir = std::env::temp_dir().join(format!("droidsim-torn-append-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet.journal");
+    let (bytes, uninterrupted) = crash_point_journal(&path);
+    let torn = b"kind=task index=5 outcome=ok dig";
+    let cut = bytes
+        .windows(torn.len())
+        .position(|w| w == torn)
+        .expect("task 5 was journaled")
+        + torn.len();
+    std::fs::write(&path, &bytes[..cut]).unwrap();
+
+    let token = CancelToken::new();
+    let first = run_fleet_supervised(
+        &FleetConfig::new(1, 9),
+        &FleetOptions::new()
+            .resuming(&path)
+            .with_cancel(token.clone()),
+        (0..6).collect(),
+        move |ctx, i| {
+            let d = device_task(ctx, i);
+            if i == 1 {
+                token.cancel();
+            }
+            d
+        },
+        |d: &u64| *d,
+    )
+    .unwrap();
+    assert_eq!(first.report.ledger.skipped, 4, "tasks 0, 2, 3 and 4");
+    assert_eq!(first.report.ledger.ok, 1, "task 1 re-ran");
+    assert_eq!(first.report.ledger.cancelled, 1, "task 5 never started");
+
+    let second = six_devices(&FleetOptions::new().resuming(&path)).unwrap();
+    assert_eq!(second.report.ledger.skipped, 5);
+    assert_eq!(second.report.ledger.ok, 1, "only task 5 re-ran");
+    assert_eq!(second.combined_digest(), Some(uninterrupted));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        text.lines().count(),
+        1 + 6 + 1,
+        "header, six ok records, and task 1's quarantine"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
