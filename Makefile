@@ -5,10 +5,11 @@ CARGO ?= cargo
 
 .PHONY: ci build test fmt fmt-fix clippy bench-smoke fault-matrix \
 	fleet-determinism memo-parity bench-json bench-gate soak lint-study \
-	dataloss-study daemon-soak chaos-soak
+	dataloss-study daemon-soak chaos-soak rchbench-test
 
-ci: build test fmt clippy fault-matrix fleet-determinism memo-parity \
-	bench-smoke lint-study dataloss-study soak daemon-soak chaos-soak
+ci: build test fmt clippy rchbench-test fault-matrix fleet-determinism \
+	memo-parity bench-smoke lint-study dataloss-study soak daemon-soak \
+	chaos-soak
 
 # Seeds for the fault-injection suite. Debug builds keep the
 # batched-vs-eager equivalence checker armed, so each seed also
@@ -35,6 +36,11 @@ fault-matrix:
 		echo "--- fault matrix, seed $$seed ---"; \
 		FAULT_SEED=$$seed $(CARGO) test -q --test fault_matrix || exit 1; \
 	done
+
+# rchbench/ is a package of its own, outside the workspace: build it and
+# run its smoke test, which re-runs every workload's output checks.
+rchbench-test:
+	$(CARGO) test --release --offline --manifest-path rchbench/Cargo.toml
 
 bench-smoke:
 	$(CARGO) bench -p rch-bench --bench fig07_handling_time_27 -- --test

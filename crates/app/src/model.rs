@@ -3,7 +3,7 @@
 use crate::activity::Activity;
 use droidsim_bundle::Bundle;
 use droidsim_config::ConfigChanges;
-use droidsim_kernel::SimDuration;
+use droidsim_kernel::{SimDuration, Symbol};
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{ViewError, ViewOp};
 
@@ -186,7 +186,10 @@ impl SimpleApp {
                     .map(|i| {
                         (
                             format!("image_{i}"),
-                            ViewOp::SetDrawable(format!("loaded_{i}.png"), 256 * 1024),
+                            ViewOp::SetDrawable(
+                                Symbol::intern(&format!("loaded_{i}.png")),
+                                256 * 1024,
+                            ),
                         )
                     })
                     .collect(),
@@ -338,7 +341,15 @@ mod tests {
         model.on_async_result(&mut a, &result).unwrap();
         let img = a.tree.find_by_id_name("image_0").unwrap();
         assert_eq!(
-            a.tree.view(img).unwrap().attrs.drawable.as_ref().unwrap().0,
+            a.tree
+                .view(img)
+                .unwrap()
+                .attrs
+                .drawable
+                .as_ref()
+                .unwrap()
+                .0
+                .as_str(),
             "loaded_0.png"
         );
         // The generic invalidate hook saw every updated image.

@@ -455,7 +455,15 @@ mod tests {
         let a = thread.instance(id).unwrap();
         let img = a.tree.find_by_id_name("image_1").unwrap();
         assert_eq!(
-            a.tree.view(img).unwrap().attrs.drawable.as_ref().unwrap().0,
+            a.tree
+                .view(img)
+                .unwrap()
+                .attrs
+                .drawable
+                .as_ref()
+                .unwrap()
+                .0
+                .as_str(),
             "loaded_1.png"
         );
     }

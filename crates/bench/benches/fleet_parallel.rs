@@ -127,7 +127,7 @@ fn memo_table() -> ResourceTable {
             &drawable,
             Qualifiers::any().with_ui_mode(UiMode::Night),
             ResourceValue::Drawable {
-                name: format!("d{i}-night.png"),
+                name: format!("d{i}-night.png").as_str().into(),
                 bytes_hint: 4 << 10,
             },
         );
@@ -136,7 +136,7 @@ fn memo_table() -> ResourceTable {
                 &drawable,
                 Qualifiers::any().with_min_smallest_width(sw),
                 ResourceValue::Drawable {
-                    name: format!("d{i}-sw{sw}.png"),
+                    name: format!("d{i}-sw{sw}.png").as_str().into(),
                     bytes_hint: 8 << 10,
                 },
             );
@@ -145,7 +145,7 @@ fn memo_table() -> ResourceTable {
             &drawable,
             Qualifiers::any(),
             ResourceValue::Drawable {
-                name: format!("d{i}.png"),
+                name: format!("d{i}.png").as_str().into(),
                 bytes_hint: 4 << 10,
             },
         );

@@ -7,7 +7,7 @@
 //! view in the dirty queue and drains each view once at flush time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use droidsim_kernel::{SimDuration, SimTime};
+use droidsim_kernel::{SimDuration, SimTime, Symbol};
 use droidsim_view::{ViewKind, ViewOp, ViewTree};
 use rchdroid::{FlushPolicy, MigrationEngine};
 use std::hint::black_box;
@@ -34,7 +34,7 @@ struct Rig {
     sunny: ViewTree,
     engine: MigrationEngine,
     ids: Vec<droidsim_view::ViewId>,
-    frames: Vec<String>,
+    frames: Vec<Symbol>,
 }
 
 fn coupled(policy: FlushPolicy) -> Rig {
@@ -50,7 +50,9 @@ fn coupled(policy: FlushPolicy) -> Rig {
     let ids = (0..VIEWS)
         .map(|i| shadow.find_by_id_name(&format!("v{i}")).unwrap())
         .collect();
-    let frames = (0..ROUNDS).map(|r| format!("frame_{r}.png")).collect();
+    let frames = (0..ROUNDS)
+        .map(|r| Symbol::intern(&format!("frame_{r}.png")))
+        .collect();
     Rig {
         shadow,
         sunny,
@@ -68,7 +70,7 @@ fn chatty_task(rig: &mut Rig) -> usize {
     for round in 0..ROUNDS {
         for &v in &rig.ids {
             rig.shadow
-                .apply(v, ViewOp::SetDrawable(rig.frames[round].clone(), 64))
+                .apply(v, ViewOp::SetDrawable(rig.frames[round], 64))
                 .unwrap();
         }
         let now = SimTime::ZERO + SimDuration::from_millis(round as u64);

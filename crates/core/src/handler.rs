@@ -986,7 +986,8 @@ mod tests {
                     .drawable
                     .as_ref()
                     .unwrap()
-                    .0,
+                    .0
+                    .as_str(),
                 format!("loaded_{i}.png")
             );
         }
@@ -1163,7 +1164,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "loaded_0.png",
             "not yet migrated"
         );
@@ -1187,7 +1189,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "loaded_0.png"
         );
     }
@@ -1221,7 +1224,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "loaded_0.png",
             "the pre-flip flush landed the images on the then-sunny tree"
         );
@@ -1255,7 +1259,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "loaded_0.png",
             "queued updates migrated before the shadow died"
         );
@@ -1413,7 +1418,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "loaded_0.png",
             "the dropped callback never mutated the tree"
         );

@@ -829,7 +829,10 @@ mod tests {
                 .clone()
         };
         assert_eq!(get("name").text.as_deref(), Some("alice"));
-        assert_eq!(get("hero").drawable.as_ref().unwrap().0, "landscape.png");
+        assert_eq!(
+            get("hero").drawable.as_ref().unwrap().0.as_str(),
+            "landscape.png"
+        );
         assert_eq!(get("list").selector_position, Some(5));
         assert_eq!(get("list").checked_items, vec![2]);
         assert_eq!(get("player").video_uri.as_deref(), Some("clip.mp4"));

@@ -1058,7 +1058,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "loaded_0.png"
         );
     }

@@ -133,8 +133,8 @@ pub fn run_arm(label: &'static str, mode: HandlingMode) -> AblationArm {
                 .and_then(|p| {
                     let fg = p.foreground_activity()?;
                     let img = fg.tree.find_by_id_name("image_0")?;
-                    let drawable = fg.tree.view(img).ok()?.attrs.drawable.clone()?;
-                    Some(drawable.0 == "loaded_0.png")
+                    let drawable = fg.tree.view(img).ok()?.attrs.drawable?;
+                    Some(drawable.0.as_str() == "loaded_0.png")
                 })
                 .unwrap_or(false)
     };

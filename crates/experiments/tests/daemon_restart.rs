@@ -71,6 +71,9 @@ fn killed_daemon_resumes_acknowledged_jobs_to_the_reference_digest() {
 
     // Kill only once the backlog is genuinely mixed: at least one job
     // done (its terminal state journaled) and at least one still open.
+    // A job over 8 apps takes a few milliseconds, so the mixed window
+    // after the first completion lasts only about four jobs' time; the
+    // poll must be finer than that or it can step over the window.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         assert!(
@@ -87,7 +90,7 @@ fn killed_daemon_resumes_acknowledged_jobs_to_the_reference_digest() {
         if done >= 1 && open >= 1 {
             break;
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(1));
     }
     child.kill().unwrap();
     child.wait().unwrap();

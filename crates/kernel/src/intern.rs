@@ -1,11 +1,32 @@
-//! Global interning of `android:id` names.
+//! Global interning of resource names.
 //!
-//! Essence mapping keys views by their `android:id` *name*. Carrying those
-//! names as owned `String`s means every coupling pass and every
-//! hierarchy-state save clones and hashes variable-length text on the hot
-//! path. This module interns each distinct name once, for the lifetime of
-//! the process, and hands out a [`Symbol`] — a `Copy` `u32` that compares
-//! and hashes in one instruction and resolves back to its text in O(1).
+//! A compiled Android layout never copies a name: tags, attribute keys and
+//! values index a string pool, view ids are integers, and every view
+//! showing a drawable shares one `ConstantState`. The simulator does the
+//! same through this module. It interns each distinct resource name once,
+//! for the lifetime of the process, and hands out a [`Symbol`] — a `Copy`
+//! `u32` that compares and hashes in one instruction and resolves back to
+//! its text in O(1). Layout templates carry their view classes,
+//! `android:id`s and attribute keys and values as symbols, drawable
+//! resources and views carry their asset names as symbols, and essence
+//! mapping and hierarchy-state save/restore key views by their id symbol.
+//! Building, cloning, inflating and dropping a view tree therefore
+//! allocates no name text.
+//!
+//! # What may be interned
+//!
+//! Interned text is never freed, so only *resource names that come from
+//! program code* enter the table: layout builders, resource tables, and
+//! the fixed asset names an app model sets. Such names form a closed set
+//! per app, so the table stays bounded by the code, not by how long a
+//! process runs. *User content never does*: displayed or entered text,
+//! video URIs and bundle values stay owned `String`s, and probes with
+//! arbitrary text go through [`Symbol::lookup`], which never grows the
+//! table. `tests/prop_view.rs` pins this for save/restore, lazy
+//! migration and hot reload. `droidsimd` jobs name fixed studies, so no
+//! client input reaches a layout either. The one growth by design is the
+//! `fleet_parallel` bench's `memo/unique` arm, which interns 16 fresh tag
+//! values per iteration: bounded by the length of the run.
 //!
 //! # Sharded, read-mostly layout
 //!
@@ -24,13 +45,17 @@
 //! Two properties matter for the simulator:
 //!
 //! * **Stability** — a symbol, once issued, resolves to the same string for
-//!   the rest of the process. Interned text is leaked (id names are a small
-//!   closed set per app; the table is bounded in practice).
+//!   the rest of the process. Interned text is leaked (see above for why
+//!   the table stays bounded).
 //! * **Determinism** — the *numeric value* of a symbol depends on interning
-//!   order, which may differ between serial and parallel fleet runs. No
-//!   observable output may therefore depend on symbol values; everything
-//!   user-visible goes through [`Symbol::as_str`]. The view-tree index and
-//!   peer maps only use symbols as opaque hash keys, which is safe.
+//!   order, which differs between serial and parallel fleet runs. Symbol
+//!   values may feed in-process memo keys (a layout's content digest, a
+//!   resource table's fingerprint, a tree's mapping-shape digest) and
+//!   serve as opaque hash keys (the view-tree index, peer maps). No output
+//!   may sort by a symbol or fold one into a fingerprint; everything
+//!   user-visible goes through [`Symbol::as_str`], and ordered containers
+//!   order by the text. The `jobs=N ≡ jobs=1` digest gates catch a
+//!   violation, because interning order differs between those runs.
 //!
 //! # Examples
 //!
@@ -49,8 +74,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-/// An interned `android:id` name: a `Copy` handle into the process-wide
-/// symbol table.
+/// An interned resource name (a view class, an `android:id`, a layout
+/// attribute key or value, a drawable asset): a `Copy` handle into the
+/// process-wide symbol table.
 ///
 /// Equality, ordering, and hashing all operate on the `u32` index, so a
 /// `Symbol` key is as cheap as an integer. Use [`Symbol::as_str`] to get
@@ -68,7 +94,7 @@ const SHARD_COUNT: usize = 16;
 
 /// Number of geometric arena chunks. Chunk `c` holds `FIRST_CHUNK << c`
 /// slots, so 22 chunks cover `64 · (2²² − 1)` ≈ 268M symbols — far beyond
-/// the bounded id-name population of any app corpus.
+/// the bounded resource-name population of any app corpus.
 const CHUNK_COUNT: usize = 22;
 
 /// Capacity of the first arena chunk.
@@ -240,6 +266,12 @@ impl fmt::Display for Symbol {
 
 impl From<&str> for Symbol {
     fn from(name: &str) -> Symbol {
+        Symbol::intern(name)
+    }
+}
+
+impl From<&String> for Symbol {
+    fn from(name: &String) -> Symbol {
         Symbol::intern(name)
     }
 }

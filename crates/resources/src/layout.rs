@@ -5,10 +5,14 @@
 //! attributes. The view crate's inflater resolves class names to concrete
 //! view kinds at inflate time — mirroring how Android resolves XML tags —
 //! so this crate stays free of any view-system dependency.
+//!
+//! Every name in a node is an interned [`Symbol`], the way a compiled
+//! layout indexes its string pool: building a node allocates no text,
+//! cloning a tree copies `u32`s, and the inflater hands each id straight
+//! to the view tree without interning anything.
 
-use droidsim_kernel::memo;
+use droidsim_kernel::{memo, Symbol};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,39 +20,59 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One node of a layout template.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LayoutNode {
-    /// View class name, e.g. `"TextView"`, `"ImageView"`, `"LinearLayout"`.
-    pub class: String,
-    /// The `android:id` name, if the node has one. Views without ids cannot
-    /// have their hierarchy state saved — the classic cause of state loss.
-    pub id_name: Option<String>,
-    /// Literal attributes (`text`, `src`, …). Values starting with `"@"`
-    /// are resource references resolved at inflate time.
-    pub attrs: BTreeMap<String, String>,
+    /// View class name, interned, e.g. `"TextView"`, `"ImageView"`,
+    /// `"LinearLayout"`.
+    pub class: Symbol,
+    /// The interned `android:id` name, if the node has one. Views without
+    /// ids cannot have their hierarchy state saved — the classic cause of
+    /// state loss.
+    pub id_name: Option<Symbol>,
+    /// Literal attributes (`text`, `src`, …) as interned `(key, value)`
+    /// pairs, read through [`LayoutNode::attrs`]. Values starting with
+    /// `"@"` are resource references resolved at inflate time. Private
+    /// because [`LayoutNode::with_attr`] keeps the list sorted by key
+    /// *text* with one entry per key (a repeated key overwrites), so
+    /// iteration order, equality and last-write-wins are those of a map
+    /// keyed by the attribute name.
+    attrs: Vec<(Symbol, Symbol)>,
     /// Child nodes (only meaningful for view groups).
     pub children: Vec<LayoutNode>,
 }
 
 impl LayoutNode {
     /// Creates a leaf node of the given class.
-    pub fn new(class: &str) -> Self {
+    pub fn new(class: impl Into<Symbol>) -> Self {
         LayoutNode {
-            class: class.to_owned(),
+            class: class.into(),
             id_name: None,
-            attrs: BTreeMap::new(),
+            attrs: Vec::new(),
             children: Vec::new(),
         }
     }
 
     /// Sets the id name.
-    pub fn with_id(mut self, id_name: &str) -> Self {
-        self.id_name = Some(id_name.to_owned());
+    pub fn with_id(mut self, id_name: impl Into<Symbol>) -> Self {
+        self.id_name = Some(id_name.into());
         self
     }
 
-    /// Adds an attribute.
-    pub fn with_attr(mut self, key: &str, value: &str) -> Self {
-        self.attrs.insert(key.to_owned(), value.to_owned());
+    /// Sets an attribute; a key set before keeps its place and takes the
+    /// new value.
+    pub fn with_attr(mut self, key: impl Into<Symbol>, value: impl Into<Symbol>) -> Self {
+        let (key, value) = (key.into(), value.into());
+        match self
+            .attrs
+            .binary_search_by(|(k, _)| k.as_str().cmp(key.as_str()))
+        {
+            Ok(at) => self.attrs[at].1 = value,
+            Err(at) => self.attrs.insert(at, (key, value)),
+        }
         self
+    }
+
+    /// The attributes as `(key, value)` pairs, in key-text order.
+    pub fn attrs(&self) -> &[(Symbol, Symbol)] {
+        &self.attrs
     }
 
     /// Adds a child node.
@@ -209,8 +233,10 @@ impl LayoutTemplate {
 
     /// Content digest of the whole template, computed once and cached
     /// until the template is mutated. Process-stable (an FNV fold over
-    /// the node tree), never zero, suitable as memo-cache key material —
-    /// not a cross-process fingerprint.
+    /// the node tree, whose names hash as their symbol indices), never
+    /// zero, suitable as memo-cache key material — not a cross-process
+    /// fingerprint: symbol indices follow interning order, so the value
+    /// differs between runs and must never reach output.
     pub fn content_digest(&self) -> u64 {
         let cached = self.digest.0.load(Ordering::Relaxed);
         if cached != 0 {
@@ -231,7 +257,7 @@ impl LayoutTemplate {
     pub fn declared_ids(&self) -> Vec<&str> {
         self.root
             .iter()
-            .filter_map(|n| n.id_name.as_deref())
+            .filter_map(|n| n.id_name.map(Symbol::as_str))
             .collect()
     }
 }
@@ -290,7 +316,7 @@ mod tests {
     #[test]
     fn builder_sets_attrs() {
         let n = LayoutNode::new("TextView").with_attr("text", "hi");
-        assert_eq!(n.attrs.get("text").map(String::as_str), Some("hi"));
+        assert_eq!(n.attrs(), [(Symbol::intern("text"), Symbol::intern("hi"))]);
         assert_eq!(n.node_count(), 1);
         assert_eq!(n.depth(), 1);
     }

@@ -6,6 +6,7 @@ use crate::qualifiers::Qualifiers;
 use core::fmt;
 use droidsim_config::Configuration;
 use droidsim_kernel::memo::{self, Admission, MemoCache};
+use droidsim_kernel::Symbol;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,8 +30,9 @@ pub enum ResourceValue {
     /// A drawable, identified by name; `bytes_hint` models the decoded
     /// bitmap footprint for the memory model.
     Drawable {
-        /// Asset name.
-        name: String,
+        /// Interned asset name: every view showing the drawable shares
+        /// it, as Android views share one drawable `ConstantState`.
+        name: Symbol,
         /// Decoded size in bytes (memory-model input).
         bytes_hint: u64,
     },
@@ -47,9 +49,9 @@ impl ResourceValue {
     }
 
     /// Convenience constructor for a drawable resource.
-    pub fn drawable(name: &str, bytes_hint: u64) -> Self {
+    pub fn drawable(name: impl Into<Symbol>, bytes_hint: u64) -> Self {
         ResourceValue::Drawable {
-            name: name.to_owned(),
+            name: name.into(),
             bytes_hint,
         }
     }
@@ -88,7 +90,7 @@ impl fmt::Display for ResourceError {
 
 impl std::error::Error for ResourceError {}
 
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Entry {
     qualifiers: Qualifiers,
     value: ResourceValue,
@@ -176,7 +178,7 @@ fn resolved_view_cache() -> &'static MemoCache<(u64, u64), HashMap<String, u32>>
 /// let layout = table
 ///     .resolve_layout("main", &Configuration::phone_landscape())
 ///     .expect("landscape variant");
-/// assert_eq!(layout.root().class, "FrameLayout");
+/// assert_eq!(layout.root().class.as_str(), "FrameLayout");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceTable {
@@ -216,9 +218,12 @@ impl ResourceTable {
 
     /// The table's content fingerprint: an FNV-1a fold over every
     /// `(name, qualifiers, value)` entry, computed lazily and cached
-    /// until the next [`ResourceTable::put`]. Equal-content tables
-    /// fingerprint equal, which is what keys the process-wide
-    /// resolved-view and inflation caches. Never `0` (the dirty
+    /// until the next [`ResourceTable::put`]. A layout contributes its
+    /// cached [`LayoutTemplate::content_digest`], so a template is hashed
+    /// once however many keys it feeds. Equal-content tables fingerprint
+    /// equal, which is what keys the process-wide resolved-view and
+    /// inflation caches. Like the template digest it folds symbol
+    /// indices, so it is an in-process key only. Never `0` (the dirty
     /// sentinel).
     pub fn fingerprint(&self) -> u64 {
         let cached = self.fingerprint.0.load(Ordering::Relaxed);
@@ -229,7 +234,14 @@ impl ResourceTable {
         for (name, variants) in &self.entries {
             fp = memo::fold_u64(fp, memo::stable_hash(name.as_str()));
             for entry in variants {
-                fp = memo::fold_u64(fp, memo::stable_hash(entry));
+                fp = memo::fold_u64(fp, memo::stable_hash(&entry.qualifiers));
+                fp = memo::fold_u64(
+                    fp,
+                    match &entry.value {
+                        ResourceValue::Layout(t) => t.content_digest(),
+                        value => memo::stable_hash(value),
+                    },
+                );
             }
         }
         let fp = if fp == 0 { memo::FNV_PRIME } else { fp };
@@ -354,12 +366,12 @@ impl ResourceTable {
         &self,
         name: &str,
         config: &Configuration,
-    ) -> Result<(&str, u64), ResourceError> {
+    ) -> Result<(Symbol, u64), ResourceError> {
         match self.resolve(name, config)? {
             ResourceValue::Drawable {
                 name: asset,
                 bytes_hint,
-            } => Ok((asset.as_str(), *bytes_hint)),
+            } => Ok((*asset, *bytes_hint)),
             _ => Err(ResourceError::WrongType {
                 name: name.to_owned(),
                 expected: "drawable",
@@ -467,12 +479,12 @@ impl ConfigResolver<'_> {
     ///
     /// As [`ConfigResolver::resolve`], plus [`ResourceError::WrongType`]
     /// if the resource is not a drawable.
-    pub fn resolve_drawable(&self, name: &str) -> Result<(&str, u64), ResourceError> {
+    pub fn resolve_drawable(&self, name: &str) -> Result<(Symbol, u64), ResourceError> {
         match self.resolve(name)? {
             ResourceValue::Drawable {
                 name: asset,
                 bytes_hint,
-            } => Ok((asset.as_str(), *bytes_hint)),
+            } => Ok((*asset, *bytes_hint)),
             _ => Err(ResourceError::WrongType {
                 name: name.to_owned(),
                 expected: "drawable",
@@ -590,11 +602,11 @@ mod tests {
         let land = t
             .resolve_layout("main", &Configuration::phone_landscape())
             .unwrap();
-        assert_eq!(land.root().class, "GridLayout");
+        assert_eq!(land.root().class.as_str(), "GridLayout");
         let port = t
             .resolve_layout("main", &Configuration::phone_portrait())
             .unwrap();
-        assert_eq!(port.root().class, "LinearLayout");
+        assert_eq!(port.root().class.as_str(), "LinearLayout");
     }
 
     #[test]
@@ -696,7 +708,7 @@ mod tests {
         let (asset, bytes) = t
             .resolve_drawable("hero", &Configuration::phone_portrait())
             .unwrap();
-        assert_eq!(asset, "hero.png");
+        assert_eq!(asset.as_str(), "hero.png");
         assert_eq!(bytes, 4096);
     }
 }

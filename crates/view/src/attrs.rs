@@ -1,6 +1,7 @@
 //! Per-view attributes: the migratable "essence" of a view.
 
 use droidsim_bundle::Bundle;
+use droidsim_kernel::Symbol;
 use serde::{Deserialize, Serialize};
 
 /// A view's attribute set.
@@ -13,8 +14,10 @@ use serde::{Deserialize, Serialize};
 pub struct ViewAttrs {
     /// Displayed or entered text (TextView family).
     pub text: Option<String>,
-    /// Drawable asset name and decoded byte size (ImageView).
-    pub drawable: Option<(String, u64)>,
+    /// Drawable asset name and decoded byte size (ImageView). The name
+    /// is an interned resource name shared by every view that shows the
+    /// drawable, so a view owns none of it.
+    pub drawable: Option<(Symbol, u64)>,
     /// Selector position (AbsListView family).
     pub selector_position: Option<i32>,
     /// Checked item positions (AbsListView family).
@@ -51,7 +54,7 @@ impl ViewAttrs {
             bytes += t.len() as u64;
         }
         if let Some((name, decoded)) = &self.drawable {
-            bytes += name.len() as u64 + decoded;
+            bytes += name.as_str().len() as u64 + decoded;
         }
         if let Some(u) = &self.video_uri {
             bytes += u.len() as u64;
@@ -60,16 +63,12 @@ impl ViewAttrs {
         bytes
     }
 
-    /// Bytes this attribute set owns on the process heap: its strings and
-    /// its checked-item list. Unlike [`ViewAttrs::heap_bytes`] nothing is
-    /// charged for a drawable's decoded pixels, which the simulator never
-    /// allocates.
+    /// Bytes this attribute set owns on the process heap: its text, its
+    /// video URI and its checked-item list. Unlike
+    /// [`ViewAttrs::heap_bytes`] nothing is charged for a drawable: its
+    /// name is interned and its decoded pixels are never allocated.
     pub(crate) fn owned_bytes(&self) -> u64 {
         let strings = self.text.as_ref().map_or(0, String::capacity)
-            + self
-                .drawable
-                .as_ref()
-                .map_or(0, |(name, _)| name.capacity())
             + self.video_uri.as_ref().map_or(0, String::capacity);
         (strings + self.checked_items.capacity() * std::mem::size_of::<i32>()) as u64
     }
@@ -171,7 +170,7 @@ mod tests {
     #[test]
     fn drawables_are_content_not_user_state() {
         let mut a = ViewAttrs::new();
-        a.drawable = Some(("hero.png".to_owned(), 10_000));
+        a.drawable = Some(("hero.png".into(), 10_000));
         assert_eq!(a.user_state(true), None);
     }
 
@@ -191,10 +190,11 @@ mod tests {
 
     #[test]
     fn owned_bytes_ignore_decoded_drawable_size() {
+        // Neither the decoded pixels nor the interned asset name belong
+        // to the view.
         let mut a = ViewAttrs::new();
-        a.drawable = Some(("x.png".to_owned(), 1_000_000));
-        let owned = a.owned_bytes();
-        assert!((5..1_000).contains(&owned), "{owned}");
+        a.drawable = Some(("x.png".into(), 1_000_000));
+        assert_eq!(a.owned_bytes(), 0);
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
     fn heap_accounts_for_drawable_bytes() {
         let mut a = ViewAttrs::new();
         let base = a.heap_bytes();
-        a.drawable = Some(("x.png".to_owned(), 1_000_000));
+        a.drawable = Some(("x.png".into(), 1_000_000));
         assert!(a.heap_bytes() >= base + 1_000_000);
     }
 

@@ -12,6 +12,7 @@ use crate::kind::ViewKind;
 use crate::tree::{ViewId, ViewTree};
 use droidsim_config::Configuration;
 use droidsim_kernel::memo::{self, Admission, MemoCache};
+use droidsim_kernel::Symbol;
 use droidsim_resources::{ConfigResolver, LayoutNode, LayoutTemplate, ResourceTable};
 use std::sync::{Once, OnceLock};
 
@@ -208,19 +209,19 @@ fn inflate_node(
     stats: &mut InflateStats,
     strict: bool,
 ) -> Result<(), ViewError> {
-    let kind = ViewKind::from_class_name(&node.class);
-    let id = match tree.add_view(parent, kind, node.id_name.as_deref()) {
+    let kind = ViewKind::from_class_name(node.class.as_str());
+    let id = match tree.add_interned_view(parent, kind, node.id_name) {
         Ok(id) => id,
-        // The only failure `add_view` has: `parent` is not a container.
+        // The only failure adding a view has: `parent` is not a container.
         Err(e) if strict => return Err(e),
         Err(_) => return Ok(()), // lenient: drop the subtree
     };
     stats.views_created += 1;
 
-    for (key, value) in &node.attrs {
+    for &(key, value) in node.attrs() {
         match key.as_str() {
             "text" => {
-                let resolved = resolve_string(value, resources, stats);
+                let resolved = resolve_string(value.as_str(), resources, stats);
                 if let Ok(v) = tree.view_mut(id) {
                     v.attrs.text = Some(resolved);
                 }
@@ -233,13 +234,13 @@ fn inflate_node(
                 }
             }
             "progress" => {
-                if let (Ok(p), Ok(v)) = (value.parse::<i32>(), tree.view_mut(id)) {
+                if let (Ok(p), Ok(v)) = (value.as_str().parse::<i32>(), tree.view_mut(id)) {
                     v.attrs.progress = Some(p);
                 }
             }
             "videoUri" => {
                 if let Ok(v) = tree.view_mut(id) {
-                    v.attrs.video_uri = Some(value.clone());
+                    v.attrs.video_uri = Some(value.as_str().to_owned());
                 }
             }
             _ => {} // layout params etc. — no simulation effect
@@ -261,15 +262,15 @@ fn resolve_string(value: &str, resources: &ConfigResolver<'_>, stats: &mut Infla
     }
 }
 
-fn resolve_drawable(value: &str, resources: &ConfigResolver<'_>) -> (String, u64) {
-    if let Some(name) = value.strip_prefix("@drawable/") {
-        match resources.resolve_drawable(name) {
-            Ok((asset, bytes)) => (asset.to_owned(), bytes),
-            Err(_) => (value.to_owned(), 0),
-        }
-    } else {
-        (value.to_owned(), 0)
-    }
+/// A `@drawable/…` reference resolves to the resource's asset; a literal
+/// (or an unresolvable reference) is its own asset name, already
+/// interned by the layout.
+fn resolve_drawable(value: Symbol, resources: &ConfigResolver<'_>) -> (Symbol, u64) {
+    value
+        .as_str()
+        .strip_prefix("@drawable/")
+        .and_then(|name| resources.resolve_drawable(name).ok())
+        .unwrap_or((value, 0))
 }
 
 #[cfg(test)]
@@ -350,7 +351,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "hero_port.png"
         );
         assert_eq!(
@@ -360,7 +362,8 @@ mod tests {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "hero_land.png"
         );
         assert_eq!(sp.drawable_bytes, 1_000);

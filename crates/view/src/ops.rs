@@ -7,6 +7,7 @@
 //! migration intercepts.
 
 use crate::kind::MigrationClass;
+use droidsim_kernel::Symbol;
 use serde::{Deserialize, Serialize};
 
 /// A single mutation of one view.
@@ -14,8 +15,9 @@ use serde::{Deserialize, Serialize};
 pub enum ViewOp {
     /// Set displayed text (TextView family).
     SetText(String),
-    /// Set the drawable: asset name + decoded byte size (ImageView).
-    SetDrawable(String, u64),
+    /// Set the drawable: interned asset name + decoded byte size
+    /// (ImageView).
+    SetDrawable(Symbol, u64),
     /// Set the selector position (AbsListView family).
     SetSelection(i32),
     /// Mark an item checked/unchecked (AbsListView family).

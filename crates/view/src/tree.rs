@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Reusable DFS stack for [`ViewTree::for_each_id`]-style traversals:
@@ -182,8 +183,9 @@ pub struct ViewTree {
 impl ViewTree {
     /// Creates a tree containing only a decor view.
     pub fn new() -> Self {
+        static DECOR: OnceLock<Symbol> = OnceLock::new();
         let root = ViewId::new(0);
-        let decor_name = Symbol::intern("decor");
+        let decor_name = *DECOR.get_or_init(|| Symbol::intern("decor"));
         let decor = ViewNode {
             id: root,
             id_name: Some(decor_name),
@@ -296,13 +298,23 @@ impl ViewTree {
         kind: ViewKind,
         id_name: Option<&str>,
     ) -> Result<ViewId, ViewError> {
+        self.add_interned_view(parent, kind, id_name.map(Symbol::intern))
+    }
+
+    /// [`ViewTree::add_view`] with the id name already interned: the
+    /// inflater passes each layout node's symbol straight through.
+    pub(crate) fn add_interned_view(
+        &mut self,
+        parent: ViewId,
+        kind: ViewKind,
+        id_name: Option<Symbol>,
+    ) -> Result<ViewId, ViewError> {
         let parent_node = self.view(parent)?;
         if !parent_node.kind.is_container() {
             return Err(ViewError::NotAContainer { parent });
         }
         let id = ViewId::new(self.nodes.len() as u64);
         let freezes_text = kind.is_editable();
-        let id_name = id_name.map(Symbol::intern);
         self.nodes.push(Some(ViewNode {
             id,
             id_name,
@@ -993,8 +1005,11 @@ mod tests {
             let v = t
                 .add_view(root, ViewKind::ImageView, Some(&format!("v{i}")))
                 .unwrap();
-            t.apply(v, ViewOp::SetDrawable(format!("img_{i}.png"), 1 << 20))
-                .unwrap();
+            t.apply(
+                v,
+                ViewOp::SetDrawable(Symbol::intern(&format!("img_{i}.png")), 1 << 20),
+            )
+            .unwrap();
         }
         let views = t.view_count() as u64;
         assert_eq!(views, 2048);

@@ -4,10 +4,11 @@ use crate::dataloss::{DataLossScenario, FieldOwner, FieldPersistence};
 use droidsim_app::{Activity, AppModel, AsyncResult, AsyncSpec, FragmentSpec};
 use droidsim_bundle::Bundle;
 use droidsim_config::ConfigChanges;
-use droidsim_kernel::{SimDuration, SplitMix64, Xoshiro256};
+use droidsim_kernel::{SimDuration, SplitMix64, Symbol, Xoshiro256};
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{ViewKind, ViewOp};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// How a piece of app state is held — the property that *mechanically*
@@ -279,6 +280,23 @@ impl GenericApp {
         let image_count = spec.view_count.max(1);
         let per_image = spec.activity_heap_bytes / image_count as u64;
 
+        // The names every image node repeats, interned once per build
+        // and shared by both orientations: an intern is a shard lock and
+        // a hash probe, as dear as the allocation it saves.
+        let image_view = Symbol::intern("ImageView");
+        let src = Symbol::intern("src");
+        let asset_ref = Symbol::intern("@drawable/asset");
+        let mut name = String::new();
+        let content_ids: Vec<Symbol> = (0..image_count)
+            .map(|i| {
+                name.clear();
+                let _ = write!(name, "content_{i}");
+                Symbol::intern(&name)
+            })
+            .collect();
+        let extra_children =
+            1 + spec.state_items.len() + spec.dataloss.as_ref().map_or(0, |dl| dl.fields.len());
+
         let mut resources = ResourceTable::new();
         for (qualifiers, container) in [
             (Qualifiers::any(), "LinearLayout"),
@@ -288,11 +306,12 @@ impl GenericApp {
             ),
         ] {
             let mut root = LayoutNode::new(container).with_id("root");
-            for i in 0..image_count {
+            root.children.reserve_exact(image_count + extra_children);
+            for &id in &content_ids {
                 root = root.with_child(
-                    LayoutNode::new("ImageView")
-                        .with_id(&format!("content_{i}"))
-                        .with_attr("src", "@drawable/asset"),
+                    LayoutNode::new(image_view)
+                        .with_id(id)
+                        .with_attr(src, asset_ref),
                 );
             }
             // The async-task target.

@@ -72,7 +72,7 @@ fn scenario(mode: HandlingMode, label: &str) {
                 .attrs
                 .drawable
                 .as_ref()
-                .map(|d| d.0.clone())
+                .map(|d| d.0.as_str())
         );
     }
     println!();

@@ -99,7 +99,8 @@ fn async_work_survives_arbitrary_rotation_counts_under_rchdroid() {
                 .drawable
                 .as_ref()
                 .unwrap()
-                .0,
+                .0
+                .as_str(),
             "loaded_0.png",
             "{rotations} rotations"
         );

@@ -36,7 +36,10 @@ fn coupled_trees(n: usize) -> (ViewTree, ViewTree, MigrationEngine) {
 fn op_for(i: usize, payload: i32) -> ViewOp {
     match i % 6 {
         0 => ViewOp::SetText(format!("text-{payload}")),
-        1 => ViewOp::SetDrawable(format!("img-{payload}.png"), payload.unsigned_abs() as u64),
+        1 => ViewOp::SetDrawable(
+            format!("img-{payload}.png").as_str().into(),
+            payload.unsigned_abs() as u64,
+        ),
         2 => ViewOp::SetSelection(payload),
         3 => ViewOp::SetVideoUri(format!("clip-{payload}.mp4")),
         4 => ViewOp::SetProgress(payload.rem_euclid(100)),

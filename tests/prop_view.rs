@@ -1,17 +1,23 @@
 //! Property tests: view-tree structural invariants under random operation
 //! sequences, and save/restore behaviour — including reference oracles
 //! that replay the whole-tree save/restore and user-state copies the
-//! entry-driven code must match bit for bit.
+//! entry-driven code must match bit for bit — plus a map oracle for
+//! layout attribute lists and the rule that user content is never
+//! interned.
 
 use droidsim_app::{ActivityThread, AppModel};
 use droidsim_atms::{Atms, Intent};
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
-use droidsim_view::{inflate, ViewAttrs, ViewError, ViewKind, ViewOp, ViewTree};
+use droidsim_kernel::{SimTime, Symbol};
+use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
+use droidsim_view::{inflate, try_inflate, ViewAttrs, ViewError, ViewKind, ViewOp, ViewTree};
 use proptest::prelude::*;
 use rch_workloads::{GenericAppSpec, StateItem, StateMechanism};
 use rchdroid::{MigrationEngine, MigrationReport};
 use runtimedroid_baseline::RuntimeDroid;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Id names the scripts draw from. A small pool, so names repeat: a
 /// tree ends up with several bearers of one name, and two trees built
@@ -64,7 +70,7 @@ fn arb_kind() -> impl Strategy<Value = ViewKind> {
 fn arb_op() -> impl Strategy<Value = ViewOp> {
     prop_oneof![
         "[a-z ]{0,16}".prop_map(ViewOp::SetText),
-        ("[a-z]{1,8}", 0u64..100_000).prop_map(|(n, b)| ViewOp::SetDrawable(n, b)),
+        ("[a-z]{1,8}", 0u64..100_000).prop_map(|(n, b)| ViewOp::SetDrawable(n.as_str().into(), b)),
         (0i32..100).prop_map(ViewOp::SetSelection),
         (0i32..50, any::<bool>()).prop_map(|(i, c)| ViewOp::SetItemChecked(i, c)),
         (-5_000i32..5_000).prop_map(ViewOp::ScrollTo),
@@ -452,5 +458,233 @@ proptest! {
             .unwrap();
         let expected = oracle_hot_reload(&old, &model, &landscape);
         prop_assert_eq!(&thread.instance(instance).unwrap().tree, &expected);
+    }
+}
+
+// ---- Layout attribute lists: a sorted vector of interned pairs that must
+// ---- behave exactly like a map keyed by the attribute's text.
+
+/// Attribute keys and values the writes draw from: small pools, so keys
+/// repeat (last write wins) and the inflater's keys (`text`, `src`,
+/// `progress`, `videoUri`) meet resolvable and unresolvable values.
+const ATTR_KEYS: [&str; 6] = [
+    "text",
+    "src",
+    "progress",
+    "videoUri",
+    "gravity",
+    "layout_width",
+];
+const ATTR_VALUES: [&str; 6] = [
+    "@string/title",
+    "@drawable/hero",
+    "@string/missing",
+    "42",
+    "literal",
+    "clip.mp4",
+];
+
+/// A sequence of `(key, value)` writes, as pool indices.
+fn arb_attr_writes() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    proptest::collection::vec((0..ATTR_KEYS.len(), 0..ATTR_VALUES.len()), 0..16)
+}
+
+fn attr_node(writes: &[(usize, usize)]) -> LayoutNode {
+    writes.iter().fold(
+        LayoutNode::new("TextView").with_id("field"),
+        |n, &(k, v)| n.with_attr(ATTR_KEYS[k], ATTR_VALUES[v]),
+    )
+}
+
+fn attr_oracle(writes: &[(usize, usize)]) -> BTreeMap<String, String> {
+    let mut map = BTreeMap::new();
+    for &(k, v) in writes {
+        map.insert(ATTR_KEYS[k].to_owned(), ATTR_VALUES[v].to_owned());
+    }
+    map
+}
+
+fn attr_template(node: LayoutNode) -> LayoutTemplate {
+    LayoutTemplate::new(
+        "attrs",
+        LayoutNode::new("LinearLayout")
+            .with_id("root")
+            .with_child(node),
+    )
+}
+
+fn attr_table(template: &LayoutTemplate) -> ResourceTable {
+    let mut table = ResourceTable::new();
+    table.put(
+        "attrs",
+        Qualifiers::any(),
+        ResourceValue::Layout(template.clone()),
+    );
+    table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
+    table.put(
+        "hero",
+        Qualifiers::any(),
+        ResourceValue::drawable("hero.png", 2_048),
+    );
+    table
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn layout_attrs_match_a_map_in_any_insertion_order(
+        writes in arb_attr_writes(),
+        noise in arb_attr_writes(),
+        ranks in proptest::collection::vec(any::<u64>(), ATTR_KEYS.len()..ATTR_KEYS.len() + 1),
+        change in (any::<usize>(), 1..ATTR_VALUES.len()),
+    ) {
+        // (a) Same key order and last-write-wins as the map oracle.
+        let oracle = attr_oracle(&writes);
+        let node = attr_node(&writes);
+        let pairs: Vec<(&str, &str)> =
+            node.attrs().iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let expected: Vec<(&str, &str)> =
+            oracle.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        prop_assert_eq!(pairs, expected);
+
+        // (b) Another order ending in the same map: writes to the final
+        // keys that are overwritten later, then the final entries in a
+        // shuffled order.
+        let index = |pool: &[&str], text: &str| pool.iter().position(|p| *p == text).unwrap();
+        let mut last: Vec<(usize, usize)> = oracle
+            .iter()
+            .map(|(k, v)| (index(&ATTR_KEYS, k), index(&ATTR_VALUES, v)))
+            .collect();
+        last.sort_by_key(|&(k, _)| ranks[k]);
+        let reordered: Vec<(usize, usize)> = noise
+            .iter()
+            .copied()
+            .filter(|&(k, _)| oracle.contains_key(ATTR_KEYS[k]))
+            .chain(last)
+            .collect();
+        prop_assert_eq!(&attr_oracle(&reordered), &oracle);
+        let other = attr_node(&reordered);
+        prop_assert_eq!(&other, &node);
+
+        let (a, b) = (attr_template(node.clone()), attr_template(other));
+        prop_assert_eq!(a.content_digest(), b.content_digest());
+        let (table_a, table_b) = (attr_table(&a), attr_table(&b));
+        prop_assert_eq!(table_a.fingerprint(), table_b.fingerprint());
+        for config in [Configuration::phone_portrait(), Configuration::phone_landscape()] {
+            prop_assert_eq!(inflate(&a, &table_a, &config), inflate(&b, &table_b, &config));
+            let strict_a = try_inflate(&a, &table_a, &config).unwrap();
+            let strict_b = try_inflate(&b, &table_b, &config).unwrap();
+            prop_assert_eq!(strict_a, strict_b);
+        }
+
+        // (c) Changing one value re-keys the template (on an empty
+        // list, setting the first value does).
+        let (key, value) = match oracle.iter().nth(change.0 % oracle.len().max(1)) {
+            Some((k, v)) => (
+                k.as_str(),
+                ATTR_VALUES[(index(&ATTR_VALUES, v) + change.1) % ATTR_VALUES.len()],
+            ),
+            None => (ATTR_KEYS[change.0 % ATTR_KEYS.len()], ATTR_VALUES[change.1]),
+        };
+        let changed = attr_template(node.with_attr(key, value));
+        prop_assert_ne!(changed.content_digest(), a.content_digest());
+    }
+}
+
+// ---- What a long-running process may intern: resource names from code,
+// ---- never user content.
+
+/// A string no code path has produced before, so it can only be in the
+/// interner if user content was interned.
+fn fresh_user_string(what: &str) -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "user-{what}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    )
+}
+
+/// A tree holding an editor, a label and a video view, with user content
+/// in each.
+fn tree_with_user_content() -> (ViewTree, Vec<String>) {
+    let mut tree = ViewTree::new();
+    let root = tree
+        .add_view(tree.root(), ViewKind::LinearLayout, Some("root"))
+        .unwrap();
+    let mut written = Vec::new();
+    for (kind, name) in [
+        (ViewKind::EditText, "editor"),
+        (ViewKind::TextView, "label"),
+        (ViewKind::VideoView, "player"),
+    ] {
+        let view = tree.add_view(root, kind.clone(), Some(name)).unwrap();
+        let op = if kind == ViewKind::VideoView {
+            let uri = fresh_user_string("uri");
+            written.push(uri.clone());
+            ViewOp::SetVideoUri(uri)
+        } else {
+            let text = fresh_user_string("text");
+            written.push(text.clone());
+            ViewOp::SetText(text)
+        };
+        tree.apply(view, op).unwrap();
+    }
+    (tree, written)
+}
+
+#[test]
+fn user_content_never_enters_the_interner() {
+    let mut written = Vec::new();
+
+    // Hierarchy save/restore onto a fresh inflation of the same names.
+    let (tree, strings) = tree_with_user_content();
+    written.extend(strings);
+    let saved = tree.save_hierarchy_state();
+    let (mut restored, strings) = tree_with_user_content();
+    written.extend(strings);
+    restored.restore_hierarchy_state(&saved);
+    assert_eq!(restored.save_hierarchy_state(), saved);
+
+    // A lazy-migration flush from the shadow tree to its sunny peer.
+    let (mut shadow, strings) = tree_with_user_content();
+    written.extend(strings);
+    let (mut sunny, strings) = tree_with_user_content();
+    written.extend(strings);
+    let mut engine = MigrationEngine::new();
+    engine.build_mapping(&mut shadow, &mut sunny);
+    shadow.drain_dirty(); // the set-up writes are not part of the flush
+    let (text, uri) = (fresh_user_string("text"), fresh_user_string("uri"));
+    for (name, op) in [
+        ("editor", ViewOp::SetText(text.clone())),
+        ("player", ViewOp::SetVideoUri(uri.clone())),
+    ] {
+        let view = shadow.find_by_id_name(name).unwrap();
+        shadow.apply(view, op).unwrap();
+    }
+    written.extend([text, uri]);
+    let report = engine
+        .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+        .unwrap();
+    assert_eq!(report.migrated, 2);
+
+    // RuntimeDroid's hot reload of a launched app.
+    let (model, mut atms, mut thread, instance) = launched_generic_app(2);
+    let tree = &mut thread.instance_mut(instance).unwrap().tree;
+    for name in ["framework_field", "custom_field", "async_target"] {
+        let text = fresh_user_string("text");
+        let view = tree.find_by_id_name(name).unwrap();
+        tree.apply(view, ViewOp::SetText(text.clone())).unwrap();
+        written.push(text);
+    }
+    atms.update_global_config(Configuration::phone_landscape());
+    RuntimeDroid::new()
+        .handle_configuration_change(&mut thread, &mut atms, &model)
+        .unwrap();
+
+    assert_eq!(written.len(), 17);
+    for s in &written {
+        assert_eq!(Symbol::lookup(s), None, "user content `{s}` was interned");
     }
 }
