@@ -20,7 +20,7 @@ build:
 	$(CARGO) build --release
 
 test:
-	$(CARGO) test -q
+	$(CARGO) test -q --workspace --offline
 
 fmt:
 	$(CARGO) fmt --all --check

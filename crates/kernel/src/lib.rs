@@ -17,7 +17,7 @@
 //! * [`alloc_track`] — coarse allocation-event accounting so the fleet
 //!   ledger can report allocations-per-sim.
 //! * [`memo`] — shard-per-key, content-addressed memoization for the
-//!   warm-path caches (resolution, inflation, mapping plans).
+//!   warm-path caches (inflation, analyzer shapes).
 //!
 //! # Examples
 //!

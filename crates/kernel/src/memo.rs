@@ -1,24 +1,47 @@
 //! Content-addressed memoization of hot deterministic derivations.
 //!
-//! The fleet replays a small set of app shapes (corpus apps × configs ×
-//! seeds) thousands of times per study, and the three hottest derivations
-//! on the handling path — qualifier resolution, layout inflation and the
-//! essence-mapping plan — are *pure functions of their inputs*. This
-//! module provides the shared warm-path cache they memoize through:
-//! a shard-per-key concurrent map modeled on the [`intern`](crate::intern)
-//! layout (fixed shard count, per-shard `RwLock`, `Arc`-shared immutable
-//! entries) with generation-tagged invalidation, LRU-ish bounded capacity
-//! and a process-wide kill switch.
+//! A study replays a small set of app shapes (corpus apps × configs ×
+//! seeds) many times, and some derivations on its path are *pure
+//! functions of their inputs*. This module provides the shared warm-path
+//! cache they memoize through: a shard-per-key concurrent map modeled on
+//! the [`intern`](crate::intern) layout (fixed shard count, per-shard
+//! `RwLock`, `Arc`-shared immutable entries) with generation-tagged
+//! invalidation, LRU-ish bounded capacity and a process-wide kill switch.
+//!
+//! Two caches use it: layout inflation on the device path (`inflate`,
+//! in `droidsim-view`) and app-shape extraction in the analyzer (`shape`,
+//! in `droidsim-analysis`). Qualifier resolution and essence-mapping
+//! plans are not cached. Measured one cache at a time, neither repaid
+//! its key: resolution is a short first-match scan over variants sorted
+//! at insert time, cheaper than a probe, and a mapping plan was keyed by
+//! walking both view trees while a hit still installed every peer
+//! pointer, so it saved little of the cold build. A cache earns its
+//! place only when a hit skips more work than the key, the probe and
+//! the publish clone cost together.
 //!
 //! # Content addressing
 //!
-//! Keys are digests of the *inputs* (table fingerprint, template digest,
-//! configuration hash, tree shape), never identities, so two tasks — or
-//! two daemon jobs hours apart — that derive from equal content share one
-//! entry, and any mutation changes the key rather than stalely hitting.
-//! Values are immutable once published and shared via `Arc`; a consumer
-//! that needs to mutate (an activity instantiating a cached template)
-//! clones the Arc'd value, which is cheaper than re-deriving it.
+//! Keys are digests of the *inputs* (template digest, table fingerprint,
+//! configuration hash, app descriptor), never identities, so two tasks —
+//! or two daemon jobs hours apart — that derive from equal content share
+//! one entry, and any mutation changes the key rather than stalely
+//! hitting. Values are immutable once published and shared via `Arc`; a
+//! consumer that needs to mutate (an activity instantiating a cached
+//! template) clones the Arc'd value, which is cheaper than re-deriving
+//! it.
+//!
+//! # Key material and shards
+//!
+//! [`FnvHasher`] folds a word at a time, `h = (h ^ w) · FNV_PRIME`: every
+//! integer write (a symbol index, a length, an enum discriminant) is one
+//! word, and byte slices fold in 8-byte chunks, so keying a template
+//! costs one multiply per field instead of one per byte. The values are
+//! in-process keys only and never reach output (see the `intern`
+//! determinism rule). Because a multiply carries only upward, the low
+//! bits of such a fold depend only on the low bits of its words, so a
+//! cache picks a key's shard from the *top* four bits of
+//! `stable_hash(key) · 0x9E37_79B9_7F4A_7C15` (Fibonacci hashing), which
+//! spreads keys whose words share their low nibbles.
 //!
 //! # Determinism contract
 //!
@@ -110,6 +133,28 @@ impl Default for FnvHasher {
     }
 }
 
+impl FnvHasher {
+    /// One fold step: the whole word in one multiply.
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = fold_u64(self.0, word);
+    }
+}
+
+/// Integer writes fold their value as one word, so a derived `Hash` over
+/// symbols, ids, lengths and enum discriminants costs one multiply per
+/// field instead of one per byte. Signed values fold sign-extended.
+macro_rules! fold_words {
+    ($($method:ident: $ty:ty),* $(,)?) => {
+        $(
+            #[inline]
+            fn $method(&mut self, value: $ty) {
+                self.fold(value as u64);
+            }
+        )*
+    };
+}
+
 impl Hasher for FnvHasher {
     fn finish(&self) -> u64 {
         self.0
@@ -123,13 +168,24 @@ impl Hasher for FnvHasher {
         // the wider folds are free to diverge from canonical FNV-1a.
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            self.0 ^= u64::from_le_bytes(chunk.try_into().unwrap());
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            self.fold(u64::from_le_bytes(chunk.try_into().unwrap()));
         }
         for &b in chunks.remainder() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            self.fold(u64::from(b));
         }
+    }
+
+    fold_words! {
+        write_u8: u8,
+        write_u16: u16,
+        write_u32: u32,
+        write_u64: u64,
+        write_usize: usize,
+        write_i8: i8,
+        write_i16: i16,
+        write_i32: i32,
+        write_i64: i64,
+        write_isize: isize,
     }
 }
 
@@ -141,15 +197,12 @@ pub fn stable_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
-/// Folds one `u64` word into an FNV-1a accumulator. Convenience for
-/// hand-rolled digest walks (tree shapes, template content).
+/// Folds one `u64` word into an FNV accumulator in one step,
+/// `(acc ^ word) · FNV_PRIME`. Convenience for hand-rolled digest walks
+/// (a resource table's fingerprint).
+#[inline]
 pub fn fold_u64(acc: u64, word: u64) -> u64 {
-    let mut h = acc;
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    (acc ^ word).wrapping_mul(FNV_PRIME)
 }
 
 fn enabled_flag() -> &'static AtomicBool {
@@ -175,7 +228,7 @@ pub fn set_enabled(on: bool) {
 /// fingerprints, like wall-clock histograms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoSnapshot {
-    /// Cache name (stable, e.g. `resolve` / `inflate` / `mapping`).
+    /// Cache name (stable, e.g. `inflate` / `shape`).
     pub name: &'static str,
     /// Probes answered from a published entry.
     pub hits: u64,
@@ -298,8 +351,13 @@ impl<K: Hash + Eq + Clone, V> MemoCache<K, V> {
         self.name
     }
 
+    /// The shard from the top bits of the key's Fibonacci-scrambled
+    /// digest. A multiply carries only upward, so the low bits of an FNV
+    /// fold depend only on the low bits of the words folded in; ids and
+    /// symbol indices that share a low nibble would crowd one shard.
     fn shard_of(&self, key: &K) -> usize {
-        (stable_hash(key) as usize) & (SHARD_COUNT - 1)
+        let mixed = stable_hash(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mixed >> (u64::BITS - SHARD_COUNT.trailing_zeros())) as usize
     }
 
     fn stamp(&self) -> u64 {
@@ -658,6 +716,30 @@ mod tests {
         }
         assert!(c.len() <= 16, "bounded by capacity");
         assert!(c.snapshot().evictions > 0, "evictions happened");
+    }
+
+    #[test]
+    fn keys_sharing_low_nibbles_spread_over_shards() {
+        // Capacity 64 → four entries per shard. Every key's words share
+        // a zero low nibble; a shard picked from the fold's low bits
+        // would put all 64 in one shard and keep only four.
+        let pairs: MemoCache<(u64, u64), String> = MemoCache::new("t-spread-pair", 64, weigh);
+        let words: MemoCache<u64, String> = MemoCache::new("t-spread-word", 64, weigh);
+        for i in 0..64u64 {
+            pairs.publish((i << 4, 0), format!("v{i}"));
+            words.publish(i << 4, format!("v{i}"));
+        }
+        assert!(pairs.len() >= 32, "pair keys resident: {}", pairs.len());
+        assert!(words.len() >= 32, "word keys resident: {}", words.len());
+    }
+
+    #[test]
+    fn integer_writes_fold_one_word() {
+        let mut h = FnvHasher::new();
+        h.write_u32(7);
+        assert_eq!(h.finish(), fold_u64(FNV_OFFSET, 7));
+        assert_eq!(stable_hash(&7u8), fold_u64(FNV_OFFSET, 7));
+        assert_eq!(stable_hash(&-1i32), fold_u64(FNV_OFFSET, u64::MAX));
     }
 
     #[test]

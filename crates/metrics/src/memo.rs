@@ -1,8 +1,8 @@
 //! The warm-path memoization ledger.
 //!
-//! [`kernel::memo`](droidsim_kernel::memo) keeps three content-addressed
-//! caches hot across a whole fleet run (and a whole daemon lifetime):
-//! resolved resource views, inflated templates, and mapping plans. This
+//! [`kernel::memo`](droidsim_kernel::memo) keeps content-addressed caches
+//! hot across a whole fleet run (and a whole daemon lifetime): inflated
+//! templates on the device path and app shapes in the analyzer. This
 //! ledger is the operator-facing view of those caches — per-cache hits,
 //! misses, evictions, resident entries and approximate resident bytes —
 //! captured with [`MemoLedger::capture`] from the process-wide registry.
@@ -20,7 +20,7 @@ use droidsim_kernel::memo::{self, MemoSnapshot};
 /// Per-cache counters for one memo cache, as captured at a point in time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoCacheStats {
-    /// Cache name (`"resolve"`, `"inflate"`, `"mapping"`).
+    /// Cache name (`"inflate"`, `"shape"`).
     pub name: String,
     /// Probes answered from the cache.
     pub hits: u64,
@@ -94,10 +94,10 @@ impl MemoLedger {
     }
 
     /// The `stats`-endpoint fields as `(key, value)` pairs: aggregate
-    /// totals first, then one packed field per cache. Keys are `'static`
-    /// to match the daemon's kv-line contract, so per-cache fields use
-    /// the fixed names of the three warm-path caches; an unknown cache
-    /// folds into the totals only.
+    /// totals first, then one packed field per device-path cache. Keys
+    /// are `'static` to match the daemon's kv-line contract, so the
+    /// per-cache field uses the fixed name of the inflation cache; any
+    /// other cache folds into the totals only.
     pub fn kv_fields(&self) -> Vec<(&'static str, String)> {
         let (hits, misses, evictions, bytes) = self.totals();
         let mut out = vec![
@@ -106,15 +106,9 @@ impl MemoLedger {
             ("memo_evictions", evictions.to_string()),
             ("memo_bytes", bytes.to_string()),
         ];
-        for cache in &self.caches {
-            let key = match cache.name.as_str() {
-                "resolve" => "memo_resolve",
-                "inflate" => "memo_inflate",
-                "mapping" => "memo_mapping",
-                _ => continue,
-            };
+        for cache in self.caches.iter().filter(|c| c.name == "inflate") {
             out.push((
-                key,
+                "memo_inflate",
                 format!(
                     "{}/{}/{}/{}",
                     cache.hits, cache.misses, cache.evictions, cache.entries
@@ -203,8 +197,10 @@ mod tests {
         assert_eq!(find("memo_hits"), "100");
         assert_eq!(find("memo_misses"), "30");
         assert_eq!(find("memo_inflate"), "30/10/2/8");
-        assert_eq!(find("memo_resolve"), "65/15/1/14");
-        assert_eq!(find("memo_mapping"), "5/5/0/5");
+        // Caches without a per-cache field count in the totals only.
+        for absent in ["memo_resolve", "memo_mapping"] {
+            assert!(!kv.iter().any(|(k, _)| *k == absent), "{absent}");
+        }
     }
 
     #[test]

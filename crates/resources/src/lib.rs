@@ -40,4 +40,4 @@ pub mod table;
 
 pub use layout::{LayoutNode, LayoutTemplate};
 pub use qualifiers::Qualifiers;
-pub use table::{ConfigResolver, ResId, ResourceError, ResourceTable, ResourceValue};
+pub use table::{ResId, ResourceError, ResourceTable, ResourceValue};

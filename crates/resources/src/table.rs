@@ -5,12 +5,11 @@ use crate::layout::LayoutTemplate;
 use crate::qualifiers::Qualifiers;
 use core::fmt;
 use droidsim_config::Configuration;
-use droidsim_kernel::memo::{self, Admission, MemoCache};
+use droidsim_kernel::memo;
 use droidsim_kernel::Symbol;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once, OnceLock};
 
 /// A resolved resource id (stable per `(table, name)` pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -142,22 +141,6 @@ impl fmt::Debug for TableFingerprint {
     }
 }
 
-/// The process-wide resolved-view cache: `(table fingerprint, config
-/// digest)` → name → index of the best-matching variant. Entries are
-/// content-addressed, so any table mutation changes the key instead of
-/// hitting stale data.
-fn resolved_view_cache() -> &'static MemoCache<(u64, u64), HashMap<String, u32>> {
-    static CACHE: OnceLock<MemoCache<(u64, u64), HashMap<String, u32>>> = OnceLock::new();
-    static REGISTER: Once = Once::new();
-    let cache = CACHE.get_or_init(|| {
-        MemoCache::new("resolve", 512, |view: &HashMap<String, u32>| {
-            view.keys().map(|k| k.len() as u64 + 48).sum()
-        })
-    });
-    REGISTER.call_once(|| memo::register(cache));
-    cache
-}
-
 /// A named, qualified resource store.
 ///
 /// # Examples
@@ -216,15 +199,14 @@ impl ResourceTable {
         self.fingerprint.invalidate();
     }
 
-    /// The table's content fingerprint: an FNV-1a fold over every
-    /// `(name, qualifiers, value)` entry, computed lazily and cached
-    /// until the next [`ResourceTable::put`]. A layout contributes its
-    /// cached [`LayoutTemplate::content_digest`], so a template is hashed
-    /// once however many keys it feeds. Equal-content tables fingerprint
-    /// equal, which is what keys the process-wide resolved-view and
-    /// inflation caches. Like the template digest it folds symbol
-    /// indices, so it is an in-process key only. Never `0` (the dirty
-    /// sentinel).
+    /// The table's content fingerprint: an FNV-style word fold over
+    /// every `(name, qualifiers, value)` entry, computed lazily and
+    /// cached until the next [`ResourceTable::put`]. A layout contributes
+    /// its cached [`LayoutTemplate::content_digest`], so a template is
+    /// hashed once however many keys it feeds. Equal-content tables
+    /// fingerprint equal, which is what keys the process-wide inflation
+    /// cache. Like the template digest it folds symbol indices, so it is
+    /// an in-process key only. Never `0` (the dirty sentinel).
     pub fn fingerprint(&self) -> u64 {
         let cached = self.fingerprint.0.load(Ordering::Relaxed);
         if cached != 0 {
@@ -249,21 +231,6 @@ impl ResourceTable {
         fp
     }
 
-    /// Builds the resolved view for `config`: every name mapped to the
-    /// index of its best-matching variant (names with no match are
-    /// absent). This is what the warm path shares across tasks.
-    fn build_resolved_view(&self, config: &Configuration) -> HashMap<String, u32> {
-        self.entries
-            .iter()
-            .filter_map(|(name, variants)| {
-                variants
-                    .iter()
-                    .position(|e| e.qualifiers.matches(config))
-                    .map(|i| (name.clone(), i as u32))
-            })
-            .collect()
-    }
-
     /// The stable id for `name`, if the name exists.
     pub fn id_of(&self, name: &str) -> Option<ResId> {
         self.entries
@@ -273,7 +240,8 @@ impl ResourceTable {
     }
 
     /// Resolves `name` against `config`, returning the best-matching
-    /// variant per Android precedence rules.
+    /// variant per Android precedence rules. Variants are sorted by
+    /// descending specificity, so the first match is the best match.
     ///
     /// # Errors
     ///
@@ -285,44 +253,11 @@ impl ResourceTable {
         name: &str,
         config: &Configuration,
     ) -> Result<&ResourceValue, ResourceError> {
-        let variants = self
-            .entries
+        self.entries
             .get(name)
-            .ok_or_else(|| ResourceError::UnknownName(name.to_owned()))?;
-        if memo::enabled() {
-            let key = (self.fingerprint(), memo::stable_hash(config));
-            match resolved_view_cache().probe(key) {
-                Admission::Hit(view) => {
-                    return Self::pick(variants, view.get(name).copied(), name);
-                }
-                Admission::Build => {
-                    let view = self.build_resolved_view(config);
-                    let idx = view.get(name).copied();
-                    resolved_view_cache().publish(key, view);
-                    return Self::pick(variants, idx, name);
-                }
-                Admission::Skip => {}
-            }
-        }
-        // Cold path: variants are sorted by descending specificity, so
-        // the first match is the best match.
-        variants
+            .ok_or_else(|| ResourceError::UnknownName(name.to_owned()))?
             .iter()
             .find(|e| e.qualifiers.matches(config))
-            .map(|e| &e.value)
-            .ok_or_else(|| ResourceError::NoMatchingVariant(name.to_owned()))
-    }
-
-    /// Maps a cached variant index back into this table's entry list.
-    /// `None` — or an index that outlives the variants it was computed
-    /// against (impossible short of a fingerprint collision) — reports
-    /// as no matching variant.
-    fn pick<'t>(
-        variants: &'t [Entry],
-        idx: Option<u32>,
-        name: &str,
-    ) -> Result<&'t ResourceValue, ResourceError> {
-        idx.and_then(|i| variants.get(i as usize))
             .map(|e| &e.value)
             .ok_or_else(|| ResourceError::NoMatchingVariant(name.to_owned()))
     }
@@ -379,37 +314,6 @@ impl ResourceTable {
         }
     }
 
-    /// Fetches this configuration's resolved view once, for a run of
-    /// lookups that all share `config` — the inflater resolves every
-    /// attribute of a layout this way. A per-lookup [`resolve`]
-    /// (ResourceTable::resolve) pays the memo probe (config digest,
-    /// shard lock, `Arc` traffic) on every call, which costs more than
-    /// the sorted first-match scan it replaces; the handle pays it once
-    /// and answers each lookup with a plain map read. With the memo
-    /// layer disabled (or not yet admitted) every lookup runs the same
-    /// cold scan `resolve` would.
-    pub fn resolver<'a>(&'a self, config: &'a Configuration) -> ConfigResolver<'a> {
-        let view = if memo::enabled() {
-            let key = (self.fingerprint(), memo::stable_hash(config));
-            match resolved_view_cache().probe(key) {
-                Admission::Hit(view) => Some(view),
-                Admission::Build => {
-                    let view = self.build_resolved_view(config);
-                    resolved_view_cache().publish(key, view.clone());
-                    Some(Arc::new(view))
-                }
-                Admission::Skip => None,
-            }
-        } else {
-            None
-        };
-        ConfigResolver {
-            table: self,
-            config,
-            view,
-        }
-    }
-
     /// Number of distinct resource names.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -423,73 +327,6 @@ impl ResourceTable {
     /// Iterates over resource names.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
-    }
-}
-
-/// One configuration's view of a table, created by
-/// [`ResourceTable::resolver`]: the memo probe is paid once at
-/// construction, every lookup after that is a plain map read (or, when
-/// the memo layer declined, the same sorted first-match scan the cold
-/// path runs). Borrows the table, so the view can never go stale.
-#[derive(Debug)]
-pub struct ConfigResolver<'a> {
-    table: &'a ResourceTable,
-    config: &'a Configuration,
-    /// The shared resolved view; `None` sends every lookup down the
-    /// cold scan.
-    view: Option<Arc<HashMap<String, u32>>>,
-}
-
-impl ConfigResolver<'_> {
-    /// Resolves the best-matching variant of `name`, as
-    /// [`ResourceTable::resolve`] would for this configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ResourceError::UnknownName`] / [`ResourceError::NoMatchingVariant`]
-    /// exactly as the per-lookup path.
-    pub fn resolve(&self, name: &str) -> Result<&ResourceValue, ResourceError> {
-        let variants = self
-            .table
-            .entries
-            .get(name)
-            .ok_or_else(|| ResourceError::UnknownName(name.to_owned()))?;
-        match &self.view {
-            Some(view) => ResourceTable::pick(variants, view.get(name).copied(), name),
-            None => variants
-                .iter()
-                .find(|e| e.qualifiers.matches(self.config))
-                .map(|e| &e.value)
-                .ok_or_else(|| ResourceError::NoMatchingVariant(name.to_owned())),
-        }
-    }
-
-    /// Resolves a string resource; `None` on any failure (lenient lookup
-    /// used by inflaters that fall back to literals).
-    pub fn resolve_string(&self, name: &str) -> Option<&str> {
-        match self.resolve(name) {
-            Ok(ResourceValue::String(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Resolves a drawable resource, returning `(asset name, bytes hint)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConfigResolver::resolve`], plus [`ResourceError::WrongType`]
-    /// if the resource is not a drawable.
-    pub fn resolve_drawable(&self, name: &str) -> Result<(Symbol, u64), ResourceError> {
-        match self.resolve(name)? {
-            ResourceValue::Drawable {
-                name: asset,
-                bytes_hint,
-            } => Ok((*asset, *bytes_hint)),
-            _ => Err(ResourceError::WrongType {
-                name: name.to_owned(),
-                expected: "drawable",
-            }),
-        }
     }
 }
 
@@ -664,37 +501,6 @@ mod tests {
         assert_eq!(t.resolve_string("s", &zh_land_night), Some("zh"));
         let land = Configuration::phone_landscape();
         assert_eq!(t.resolve_string("s", &land), Some("land"));
-    }
-
-    #[test]
-    fn memoized_resolution_matches_cold_path() {
-        use droidsim_kernel::memo;
-
-        let t = table_with_variants();
-        let configs = [
-            Configuration::phone_portrait(),
-            Configuration::phone_landscape(),
-            Configuration::phone_portrait().with_locale(Locale::zh_cn()),
-            Configuration::phone_landscape().with_locale(Locale::zh_cn()),
-        ];
-        for config in &configs {
-            // Drive the same lookup repeatedly so the key passes two-touch
-            // admission and later iterations are genuine cache hits.
-            let cold = {
-                let was = memo::enabled();
-                memo::set_enabled(false);
-                let v = t.resolve("greeting", config).cloned();
-                memo::set_enabled(was);
-                v
-            };
-            for _ in 0..4 {
-                assert_eq!(t.resolve("greeting", config).cloned(), cold);
-            }
-            assert_eq!(
-                t.resolve("nope", config).unwrap_err(),
-                ResourceError::UnknownName("nope".to_owned())
-            );
-        }
     }
 
     #[test]

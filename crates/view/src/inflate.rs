@@ -13,7 +13,7 @@ use crate::tree::{ViewId, ViewTree};
 use droidsim_config::Configuration;
 use droidsim_kernel::memo::{self, Admission, MemoCache};
 use droidsim_kernel::Symbol;
-use droidsim_resources::{ConfigResolver, LayoutNode, LayoutTemplate, ResourceTable};
+use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
 use std::sync::{Once, OnceLock};
 
 /// Statistics from one inflation, consumed by the cost model (per-view
@@ -42,7 +42,7 @@ pub struct InflateStats {
 ///
 /// ```
 /// use droidsim_config::Configuration;
-/// use droidsim_resources::{ConfigResolver, LayoutNode, LayoutTemplate, ResourceTable};
+/// use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
 /// use droidsim_view::inflate;
 ///
 /// let template = LayoutTemplate::new(
@@ -75,9 +75,7 @@ pub fn inflate(
     inflate_cold(template, resources, config)
 }
 
-/// The uncached inflation walk shared by both memoized entry points.
-/// Resolution goes through a [`ConfigResolver`] handle: one memo probe
-/// for the whole walk, then a plain map read per attribute.
+/// The uncached lenient inflation walk.
 fn inflate_cold(
     template: &LayoutTemplate,
     resources: &ResourceTable,
@@ -85,12 +83,12 @@ fn inflate_cold(
 ) -> (ViewTree, InflateStats) {
     let mut tree = ViewTree::new();
     let mut stats = InflateStats::default();
-    let resolver = resources.resolver(config);
     let lenient = inflate_node(
         template.root(),
         tree.root(),
         &mut tree,
-        &resolver,
+        resources,
+        config,
         &mut stats,
         false,
     );
@@ -151,7 +149,7 @@ fn inflate_cache() -> &'static MemoCache<InflateKey, (ViewTree, InflateStats)> {
 ///
 /// ```
 /// use droidsim_config::Configuration;
-/// use droidsim_resources::{ConfigResolver, LayoutNode, LayoutTemplate, ResourceTable};
+/// use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
 /// use droidsim_view::{try_inflate, ViewError};
 ///
 /// let bad = LayoutTemplate::new(
@@ -189,12 +187,12 @@ fn try_inflate_cold(
 ) -> Result<(ViewTree, InflateStats), ViewError> {
     let mut tree = ViewTree::new();
     let mut stats = InflateStats::default();
-    let resolver = resources.resolver(config);
     inflate_node(
         template.root(),
         tree.root(),
         &mut tree,
-        &resolver,
+        resources,
+        config,
         &mut stats,
         true,
     )?;
@@ -205,7 +203,8 @@ fn inflate_node(
     node: &LayoutNode,
     parent: ViewId,
     tree: &mut ViewTree,
-    resources: &ConfigResolver<'_>,
+    resources: &ResourceTable,
+    config: &Configuration,
     stats: &mut InflateStats,
     strict: bool,
 ) -> Result<(), ViewError> {
@@ -221,13 +220,13 @@ fn inflate_node(
     for &(key, value) in node.attrs() {
         match key.as_str() {
             "text" => {
-                let resolved = resolve_string(value.as_str(), resources, stats);
+                let resolved = resolve_string(value.as_str(), resources, config, stats);
                 if let Ok(v) = tree.view_mut(id) {
                     v.attrs.text = Some(resolved);
                 }
             }
             "src" => {
-                let (asset, bytes) = resolve_drawable(value, resources);
+                let (asset, bytes) = resolve_drawable(value, resources, config);
                 stats.drawable_bytes += bytes;
                 if let Ok(v) = tree.view_mut(id) {
                     v.attrs.drawable = Some((asset, bytes));
@@ -248,15 +247,23 @@ fn inflate_node(
     }
 
     for child in &node.children {
-        inflate_node(child, id, tree, resources, stats, strict)?;
+        inflate_node(child, id, tree, resources, config, stats, strict)?;
     }
     Ok(())
 }
 
-fn resolve_string(value: &str, resources: &ConfigResolver<'_>, stats: &mut InflateStats) -> String {
+fn resolve_string(
+    value: &str,
+    resources: &ResourceTable,
+    config: &Configuration,
+    stats: &mut InflateStats,
+) -> String {
     if let Some(name) = value.strip_prefix("@string/") {
         stats.strings_resolved += 1;
-        resources.resolve_string(name).unwrap_or(value).to_owned()
+        resources
+            .resolve_string(name, config)
+            .unwrap_or(value)
+            .to_owned()
     } else {
         value.to_owned()
     }
@@ -265,11 +272,15 @@ fn resolve_string(value: &str, resources: &ConfigResolver<'_>, stats: &mut Infla
 /// A `@drawable/…` reference resolves to the resource's asset; a literal
 /// (or an unresolvable reference) is its own asset name, already
 /// interned by the layout.
-fn resolve_drawable(value: Symbol, resources: &ConfigResolver<'_>) -> (Symbol, u64) {
+fn resolve_drawable(
+    value: Symbol,
+    resources: &ResourceTable,
+    config: &Configuration,
+) -> (Symbol, u64) {
     value
         .as_str()
         .strip_prefix("@drawable/")
-        .and_then(|name| resources.resolve_drawable(name).ok())
+        .and_then(|name| resources.resolve_drawable(name, config).ok())
         .unwrap_or((value, 0))
 }
 

@@ -763,56 +763,6 @@ impl ViewTree {
         }
         self.coupling_side = None;
     }
-
-    /// Content digest of the tree's *mapping shape*: the released flag
-    /// plus the id-ordered sequence of live `(view id, android:id name)`
-    /// pairs. Two trees with equal shape digests produce identical
-    /// essence mappings against any given partner, which is what keys
-    /// the migration engine's plan cache: the mapping pairs views by id
-    /// name (lowest live id wins for duplicates), so it is a pure
-    /// function of the live id→name set — parent/child layout and
-    /// attributes deliberately do not participate. A linear arena scan
-    /// enumerates exactly the live set ([`ViewTree::remove_view`]
-    /// vacates every slot it drops), and keeps this digest cheap enough
-    /// to compute on every cache probe.
-    pub fn mapping_shape_digest(&self) -> u64 {
-        use droidsim_kernel::memo;
-        let mut h = memo::fold_u64(memo::FNV_OFFSET, u64::from(self.released));
-        for node in self.nodes.iter().flatten() {
-            // Symbol indexes are process-stable, so they are valid digest
-            // material for an in-process cache key (never for output).
-            let name_tag = node.id_name.map_or(0, |s| u64::from(s.index()) + 1);
-            h = memo::fold_u64(h, node.id.raw());
-            h = memo::fold_u64(h, name_tag);
-        }
-        h
-    }
-
-    /// Replays a cached essence-mapping plan: clears every sunny-peer
-    /// pointer, then installs the listed `(view, peer)` pairs. Produces
-    /// exactly the state [`ViewTree::set_sunny_peers`] leaves behind when
-    /// given the index that generated `pairs` — including the no-op on a
-    /// released tree. Returns the number of peers installed.
-    pub fn apply_sunny_peers(&mut self, pairs: &[(ViewId, ViewId)]) -> usize {
-        if self.released {
-            return 0;
-        }
-        for node in self.nodes.iter_mut().flatten() {
-            node.sunny_peer = None;
-        }
-        let mut applied = 0;
-        for &(view, peer) in pairs {
-            if let Some(node) = self
-                .nodes
-                .get_mut(view.raw() as usize)
-                .and_then(Option::as_mut)
-            {
-                node.sunny_peer = Some(peer);
-                applied += 1;
-            }
-        }
-        applied
-    }
 }
 
 impl Default for ViewTree {
@@ -1128,79 +1078,6 @@ mod tests {
         assert_eq!(t.find_by_id_name("panel"), None);
         assert_eq!(*t.id_name_index(), t.rebuild_id_name_index());
         assert_eq!(t.id_name_index().len(), 1); // decor remains
-    }
-
-    #[test]
-    fn mapping_shape_digest_tracks_structure_and_names() {
-        let (a, ..) = tree_with_views();
-        let (b, ..) = tree_with_views();
-        assert_eq!(
-            a.mapping_shape_digest(),
-            b.mapping_shape_digest(),
-            "equal shapes digest equal"
-        );
-
-        let (mut c, panel, ..) = tree_with_views();
-        c.add_view(panel, ViewKind::TextView, Some("extra"))
-            .unwrap();
-        assert_ne!(a.mapping_shape_digest(), c.mapping_shape_digest());
-
-        // Same structure, different id name → different mapping → must
-        // digest differently.
-        let mut d = ViewTree::new();
-        let dp = d
-            .add_view(d.root(), ViewKind::LinearLayout, Some("panel"))
-            .unwrap();
-        d.add_view(dp, ViewKind::EditText, Some("renamed")).unwrap();
-        d.add_view(dp, ViewKind::ImageView, None).unwrap();
-        assert_ne!(a.mapping_shape_digest(), d.mapping_shape_digest());
-
-        // Attributes are not shape: mutating one must not re-key.
-        let (mut e, _, text, _) = tree_with_views();
-        let before = e.mapping_shape_digest();
-        e.apply(text, ViewOp::SetText("typed".into())).unwrap();
-        assert_eq!(e.mapping_shape_digest(), before);
-
-        // The released flag is shape (it suppresses mapping entirely).
-        let (mut f, ..) = tree_with_views();
-        let live = f.mapping_shape_digest();
-        f.release();
-        assert_ne!(f.mapping_shape_digest(), live);
-    }
-
-    #[test]
-    fn apply_sunny_peers_replays_set_sunny_peers_exactly() {
-        let (mut shadow, ..) = tree_with_views();
-        let (sunny, ..) = tree_with_views();
-        let mapped = shadow.set_sunny_peers(sunny.id_name_index());
-
-        // Extract the plan the cold path produced…
-        let mut pairs = Vec::new();
-        shadow.for_each_id(|id| {
-            if let Some(peer) = shadow.view(id).ok().and_then(|n| n.sunny_peer) {
-                pairs.push((id, peer));
-            }
-        });
-        assert_eq!(pairs.len(), mapped);
-
-        // …replay it onto an identically-shaped fresh tree, after first
-        // polluting its pointers to prove the replay clears them.
-        let (mut replayed, _, text, image) = tree_with_views();
-        replayed.view_mut(image).unwrap().sunny_peer = Some(text);
-        let applied = replayed.apply_sunny_peers(&pairs);
-        assert_eq!(applied, mapped);
-        replayed.for_each_id(|id| {
-            assert_eq!(
-                replayed.view(id).unwrap().sunny_peer,
-                shadow.view(id).unwrap().sunny_peer,
-                "peer pointers identical after replay"
-            );
-        });
-
-        // Released trees ignore replays, mirroring set_sunny_peers.
-        let (mut dead, ..) = tree_with_views();
-        dead.release();
-        assert_eq!(dead.apply_sunny_peers(&pairs), 0);
     }
 
     #[test]

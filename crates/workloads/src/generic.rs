@@ -9,7 +9,7 @@ use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, 
 use droidsim_view::{ViewKind, ViewOp};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How a piece of app state is held — the property that *mechanically*
 /// determines whether it survives each handling scheme.
@@ -258,7 +258,9 @@ pub(crate) fn hash_name(name: &str) -> u64 {
 pub struct GenericApp {
     spec: GenericAppSpec,
     component: String,
-    resources: ResourceTable,
+    /// Built from the spec on the first [`AppModel::resources`] call: a
+    /// probe copy that only applies or checks state never builds layouts.
+    resources: OnceLock<ResourceTable>,
     /// The app's persistent store ("disk"): written through at
     /// interaction time by store-persisted data-loss fields, re-read in
     /// `on_create`. Outlives any activity instance — and, unlike the
@@ -268,8 +270,10 @@ pub struct GenericApp {
 }
 
 impl GenericApp {
-    /// Builds the app (layouts for both orientations; image views sized so
-    /// one activity's heap hits the spec target).
+    /// Builds the app from its descriptor. The resource table — layouts
+    /// for both orientations, image views sized so one activity's heap
+    /// hits the spec target — is built on the first
+    /// [`AppModel::resources`] call.
     pub fn new(spec: GenericAppSpec) -> Self {
         let component = format!(
             "com.{}/.Main",
@@ -277,6 +281,16 @@ impl GenericApp {
                 .to_ascii_lowercase()
                 .replace([' ', '+', '&', '.', '\''], "")
         );
+        GenericApp {
+            spec,
+            component,
+            resources: OnceLock::new(),
+            store: Arc::new(Mutex::new(HashMap::new())),
+        }
+    }
+
+    /// The resource table `spec` describes.
+    fn build_resources(spec: &GenericAppSpec) -> ResourceTable {
         let image_count = spec.view_count.max(1);
         let per_image = spec.activity_heap_bytes / image_count as u64;
 
@@ -378,19 +392,15 @@ impl GenericApp {
             Qualifiers::any(),
             ResourceValue::drawable("asset.png", per_image),
         );
-
-        GenericApp {
-            spec,
-            component,
-            resources,
-            store: Arc::new(Mutex::new(HashMap::new())),
-        }
+        resources
     }
 
     /// A probe copy sharing this app's persistent store, for oracles
     /// that install one copy into a device and apply/inspect state
     /// through another: store writes made through either copy are seen
-    /// by both, like two handles on the same disk.
+    /// by both, like two handles on the same disk. The copy takes the
+    /// resource table if this app has built it, and builds its own on
+    /// first use otherwise.
     pub fn shared_probe(&self) -> GenericApp {
         GenericApp {
             spec: self.spec.clone(),
@@ -569,7 +579,8 @@ impl AppModel for GenericApp {
     }
 
     fn resources(&self) -> &ResourceTable {
-        &self.resources
+        self.resources
+            .get_or_init(|| Self::build_resources(&self.spec))
     }
 
     fn main_layout(&self) -> &str {
@@ -634,7 +645,7 @@ impl AppModel for GenericApp {
                             &format!("fragment_{}", f.key),
                             &format!("frag_{}", f.key),
                         );
-                        let _ = activity.attach_fragment(&self.resources, &fragment);
+                        let _ = activity.attach_fragment(self.resources(), &fragment);
                         // Only a bundle-saved fragment field participates
                         // in hierarchy save/restore.
                         if f.persistence != FieldPersistence::BundleSaved {
@@ -878,6 +889,44 @@ mod tests {
             Some(&saved),
         );
         assert!(app.all_state_survived(thread.instance(new_id).unwrap()));
+    }
+
+    #[test]
+    fn resource_table_is_the_same_whenever_it_is_built() {
+        use crate::{DataLossClass, DataLossField, DataLossScenario};
+        let mut spec = spec_with(StateMechanism::CustomViewNoSave);
+        spec.dataloss = Some(DataLossScenario::new(
+            DataLossClass::SubStateOwner,
+            vec![
+                DataLossField::new(
+                    "frag_field",
+                    FieldOwner::Fragment,
+                    FieldPersistence::StorePersisted,
+                ),
+                DataLossField::new(
+                    "in_field",
+                    FieldOwner::InputView,
+                    FieldPersistence::Transient,
+                ),
+            ],
+        ));
+        for second_builds_first in [false, true] {
+            let (first, second) = (spec.build(), spec.build());
+            // Taken before either app has built its table.
+            let early = second.shared_probe();
+            if second_builds_first {
+                second.resources();
+            }
+            let (a, b) = (first.resources(), second.resources());
+            assert!(a
+                .resolve_layout("fragment_frag_field", &Configuration::phone_portrait())
+                .is_ok());
+            let late = first.shared_probe();
+            for table in [b, early.resources(), late.resources()] {
+                assert_eq!(table, a);
+                assert_eq!(table.fingerprint(), a.fingerprint());
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The memo ≡ cold contract: the warm-path caches (`kernel::memo` —
-//! resolved resource views, inflated templates, mapping plans) are pure
-//! memoization. Disabling them with the kill switch, evicting them
-//! under pressure, or invalidating them mid-workload must never change
-//! a single observable digest — at any worker count, with faults
+//! inflated templates on the device path, app shapes in the analyzer)
+//! are pure memoization. Disabling them with the kill switch, evicting
+//! them under pressure, or invalidating them mid-workload must never
+//! change a single observable digest — at any worker count, with faults
 //! injected, for arbitrary app specs.
 //!
 //! The tests toggle the process-global memo switch, so every test in
@@ -48,8 +48,9 @@ const DEVICES: usize = 8;
 const FAULT_RATE: f64 = 0.05;
 
 /// One faulty device workload, digesting everything observable — the
-/// same shape as the fleet determinism suite, so the memo caches see
-/// the full resolve → inflate → build_mapping path under degradation.
+/// same shape as the fleet determinism suite, so the inflation cache
+/// sees the full resolve → inflate → build_mapping path under
+/// degradation.
 fn device_digest(fault_seed: u64, jitter_seed: u64) -> u64 {
     let mut d = Device::new(HandlingMode::rchdroid_default()).with_jitter(jitter_seed, 0.1);
     let c = d
