@@ -3,11 +3,11 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt fmt-fix clippy bench-smoke fault-matrix \
+.PHONY: ci build test fmt fmt-fix clippy doc bench-smoke fault-matrix \
 	fleet-determinism memo-parity bench-json bench-gate soak lint-study \
 	dataloss-study daemon-soak chaos-soak rchbench-test
 
-ci: build test fmt clippy rchbench-test fault-matrix fleet-determinism \
+ci: build test fmt clippy doc rchbench-test fault-matrix fleet-determinism \
 	memo-parity bench-smoke lint-study dataloss-study soak daemon-soak \
 	chaos-soak
 
@@ -30,6 +30,11 @@ fmt-fix:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# The workspace's rustdoc lints deny broken, private and redundant
+# intra-doc links, so this fails on a public doc that links to nothing.
+doc:
+	$(CARGO) doc --workspace --no-deps --offline
 
 fault-matrix:
 	for seed in $(FAULT_SEEDS); do \

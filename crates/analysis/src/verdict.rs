@@ -42,8 +42,8 @@
 //!
 //! Data-loss corpus apps carry a [`DataLossScenario`] instead of state
 //! items; [`predict`] dispatches to the per-field save/restore
-//! reachability rules (documented at [`predict_dataloss`] and in
-//! DESIGN.md §15).
+//! reachability rules (documented on the private `predict_dataloss` and
+//! in DESIGN.md §15).
 
 use droidsim_fleet::Digest;
 use rch_workloads::{

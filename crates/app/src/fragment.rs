@@ -181,12 +181,9 @@ fn graft_subtree(
 ) -> Result<ViewId, ViewError> {
     let src = source.view(node)?;
     let new_id = dest.add_view(parent, src.kind.clone(), src.id_name_str())?;
-    {
-        let dst = dest.view_mut(new_id)?;
-        dst.attrs = src.attrs.clone();
-        dst.saves_state = src.saves_state;
-        dst.freezes_text = src.freezes_text;
-    }
+    dest.edit_attrs(new_id, |attrs| *attrs = src.attrs.clone())?;
+    dest.set_saves_state(new_id, src.saves_state)?;
+    dest.set_freezes_text(new_id, src.freezes_text)?;
     for &child in &src.children {
         graft_subtree(source, child, dest, new_id)?;
     }

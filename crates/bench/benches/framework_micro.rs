@@ -22,16 +22,32 @@ fn tree_with(n: usize) -> ViewTree {
     t
 }
 
+/// `n` named views under one root: 1 in 16 an `EditText` holding typed
+/// text, the rest `ImageView`s showing a drawable. The hierarchy save
+/// writes an entry per editor and never visits the images, so the arm
+/// reads the cost per stateful view.
+fn stateful_tree(n: usize) -> ViewTree {
+    let mut t = ViewTree::new();
+    let root = t
+        .add_view(t.root(), ViewKind::LinearLayout, Some("root"))
+        .unwrap();
+    for i in 0..n {
+        let (kind, op) = if i % 16 == 0 {
+            (ViewKind::EditText, ViewOp::SetText(format!("typed {i}")))
+        } else {
+            (ViewKind::ImageView, ViewOp::SetDrawable("x.png".into(), 64))
+        };
+        let v = t.add_view(root, kind, Some(&format!("v{i}"))).unwrap();
+        t.apply(v, op).unwrap();
+    }
+    t
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("framework_micro");
     for n in [16usize, 128, 1024] {
         group.bench_with_input(BenchmarkId::new("hierarchy_save", n), &n, |b, &n| {
-            let mut t = tree_with(n);
-            let ids = t.iter_ids();
-            for id in &ids[2..] {
-                t.apply(*id, ViewOp::SetDrawable("x.png".into(), 64))
-                    .unwrap();
-            }
+            let t = stateful_tree(n);
             b.iter(|| black_box(t.save_hierarchy_state()));
         });
         group.bench_with_input(BenchmarkId::new("mapping_build", n), &n, |b, &n| {

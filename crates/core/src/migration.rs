@@ -13,7 +13,7 @@
 //! * **eager** ([`FlushPolicy::Eager`], the default): every drained
 //!   invalidation migrates immediately — the paper's behaviour,
 //! * **batched** ([`FlushPolicy::Batched`]): drained invalidations land
-//!   in a coalescing [`DirtyQueue`](crate::batch::DirtyQueue) and migrate
+//!   in a coalescing [`DirtyQueue`] and migrate
 //!   as one batch when a count or deadline trigger fires; peers resolve
 //!   through the engine's [`ShardedEssenceMap`]. Because the essence copy
 //!   reads the *current* shadow attributes, flushing once after N
@@ -539,13 +539,13 @@ impl MigrationEngine {
                 report.unmapped += 1;
                 return;
             };
-            match sunny.view_mut(peer) {
-                Ok(target) => {
-                    if let Some(state) = node.attrs.user_state(node.freezes_text) {
-                        target.attrs.restore_user_state(&state);
-                    }
-                    report.migrated += 1;
-                }
+            // A stale peer fails even when there is nothing to copy.
+            let copied = match node.attrs.user_state(node.freezes_text) {
+                Some(state) => sunny.edit_attrs(peer, |target| target.restore_user_state(&state)),
+                None => sunny.view(peer).map(drop),
+            };
+            match copied {
+                Ok(()) => report.migrated += 1,
                 Err(e) => failure = Some(e),
             }
         });
@@ -764,6 +764,18 @@ mod tests {
         assert_eq!(
             sunny.view(s_name).unwrap().attrs.text.as_deref(),
             Some("seed")
+        );
+    }
+
+    #[test]
+    fn seeding_a_stale_peer_fails_even_with_nothing_to_copy() {
+        let (shadow, mut sunny, engine) = coupled_trees();
+        let hero = sunny.find_by_id_name("hero").unwrap();
+        sunny.remove_view(hero).unwrap();
+        // The shadow's image view holds no user state, but its peer is gone.
+        assert_eq!(
+            engine.seed_user_state(&shadow, &mut sunny),
+            Err(ViewError::UnknownView(hero))
         );
     }
 

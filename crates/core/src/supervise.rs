@@ -18,8 +18,9 @@
 //!    process crashed; they are *reported*, never unwound through the
 //!    simulator.
 //!
-//! Every rung is recorded in a [`FaultLog`] so tests and benches can
-//! assert which rung absorbed which fault.
+//! Every rung is recorded in a fault log (the crate-private `FaultLog`,
+//! read through [`FaultMetrics`]) so tests and benches can assert which
+//! rung absorbed which fault.
 
 use core::fmt;
 use droidsim_faults::FaultSite;

@@ -7,7 +7,7 @@
 //! [`crate::table5`], [`crate::fig10`], [`crate::ablation`], or a
 //! fault-matrix campaign — wired to the daemon's cooperative controls:
 //!
-//! * the job's [`CancelToken`](droidsim_fleet::CancelToken) goes into
+//! * the job's [`CancelToken`] goes into
 //!   [`FleetOptions::with_cancel`], so client cancels, blown deadlines
 //!   and fast shutdown all stop the study between tasks;
 //! * the per-job fleet journal path (when the daemon is journaling)

@@ -264,9 +264,9 @@ impl CancelToken {
 }
 
 /// The shared worker-pool skeleton: spawns `min(workers, n)` scoped
-/// threads that claim adaptive index chunks (see [`claim_chunk`]'s
-/// batching policy) from one shared cursor until all `n` indices are
-/// claimed, invoking `chunk` once per claimed range.
+/// threads that claim adaptive index chunks (the crate-private
+/// `claim_chunk` sets the batching policy) from one shared cursor until
+/// all `n` indices are claimed, invoking `chunk` once per claimed range.
 ///
 /// This is the single claiming loop behind [`run_fleet`],
 /// [`run_fleet_reduce`] and the supervised driver — and the primitive

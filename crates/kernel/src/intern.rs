@@ -33,7 +33,7 @@
 //! The table used to be a single `RwLock<Table>`; with 8 fleet workers all
 //! resolving symbols on every hierarchy-state save, even the uncontended
 //! read lock showed up as cross-core cache-line traffic. The current
-//! design splits the *name → index* direction into [`SHARD_COUNT`] shards
+//! design splits the *name → index* direction into `SHARD_COUNT` (16) shards
 //! keyed by an FNV-1a hash of the name, each behind its own `RwLock`, so
 //! two workers interning or probing different names almost never touch the
 //! same lock. The *index → text* direction ([`Symbol::as_str`],

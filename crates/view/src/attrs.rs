@@ -73,6 +73,18 @@ impl ViewAttrs {
         (strings + self.checked_items.capacity() * std::mem::size_of::<i32>()) as u64
     }
 
+    /// Whether [`ViewAttrs::user_state`] would return a bundle: a few
+    /// field checks, no allocation. The view tree re-asks this after
+    /// every write to a view, to keep its set of stateful views.
+    pub fn has_user_state(&self, freezes_text: bool) -> bool {
+        (freezes_text && self.text.is_some())
+            || self.selector_position.is_some()
+            || !self.checked_items.is_empty()
+            || self.scroll_y != 0
+            || self.progress.is_some()
+            || self.checked.is_some()
+    }
+
     /// The *user state* (what `View.onSaveInstanceState` persists:
     /// entered text, scroll, selection, checked state, progress — not
     /// static content like drawables) as a bundle, or `None` when the view
@@ -82,16 +94,10 @@ impl ViewAttrs {
     /// seeding, RuntimeDroid's hot reload — goes through here, so a
     /// stateless view costs a few field checks and no allocation.
     pub fn user_state(&self, freezes_text: bool) -> Option<Bundle> {
-        let text = self.text.as_deref().filter(|_| freezes_text);
-        if text.is_none()
-            && self.selector_position.is_none()
-            && self.checked_items.is_empty()
-            && self.scroll_y == 0
-            && self.progress.is_none()
-            && self.checked.is_none()
-        {
+        if !self.has_user_state(freezes_text) {
             return None;
         }
+        let text = self.text.as_deref().filter(|_| freezes_text);
         let mut b = Bundle::new();
         if let Some(t) = text {
             b.put_string("text", t);
@@ -186,6 +192,28 @@ mod tests {
         let state = scrolled.user_state(false).unwrap();
         assert!(!state.contains_key("text"));
         assert_eq!(state.i32("scroll_y"), Some(9));
+    }
+
+    #[test]
+    fn has_user_state_answers_whether_user_state_is_some() {
+        let mut single: Vec<ViewAttrs> = vec![ViewAttrs::new(); 8];
+        single[1].text = Some("draft".to_owned());
+        single[2].selector_position = Some(0);
+        single[3].checked_items = vec![0];
+        single[4].scroll_y = -1;
+        single[5].progress = Some(0);
+        single[6].checked = Some(false);
+        single[7].drawable = Some(("x.png".into(), 1));
+        single.push(rich_attrs());
+        for attrs in &single {
+            for freezes_text in [false, true] {
+                assert_eq!(
+                    attrs.has_user_state(freezes_text),
+                    attrs.user_state(freezes_text).is_some(),
+                    "{attrs:?} freezes_text={freezes_text}"
+                );
+            }
+        }
     }
 
     #[test]

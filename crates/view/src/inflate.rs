@@ -221,30 +221,33 @@ fn inflate_node(
         match key.as_str() {
             "text" => {
                 let resolved = resolve_string(value.as_str(), resources, config, stats);
-                if let Ok(v) = tree.view_mut(id) {
+                if let Ok(v) = tree.node_mut(id) {
                     v.attrs.text = Some(resolved);
                 }
             }
             "src" => {
                 let (asset, bytes) = resolve_drawable(value, resources, config);
                 stats.drawable_bytes += bytes;
-                if let Ok(v) = tree.view_mut(id) {
+                if let Ok(v) = tree.node_mut(id) {
                     v.attrs.drawable = Some((asset, bytes));
                 }
             }
             "progress" => {
-                if let (Ok(p), Ok(v)) = (value.as_str().parse::<i32>(), tree.view_mut(id)) {
+                if let (Ok(p), Ok(v)) = (value.as_str().parse::<i32>(), tree.node_mut(id)) {
                     v.attrs.progress = Some(p);
                 }
             }
             "videoUri" => {
-                if let Ok(v) = tree.view_mut(id) {
+                if let Ok(v) = tree.node_mut(id) {
                     v.attrs.video_uri = Some(value.as_str().to_owned());
                 }
             }
             _ => {} // layout params etc. — no simulation effect
         }
     }
+    // An editable view with `text`, or a progress view with `progress`,
+    // is inflated holding user state.
+    tree.refresh_stateful(id);
 
     for child in &node.children {
         inflate_node(child, id, tree, resources, config, stats, strict)?;

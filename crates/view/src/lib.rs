@@ -46,4 +46,4 @@ pub use inflate::{inflate, try_inflate, InflateStats};
 pub use kind::{MigrationClass, ViewKind};
 pub use layout::{layout, LayoutResult, Rect};
 pub use ops::{DirtyMask, ViewOp};
-pub use tree::{ViewId, ViewNode, ViewTree};
+pub use tree::{views_visited, ViewId, ViewNode, ViewTree};

@@ -9,6 +9,22 @@
 //! The hooks are inert unless a change handler uses them, so with no
 //! handler installed the tree behaves exactly like stock Android 10.
 //!
+//! # Writes go through the tree
+//!
+//! Views are read through [`ViewTree::view`], but nothing outside this
+//! crate gets a `&mut ViewNode`: a view's attributes and save flags
+//! change only through [`ViewTree::apply`], [`ViewTree::edit_attrs`],
+//! [`ViewTree::set_saves_state`], [`ViewTree::set_freezes_text`] and the
+//! restore paths, and its name, parent, children and sunny peer only
+//! through the structural ops. Every write re-checks the one view it
+//! touched against the saved-state predicate, so the tree always knows
+//! its *stateful* views — the live views whose hierarchy state is
+//! non-empty — without looking. [`ViewTree::save_hierarchy_state`]
+//! visits only those, which makes the snapshot every configuration
+//! change takes (the coin flip included) cost the stateful views, not
+//! the tree. The set is a function of the tree's content, so the derived
+//! `PartialEq` is still content equality.
+//!
 //! # Panic policy
 //!
 //! Production code in this module is panic-free: every fallible lookup
@@ -27,17 +43,45 @@ use crate::ops::{DirtyMask, ViewOp};
 use droidsim_bundle::{Bundle, Value};
 use droidsim_kernel::{alloc_track, Symbol};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
 thread_local! {
     /// Reusable DFS stack for [`ViewTree::for_each_id`]-style traversals:
-    /// the save/restore, coupling, and migration paths walk the tree many
-    /// times per configuration change, and each walk used to allocate a
-    /// fresh id vector.
+    /// the coupling and migration paths walk the tree many times per
+    /// configuration change, and each walk used to allocate a fresh id
+    /// vector.
     static SCRATCH_STACK: RefCell<Vec<ViewId>> = const { RefCell::new(Vec::new()) };
+    /// Views touched by traversals on this thread; see [`views_visited`].
+    static VISITS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Adds one traversal's visits to this thread's count.
+fn note_visits(views: usize) {
+    VISITS.with(|v| v.set(v.get() + views as u64));
+}
+
+/// Views visited by tree traversals on this thread so far: the shared
+/// pre-order walk ([`ViewTree::for_each_id`] and everything built on
+/// it), [`ViewTree::set_sunny_peers`], and the hierarchy save's pass over
+/// its stateful views (with the ancestor chains it climbs to break a
+/// tie). Snapshot before and after a region and subtract: the
+/// difference counts work, not time, so a test can pin how a path
+/// scales. Like `alloc_track`, the count is diagnostic and enters no
+/// fingerprint.
+pub fn views_visited() -> u64 {
+    VISITS.with(Cell::get)
+}
+
+/// Puts `id` into a tree's stateful set or takes it out.
+fn mark_stateful(set: &mut BTreeSet<ViewId>, id: ViewId, stateful: bool) {
+    if stateful {
+        set.insert(id);
+    } else {
+        set.remove(&id);
+    }
 }
 
 /// Runs `f` with this thread's reusable traversal stack (cleared first).
@@ -72,12 +116,14 @@ pub struct ViewNode {
     pub id: ViewId,
     /// The `android:id` name, if declared, interned as a [`Symbol`].
     ///
-    /// Treat as immutable after [`ViewTree::add_view`]: the tree keeps a
-    /// cached name→view index that is maintained on structural ops only.
+    /// Fixed by [`ViewTree::add_view`]: no tree method renames a view, so
+    /// the tree's cached name→view index changes on structural ops only.
     pub id_name: Option<Symbol>,
     /// Concrete class.
     pub kind: ViewKind,
-    /// Attribute set.
+    /// Attribute set. Written only through tree methods
+    /// ([`ViewTree::apply`], [`ViewTree::edit_attrs`] and the restores),
+    /// each of which re-checks the view's saved state.
     pub attrs: ViewAttrs,
     /// Parent instance (`None` only for the decor view).
     pub parent: Option<ViewId>,
@@ -91,10 +137,12 @@ pub struct ViewNode {
     /// implement `onSaveInstanceState` — the most common cause of the
     /// paper's state-loss bugs — does not. RCHDroid's essence migration
     /// copies *live attributes* and therefore fixes these views anyway.
+    /// Written only through [`ViewTree::set_saves_state`].
     pub saves_state: bool,
     /// Android's `freezesText`: whether the view's text is user input
     /// that persists across save/restore (true for editable kinds).
     /// Label text set by the app or from resources is content, not state.
+    /// Written only through [`ViewTree::set_freezes_text`].
     pub freezes_text: bool,
 }
 
@@ -112,13 +160,20 @@ impl ViewNode {
 
     /// What `onSaveInstanceState` writes for this view: its name and its
     /// user state. `None` for a view that skips the protocol, has no id,
-    /// or holds no user state.
+    /// or holds no user state; `Some` exactly when
+    /// [`ViewNode::has_saved_state`] holds.
     fn saved_state(&self) -> Option<(Symbol, Bundle)> {
         if !self.saves_state {
             return None; // custom view without onSaveInstanceState
         }
         let name = self.id_name?;
         Some((name, self.attrs.user_state(self.freezes_text)?))
+    }
+
+    /// Whether the hierarchy save writes an entry for this view, decided
+    /// by field checks alone: the predicate of the tree's stateful set.
+    fn has_saved_state(&self) -> bool {
+        self.saves_state && self.id_name.is_some() && self.attrs.has_user_state(self.freezes_text)
     }
 }
 
@@ -178,6 +233,10 @@ pub struct ViewTree {
     /// only grow). Removal promotes the front entry instead of rescanning
     /// the arena, making index maintenance O(shadowed) per removed name.
     shadowed_ids: HashMap<Symbol, Vec<ViewId>>,
+    /// The live views whose saved state is non-empty
+    /// ([`ViewNode::has_saved_state`]): the only views the hierarchy save
+    /// visits. A new view holds no state, so adding one leaves it alone.
+    stateful: BTreeSet<ViewId>,
 }
 
 impl ViewTree {
@@ -211,6 +270,7 @@ impl ViewTree {
             coupling_side: None,
             id_name_index: HashMap::from([(decor_name, root)]),
             shadowed_ids: HashMap::new(),
+            stateful: BTreeSet::new(),
         }
     }
 
@@ -239,10 +299,11 @@ impl ViewTree {
     /// [`ViewError::NullPointer`] — the stock-Android crash scenario.
     ///
     /// The views themselves are freed: the arena, the id-name index, the
-    /// shadowed-duplicate lists and the pending invalidations are all
-    /// dropped, so a released tree holds no views ([`ViewTree::view_count`]
-    /// and [`ViewTree::heap_bytes`] read 0, [`ViewTree::find_by_id_name`]
-    /// finds nothing). Only the decor id survives, for
+    /// shadowed-duplicate lists, the stateful set and the pending
+    /// invalidations are all dropped, so a released tree holds no views
+    /// ([`ViewTree::view_count`] and [`ViewTree::heap_bytes`] read 0,
+    /// [`ViewTree::find_by_id_name`] finds nothing). Only the decor id
+    /// survives, for
     /// [`ViewTree::root`]: a callback captured before the release still
     /// names the view its `NullPointer` is about.
     pub fn release(&mut self) {
@@ -251,6 +312,7 @@ impl ViewTree {
         self.live = 0;
         self.id_name_index = HashMap::new();
         self.shadowed_ids = HashMap::new();
+        self.stateful = BTreeSet::new();
         self.pending = Vec::new();
         self.pending_pos = HashMap::new();
         self.raw_pending = 0;
@@ -271,19 +333,76 @@ impl ViewTree {
     /// [`ViewError::UnknownView`] if the id is stale.
     pub fn view(&self, id: ViewId) -> Result<&ViewNode, ViewError> {
         self.check_alive(id)?;
-        self.nodes
-            .get(id.raw() as usize)
-            .and_then(Option::as_ref)
-            .ok_or(ViewError::UnknownView(id))
+        self.node(id).ok_or(ViewError::UnknownView(id))
     }
 
-    /// Mutable lookup; same errors as [`ViewTree::view`].
-    pub fn view_mut(&mut self, id: ViewId) -> Result<&mut ViewNode, ViewError> {
+    /// A live view, or `None` (no liveness error: released trees have an
+    /// empty arena).
+    fn node(&self, id: ViewId) -> Option<&ViewNode> {
+        self.nodes.get(id.raw() as usize).and_then(Option::as_ref)
+    }
+
+    /// Mutable lookup for this crate's structural bookkeeping and the
+    /// inflater; same errors as [`ViewTree::view`]. A caller that writes
+    /// attributes or save flags through it must call
+    /// [`ViewTree::refresh_stateful`] afterwards.
+    pub(crate) fn node_mut(&mut self, id: ViewId) -> Result<&mut ViewNode, ViewError> {
         self.check_alive(id)?;
         self.nodes
             .get_mut(id.raw() as usize)
             .and_then(Option::as_mut)
             .ok_or(ViewError::UnknownView(id))
+    }
+
+    /// Re-checks one view against the saved-state predicate and updates
+    /// the stateful set. Every write to a view's attributes or save flags
+    /// ends here.
+    pub(crate) fn refresh_stateful(&mut self, id: ViewId) {
+        let stateful = self.node(id).is_some_and(ViewNode::has_saved_state);
+        mark_stateful(&mut self.stateful, id, stateful);
+    }
+
+    /// Rewrites a view's attributes with `edit` and records **no**
+    /// invalidation: the write path for restores and copies, which must
+    /// not look like an app update to lazy migration. App-visible updates
+    /// go through [`ViewTree::apply`] instead.
+    ///
+    /// # Errors
+    ///
+    /// The liveness errors of [`ViewTree::view`]; `edit` does not run.
+    pub fn edit_attrs(
+        &mut self,
+        id: ViewId,
+        edit: impl FnOnce(&mut ViewAttrs),
+    ) -> Result<(), ViewError> {
+        edit(&mut self.node_mut(id)?.attrs);
+        self.refresh_stateful(id);
+        Ok(())
+    }
+
+    /// Sets whether a view takes part in hierarchy save/restore: `false`
+    /// models a custom view that does not implement
+    /// `onSaveInstanceState` (see [`ViewNode::saves_state`]).
+    ///
+    /// # Errors
+    ///
+    /// The liveness errors of [`ViewTree::view`].
+    pub fn set_saves_state(&mut self, id: ViewId, saves_state: bool) -> Result<(), ViewError> {
+        self.node_mut(id)?.saves_state = saves_state;
+        self.refresh_stateful(id);
+        Ok(())
+    }
+
+    /// Sets Android's `freezesText` on a view: whether its text is user
+    /// state (see [`ViewNode::freezes_text`]).
+    ///
+    /// # Errors
+    ///
+    /// The liveness errors of [`ViewTree::view`].
+    pub fn set_freezes_text(&mut self, id: ViewId, freezes_text: bool) -> Result<(), ViewError> {
+        self.node_mut(id)?.freezes_text = freezes_text;
+        self.refresh_stateful(id);
+        Ok(())
     }
 
     /// Adds a view under `parent`.
@@ -338,7 +457,7 @@ impl ViewTree {
                 Entry::Occupied(_) => self.shadowed_ids.entry(name).or_default().push(id),
             }
         }
-        self.view_mut(parent)?.children.push(id);
+        self.node_mut(parent)?.children.push(id);
         Ok(id)
     }
 
@@ -366,6 +485,7 @@ impl ViewTree {
                 .and_then(Option::take)
             {
                 self.live -= 1;
+                self.stateful.remove(&current);
                 if let Some(name) = node.id_name {
                     removed_names.push((name, node.id));
                 }
@@ -400,7 +520,7 @@ impl ViewTree {
             }
         }
         if let Some(parent) = parent {
-            if let Ok(p) = self.view_mut(parent) {
+            if let Ok(p) = self.node_mut(parent) {
                 p.children.retain(|&c| c != id);
             }
         }
@@ -415,7 +535,8 @@ impl ViewTree {
     }
 
     /// Applies a mutation and records an invalidation (the generic update
-    /// step that any view change funnels through).
+    /// step that any view change funnels through), then re-checks the
+    /// view's saved state.
     ///
     /// # Errors
     ///
@@ -423,7 +544,7 @@ impl ViewTree {
     /// fit the view's migration class.
     pub fn apply(&mut self, id: ViewId, op: ViewOp) -> Result<(), ViewError> {
         let dirty = op.dirty_bit();
-        let node = self.view_mut(id)?;
+        let node = self.node_mut(id)?;
         let class = node.kind.migration_class();
         if !op.applies_to(class) {
             return Err(ViewError::InapplicableOp {
@@ -452,6 +573,7 @@ impl ViewTree {
             ViewOp::SetEnabled(e) => node.attrs.enabled = e,
             ViewOp::SetVisible(v) => node.attrs.visible = v,
         }
+        self.refresh_stateful(id);
         self.invalidate_attrs(id, dirty)?;
         Ok(())
     }
@@ -560,10 +682,12 @@ impl ViewTree {
     /// but handing out each node the walk already resolved, so a visitor
     /// that reads attributes pays no second lookup.
     fn for_each_node(&self, mut f: impl FnMut(&ViewNode)) {
+        let mut visited = 0;
         with_scratch_stack(|stack| {
             stack.push(self.root);
             while let Some(id) = stack.pop() {
-                if let Some(node) = self.nodes.get(id.raw() as usize).and_then(Option::as_ref) {
+                if let Some(node) = self.node(id) {
+                    visited += 1;
                     f(node);
                     for &child in node.children.iter().rev() {
                         stack.push(child);
@@ -571,6 +695,7 @@ impl ViewTree {
                 }
             }
         });
+        note_visits(visited);
     }
 
     /// Number of live views (0 once released). O(1): a counter kept by
@@ -616,17 +741,86 @@ impl ViewTree {
     /// Saves the hierarchy state: for every view *with an id name*, its
     /// user state goes into the bundle under `view:{id_name}`. Views
     /// without ids are skipped — exactly Android's (lossy) contract — and
-    /// so are views without user state, which cost no allocation. When
+    /// so are views that skip the protocol or hold no user state. When
     /// several views share a name, the last one in pre-order that has
     /// state wins.
+    ///
+    /// The save visits only the tree's stateful views, the ones those
+    /// rules keep, so it costs the views that hold state and not the
+    /// tree. The bundle is a sorted map, so the visiting order matters
+    /// only for a name with several live bearers: there the stateful
+    /// bearers are ranked in pre-order by their ancestor chains, with no
+    /// walk.
     pub fn save_hierarchy_state(&self) -> Bundle {
         let mut out = Bundle::new();
-        self.for_each_node(|node| {
-            if let Some((name, state)) = node.saved_state() {
+        // Names with several live bearers, each with the stateful bearer
+        // that comes last in pre-order so far.
+        let mut contested: Vec<(Symbol, ViewId)> = Vec::new();
+        for &id in &self.stateful {
+            let Some(node) = self.node(id) else { continue };
+            match node.id_name {
+                Some(name) if self.shadowed_ids.contains_key(&name) => {
+                    match contested.iter_mut().find(|(n, _)| *n == name) {
+                        Some((_, last)) if self.precedes(*last, id) => *last = id,
+                        Some(_) => {}
+                        None => contested.push((name, id)),
+                    }
+                }
+                _ => {
+                    if let Some((name, state)) = node.saved_state() {
+                        out.put_bundle(name.hierarchy_key(), state);
+                    }
+                }
+            }
+        }
+        for (_, id) in contested {
+            if let Some((name, state)) = self.node(id).and_then(ViewNode::saved_state) {
                 out.put_bundle(name.hierarchy_key(), state);
             }
-        });
+        }
+        note_visits(self.stateful.len());
         out
+    }
+
+    /// Whether live view `a` comes before live view `b` in pre-order,
+    /// read off their ancestor chains instead of a walk: an ancestor
+    /// precedes its descendants, and otherwise the one under the earlier
+    /// child of the deepest shared ancestor comes first.
+    fn precedes(&self, a: ViewId, b: ViewId) -> bool {
+        let (path_a, path_b) = (self.root_path(a), self.root_path(b));
+        let shared = path_a
+            .iter()
+            .zip(&path_b)
+            .take_while(|(x, y)| x == y)
+            .count();
+        match (path_a.get(shared), path_b.get(shared)) {
+            (Some(child_a), Some(child_b)) => {
+                let siblings = shared
+                    .checked_sub(1)
+                    .and_then(|i| self.node(path_a[i]))
+                    .map_or(&[][..], |n| n.children.as_slice());
+                let rank = |child: &ViewId| siblings.iter().position(|c| c == child);
+                rank(child_a) < rank(child_b)
+            }
+            // One chain is a prefix of the other: the shorter one ends at
+            // the ancestor.
+            (first_a, _) => first_a.is_none(),
+        }
+    }
+
+    /// The chain of views from the decor view down to `id`.
+    fn root_path(&self, id: ViewId) -> Vec<ViewId> {
+        let mut path = vec![id];
+        while let Some(parent) = path
+            .last()
+            .and_then(|&v| self.node(v))
+            .and_then(|n| n.parent)
+        {
+            path.push(parent);
+        }
+        path.reverse();
+        note_visits(path.len());
+        path
     }
 
     /// Restores state previously produced by
@@ -667,6 +861,7 @@ impl ViewTree {
                 .and_then(Option::as_mut)
             {
                 node.attrs.restore_user_state(state);
+                mark_stateful(&mut self.stateful, id, node.has_saved_state());
             }
         }
     }
@@ -732,9 +927,9 @@ impl ViewTree {
         if self.released {
             return 0;
         }
+        let (mut visited, mut mapped) = (0, 0);
         with_scratch_stack(|stack| {
             stack.push(self.root);
-            let mut mapped = 0;
             while let Some(id) = stack.pop() {
                 let Some(node) = self
                     .nodes
@@ -743,6 +938,7 @@ impl ViewTree {
                 else {
                     continue;
                 };
+                visited += 1;
                 for &child in node.children.iter().rev() {
                     stack.push(child);
                 }
@@ -751,8 +947,9 @@ impl ViewTree {
                     mapped += 1;
                 }
             }
-            mapped
-        })
+        });
+        note_visits(visited);
+        mapped
     }
 
     /// Clears every sunny-peer pointer (used when the coupling is broken,
@@ -930,6 +1127,55 @@ mod tests {
     }
 
     #[test]
+    fn an_ancestor_loses_a_duplicate_name_to_its_descendant() {
+        let mut t = ViewTree::new();
+        let outer = t
+            .add_view(t.root(), ViewKind::ScrollView, Some("dup"))
+            .unwrap();
+        let inner = t.add_view(outer, ViewKind::ListView, Some("dup")).unwrap();
+        let field = t.add_view(inner, ViewKind::EditText, Some("dup")).unwrap();
+        t.apply(field, ViewOp::SetText("leaf".into())).unwrap();
+        t.apply(inner, ViewOp::ScrollTo(3)).unwrap();
+        t.apply(outer, ViewOp::ScrollTo(7)).unwrap();
+        let dup = t.save_hierarchy_state();
+        assert_eq!(dup.bundle("view:dup").unwrap().string("text"), Some("leaf"));
+        // The leaf goes stateless: its parent is the last stateful bearer.
+        t.set_freezes_text(field, false).unwrap();
+        let dup = t.save_hierarchy_state();
+        assert_eq!(dup.bundle("view:dup").unwrap().i32("scroll_y"), Some(3));
+    }
+
+    #[test]
+    fn the_save_visits_only_stateful_views() {
+        let mut t = ViewTree::new();
+        let list = t
+            .add_view(t.root(), ViewKind::LinearLayout, Some("list"))
+            .unwrap();
+        for i in 0..500 {
+            t.add_view(list, ViewKind::ImageView, Some(&format!("img{i}")))
+                .unwrap();
+        }
+        let field = t.add_view(list, ViewKind::EditText, Some("field")).unwrap();
+        let visits = |t: &ViewTree| {
+            let before = views_visited();
+            let saved = t.save_hierarchy_state();
+            (views_visited() - before, saved.len())
+        };
+        assert_eq!(visits(&t), (0, 0));
+        t.apply(field, ViewOp::SetText("typed".into())).unwrap();
+        assert_eq!(visits(&t), (1, 1));
+        t.set_saves_state(field, false).unwrap();
+        assert_eq!(visits(&t), (0, 0));
+        t.set_saves_state(field, true).unwrap();
+        t.remove_view(field).unwrap();
+        assert_eq!(visits(&t), (0, 0));
+        // A walk counts every live view it reaches.
+        let before = views_visited();
+        t.for_each_id(|_| {});
+        assert_eq!(views_visited() - before, 502);
+    }
+
+    #[test]
     fn restore_reaches_every_bearer_of_a_duplicate_name() {
         let (mut t, panel, text, _) = tree_with_views();
         let dup = t.add_view(panel, ViewKind::EditText, Some("name")).unwrap();
@@ -1001,7 +1247,7 @@ mod tests {
                 Some("field"),
             )
             .unwrap();
-        t.view_mut(broken).unwrap().saves_state = false;
+        t.set_saves_state(broken, false).unwrap();
         t.apply(broken, ViewOp::SetText("typed".into())).unwrap();
         let state = t.save_hierarchy_state();
         assert!(

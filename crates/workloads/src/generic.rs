@@ -480,17 +480,13 @@ impl GenericApp {
         ) else {
             return;
         };
-        if let Ok(v) = activity.tree.view_mut(panel) {
-            v.saves_state = false;
-        }
+        let _ = activity.tree.set_saves_state(panel, false);
         if let Ok(field) = activity.tree.add_view(
             panel,
             ViewKind::from_class_name("com.app.DialogEditText"),
             Some(key),
         ) {
-            if let Ok(v) = activity.tree.view_mut(field) {
-                v.saves_state = false;
-            }
+            let _ = activity.tree.set_saves_state(field, false);
         }
     }
 
@@ -498,9 +494,9 @@ impl GenericApp {
     /// typing into it; bypasses the invalidation channel on purpose).
     fn set_view_text(activity: &mut Activity, key: &str, value: &str) {
         if let Some(view) = activity.tree.find_by_id_name(key) {
-            if let Ok(v) = activity.tree.view_mut(view) {
-                v.attrs.text = Some(value.to_owned());
-            }
+            let _ = activity
+                .tree
+                .edit_attrs(view, |attrs| attrs.text = Some(value.to_owned()));
         }
     }
 
@@ -605,9 +601,7 @@ impl AppModel for GenericApp {
             match item.mechanism {
                 StateMechanism::CustomViewNoSave => {
                     if let Some(view) = activity.tree.find_by_id_name(&item.key) {
-                        if let Ok(v) = activity.tree.view_mut(view) {
-                            v.saves_state = false;
-                        }
+                        let _ = activity.tree.set_saves_state(view, false);
                     }
                 }
                 StateMechanism::DynamicViewNoSave => {
@@ -622,9 +616,7 @@ impl AppModel for GenericApp {
                             ViewKind::from_class_name("com.app.DynamicEditText"),
                             Some(&item.key),
                         ) {
-                            if let Ok(v) = activity.tree.view_mut(view) {
-                                v.saves_state = false;
-                            }
+                            let _ = activity.tree.set_saves_state(view, false);
                         }
                     }
                 }
@@ -650,9 +642,7 @@ impl AppModel for GenericApp {
                         // in hierarchy save/restore.
                         if f.persistence != FieldPersistence::BundleSaved {
                             if let Some(view) = activity.tree.find_by_id_name(&f.key) {
-                                if let Ok(v) = activity.tree.view_mut(view) {
-                                    v.saves_state = false;
-                                }
+                                let _ = activity.tree.set_saves_state(view, false);
                             }
                         }
                         if f.persistence == FieldPersistence::StorePersisted {
@@ -665,9 +655,7 @@ impl AppModel for GenericApp {
                         // Uncommitted input: the app never wired this
                         // view into any save site.
                         if let Some(view) = activity.tree.find_by_id_name(&f.key) {
-                            if let Ok(v) = activity.tree.view_mut(view) {
-                                v.saves_state = false;
-                            }
+                            let _ = activity.tree.set_saves_state(view, false);
                         }
                     }
                     FieldOwner::Member => {

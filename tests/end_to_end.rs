@@ -1,11 +1,13 @@
 //! End-to-end integration tests spanning the whole stack: device, ATMS,
 //! activity thread, RCHDroid handler, workloads and cost model.
 
+use droidsim_app::activity::KEY_HIERARCHY;
 use droidsim_app::SimpleApp;
+use droidsim_bundle::Bundle;
 use droidsim_device::{Device, DeviceEvent, HandlingMode, HandlingPath};
 use droidsim_kernel::SimDuration;
-use droidsim_view::ViewOp;
-use rch_workloads::{tp27_specs, StateMechanism};
+use droidsim_view::{views_visited, ViewOp, ViewTree};
+use rch_workloads::{tp27_specs, GenericApp, GenericAppSpec, StateItem, StateMechanism};
 
 fn bench_device(mode: HandlingMode, views: usize) -> (Device, String) {
     let mut device = Device::new(mode);
@@ -73,6 +75,94 @@ fn flip_latency_is_independent_of_change_count() {
         "flips are constant-cost"
     );
     let _ = c;
+}
+
+/// A generic app with `views` content views and three state items: a
+/// framework `EditText`, a custom view that skips
+/// `onSaveInstanceState`, and a view created in code.
+fn three_state_app(views: usize) -> GenericApp {
+    let mut spec = GenericAppSpec::sized("FlipWork", "1M+", false);
+    for (key, mechanism) in [
+        ("framework_field", StateMechanism::FrameworkView),
+        ("custom_field", StateMechanism::CustomViewNoSave),
+        ("dynamic_field", StateMechanism::DynamicViewNoSave),
+    ] {
+        spec = spec.with_issue(
+            "State is lost after restart",
+            StateItem::new(key, mechanism, "typed"),
+        );
+    }
+    spec.view_count = views;
+    spec.build()
+}
+
+/// The hierarchy save as a whole-tree walk: every view in pre-order, the
+/// last stateful bearer of a name winning.
+fn walked_save(tree: &ViewTree) -> Bundle {
+    let mut out = Bundle::new();
+    for id in tree.iter_ids() {
+        let node = tree.view(id).unwrap();
+        let state = node.attrs.user_state(node.freezes_text);
+        if let (true, Some(name), Some(state)) = (node.saves_state, node.id_name, state) {
+            out.put_bundle(name.hierarchy_key(), state);
+        }
+    }
+    out
+}
+
+/// Views visited by one rotation of `d`, which must take `path`.
+fn rotation_work(d: &mut Device, path: HandlingPath) -> u64 {
+    let before = views_visited();
+    assert_eq!(d.rotate().unwrap().path, path);
+    views_visited() - before
+}
+
+/// Views visited by an RCHDroid device's first change (the init) and by
+/// each of the coin flips after it, with the stateful views each flip
+/// snapshotted. Checks every flip's snapshot against a whole-tree walk.
+fn change_work(views: usize) -> (u64, Vec<(u64, usize)>) {
+    let probe = three_state_app(views);
+    let mut d = Device::new(HandlingMode::rchdroid_default());
+    let c = d
+        .install_and_launch(Box::new(three_state_app(views)), 40 << 20, 1.0)
+        .unwrap();
+    d.with_foreground_activity_mut(|a| probe.apply_user_state(a))
+        .unwrap();
+    let init = rotation_work(&mut d, HandlingPath::RchInit);
+    let mut flips = Vec::new();
+    for _ in 0..4 {
+        d.advance(SimDuration::from_secs(1));
+        let visited = rotation_work(&mut d, HandlingPath::RchFlip);
+        let thread = d.process(&c).unwrap().thread();
+        let shadow = thread.instance(thread.current_shadow().unwrap()).unwrap();
+        let walked = walked_save(&shadow.tree);
+        let snapshot = shadow.shadow_bundle.as_ref().unwrap();
+        assert_eq!(snapshot.bundle(KEY_HIERARCHY), Some(&walked));
+        flips.push((visited, walked.len()));
+    }
+    (init, flips)
+}
+
+#[test]
+fn a_flip_visits_the_stateful_views_not_the_tree() {
+    let (small_init, small_flips) = change_work(64);
+    let (large_init, large_flips) = change_work(2_048);
+    assert_eq!(
+        small_flips, large_flips,
+        "a flip's work is independent of the tree's size"
+    );
+    for (visited, stateful) in small_flips {
+        assert!(stateful >= 1, "the typed framework field is saved");
+        assert!(
+            visited <= stateful as u64 + 2,
+            "{visited} visits for {stateful} stateful views"
+        );
+    }
+    // The init walks the tree (coupling, seeding), so the counter counts.
+    assert!(
+        large_init >= small_init + (2_048 - 64),
+        "init visits {small_init} → {large_init}"
+    );
 }
 
 #[test]

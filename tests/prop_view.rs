@@ -1,12 +1,13 @@
 //! Property tests: view-tree structural invariants under random operation
 //! sequences, and save/restore behaviour — including reference oracles
 //! that replay the whole-tree save/restore and user-state copies the
-//! entry-driven code must match bit for bit — plus a map oracle for
-//! layout attribute lists, the rule that user content is never
-//! interned, and the memo keys' separation of unequal templates.
+//! entry-driven code must match bit for bit, the save checked after every
+//! step of scripts that start from inflated or grafted layouts — plus a
+//! map oracle for layout attribute lists, the rule that user content is
+//! never interned, and the memo keys' separation of unequal templates.
 
-use droidsim_app::{ActivityThread, AppModel};
-use droidsim_atms::{Atms, Intent};
+use droidsim_app::{Activity, ActivityInstanceId, ActivityThread, AppModel, FragmentSpec};
+use droidsim_atms::{ActivityRecordId, Atms, Intent};
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
 use droidsim_kernel::{SimTime, Symbol};
@@ -26,7 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const NAMES: [&str; 6] = ["v0", "v1", "v2", "v3", "v4", "v5"];
 
 /// A random tree-building script: each step adds a view, removes a
-/// subtree, mutates a view, or flips a view's save flags.
+/// subtree, mutates a view, flips a view's save flags, restores a saved
+/// bundle, continues on a clone, or releases the tree.
 #[derive(Debug, Clone)]
 enum BuildStep {
     /// Adds a view under any live view (so most adds under a leaf fail
@@ -52,6 +54,12 @@ enum BuildStep {
         saves_state: bool,
         freezes_text: bool,
     },
+    /// Restores a bundle saved from another script's tree.
+    Restore(Bundle),
+    /// Continues on a clone of the tree.
+    Clone,
+    /// Releases the tree: later steps find no views to pick.
+    Release,
 }
 
 fn arb_kind() -> impl Strategy<Value = ViewKind> {
@@ -121,10 +129,76 @@ fn arb_script(max: usize) -> impl Strategy<Value = Vec<BuildStep>> {
     proptest::collection::vec(arb_step(), 0..max)
 }
 
+/// Step pairs that give a view state and take it away again on the next
+/// step (neither step changes which view a choice picks): a scroll and a
+/// scroll back to the top, an item checked and unchecked from a small
+/// pool, and the save flags turned off, then on again.
+fn arb_come_and_go() -> impl Strategy<Value = Vec<BuildStep>> {
+    let pair = |choice, first, then| {
+        vec![
+            BuildStep::Mutate { choice, op: first },
+            BuildStep::Mutate { choice, op: then },
+        ]
+    };
+    prop_oneof![
+        (any::<usize>(), 1i32..500).prop_map(move |(choice, y)| pair(
+            choice,
+            ViewOp::ScrollTo(y),
+            ViewOp::ScrollTo(0)
+        )),
+        (any::<usize>(), 0i32..3).prop_map(move |(choice, item)| pair(
+            choice,
+            ViewOp::SetItemChecked(item, true),
+            ViewOp::SetItemChecked(item, false)
+        )),
+        any::<usize>().prop_map(|choice| vec![
+            BuildStep::Flags {
+                choice,
+                saves_state: false,
+                freezes_text: false,
+            },
+            BuildStep::Flags {
+                choice,
+                saves_state: true,
+                freezes_text: true,
+            },
+        ]),
+    ]
+}
+
+/// A script for the save oracle: [`arb_step`]'s steps mixed with state
+/// that comes and goes, restores of another script's saved bundle and
+/// clones; with even odds the tree is released a few steps before the
+/// end.
+fn arb_save_script(max: usize) -> impl Strategy<Value = Vec<BuildStep>> {
+    let step = prop_oneof![
+        arb_step().prop_map(|step| vec![step]),
+        arb_step().prop_map(|step| vec![step]),
+        arb_step().prop_map(|step| vec![step]),
+        arb_come_and_go(),
+        arb_script(40).prop_map(|other| vec![BuildStep::Restore(oracle_save(&run_script(&other)))]),
+        Just(vec![BuildStep::Clone]),
+    ];
+    (
+        proptest::collection::vec(step.clone(), 0..max),
+        any::<bool>(),
+        proptest::collection::vec(step, 0..4),
+    )
+        .prop_map(|(body, release, tail)| {
+            let mut steps = body.concat();
+            if release {
+                steps.push(BuildStep::Release);
+                steps.extend(tail.concat());
+            }
+            steps
+        })
+}
+
 /// Runs `steps` against `tree`, naming added views from `names`.
 fn apply_script(tree: &mut ViewTree, steps: &[BuildStep], names: &[&str]) {
     for step in steps {
         let ids = tree.iter_ids();
+        let pick = |choice: usize| ids.get(choice % ids.len().max(1)).copied();
         match step {
             BuildStep::Add {
                 parent_choice,
@@ -139,25 +213,35 @@ fn apply_script(tree: &mut ViewTree, steps: &[BuildStep], names: &[&str]) {
                         !under_container || tree.view(id).is_ok_and(|n| n.kind.is_container())
                     })
                     .collect();
-                let parent = parents[parent_choice % parents.len()];
+                let Some(&parent) = parents.get(parent_choice % parents.len().max(1)) else {
+                    continue;
+                };
                 let id_name = name.map(|n| names[n % names.len()]);
                 let _ = tree.add_view(parent, kind.clone(), id_name);
             }
             BuildStep::Remove { choice } => {
-                let _ = tree.remove_view(ids[choice % ids.len()]);
+                if let Some(id) = pick(*choice) {
+                    let _ = tree.remove_view(id);
+                }
             }
             BuildStep::Mutate { choice, op } => {
-                let _ = tree.apply(ids[choice % ids.len()], op.clone());
+                if let Some(id) = pick(*choice) {
+                    let _ = tree.apply(id, op.clone());
+                }
             }
             BuildStep::Flags {
                 choice,
                 saves_state,
                 freezes_text,
             } => {
-                let node = tree.view_mut(ids[choice % ids.len()]).unwrap();
-                node.saves_state = *saves_state;
-                node.freezes_text = *freezes_text;
+                if let Some(id) = pick(*choice) {
+                    tree.set_saves_state(id, *saves_state).unwrap();
+                    tree.set_freezes_text(id, *freezes_text).unwrap();
+                }
             }
+            BuildStep::Restore(saved) => tree.restore_hierarchy_state(saved),
+            BuildStep::Clone => *tree = tree.clone(),
+            BuildStep::Release => tree.release(),
         }
     }
 }
@@ -166,6 +250,114 @@ fn run_script(steps: &[BuildStep]) -> ViewTree {
     let mut tree = ViewTree::new();
     apply_script(&mut tree, steps, &NAMES);
     tree
+}
+
+// ---- Where a save-oracle script starts: a random layout, inflated or
+// ---- grafted, whose views may hold state straight from their attributes.
+
+/// Classes a start layout draws from: containers first, then editable
+/// and progress views, which inflate holding state from a `text` or
+/// `progress` attribute, then views whose attributes are content.
+const LAYOUT_CLASSES: [&str; 8] = [
+    "LinearLayout",
+    "FrameLayout",
+    "ScrollView",
+    "EditText",
+    "com.app.NoteEditText",
+    "ProgressBar",
+    "TextView",
+    "ImageView",
+];
+/// How many of [`LAYOUT_CLASSES`] are containers.
+const LAYOUT_CONTAINERS: usize = 3;
+const LAYOUT_TEXTS: [&str; 3] = ["draft", "@string/title", "@string/missing"];
+const LAYOUT_PROGRESS: [&str; 3] = ["0", "42", "not a number"];
+
+/// A script's starting tree.
+#[derive(Debug, Clone)]
+enum Start {
+    Empty,
+    /// [`inflate`] of a layout whose leaves may hold children (dropped).
+    Inflate(LayoutTemplate),
+    /// [`try_inflate`] of a layout that nests under containers only.
+    TryInflate(LayoutTemplate),
+    /// The layout grafted under the decor view as a fragment.
+    Graft(LayoutTemplate),
+}
+
+/// One layout node of a class among the first `classes` of
+/// [`LAYOUT_CLASSES`], maybe named from [`NAMES`], maybe carrying `text`
+/// and `progress` attributes.
+fn arb_layout_node(classes: usize) -> impl Strategy<Value = LayoutNode> {
+    (
+        0..classes,
+        0..NAMES.len() + 1,
+        0..LAYOUT_TEXTS.len() + 1,
+        0..LAYOUT_PROGRESS.len() + 1,
+    )
+        .prop_map(|(class, name, text, progress)| {
+            let mut node = LayoutNode::new(LAYOUT_CLASSES[class]);
+            if let Some(&name) = NAMES.get(name) {
+                node = node.with_id(name);
+            }
+            if let Some(&text) = LAYOUT_TEXTS.get(text) {
+                node = node.with_attr("text", text);
+            }
+            if let Some(&progress) = LAYOUT_PROGRESS.get(progress) {
+                node = node.with_attr("progress", progress);
+            }
+            node
+        })
+}
+
+/// A layout of depth at most 3 whose inner nodes are among the first
+/// `parent_classes` of [`LAYOUT_CLASSES`].
+fn arb_layout(parent_classes: usize) -> impl Strategy<Value = LayoutTemplate> {
+    arb_layout_node(LAYOUT_CLASSES.len())
+        .prop_recursive(3, 0, 4, move |inner| {
+            (
+                arb_layout_node(parent_classes),
+                proptest::collection::vec(inner, 1..5),
+            )
+                .prop_map(|(node, children)| node.with_children(children))
+        })
+        .prop_map(|root| LayoutTemplate::new("start", root))
+}
+
+fn arb_start() -> impl Strategy<Value = Start> {
+    prop_oneof![
+        Just(Start::Empty),
+        arb_layout(LAYOUT_CLASSES.len()).prop_map(Start::Inflate),
+        arb_layout(LAYOUT_CONTAINERS).prop_map(Start::TryInflate),
+        arb_layout(LAYOUT_CLASSES.len()).prop_map(Start::Graft),
+    ]
+}
+
+fn start_tree(start: &Start) -> ViewTree {
+    let config = Configuration::phone_portrait();
+    let mut table = ResourceTable::new();
+    table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
+    match start {
+        Start::Empty => ViewTree::new(),
+        Start::Inflate(layout) => inflate(layout, &table, &config).0,
+        Start::TryInflate(layout) => try_inflate(layout, &table, &config).unwrap().0,
+        Start::Graft(layout) => {
+            table.put(
+                "start",
+                Qualifiers::any(),
+                ResourceValue::Layout(layout.clone()),
+            );
+            let mut host = Activity::new(
+                ActivityInstanceId::new(0),
+                ActivityRecordId::new(0),
+                "prop.FragmentHost",
+                config,
+            );
+            host.attach_fragment(&table, &FragmentSpec::new("start", "start", "decor"))
+                .unwrap();
+            host.tree
+        }
+    }
 }
 
 // ---- Reference oracles: the whole-tree save/restore and put-then-remove
@@ -226,10 +418,12 @@ fn oracle_save(tree: &ViewTree) -> Bundle {
 /// Pre-order walk of every view, each looking up its own entry.
 fn oracle_restore(tree: &mut ViewTree, state: &Bundle) {
     for id in tree.iter_ids() {
-        let node = tree.view_mut(id).unwrap();
-        let Some(name) = node.id_name else { continue };
+        let Some(name) = tree.view(id).unwrap().id_name else {
+            continue;
+        };
         if let Some(saved) = state.bundle(name.hierarchy_key()) {
-            node.attrs.restore_user_state(saved);
+            tree.edit_attrs(id, |attrs| attrs.restore_user_state(saved))
+                .unwrap();
         }
     }
 }
@@ -246,7 +440,7 @@ fn oracle_seed(shadow: &ViewTree, sunny: &mut ViewTree) -> Result<MigrationRepor
             continue;
         };
         let state = oracle_copy_state(node.freezes_text, &node.attrs);
-        sunny.view_mut(peer)?.attrs.restore_user_state(&state);
+        sunny.edit_attrs(peer, |attrs| attrs.restore_user_state(&state))?;
         report.migrated += 1;
     }
     Ok(report)
@@ -269,7 +463,8 @@ fn oracle_hot_reload(old: &ViewTree, model: &dyn AppModel, config: &Configuratio
         if let Some(&old_id) = old.id_name_index().get(&name) {
             let old_node = old.view(old_id).unwrap();
             let state = oracle_copy_state(old_node.freezes_text, &old_node.attrs);
-            tree.view_mut(id).unwrap().attrs.restore_user_state(&state);
+            tree.edit_attrs(id, |attrs| attrs.restore_user_state(&state))
+                .unwrap();
         }
     }
     tree
@@ -355,11 +550,17 @@ proptest! {
     }
 
     #[test]
-    fn save_matches_the_whole_tree_oracle(steps in arb_script(200)) {
+    fn save_matches_the_whole_tree_oracle(start in arb_start(), steps in arb_save_script(200)) {
         // Long scripts, so that some trees hold a stateful name whose
-        // bearers' ids run against pre-order.
-        let tree = run_script(&steps);
+        // bearers' ids run against pre-order; checked from the start
+        // and after every step, so state is also checked while it is
+        // gone again.
+        let mut tree = start_tree(&start);
         prop_assert_eq!(tree.save_hierarchy_state(), oracle_save(&tree));
+        for step in &steps {
+            apply_script(&mut tree, std::slice::from_ref(step), &NAMES);
+            prop_assert_eq!(tree.save_hierarchy_state(), oracle_save(&tree), "after {:?}", step);
+        }
     }
 
     #[test]
