@@ -11,9 +11,8 @@ ci: build test fmt clippy doc rchbench-test fault-matrix fleet-determinism \
 	memo-parity bench-smoke lint-study dataloss-study soak daemon-soak \
 	chaos-soak
 
-# Seeds for the fault-injection suite. Debug builds keep the
-# batched-vs-eager equivalence checker armed, so each seed also
-# cross-checks the two flush policies against each other.
+# Seeds for the fault-injection suite: each seed runs every fault site
+# under RCHDroid's one handling mode.
 FAULT_SEEDS ?= 1 2 3 5 8
 
 build:

@@ -1,20 +1,20 @@
-//! Eager vs. batched lazy migration under the Fig. 10 workload shape:
-//! the paper's 27-view benchmark app with a chatty async task that
-//! invalidates every view several times before the frame deadline.
+//! Lazy migration under the Fig. 10 workload shape: the paper's 27-view
+//! benchmark app with a chatty async task that invalidates every view
+//! once per delivery, over several deliveries.
 //!
-//! Eager mode pays one `copy_essence` per delivered invalidation;
-//! the batched fast path coalesces repeated invalidations of the same
-//! view in the dirty queue and drains each view once at flush time.
+//! Each delivery pays one `copy_essence` per dirty view, resolved through
+//! the view's peer pointer. The id keeps its `eager` segment so the
+//! committed `results/BENCH_migration.json` row still applies.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use droidsim_kernel::{SimDuration, SimTime, Symbol};
+use criterion::{criterion_group, criterion_main, Criterion};
+use droidsim_kernel::Symbol;
 use droidsim_view::{ViewKind, ViewOp, ViewTree};
-use rchdroid::{FlushPolicy, MigrationEngine};
+use rchdroid::MigrationEngine;
 use std::hint::black_box;
 
 /// The paper's benchmark app view count (Fig. 7/8/10).
 const VIEWS: usize = 27;
-/// Invalidation rounds per view before the flush deadline.
+/// Deliveries per task, each invalidating every view once.
 const ROUNDS: usize = 8;
 
 fn tree_with(n: usize) -> ViewTree {
@@ -37,13 +37,10 @@ struct Rig {
     frames: Vec<Symbol>,
 }
 
-fn coupled(policy: FlushPolicy) -> Rig {
+fn coupled() -> Rig {
     let mut shadow = tree_with(VIEWS);
     let mut sunny = tree_with(VIEWS);
-    let mut engine = MigrationEngine::with_flush_policy(policy);
-    // The checker replays the whole batch eagerly — benchmark the
-    // production path, not the debug oracle.
-    engine.set_equivalence_checking(false);
+    let mut engine = MigrationEngine::new();
     engine.build_mapping(&mut shadow, &mut sunny);
     // Pre-resolve lookups so the measured loop is invalidation +
     // migration, not string formatting.
@@ -62,9 +59,8 @@ fn coupled(policy: FlushPolicy) -> Rig {
     }
 }
 
-/// One "delivery": every view is invalidated once, then the engine sees
-/// the invalidations. Repeated `ROUNDS` times, ending with a flush so
-/// the batched variant does its (single) drain inside the measurement.
+/// `ROUNDS` deliveries: each invalidates every view once, then the
+/// engine migrates the invalidations.
 fn chatty_task(rig: &mut Rig) -> usize {
     let mut migrated = 0;
     for round in 0..ROUNDS {
@@ -73,29 +69,20 @@ fn chatty_task(rig: &mut Rig) -> usize {
                 .apply(v, ViewOp::SetDrawable(rig.frames[round], 64))
                 .unwrap();
         }
-        let now = SimTime::ZERO + SimDuration::from_millis(round as u64);
         migrated += rig
             .engine
-            .migrate_invalidations(&mut rig.shadow, &mut rig.sunny, now)
+            .migrate_invalidations(&mut rig.shadow, &mut rig.sunny)
             .unwrap()
             .migrated;
     }
-    migrated += rig
-        .engine
-        .flush(&mut rig.shadow, &mut rig.sunny)
-        .unwrap()
-        .migrated;
     migrated
 }
 
 fn bench(c: &mut Criterion) {
-    // Headline comparison printed like the figure benches: one run of
-    // each mode plus the coalescing counters the batched path records.
+    // Headline printed like the figure benches: one run plus the
+    // coalescing counters the engine records.
     {
-        let mut rig = coupled(FlushPolicy::batched(
-            VIEWS * ROUNDS,
-            SimDuration::from_millis(16),
-        ));
+        let mut rig = coupled();
         chatty_task(&mut rig);
         println!(
             "migration_batching: {} views x {} rounds -> {}",
@@ -106,25 +93,13 @@ fn bench(c: &mut Criterion) {
     }
 
     let mut group = c.benchmark_group("migration_batching");
-    for (name, policy) in [
-        ("eager", FlushPolicy::Eager),
-        (
-            "batched",
-            FlushPolicy::batched(VIEWS * ROUNDS, SimDuration::from_millis(16)),
-        ),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new(name, format!("{VIEWS}v x {ROUNDS}r")),
-            &policy,
-            |b, policy| {
-                b.iter_batched(
-                    || coupled(*policy),
-                    |mut rig| black_box(chatty_task(&mut rig)),
-                    criterion::BatchSize::SmallInput,
-                );
-            },
+    group.bench_function(&format!("eager/{VIEWS}v x {ROUNDS}r"), |b| {
+        b.iter_batched(
+            coupled,
+            |mut rig| black_box(chatty_task(&mut rig)),
+            criterion::BatchSize::SmallInput,
         );
-    }
+    });
     group.finish();
 }
 

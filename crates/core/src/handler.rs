@@ -1,7 +1,6 @@
 //! The RCHDroid change handler: orchestrates the shadow/sunny protocol
 //! across the activity thread and the ATMS (Fig. 3).
 
-use crate::batch::FlushPolicy;
 use crate::gc::{GcDecision, GcPolicy, ShadowAgeTracker};
 use crate::migration::{MigrationEngine, MigrationReport};
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
@@ -152,18 +151,12 @@ impl From<MigrationError> for HandlerError {
 /// * without **lazy migration**, async-task results still land safely on
 ///   the alive shadow instance (no crash), but the foreground tree never
 ///   learns about them — stale UI.
-///
-/// `flush_policy` is not an ablation but a tuning knob: it selects when
-/// intercepted updates migrate ([`FlushPolicy::Eager`], the paper's
-/// per-delivery behaviour, or [`FlushPolicy::Batched`] coalescing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RchOptions {
     /// Reuse the coupled shadow instance on later changes (§3.4).
     pub coin_flip: bool,
     /// Migrate intercepted shadow-tree updates to the sunny tree (§3.3).
     pub lazy_migration: bool,
-    /// When intercepted updates migrate (eager vs. batched coalescing).
-    pub flush_policy: FlushPolicy,
 }
 
 impl Default for RchOptions {
@@ -171,7 +164,6 @@ impl Default for RchOptions {
         RchOptions {
             coin_flip: true,
             lazy_migration: true,
-            flush_policy: FlushPolicy::Eager,
         }
     }
 }
@@ -213,7 +205,7 @@ impl RchDroid {
     pub fn with_options(policy: GcPolicy, options: RchOptions) -> Self {
         RchDroid {
             tracker: ShadowAgeTracker::new(policy),
-            engine: MigrationEngine::with_flush_policy(options.flush_policy),
+            engine: MigrationEngine::new(),
             options,
             faults: FaultPlan::disarmed(),
             fault_log: FaultLog::default(),
@@ -260,75 +252,10 @@ impl RchDroid {
         self.options
     }
 
-    /// The migration flush policy in force.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.engine.flush_policy()
-    }
-
     /// Lifetime migration metrics (batch sizes, coalesce ratio, flush
     /// latencies) of this handler's engine.
     pub fn migration_metrics(&self) -> &droidsim_metrics::MigrationMetrics {
         self.engine.metrics()
-    }
-
-    /// Drains any batched migrations that are still queued, regardless of
-    /// the flush policy's triggers. The handler calls this itself before
-    /// every shadow/sunny role change; hosts should also call it on frame
-    /// boundaries (via [`RchDroid::on_frame_tick`]) so a deadline trigger
-    /// fires even when no further async delivery arrives.
-    ///
-    /// # Errors
-    ///
-    /// Thread/view errors while draining.
-    pub fn flush_pending_migrations(
-        &mut self,
-        thread: &mut ActivityThread,
-    ) -> Result<Option<MigrationReport>, HandlerError> {
-        if self.engine.pending_entries() == 0 {
-            return Ok(None);
-        }
-        let (Some(shadow), Some(sunny)) = (thread.current_shadow(), thread.current_sunny()) else {
-            // The coupling is gone; queued updates have nowhere to land.
-            self.engine.discard_pending();
-            return Ok(None);
-        };
-        let engine = &mut self.engine;
-        let report = thread.with_instance_pair(shadow, sunny, |shadow, sunny| {
-            engine.flush(&mut shadow.tree, &mut sunny.tree)
-        })??;
-        Ok(Some(report))
-    }
-
-    /// Frame-boundary hook: flushes the batched queue if its count or
-    /// deadline trigger is due at `now`. Cheap no-op otherwise. A flush
-    /// fault degrades through the ladder: the foreground activity is
-    /// restarted via the stock path instead of erroring out.
-    ///
-    /// # Errors
-    ///
-    /// Thread/view errors while draining, or a rung-3 migration error.
-    pub fn on_frame_tick(
-        &mut self,
-        thread: &mut ActivityThread,
-        atms: &mut Atms,
-        model: &dyn AppModel,
-        now: SimTime,
-    ) -> Result<Option<MigrationReport>, HandlerError> {
-        if !self.engine.flush_due(now) {
-            return Ok(None);
-        }
-        match self.flush_pending_migrations(thread) {
-            Ok(report) => Ok(report),
-            Err(HandlerError::Migration(e)) if !e.is_app_crash() => {
-                if let Some(foreground) = thread.current_sunny() {
-                    self.fallback_restart(thread, atms, model, foreground, e.site(), now)?;
-                } else {
-                    self.engine.discard_pending();
-                }
-                Ok(None)
-            }
-            Err(e) => Err(self.escalate(e)),
-        }
     }
 
     /// Handles a runtime configuration change for the foreground activity
@@ -393,18 +320,6 @@ impl RchDroid {
                 ));
             }
             ConfigDecision::PreventedRelaunch(_) => {}
-        }
-
-        // A real change is about to swap shadow/sunny roles: drain any
-        // batched migrations first, while the queue's direction is still
-        // the one its entries were recorded under. A flush fault here
-        // degrades the whole change to the stock restart path.
-        match self.flush_pending_migrations(thread) {
-            Ok(_) => {}
-            Err(HandlerError::Migration(e)) if !e.is_app_crash() => {
-                return self.fallback_restart(thread, atms, model, old_instance, e.site(), now);
-            }
-            Err(e) => return Err(self.escalate(e)),
         }
 
         // Ablation: with coin-flipping disabled, release any existing
@@ -604,7 +519,7 @@ impl RchDroid {
         };
         let engine = &mut self.engine;
         let migrated = thread.with_instance_pair(instance, sunny, |shadow, sunny| {
-            engine.migrate_invalidations(&mut shadow.tree, &mut sunny.tree, now)
+            engine.migrate_invalidations(&mut shadow.tree, &mut sunny.tree)
         })?;
         match migrated {
             Ok(report) => Ok(AsyncDelivery::Migrated(report)),
@@ -772,21 +687,6 @@ impl RchDroid {
         atms: &mut Atms,
         shadow_instance: ActivityInstanceId,
     ) -> Result<(), HandlerError> {
-        // Batched updates queued from this shadow must migrate before the
-        // instance disappears, or they are lost for good. A flush fault
-        // cannot stop the teardown: the updates are dropped (the shadow is
-        // dying anyway) and the teardown proceeds.
-        if thread.current_shadow() == Some(shadow_instance) {
-            match self.flush_pending_migrations(thread) {
-                Ok(_) => {}
-                Err(HandlerError::Migration(e)) if !e.is_app_crash() => {
-                    self.engine.discard_pending();
-                }
-                Err(e) => return Err(self.escalate(e)),
-            }
-        } else {
-            self.engine.discard_pending();
-        }
         let token = thread.instance(shadow_instance)?.token();
         self.supervised_dead.insert(shadow_instance);
         thread.destroy_activity(shadow_instance)?;
@@ -1107,192 +1007,6 @@ mod tests {
         assert!(sunny.member_state.is_empty(), "the field did not survive");
     }
 
-    /// A rig whose handler runs the batched flush policy.
-    fn boot_batched(views: usize, max_pending: usize, max_delay: SimDuration) -> Rig {
-        let mut rig = boot(views);
-        rig.rch = RchDroid::with_options(
-            GcPolicy::paper_default(),
-            RchOptions {
-                flush_policy: FlushPolicy::batched(max_pending, max_delay),
-                ..RchOptions::default()
-            },
-        );
-        rig
-    }
-
-    /// Delivers every due async message through the handler, merging the
-    /// flushed reports.
-    fn pump_deliveries(rig: &mut Rig, now: SimTime) -> MigrationReport {
-        rig.thread.pump_async(now);
-        let mut merged = MigrationReport::default();
-        for message in rig.thread.drain_ui(now) {
-            let droidsim_app::UiMessage::AsyncResult(work) = &message;
-            if let Some(r) = rig
-                .rch
-                .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work, now)
-                .unwrap()
-                .report()
-            {
-                merged = merged.merge(r);
-            }
-        }
-        merged
-    }
-
-    #[test]
-    fn batched_policy_defers_until_frame_tick() {
-        let mut rig = boot_batched(3, 100, SimDuration::from_millis(16));
-        rig.thread
-            .start_async(rig.instance, rig.model.button_task(), SimTime::ZERO)
-            .unwrap();
-        let outcome = rotate(&mut rig, SimTime::from_millis(100));
-
-        // Delivery at t=5s: the 3 invalidations queue, none flush (count
-        // trigger is 100 and the deadline has not elapsed).
-        let report = pump_deliveries(&mut rig, SimTime::from_secs(5));
-        assert_eq!(report.migrated, 0);
-        let sunny = rig.thread.instance(outcome.sunny_instance).unwrap();
-        let v = sunny.tree.find_by_id_name("image_0").unwrap();
-        // The sunny tree still shows its inflated placeholder: the loaded
-        // drawable sits in the dirty queue, not on the sunny views.
-        assert_ne!(
-            sunny
-                .tree
-                .view(v)
-                .unwrap()
-                .attrs
-                .drawable
-                .as_ref()
-                .unwrap()
-                .0
-                .as_str(),
-            "loaded_0.png",
-            "not yet migrated"
-        );
-
-        // One frame past the deadline, the tick drains the batch.
-        let tick = SimTime::from_secs(5) + SimDuration::from_millis(16);
-        let flushed = rig
-            .rch
-            .on_frame_tick(&mut rig.thread, &mut rig.atms, &rig.model, tick)
-            .unwrap()
-            .expect("deadline flush");
-        assert_eq!(flushed.migrated, 3);
-        let sunny = rig.thread.instance(outcome.sunny_instance).unwrap();
-        let v = sunny.tree.find_by_id_name("image_0").unwrap();
-        assert_eq!(
-            sunny
-                .tree
-                .view(v)
-                .unwrap()
-                .attrs
-                .drawable
-                .as_ref()
-                .unwrap()
-                .0
-                .as_str(),
-            "loaded_0.png"
-        );
-    }
-
-    #[test]
-    fn config_change_flushes_queued_migrations_first() {
-        let mut rig = boot_batched(3, 100, SimDuration::from_secs(60));
-        rig.thread
-            .start_async(rig.instance, rig.model.button_task(), SimTime::ZERO)
-            .unwrap();
-        rotate(&mut rig, SimTime::from_millis(100));
-        let report = pump_deliveries(&mut rig, SimTime::from_secs(5));
-        assert_eq!(report.migrated, 0, "still queued");
-
-        // The next change must not flip with the queue pending: the
-        // handler drains it before swapping roles, so the then-sunny tree
-        // (the shadow after the flip) has the images.
-        let second = rotate(&mut rig, SimTime::from_secs(6));
-        assert_eq!(second.kind, ChangeKind::Flip);
-        let then_sunny = rig
-            .thread
-            .instance(second.shadow_instance.unwrap())
-            .unwrap();
-        let v = then_sunny.tree.find_by_id_name("image_0").unwrap();
-        assert_eq!(
-            then_sunny
-                .tree
-                .view(v)
-                .unwrap()
-                .attrs
-                .drawable
-                .as_ref()
-                .unwrap()
-                .0
-                .as_str(),
-            "loaded_0.png",
-            "the pre-flip flush landed the images on the then-sunny tree"
-        );
-        assert_eq!(rig.rch.migration_metrics().flushes, 1);
-    }
-
-    #[test]
-    fn gc_flushes_queue_before_collecting_the_shadow() {
-        let mut rig = boot_batched(3, 100, SimDuration::from_secs(600));
-        rig.thread
-            .start_async(rig.instance, rig.model.button_task(), SimTime::ZERO)
-            .unwrap();
-        let outcome = rotate(&mut rig, SimTime::from_millis(100));
-        pump_deliveries(&mut rig, SimTime::from_secs(5));
-        assert_eq!(rig.rch.migration_metrics().flushes, 0);
-
-        // 100 s later the GC collects the shadow — after draining.
-        let decision = rig
-            .rch
-            .run_gc(&mut rig.thread, &mut rig.atms, SimTime::from_secs(101))
-            .unwrap();
-        assert!(decision.should_collect());
-        let sunny = rig.thread.instance(outcome.sunny_instance).unwrap();
-        let v = sunny.tree.find_by_id_name("image_0").unwrap();
-        assert_eq!(
-            sunny
-                .tree
-                .view(v)
-                .unwrap()
-                .attrs
-                .drawable
-                .as_ref()
-                .unwrap()
-                .0
-                .as_str(),
-            "loaded_0.png",
-            "queued updates migrated before the shadow died"
-        );
-    }
-
-    #[test]
-    fn batched_handler_coalesces_chatty_tasks() {
-        // Three deliveries of the same 3-view task before any flush: the
-        // queue coalesces 9 raw invalidations into 3 entries.
-        let mut rig = boot_batched(3, 100, SimDuration::from_secs(60));
-        for i in 0..3u64 {
-            rig.thread
-                .start_async(
-                    rig.instance,
-                    rig.model.button_task(),
-                    SimTime::from_millis(i),
-                )
-                .unwrap();
-        }
-        rotate(&mut rig, SimTime::from_millis(100));
-        pump_deliveries(&mut rig, SimTime::from_secs(6));
-        let flushed = rig
-            .rch
-            .flush_pending_migrations(&mut rig.thread)
-            .unwrap()
-            .expect("entries were pending");
-        assert_eq!(flushed.examined, 3);
-        assert_eq!(flushed.coalesced, 6, "9 raw − 3 entries");
-        let m = rig.rch.migration_metrics();
-        assert!((m.coalesce_ratio() - 3.0).abs() < 1e-12);
-    }
-
     /// Asserts the single-activity steady state the fallback must leave
     /// behind: one alive instance, one resumed record, no shadow records.
     fn assert_stock_steady_state(rig: &Rig, foreground: ActivityInstanceId) {
@@ -1430,30 +1144,8 @@ mod tests {
     }
 
     #[test]
-    fn deadline_overrun_during_change_falls_back() {
-        let mut rig = boot_batched(3, 100, SimDuration::from_secs(60));
-        rig.thread
-            .start_async(rig.instance, rig.model.button_task(), SimTime::ZERO)
-            .unwrap();
-        rotate(&mut rig, SimTime::from_millis(100));
-        pump_deliveries(&mut rig, SimTime::from_secs(5));
-
-        // The pre-change flush of the pending batch blows its deadline;
-        // the change degrades to the stock restart path.
-        rig.rch
-            .arm_faults(FaultPlan::seeded(17).on_nth_probe(FaultSite::FlushDeadlineOverrun, 1));
-        let second = rotate(&mut rig, SimTime::from_secs(6));
-        assert_eq!(second.kind, ChangeKind::FallbackRestart);
-        assert_eq!(second.fault, Some(FaultSite::FlushDeadlineOverrun));
-        assert_stock_steady_state(&rig, second.sunny_instance);
-        let m = rig.rch.fault_metrics();
-        assert_eq!(m.fallback_restarts, 1);
-        assert_eq!(m.site_count("flush-deadline-overrun"), 1);
-    }
-
-    #[test]
-    fn watchdog_overrun_on_frame_tick_falls_back() {
-        let mut rig = boot_batched(3, 100, SimDuration::from_millis(16));
+    fn watchdog_overrun_on_delivery_falls_back() {
+        let mut rig = boot(3);
         rig.rch.set_watchdog(MigrationWatchdog::new(
             SimDuration::from_micros(50),
             SimDuration::from_micros(100),
@@ -1462,19 +1154,28 @@ mod tests {
             .start_async(rig.instance, rig.model.button_task(), SimTime::ZERO)
             .unwrap();
         rotate(&mut rig, SimTime::from_millis(100));
-        pump_deliveries(&mut rig, SimTime::from_secs(5));
 
-        // The deadline tick tries to flush 3 entries × 100 µs against a
-        // 50 µs budget: the watchdog fires and the tick degrades to a
-        // fallback restart of the foreground.
-        let tick = SimTime::from_secs(5) + SimDuration::from_millis(16);
-        let flushed = rig
+        // The delivery dirties 3 views × 100 µs against a 50 µs budget:
+        // the watchdog fires and the delivery degrades to a fallback
+        // restart of the foreground.
+        rig.thread.pump_async(SimTime::from_secs(5));
+        let messages = rig.thread.drain_ui(SimTime::from_secs(5));
+        let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
+        let delivery = rig
             .rch
-            .on_frame_tick(&mut rig.thread, &mut rig.atms, &rig.model, tick)
+            .on_async_delivered(
+                &mut rig.thread,
+                &mut rig.atms,
+                &rig.model,
+                work,
+                SimTime::from_secs(5),
+            )
             .unwrap();
-        assert!(
-            flushed.is_none(),
-            "no migration report on the fallback path"
+        assert_eq!(
+            delivery,
+            AsyncDelivery::FallbackRestart {
+                site: Some(FaultSite::FlushDeadlineOverrun)
+            }
         );
         let foreground = rig.thread.alive_instances()[0];
         assert_stock_steady_state(&rig, foreground);

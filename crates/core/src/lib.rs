@@ -13,10 +13,8 @@
 //!    view id (§3.3),
 //! 4. when an async task later mutates the shadow tree, **lazily migrate**
 //!    the intercepted updates to the mapped sunny views using per-type
-//!    policies (Table 1) — either eagerly per delivery (the paper's
-//!    behaviour, the default) or through the opt-in **batched fast path**
-//!    ([`batch::FlushPolicy::Batched`]), which coalesces repeated
-//!    invalidations of a view and drains them on count/deadline triggers,
+//!    policies (Table 1), once per delivery, through the peer pointers
+//!    the mapping stored on both trees,
 //! 5. reclaim the shadow instance with a **threshold GC** based on its age
 //!    and entry frequency (§3.5, Algorithm 1).
 //!
@@ -54,16 +52,14 @@
 //! assert!(thread.current_sunny().is_some());
 //! ```
 
-pub mod batch;
 pub mod gc;
 pub mod handler;
 pub mod migration;
 pub mod patch;
 pub mod supervise;
 
-pub use batch::{DirtyEntry, DirtyQueue, FlushPolicy, ShardedEssenceMap};
 pub use gc::{GcDecision, GcPolicy, ShadowAgeTracker};
 pub use handler::{AsyncDelivery, ChangeKind, ChangeOutcome, HandlerError, RchDroid, RchOptions};
-pub use migration::{migrate_view, MigrationEngine, MigrationReport};
+pub use migration::{MigrationEngine, MigrationReport};
 pub use patch::{patch_inventory, PatchEntry};
 pub use supervise::{FaultRecord, LadderRung, MigrationError, MigrationWatchdog};

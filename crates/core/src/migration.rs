@@ -8,23 +8,16 @@
 //! invalidated shadow view to its sunny peer with a per-type policy
 //! (Table 1).
 //!
-//! Two paths do the copying:
-//!
-//! * **eager** ([`FlushPolicy::Eager`], the default): every drained
-//!   invalidation migrates immediately — the paper's behaviour,
-//! * **batched** ([`FlushPolicy::Batched`]): drained invalidations land
-//!   in a coalescing [`DirtyQueue`] and migrate
-//!   as one batch when a count or deadline trigger fires; peers resolve
-//!   through the engine's [`ShardedEssenceMap`]. Because the essence copy
-//!   reads the *current* shadow attributes, flushing once after N
-//!   invalidations produces the same sunny tree as migrating each one
-//!   eagerly — a debug-mode checker replays the eager path on a clone and
-//!   asserts exactly that after every flush.
+//! The mapping is the `sunny_peer` pointer each view holds into the other
+//! tree, set on both trees by [`MigrationEngine::build_mapping`], so a
+//! coin flip migrates the other way without a rebuild. Lazy migration is
+//! one loop, run once per async delivery (one *flush*): it drains the
+//! shadow tree's invalidations, which the tree already coalesces per
+//! view, and copies each dirty view's essence to the peer its pointer
+//! names.
 
-use crate::batch::{DirtyEntry, DirtyQueue, FlushPolicy, ShardedEssenceMap};
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_kernel::SimTime;
 use droidsim_metrics::MigrationMetrics;
 use droidsim_view::{MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
 use std::panic::{self, AssertUnwindSafe};
@@ -39,10 +32,8 @@ pub struct MigrationReport {
     /// Invalidated views with no peer in the sunny tree (e.g. anonymous
     /// or removed in the new layout).
     pub unmapped: usize,
-    /// Raw invalidations that coalesced into an already-pending entry —
-    /// essence copies the batched path skipped relative to eager (always
-    /// 0 under [`FlushPolicy::Eager`] for single-delivery drains, where
-    /// the per-delivery dedup happens in the tree itself).
+    /// Raw invalidations the shadow tree folded into an already-dirty
+    /// view during the delivery: essence copies saved by coalescing.
     pub coalesced: usize,
     /// Views whose migration faulted and was contained per-view (rung 1
     /// of the degradation ladder): the view was skipped and marked
@@ -50,42 +41,8 @@ pub struct MigrationReport {
     pub contained: usize,
 }
 
-impl MigrationReport {
-    /// Merges two reports.
-    pub fn merge(self, other: MigrationReport) -> MigrationReport {
-        MigrationReport {
-            examined: self.examined + other.examined,
-            migrated: self.migrated + other.migrated,
-            unmapped: self.unmapped + other.unmapped,
-            coalesced: self.coalesced + other.coalesced,
-            contained: self.contained + other.contained,
-        }
-    }
-}
-
-/// Copies the migratable essence of `shadow_view` (in `shadow`) onto its
-/// sunny peer (in `sunny`), per the Table 1 policy for the view's basic
-/// class. Returns `true` if a peer existed and was updated.
-///
-/// # Errors
-///
-/// Propagates [`ViewError`]s from the sunny tree (released tree, stale
-/// ids). The shadow view not existing is reported as `UnknownView`.
-pub fn migrate_view(
-    shadow: &ViewTree,
-    sunny: &mut ViewTree,
-    shadow_view: ViewId,
-) -> Result<bool, ViewError> {
-    let Some(peer) = shadow.view(shadow_view)?.sunny_peer else {
-        return Ok(false);
-    };
-    copy_essence(shadow, sunny, shadow_view, peer)?;
-    Ok(true)
-}
-
-/// The Table-1 essence copy itself, with the peer already resolved (the
-/// eager path resolves through the per-view pointer, the batched path
-/// through the engine's sharded map).
+/// The Table-1 essence copy of `shadow_view` (in `shadow`) onto its peer
+/// `peer` (in `sunny`), per the policy for the view's basic class.
 fn copy_essence(
     shadow: &ViewTree,
     sunny: &mut ViewTree,
@@ -149,21 +106,14 @@ fn copy_essence(
 
 /// The coupling between a shadow tree and a sunny tree.
 ///
-/// Holds the sharded essence map (one per coupling side, so coin flips
-/// keep resolving without a rebuild), the coalescing dirty queue, the
-/// [`FlushPolicy`] that decides when the queue drains, and lifetime
-/// [`MigrationMetrics`].
-#[derive(Debug, Clone)]
+/// The mapping itself lives on the trees, as each view's `sunny_peer`
+/// pointer. The engine holds what migrating through it needs: the fault
+/// schedule and watchdog probed on every flush, the views rung-1
+/// containment skipped, and lifetime [`MigrationMetrics`].
+#[derive(Debug, Clone, Default)]
 pub struct MigrationEngine {
     mapped_views: usize,
-    policy: FlushPolicy,
-    queue: DirtyQueue,
-    /// `peers[side]` maps a view of coupling side `side` to its peer on
-    /// the other side. Side 0 is the tree that was shadow when the
-    /// mapping was built; a coin flip swaps *roles* but not *sides*.
-    peers: [ShardedEssenceMap; 2],
     metrics: MigrationMetrics,
-    check_equivalence: bool,
     /// Fault schedule probed on the flush path (sites
     /// `essence-mapping-miss`, `attribute-copy`,
     /// `flush-deadline-overrun`). Disarmed by default.
@@ -172,41 +122,16 @@ pub struct MigrationEngine {
     fault_log: FaultLog,
     /// Views skipped by rung-1 containment since the last mapping build.
     stale_views: Vec<ViewId>,
-    /// Reusable flush-batch buffer: the queue drains into it and the
-    /// emptied vector returns after the flush, so steady-state flushing
-    /// allocates nothing per call.
-    flush_scratch: Vec<DirtyEntry>,
-}
-
-impl Default for MigrationEngine {
-    fn default() -> Self {
-        MigrationEngine::new()
-    }
+    /// Reusable batch buffer: a flush drains the shadow's dirty views into
+    /// it and the emptied vector returns afterwards, so steady-state
+    /// flushing allocates nothing per call.
+    batch: Vec<ViewId>,
 }
 
 impl MigrationEngine {
-    /// Creates an engine with no coupling built and the paper's eager
-    /// flush policy.
+    /// Creates an engine with no coupling built.
     pub fn new() -> Self {
-        MigrationEngine::with_flush_policy(FlushPolicy::Eager)
-    }
-
-    /// Creates an engine with an explicit flush policy. The debug-mode
-    /// batched≡eager equivalence checker is on in debug builds.
-    pub fn with_flush_policy(policy: FlushPolicy) -> Self {
-        MigrationEngine {
-            mapped_views: 0,
-            policy,
-            queue: DirtyQueue::new(),
-            peers: [ShardedEssenceMap::default(), ShardedEssenceMap::default()],
-            metrics: MigrationMetrics::new(),
-            check_equivalence: cfg!(debug_assertions),
-            faults: FaultPlan::disarmed(),
-            watchdog: MigrationWatchdog::default(),
-            fault_log: FaultLog::default(),
-            stale_views: Vec::new(),
-            flush_scratch: Vec::new(),
-        }
+        MigrationEngine::default()
     }
 
     /// Arms (or disarms) the fault schedule probed during flushes.
@@ -240,33 +165,12 @@ impl MigrationEngine {
         self.fault_log.drain()
     }
 
-    /// Tears the coupling down entirely: pending queue, both sharded peer
-    /// maps, the stale set and the mapped count. Called when a fallback
-    /// restart abandons shadow/sunny handling so nothing can migrate
-    /// toward a destroyed tree.
+    /// Tears the coupling down: the stale set and the mapped count.
+    /// Called when a fallback restart abandons shadow/sunny handling; the
+    /// peer pointers die with the trees it destroys.
     pub fn reset_coupling(&mut self) {
-        self.queue.clear();
-        self.peers[0].clear();
-        self.peers[1].clear();
         self.stale_views.clear();
         self.mapped_views = 0;
-    }
-
-    /// The flush policy in force.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.policy
-    }
-
-    /// Changes the flush policy. Pending entries stay queued; a switch to
-    /// [`FlushPolicy::Eager`] drains them on the next delivery.
-    pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
-        self.policy = policy;
-    }
-
-    /// Enables/disables the debug-mode equivalence checker (it is a
-    /// no-op in release builds regardless).
-    pub fn set_equivalence_checking(&mut self, on: bool) {
-        self.check_equivalence = on;
     }
 
     /// Lifetime flush/coalescing metrics.
@@ -277,27 +181,14 @@ impl MigrationEngine {
     /// Builds the essence-based mapping **both ways**: each tree's views
     /// store peers into the other, so a coin flip swaps roles without
     /// rebuilding (the paper: the flip "avoids … the building of the
-    /// essence-based mapping"). The same pairs are loaded into the
-    /// engine's sharded maps — the structure the batched flush resolves
-    /// through — and any stale queue is dropped. Returns the number of
-    /// shadow views mapped.
+    /// essence-based mapping"). In either direction a repeated id name
+    /// maps to its [`ViewTree::find_by_id_name`] bearer on the other side.
+    /// Returns the number of shadow views mapped.
     pub fn build_mapping(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
         // The id-name indexes are cached on the trees (maintained
         // incrementally on structural ops), so no index is rebuilt here.
         let mapped = shadow.set_sunny_peers(sunny.id_name_index());
         sunny.set_sunny_peers(shadow.id_name_index());
-        shadow.set_coupling_side(Some(0));
-        sunny.set_coupling_side(Some(1));
-        self.peers[0].clear();
-        self.peers[1].clear();
-        let peers = &mut self.peers;
-        shadow.for_each_id(|id| {
-            if let Some(peer) = shadow.view(id).ok().and_then(|n| n.sunny_peer) {
-                peers[0].insert(id, peer);
-                peers[1].insert(peer, id);
-            }
-        });
-        self.queue.clear();
         self.stale_views.clear();
         self.mapped_views = mapped;
         mapped
@@ -308,78 +199,10 @@ impl MigrationEngine {
         self.mapped_views
     }
 
-    /// Coalesced entries waiting for a flush.
-    pub fn pending_entries(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Raw invalidations absorbed into the pending queue.
-    pub fn pending_raw(&self) -> usize {
-        self.queue.raw_pending()
-    }
-
-    /// Whether the flush policy says the pending queue should drain now.
-    pub fn flush_due(&self, now: SimTime) -> bool {
-        if self.queue.is_empty() {
-            return false;
-        }
-        match self.policy {
-            FlushPolicy::Eager => true,
-            FlushPolicy::Batched {
-                max_pending,
-                max_delay,
-            } => self.queue.len() >= max_pending || self.queue.deadline_due(now, max_delay),
-        }
-    }
-
-    /// Drops the pending queue without migrating (the coupling is gone —
-    /// e.g. the sunny instance died with the app).
-    pub fn discard_pending(&mut self) {
-        self.queue.clear();
-    }
-
-    /// Resolves a shadow view's sunny peer. Coupled trees resolve through
-    /// the sharded essence map of their side; uncoupled trees fall back
-    /// to the per-view pointer (the stock hook).
-    fn resolve_peer(&self, shadow: &ViewTree, view: ViewId) -> Option<ViewId> {
-        match shadow.coupling_side() {
-            Some(side) => self.peers[side as usize].get(view),
-            None => shadow.view(view).ok().and_then(|n| n.sunny_peer),
-        }
-    }
-
-    /// Lazy migration: drains the shadow tree's recorded invalidations
-    /// into the coalescing queue and, when the flush policy fires (always,
-    /// for [`FlushPolicy::Eager`]), migrates each queued view's essence to
-    /// its sunny peer. Returns the report of what *this call* flushed — an
-    /// empty report means the updates are queued, not lost.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MigrationError`] when the flush aborts: an injected
-    /// uncontainable fault, a watchdog overrun, or an app-crashing
-    /// sunny-tree error. Per-view faults never error — they are contained
-    /// and counted in [`MigrationReport::contained`].
-    pub fn migrate_invalidations(
-        &mut self,
-        shadow: &mut ViewTree,
-        sunny: &mut ViewTree,
-        now: SimTime,
-    ) -> Result<MigrationReport, MigrationError> {
-        let queue = &mut self.queue;
-        shadow.drain_dirty_with(|view, mask, raw| {
-            queue.enqueue(view, mask, raw, now);
-        });
-        if self.flush_due(now) {
-            self.flush(shadow, sunny)
-        } else {
-            Ok(MigrationReport::default())
-        }
-    }
-
-    /// Unconditionally drains the pending queue to the sunny tree (the
-    /// handler calls this before any shadow/sunny role change so queued
-    /// updates can never migrate in a stale direction).
+    /// Lazy migration, one flush per delivery: drains the shadow tree's
+    /// recorded invalidations and copies each dirty view's essence to
+    /// the sunny peer its pointer names. A delivery that dirtied nothing
+    /// returns an empty report without probing a fault site.
     ///
     /// Rung 1 of the degradation ladder lives here: a fault touching one
     /// view (injected essence-map miss or attribute-copy error, a panic
@@ -392,110 +215,78 @@ impl MigrationEngine {
     /// flush: an injected `flush-deadline-overrun`, a watchdog budget
     /// overrun, or an app-crashing sunny-tree error (released tree,
     /// leaked window) that stock Android would die on too.
-    pub fn flush(
+    pub fn migrate_invalidations(
         &mut self,
         shadow: &mut ViewTree,
         sunny: &mut ViewTree,
     ) -> Result<MigrationReport, MigrationError> {
-        if self.queue.is_empty() {
+        // Drain into the engine's reusable batch buffer; it is handed
+        // back (emptied, capacity kept) whichever way the flush ends.
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut raw = 0;
+        shadow.drain_dirty_with(|view, _, count| {
+            batch.push(view);
+            raw += count;
+        });
+        let result = self.flush(shadow, sunny, &batch, raw);
+        batch.clear();
+        self.batch = batch;
+        result
+    }
+
+    /// The body of [`MigrationEngine::migrate_invalidations`] over an
+    /// already-drained batch of `raw` invalidations.
+    fn flush(
+        &mut self,
+        shadow: &ViewTree,
+        sunny: &mut ViewTree,
+        batch: &[ViewId],
+        raw: usize,
+    ) -> Result<MigrationReport, MigrationError> {
+        if batch.is_empty() {
             return Ok(MigrationReport::default());
         }
         if self.faults.should_inject(FaultSite::FlushDeadlineOverrun) {
-            self.queue.clear();
             return Err(MigrationError::Injected {
                 site: FaultSite::FlushDeadlineOverrun,
             });
         }
-        if let Some(needed) = self.watchdog.exceeded(self.queue.len()) {
-            self.queue.clear();
+        if let Some(needed) = self.watchdog.exceeded(batch.len()) {
             return Err(MigrationError::DeadlineExceeded {
                 budget: self.watchdog.budget,
                 needed,
             });
         }
-        // Drain into the engine's reusable batch buffer; it is handed
-        // back (emptied, capacity kept) whichever way the flush ends.
-        let mut batch = std::mem::take(&mut self.flush_scratch);
-        self.queue.drain_into(&mut batch);
-        let result = self.flush_batch(shadow, sunny, &batch);
-        batch.clear();
-        self.flush_scratch = batch;
-        result
-    }
-
-    /// The body of [`MigrationEngine::flush`] over an already-drained
-    /// batch.
-    fn flush_batch(
-        &mut self,
-        shadow: &mut ViewTree,
-        sunny: &mut ViewTree,
-        batch: &[DirtyEntry],
-    ) -> Result<MigrationReport, MigrationError> {
-        let raw: usize = batch.iter().map(|e| e.raw).sum();
-
-        #[cfg(debug_assertions)]
-        let reference = if self.check_equivalence {
-            Some(eager_reference(shadow, sunny, batch))
-        } else {
-            None
-        };
-
         let started = std::time::Instant::now();
         let mut report = MigrationReport::default();
-        for entry in batch {
+        for &view in batch {
             report.examined += 1;
-            let peer = if self.faults.should_inject(FaultSite::EssenceMappingMiss) {
-                None
-            } else {
-                self.resolve_peer(shadow, entry.view)
-            };
-            let Some(peer) = peer else {
-                // A genuinely anonymous view is business as usual; a view
-                // that *was* mapped losing its peer is a contained fault.
-                if self.peers_contain(shadow, entry.view) {
-                    self.contain(entry.view, FaultSite::EssenceMappingMiss, &mut report);
-                } else {
-                    report.unmapped += 1;
-                }
+            let missed = self.faults.should_inject(FaultSite::EssenceMappingMiss);
+            let Some(peer) = shadow.view(view).ok().and_then(|n| n.sunny_peer) else {
+                // An anonymous view, or one the other layout lacks.
+                report.unmapped += 1;
                 continue;
             };
-            if self.faults.should_inject(FaultSite::AttributeCopy) {
-                self.contain(entry.view, FaultSite::AttributeCopy, &mut report);
+            if missed {
+                // A view that *was* mapped losing its peer is a fault.
+                self.contain(view, FaultSite::EssenceMappingMiss, &mut report);
                 continue;
             }
-            match panic::catch_unwind(AssertUnwindSafe(|| {
-                copy_essence(shadow, sunny, entry.view, peer)
-            })) {
+            if self.faults.should_inject(FaultSite::AttributeCopy) {
+                self.contain(view, FaultSite::AttributeCopy, &mut report);
+                continue;
+            }
+            match panic::catch_unwind(AssertUnwindSafe(|| copy_essence(shadow, sunny, view, peer)))
+            {
                 Ok(Ok(())) => report.migrated += 1,
                 Ok(Err(e)) if e.is_crash() => return Err(MigrationError::Tree(e)),
-                Ok(Err(_)) => self.contain(entry.view, FaultSite::AttributeCopy, &mut report),
-                Err(_) => self.contain(entry.view, FaultSite::AttributeCopy, &mut report),
+                Ok(Err(_)) | Err(_) => self.contain(view, FaultSite::AttributeCopy, &mut report),
             }
         }
         report.coalesced = raw.saturating_sub(report.examined);
         self.metrics
             .record_flush(report.examined, raw, started.elapsed().as_nanos() as u64);
-
-        #[cfg(debug_assertions)]
-        if let Some(reference) = reference {
-            // A contained fault intentionally diverges from the eager
-            // replay (the skipped view keeps its old sunny state), so the
-            // equivalence invariant only holds for fault-free flushes.
-            if report.contained == 0 {
-                assert_equivalent_to_eager(sunny, &reference);
-            }
-        }
         Ok(report)
-    }
-
-    /// Whether the coupling (sharded map or per-view pointer) knows a
-    /// peer for `view` — distinguishes "anonymous by design" from "the
-    /// mapping lost an entry".
-    fn peers_contain(&self, shadow: &ViewTree, view: ViewId) -> bool {
-        match shadow.coupling_side() {
-            Some(side) => self.peers[side as usize].get(view).is_some(),
-            None => shadow.view(view).ok().and_then(|n| n.sunny_peer).is_some(),
-        }
     }
 
     /// Rung-1 containment bookkeeping for one skipped view.
@@ -554,67 +345,6 @@ impl MigrationEngine {
             None => Ok(report),
         }
     }
-
-    /// Full-tree migration (used right after coupling to seed the sunny
-    /// tree with any shadow-side state that the bundle restore may have
-    /// missed, e.g. attributes set after the snapshot).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sunny-tree [`ViewError`]s.
-    pub fn migrate_all(
-        &self,
-        shadow: &ViewTree,
-        sunny: &mut ViewTree,
-    ) -> Result<MigrationReport, ViewError> {
-        let mut report = MigrationReport::default();
-        let mut failure: Option<ViewError> = None;
-        shadow.for_each_id(|view| {
-            if failure.is_some() {
-                return;
-            }
-            report.examined += 1;
-            match migrate_view(shadow, sunny, view) {
-                Ok(true) => report.migrated += 1,
-                Ok(false) => report.unmapped += 1,
-                Err(e) => failure = Some(e),
-            }
-        });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
-    }
-}
-
-/// Replays the *eager* path for `batch` on a clone of the sunny tree:
-/// each queued view migrates through [`migrate_view`], which resolves via
-/// the per-view pointer — independently of the sharded map the batched
-/// flush uses. Per-view errors are skipped, mirroring the supervised
-/// path's rung-1 containment (the assert is skipped whenever containment
-/// fired, so tolerating them here can never mask a real divergence).
-#[cfg(debug_assertions)]
-fn eager_reference(shadow: &ViewTree, sunny: &ViewTree, batch: &[DirtyEntry]) -> ViewTree {
-    let mut reference = sunny.clone();
-    for entry in batch {
-        let _ = migrate_view(shadow, &mut reference, entry.view);
-    }
-    reference
-}
-
-/// Asserts the batched flush produced exactly the sunny tree that eager
-/// migration would have: same attributes on every live view.
-#[cfg(debug_assertions)]
-fn assert_equivalent_to_eager(sunny: &ViewTree, reference: &ViewTree) {
-    sunny.for_each_id(|id| {
-        let (Ok(got), Ok(want)) = (sunny.view(id), reference.view(id)) else {
-            return;
-        };
-        assert_eq!(
-            got.attrs, want.attrs,
-            "batched flush diverged from eager migration on {id}"
-        );
-    });
 }
 
 #[cfg(test)]
@@ -686,7 +416,7 @@ mod tests {
             .unwrap();
 
         let report = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(report.examined, 5);
         assert_eq!(report.migrated, 5);
@@ -719,7 +449,7 @@ mod tests {
             .apply(anon, ViewOp::SetText("nobody sees this".into()))
             .unwrap();
         let report = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(report.unmapped, 1);
         assert_eq!(report.migrated, 0);
@@ -732,7 +462,7 @@ mod tests {
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         sunny.drain_invalidations();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert!(!sunny.drain_invalidations().is_empty(), "sunny redraws");
     }
@@ -743,28 +473,12 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         let second = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(second.examined, 0);
-    }
-
-    #[test]
-    fn migrate_all_seeds_everything_named() {
-        let (mut shadow, mut sunny, engine) = coupled_trees();
-        let name = shadow.find_by_id_name("name").unwrap();
-        shadow.apply(name, ViewOp::SetText("seed".into())).unwrap();
-        shadow.drain_invalidations();
-        let report = engine.migrate_all(&shadow, &mut sunny).unwrap();
-        assert_eq!(report.examined, shadow.view_count());
-        assert_eq!(report.unmapped, 1, "only the anonymous view");
-        let s_name = sunny.find_by_id_name("name").unwrap();
-        assert_eq!(
-            sunny.view(s_name).unwrap().attrs.text.as_deref(),
-            Some("seed")
-        );
     }
 
     #[test]
@@ -785,7 +499,7 @@ mod tests {
         let hero = shadow.find_by_id_name("hero").unwrap();
         shadow.apply(hero, ViewOp::SetVisible(false)).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         let s_hero = sunny.find_by_id_name("hero").unwrap();
         assert!(!sunny.view(s_hero).unwrap().attrs.visible);
@@ -805,7 +519,7 @@ mod tests {
         let f = shadow.find_by_id_name("fancy").unwrap();
         shadow.apply(f, ViewOp::SetText("styled".into())).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         let sf = sunny.find_by_id_name("fancy").unwrap();
         assert_eq!(
@@ -814,126 +528,97 @@ mod tests {
         );
     }
 
-    fn batched_engine(max_pending: usize, max_delay_ms: u64) -> FlushPolicy {
-        FlushPolicy::batched(
-            max_pending,
-            droidsim_kernel::SimDuration::from_millis(max_delay_ms),
-        )
-    }
-
     #[test]
-    fn batched_policy_queues_until_count_trigger() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(3, 1_000));
-        let name = shadow.find_by_id_name("name").unwrap();
-        let bar = shadow.find_by_id_name("bar").unwrap();
-
-        // Two distinct views: below the count trigger, nothing flushes.
-        shadow.apply(name, ViewOp::SetText("a".into())).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(r.examined, 0);
-        shadow.apply(bar, ViewOp::SetProgress(10)).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(1))
-            .unwrap();
-        assert_eq!(r.examined, 0);
-        assert_eq!(engine.pending_entries(), 2);
-        let s_name = sunny.find_by_id_name("name").unwrap();
-        assert_eq!(sunny.view(s_name).unwrap().attrs.text, None, "not yet");
-
-        // Third distinct view reaches max_pending → the batch drains.
-        let hero = shadow.find_by_id_name("hero").unwrap();
-        shadow.apply(hero, ViewOp::SetVisible(false)).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(2))
-            .unwrap();
-        assert_eq!(r.examined, 3);
-        assert_eq!(r.migrated, 3);
-        assert_eq!(engine.pending_entries(), 0);
-        assert_eq!(sunny.view(s_name).unwrap().attrs.text.as_deref(), Some("a"));
-    }
-
-    #[test]
-    fn batched_flush_applies_last_write_per_attribute() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 1_000));
-        let bar = shadow.find_by_id_name("bar").unwrap();
-        // A chatty progress bar: 10 updates, one queue entry.
-        for p in 1..=10 {
-            shadow.apply(bar, ViewOp::SetProgress(p * 10)).unwrap();
-            engine
-                .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(p as u64))
-                .unwrap();
-        }
-        assert_eq!(engine.pending_entries(), 1);
-        assert_eq!(engine.pending_raw(), 10);
-        let r = engine.flush(&mut shadow, &mut sunny).unwrap();
-        assert_eq!(r.examined, 1, "ten raw updates, one essence copy");
-        assert_eq!(r.coalesced, 9);
-        let s_bar = sunny.find_by_id_name("bar").unwrap();
-        assert_eq!(
-            sunny.view(s_bar).unwrap().attrs.progress,
-            Some(100),
-            "last write wins"
-        );
-    }
-
-    #[test]
-    fn deadline_trigger_flushes_a_stale_queue() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 16));
-        let name = shadow.find_by_id_name("name").unwrap();
-        shadow.apply(name, ViewOp::SetText("late".into())).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(100))
-            .unwrap();
-        assert_eq!(r.examined, 0);
-        assert!(!engine.flush_due(SimTime::from_millis(110)));
-        assert!(engine.flush_due(SimTime::from_millis(116)));
-        // An empty delivery at/after the deadline still drains the queue.
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(120))
-            .unwrap();
-        assert_eq!(r.migrated, 1);
-    }
-
-    #[test]
-    fn sharded_resolution_survives_a_coin_flip() {
+    fn pointer_resolution_survives_a_coin_flip() {
         let (mut side0, mut side1, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(1, 0));
         // Forward direction: side0 is the shadow.
         let name = side0.find_by_id_name("name").unwrap();
         side0.apply(name, ViewOp::SetText("fwd".into())).unwrap();
         engine
-            .migrate_invalidations(&mut side0, &mut side1, SimTime::ZERO)
+            .migrate_invalidations(&mut side0, &mut side1)
             .unwrap();
         // Coin flip: roles swap, the mapping is NOT rebuilt. Side1 is now
-        // the shadow; resolution must go through the reverse shard set.
+        // the shadow; resolution goes through its own peer pointers.
         let peer_name = side1.find_by_id_name("name").unwrap();
         side1
             .apply(peer_name, ViewOp::SetText("rev".into()))
             .unwrap();
         let r = engine
-            .migrate_invalidations(&mut side1, &mut side0, SimTime::ZERO)
+            .migrate_invalidations(&mut side1, &mut side0)
             .unwrap();
         assert_eq!(r.migrated, 1);
         assert_eq!(side0.view(name).unwrap().attrs.text.as_deref(), Some("rev"));
     }
 
+    /// Two trees directly under their decor views, one view per entry of
+    /// `names`, coupled with `side0` as the shadow.
+    fn named_pair(side0: &[&str], side1: &[&str]) -> (ViewTree, ViewTree, MigrationEngine) {
+        let build = |names: &[&str]| {
+            let mut t = ViewTree::new();
+            for name in names {
+                t.add_view(t.root(), ViewKind::TextView, Some(name))
+                    .unwrap();
+            }
+            t
+        };
+        let (mut shadow, mut sunny) = (build(side0), build(side1));
+        let mut engine = MigrationEngine::new();
+        engine.build_mapping(&mut shadow, &mut sunny);
+        (shadow, sunny, engine)
+    }
+
+    #[test]
+    fn a_flip_migrates_a_repeated_name_to_the_bearer_its_pointer_names() {
+        // Side 0 has two `x`, side 1 has one; both `x` on side 0 point at
+        // it, and it points back at the first (lowest-id) bearer.
+        let (mut side0, mut side1, mut engine) = named_pair(&["x", "x"], &["x"]);
+        let (first, second) = (ViewId::new(1), ViewId::new(2));
+        let x = side1.find_by_id_name("x").unwrap();
+        assert_eq!(side1.view(x).unwrap().sunny_peer, Some(first));
+        // After a flip side 1 is the shadow.
+        side1.apply(x, ViewOp::SetText("flipped".into())).unwrap();
+        let r = engine
+            .migrate_invalidations(&mut side1, &mut side0)
+            .unwrap();
+        assert_eq!((r.migrated, r.unmapped), (1, 0));
+        assert_eq!(
+            side0.view(first).unwrap().attrs.text.as_deref(),
+            Some("flipped")
+        );
+        assert_eq!(side0.view(second).unwrap().attrs.text, None);
+    }
+
+    #[test]
+    fn a_flip_migrates_every_bearer_of_a_repeated_name() {
+        // Side 1 has two `y`, side 0 has one. No side-0 view points at the
+        // second `y`, but its own pointer names side 0's `y`.
+        let (mut side0, mut side1, mut engine) = named_pair(&["y"], &["y", "y"]);
+        let second = ViewId::new(2);
+        side1
+            .apply(second, ViewOp::SetText("second".into()))
+            .unwrap();
+        let r = engine
+            .migrate_invalidations(&mut side1, &mut side0)
+            .unwrap();
+        assert_eq!((r.migrated, r.unmapped), (1, 0), "not lost");
+        let y = side0.find_by_id_name("y").unwrap();
+        assert_eq!(side0.view(y).unwrap().attrs.text.as_deref(), Some("second"));
+    }
+
     #[test]
     fn metrics_track_batches_and_coalescing() {
         let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(2, 1_000));
         let name = shadow.find_by_id_name("name").unwrap();
         let bar = shadow.find_by_id_name("bar").unwrap();
+        // Three raw invalidations in one delivery; the tree coalesces the
+        // two on `name`, so two views are examined.
         shadow.apply(name, ViewOp::SetText("a".into())).unwrap();
         shadow.apply(name, ViewOp::SetText("b".into())).unwrap();
         shadow.apply(bar, ViewOp::SetProgress(1)).unwrap();
-        engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+        let r = engine
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
+        assert_eq!((r.examined, r.coalesced), (2, 1));
         let m = engine.metrics();
         assert_eq!(m.flushes, 1);
         assert_eq!(m.raw_invalidations, 3);
@@ -944,20 +629,22 @@ mod tests {
     }
 
     #[test]
-    fn eager_default_flushes_every_delivery() {
+    fn every_delivery_flushes_at_once() {
         let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        assert!(engine.flush_policy().is_eager());
         let name = shadow.find_by_id_name("name").unwrap();
         for i in 0..4 {
             shadow
                 .apply(name, ViewOp::SetText(format!("v{i}")))
                 .unwrap();
             let r = engine
-                .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+                .migrate_invalidations(&mut shadow, &mut sunny)
                 .unwrap();
             assert_eq!(r.migrated, 1);
-            assert_eq!(engine.pending_entries(), 0);
         }
+        // A delivery that dirtied nothing is not a flush.
+        engine
+            .migrate_invalidations(&mut shadow, &mut sunny)
+            .unwrap();
         assert_eq!(engine.metrics().flushes, 4);
         assert!((engine.metrics().coalesce_ratio() - 1.0).abs() < 1e-12);
     }
@@ -971,7 +658,7 @@ mod tests {
         shadow.apply(name, ViewOp::SetText("a".into())).unwrap();
         shadow.apply(bar, ViewOp::SetProgress(42)).unwrap();
         let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(r.examined, 2);
         assert_eq!(r.contained, 1, "one view skipped");
@@ -988,7 +675,7 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("lost".into())).unwrap();
         let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(r.contained, 1);
         assert_eq!(r.unmapped, 0, "a mapped view losing its peer is a fault");
@@ -1002,10 +689,13 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         let err = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap_err();
         assert_eq!(err.site(), Some(FaultSite::FlushDeadlineOverrun));
-        assert_eq!(engine.pending_entries(), 0, "aborted batch is dropped");
+        let r = engine
+            .migrate_invalidations(&mut shadow, &mut sunny)
+            .unwrap();
+        assert_eq!(r.examined, 0, "aborted batch is dropped");
     }
 
     #[test]
@@ -1018,7 +708,7 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         let err = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap_err();
         assert!(matches!(err, MigrationError::DeadlineExceeded { .. }));
         assert_eq!(err.site(), Some(FaultSite::FlushDeadlineOverrun));
@@ -1027,30 +717,15 @@ mod tests {
     #[test]
     fn reset_coupling_clears_everything() {
         let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 1_000));
+        engine.arm_faults(FaultPlan::seeded(6).on_nth_probe(FaultSite::AttributeCopy, 1));
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
-        assert_eq!(engine.pending_entries(), 1);
+        assert_eq!(engine.stale_views(), [name]);
         engine.reset_coupling();
-        assert_eq!(engine.pending_entries(), 0);
         assert_eq!(engine.mapped_views(), 0);
         assert!(engine.stale_views().is_empty());
-    }
-
-    #[test]
-    fn rebuilding_the_mapping_drops_a_stale_queue() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 1_000));
-        let name = shadow.find_by_id_name("name").unwrap();
-        shadow.apply(name, ViewOp::SetText("stale".into())).unwrap();
-        engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(engine.pending_entries(), 1);
-        engine.build_mapping(&mut shadow, &mut sunny);
-        assert_eq!(engine.pending_entries(), 0);
     }
 }

@@ -828,28 +828,10 @@ impl Device {
                     }
                 }
             }
-            // Frame boundary: a batched flush policy may have a deadline
-            // due even when no further delivery arrives. No-op for the
-            // default eager policy.
+            // Frame boundary: faults absorbed on the delivery path reach
+            // the event log (and logcat).
             if self.mode.is_rchdroid() {
                 if let Some(p) = self.apps.get_mut(&component) {
-                    if p.crashed.is_none() {
-                        if let Err(e) = p.rch.on_frame_tick(
-                            &mut p.thread,
-                            &mut self.atms,
-                            p.model.as_ref(),
-                            now,
-                        ) {
-                            Self::mark_crashed(
-                                &mut self.atms,
-                                &mut self.events,
-                                p,
-                                &component,
-                                now,
-                                e.to_string(),
-                            );
-                        }
-                    }
                     Self::drain_fault_records(&mut self.events, p, &component, now);
                 }
             }

@@ -15,8 +15,8 @@ use crate::faults::FaultMetrics;
 use crate::migration::MigrationMetrics;
 use crate::stats::Histogram;
 
-/// Everything one device's handler measured: the batched-migration
-/// counters and the fault-ladder ledger.
+/// Everything one device's handler measured: the lazy-migration counters
+/// and the fault-ladder ledger.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceMetrics {
     /// Lazy-migration flush counters and histograms.

@@ -1,20 +1,19 @@
-//! Instrumentation for the batched lazy-migration path.
+//! Instrumentation for the lazy-migration path.
 //!
-//! The eager path (the paper's baseline) copies class essence on *every*
-//! `invalidate()` delivered while an activity is shadowed. The batched
-//! path queues invalidations and drains them in bursts, so two questions
-//! decide whether batching is worth it:
+//! Lazy migration copies class essence once per async delivery that
+//! dirtied a shadowed activity's views: one *flush* per delivery, over
+//! the views the delivery invalidated. Two questions describe it:
 //!
-//! * **coalesce ratio** — raw invalidations per coalesced queue entry.
-//!   A ratio of 4 means four `invalidate()` calls collapsed into one
-//!   essence copy; 1.0 means batching bought nothing.
+//! * **coalesce ratio** — raw `invalidate()` calls per dirty view.
+//!   The view tree folds repeated invalidations of one view within a
+//!   delivery, so a ratio of 4 means four calls cost one essence copy;
+//!   1.0 means every call touched a different view.
 //! * **flush behaviour** — how big batches get and how long a flush
 //!   takes, captured as [`Histogram`]s of per-batch entry counts and
 //!   wall-clock flush latency.
 //!
 //! [`MigrationMetrics`] accumulates all of these over an engine's
-//! lifetime; the fig10-style benchmarks and the handler tests read them
-//! back to verify the fast path actually coalesces.
+//! lifetime; the benchmarks and the engine's tests read them back.
 
 use core::fmt;
 
@@ -23,11 +22,11 @@ use crate::stats::Histogram;
 /// Lifetime counters and distributions for one migration engine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationMetrics {
-    /// Number of flushes performed (eager single-view drains count too).
+    /// Number of flushes performed (one per delivery that dirtied a view).
     pub flushes: u64,
     /// Raw `invalidate()` deliveries observed before coalescing.
     pub raw_invalidations: u64,
-    /// Coalesced queue entries actually migrated (≤ raw).
+    /// Coalesced entries (distinct dirty views) examined (≤ raw).
     pub coalesced_entries: u64,
     /// Per-flush batch size in coalesced entries.
     pub batch_size: Histogram,
@@ -56,7 +55,7 @@ impl MigrationMetrics {
     }
 
     /// Raw invalidations per coalesced entry (≥ 1 once anything was
-    /// flushed; 1.0 when batching saved nothing; 0 when idle).
+    /// flushed; 1.0 when coalescing saved nothing; 0 when idle).
     pub fn coalesce_ratio(&self) -> f64 {
         if self.coalesced_entries == 0 {
             0.0

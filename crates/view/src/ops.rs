@@ -97,9 +97,9 @@ impl ViewOp {
 ///
 /// Each [`ViewOp`] variant maps to one bit ([`ViewOp::dirty_bit`]).
 /// Repeated invalidations of the same view OR their bits together, which
-/// is what lets the batched migration path coalesce a burst of updates
-/// into a single essence copy while still reporting exactly which
-/// attributes changed.
+/// is what lets lazy migration coalesce a burst of updates within one
+/// delivery into a single essence copy while still reporting exactly
+/// which attributes changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct DirtyMask(u16);
 

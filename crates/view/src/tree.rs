@@ -215,12 +215,6 @@ pub struct ViewTree {
     /// RCHDroid hook: when true the tree belongs to the Sunny (foreground)
     /// activity.
     sunny: bool,
-    /// RCHDroid hook: which side of an essence coupling this tree is
-    /// (0 = the tree that was shadow when the mapping was built, 1 = the
-    /// tree that was sunny). Set by the migration engine's mapping build;
-    /// `None` for uncoupled trees. Survives coin flips — the *side* is a
-    /// stable identity even though the shadow/sunny *roles* swap.
-    coupling_side: Option<u8>,
     /// Cached `android:id` name → view id index, maintained incrementally
     /// on the structural ops ([`ViewTree::add_view`] /
     /// [`ViewTree::remove_view`]) instead of being rebuilt on every
@@ -267,22 +261,10 @@ impl ViewTree {
             raw_pending: 0,
             shadow: false,
             sunny: false,
-            coupling_side: None,
             id_name_index: HashMap::from([(decor_name, root)]),
             shadowed_ids: HashMap::new(),
             stateful: BTreeSet::new(),
         }
-    }
-
-    /// The coupling side assigned by the last essence-mapping build, if
-    /// any. See the field docs.
-    pub fn coupling_side(&self) -> Option<u8> {
-        self.coupling_side
-    }
-
-    /// Tags this tree as one side of an essence coupling (engine hook).
-    pub fn set_coupling_side(&mut self, side: Option<u8>) {
-        self.coupling_side = side;
     }
 
     /// The decor view's id.
@@ -628,7 +610,7 @@ impl ViewTree {
 
     /// Like [`ViewTree::drain_dirty`], but each entry also carries the
     /// number of raw invalidations that coalesced into it — what the
-    /// batched migration queue needs for its coalesce-ratio accounting.
+    /// migration engine's coalesce-ratio accounting counts.
     pub fn drain_dirty_counted(&mut self) -> Vec<(ViewId, DirtyMask, usize)> {
         alloc_track::note(1);
         self.pending_pos.clear();
@@ -958,7 +940,6 @@ impl ViewTree {
         for node in self.nodes.iter_mut().flatten() {
             node.sunny_peer = None;
         }
-        self.coupling_side = None;
     }
 }
 

@@ -1,9 +1,9 @@
 //! The fault matrix: deterministic injection at every site, across
-//! several seeds, under both flush policies. The contract under test is
-//! the degradation ladder's guarantee — **no injected fault ever escapes
-//! as a panic**; each one is either contained per view, absorbed by a
-//! fallback restart, or (for organic app bugs only) surfaces as a marked
-//! process crash.
+//! several seeds, under RCHDroid's default handling. The contract under
+//! test is the degradation ladder's guarantee — **no injected fault ever
+//! escapes as a panic**; each one is either contained per view, absorbed
+//! by a fallback restart, or (for organic app bugs only) surfaces as a
+//! marked process crash.
 //!
 //! CI runs this suite once per seed via the `FAULT_SEED` environment
 //! variable (the `fault-matrix` job); without it, every built-in seed
@@ -14,7 +14,7 @@ use droidsim_device::{Device, DeviceEvent, HandlingMode};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_fleet::{run_fleet_supervised, Digest, FleetConfig, FleetOptions};
 use droidsim_kernel::SimDuration;
-use rchdroid::{FlushPolicy, GcPolicy, RchOptions};
+use rchdroid::GcPolicy;
 
 /// The matrix loops fan out across the fleet (`DROIDSIM_JOBS`, default
 /// all cores); each cell simulates on its own `Device` and returns only
@@ -40,21 +40,11 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-fn modes() -> [HandlingMode; 2] {
-    [
-        HandlingMode::rchdroid_default(),
-        HandlingMode::rchdroid_ablated(RchOptions {
-            flush_policy: FlushPolicy::batched(64, SimDuration::from_millis(16)),
-            ..RchOptions::default()
-        }),
-    ]
-}
-
 /// One scripted scenario that reaches every probe site: an async task in
 /// flight across a change (flush sites + callback site), the change
 /// itself (bundle + allocation sites), and a follow-up change.
-fn run_scenario(mode: HandlingMode, plan: FaultPlan) -> (Device, String) {
-    let mut d = Device::new(mode);
+fn run_scenario(plan: FaultPlan) -> (Device, String) {
+    let mut d = Device::new(HandlingMode::rchdroid_default());
     let c = d
         .install_and_launch(Box::new(SimpleApp::with_views(4)), 40 << 20, 1.0)
         .unwrap();
@@ -100,10 +90,8 @@ impl CellOutcome {
 fn every_forced_site_is_absorbed_by_the_ladder() {
     let mut cells = Vec::new();
     for seed in seeds() {
-        for mode in modes() {
-            for site in FaultSite::ALL {
-                cells.push((seed, mode, site));
-            }
+        for site in FaultSite::ALL {
+            cells.push((seed, site));
         }
     }
     // The matrix runs under the supervised fleet: a cell whose scenario
@@ -113,12 +101,12 @@ fn every_forced_site_is_absorbed_by_the_ladder() {
         &fleet(),
         &FleetOptions::new(),
         cells,
-        |_ctx, (seed, mode, site)| {
+        |_ctx, (seed, site)| {
             let plan = FaultPlan::seeded(seed).on_nth_probe(site, 1);
-            let (d, c) = run_scenario(mode, plan);
+            let (d, c) = run_scenario(plan);
             let m = d.fault_metrics(&c).unwrap();
             CellOutcome {
-                label: format!("seed {seed} {mode:?}: {site}"),
+                label: format!("seed {seed}: {site}"),
                 injected: m.total_faults(),
                 at_site: m.site_count(site.name()),
                 crashed: d.is_crashed(&c),
@@ -152,27 +140,21 @@ fn rate_injection_never_escapes_a_panic() {
     // quarantines its cell, which `is_clean` rejects) and the books
     // balance. Event inspection happens inside the task — only
     // violations cross back.
-    let mut cells = Vec::new();
-    for seed in seeds() {
-        for mode in modes() {
-            cells.push((seed, mode));
-        }
-    }
     let run = run_fleet_supervised(
         &fleet(),
         &FleetOptions::new(),
-        cells,
-        |_ctx, (seed, mode)| {
+        seeds(),
+        |_ctx, seed| {
             let plan = FaultPlan::seeded(seed).with_rate_everywhere(0.5);
-            let (d, c) = run_scenario(mode, plan);
+            let (d, c) = run_scenario(plan);
             let m = d.fault_metrics(&c).unwrap();
             let mut bad = Vec::new();
             if m.total_faults() != m.contained_per_view + m.fallback_restarts + m.crashes {
-                bad.push(format!("seed {seed} {mode:?}: fault ledger out of balance"));
+                bad.push(format!("seed {seed}: fault ledger out of balance"));
             }
             if m.crashes != 0 {
                 bad.push(format!(
-                    "seed {seed} {mode:?}: injected faults must not reach rung 3"
+                    "seed {seed}: injected faults must not reach rung 3"
                 ));
             }
             // Every absorbed fault names its site and rung in the log.
@@ -181,9 +163,7 @@ fn rate_injection_never_escapes_a_panic() {
                     if site.is_empty()
                         || (rung != "contained-per-view" && rung != "fallback-restart")
                     {
-                        bad.push(format!(
-                            "seed {seed} {mode:?}: unexpected rung {rung} for {site}"
-                        ));
+                        bad.push(format!("seed {seed}: unexpected rung {rung} for {site}"));
                     }
                 }
             }
@@ -209,23 +189,21 @@ fn rate_injection_never_escapes_a_panic() {
 
 #[test]
 fn disarmed_plan_changes_nothing() {
-    for mode in modes() {
-        let (d, c) = run_scenario(mode, FaultPlan::disarmed());
-        assert!(!d.is_crashed(&c));
-        let m = d.fault_metrics(&c).unwrap();
-        assert_eq!(m.total_faults(), 0);
-        assert!(!d
-            .events()
-            .iter()
-            .any(|e| matches!(e, DeviceEvent::Fault { .. })));
-    }
+    let (d, c) = run_scenario(FaultPlan::disarmed());
+    assert!(!d.is_crashed(&c));
+    let m = d.fault_metrics(&c).unwrap();
+    assert_eq!(m.total_faults(), 0);
+    assert!(!d
+        .events()
+        .iter()
+        .any(|e| matches!(e, DeviceEvent::Fault { .. })));
 }
 
 #[test]
 fn forced_and_rate_runs_are_deterministic_per_seed() {
     let fingerprint = |seed: u64| {
         let plan = FaultPlan::seeded(seed).with_rate_everywhere(0.2);
-        let (d, c) = run_scenario(HandlingMode::rchdroid_default(), plan);
+        let (d, c) = run_scenario(plan);
         let m = d.fault_metrics(&c).unwrap();
         (
             m.total_faults(),

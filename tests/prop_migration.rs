@@ -1,26 +1,27 @@
 //! Property tests on RCHDroid's essence-based mapping and lazy migration.
 
-use droidsim_kernel::{SimDuration, SimTime};
-use droidsim_view::{ViewKind, ViewOp, ViewTree};
+use droidsim_view::{ViewId, ViewKind, ViewOp, ViewTree};
 use proptest::prelude::*;
-use rchdroid::{FlushPolicy, MigrationEngine};
+use rchdroid::MigrationEngine;
+
+/// Migratable view kinds; `op_for(i, _)` picks an op `KINDS[i % 6]` takes.
+const KINDS: [ViewKind; 6] = [
+    ViewKind::EditText,
+    ViewKind::ImageView,
+    ViewKind::ListView,
+    ViewKind::VideoView,
+    ViewKind::ProgressBar,
+    ViewKind::TextView,
+];
 
 /// Builds two trees with the same id names (as two inflations of one
 /// layout would) containing `n` views of assorted migratable kinds.
 fn coupled_trees(n: usize) -> (ViewTree, ViewTree, MigrationEngine) {
-    let kinds = [
-        ViewKind::EditText,
-        ViewKind::ImageView,
-        ViewKind::ListView,
-        ViewKind::VideoView,
-        ViewKind::ProgressBar,
-        ViewKind::TextView,
-    ];
     let build = |container: ViewKind| {
         let mut t = ViewTree::new();
         let root = t.add_view(t.root(), container, Some("root")).unwrap();
         for i in 0..n {
-            let kind = kinds[i % kinds.len()].clone();
+            let kind = KINDS[i % KINDS.len()].clone();
             t.add_view(root, kind, Some(&format!("v{i}"))).unwrap();
         }
         t
@@ -61,7 +62,7 @@ proptest! {
             let view = shadow.find_by_id_name(&format!("v{i}")).unwrap();
             shadow.apply(view, op_for(i, *payload)).unwrap();
         }
-        engine.migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO).unwrap();
+        engine.migrate_invalidations(&mut shadow, &mut sunny).unwrap();
 
         // Every updated view's migratable essence matches on the peer.
         for i in 0..n {
@@ -92,10 +93,10 @@ proptest! {
             let view = shadow.find_by_id_name(&format!("v{i}")).unwrap();
             shadow.apply(view, op_for(i, *payload)).unwrap();
         }
-        engine.migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO).unwrap();
+        engine.migrate_invalidations(&mut shadow, &mut sunny).unwrap();
         let snapshot = sunny.clone();
         // A second pass with no new invalidations changes nothing.
-        let report = engine.migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO).unwrap();
+        let report = engine.migrate_invalidations(&mut shadow, &mut sunny).unwrap();
         prop_assert_eq!(report.examined, 0);
         prop_assert_eq!(format!("{:?}", sunny), format!("{:?}", snapshot));
     }
@@ -159,78 +160,83 @@ proptest! {
     }
 }
 
-/// One step of a shadow-instance lifetime: an app update to some view, an
-/// async delivery draining invalidations into the engine, or a runtime
-/// configuration change (which swaps the shadow/sunny roles — and, like
-/// the handler, flushes any batched queue *before* the swap).
+/// A tree under one container whose views take their id names from a
+/// pool of six, `n0`..`n5`, so a name can have several bearers or none;
+/// 6 leaves a view anonymous. A name's kind is fixed, as two layouts of
+/// one screen agree on it, so `op_for` finds an op every peer accepts.
+/// Returns the tree and its pooled views' ids.
+fn pooled_tree(names: &[usize]) -> (ViewTree, Vec<ViewId>) {
+    let mut t = ViewTree::new();
+    let root = t
+        .add_view(t.root(), ViewKind::LinearLayout, Some("root"))
+        .unwrap();
+    let ids = names
+        .iter()
+        .map(|&name| {
+            let id_name = (name < 6).then(|| format!("n{name}"));
+            t.add_view(root, KINDS[name % 6].clone(), id_name.as_deref())
+                .unwrap()
+        })
+        .collect();
+    (t, ids)
+}
+
+/// One step of a coupling's lifetime: an app update to a view of the
+/// current shadow tree, an async delivery migrating what the shadow
+/// tree recorded, or a runtime change that coin-flips the roles.
 #[derive(Debug, Clone)]
 enum Step {
     Update { which: usize, payload: i32 },
     Deliver,
-    ConfigChange,
+    Flip,
 }
 
-/// A coupled pair plus the engine driving it, with roles that can swap.
+/// A coupled pair whose roles swap on a flip, plus the engine driving it.
 struct System {
     trees: [ViewTree; 2],
+    ids: [Vec<ViewId>; 2],
+    names: [Vec<usize>; 2],
     shadow: usize,
     engine: MigrationEngine,
-    clock: SimTime,
+    /// The reference rebuilds the mapping for the current roles before
+    /// each delivery; the system under test maps once, like the handler.
+    rebuild: bool,
 }
 
 impl System {
-    fn new(n: usize, policy: FlushPolicy) -> System {
-        let (shadow, sunny, mut engine) = coupled_trees(n);
-        engine.set_flush_policy(policy);
+    fn new(names: &[Vec<usize>; 2], rebuild: bool) -> System {
+        let (mut side0, ids0) = pooled_tree(&names[0]);
+        let (mut side1, ids1) = pooled_tree(&names[1]);
+        let mut engine = MigrationEngine::new();
+        engine.build_mapping(&mut side0, &mut side1);
         System {
-            trees: [shadow, sunny],
+            trees: [side0, side1],
+            ids: [ids0, ids1],
+            names: names.clone(),
             shadow: 0,
             engine,
-            clock: SimTime::ZERO,
+            rebuild,
         }
     }
 
-    fn run(&mut self, n: usize, script: &[Step]) {
-        for step in script {
-            self.clock += SimDuration::from_millis(1);
-            match step {
-                Step::Update { which, payload } => {
-                    let i = which % n;
-                    let t = &mut self.trees[self.shadow];
-                    let view = t.find_by_id_name(&format!("v{i}")).unwrap();
-                    t.apply(view, op_for(i, *payload)).unwrap();
-                }
-                Step::Deliver => {
-                    let [a, b] = &mut self.trees;
-                    let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
-                    self.engine
-                        .migrate_invalidations(shadow, sunny, self.clock)
-                        .unwrap();
-                }
-                Step::ConfigChange => {
-                    let [a, b] = &mut self.trees;
-                    let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
-                    // The handler delivers outstanding callbacks and flushes
-                    // the engine queue before any role change, so no applied
-                    // update is ever stranded across a swap.
-                    self.engine
-                        .migrate_invalidations(shadow, sunny, self.clock)
-                        .unwrap();
-                    self.engine.flush(shadow, sunny).unwrap();
-                    self.shadow = 1 - self.shadow;
-                }
+    fn step(&mut self, step: &Step) {
+        match *step {
+            Step::Update { which, payload } => {
+                let side = self.shadow;
+                let i = which % self.ids[side].len();
+                let op = op_for(self.names[side][i] % 6, payload);
+                self.trees[side].apply(self.ids[side][i], op).unwrap();
             }
+            Step::Deliver => {
+                let [a, b] = &mut self.trees;
+                let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
+                if self.rebuild {
+                    self.engine.build_mapping(shadow, sunny);
+                }
+                self.engine.migrate_invalidations(shadow, sunny).unwrap();
+            }
+            Step::Flip => self.shadow = 1 - self.shadow,
         }
-        // End of scenario: drain whatever is still queued.
-        let [a, b] = &mut self.trees;
-        let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
-        let raw = shadow.pending_invalidation_count();
-        if raw > 0 {
-            self.engine
-                .migrate_invalidations(shadow, sunny, self.clock)
-                .unwrap();
-        }
-        self.engine.flush(shadow, sunny).unwrap();
     }
 }
 
@@ -238,42 +244,40 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         (any::<usize>(), any::<i32>()).prop_map(|(which, payload)| Step::Update { which, payload }),
         Just(Step::Deliver),
-        Just(Step::ConfigChange),
+        Just(Step::Flip),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The tentpole invariant: for ANY interleaving of view updates,
-    /// async deliveries and configuration changes, a batched engine ends
-    /// with bit-identical trees to an eager engine fed the same script.
-    /// (Each batched flush additionally self-checks against an eager
-    /// replay via the engine's debug-mode equivalence checker.)
+    /// The mapping is built once per coupling and coin flips reuse it
+    /// (§3.4): for ANY interleaving of updates, deliveries and flips, on
+    /// trees where names repeat or are missing on either side, migrating
+    /// through the stored pointers leaves every view of both trees exactly
+    /// as a fresh mapping for the current roles would.
     #[test]
-    fn batched_flush_is_equivalent_to_eager_migration(
-        n in 1usize..16,
+    fn a_flip_migrates_like_a_fresh_mapping(
+        side0 in proptest::collection::vec(0usize..7, 1..12),
+        side1 in proptest::collection::vec(0usize..7, 1..12),
         script in proptest::collection::vec(step_strategy(), 0..48),
-        max_pending in 1usize..10,
-        max_delay_ms in 0u64..32,
     ) {
-        let mut eager = System::new(n, FlushPolicy::Eager);
-        let mut batched = System::new(
-            n,
-            FlushPolicy::batched(max_pending, SimDuration::from_millis(max_delay_ms)),
-        );
-        eager.run(n, &script);
-        batched.run(n, &script);
-
-        for side in 0..2 {
-            for id in eager.trees[side].iter_ids() {
-                let want = eager.trees[side].view(id).unwrap();
-                let got = batched.trees[side].view(id).unwrap();
-                prop_assert_eq!(
-                    &want.attrs,
-                    &got.attrs,
-                    "side {} view {} diverged", side, id
-                );
+        let names = [side0, side1];
+        let mut real = System::new(&names, false);
+        let mut reference = System::new(&names, true);
+        for (k, step) in script.iter().enumerate() {
+            real.step(step);
+            reference.step(step);
+            for side in 0..2 {
+                for id in reference.trees[side].iter_ids() {
+                    let want = reference.trees[side].view(id).unwrap();
+                    let got = real.trees[side].view(id).unwrap();
+                    prop_assert_eq!(
+                        &want.attrs,
+                        &got.attrs,
+                        "step {} ({:?}): side {} view {} diverged", k, step, side, id
+                    );
+                }
             }
         }
     }

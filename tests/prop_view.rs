@@ -10,7 +10,7 @@ use droidsim_app::{Activity, ActivityInstanceId, ActivityThread, AppModel, Fragm
 use droidsim_atms::{ActivityRecordId, Atms, Intent};
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
-use droidsim_kernel::{SimTime, Symbol};
+use droidsim_kernel::Symbol;
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{inflate, try_inflate, ViewAttrs, ViewError, ViewKind, ViewOp, ViewTree};
 use proptest::prelude::*;
@@ -867,7 +867,7 @@ fn user_content_never_enters_the_interner() {
     }
     written.extend([text, uri]);
     let report = engine
-        .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+        .migrate_invalidations(&mut shadow, &mut sunny)
         .unwrap();
     assert_eq!(report.migrated, 2);
 
