@@ -58,7 +58,8 @@ bench-smoke:
 # machine's core count are both exercised. Then the resume check: a
 # table5 study journaled into a fresh file, cut 51 lines plus 45 bytes
 # in (inside line 52's digest, as a crash would), must print the full
-# run's digest line on each of two resumes.
+# run's digest line on each of two resumes, and that digest must be the
+# committed one in tests/golden/digests.env.
 fleet-determinism:
 	$(CARGO) test -q --test fleet_determinism
 	DROIDSIM_JOBS=2 $(CARGO) test -q --test fleet_determinism
@@ -74,7 +75,8 @@ fleet-determinism:
 	second=$$($(CARGO) run -q --release -p rch-experiments --bin table5 -- \
 		--jobs 2 --resume target/t5.journal | tail -1); \
 	echo "full:   $$full"; echo "first:  $$first"; echo "second: $$second"; \
-	test "$$full" = "$$first"; test "$$full" = "$$second"
+	test "$$full" = "$$first"; test "$$full" = "$$second"; \
+	bash scripts/check_digest.sh TABLE5 "$$full"
 
 # The warm-path cache parity gate (DESIGN.md §13): fleet digests with
 # the memo caches on must be bit-identical to a cold run at every
@@ -120,7 +122,8 @@ chaos-soak:
 # static verdicts must agree with the dynamic detection oracle
 # field-by-field for all 647 apps (tp27, top100, and the generated
 # data-loss corpus) under all three runtimes, with the differential
-# digest identical at --jobs 1 and --jobs 4.
+# digest identical at --jobs 1 and --jobs 4 and equal to the committed
+# one in tests/golden/digests.env.
 lint-study:
 	$(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
 		--corpus all --clean-only --deny-warnings
@@ -131,13 +134,15 @@ lint-study:
 		--differential --corpus all --jobs 4 | tail -1); \
 	echo "serial:   $$serial"; echo "parallel: $$parallel"; \
 	test "$$(echo "$$serial" | sed 's/jobs=[0-9]*//')" = \
-		"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"
+		"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"; \
+	bash scripts/check_digest.sh RCHLINT_ALL "$$serial"
 
 # The data-loss differential study (DESIGN.md §15): replay the whole
 # generated 520-app corpus through the three-runtime dynamic oracle
 # (stock / RCHDroid / RuntimeDroid class schedules), require zero
 # static/dynamic disagreements with the --jobs 1 and --jobs 4 digests
-# identical, and regenerate the committed per-class loss-rate table
+# identical and equal to the committed one in tests/golden/digests.env,
+# and regenerate the committed per-class loss-rate table
 # (results/table_dataloss.csv) from the verified verdicts.
 dataloss-study:
 	set -e; \
@@ -148,7 +153,8 @@ dataloss-study:
 		--table results/table_dataloss.csv | grep '^=> fleet:'); \
 	echo "serial:   $$serial"; echo "parallel: $$parallel"; \
 	test "$$(echo "$$serial" | sed 's/jobs=[0-9]*//')" = \
-		"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"
+		"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"; \
+	bash scripts/check_digest.sh RCHLINT_DATALOSS "$$serial"
 
 # Real (non-smoke) runs of the fleet and migration benches, with the
 # vendored criterion harness writing its estimates as compact JSON

@@ -12,8 +12,9 @@
 //! * **Diagnostics** ([`diag`]) — typed `RCH0xx` lints with severities,
 //!   stable `app → activity → view path` locations, per-app
 //!   suppression, and byte-stable human/JSON renderers;
-//! * **Shapes** ([`shape`]) — the analyzable view of an app: strict
-//!   per-orientation inflation plus `onCreate`, no simulation;
+//! * **Shapes** ([`shape`]) — the analyzable view of an app: one
+//!   inflation plus `onCreate` per orientation and a strict nesting
+//!   check on the template, no simulation;
 //! * **Passes** ([`passes`]) — the structural analyses (key collisions,
 //!   unmapped views, Table-1 coverage, stale callbacks, self-handling
 //!   conflicts, verdict prediction), plus the data-loss dataflow family

@@ -12,7 +12,6 @@ use crate::passes_dataloss::dataloss_passes;
 use crate::shape::{view_path, AppShape, ConfigTree};
 use crate::verdict::{predict, AnalysisMode};
 use rch_workloads::GenericAppSpec;
-use std::collections::BTreeMap;
 
 /// Runs every pass over one app. `spec` unlocks the descriptor-level
 /// passes (4's aggravation note, 5, 6, and the data-loss family);
@@ -36,20 +35,14 @@ pub fn analyze_app(shape: &AppShape, spec: Option<&GenericAppSpec>) -> Vec<Diagn
 ///
 /// `ViewTree::add_view` indexes names first-come-first-kept, so the
 /// essence mapping and hierarchy restore both bind the *lowest-id* view
-/// and every later duplicate is silently orphaned.
+/// and every later duplicate is silently orphaned. The repeated names
+/// come off the tree's own name index, reported in name order at their
+/// first bearer in pre-order.
 fn essence_key_collisions(shape: &AppShape, out: &mut Vec<Diagnostic>) {
     for ct in &shape.trees {
-        let mut by_name: BTreeMap<String, Vec<droidsim_view::ViewId>> = BTreeMap::new();
-        for id in ct.tree.iter_ids() {
-            let Ok(node) = ct.tree.view(id) else { continue };
-            if let Some(name) = node.id_name_str() {
-                by_name.entry(name.to_owned()).or_default().push(id);
-            }
-        }
-        for (name, ids) in by_name {
-            if ids.len() < 2 {
-                continue;
-            }
+        let mut repeated = ct.tree.repeated_names();
+        repeated.sort_unstable_by_key(|(name, _)| name.as_str());
+        for (name, ids) in repeated {
             out.push(Diagnostic::new(
                 LintCode::EssenceKeyCollision,
                 Severity::Warning,
@@ -281,8 +274,9 @@ mod tests {
     use super::*;
     use crate::shape::AppShape;
     use droidsim_app::{AppModel, AsyncResult, AsyncSpec};
-    use droidsim_kernel::SimDuration;
-    use droidsim_view::ViewOp;
+    use droidsim_kernel::{SimDuration, Symbol};
+    use droidsim_resources::{LayoutNode, ResourceTable};
+    use droidsim_view::{ViewError, ViewId, ViewKind, ViewOp, ViewTree};
     use rch_workloads::{StateItem, StateMechanism};
 
     fn base_spec(name: &str) -> GenericAppSpec {
@@ -390,7 +384,7 @@ mod tests {
 
     #[test]
     fn duplicate_ids_collide_once_per_layout() {
-        use droidsim_resources::{LayoutNode, LayoutTemplate};
+        use droidsim_resources::{LayoutTemplate, Qualifiers, ResourceValue};
         let spec = base_spec("DupApp");
         let app = spec.build();
         let mut shape = AppShape::from_model(&spec.name, &app, Vec::new());
@@ -414,11 +408,135 @@ mod tests {
         assert_eq!(codes(&diags), ["RCH001"]);
         assert!(diags[0].message.contains("`twin`"));
         assert!(diags[0].loc.view_path.starts_with("portrait:"));
+
+        // A fragment grafted into a slot that comes before the layout's
+        // own `twin`: its bearer has the higher id but comes first in
+        // pre-order, and the diagnostic sits there.
+        let mut resources = ResourceTable::new();
+        let fragment = LayoutNode::new("FrameLayout")
+            .with_id("panel")
+            .with_child(LayoutNode::new("EditText").with_id("twin"));
+        resources.put(
+            "frag",
+            Qualifiers::any(),
+            ResourceValue::Layout(LayoutTemplate::new("frag", fragment)),
+        );
+        let host = LayoutTemplate::new(
+            "host",
+            LayoutNode::new("LinearLayout")
+                .with_id("root")
+                .with_children([
+                    LayoutNode::new("FrameLayout").with_id("slot"),
+                    LayoutNode::new("EditText").with_id("twin"),
+                ]),
+        );
+        let config = droidsim_config::Configuration::phone_portrait();
+        let mut activity = droidsim_app::Activity::new(
+            droidsim_app::ActivityInstanceId::new(0),
+            droidsim_atms::ActivityRecordId::new(0),
+            "test.Host",
+            config.clone(),
+        );
+        activity.tree = droidsim_view::inflate(&host, &resources, &config).0;
+        let graft = droidsim_app::FragmentSpec::new("f", "frag", "slot");
+        activity.attach_fragment(&resources, &graft).unwrap();
+        let tree = &activity.tree;
+        let own = tree.find_by_id_name("twin").unwrap();
+        let panel = tree.find_by_id_name("panel").unwrap();
+        let grafted = tree.view(panel).unwrap().children[0];
+        assert!(grafted > own, "the grafted bearer has the higher id");
+        shape.trees[0].tree = activity.tree;
+        let diags = analyze_app(&shape, Some(&spec));
+        assert_eq!(codes(&diags), ["RCH001"]);
+        assert!(diags[0].message.contains("`twin` is declared by 2 views"));
+        assert_eq!(
+            diags[0].loc.view_path,
+            "portrait:decor>root>slot>panel>twin"
+        );
+    }
+
+    /// A model with only the three required methods: a main layout that
+    /// nests a child under a `TextView` in landscape only.
+    struct MisnestedLandscape(ResourceTable);
+
+    impl AppModel for MisnestedLandscape {
+        fn component_name(&self) -> &str {
+            "test.MisnestedLandscape"
+        }
+        fn resources(&self) -> &ResourceTable {
+            &self.0
+        }
+        fn main_layout(&self) -> &str {
+            "main"
+        }
+    }
+
+    /// Strict inflation's walk: views added in pre-order until the first
+    /// add fails.
+    fn add_until_failure(
+        node: &LayoutNode,
+        parent: ViewId,
+        tree: &mut ViewTree,
+    ) -> Result<(), ViewError> {
+        let kind = ViewKind::from_class_name(node.class.as_str());
+        let id = tree.add_view(parent, kind, node.id_name.map(Symbol::as_str))?;
+        for child in &node.children {
+            add_until_failure(child, id, tree)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn misnested_layouts_are_reported_with_the_strict_parent_id() {
+        use droidsim_resources::{LayoutTemplate, Qualifiers, ResourceValue};
+        let text = |id: &str| LayoutNode::new("TextView").with_id(id);
+        let portrait = LayoutNode::new("LinearLayout")
+            .with_id("root")
+            .with_child(text("label"));
+        // Pre-order: root 1, top 2, a 3, b 4, label 5; `after` also
+        // misnests, but later.
+        let landscape = LayoutNode::new("LinearLayout")
+            .with_id("root")
+            .with_children([
+                LayoutNode::new("FrameLayout")
+                    .with_id("top")
+                    .with_children([text("a"), text("b")]),
+                text("label").with_child(LayoutNode::new("Button").with_id("orphan")),
+                text("after").with_child(text("late")),
+            ]);
+        let mut resources = ResourceTable::new();
+        resources.put(
+            "main",
+            Qualifiers::any(),
+            ResourceValue::Layout(LayoutTemplate::new("main", portrait)),
+        );
+        resources.put(
+            "main",
+            Qualifiers::any().with_orientation(droidsim_config::Orientation::Landscape),
+            ResourceValue::Layout(LayoutTemplate::new("main", landscape.clone())),
+        );
+        let mut reference = ViewTree::new();
+        let decor = reference.root();
+        let expected = add_until_failure(&landscape, decor, &mut reference).unwrap_err();
+        assert_eq!(
+            expected,
+            ViewError::NotAContainer {
+                parent: ViewId::new(5)
+            }
+        );
+
+        let shape = AppShape::from_model("Misnested", &MisnestedLandscape(resources), Vec::new());
+        assert_eq!(shape.inflate_errors, vec![("landscape", expected.clone())]);
+        let diags = analyze_app(&shape, None);
+        assert_eq!(codes(&diags), ["RCH002"]);
+        assert!(diags[0].message.starts_with("the landscape layout"));
+        assert!(diags[0].message.contains(&format!("({expected})")));
+        assert!(diags[0].message.contains("ViewId#5"));
     }
 
     #[test]
     fn idless_editable_views_are_unmapped() {
-        use droidsim_resources::{LayoutNode, LayoutTemplate};
+        use droidsim_resources::LayoutTemplate;
         let spec = base_spec("NoIdApp");
         let app = spec.build();
         let mut shape = AppShape::from_model(&spec.name, &app, Vec::new());

@@ -2,31 +2,24 @@
 //!
 //! The analyzer never runs the simulator's change protocol; it only
 //! performs the same deterministic construction the framework would do
-//! on launch — strict layout inflation plus `onCreate` (which is where
+//! on launch — layout inflation plus `onCreate` (which is where
 //! dynamically created views appear) — once per orientation. Everything
 //! the passes need is captured here: the per-configuration view trees,
 //! the async specs, the app's manifest-level flags, and (for data-loss
 //! corpus apps) the per-field persistence descriptors.
 //!
-//! Extraction is memoized through [`kernel::memo`](droidsim_kernel::memo):
-//! the throwaway `perform_create` per configuration re-inflates
-//! identical templates, and corpus runs (lint, then the differential's
-//! static side, then a bench pass) extract the same shapes repeatedly.
-//! The cache key is the descriptor's content digest × the analyzed
-//! configuration digests — the descriptor deterministically generates
-//! the resource table, so keying on its content is the content-addressed
-//! equivalent of template digest × config digest without paying for
-//! resource construction on a hit. `tests/memo_parity.rs` holds the
-//! memoized path byte-equal to the cold path.
+//! Each orientation is inflated once, by a throwaway `perform_create`
+//! whose tree the shape keeps. The strict-inflation finding comes from
+//! [`check_nesting`] on the layout template, which builds no tree.
+//! Shapes are not memoized: corpus runs extract each app once, and a
+//! shape cache never hit in an `rchlint` run or in `lint_corpus` (see
+//! DESIGN.md §13).
 
 use droidsim_app::{Activity, ActivityInstanceId, AppModel, AsyncSpec};
 use droidsim_atms::ActivityRecordId;
 use droidsim_config::{ConfigChanges, Configuration};
-use droidsim_fleet::Digest;
-use droidsim_kernel::memo::{self, Admission, MemoCache};
-use droidsim_view::{try_inflate, ViewError, ViewId, ViewTree};
+use droidsim_view::{check_nesting, ViewError, ViewId, ViewTree};
 use rch_workloads::{DataLossScenario, FieldOwner, FieldPersistence, GenericAppSpec};
-use std::sync::{Once, OnceLock};
 
 /// One inflated configuration of the app's main layout.
 #[derive(Debug, Clone)]
@@ -70,83 +63,9 @@ fn analyzed_configs() -> [(&'static str, Configuration); 2] {
     ]
 }
 
-/// Content digest of everything in the descriptor that shape extraction
-/// can observe (the descriptor generates the resource table and the
-/// model's `onCreate` behaviour, so this covers the template content),
-/// crossed with the analyzed configuration digests.
-fn shape_key(spec: &GenericAppSpec) -> u64 {
-    let mut d = Digest::new();
-    d.write_str(&spec.name);
-    d.write_str(spec.downloads);
-    d.write_str(spec.issue.as_deref().unwrap_or(""));
-    d.write_u64(spec.view_count as u64);
-    d.write_u64(spec.complexity.to_bits());
-    d.write_u64(spec.base_memory_bytes);
-    d.write_u64(spec.activity_heap_bytes);
-    d.write_u64(u64::from(spec.handles_changes));
-    d.write_u64(u64::from(spec.saves_instance_state));
-    d.write_u64(u64::from(spec.uses_async_task));
-    d.write_u64(spec.state_items.len() as u64);
-    for item in &spec.state_items {
-        d.write_str(&item.key);
-        d.write_u64(memo::stable_hash(&item.mechanism));
-        d.write_str(&item.test_value);
-    }
-    match &spec.dataloss {
-        None => d.write_u64(0),
-        Some(dl) => {
-            d.write_u64(1 + memo::stable_hash(&dl.class));
-            d.write_u64(dl.fields.len() as u64);
-            for f in &dl.fields {
-                d.write_str(&f.key);
-                d.write_u64(memo::stable_hash(&f.owner));
-                d.write_u64(memo::stable_hash(&f.persistence));
-                d.write_str(&f.test_value);
-            }
-        }
-    }
-    for (label, config) in analyzed_configs() {
-        d.write_str(label);
-        d.write_u64(memo::stable_hash(&config));
-    }
-    d.finish()
-}
-
-/// The process-wide shape cache: a hit skips resource construction and
-/// both per-orientation inflate + `perform_create` walks.
-fn shape_cache() -> &'static MemoCache<u64, AppShape> {
-    static CACHE: OnceLock<MemoCache<u64, AppShape>> = OnceLock::new();
-    static REGISTER: Once = Once::new();
-    let cache = CACHE.get_or_init(|| {
-        MemoCache::new("shape", 256, |shape: &AppShape| {
-            shape.trees.iter().map(|t| t.tree.resident_bytes()).sum()
-        })
-    });
-    REGISTER.call_once(|| memo::register(cache));
-    cache
-}
-
 impl AppShape {
-    /// Extracts the shape of a corpus descriptor, memoized on the
-    /// descriptor's content digest.
+    /// Extracts the shape of a corpus descriptor.
     pub fn from_spec(spec: &GenericAppSpec) -> AppShape {
-        if memo::enabled() {
-            let key = shape_key(spec);
-            match shape_cache().probe(key) {
-                Admission::Hit(cached) => return (*cached).clone(),
-                Admission::Build => {
-                    let built = AppShape::from_spec_cold(spec);
-                    shape_cache().publish(key, built.clone());
-                    return built;
-                }
-                Admission::Skip => {}
-            }
-        }
-        AppShape::from_spec_cold(spec)
-    }
-
-    /// The uncached extraction walk.
-    fn from_spec_cold(spec: &GenericAppSpec) -> AppShape {
         let app = spec.build();
         let mut async_specs = Vec::new();
         if spec.uses_async_task {
@@ -168,13 +87,13 @@ impl AppShape {
         let mut trees = Vec::new();
         let mut inflate_errors = Vec::new();
         for (label, config) in analyzed_configs() {
-            // Strict pre-flight on the raw template: the runtime
+            // Strict nesting, checked on the raw template: the runtime
             // inflater is lenient and would hide a truncated subtree.
             if let Ok(template) = model
                 .resources()
                 .resolve_layout(model.main_layout(), &config)
             {
-                if let Err(e) = try_inflate(template, model.resources(), &config) {
+                if let Err(e) = check_nesting(template) {
                     inflate_errors.push((label, e));
                 }
             }
@@ -189,7 +108,7 @@ impl AppShape {
             activity.perform_create(model, None);
             trees.push(ConfigTree {
                 label,
-                tree: activity.tree.clone(),
+                tree: activity.tree,
             });
         }
         AppShape {
@@ -326,10 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn distinct_descriptors_never_collide_in_the_cache() {
-        // Same name, different dataloss descriptor: the memo key must
-        // separate them or the second extraction would return the
-        // first's trees.
+    fn same_name_descriptors_extract_their_own_trees() {
+        // Same name, different dataloss descriptor: each extraction
+        // builds its own model, so neither sees the other's views.
         let mut a = GenericAppSpec::sized("ShapeTwin", "1K+", false);
         a.dataloss = Some(DataLossScenario::new(
             DataLossClass::AsyncRace,
@@ -341,12 +259,8 @@ mod tests {
         ));
         let mut b = GenericAppSpec::sized("ShapeTwin", "1K+", false);
         b.dataloss = None;
-        for _ in 0..3 {
-            // past admission, into published-hit territory
-            let sa = AppShape::from_spec(&a);
-            let sb = AppShape::from_spec(&b);
-            assert!(sa.trees[0].tree.find_by_id_name("alpha_field").is_some());
-            assert!(sb.trees[0].tree.find_by_id_name("alpha_field").is_none());
-        }
+        let (sa, sb) = (AppShape::from_spec(&a), AppShape::from_spec(&b));
+        assert!(sa.trees[0].tree.find_by_id_name("alpha_field").is_some());
+        assert!(sb.trees[0].tree.find_by_id_name("alpha_field").is_none());
     }
 }

@@ -295,9 +295,10 @@ fn bench_memo(c: &mut Criterion) {
 }
 
 /// The analyzer's fleet throughput over the whole generated data-loss
-/// corpus (`rchlint --corpus dataloss`): shape extraction (memoized),
-/// the twelve lint passes and the three-mode verdicts for every app,
-/// folded into the corpus report. Serial vs 8-way is the
+/// corpus (`rchlint --corpus dataloss`): shape extraction (one
+/// inflation per orientation, through the inflation cache; shapes are
+/// not memoized), the twelve lint passes and the three-mode verdicts
+/// for every app, folded into the corpus report. Serial vs 8-way is the
 /// `rchlint_throughput` scaling pair the bench gate tracks; the digest
 /// identity across worker counts is asserted before any timing.
 fn bench_rchlint(c: &mut Criterion) {

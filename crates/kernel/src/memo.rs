@@ -8,21 +8,22 @@
 //! `RwLock`, `Arc`-shared immutable entries) with generation-tagged
 //! invalidation, LRU-ish bounded capacity and a process-wide kill switch.
 //!
-//! Two caches use it: layout inflation on the device path (`inflate`,
-//! in `droidsim-view`) and app-shape extraction in the analyzer (`shape`,
-//! in `droidsim-analysis`). Qualifier resolution and essence-mapping
-//! plans are not cached. Measured one cache at a time, neither repaid
-//! its key: resolution is a short first-match scan over variants sorted
-//! at insert time, cheaper than a probe, and a mapping plan was keyed by
+//! One cache uses it: layout inflation (`inflate`, in `droidsim-view`),
+//! on the device path and under the analyzer's shape extraction.
+//! Qualifier resolution, essence-mapping plans and app shapes are not
+//! cached. Measured one cache at a time, none repaid its key:
+//! resolution is a short first-match scan over variants sorted at
+//! insert time, cheaper than a probe; a mapping plan was keyed by
 //! walking both view trees while a hit still installed every peer
-//! pointer, so it saved little of the cold build. A cache earns its
-//! place only when a hit skips more work than the key, the probe and
-//! the publish clone cost together.
+//! pointer, so it saved little of the cold build; and an app shape is
+//! extracted once per corpus pass, so its cache never hit. A cache
+//! earns its place only when a hit skips more work than the key, the
+//! probe and the publish clone cost together.
 //!
 //! # Content addressing
 //!
 //! Keys are digests of the *inputs* (template digest, table fingerprint,
-//! configuration hash, app descriptor), never identities, so two tasks —
+//! configuration hash), never identities, so two tasks —
 //! or two daemon jobs hours apart — that derive from equal content share
 //! one entry, and any mutation changes the key rather than stalely
 //! hitting. Values are immutable once published and shared via `Arc`; a
@@ -228,7 +229,7 @@ pub fn set_enabled(on: bool) {
 /// fingerprints, like wall-clock histograms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoSnapshot {
-    /// Cache name (stable, e.g. `inflate` / `shape`).
+    /// Cache name (stable, e.g. `inflate`).
     pub name: &'static str,
     /// Probes answered from a published entry.
     pub hits: u64,

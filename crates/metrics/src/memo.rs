@@ -1,11 +1,12 @@
 //! The warm-path memoization ledger.
 //!
 //! [`kernel::memo`](droidsim_kernel::memo) keeps content-addressed caches
-//! hot across a whole fleet run (and a whole daemon lifetime): inflated
-//! templates on the device path and app shapes in the analyzer. This
-//! ledger is the operator-facing view of those caches — per-cache hits,
-//! misses, evictions, resident entries and approximate resident bytes —
-//! captured with [`MemoLedger::capture`] from the process-wide registry.
+//! hot across a whole fleet run (and a whole daemon lifetime): today one,
+//! of inflated templates, which the device path and the analyzer's shape
+//! extraction share. This ledger is the operator-facing view of the
+//! registered caches — per-cache hits, misses, evictions, resident
+//! entries and approximate resident bytes — captured with
+//! [`MemoLedger::capture`] from the process-wide registry.
 //!
 //! Hit/miss counts depend on job scheduling (which worker saw a shape
 //! first decides who pays the miss), so like wall-clock histograms and
@@ -20,7 +21,7 @@ use droidsim_kernel::memo::{self, MemoSnapshot};
 /// Per-cache counters for one memo cache, as captured at a point in time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoCacheStats {
-    /// Cache name (`"inflate"`, `"shape"`).
+    /// Cache name (`"inflate"`).
     pub name: String,
     /// Probes answered from the cache.
     pub hits: u64,

@@ -1,11 +1,12 @@
 //! Layout inflation: template + resources + configuration → view tree.
 //!
-//! Two entry points share one walker: [`inflate`] is lenient (a child
-//! declared under a non-container view is skipped, mirroring the
-//! fallback-layout leniency elsewhere in the simulator), while
-//! [`try_inflate`] is strict and surfaces the malformed template as
+//! [`inflate`] is lenient: a child declared under a non-container view
+//! is skipped, mirroring the fallback-layout leniency elsewhere in the
+//! simulator. [`check_nesting`] finds that malformed nesting on the
+//! template itself, without building a tree, and surfaces it as
 //! [`ViewError::NotAContainer`] — which is what the static analyzer
 //! reports instead of silently analysing a truncated tree.
+//! [`try_inflate`] is the two together: the check, then [`inflate`].
 
 use crate::error::ViewError;
 use crate::kind::ViewKind;
@@ -61,7 +62,7 @@ pub fn inflate(
     config: &Configuration,
 ) -> (ViewTree, InflateStats) {
     if memo::enabled() {
-        let key = inflate_key(template, resources, config, false);
+        let key = inflate_key(template, resources, config);
         match inflate_cache().probe(key) {
             Admission::Hit(cached) => return (*cached).clone(),
             Admission::Build => {
@@ -75,7 +76,7 @@ pub fn inflate(
     inflate_cold(template, resources, config)
 }
 
-/// The uncached lenient inflation walk.
+/// The uncached inflation walk.
 fn inflate_cold(
     template: &LayoutTemplate,
     resources: &ResourceTable,
@@ -83,44 +84,38 @@ fn inflate_cold(
 ) -> (ViewTree, InflateStats) {
     let mut tree = ViewTree::new();
     let mut stats = InflateStats::default();
-    let lenient = inflate_node(
+    inflate_node(
         template.root(),
         tree.root(),
         &mut tree,
         resources,
         config,
         &mut stats,
-        false,
     );
-    debug_assert!(lenient.is_ok(), "lenient inflation cannot fail");
     (tree, stats)
 }
 
 /// The content-addressed key of one inflation: template digest, resource
-/// table fingerprint, configuration digest, and the strict/lenient bit.
-/// The strict bit keeps lenient results (which silently truncate
-/// malformed templates) from ever answering a strict probe that must
-/// error instead.
-type InflateKey = (u64, u64, u64, bool);
+/// table fingerprint and configuration digest.
+type InflateKey = (u64, u64, u64);
 
 fn inflate_key(
     template: &LayoutTemplate,
     resources: &ResourceTable,
     config: &Configuration,
-    strict: bool,
 ) -> InflateKey {
     (
         template.content_digest(),
         resources.fingerprint(),
         memo::stable_hash(config),
-        strict,
     )
 }
 
 /// The process-wide inflated-template cache: a hit instantiates an
 /// activity's tree by cloning the Arc'd template instead of re-walking
-/// the layout and re-resolving every attribute. Errors are never cached
-/// (a failed strict inflation publishes nothing).
+/// the layout and re-resolving every attribute. A strict call probes it
+/// only once [`check_nesting`] has passed, so a malformed template never
+/// gets its truncated tree from here.
 ///
 /// Admission takes three touches, not the default two: one activity
 /// creation inflates the same template twice (the shadow and the sunny
@@ -143,7 +138,12 @@ fn inflate_cache() -> &'static MemoCache<InflateKey, (ViewTree, InflateStats)> {
 
 /// Strict form of [`inflate`]: a template that places children under a
 /// non-container view is rejected as [`ViewError::NotAContainer`] rather
-/// than silently truncated.
+/// than silently truncated. It is [`check_nesting`], then [`inflate`],
+/// so a template that passes gets exactly the lenient tree.
+///
+/// # Errors
+///
+/// The error [`check_nesting`] returns.
 ///
 /// # Examples
 ///
@@ -164,39 +164,33 @@ pub fn try_inflate(
     resources: &ResourceTable,
     config: &Configuration,
 ) -> Result<(ViewTree, InflateStats), ViewError> {
-    if memo::enabled() {
-        let key = inflate_key(template, resources, config, true);
-        match inflate_cache().probe(key) {
-            Admission::Hit(cached) => return Ok((*cached).clone()),
-            Admission::Build => {
-                let built = try_inflate_cold(template, resources, config)?;
-                inflate_cache().publish(key, built.clone());
-                return Ok(built);
-            }
-            Admission::Skip => {}
-        }
-    }
-    try_inflate_cold(template, resources, config)
+    check_nesting(template)?;
+    Ok(inflate(template, resources, config))
 }
 
-/// The uncached strict inflation walk.
-fn try_inflate_cold(
-    template: &LayoutTemplate,
-    resources: &ResourceTable,
-    config: &Configuration,
-) -> Result<(ViewTree, InflateStats), ViewError> {
-    let mut tree = ViewTree::new();
-    let mut stats = InflateStats::default();
-    inflate_node(
-        template.root(),
-        tree.root(),
-        &mut tree,
-        resources,
-        config,
-        &mut stats,
-        true,
-    )?;
-    Ok((tree, stats))
+/// Checks that every node of `template` that declares children is a
+/// container, without building a tree.
+///
+/// # Errors
+///
+/// [`ViewError::NotAContainer`] for the first offending node in
+/// pre-order, carrying the id inflation gives that node: ids follow
+/// pre-order after the decor view's 0, and nothing before that node's
+/// first child fails to inflate.
+pub fn check_nesting(template: &LayoutTemplate) -> Result<(), ViewError> {
+    fn first_misnested(node: &LayoutNode, next_id: &mut u64) -> Option<ViewId> {
+        *next_id += 1;
+        if !node.children.is_empty()
+            && !ViewKind::from_class_name(node.class.as_str()).is_container()
+        {
+            return Some(ViewId::new(*next_id));
+        }
+        node.children
+            .iter()
+            .find_map(|child| first_misnested(child, next_id))
+    }
+    first_misnested(template.root(), &mut 0)
+        .map_or(Ok(()), |parent| Err(ViewError::NotAContainer { parent }))
 }
 
 fn inflate_node(
@@ -206,14 +200,12 @@ fn inflate_node(
     resources: &ResourceTable,
     config: &Configuration,
     stats: &mut InflateStats,
-    strict: bool,
-) -> Result<(), ViewError> {
+) {
     let kind = ViewKind::from_class_name(node.class.as_str());
-    let id = match tree.add_interned_view(parent, kind, node.id_name) {
-        Ok(id) => id,
-        // The only failure adding a view has: `parent` is not a container.
-        Err(e) if strict => return Err(e),
-        Err(_) => return Ok(()), // lenient: drop the subtree
+    // The only failure adding a view has: `parent` is not a container,
+    // and then the subtree is dropped.
+    let Ok(id) = tree.add_interned_view(parent, kind, node.id_name) else {
+        return;
     };
     stats.views_created += 1;
 
@@ -250,9 +242,8 @@ fn inflate_node(
     tree.refresh_stateful(id);
 
     for child in &node.children {
-        inflate_node(child, id, tree, resources, config, stats, strict)?;
+        inflate_node(child, id, tree, resources, config, stats);
     }
-    Ok(())
 }
 
 fn resolve_string(
@@ -441,7 +432,12 @@ mod tests {
             LayoutNode::new("TextView").with_child(LayoutNode::new("Button")),
         );
         let err = try_inflate(&t, &ResourceTable::new(), &Configuration::phone_portrait());
-        assert!(matches!(err, Err(ViewError::NotAContainer { .. })));
+        // The root `TextView` is the first view inflation adds, id 1.
+        let expected = ViewError::NotAContainer {
+            parent: ViewId::new(1),
+        };
+        assert_eq!(err.map(|_| ()), Err(expected.clone()));
+        assert_eq!(check_nesting(&t), Err(expected));
     }
 
     #[test]

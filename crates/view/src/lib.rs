@@ -42,7 +42,7 @@ pub mod tree;
 
 pub use attrs::ViewAttrs;
 pub use error::ViewError;
-pub use inflate::{inflate, try_inflate, InflateStats};
+pub use inflate::{check_nesting, inflate, try_inflate, InflateStats};
 pub use kind::{MigrationClass, ViewKind};
 pub use layout::{layout, LayoutResult, Rect};
 pub use ops::{DirtyMask, ViewOp};

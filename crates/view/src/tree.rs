@@ -509,11 +509,20 @@ impl ViewTree {
         Ok(())
     }
 
-    /// Number of live duplicate-name bearers currently shadowed by a
-    /// lower-id view. Exposed so the property tests can check the
-    /// removal bookkeeping against the arena.
-    pub fn shadowed_duplicate_count(&self) -> usize {
-        self.shadowed_ids.values().map(Vec::len).sum()
+    /// Every name two or more live views bear, in no particular order,
+    /// with its bearers in pre-order: the indexed bearer and its shadowed
+    /// duplicates, ranked by their ancestor chains, so the query costs
+    /// the repeated names, not the tree.
+    pub fn repeated_names(&self) -> Vec<(Symbol, Vec<ViewId>)> {
+        // Less when `a` comes first; Equal only for a view and itself.
+        let pre_order = |a: &ViewId, b: &ViewId| self.precedes(*b, *a).cmp(&self.precedes(*a, *b));
+        let bearers = |(&name, shadowed): (&Symbol, &Vec<ViewId>)| {
+            let mut ids = shadowed.clone();
+            ids.extend(self.id_name_index.get(&name));
+            ids.sort_by(pre_order);
+            (name, ids)
+        };
+        self.shadowed_ids.iter().map(bearers).collect()
     }
 
     /// Applies a mutation and records an invalidation (the generic update
@@ -1085,7 +1094,7 @@ mod tests {
         assert_eq!(t.resident_bytes(), 0);
         assert_eq!(t.find_by_id_name("name"), None);
         assert!(t.id_name_index().is_empty());
-        assert_eq!(t.shadowed_duplicate_count(), 0);
+        assert!(t.repeated_names().is_empty());
         assert!(t.iter_ids().is_empty());
         assert!(t.save_hierarchy_state().is_empty());
     }

@@ -1,9 +1,9 @@
-//! The memo ≡ cold contract: the warm-path caches (`kernel::memo` —
-//! inflated templates on the device path, app shapes in the analyzer)
-//! are pure memoization. Disabling them with the kill switch, evicting
-//! them under pressure, or invalidating them mid-workload must never
-//! change a single observable digest — at any worker count, with faults
-//! injected, for arbitrary app specs.
+//! The memo ≡ cold contract: the warm-path cache (`kernel::memo`'s
+//! inflated templates, on the device path and under the analyzer's
+//! shape extraction) is pure memoization. Disabling it with the kill
+//! switch, evicting it under pressure, or invalidating it mid-workload
+//! must never change a single observable digest — at any worker count,
+//! with faults injected, for arbitrary app specs.
 //!
 //! The tests toggle the process-global memo switch, so every test in
 //! this binary serialises on [`FLAG_LOCK`] and restores the enabled
@@ -194,13 +194,15 @@ proptest! {
     }
 }
 
-/// The analyzer's `AppShape` extraction is memoized through the same
-/// `kernel::memo` registry as the runtime caches. Cold (memo off),
-/// first-warm (fills), second-warm (hits), and post-reclaim /
+/// The analyzer goes through the inflation cache too: each shape's
+/// throwaway `perform_create` inflates its orientations through
+/// `kernel::memo`, and shapes themselves are not memoized. Cold (memo
+/// off), warm (tombstones, then publishes, then hits under the
+/// inflater's three-touch admission), and post-reclaim /
 /// post-invalidate analyses of the same corpus must produce identical
 /// per-app digests — diagnostics, verdicts and suppression counts.
 #[test]
-fn shape_memoization_never_changes_analysis_results() {
+fn cached_inflation_never_changes_analysis_results() {
     let _serial = FLAG_LOCK.lock().unwrap();
     let specs: Vec<GenericAppSpec> = rch_workloads::tp27_specs()
         .into_iter()
@@ -212,13 +214,31 @@ fn shape_memoization_never_changes_analysis_results() {
             .map(|s| AppAnalysis::of(s, &Suppressions::none()).digest())
             .collect()
     };
+    let inflate_hits = || {
+        memo::snapshot_all()
+            .iter()
+            .find(|s| s.name == "inflate")
+            .map_or(0, |s| s.hits)
+    };
     let cold = {
         let _off = MemoGuard::set(false);
         digest_all()
     };
     let _on = MemoGuard::set(true);
-    assert_eq!(digest_all(), cold, "first warm pass fills the shape cache");
-    assert_eq!(digest_all(), cold, "second warm pass hits the shape cache");
+    assert_eq!(digest_all(), cold, "first warm pass leaves tombstones");
+    assert_eq!(digest_all(), cold, "second warm pass leaves tombstones");
+    assert_eq!(
+        digest_all(),
+        cold,
+        "third warm pass fills the inflation cache"
+    );
+    let before = inflate_hits();
+    assert_eq!(
+        digest_all(),
+        cold,
+        "fourth warm pass hits the inflation cache"
+    );
+    assert!(inflate_hits() > before, "the analyzer's inflations hit");
     memo::reclaim_all();
     assert_eq!(digest_all(), cold, "reclaim never changes analysis results");
     memo::invalidate_all();

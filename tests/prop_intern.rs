@@ -112,10 +112,8 @@ proptest! {
             .into_iter()
             .filter(|&v| tree.view(v).unwrap().id_name.is_some())
             .count();
-        prop_assert_eq!(
-            tree.shadowed_duplicate_count(),
-            named_bearers - tree.id_name_index().len()
-        );
+        let shadowed: usize = tree.repeated_names().iter().map(|(_, ids)| ids.len() - 1).sum();
+        prop_assert_eq!(shadowed, named_bearers - tree.id_name_index().len());
         // And the public lookup agrees with the index for every pool
         // name, present or not.
         for name in NAME_POOL {

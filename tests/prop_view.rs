@@ -2,8 +2,10 @@
 //! sequences, and save/restore behaviour — including reference oracles
 //! that replay the whole-tree save/restore and user-state copies the
 //! entry-driven code must match bit for bit, the save checked after every
-//! step of scripts that start from inflated or grafted layouts — plus a
-//! map oracle for layout attribute lists, the rule that user content is
+//! step of scripts that start from inflated or grafted layouts — plus
+//! the walks strict inflation and RCH001's grouping used to do, as
+//! oracles for the nesting check and the repeated-names query, a map
+//! oracle for layout attribute lists, the rule that user content is
 //! never interned, and the memo keys' separation of unequal templates.
 
 use droidsim_app::{Activity, ActivityInstanceId, ActivityThread, AppModel, FragmentSpec};
@@ -12,7 +14,9 @@ use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
 use droidsim_kernel::Symbol;
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
-use droidsim_view::{inflate, try_inflate, ViewAttrs, ViewError, ViewKind, ViewOp, ViewTree};
+use droidsim_view::{
+    check_nesting, inflate, try_inflate, ViewAttrs, ViewError, ViewId, ViewKind, ViewOp, ViewTree,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rch_workloads::{GenericAppSpec, StateItem, StateMechanism};
@@ -660,6 +664,127 @@ proptest! {
             .unwrap();
         let expected = oracle_hot_reload(&old, &model, &landscape);
         prop_assert_eq!(&thread.instance(instance).unwrap().tree, &expected);
+    }
+}
+
+// ---- What strict inflation and RCH001's grouping computed by building
+// ---- and walking trees, now read off the template and the name index.
+
+/// Strict inflation as it was: each node's view added with
+/// [`ViewTree::add_view`] in pre-order, stopping at the first add that
+/// fails, and given the `text` and `progress` attributes the start
+/// layouts carry, resolved against `table` the way the inflater does.
+fn oracle_strict_inflate(
+    layout: &LayoutTemplate,
+    table: &ResourceTable,
+    config: &Configuration,
+) -> Result<ViewTree, ViewError> {
+    fn add(
+        node: &LayoutNode,
+        parent: ViewId,
+        tree: &mut ViewTree,
+        table: &ResourceTable,
+        config: &Configuration,
+    ) -> Result<(), ViewError> {
+        let kind = ViewKind::from_class_name(node.class.as_str());
+        let id = tree.add_view(parent, kind, node.id_name.map(Symbol::as_str))?;
+        tree.edit_attrs(id, |attrs| {
+            for (key, value) in node.attrs() {
+                let value = value.as_str();
+                match key.as_str() {
+                    "text" => {
+                        let resolved = value
+                            .strip_prefix("@string/")
+                            .and_then(|name| table.resolve_string(name, config));
+                        attrs.text = Some(resolved.unwrap_or(value).to_owned());
+                    }
+                    "progress" => attrs.progress = value.parse().ok().or(attrs.progress),
+                    _ => {}
+                }
+            }
+        })?;
+        for child in &node.children {
+            add(child, id, tree, table, config)?;
+        }
+        Ok(())
+    }
+    let mut tree = ViewTree::new();
+    let root = tree.root();
+    add(layout.root(), root, &mut tree, table, config)?;
+    Ok(tree)
+}
+
+/// RCH001's grouping as it was: every named view in pre-order, grouped
+/// by the name's text, keeping the names two or more views bear.
+fn oracle_repeated_names(tree: &ViewTree) -> BTreeMap<String, Vec<ViewId>> {
+    let mut by_name: BTreeMap<String, Vec<ViewId>> = BTreeMap::new();
+    for id in tree.iter_ids() {
+        if let Some(name) = tree.view(id).unwrap().id_name_str() {
+            by_name.entry(name.to_owned()).or_default().push(id);
+        }
+    }
+    by_name.retain(|_, ids| ids.len() >= 2);
+    by_name
+}
+
+/// [`ViewTree::repeated_names`] keyed by text, failing if a name is
+/// listed twice.
+fn repeated_names_by_text(tree: &ViewTree) -> Result<BTreeMap<String, Vec<ViewId>>, TestCaseError> {
+    let listed = tree.repeated_names();
+    let by_text: BTreeMap<String, Vec<ViewId>> = listed
+        .iter()
+        .map(|(name, ids)| (name.as_str().to_owned(), ids.clone()))
+        .collect();
+    prop_assert_eq!(by_text.len(), listed.len(), "a name listed twice");
+    Ok(by_text)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn strict_nesting_matches_a_stop_at_the_first_failure_walk(
+        layout in arb_layout(LAYOUT_CLASSES.len()),
+    ) {
+        // Leaves may hold children, so most layouts are malformed, and
+        // the error must name the parent a strict walk stops at.
+        let config = Configuration::phone_portrait();
+        let mut table = ResourceTable::new();
+        table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
+        let reference = oracle_strict_inflate(&layout, &table, &config);
+        prop_assert_eq!(check_nesting(&layout), reference.as_ref().map(|_| ()).map_err(Clone::clone));
+        match (try_inflate(&layout, &table, &config), reference) {
+            (Ok((strict, _)), Ok(reference)) => {
+                prop_assert_eq!(&strict, &inflate(&layout, &table, &config).0);
+                prop_assert_eq!(&strict, &reference);
+            }
+            (strict, reference) => prop_assert_eq!(strict.map(|_| ()), reference.map(|_| ())),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn repeated_names_match_the_pre_order_grouping(
+        start in arb_start(),
+        steps in arb_save_script(200),
+    ) {
+        // Adds under any live view, removes, clones and grafted starts
+        // put later ids ahead of earlier ones in pre-order, so the
+        // bearers' order is the pre-order walk's, not the ids'.
+        let mut tree = start_tree(&start);
+        prop_assert_eq!(repeated_names_by_text(&tree)?, oracle_repeated_names(&tree));
+        for step in &steps {
+            apply_script(&mut tree, std::slice::from_ref(step), &NAMES);
+            prop_assert_eq!(
+                repeated_names_by_text(&tree)?,
+                oracle_repeated_names(&tree),
+                "after {:?}",
+                step
+            );
+        }
     }
 }
 
