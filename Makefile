@@ -15,8 +15,9 @@ ci: build test fmt clippy doc rchbench-test fault-matrix fleet-determinism \
 # under RCHDroid's one handling mode.
 FAULT_SEEDS ?= 1 2 3 5 8
 
+# --locked: the committed Cargo.lock must already match the manifests.
 build:
-	$(CARGO) build --release
+	$(CARGO) build --release --locked
 
 test:
 	$(CARGO) test -q --workspace --offline
@@ -46,11 +47,10 @@ fault-matrix:
 rchbench-test:
 	$(CARGO) test --release --offline --manifest-path rchbench/Cargo.toml
 
+# One iteration of every bench (fleet_parallel also asserts that every
+# worker count reduces to the same digest).
 bench-smoke:
-	$(CARGO) bench -p rch-bench --bench fig07_handling_time_27 -- --test
-	$(CARGO) bench -p rch-bench --bench migration_batching -- --test
-	$(CARGO) bench -p rch-bench --bench robustness_faults -- --test
-	$(CARGO) bench -p rch-bench --bench fleet_parallel -- --test
+	$(CARGO) bench -p rch-bench --offline -- --test
 
 # The fleet determinism gate: a parallel run's per-device digests must
 # be bit-identical to the DROIDSIM_JOBS=1 inline run (3 seeds, 5% fault

@@ -27,10 +27,9 @@ use crate::activity::Activity;
 use droidsim_config::Configuration;
 use droidsim_resources::ResourceTable;
 use droidsim_view::{inflate, ViewError, ViewId};
-use serde::{Deserialize, Serialize};
 
 /// A fragment description: which layout it inflates and where it mounts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FragmentSpec {
     /// The fragment's tag (unique within an activity).
     pub tag: String,

@@ -30,19 +30,6 @@ pub struct AsyncSpec {
     pub result: AsyncResult,
 }
 
-impl AsyncSpec {
-    /// A task that updates one view after `duration`.
-    pub fn updating(duration: SimDuration, id_name: &str, op: ViewOp) -> Self {
-        AsyncSpec {
-            duration,
-            result: AsyncResult {
-                ops: vec![(id_name.to_owned(), op)],
-                shows_dialog: false,
-            },
-        }
-    }
-}
-
 /// Black-box app logic.
 ///
 /// The framework calls these hooks exactly where Android calls the

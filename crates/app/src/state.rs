@@ -7,10 +7,9 @@
 //! changes migrated from the coupled shadow tree.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// One activity instance's lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivityState {
     /// `onCreate` ran.
     Created,

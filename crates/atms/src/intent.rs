@@ -2,7 +2,6 @@
 
 use core::fmt;
 use core::ops::{BitAnd, BitOr, BitOrAssign};
-use serde::{Deserialize, Serialize};
 
 /// Launch flags carried by an [`Intent`].
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// it marks an activity-start request as the second half of a runtime
 /// change, telling the starter to take the coin-flipping path and to allow
 /// a *second* instance of the activity already on top of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct IntentFlags(u32);
 
 impl IntentFlags {
@@ -96,7 +95,7 @@ impl fmt::Display for IntentFlags {
 /// let intent = Intent::new("com.example/.Main").with_flags(IntentFlags::SUNNY);
 /// assert!(intent.flags.contains(IntentFlags::SUNNY));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Intent {
     /// Target component (`package/.Activity`).
     pub component: String,

@@ -3,7 +3,6 @@
 
 use droidsim_config::{ConfigChanges, Configuration};
 use droidsim_kernel::SimTime;
-use serde::{Deserialize, Serialize};
 
 droidsim_kernel::define_id! {
     /// The token identifying an activity record (and, across the IPC
@@ -12,7 +11,7 @@ droidsim_kernel::define_id! {
 }
 
 /// Lifecycle state as tracked by the system server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecordState {
     /// Created but not yet resumed.
     #[default]
@@ -31,7 +30,7 @@ pub enum RecordState {
 ///
 /// The paper's `ActivityRecord` patch (+11 LoC) adds the shadow-state
 /// field and its accessors; they are plain stock-inert data here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityRecord {
     id: ActivityRecordId,
     component: String,

@@ -1,7 +1,6 @@
 //! The activity stack: tasks and per-task record stacks.
 
 use crate::record::{ActivityRecord, ActivityRecordId};
-use serde::{Deserialize, Serialize};
 
 droidsim_kernel::define_id! {
     /// Identifies a task (≈ one app) in the activity stack.
@@ -9,7 +8,7 @@ droidsim_kernel::define_id! {
 }
 
 /// One task: an app's back stack of activity records (Fig. 2b).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskRecord {
     id: TaskId,
     /// The task's affinity: the package whose activities it collects.
@@ -95,7 +94,7 @@ impl TaskRecord {
 }
 
 /// The global activity stack: an ordered set of tasks, topmost last.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActivityStack {
     tasks: Vec<TaskRecord>,
     next_task_id: u64,
@@ -110,11 +109,6 @@ impl ActivityStack {
     /// The foreground task, if any.
     pub fn top_task(&self) -> Option<&TaskRecord> {
         self.tasks.last()
-    }
-
-    /// Mutable access to the foreground task.
-    pub fn top_task_mut(&mut self) -> Option<&mut TaskRecord> {
-        self.tasks.last_mut()
     }
 
     /// Finds a task by affinity.

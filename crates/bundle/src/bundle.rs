@@ -1,7 +1,6 @@
 //! The [`Bundle`] container and its [`Value`] variants.
 
 use crate::parcel::Parcel;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -10,7 +9,7 @@ use std::sync::Arc;
 /// The variants cover what the simulator's views and app models save:
 /// primitives, strings, blobs, lists, and nested bundles (used for the view
 /// hierarchy state, keyed by view id).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A boolean.
     Bool(bool),
@@ -30,23 +29,6 @@ pub enum Value {
     StrList(Vec<String>),
     /// A nested bundle.
     Nested(Bundle),
-}
-
-impl Value {
-    /// A short name for the variant, used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::I32(_) => "i32",
-            Value::I64(_) => "i64",
-            Value::F64(_) => "f64",
-            Value::Str(_) => "string",
-            Value::Blob(_) => "blob",
-            Value::I32List(_) => "i32 list",
-            Value::StrList(_) => "string list",
-            Value::Nested(_) => "bundle",
-        }
-    }
 }
 
 macro_rules! value_from {
@@ -93,7 +75,7 @@ value_from!(Bundle => Nested);
 /// b.put("progress", 43i32); // copy-on-write detaches `b`
 /// assert_eq!(snapshot.i32("progress"), Some(42));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Bundle {
     entries: Arc<BTreeMap<String, Value>>,
 }

@@ -7,7 +7,6 @@
 //! flattening is lossless.
 
 use crate::bundle::{Bundle, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// A flat byte buffer with Android-Parcel-like typed read/write.
 ///
@@ -25,13 +24,14 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// ```
 #[derive(Debug, Default)]
 pub struct Parcel {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 /// A reader over a finished parcel.
 #[derive(Debug)]
 pub struct ParcelReader {
-    buf: Bytes,
+    buf: Vec<u8>,
+    pos: usize,
 }
 
 /// Error produced when reading a malformed parcel.
@@ -74,56 +74,59 @@ impl Parcel {
         self.buf.is_empty()
     }
 
+    /// Writes a `u32` little-endian length prefix.
+    fn write_len(&mut self, len: usize) {
+        let len = u32::try_from(len).expect("a parcel length fits its u32 prefix");
+        self.buf.extend_from_slice(&len.to_le_bytes());
+    }
+
     /// Writes a string (length-prefixed UTF-8).
     pub fn write_str(&mut self, s: &str) {
-        self.buf.put_u32_le(s.len() as u32);
-        self.buf.put_slice(s.as_bytes());
+        self.write_len(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Writes a single value with its type tag.
     pub fn write_value(&mut self, value: &Value) {
         match value {
-            Value::Bool(v) => {
-                self.buf.put_u8(TAG_BOOL);
-                self.buf.put_u8(u8::from(*v));
-            }
+            Value::Bool(v) => self.buf.extend_from_slice(&[TAG_BOOL, u8::from(*v)]),
             Value::I32(v) => {
-                self.buf.put_u8(TAG_I32);
-                self.buf.put_i32_le(*v);
+                self.buf.push(TAG_I32);
+                self.buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::I64(v) => {
-                self.buf.put_u8(TAG_I64);
-                self.buf.put_i64_le(*v);
+                self.buf.push(TAG_I64);
+                self.buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::F64(v) => {
-                self.buf.put_u8(TAG_F64);
-                self.buf.put_f64_le(*v);
+                self.buf.push(TAG_F64);
+                self.buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::Str(v) => {
-                self.buf.put_u8(TAG_STR);
+                self.buf.push(TAG_STR);
                 self.write_str(v);
             }
             Value::Blob(v) => {
-                self.buf.put_u8(TAG_BLOB);
-                self.buf.put_u32_le(v.len() as u32);
-                self.buf.put_slice(v);
+                self.buf.push(TAG_BLOB);
+                self.write_len(v.len());
+                self.buf.extend_from_slice(v);
             }
             Value::I32List(v) => {
-                self.buf.put_u8(TAG_I32LIST);
-                self.buf.put_u32_le(v.len() as u32);
+                self.buf.push(TAG_I32LIST);
+                self.write_len(v.len());
                 for item in v {
-                    self.buf.put_i32_le(*item);
+                    self.buf.extend_from_slice(&item.to_le_bytes());
                 }
             }
             Value::StrList(v) => {
-                self.buf.put_u8(TAG_STRLIST);
-                self.buf.put_u32_le(v.len() as u32);
+                self.buf.push(TAG_STRLIST);
+                self.write_len(v.len());
                 for item in v {
                     self.write_str(item);
                 }
             }
             Value::Nested(v) => {
-                self.buf.put_u8(TAG_BUNDLE);
+                self.buf.push(TAG_BUNDLE);
                 self.write_bundle(v);
             }
         }
@@ -131,7 +134,7 @@ impl Parcel {
 
     /// Writes a whole bundle (entry count, then sorted key/value pairs).
     pub fn write_bundle(&mut self, bundle: &Bundle) {
-        self.buf.put_u32_le(bundle.len() as u32);
+        self.write_len(bundle.len());
         for (key, value) in bundle.iter() {
             self.write_str(key);
             self.write_value(value);
@@ -140,14 +143,12 @@ impl Parcel {
 
     /// Finishes writing and returns a reader over the bytes.
     pub fn into_reader(self) -> ParcelReader {
-        ParcelReader {
-            buf: self.buf.freeze(),
-        }
+        ParcelReader::from_bytes(self.buf)
     }
 
     /// Finishes writing and returns the raw bytes (binder wire format).
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.freeze().to_vec()
+        self.buf
     }
 }
 
@@ -155,67 +156,63 @@ impl ParcelReader {
     /// Creates a reader over raw bytes previously produced by
     /// [`Parcel::into_bytes`] (or received "over the wire").
     pub fn from_bytes(bytes: Vec<u8>) -> ParcelReader {
-        ParcelReader {
-            buf: Bytes::from(bytes),
-        }
+        ParcelReader { buf: bytes, pos: 0 }
     }
-}
 
-impl ParcelReader {
-    fn need(&self, n: usize, what: &'static str) -> Result<(), ParcelError> {
-        if self.buf.remaining() < n {
-            Err(ParcelError { what })
-        } else {
-            Ok(())
+    /// Consumes the next `n` bytes, or fails naming `what` was cut short.
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&[u8], ParcelError> {
+        let rest = &self.buf[self.pos..];
+        if rest.len() < n {
+            return Err(ParcelError { what });
         }
+        self.pos += n;
+        Ok(&rest[..n])
+    }
+
+    fn take_array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], ParcelError> {
+        let bytes = self.take(N, what)?;
+        Ok(bytes.try_into().expect("take returns N bytes"))
+    }
+
+    fn read_len(&mut self, what: &'static str) -> Result<usize, ParcelError> {
+        Ok(u32::from_le_bytes(self.take_array(what)?) as usize)
     }
 
     /// Reads a length-prefixed string.
     pub fn read_str(&mut self) -> Result<String, ParcelError> {
-        self.need(4, "string length")?;
-        let len = self.buf.get_u32_le() as usize;
-        self.need(len, "string bytes")?;
-        let bytes = self.buf.copy_to_bytes(len);
+        let len = self.read_len("string length")?;
+        let bytes = self.take(len, "string bytes")?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ParcelError { what: "utf-8" })
     }
 
     /// Reads one tagged value.
     pub fn read_value(&mut self) -> Result<Value, ParcelError> {
-        self.need(1, "value tag")?;
-        let tag = self.buf.get_u8();
+        let [tag] = self.take_array("value tag")?;
         Ok(match tag {
             TAG_BOOL => {
-                self.need(1, "bool")?;
-                Value::Bool(self.buf.get_u8() != 0)
+                let [v] = self.take_array("bool")?;
+                Value::Bool(v != 0)
             }
-            TAG_I32 => {
-                self.need(4, "i32")?;
-                Value::I32(self.buf.get_i32_le())
-            }
-            TAG_I64 => {
-                self.need(8, "i64")?;
-                Value::I64(self.buf.get_i64_le())
-            }
-            TAG_F64 => {
-                self.need(8, "f64")?;
-                Value::F64(self.buf.get_f64_le())
-            }
+            TAG_I32 => Value::I32(i32::from_le_bytes(self.take_array("i32")?)),
+            TAG_I64 => Value::I64(i64::from_le_bytes(self.take_array("i64")?)),
+            TAG_F64 => Value::F64(f64::from_le_bytes(self.take_array("f64")?)),
             TAG_STR => Value::Str(self.read_str()?),
             TAG_BLOB => {
-                self.need(4, "blob length")?;
-                let len = self.buf.get_u32_le() as usize;
-                self.need(len, "blob bytes")?;
-                Value::Blob(self.buf.copy_to_bytes(len).to_vec())
+                let len = self.read_len("blob length")?;
+                Value::Blob(self.take(len, "blob bytes")?.to_vec())
             }
             TAG_I32LIST => {
-                self.need(4, "list length")?;
-                let len = self.buf.get_u32_le() as usize;
-                self.need(len * 4, "list items")?;
-                Value::I32List((0..len).map(|_| self.buf.get_i32_le()).collect())
+                let len = self.read_len("list length")?;
+                let items = self.take(len.saturating_mul(4), "list items")?;
+                Value::I32List(
+                    items
+                        .chunks_exact(4)
+                        .map(|item| i32::from_le_bytes(item.try_into().expect("4-byte chunk")))
+                        .collect(),
+                )
             }
             TAG_STRLIST => {
-                self.need(4, "list length")?;
-                let len = self.buf.get_u32_le() as usize;
+                let len = self.read_len("list length")?;
                 let mut items = Vec::with_capacity(len.min(1024));
                 for _ in 0..len {
                     items.push(self.read_str()?);
@@ -233,8 +230,7 @@ impl ParcelReader {
 
     /// Reads a whole bundle.
     pub fn read_bundle(&mut self) -> Result<Bundle, ParcelError> {
-        self.need(4, "bundle length")?;
-        let len = self.buf.get_u32_le() as usize;
+        let len = self.read_len("bundle length")?;
         let mut entries = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
             let key = self.read_str()?;
@@ -246,7 +242,7 @@ impl ParcelReader {
 
     /// Unread bytes remaining.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 }
 
@@ -290,24 +286,63 @@ mod tests {
     }
 
     #[test]
+    fn every_variant_flattens_to_the_pinned_bytes() {
+        let mut inner = Bundle::new();
+        inner.put_i32("n", 7);
+        let mut b = Bundle::new();
+        b.put_bool("a", true);
+        b.put_i32("b", -2);
+        b.put_i64("c", 1 << 40);
+        b.put_f64("d", 0.5);
+        b.put_string("e", "hi");
+        b.put("f", vec![0u8, 255]);
+        b.put("g", vec![1i32, -1]);
+        b.put("h", vec!["x".to_owned(), String::new()]);
+        b.put_bundle("i", inner);
+        let mut parcel = Parcel::new();
+        parcel.write_bundle(&b);
+        let hex: String = parcel
+            .into_bytes()
+            .iter()
+            .map(|byte| format!("{byte:02x}"))
+            .collect();
+        // Entry count, then per entry: key (u32 length + UTF-8), tag,
+        // payload. Scalars are little-endian; strings, blobs and lists
+        // carry a u32 length prefix.
+        let pinned = [
+            "09000000",
+            "01000000 61 01 01",
+            "01000000 62 02 feffffff",
+            "01000000 63 03 0000000000010000",
+            "01000000 64 04 000000000000e03f",
+            "01000000 65 05 02000000 6869",
+            "01000000 66 06 02000000 00ff",
+            "01000000 67 07 02000000 01000000 ffffffff",
+            "01000000 68 08 02000000 01000000 78 00000000",
+            "01000000 69 09 01000000 01000000 6e 02 07000000",
+        ]
+        .concat()
+        .replace(' ', "");
+        assert_eq!(hex, pinned);
+    }
+
+    #[test]
     fn truncated_parcel_errors() {
         let mut parcel = Parcel::new();
         parcel.write_bundle(&sample_bundle());
-        let reader = parcel.into_reader();
-        let bytes = reader.buf.slice(0..reader.buf.len() / 2);
-        let mut truncated = ParcelReader { buf: bytes };
-        assert!(truncated.read_bundle().is_err());
+        let mut bytes = parcel.into_bytes();
+        bytes.truncate(bytes.len() / 2);
+        assert!(ParcelReader::from_bytes(bytes).read_bundle().is_err());
     }
 
     #[test]
     fn unknown_tag_errors() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1); // one entry
-        buf.put_u32_le(1); // key length
-        buf.put_slice(b"k");
-        buf.put_u8(99); // bogus tag
-        let mut reader = ParcelReader { buf: buf.freeze() };
-        let err = reader.read_bundle().unwrap_err();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // one entry
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // key length
+        bytes.push(b'k');
+        bytes.push(99); // bogus tag
+        let err = ParcelReader::from_bytes(bytes).read_bundle().unwrap_err();
         assert_eq!(err.to_string(), "malformed parcel: unknown tag");
     }
 }

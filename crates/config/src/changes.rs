@@ -7,7 +7,6 @@
 
 use core::fmt;
 use core::ops::{BitAnd, BitOr, BitOrAssign, Not};
-use serde::{Deserialize, Serialize};
 
 /// A set of configuration-change flags.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// // The app handles orientation but not screen size → restart required.
 /// assert!(!diff.is_subset_of(handled));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ConfigChanges(u32);
 
 impl ConfigChanges {

@@ -4,10 +4,9 @@ use crate::changes::ConfigChanges;
 use crate::locale::Locale;
 use crate::screen::{Orientation, ScreenSize};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Hardware keyboard attachment state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KeyboardState {
     /// No hardware keyboard.
     #[default]
@@ -19,7 +18,7 @@ pub enum KeyboardState {
 }
 
 /// Day/night UI mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum UiMode {
     /// Light theme.
     #[default]
@@ -40,7 +39,7 @@ pub enum UiMode {
 /// let translated = base.with_locale(Locale::zh_cn());
 /// assert_eq!(base.diff(&translated), ConfigChanges::LOCALE);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Configuration {
     /// Screen orientation.
     pub orientation: Orientation,

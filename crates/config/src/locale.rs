@@ -1,7 +1,6 @@
 //! System locale.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A BCP-47-ish locale tag (language + region), the unit of language
 /// switching in the paper's motivation.
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_ne!(en, zh);
 /// assert_eq!(en.to_string(), "en-US");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Locale {
     language: String,
     region: String,

@@ -1,10 +1,9 @@
 //! Screen geometry: orientation and size in density-independent pixels.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Screen orientation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Orientation {
     /// Height ≥ width.
     #[default]
@@ -43,7 +42,7 @@ impl fmt::Display for Orientation {
 /// assert_eq!(s.orientation(), Orientation::Portrait);
 /// assert_eq!(s.swapped().orientation(), Orientation::Landscape);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScreenSize {
     /// Width in dp.
     pub width_dp: u32,

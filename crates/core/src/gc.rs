@@ -12,7 +12,6 @@
 //! sweep of Fig. 11.
 
 use droidsim_kernel::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The GC's verdict for the current shadow instance.
@@ -42,7 +41,7 @@ impl GcDecision {
 }
 
 /// The tunable policy (Algorithm 1's inputs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcPolicy {
     /// `THRESH_T`: minimum shadow age before collection.
     pub thresh_t: SimDuration,
@@ -104,11 +103,6 @@ impl ShadowAgeTracker {
             policy,
             entries: VecDeque::new(),
         }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> GcPolicy {
-        self.policy
     }
 
     /// Records that an activity entered the shadow state at `now`.

@@ -242,11 +242,6 @@ impl RchDroid {
         records
     }
 
-    /// The GC policy in force.
-    pub fn gc_policy(&self) -> GcPolicy {
-        self.tracker.policy()
-    }
-
     /// The ablation options in force.
     pub fn options(&self) -> RchOptions {
         self.options

@@ -224,7 +224,7 @@ impl MigrationEngine {
         // back (emptied, capacity kept) whichever way the flush ends.
         let mut batch = std::mem::take(&mut self.batch);
         let mut raw = 0;
-        shadow.drain_dirty_with(|view, _, count| {
+        shadow.drain_dirty_with(|view, count| {
             batch.push(view);
             raw += count;
         });

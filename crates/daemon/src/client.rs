@@ -299,13 +299,6 @@ impl RetryingClient {
         self
     }
 
-    /// Replaces the backoff schedule (e.g. a seeded one, for
-    /// deterministic chaos harnesses).
-    pub fn with_backoff(mut self, backoff: Backoff) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
     /// Drops the live connection (if any) on the floor — the chaos
     /// harness's mid-burst connection kill. The next operation
     /// transparently reconnects.

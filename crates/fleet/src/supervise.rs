@@ -427,14 +427,6 @@ pub struct FleetRun<R> {
 }
 
 impl<R> FleetRun<R> {
-    /// Results that materialised this run, with their indices.
-    pub fn ok_results(&self) -> impl Iterator<Item = (usize, &R)> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.ok().map(|r| (i, r)))
-    }
-
     /// The study digest: the per-task digests folded in item order.
     /// `None` when any task is quarantined — a partial run has no
     /// comparable digest.

@@ -4,8 +4,6 @@
 //! per-domain [`IdGen`]s so that ids are dense, deterministic and never
 //! reused within a simulation run.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone id allocator.
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(gen.next(), 0);
 /// assert_eq!(gen.next(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdGen {
     next: u64,
 }
@@ -58,10 +56,7 @@ impl IdGen {
 macro_rules! define_id {
     ($(#[$meta:meta])* $vis:vis struct $name:ident) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            serde::Serialize, serde::Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         $vis struct $name(pub u64);
 
         impl $name {

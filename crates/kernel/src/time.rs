@@ -7,7 +7,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// An absolute instant on the virtual simulation clock, in microseconds
 /// since simulation start.
@@ -20,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_millis(89);
 /// assert_eq!(t.as_micros(), 89_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in microseconds.
@@ -36,9 +33,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_micros(), 2_500);
 /// assert_eq!(d.as_millis_f64(), 2.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

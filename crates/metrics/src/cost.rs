@@ -18,14 +18,13 @@
 //! is exactly the configuration being flipped back to.
 
 use droidsim_kernel::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Per-app scaling of the cost model.
 ///
 /// `complexity` multiplies the CPU-bound steps (class loading, layout,
 /// first draw) — ≈1.0 for the paper's small TP-set apps, 2–3 for the
 /// Google-Play top-100 apps. `view_count` drives the O(n) terms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppCostProfile {
     /// CPU-cost multiplier for framework steps.
     pub complexity: f64,
@@ -53,7 +52,7 @@ impl Default for AppCostProfile {
 }
 
 /// The model's tunable constants (milliseconds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// One binder hop between activity thread and ATMS.
     pub ipc_one_way_ms: f64,
@@ -186,11 +185,6 @@ impl CostModel {
         CostModel {
             params: CostParams::default(),
         }
-    }
-
-    /// A model with custom constants (ablations).
-    pub fn with_params(params: CostParams) -> Self {
-        CostModel { params }
     }
 
     /// The constants in use.

@@ -8,7 +8,6 @@
 //! vanish at the meter's sampling resolution.
 
 use droidsim_kernel::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Board-level power/energy model.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let watts = model.mean_power(SimDuration::from_secs(10), SimDuration::from_millis(150));
 /// assert!((watts - 4.03).abs() < 0.05, "invisible at meter resolution");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Idle board power (SoC + RAM + peripherals), watts.
     pub idle_watts: f64,

@@ -8,13 +8,11 @@
 //! which is what produces the paper's 1.12× (small apps, Fig. 8) and
 //! +7.13 % (large apps, Fig. 14b).
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes in one mebibyte.
 pub const MIB: u64 = 1024 * 1024;
 
 /// A point-in-time memory reading for one app.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemorySnapshot {
     /// App base footprint (bytes).
     pub base_bytes: u64,
@@ -45,7 +43,7 @@ impl MemorySnapshot {
 /// let snap = model.snapshot([6 * 1024 * 1024u64, 6 * 1024 * 1024]);
 /// assert!((snap.total_mib() - 52.0).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryModel {
     base_bytes: u64,
 }

@@ -8,10 +8,9 @@
 //! percentage.
 
 use droidsim_kernel::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One sample of the profiler output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Sample timestamp.
     pub at: SimTime,

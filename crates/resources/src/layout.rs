@@ -12,13 +12,12 @@
 //! to the view tree without interning anything.
 
 use droidsim_kernel::{memo, Symbol};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One node of a layout template.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayoutNode {
     /// View class name, interned, e.g. `"TextView"`, `"ImageView"`,
     /// `"LinearLayout"`.
@@ -184,14 +183,13 @@ impl fmt::Debug for TemplateDigest {
 /// access goes through [`name`](LayoutTemplate::name) and
 /// [`root`](LayoutTemplate::root), mutation through
 /// [`root_mut`](LayoutTemplate::root_mut).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutTemplate {
     /// The layout's resource name (e.g. `"activity_main"`).
     name: String,
     /// The root node — conventionally a view group that becomes the child
     /// of the window's decor view.
     root: LayoutNode,
-    #[serde(skip)]
     digest: TemplateDigest,
 }
 

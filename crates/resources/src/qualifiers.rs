@@ -1,7 +1,6 @@
 //! Configuration qualifiers and the Android matching/precedence rules.
 
 use droidsim_config::{Configuration, Orientation, UiMode};
-use serde::{Deserialize, Serialize};
 
 /// A partial predicate over configurations — the model of a resource
 /// directory suffix such as `layout-land`, `values-zh-rCN` or
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!land.matches(&Configuration::phone_portrait()));
 /// assert!(land.matches(&Configuration::phone_landscape()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Qualifiers {
     orientation: Option<Orientation>,
     language: Option<String>,

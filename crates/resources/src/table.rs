@@ -7,12 +7,11 @@ use core::fmt;
 use droidsim_config::Configuration;
 use droidsim_kernel::memo;
 use droidsim_kernel::Symbol;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A resolved resource id (stable per `(table, name)` pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResId(pub u32);
 
 impl fmt::Display for ResId {
@@ -22,7 +21,7 @@ impl fmt::Display for ResId {
 }
 
 /// A resource payload.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum ResourceValue {
     /// A string resource.
     String(String),
@@ -89,7 +88,7 @@ impl fmt::Display for ResourceError {
 
 impl std::error::Error for ResourceError {}
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Entry {
     qualifiers: Qualifiers,
     value: ResourceValue,
@@ -100,9 +99,9 @@ struct Entry {
 /// [`ResourceTable::put`]. Lives in an `AtomicU64` so resolution — a
 /// `&self` path — can fill it in; racing fills compute the same value.
 ///
-/// Deliberately invisible to equality and serialization: the fingerprint
-/// is derived purely from `entries`, so two tables that compare equal
-/// always fingerprint equal once computed.
+/// Deliberately invisible to equality: the fingerprint is derived purely
+/// from `entries`, so two tables that compare equal always fingerprint
+/// equal once computed.
 struct TableFingerprint(AtomicU64);
 
 impl TableFingerprint {
@@ -163,14 +162,13 @@ impl fmt::Debug for TableFingerprint {
 ///     .expect("landscape variant");
 /// assert_eq!(layout.root().class.as_str(), "FrameLayout");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceTable {
     /// Name → variants, each variant list kept sorted by *descending*
     /// qualifier specificity so resolution takes the first match.
     entries: BTreeMap<String, Vec<Entry>>,
-    /// Lazily-computed content fingerprint (see [`TableFingerprint`]);
-    /// skipped on the wire and recomputed on demand after deserialization.
-    #[serde(skip)]
+    /// Lazily-computed content fingerprint (see [`TableFingerprint`]),
+    /// recomputed on demand after every [`put`](ResourceTable::put).
     fingerprint: TableFingerprint,
 }
 

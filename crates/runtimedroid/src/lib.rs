@@ -21,7 +21,6 @@
 use droidsim_app::{ActivityInstanceId, ActivityThread, AppModel, ThreadError};
 use droidsim_atms::{ActivityRecordId, Atms, AtmsError, ConfigDecision};
 use droidsim_view::inflate;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of RuntimeDroid's in-place handling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +164,7 @@ impl RuntimeDroid {
 }
 
 /// One row of Table 4: the per-app patching cost of RuntimeDroid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatchInfo {
     /// App name.
     pub app: &'static str,

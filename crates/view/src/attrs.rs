@@ -2,7 +2,6 @@
 
 use droidsim_bundle::Bundle;
 use droidsim_kernel::Symbol;
-use serde::{Deserialize, Serialize};
 
 /// A view's attribute set.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (text, drawable, selector position, checked items, video URI, progress)
 /// plus scroll offset and checked state, which Android's view hierarchy
 /// state saves. Fields irrelevant to a given view kind simply stay `None`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ViewAttrs {
     /// Displayed or entered text (TextView family).
     pub text: Option<String>,

@@ -1,13 +1,12 @@
 //! The view type hierarchy of Table 1.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// The *basic* view classes the paper's migration policy dispatches on
 /// (Table 1). Every concrete view kind maps to exactly one of these (or to
 /// [`MigrationClass::Container`] / [`MigrationClass::Opaque`] for view
 /// groups and unknown leaves).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationClass {
     /// Displays text to the user → migrate via `setText`.
     TextView,
@@ -49,7 +48,7 @@ impl fmt::Display for MigrationClass {
 /// views carry the basic class they inherit from, which is how the paper
 /// migrates them ("User-defined views … will also be migrated according to
 /// the types they belong to").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ViewKind {
     /// Plain `android.view.View` (dividers, spacers).
     View,

@@ -21,11 +21,10 @@
 use crate::kind::ViewKind;
 use crate::tree::{ViewId, ViewTree};
 use droidsim_config::ScreenSize;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A view's computed rectangle, in px relative to the screen origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Left edge.
     pub x: i32,

@@ -45,5 +45,5 @@ pub use error::ViewError;
 pub use inflate::{check_nesting, inflate, try_inflate, InflateStats};
 pub use kind::{MigrationClass, ViewKind};
 pub use layout::{layout, LayoutResult, Rect};
-pub use ops::{DirtyMask, ViewOp};
+pub use ops::ViewOp;
 pub use tree::{views_visited, ViewId, ViewNode, ViewTree};

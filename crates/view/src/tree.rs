@@ -39,10 +39,9 @@
 use crate::attrs::ViewAttrs;
 use crate::error::ViewError;
 use crate::kind::ViewKind;
-use crate::ops::{DirtyMask, ViewOp};
+use crate::ops::ViewOp;
 use droidsim_bundle::{Bundle, Value};
 use droidsim_kernel::{alloc_track, Symbol};
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -110,7 +109,7 @@ droidsim_kernel::define_id! {
 }
 
 /// One view in the arena.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewNode {
     /// Instance id within the tree.
     pub id: ViewId,
@@ -190,7 +189,7 @@ impl ViewNode {
 /// let state = tree.save_hierarchy_state();
 /// assert!(state.bundle("view:name").is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewTree {
     nodes: Vec<Option<ViewNode>>,
     /// Live views in `nodes`, kept by add, remove and release so
@@ -199,12 +198,12 @@ pub struct ViewTree {
     root: ViewId,
     released: bool,
     /// Pending invalidations, coalesced *at insert time*: one entry per
-    /// dirty view in first-invalidation order, carrying the OR-ed dirty
-    /// mask and the raw invalidation count that folded into it. Draining
-    /// is a linear sweep over this vector — no per-drain hash map.
-    pending: Vec<(ViewId, DirtyMask, usize)>,
+    /// dirty view in first-invalidation order, carrying the raw
+    /// invalidation count that folded into it. Draining is a linear sweep
+    /// over this vector — no per-drain hash map.
+    pending: Vec<(ViewId, usize)>,
     /// View → position in `pending`, so a repeat invalidation is an O(1)
-    /// in-place OR instead of a new entry.
+    /// in-place count instead of a new entry.
     pending_pos: HashMap<ViewId, usize>,
     /// Raw (uncoalesced) invalidations since the last drain.
     raw_pending: usize,
@@ -534,7 +533,6 @@ impl ViewTree {
     /// Liveness errors; [`ViewError::InapplicableOp`] when the op does not
     /// fit the view's migration class.
     pub fn apply(&mut self, id: ViewId, op: ViewOp) -> Result<(), ViewError> {
-        let dirty = op.dirty_bit();
         let node = self.node_mut(id)?;
         let class = node.kind.migration_class();
         if !op.applies_to(class) {
@@ -565,37 +563,23 @@ impl ViewTree {
             ViewOp::SetVisible(v) => node.attrs.visible = v,
         }
         self.refresh_stateful(id);
-        self.invalidate_attrs(id, dirty)?;
-        Ok(())
+        self.invalidate(id)
     }
 
     /// Marks a view dirty. In stock Android this schedules a redraw; the
     /// paper's patch modifies exactly this function to catch updates for
     /// lazy migration, so the simulator records each invalidation for a
-    /// change handler to drain.
-    ///
-    /// A bare `invalidate` carries no information about *what* changed,
-    /// so it conservatively marks every attribute dirty. Mutations routed
-    /// through [`ViewTree::apply`] record the precise bit instead.
+    /// change handler to drain. Coalescing happens here, at insert time: a
+    /// repeat invalidation counts into the view's existing entry, so
+    /// draining is a plain sweep.
     pub fn invalidate(&mut self, id: ViewId) -> Result<(), ViewError> {
-        self.invalidate_attrs(id, DirtyMask::all())
-    }
-
-    /// Marks a view dirty for a known set of attributes. Coalescing
-    /// happens here, at insert time: a repeat invalidation ORs into the
-    /// view's existing entry, so draining is a plain sweep.
-    pub fn invalidate_attrs(&mut self, id: ViewId, dirty: DirtyMask) -> Result<(), ViewError> {
         self.view(id)?;
         self.raw_pending += 1;
         match self.pending_pos.entry(id) {
-            Entry::Occupied(e) => {
-                let entry = &mut self.pending[*e.get()];
-                entry.1 |= dirty;
-                entry.2 += 1;
-            }
+            Entry::Occupied(e) => self.pending[*e.get()].1 += 1,
             Entry::Vacant(e) => {
                 e.insert(self.pending.len());
-                self.pending.push((id, dirty, 1));
+                self.pending.push((id, 1));
             }
         }
         Ok(())
@@ -604,40 +588,22 @@ impl ViewTree {
     /// Drains the invalidations recorded since the last drain, in order,
     /// de-duplicated (a view invalidated twice migrates once).
     pub fn drain_invalidations(&mut self) -> Vec<ViewId> {
-        self.drain_dirty().into_iter().map(|(id, _)| id).collect()
-    }
-
-    /// Drains pending invalidations together with the coalesced dirty
-    /// mask of each view: first-invalidation order, one entry per view,
-    /// masks OR-ed across all of the view's invalidations.
-    pub fn drain_dirty(&mut self) -> Vec<(ViewId, DirtyMask)> {
-        self.drain_dirty_counted()
-            .into_iter()
-            .map(|(id, mask, _)| (id, mask))
-            .collect()
-    }
-
-    /// Like [`ViewTree::drain_dirty`], but each entry also carries the
-    /// number of raw invalidations that coalesced into it — what the
-    /// migration engine's coalesce-ratio accounting counts.
-    pub fn drain_dirty_counted(&mut self) -> Vec<(ViewId, DirtyMask, usize)> {
         alloc_track::note(1);
-        self.pending_pos.clear();
-        self.raw_pending = 0;
-        self.pending.drain(..).collect()
+        let mut drained = Vec::with_capacity(self.pending.len());
+        self.drain_dirty_with(|id, _| drained.push(id));
+        drained
     }
 
-    /// Zero-allocation drain: streams each coalesced `(view, mask, raw
-    /// count)` entry into `f` in first-invalidation order and resets the
-    /// pending state, keeping buffer capacity for the next frame. This
-    /// is the migration engine's hot path;
-    /// [`ViewTree::drain_dirty_counted`] is the allocating convenience
-    /// wrapper.
-    pub fn drain_dirty_with(&mut self, mut f: impl FnMut(ViewId, DirtyMask, usize)) {
+    /// Zero-allocation drain: streams each coalesced `(view, raw count)`
+    /// entry into `f` in first-invalidation order and resets the pending
+    /// state, keeping buffer capacity for the next frame. This is the
+    /// migration engine's hot path; [`ViewTree::drain_invalidations`] is
+    /// the allocating convenience wrapper.
+    pub fn drain_dirty_with(&mut self, mut f: impl FnMut(ViewId, usize)) {
         self.pending_pos.clear();
         self.raw_pending = 0;
-        for (id, mask, count) in self.pending.drain(..) {
-            f(id, mask, count);
+        for (id, count) in self.pending.drain(..) {
+            f(id, count);
         }
     }
 
@@ -1023,32 +989,21 @@ mod tests {
     }
 
     #[test]
-    fn drain_dirty_coalesces_masks_per_view() {
+    fn drain_dirty_coalesces_counts_per_view() {
         let (mut t, _, text, image) = tree_with_views();
         t.apply(text, ViewOp::SetText("a".into())).unwrap();
         t.apply(text, ViewOp::SetEnabled(false)).unwrap();
         t.apply(image, ViewOp::SetDrawable("x.png".into(), 10))
             .unwrap();
-        t.apply(text, ViewOp::SetText("b".into())).unwrap();
+        t.invalidate(text).unwrap();
         assert_eq!(t.pending_invalidation_count(), 4);
         assert_eq!(t.pending_dirty_views(), 2);
-        let drained = t.drain_dirty();
-        assert_eq!(
-            drained,
-            vec![
-                (text, DirtyMask::TEXT | DirtyMask::ENABLED),
-                (image, DirtyMask::DRAWABLE),
-            ]
-        );
-        assert!(t.drain_dirty().is_empty(), "drain consumes");
+        let mut drained = Vec::new();
+        t.drain_dirty_with(|id, count| drained.push((id, count)));
+        assert_eq!(drained, vec![(text, 3), (image, 1)]);
+        assert!(t.drain_invalidations().is_empty(), "drain consumes");
         assert_eq!(t.pending_invalidation_count(), 0);
-    }
-
-    #[test]
-    fn bare_invalidate_marks_all_attrs() {
-        let (mut t, _, text, _) = tree_with_views();
-        t.invalidate(text).unwrap();
-        assert_eq!(t.drain_dirty(), vec![(text, DirtyMask::all())]);
+        assert_eq!(t.pending_dirty_views(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests: Bundle/Parcel flattening is lossless and sizes are
 //! monotone.
 
-use droidsim_bundle::{Bundle, Parcel, Value};
+use droidsim_bundle::{Bundle, Parcel, ParcelReader, Value};
 use proptest::prelude::*;
 
 fn arb_leaf_value() -> impl Strategy<Value = Value> {
@@ -87,6 +87,30 @@ proptest! {
                 prop_assert_eq!(&parsed, &bundle, "silent corruption at cut {}", cut);
             }
         }
+    }
+
+    #[test]
+    fn malformed_bytes_never_panic(
+        // Half the bytes are small, so lengths and tags often look valid
+        // and the reader gets past the first prefix.
+        bytes in proptest::collection::vec(prop_oneof![0u8..10, any::<u8>()], 0..256),
+    ) {
+        // Ok or Err are both fine; a panic fails the test.
+        let _ = ParcelReader::from_bytes(bytes).read_bundle();
+    }
+
+    #[test]
+    fn one_byte_corruptions_never_panic(
+        bundle in arb_bundle(),
+        at in 0.0f64..1.0,
+        byte in any::<u8>(),
+    ) {
+        let mut parcel = Parcel::new();
+        parcel.write_bundle(&bundle);
+        let mut bytes = parcel.into_bytes();
+        let i = ((bytes.len() as f64) * at) as usize;
+        bytes[i] = byte;
+        let _ = ParcelReader::from_bytes(bytes).read_bundle();
     }
 
     #[test]

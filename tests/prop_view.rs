@@ -981,7 +981,7 @@ fn user_content_never_enters_the_interner() {
     written.extend(strings);
     let mut engine = MigrationEngine::new();
     engine.build_mapping(&mut shadow, &mut sunny);
-    shadow.drain_dirty(); // the set-up writes are not part of the flush
+    shadow.drain_invalidations(); // the set-up writes are not part of the flush
     let (text, uri) = (fresh_user_string("text"), fresh_user_string("uri"));
     for (name, op) in [
         ("editor", ViewOp::SetText(text.clone())),
