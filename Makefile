@@ -55,14 +55,29 @@ bench-smoke:
 # The fleet determinism gate: a parallel run's per-device digests must
 # be bit-identical to the DROIDSIM_JOBS=1 inline run (3 seeds, 5% fault
 # rate). Runs the suite twice so worker counts above and below the
-# machine's core count are both exercised. Then the resume check: a
-# table5 study journaled into a fresh file, cut 51 lines plus 45 bytes
-# in (inside line 52's digest, as a crash would), must print the full
-# run's digest line on each of two resumes, and that digest must be the
-# committed one in tests/golden/digests.env.
+# machine's core count are both exercised. Then the three study
+# binaries (table5, fig10, ablation) must print the same digest at
+# --jobs 1 and --jobs 4, equal to the committed one in
+# tests/golden/digests.env. Then the resume check: a table5 study
+# journaled into a fresh file, cut 51 lines plus 45 bytes in (inside
+# line 52's digest, as a crash would), must print the full run's digest
+# line on each of two resumes, and that digest must be the committed
+# one.
 fleet-determinism:
 	$(CARGO) test -q --test fleet_determinism
 	DROIDSIM_JOBS=2 $(CARGO) test -q --test fleet_determinism
+	set -e; \
+	for study in table5:TABLE5 fig10:FIG10 ablation:ABLATION; do \
+		bin=$${study%%:*}; name=$${study##*:}; \
+		serial=$$($(CARGO) run -q --release -p rch-experiments --bin $$bin -- \
+			--jobs 1 | tail -1); \
+		parallel=$$($(CARGO) run -q --release -p rch-experiments --bin $$bin -- \
+			--jobs 4 | tail -1); \
+		echo "$$bin serial:   $$serial"; echo "$$bin parallel: $$parallel"; \
+		test "$$(echo "$$serial" | sed 's/jobs=[0-9]*//')" = \
+			"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"; \
+		bash scripts/check_digest.sh $$name "$$serial"; \
+	done
 	set -e; \
 	rm -f target/t5.journal; \
 	full=$$($(CARGO) run -q --release -p rch-experiments --bin table5 -- \

@@ -542,7 +542,6 @@ impl RchDroid {
         site: Option<FaultSite>,
         _now: SimTime,
     ) -> Result<ChangeOutcome, HandlerError> {
-        let recovery_started = std::time::Instant::now();
         self.abandon_coupling(thread, atms, old_instance)?;
 
         // Stock `onSaveInstanceState`: reuse the shadow snapshot when the
@@ -573,8 +572,7 @@ impl RchDroid {
         atms.set_record_state(token, RecordState::Resumed)?;
 
         let site_name = site.map_or("migration-error", FaultSite::name);
-        self.fault_log
-            .fallback(site_name, recovery_started.elapsed().as_secs_f64() * 1e3);
+        self.fault_log.fallback(site_name);
 
         let view_count = thread.instance(new_instance)?.tree.view_count();
         Ok(ChangeOutcome {
@@ -1045,7 +1043,6 @@ mod tests {
         let m = rig.rch.fault_metrics();
         assert_eq!(m.fallback_restarts, 1);
         assert_eq!(m.site_count("bundle-corruption"), 1);
-        assert_eq!(m.recovery_latency_ms.count(), 1);
     }
 
     #[test]

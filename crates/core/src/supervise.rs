@@ -202,8 +202,8 @@ impl FaultLog {
         });
     }
 
-    pub(crate) fn fallback(&mut self, site: &'static str, recovery_ms: f64) {
-        self.metrics.record_fallback(site, recovery_ms);
+    pub(crate) fn fallback(&mut self, site: &'static str) {
+        self.metrics.record_fallback(site);
         self.recent.push(FaultRecord {
             site,
             rung: LadderRung::FallbackRestart,
@@ -280,7 +280,7 @@ mod tests {
     fn fault_log_keeps_metrics_and_records_in_sync() {
         let mut log = FaultLog::default();
         log.contained("attribute-copy");
-        log.fallback("bundle-corruption", 0.5);
+        log.fallback("bundle-corruption");
         log.crashed("app-logic");
         assert_eq!(log.metrics().total_faults(), 3);
         let records = log.drain();

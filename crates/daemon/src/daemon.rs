@@ -686,7 +686,7 @@ impl Daemon {
         };
         DaemonStats {
             ledger: snapshot,
-            fleet: lock(&shared.fleet_totals).clone(),
+            fleet: *lock(&shared.fleet_totals),
             workers: shared.workers,
             queue_capacity: shared.queue.capacity(),
             draining: shared.draining.load(Ordering::Acquire),

@@ -103,15 +103,10 @@ pub struct Device {
 impl Device {
     /// A device booted in portrait with the calibrated cost model.
     pub fn new(mode: HandlingMode) -> Self {
-        Device::with_cost_model(mode, CostModel::calibrated())
-    }
-
-    /// A device with a custom cost model (ablations).
-    pub fn with_cost_model(mode: HandlingMode, cost: CostModel) -> Self {
         let gc_interval = SimDuration::from_secs(1);
         Device {
             mode,
-            cost,
+            cost: CostModel::calibrated(),
             atms: Atms::new(Configuration::phone_portrait()),
             apps: BTreeMap::new(),
             clock: SimTime::ZERO,

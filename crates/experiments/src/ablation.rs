@@ -17,12 +17,10 @@
 //!   forever instead of returning to baseline when the user stops
 //!   rotating.
 
+use crate::Study;
 use droidsim_app::SimpleApp;
 use droidsim_device::{Device, DeviceEvent, HandlingMode, HandlingPath};
-use droidsim_fleet::{
-    run_fleet, run_fleet_supervised, Digest, FleetConfig, FleetError, FleetOptions, FleetRun,
-    TaskOutcome,
-};
+use droidsim_fleet::{Digest, FleetConfig};
 use droidsim_kernel::SimDuration;
 use rch_workloads::BENCHMARK_BASE_MEMORY;
 use rchdroid::{GcPolicy, RchOptions};
@@ -183,87 +181,29 @@ fn arm_matrix() -> Vec<(&'static str, HandlingMode)> {
     ]
 }
 
-/// Runs the full ablation, one fleet task per arm. Arm order in the
-/// result is fixed (full system first) regardless of worker count.
-pub fn run_with_config(cfg: &FleetConfig) -> Ablation {
-    Ablation {
-        arms: run_fleet(cfg, arm_matrix(), |_ctx, (label, mode)| {
-            run_arm(label, mode)
-        }),
-    }
-}
-
-/// A crash-safe ablation run: per-arm outcomes plus the fleet report.
-#[derive(Debug)]
-pub struct AblationRun {
-    /// Per-arm outcomes in arm order, digests, and the report.
-    pub fleet: FleetRun<AblationArm>,
-}
-
-impl AblationRun {
-    /// The complete table, when every arm produced a fresh row this run.
-    pub fn ablation(&self) -> Option<Ablation> {
-        let arms: Option<Vec<AblationArm>> = self
-            .fleet
-            .outcomes
-            .iter()
-            .map(|o| o.ok().cloned())
-            .collect();
-        arms.map(|arms| Ablation { arms })
-    }
-
-    /// The study digest, combining fresh and journal-recorded arms in
-    /// arm order (`None` while any arm is quarantined).
-    pub fn digest(&self) -> Option<u64> {
-        self.fleet.combined_digest()
-    }
-
-    /// Renders the table (or the surviving arms) plus the fleet report,
-    /// with the QUARANTINED footer when arms were lost.
-    pub fn render(&self) -> String {
-        let mut out = match self.ablation() {
-            Some(study) => study.render(),
-            None => {
-                let mut out =
-                    String::from("Ablation (partial): per-arm outcomes, supervised run\n");
-                for (i, o) in self.fleet.outcomes.iter().enumerate() {
-                    match o {
-                        TaskOutcome::Ok(a) => out.push_str(&format!(
-                            "{:<26} steady={:.1}ms survives={} settled={:.2}MiB\n",
-                            a.label, a.steady_latency_ms, a.survived, a.settled_memory_mib
-                        )),
-                        TaskOutcome::Skipped { digest, .. } => out.push_str(&format!(
-                            "arm {i}: (resumed from journal, digest {digest:016x})\n"
-                        )),
-                        _ => out.push_str(&format!("arm {i}: (LOST: {})\n", o.tag())),
-                    }
-                }
-                out
-            }
-        };
-        out.push('\n');
-        out.push_str(&self.fleet.report.render());
-        out
-    }
-}
-
-/// Runs the ablation under fleet supervision (panic isolation, retries,
-/// watchdog, and journal checkpoint/resume — see `droidsim-fleet`).
-pub fn run_supervised(cfg: &FleetConfig, opts: &FleetOptions) -> Result<AblationRun, FleetError> {
-    let fleet = run_fleet_supervised(
-        cfg,
-        opts,
-        arm_matrix(),
-        |_ctx, (label, mode)| run_arm(label, mode),
-        AblationArm::digest,
-    )?;
-    Ok(AblationRun { fleet })
-}
+/// The ablation: one fleet task per arm. Arm order in the result is
+/// fixed (full system first) regardless of worker count.
+pub const STUDY: Study<(&str, HandlingMode), AblationArm, Ablation> = Study {
+    partial_title: "Ablation (partial): per-arm outcomes, supervised run",
+    unit: "arm",
+    digest_label: "study",
+    items: arm_matrix,
+    measure: |_ctx, (label, mode)| run_arm(label, mode),
+    digest: AblationArm::digest,
+    assemble: |arms| Ablation { arms },
+    render_full: Ablation::render,
+    partial_row: |a| {
+        format!(
+            "{:<26} steady={:.1}ms survives={} settled={:.2}MiB",
+            a.label, a.steady_latency_ms, a.survived, a.settled_memory_mib
+        )
+    },
+};
 
 /// Runs the full ablation with the worker count taken from
 /// `DROIDSIM_JOBS` (default: available cores).
 pub fn run() -> Ablation {
-    run_with_config(&FleetConfig::from_env(None, 0))
+    STUDY.complete(&FleetConfig::from_env(None, 0))
 }
 
 /// The events of an arm's device, for white-box assertions in tests.

@@ -3,8 +3,10 @@
 //! The fleet-ported harnesses (Fig. 10, Table 5, the ablation) honour
 //! `--jobs N` / `DROIDSIM_JOBS=N`; every result is identical for any
 //! worker count.
+use rch_experiments::{ablation, fig10, table5, FleetCli};
+
 fn main() {
-    let cfg = rch_experiments::fleet_config_from_args();
+    let cfg = FleetCli::from_args().config(0);
     println!("==== Table 3 ====");
     print!("{}", rch_experiments::table3::run().render());
     println!("\n==== Fig. 7 ====");
@@ -14,7 +16,7 @@ fn main() {
     println!("\n==== Fig. 9 ====");
     print!("{}", rch_experiments::fig9::run().render());
     println!("\n==== Fig. 10 ====");
-    print!("{}", rch_experiments::fig10::run_with_config(&cfg).render());
+    print!("{}", fig10::STUDY.complete(&cfg).render());
     println!("\n==== Fig. 11 ====");
     print!("{}", rch_experiments::fig11::run().render());
     println!("\n==== Fig. 12 / Table 4 ====");
@@ -22,15 +24,9 @@ fn main() {
     println!("\n==== Fig. 13 ====");
     print!("{}", rch_experiments::fig13::run().render());
     println!("\n==== Table 5 / Fig. 14 ====");
-    print!(
-        "{}",
-        rch_experiments::table5::run_with_config(&cfg).render()
-    );
+    print!("{}", table5::STUDY.complete(&cfg).render());
     println!("\n==== §5.6 Energy ====");
     print!("{}", rch_experiments::energy::run().render());
     println!("\n==== Ablation (beyond the paper) ====");
-    print!(
-        "{}",
-        rch_experiments::ablation::run_with_config(&cfg).render()
-    );
+    print!("{}", ablation::STUDY.complete(&cfg).render());
 }

@@ -6,7 +6,7 @@
 //!               [--job table5|fault-matrix] [--size N] [--rate-pct N]
 //!               [--seed N] [--distinct N] [--inner-jobs N]
 //!               [--mixed-priorities] [--wait-ms N] [--reconnect-ms N]
-//!               [--chaos-drop-pct N] [--no-verify] [--no-memo]
+//!               [--chaos-drop-pct N] [--no-verify]
 //!               [--shutdown drain|now] [--version]
 //! ```
 //!
@@ -25,10 +25,10 @@
 //!
 //! The summary reports p50/p95/p99 submit-to-done latency over the
 //! jobs that completed — the operator-facing number a warm daemon is
-//! supposed to improve. `--no-memo` disables the warm-path memo caches
-//! for the *in-process* reference-digest computation (the daemon's own
-//! `--no-memo` flag governs the daemon side); digests must match either
-//! way.
+//! supposed to improve. `DROIDSIM_NO_MEMO=1` disables the warm-path
+//! memo cache for the *in-process* reference-digest computation (the
+//! daemon process reads its own environment); digests must match
+//! either way.
 //!
 //! The client fan-out claims job indices through the same
 //! `run_claiming_pool` skeleton the fleet drivers use. With
@@ -77,7 +77,6 @@ struct LoadCli {
     reconnect_ms: u64,
     chaos_drop_pct: u8,
     verify: bool,
-    no_memo: bool,
     shutdown: Option<ShutdownMode>,
 }
 
@@ -97,7 +96,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<LoadCli, String> 
         reconnect_ms: 30_000,
         chaos_drop_pct: 0,
         verify: true,
-        no_memo: false,
         shutdown: None,
     };
     let mut args = args.into_iter();
@@ -157,7 +155,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<LoadCli, String> 
                 cli.chaos_drop_pct = pct as u8;
             }
             "--no-verify" => cli.verify = false,
-            "--no-memo" => cli.no_memo = true,
             "--shutdown" => {
                 let v = value(flag, inline, &mut args)?;
                 cli.shutdown = Some(
@@ -230,10 +227,6 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    if cli.no_memo {
-        droidsim_kernel::memo::set_enabled(false);
-    }
-
     // Size the burst off the daemon's own capacity: 2x forces the
     // admission path to answer under overload.
     let mut probe = Client::connect_retry(&cli.socket, Duration::from_millis(cli.reconnect_ms))

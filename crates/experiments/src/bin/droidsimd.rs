@@ -6,8 +6,7 @@
 //!           [--admission-fault-pct N] [--io-fault-pct N]
 //!           [--enospc-window N] [--seed N] [--tick-ms N]
 //!           [--max-conns N] [--read-timeout-ms N]
-//!           [--max-line-bytes N] [--max-wait-ms N]
-//!           [--no-memo] [--version]
+//!           [--max-line-bytes N] [--max-wait-ms N] [--version]
 //! ```
 //!
 //! Serves simulation jobs (`table5`, `fig10`, `ablation`,
@@ -36,10 +35,10 @@
 //! `--max-line-bytes` and `--max-wait-ms` tune the connection
 //! governor; see `cmd=health` for the resulting daemon state.
 //!
-//! `--no-memo` disables the warm-path memo caches (resolution,
-//! inflation, mapping plans) for the whole process — every job takes
-//! the cold path. The `stats` endpoint's `memo_*` fields then stay at
-//! zero; digests are identical either way (the memo ≡ cold contract).
+//! `DROIDSIM_NO_MEMO=1` disables the warm-path memo cache for the
+//! whole process — every job takes the cold path. The `stats`
+//! endpoint's `memo_*` fields then stay at zero; digests are identical
+//! either way (the memo ≡ cold contract).
 //!
 //! Exit codes: 0 after a clean `cmd=shutdown`; 2 on a usage error.
 
@@ -55,7 +54,6 @@ struct DaemonCli {
     socket: PathBuf,
     config: DaemonConfig,
     server: server::ServerConfig,
-    no_memo: bool,
 }
 
 fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<DaemonCli, String> {
@@ -66,7 +64,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<DaemonCli, String
     let mut io_fault_pct: u8 = 0;
     let mut enospc_window: u64 = 0;
     let mut seed: u64 = 0x5EED;
-    let mut no_memo = false;
     let mut args = args.into_iter();
     let value = |flag: &str, inline: Option<String>, args: &mut dyn Iterator<Item = String>| {
         inline
@@ -160,7 +157,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<DaemonCli, String
                 let v = value("--tick-ms", inline, &mut args)?;
                 config = config.with_tick(Duration::from_millis(number("--tick-ms", &v)?));
             }
-            "--no-memo" => no_memo = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -189,7 +185,6 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<DaemonCli, String
         socket,
         config,
         server: server_cfg,
-        no_memo,
     })
 }
 
@@ -199,9 +194,6 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    if cli.no_memo {
-        droidsim_kernel::memo::set_enabled(false);
-    }
     if let Some(dir) = &cli.config.journal_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("error: --journal-dir {}: {e}", dir.display());

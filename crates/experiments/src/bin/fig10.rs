@@ -1,33 +1,9 @@
 //! Regenerates the paper's fig10 result; see `rch_experiments::fig10`.
 //!
 //! `--jobs N` (or `DROIDSIM_JOBS=N`) partitions the sweep points across
-//! N workers; the rows are identical for any worker count.
-//!
-//! Crash safety: `--keep-going` / `--max-retries N` /
-//! `--task-budget-ms N` / `--journal PATH` / `--resume PATH` select the
-//! supervised fleet (see the `table5` binary for the flag contract).
-//! Exits nonzero if any sweep point stays quarantined after retries.
+//! N workers; the rows and digest are identical for any worker count.
+//! Runs supervised, like `table5` (see it for the flag contract); exits
+//! 1 if any sweep point stays quarantined after retries.
 fn main() {
-    let cli = rch_experiments::FleetCli::from_args();
-    let cfg = cli.config(0);
-    if cli.supervised {
-        let run = rch_experiments::fig10::run_supervised(&cfg, &cli.options).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        print!("{}", run.render());
-        match run.digest() {
-            Some(d) => println!("=> fleet: jobs={} sweep digest {:016x}", cfg.jobs, d),
-            None => {
-                println!(
-                    "=> fleet: jobs={} sweep digest PARTIAL ({} point(s) quarantined)",
-                    cfg.jobs,
-                    run.fleet.report.quarantined.len()
-                );
-                std::process::exit(1);
-            }
-        }
-    } else {
-        print!("{}", rch_experiments::fig10::run_with_config(&cfg).render());
-    }
+    rch_experiments::fig10::STUDY.main();
 }

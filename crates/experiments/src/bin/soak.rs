@@ -15,10 +15,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use droidsim_device::HandlingMode;
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_fleet::{run_fleet_supervised, Digest, FleetConfig, FleetOptions};
-use rch_experiments::{run_app, RunConfig};
+use droidsim_fleet::{run_fleet_supervised, FleetConfig, FleetOptions};
+use rch_experiments::daemon_exec::{app_digest, measure_app};
 use rch_workloads::top100_sample;
 
 const TASKS: usize = 40;
@@ -54,30 +53,11 @@ fn main() {
     // sleep ending) is what reclaims the worker.
     opts.stall_for = Duration::from_secs(5);
 
-    let run = run_fleet_supervised(
-        &cfg,
-        &opts,
-        top100_sample(TASKS),
-        |_ctx, spec| {
-            let outcome = run_app(&spec, &RunConfig::new(HandlingMode::rchdroid_default()));
-            (
-                spec.name.clone(),
-                outcome.mean_latency_ms(),
-                outcome.memory_mib,
-            )
-        },
-        |(name, ms, mib)| {
-            let mut d = Digest::new();
-            d.write_str(name);
-            d.write_f64(*ms);
-            d.write_f64(*mib);
-            d.finish()
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let run = run_fleet_supervised(&cfg, &opts, top100_sample(TASKS), measure_app, app_digest)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
 
     print!("{}", run.report.render());
 

@@ -3,40 +3,13 @@
 //! `--jobs N` (or `DROIDSIM_JOBS=N`) partitions the 100 apps across N
 //! workers; the rows and digest are identical for any worker count.
 //!
-//! Crash safety (any of these flags selects the supervised fleet):
-//! `--keep-going` isolates per-app panics instead of aborting,
+//! Every run is supervised: a panicking app costs only its own row, and
+//! the output ends with the fleet report and the digest line.
 //! `--max-retries N` / `--task-budget-ms N` tune retries and the stall
 //! watchdog, `--journal PATH` checkpoints completed apps, and
 //! `--resume PATH` continues an interrupted study from its journal —
-//! the resumed digest equals an uninterrupted run's. Exits nonzero if
-//! any app stays quarantined after retries.
+//! the resumed digest equals an uninterrupted run's. Exits 1 if any app
+//! stays quarantined after retries, 2 on a usage or journal error.
 fn main() {
-    let cli = rch_experiments::FleetCli::from_args();
-    let cfg = cli.config(0);
-    if cli.supervised {
-        let run = rch_experiments::table5::run_supervised(&cfg, &cli.options).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        print!("{}", run.render());
-        match run.digest() {
-            Some(d) => println!("=> fleet: jobs={} study digest {:016x}", cfg.jobs, d),
-            None => {
-                println!(
-                    "=> fleet: jobs={} study digest PARTIAL ({} app(s) quarantined)",
-                    cfg.jobs,
-                    run.fleet.report.quarantined.len()
-                );
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let study = rch_experiments::table5::run_with_config(&cfg);
-        print!("{}", study.render());
-        println!(
-            "=> fleet: jobs={} study digest {:016x}",
-            cfg.jobs,
-            study.digest()
-        );
-    }
+    rch_experiments::table5::STUDY.main();
 }

@@ -60,8 +60,8 @@ pub fn run_study(spec: &JobSpec, ctl: &JobControl) -> JobVerdict {
             run_fleet_supervised(&cfg, &opts, top100_sample(*apps), measure_app, app_digest),
             ctl,
         ),
-        JobKind::Fig10 => finish(fig10::run_supervised(&cfg, &opts).map(|r| r.fleet), ctl),
-        JobKind::Ablation => finish(ablation::run_supervised(&cfg, &opts).map(|r| r.fleet), ctl),
+        JobKind::Fig10 => finish(fig10::STUDY.run(&cfg, &opts), ctl),
+        JobKind::Ablation => finish(ablation::STUDY.run(&cfg, &opts), ctl),
         JobKind::FaultMatrix { tasks, rate_pct } => {
             let opts = opts.with_faults(
                 FaultPlan::seeded(spec.seed)
@@ -109,10 +109,11 @@ fn fleet_options(spec: &JobSpec, ctl: &JobControl) -> FleetOptions {
     opts
 }
 
-/// One app simulation under RCHDroid defaults — the same per-task body
-/// (and digest shape) as the crash-safety soak, so daemon results are
-/// comparable across every harness that samples the top-100 corpus.
-fn measure_app(_ctx: TaskCtx, spec: GenericAppSpec) -> (String, f64, f64) {
+/// One app simulation under RCHDroid defaults — the per-task body of
+/// the daemon's `table5` and `fault-matrix` jobs and of the crash-safety
+/// soak, so their results are comparable across every harness that
+/// samples the top-100 corpus.
+pub fn measure_app(_ctx: TaskCtx, spec: GenericAppSpec) -> (String, f64, f64) {
     let outcome = run_app(&spec, &RunConfig::new(HandlingMode::rchdroid_default()));
     (
         spec.name.clone(),
@@ -121,7 +122,9 @@ fn measure_app(_ctx: TaskCtx, spec: GenericAppSpec) -> (String, f64, f64) {
     )
 }
 
-fn app_digest(row: &(String, f64, f64)) -> u64 {
+/// The digest of one [`measure_app`] row: name, mean latency and PSS,
+/// bit-exact.
+pub fn app_digest(row: &(String, f64, f64)) -> u64 {
     let mut d = Digest::new();
     d.write_str(&row.0);
     d.write_f64(row.1);
@@ -149,7 +152,7 @@ fn finish<R>(run: Result<FleetRun<R>, FleetError>, ctl: &JobControl) -> JobVerdi
     match run.combined_digest() {
         Some(digest) => JobVerdict::Done {
             digest,
-            fleet: run.report.ledger.clone(),
+            fleet: run.report.ledger,
         },
         None => JobVerdict::Failed {
             reason: format!("{} task(s) quarantined", run.report.quarantined.len()),

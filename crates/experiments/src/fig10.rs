@@ -8,11 +8,9 @@
 //!     measured from actual lazy-migration passes. Paper: linear,
 //!     8.6 → 20.2 ms.
 
+use crate::Study;
 use droidsim_device::{Device, DeviceEvent, HandlingMode, HandlingPath};
-use droidsim_fleet::{
-    combine_ordered, run_fleet, run_fleet_supervised, Digest, FleetConfig, FleetError,
-    FleetOptions, FleetRun, TaskOutcome,
-};
+use droidsim_fleet::{Digest, FleetConfig};
 use droidsim_kernel::SimDuration;
 use rch_workloads::{benchmark_app, view_sweep, BENCHMARK_BASE_MEMORY};
 
@@ -63,21 +61,6 @@ pub fn point_digest(point: &(Fig10aRow, Fig10bRow)) -> u64 {
 }
 
 impl Fig10 {
-    /// Per-sweep-point digests (both panels' values, bit-exact), in
-    /// sweep order.
-    pub fn digests(&self) -> Vec<u64> {
-        self.a
-            .iter()
-            .zip(&self.b)
-            .map(|(a, b)| point_digest(&(*a, *b)))
-            .collect()
-    }
-
-    /// One digest over the whole sweep, folded in sweep order.
-    pub fn digest(&self) -> u64 {
-        combine_ordered(self.digests())
-    }
-
     /// Renders both panels.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -160,90 +143,33 @@ fn measure(views: usize) -> (Fig10aRow, Fig10bRow) {
     )
 }
 
-/// Runs the full sweep, one fleet task per view count. Each point runs
-/// two fresh devices of its own, so any worker count reproduces the
-/// serial rows exactly.
-pub fn run_with_config(cfg: &FleetConfig) -> Fig10 {
-    let (a, b) = run_fleet(cfg, view_sweep(), |_ctx, views| measure(views))
-        .into_iter()
-        .unzip();
-    Fig10 { a, b }
-}
+/// The sweep: one fleet task per view count. Each point runs two fresh
+/// devices of its own, so any worker count reproduces the serial rows
+/// exactly.
+pub const STUDY: Study<usize, (Fig10aRow, Fig10bRow), Fig10> = Study {
+    partial_title: "Fig. 10 (partial): per-point outcomes, supervised run",
+    unit: "point",
+    digest_label: "sweep",
+    items: view_sweep,
+    measure: |_ctx, views| measure(views),
+    digest: point_digest,
+    assemble: |points| {
+        let (a, b) = points.into_iter().unzip();
+        Fig10 { a, b }
+    },
+    render_full: Fig10::render,
+    partial_row: |(a, b)| {
+        format!(
+            "views={:<3} a10={:.1}ms flip={:.1}ms migration={:.2}ms",
+            a.views, a.android10_ms, a.rchdroid_ms, b.migration_ms
+        )
+    },
+};
 
 /// Runs the full sweep with the worker count taken from `DROIDSIM_JOBS`
 /// (default: available cores).
 pub fn run() -> Fig10 {
-    run_with_config(&FleetConfig::from_env(None, 0))
-}
-
-/// A crash-safe sweep run: per-point outcomes plus the fleet report.
-#[derive(Debug)]
-pub struct Fig10Run {
-    /// Per-point outcomes in sweep order, digests, and the report.
-    pub fleet: FleetRun<(Fig10aRow, Fig10bRow)>,
-}
-
-impl Fig10Run {
-    /// Both panels, when every point produced a fresh row this run.
-    pub fn figure(&self) -> Option<Fig10> {
-        let points: Option<Vec<(Fig10aRow, Fig10bRow)>> = self
-            .fleet
-            .outcomes
-            .iter()
-            .map(|o| o.ok().cloned())
-            .collect();
-        points.map(|pts| {
-            let (a, b) = pts.into_iter().unzip();
-            Fig10 { a, b }
-        })
-    }
-
-    /// The sweep digest, combining fresh and journal-recorded points in
-    /// sweep order (`None` while any point is quarantined).
-    pub fn digest(&self) -> Option<u64> {
-        self.fleet.combined_digest()
-    }
-
-    /// Renders the figure (or the surviving points) plus the fleet
-    /// report, with the QUARANTINED footer when points were lost.
-    pub fn render(&self) -> String {
-        let mut out = match self.figure() {
-            Some(fig) => fig.render(),
-            None => {
-                let mut out =
-                    String::from("Fig. 10 (partial): per-point outcomes, supervised run\n");
-                for (i, o) in self.fleet.outcomes.iter().enumerate() {
-                    match o {
-                        TaskOutcome::Ok((a, b)) => out.push_str(&format!(
-                            "views={:<3} a10={:.1}ms flip={:.1}ms migration={:.2}ms\n",
-                            a.views, a.android10_ms, a.rchdroid_ms, b.migration_ms
-                        )),
-                        TaskOutcome::Skipped { digest, .. } => out.push_str(&format!(
-                            "point {i}: (resumed from journal, digest {digest:016x})\n"
-                        )),
-                        _ => out.push_str(&format!("point {i}: (LOST: {})\n", o.tag())),
-                    }
-                }
-                out
-            }
-        };
-        out.push('\n');
-        out.push_str(&self.fleet.report.render());
-        out
-    }
-}
-
-/// Runs the sweep under fleet supervision (panic isolation, retries,
-/// watchdog, and journal checkpoint/resume — see `droidsim-fleet`).
-pub fn run_supervised(cfg: &FleetConfig, opts: &FleetOptions) -> Result<Fig10Run, FleetError> {
-    let fleet = run_fleet_supervised(
-        cfg,
-        opts,
-        view_sweep(),
-        |_ctx, views| measure(views),
-        point_digest,
-    )?;
-    Ok(Fig10Run { fleet })
+    STUDY.complete(&FleetConfig::from_env(None, 0))
 }
 
 #[cfg(test)]

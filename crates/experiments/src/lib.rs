@@ -36,51 +36,48 @@ pub mod fig8;
 pub mod fig9;
 pub mod report;
 pub mod scenario;
+pub mod study;
 pub mod table3;
 pub mod table5;
 pub mod variance;
 
 pub use daemon_exec::StudyExecutor;
 pub use scenario::{run_app, RunConfig, RunOutcome};
+pub use study::Study;
 
 use droidsim_fleet::{parse_jobs_value, FleetConfig, FleetOptions};
 use std::time::Duration;
 
+/// The flags that tune a supervised study. Only the study binaries
+/// ([`FleetCli::from_study_args`]) accept them; every other binary
+/// refuses them by name.
+const SUPERVISION_FLAGS: [&str; 4] = ["--max-retries", "--task-budget-ms", "--journal", "--resume"];
+
 /// Everything an experiment binary accepts on the command line: the
-/// worker count plus the crash-safety knobs of the supervised fleet.
+/// worker count plus, in the study binaries, the crash-safety knobs of
+/// the supervised fleet.
 ///
 /// * `--jobs N` / `--jobs=N` — worker threads (strict: a zero or
 ///   non-numeric value is an error, not a silent fallback);
-/// * `--keep-going` — supervise the run: isolate task panics, print the
-///   partial table plus a QUARANTINED footer instead of aborting;
-/// * `--max-retries N` — requeue a failed task up to N times (implies
-///   `--keep-going`);
-/// * `--task-budget-ms N` — wall-clock stall watchdog per task attempt
-///   (implies `--keep-going`);
-/// * `--journal PATH` — checkpoint each completed task to PATH (implies
-///   `--keep-going`);
+/// * `--max-retries N` — requeue a failed task up to N times;
+/// * `--task-budget-ms N` — wall-clock stall watchdog per task attempt;
+/// * `--journal PATH` — checkpoint each completed task to PATH;
 /// * `--resume PATH` — skip tasks PATH already records, appending new
-///   completions to it (implies `--keep-going`);
-/// * `--no-memo` — disable the warm-path memo caches (`kernel::memo`)
-///   for this process: every resolution, inflation, and mapping build
-///   takes the cold path. The correctness kill switch behind the
-///   memo ≡ cold parity gates; `DROIDSIM_NO_MEMO=1` is the env form.
+///   completions to it;
 /// * `--version` — print the binary's name and version, then exit.
 ///
+/// The four supervision flags are study-only: a binary that runs no
+/// supervised study refuses them with a usage error naming the flag.
 /// Tokens the fleet layer does not recognize land in [`FleetCli::extra`]
 /// in order. Binaries with flags of their own ([`FleetCli::from_args_passthrough`])
-/// parse that remainder; everyone else ([`FleetCli::from_args`]) gets a
-/// usage error naming the first unknown flag — never a silent ignore.
+/// parse that remainder; everyone else gets a usage error naming the
+/// first unknown flag — never a silent ignore.
 #[derive(Debug, Clone, Default)]
 pub struct FleetCli {
     /// Explicit worker count, when given.
     pub jobs: Option<usize>,
-    /// Whether any supervision flag was present.
-    pub supervised: bool,
     /// Supervision knobs assembled from the flags.
     pub options: FleetOptions,
-    /// Whether `--no-memo` was present (warm-path caches disabled).
-    pub no_memo: bool,
     /// Whether `--version` was present.
     pub version: bool,
     /// Tokens the fleet layer did not consume, in command-line order —
@@ -89,12 +86,23 @@ pub struct FleetCli {
 }
 
 impl FleetCli {
-    /// Parses `std::env::args` for a binary with no flags of its own:
-    /// invalid values *and unknown flags* exit with a usage error
-    /// (status 2) naming the offender — the satellite contract: reject,
-    /// never silently fall back. `--version` prints and exits 0.
+    /// Parses `std::env::args` for a binary with no flags of its own
+    /// that runs no supervised study: invalid values, supervision flags
+    /// *and unknown flags* exit with a usage error (status 2) naming the
+    /// offender — reject, never silently fall back. `--version` prints
+    /// and exits 0.
     pub fn from_args() -> FleetCli {
-        let cli = FleetCli::from_args_passthrough();
+        FleetCli::strict(false)
+    }
+
+    /// Like [`FleetCli::from_args`], for the study binaries: the
+    /// supervision flags fill [`FleetCli::options`].
+    pub fn from_study_args() -> FleetCli {
+        FleetCli::strict(true)
+    }
+
+    fn strict(supervision: bool) -> FleetCli {
+        let cli = FleetCli::from_env_args(supervision);
         if let Err(e) = cli.deny_unknown() {
             eprintln!("error: {e}");
             std::process::exit(2);
@@ -102,24 +110,22 @@ impl FleetCli {
         cli
     }
 
-    /// Parses `std::env::args` for a binary with flags of its own:
-    /// fleet flags are consumed (invalid values still exit 2),
-    /// `--version` prints and exits 0, and everything else is kept in
-    /// [`FleetCli::extra`] for the binary's parser — which owns the
-    /// unknown-flag rejection for its remainder.
+    /// Parses `std::env::args` for a binary with flags of its own that
+    /// runs no supervised study: fleet flags are consumed (invalid values
+    /// and supervision flags still exit 2), `--version` prints and exits
+    /// 0, and everything else is kept in [`FleetCli::extra`] for the
+    /// binary's parser — which owns the unknown-flag rejection for its
+    /// remainder.
     pub fn from_args_passthrough() -> FleetCli {
+        FleetCli::from_env_args(false)
+    }
+
+    fn from_env_args(supervision: bool) -> FleetCli {
         version_flag();
-        let cli = FleetCli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        FleetCli::parse(std::env::args().skip(1), supervision).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
-        });
-        // Apply the kill switch before any workload code runs so the
-        // caches never see a probe in a `--no-memo` process. Leaving the
-        // flag off does not force-enable: `DROIDSIM_NO_MEMO` still wins.
-        if cli.no_memo {
-            droidsim_kernel::memo::set_enabled(false);
-        }
-        cli
+        })
     }
 
     /// The strict contract for binaries with no flags of their own:
@@ -136,8 +142,13 @@ impl FleetCli {
         }
     }
 
-    /// Parses an argument list (testable form of [`FleetCli::from_args`]).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<FleetCli, String> {
+    /// Parses an argument list (testable form of the `from_*` entry
+    /// points). With `supervision` false, a supervision flag is an error
+    /// naming it.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        supervision: bool,
+    ) -> Result<FleetCli, String> {
         let mut cli = FleetCli {
             options: FleetOptions::new(),
             ..FleetCli::default()
@@ -153,18 +164,22 @@ impl FleetCli {
                 Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
                 None => (a, None),
             };
+            if !supervision && SUPERVISION_FLAGS.contains(&flag.as_str()) {
+                return Err(format!(
+                    "{flag:?} is accepted only by the supervised study binaries \
+                     (table5, fig10, ablation)"
+                ));
+            }
             match flag.as_str() {
                 "--jobs" => {
                     let v = value("--jobs", inline, &mut args)?;
                     cli.jobs = Some(parse_jobs_value("--jobs", &v).map_err(|e| e.to_string())?);
                 }
-                "--keep-going" => cli.supervised = true,
                 "--max-retries" => {
                     let v = value("--max-retries", inline, &mut args)?;
                     cli.options.max_retries = v
                         .parse()
                         .map_err(|_| format!("--max-retries: not a number: {v:?}"))?;
-                    cli.supervised = true;
                 }
                 "--task-budget-ms" => {
                     let v = value("--task-budget-ms", inline, &mut args)?;
@@ -172,19 +187,15 @@ impl FleetCli {
                         .parse()
                         .map_err(|_| format!("--task-budget-ms: not a number: {v:?}"))?;
                     cli.options.task_budget = Some(Duration::from_millis(ms));
-                    cli.supervised = true;
                 }
                 "--journal" => {
                     let v = value("--journal", inline, &mut args)?;
                     cli.options.journal = Some(v.into());
-                    cli.supervised = true;
                 }
                 "--resume" => {
                     let v = value("--resume", inline, &mut args)?;
                     cli.options = cli.options.clone().resuming(v);
-                    cli.supervised = true;
                 }
-                "--no-memo" => cli.no_memo = true,
                 "--version" => cli.version = true,
                 // Binaries keep their own extra flags: preserve the
                 // raw token (value-bearing forms like `--views=16` or
@@ -228,29 +239,23 @@ pub fn version_flag() {
     }
 }
 
-/// Builds a [`droidsim_fleet::FleetConfig`] for an experiment binary:
-/// `--jobs N` / `--jobs=N` on the command line wins, then the
-/// `DROIDSIM_JOBS` environment variable, then the machine's available
-/// parallelism. `--jobs 1` selects the legacy serial path. Invalid
-/// worker counts exit with a usage error.
-pub fn fleet_config_from_args() -> droidsim_fleet::FleetConfig {
-    FleetCli::from_args().config(0)
-}
-
 #[cfg(test)]
 mod cli_tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<FleetCli, String> {
-        FleetCli::parse(args.iter().map(|s| (*s).to_owned()))
+        FleetCli::parse(args.iter().map(|s| (*s).to_owned()), true)
+    }
+
+    fn parse_plain(args: &[&str]) -> Result<FleetCli, String> {
+        FleetCli::parse(args.iter().map(|s| (*s).to_owned()), false)
     }
 
     #[test]
-    fn plain_jobs_does_not_select_supervision() {
+    fn jobs_parses_in_both_forms() {
         let cli = parse(&["--jobs", "4"]).unwrap();
         assert_eq!(cli.jobs, Some(4));
-        assert!(!cli.supervised);
-        let cli = parse(&["--jobs=2"]).unwrap();
+        let cli = parse_plain(&["--jobs=2"]).unwrap();
         assert_eq!(cli.jobs, Some(2));
     }
 
@@ -264,24 +269,36 @@ mod cli_tests {
     }
 
     #[test]
-    fn every_supervision_flag_selects_the_supervised_fleet() {
-        assert!(parse(&["--keep-going"]).unwrap().supervised);
+    fn supervision_flags_fill_the_fleet_options() {
         let cli = parse(&["--max-retries", "3"]).unwrap();
-        assert!(cli.supervised);
         assert_eq!(cli.options.max_retries, 3);
         let cli = parse(&["--task-budget-ms=250"]).unwrap();
-        assert!(cli.supervised);
         assert_eq!(cli.options.task_budget, Some(Duration::from_millis(250)));
         let cli = parse(&["--journal", "j.log"]).unwrap();
-        assert!(cli.supervised);
         assert_eq!(cli.options.journal.as_deref(), Some("j.log".as_ref()));
         assert!(cli.options.resume.is_none());
+        let cli = parse(&["--jobs", "2"]).unwrap();
+        assert_eq!(cli.options.max_retries, 0);
+        assert!(cli.options.task_budget.is_none() && cli.options.journal.is_none());
+    }
+
+    #[test]
+    fn supervision_flags_are_refused_outside_the_study_binaries() {
+        for args in [
+            &["--journal", "j.log"][..],
+            &["--resume=j.log"],
+            &["--max-retries", "3"],
+            &["--task-budget-ms", "250"],
+        ] {
+            let err = parse_plain(args).unwrap_err();
+            let flag = args[0].split('=').next().unwrap();
+            assert!(err.contains(&format!("{flag:?}")), "{args:?}: {err}");
+        }
     }
 
     #[test]
     fn resume_reads_and_extends_the_same_journal() {
         let cli = parse(&["--resume", "j.log", "--jobs", "2"]).unwrap();
-        assert!(cli.supervised);
         assert_eq!(cli.options.resume.as_deref(), Some("j.log".as_ref()));
         assert_eq!(cli.options.journal.as_deref(), Some("j.log".as_ref()));
         assert_eq!(cli.jobs, Some(2));
@@ -289,9 +306,8 @@ mod cli_tests {
 
     #[test]
     fn unknown_flags_pass_through_for_the_binaries() {
-        let cli = parse(&["--views", "16", "--jobs", "3", "--corpus=tp27"]).unwrap();
+        let cli = parse_plain(&["--views", "16", "--jobs", "3", "--corpus=tp27"]).unwrap();
         assert_eq!(cli.jobs, Some(3));
-        assert!(!cli.supervised);
         assert_eq!(cli.extra, vec!["--views", "16", "--corpus=tp27"]);
     }
 
@@ -310,20 +326,17 @@ mod cli_tests {
             .deny_unknown()
             .unwrap_err();
         assert!(err.contains("\"--corpus\""), "{err}");
-    }
-
-    #[test]
-    fn no_memo_parses_without_selecting_supervision() {
-        let cli = parse(&["--no-memo", "--jobs", "2"]).unwrap();
-        assert!(cli.no_memo);
-        assert!(!cli.supervised);
-        assert!(cli.deny_unknown().is_ok());
-        assert!(!parse(&["--jobs", "2"]).unwrap().no_memo);
+        // Retired flags are unknown everywhere: the kill switch is the
+        // `DROIDSIM_NO_MEMO` env var, and every study runs supervised.
+        for retired in ["--no-memo", "--keep-going"] {
+            let err = parse(&[retired]).unwrap().deny_unknown().unwrap_err();
+            assert!(err.contains(retired), "{err}");
+        }
     }
 
     #[test]
     fn version_flag_is_recognized_everywhere() {
-        let cli = parse(&["--version"]).unwrap();
+        let cli = parse_plain(&["--version"]).unwrap();
         assert!(cli.version);
         assert!(cli.extra.is_empty());
         assert!(cli.deny_unknown().is_ok());

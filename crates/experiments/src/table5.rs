@@ -6,11 +6,9 @@
 //! and memory (173.85 vs 162.28 MB, +7.13 %).
 
 use crate::scenario::{run_app, RunConfig};
+use crate::Study;
 use droidsim_device::HandlingMode;
-use droidsim_fleet::{
-    combine_ordered, run_fleet, run_fleet_supervised, Digest, FleetConfig, FleetError,
-    FleetOptions, FleetRun, TaskCtx, TaskOutcome,
-};
+use droidsim_fleet::{Digest, FleetConfig, TaskCtx};
 use droidsim_metrics::Summary;
 use rch_workloads::{top100_specs, GenericAppSpec};
 
@@ -104,17 +102,6 @@ impl Top100Study {
         (stock.mean, rch.mean)
     }
 
-    /// Per-app digests in row order (see [`Top100Row::digest`]).
-    pub fn digests(&self) -> Vec<u64> {
-        self.rows.iter().map(Top100Row::digest).collect()
-    }
-
-    /// One digest over the whole study, folding the per-app digests in
-    /// row order. A parallel run must produce the same value as serial.
-    pub fn digest(&self) -> u64 {
-        combine_ordered(self.digests())
-    }
-
     /// Renders Table 5 plus the Fig. 14 summaries.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -192,98 +179,39 @@ fn measure_row(ctx: TaskCtx, spec: GenericAppSpec) -> Top100Row {
     }
 }
 
-/// Runs the full study, partitioning the 100 apps across the fleet
-/// described by `cfg`. Every app simulates on its own `Device` with its
-/// own clocks and sinks, so the rows — and their digests — are identical
-/// for any worker count.
-pub fn run_with_config(cfg: &FleetConfig) -> Top100Study {
-    let rows = run_fleet(cfg, top100_specs(), measure_row);
-    Top100Study { rows }
-}
-
-/// A crash-safe top-100 run: per-app outcomes plus the fleet report.
-/// Unlike [`run_with_config`], a panicking or stalling app costs only
-/// its own row.
-#[derive(Debug)]
-pub struct Top100Run {
-    /// Per-app outcomes in app order, per-app digests, and the report.
-    pub fleet: FleetRun<Top100Row>,
-}
-
-impl Top100Run {
-    /// The complete study, when every app produced a fresh row this run
-    /// (`None` after a resume or when any app is quarantined).
-    pub fn study(&self) -> Option<Top100Study> {
-        let rows: Option<Vec<Top100Row>> = self
-            .fleet
-            .outcomes
-            .iter()
-            .map(|o| o.ok().cloned())
-            .collect();
-        rows.map(|rows| Top100Study { rows })
-    }
-
-    /// The study digest: fresh-row digests and journal-recorded digests
-    /// of skipped rows, folded in app order. `None` while any app is
-    /// quarantined — a partial study has no comparable digest.
-    pub fn digest(&self) -> Option<u64> {
-        self.fleet.combined_digest()
-    }
-
-    /// Renders the study. A complete fresh run gets the full Table 5;
-    /// otherwise the fresh rows print with placeholders for skipped and
-    /// lost apps. Either way the fleet report (with the QUARANTINED
-    /// footer when tasks were lost) closes the output.
-    pub fn render(&self) -> String {
-        let mut out = match self.study() {
-            Some(study) => study.render(),
-            None => {
-                let mut out = String::new();
-                out.push_str("Table 5 (partial): runtime change issues, supervised run\n");
-                for (i, o) in self.fleet.outcomes.iter().enumerate() {
-                    match o {
-                        TaskOutcome::Ok(r) => out.push_str(&format!(
-                            "{:<4} {:<20} issue={:<5} rchdroid={}\n",
-                            r.number,
-                            r.name,
-                            r.issue_under_stock,
-                            if !r.issue_under_stock {
-                                "-"
-                            } else if r.fixed_by_rchdroid {
-                                "fixed"
-                            } else {
-                                "NOT fixed"
-                            }
-                        )),
-                        TaskOutcome::Skipped { digest, .. } => out.push_str(&format!(
-                            "{:<4} (resumed from journal, digest {digest:016x})\n",
-                            i + 1
-                        )),
-                        _ => out.push_str(&format!("{:<4} (LOST: {})\n", i + 1, o.tag())),
-                    }
-                }
-                out
+/// The top-100 study: one fleet task per app. Every app simulates on
+/// its own `Device` with its own clocks and sinks, so the rows — and
+/// their digests — are identical for any worker count.
+pub const STUDY: Study<GenericAppSpec, Top100Row, Top100Study> = Study {
+    partial_title: "Table 5 (partial): runtime change issues, supervised run",
+    unit: "app",
+    digest_label: "study",
+    items: top100_specs,
+    measure: measure_row,
+    digest: Top100Row::digest,
+    assemble: |rows| Top100Study { rows },
+    render_full: Top100Study::render,
+    partial_row: |r| {
+        format!(
+            "{:<4} {:<20} issue={:<5} rchdroid={}",
+            r.number,
+            r.name,
+            r.issue_under_stock,
+            if !r.issue_under_stock {
+                "-"
+            } else if r.fixed_by_rchdroid {
+                "fixed"
+            } else {
+                "NOT fixed"
             }
-        };
-        out.push('\n');
-        out.push_str(&self.fleet.report.render());
-        out
-    }
-}
-
-/// Runs the study under fleet supervision: app panics are isolated,
-/// transient faults retried on the same per-app RNG stream, stalls
-/// timed out, and — when `opts` names a journal — every completed app
-/// checkpointed so an interrupted study can `--resume`.
-pub fn run_supervised(cfg: &FleetConfig, opts: &FleetOptions) -> Result<Top100Run, FleetError> {
-    let fleet = run_fleet_supervised(cfg, opts, top100_specs(), measure_row, Top100Row::digest)?;
-    Ok(Top100Run { fleet })
-}
+        )
+    },
+};
 
 /// Runs the full study with the worker count taken from `DROIDSIM_JOBS`
 /// (default: available cores).
 pub fn run() -> Top100Study {
-    run_with_config(&FleetConfig::from_env(None, 0))
+    STUDY.complete(&FleetConfig::from_env(None, 0))
 }
 
 #[cfg(test)]

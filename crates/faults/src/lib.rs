@@ -265,11 +265,6 @@ impl FaultPlan {
     pub fn injected(&self, site: FaultSite) -> u64 {
         self.injected[site.index()]
     }
-
-    /// Total injections across all sites.
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +280,7 @@ mod tests {
                 assert!(!plan.should_inject(site));
             }
         }
-        assert_eq!(plan.total_injected(), 0);
+        assert!(FaultSite::ALL.iter().all(|&site| plan.injected(site) == 0));
         assert_eq!(plan.probes(FaultSite::AttributeCopy), 1000);
     }
 

@@ -23,9 +23,10 @@
 //!
 //! The worker count comes from `--jobs` / the `DROIDSIM_JOBS` environment
 //! variable, defaulting to the machine's available parallelism; `1`
-//! selects the legacy inline path (no threads are spawned at all). A
-//! zero or non-numeric worker count is rejected with an error naming
-//! the offending source — never silently replaced.
+//! runs every task on the caller thread (no threads are spawned at all —
+//! [`run_claiming_pool`] is the one place that decides). A zero or
+//! non-numeric worker count is rejected with an error naming the
+//! offending source — never silently replaced.
 //!
 //! For long campaigns, [`run_fleet_supervised`] layers crash safety on
 //! the same driver: per-task panic isolation, deterministic bounded
@@ -166,15 +167,6 @@ pub fn parse_jobs_value(source: &'static str, value: &str) -> Result<usize, Jobs
     }
 }
 
-/// Panicking form of [`try_resolve_jobs`] for callers without an error
-/// path.
-pub fn resolve_jobs(explicit: Option<usize>) -> usize {
-    match try_resolve_jobs(explicit) {
-        Ok(n) => n,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Per-task context handed to the fleet closure.
 ///
 /// The RNG is this task's private stream — identical whether the task
@@ -191,10 +183,6 @@ pub struct TaskCtx {
 }
 
 impl TaskCtx {
-    fn new(cfg: &FleetConfig, index: usize) -> TaskCtx {
-        TaskCtx::stream(cfg.seed, index)
-    }
-
     /// The context task `index` gets under root `seed` — identical on
     /// every attempt, worker, and worker count. Retries re-derive it so
     /// a retried task reproduces the exact digest of an undisturbed run.
@@ -205,6 +193,15 @@ impl TaskCtx {
             rng: Xoshiro256::stream(seed, index as u64),
         }
     }
+}
+
+/// The one-line recipe that reruns task `index` of a fleet with root
+/// `seed` alone, inline, on the exact RNG stream it had in the fleet.
+/// Every crash dump and quarantine report names a failed task with it.
+pub(crate) fn repro(seed: u64, index: usize) -> String {
+    format!(
+        "repro: DROIDSIM_JOBS=1 seed={seed} index={index} rng=Xoshiro256::stream({seed}, {index})"
+    )
 }
 
 /// Takes a lock without honouring poisoning: no fleet worker panics
@@ -271,9 +268,10 @@ impl CancelToken {
 /// This is the single claiming loop behind [`run_fleet`],
 /// [`run_fleet_reduce`] and the supervised driver — and the primitive
 /// external pools (the `droidsimd` resume pass, the `droidsim-load`
-/// client fan-out) build on instead of re-implementing. With
-/// `workers <= 1` or `n <= 1` the chunks run inline on the caller
-/// thread, preserving the legacy no-thread path.
+/// client fan-out) build on instead of re-implementing. It is also the
+/// one inline/threaded switch: with `workers <= 1` or `n <= 1` the whole
+/// range runs as one chunk on the caller thread and no thread is
+/// spawned.
 pub fn run_claiming_pool<C>(workers: usize, n: usize, chunk: C)
 where
     C: Fn(std::ops::Range<usize>) + Sync,
@@ -319,50 +317,30 @@ where
     F: Fn(TaskCtx, T) -> R + Sync,
 {
     let n = items.len();
-    let outcomes: Vec<Result<R, String>> = if cfg.jobs <= 1 || n <= 1 {
-        // Legacy path: no threads, no locks — the old serial loop, with
-        // the same isolation boundary as the pool.
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                catch_unwind(AssertUnwindSafe(|| run(TaskCtx::new(cfg, i), item)))
-                    .map_err(supervise::payload_text)
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<Result<R, String>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        run_claiming_pool(cfg.jobs, n, |range| {
-            for i in range {
-                let Some(item) = lock_slot(&slots[i]).take() else {
-                    continue;
-                };
-                let out = catch_unwind(AssertUnwindSafe(|| run(TaskCtx::new(cfg, i), item)))
-                    .map_err(supervise::payload_text);
-                *lock_slot(&results[i]) = Some(out);
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                lock_slot(&slot)
-                    .take()
-                    .unwrap_or_else(|| Err("fleet task produced no result".to_owned()))
-            })
-            .collect()
-    };
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<Result<R, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    run_claiming_pool(cfg.jobs, n, |range| {
+        for i in range {
+            let Some(item) = lock_slot(&slots[i]).take() else {
+                continue;
+            };
+            let out = catch_unwind(AssertUnwindSafe(|| run(TaskCtx::stream(cfg.seed, i), item)))
+                .map_err(supervise::payload_text);
+            *lock_slot(&results[i]) = Some(out);
+        }
+    });
 
     let mut out = Vec::with_capacity(n);
     let mut dumps = Vec::new();
-    for (i, o) in outcomes.into_iter().enumerate() {
-        match o {
+    for (i, slot) in results.into_iter().enumerate() {
+        let outcome = lock_slot(&slot)
+            .take()
+            .unwrap_or_else(|| Err("fleet task produced no result".to_owned()));
+        match outcome {
             Ok(r) => out.push(r),
             Err(payload) => dumps.push(format!(
-                "  task {i}: panicked ({payload}); repro: DROIDSIM_JOBS=1 \
-                 seed={} index={i} rng=Xoshiro256::stream({}, {i})",
-                cfg.seed, cfg.seed
+                "  task {i}: panicked ({payload}); {}",
+                repro(cfg.seed, i)
             )),
         }
     }
@@ -405,30 +383,25 @@ where
     let acc = AtomicU64::new(0);
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let attempt = |i: usize| -> u64 {
-        match catch_unwind(AssertUnwindSafe(|| run(TaskCtx::new(cfg, i), &items[i]))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            run(TaskCtx::stream(cfg.seed, i), &items[i])
+        })) {
             Ok(d) => digest::mix_indexed(i as u64, d),
             Err(payload) => {
                 lock_slot(&failures).push(format!(
-                    "  task {i}: panicked ({}); repro: DROIDSIM_JOBS=1 \
-                     seed={} index={i} rng=Xoshiro256::stream({}, {i})",
+                    "  task {i}: panicked ({}); {}",
                     supervise::payload_text(payload),
-                    cfg.seed,
-                    cfg.seed
+                    repro(cfg.seed, i)
                 ));
                 0
             }
         }
     };
-    if cfg.jobs <= 1 || n <= 1 {
-        let total = (0..n).map(&attempt).fold(0u64, u64::wrapping_add);
-        acc.store(total, Ordering::Relaxed);
-    } else {
-        run_claiming_pool(cfg.jobs, n, |range| {
-            let chunk = range.map(&attempt).fold(0u64, u64::wrapping_add);
-            // fetch_add on u64 wraps, matching the inline fold.
-            acc.fetch_add(chunk, Ordering::Relaxed);
-        });
-    }
+    run_claiming_pool(cfg.jobs, n, |range| {
+        let chunk = range.map(&attempt).fold(0u64, u64::wrapping_add);
+        // fetch_add on u64 wraps, so the sum is the same for any split.
+        acc.fetch_add(chunk, Ordering::Relaxed);
+    });
     let dumps = lock_slot(&failures);
     if !dumps.is_empty() {
         panic!(
@@ -485,7 +458,7 @@ mod tests {
         let err = try_resolve_jobs(Some(0)).unwrap_err();
         assert_eq!(err.source, "--jobs");
         assert!(err.to_string().contains("positive integer"), "{err}");
-        assert!(resolve_jobs(None) >= 1);
+        assert!(try_resolve_jobs(None).unwrap() >= 1);
     }
 
     #[test]

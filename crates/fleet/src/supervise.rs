@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_kernel::journal::{self, Log};
@@ -133,10 +133,9 @@ impl<R> TaskOutcome<R> {
 pub struct FleetOptions {
     /// Requeues per task after a panicked or timed-out attempt.
     pub max_retries: u32,
-    /// Wall-clock budget per task attempt; `None` disables the watchdog
-    /// (the default, and the only choice on the `--jobs 1` legacy
-    /// inline path of plain `run_fleet`). With a budget, each attempt
-    /// runs on a detached thread so a straggler cannot hang the pool.
+    /// Wall-clock budget per task attempt; `None` (the default)
+    /// disables the watchdog. With a budget, each attempt runs on a
+    /// detached thread so a straggler cannot hang the pool.
     pub task_budget: Option<Duration>,
     /// How long an injected stall sleeps; make it comfortably larger
     /// than `task_budget` so injected stalls time out deterministically.
@@ -347,11 +346,8 @@ impl QuarantinedTask {
     /// exact RNG stream it had in the fleet.
     pub fn repro_line(&self) -> String {
         format!(
-            "repro: DROIDSIM_JOBS=1 seed={} index={} rng=Xoshiro256::stream({}, {}) last-attempt={}{}",
-            self.seed,
-            self.index,
-            self.seed,
-            self.index,
+            "{} last-attempt={}{}",
+            crate::repro(self.seed, self.index),
             self.kind,
             if self.payload.is_empty() {
                 String::new()
@@ -365,7 +361,7 @@ impl QuarantinedTask {
 /// Everything a supervised run observed besides the results themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
-    /// Outcome/retry/latency accounting, folded in task-index order.
+    /// Outcome and retry accounting, folded in task-index order.
     pub ledger: FleetLedger,
     /// Tasks that exhausted their retries, in index order.
     pub quarantined: Vec<QuarantinedTask>,
@@ -575,7 +571,19 @@ struct TaskRecord<R> {
     injected: u32,
     panicked_attempts: u32,
     timed_out_attempts: u32,
-    latencies_ms: Vec<f64>,
+}
+
+impl<R> TaskRecord<R> {
+    fn new(outcome: TaskOutcome<R>, digest: Option<u64>) -> TaskRecord<R> {
+        TaskRecord {
+            outcome,
+            digest,
+            retries: 0,
+            injected: 0,
+            panicked_attempts: 0,
+            timed_out_attempts: 0,
+        }
+    }
 }
 
 fn lock<X>(m: &Mutex<X>) -> std::sync::MutexGuard<'_, X> {
@@ -635,29 +643,12 @@ where
     let cancelled = || opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
     let worker_body = |i: usize| {
         if let Some(&digest) = resumed.get(&i) {
-            *lock(&records[i]) = Some(TaskRecord {
-                outcome: TaskOutcome::Skipped { index: i, digest },
-                digest: Some(digest),
-                retries: 0,
-                injected: 0,
-                panicked_attempts: 0,
-                timed_out_attempts: 0,
-                latencies_ms: Vec::new(),
-            });
+            let skipped = TaskOutcome::Skipped { index: i, digest };
+            *lock(&records[i]) = Some(TaskRecord::new(skipped, Some(digest)));
             return;
         }
-        let mut rec = TaskRecord {
-            outcome: TaskOutcome::Skipped {
-                index: i,
-                digest: 0,
-            }, // placeholder
-            digest: None,
-            retries: 0,
-            injected: 0,
-            panicked_attempts: 0,
-            timed_out_attempts: 0,
-            latencies_ms: Vec::new(),
-        };
+        // The outcome is a placeholder until the attempt loop ends.
+        let mut rec = TaskRecord::new(TaskOutcome::Cancelled { index: i }, None);
         let mut attempt: u32 = 0;
         let mut last_panic = String::new();
         let mut last_was_timeout;
@@ -671,7 +662,6 @@ where
             if fault.is_some() {
                 rec.injected += 1;
             }
-            let started = Instant::now();
             let result = run_attempt(
                 &run,
                 cfg.seed,
@@ -681,7 +671,6 @@ where
                 opts.task_budget,
                 opts.stall_for,
             );
-            rec.latencies_ms.push(started.elapsed().as_secs_f64() * 1e3);
             match result {
                 Attempt::Done(r) => {
                     let digest = digest_of(&r);
@@ -731,20 +720,15 @@ where
         *lock(&records[i]) = Some(rec);
     };
 
-    if cfg.jobs <= 1 || n <= 1 {
-        for i in 0..n {
+    // Chunked claiming: early claims take a batch of indices per cursor
+    // RMW, shrinking to single tasks near the tail — the shared
+    // `run_claiming_pool` skeleton (see `claim_chunk`), which also runs
+    // a one-worker fleet inline.
+    crate::run_claiming_pool(cfg.jobs, n, |range| {
+        for i in range {
             worker_body(i);
         }
-    } else {
-        // Chunked claiming: early claims take a batch of indices per
-        // cursor RMW, shrinking to single tasks near the tail — the
-        // shared `run_claiming_pool` skeleton (see `claim_chunk`).
-        crate::run_claiming_pool(cfg.jobs, n, |range| {
-            for i in range {
-                worker_body(i);
-            }
-        });
-    }
+    });
 
     // Fold the slots in task-index order — the same contract as plain
     // run_fleet's reducer, so the report is reproducible for any worker
@@ -791,13 +775,7 @@ where
         ledger.panicked_attempts += u64::from(rec.panicked_attempts);
         ledger.timed_out_attempts += u64::from(rec.timed_out_attempts);
         ledger.injected_faults += u64::from(rec.injected);
-        for ms in &rec.latencies_ms {
-            ledger.attempt_latency_ms.record(*ms);
-        }
-        digests.push(rec.digest.or(match &rec.outcome {
-            TaskOutcome::Skipped { digest, .. } => Some(*digest),
-            _ => None,
-        }));
+        digests.push(rec.digest);
         outcomes.push(rec.outcome);
     }
     Ok(FleetRun {

@@ -70,9 +70,10 @@
 //!
 //! # Kill switch
 //!
-//! [`set_enabled`]`(false)` (the `--no-memo` flag on every harness) or the
-//! `DROIDSIM_NO_MEMO` environment variable bypasses every cache: probes
-//! return [`Admission::Skip`] without touching a shard. Because hits are
+//! The `DROIDSIM_NO_MEMO` environment variable (every harness and the
+//! daemon pair honour it) or [`set_enabled`]`(false)` in-process (the
+//! parity tests and benches) bypasses every cache: probes return
+//! [`Admission::Skip`] without touching a shard. Because hits are
 //! bit-identical to cold derivations, flipping the switch concurrently
 //! with running fleets is safe — it only changes *where* results come
 //! from, never what they are.
@@ -217,16 +218,17 @@ pub fn enabled() -> bool {
     enabled_flag().load(Ordering::Relaxed)
 }
 
-/// Turns every memo cache on or off process-wide (the `--no-memo` kill
-/// switch). Safe to flip at any time: hits are bit-identical to cold
-/// derivations, so concurrent fleets observe no behavioural difference.
+/// Turns every memo cache on or off process-wide (the in-process form
+/// of the `DROIDSIM_NO_MEMO` kill switch). Safe to flip at any time:
+/// hits are bit-identical to cold derivations, so concurrent fleets
+/// observe no behavioural difference.
 pub fn set_enabled(on: bool) {
     enabled_flag().store(on, Ordering::Relaxed);
 }
 
 /// One cache's counters at a point in time. Telemetry only: every field
 /// is scheduling-dependent and must stay out of deterministic
-/// fingerprints, like wall-clock histograms.
+/// fingerprints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoSnapshot {
     /// Cache name (stable, e.g. `inflate`).

@@ -81,13 +81,6 @@ impl<P> AsyncTaskPool<P> {
         self.in_flight.remove(&id).is_some()
     }
 
-    /// Cancels every in-flight task (what a diligent `onDestroy` does).
-    pub fn cancel_all(&mut self) -> usize {
-        let n = self.in_flight.len();
-        self.in_flight.clear();
-        n
-    }
-
     /// Removes and returns every task whose deadline is at or before
     /// `now`, ordered by completion time then spawn order.
     pub fn completions_until(&mut self, now: SimTime) -> Vec<TaskCompletion<P>> {
@@ -172,16 +165,8 @@ mod tests {
         let id = pool.spawn(SimTime::ZERO, SimDuration::from_secs(1), ());
         assert!(pool.cancel(id));
         assert!(!pool.cancel(id), "second cancel is a no-op");
-        assert!(pool.completions_until(SimTime::from_secs(2)).is_empty());
-    }
-
-    #[test]
-    fn cancel_all_reports_count() {
-        let mut pool = AsyncTaskPool::new();
-        pool.spawn(SimTime::ZERO, SimDuration::from_secs(1), ());
-        pool.spawn(SimTime::ZERO, SimDuration::from_secs(2), ());
-        assert_eq!(pool.cancel_all(), 2);
         assert!(pool.is_empty());
+        assert!(pool.completions_until(SimTime::from_secs(2)).is_empty());
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl DaemonLedger {
     /// the chaos-edge counters (degraded entries, journal faults,
     /// dedupe hits, connection rejections, slowloris closes) — those
     /// depend on fault timing and client behavior, like the fleet
-    /// ledger's wall-clock fields. Identical across runs replaying the
+    /// ledger's `alloc_events`. Identical across runs replaying the
     /// same admission sequence.
     pub fn deterministic_fingerprint(&self) -> String {
         format!(

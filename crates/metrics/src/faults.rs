@@ -12,15 +12,9 @@
 //!    and replayed the stock save → destroy → recreate path,
 //! 3. *process crash* — nothing could absorb it; the process died (the
 //!    same outcome stock Android has for every lifecycle fault).
-//!
-//! Fallback recoveries also record a wall-clock latency histogram, so
-//! the cost of degrading lands in the perf trajectory next to the happy
-//! path's flush latencies.
 
 use core::fmt;
 use std::collections::BTreeMap;
-
-use crate::stats::Histogram;
 
 /// Lifetime fault counters for one handler.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -32,8 +26,6 @@ pub struct FaultMetrics {
     pub fallback_restarts: u64,
     /// Rung 3: faults that killed the process.
     pub crashes: u64,
-    /// Wall-clock latency of each fallback recovery, in milliseconds.
-    pub recovery_latency_ms: Histogram,
 }
 
 impl FaultMetrics {
@@ -48,12 +40,10 @@ impl FaultMetrics {
         self.contained_per_view += 1;
     }
 
-    /// Records a rung-2 fallback restart at `site`, with the wall-clock
-    /// time the recovery took.
-    pub fn record_fallback(&mut self, site: &str, recovery_ms: f64) {
+    /// Records a rung-2 fallback restart at `site`.
+    pub fn record_fallback(&mut self, site: &str) {
         *self.by_site.entry(site.to_owned()).or_insert(0) += 1;
         self.fallback_restarts += 1;
-        self.recovery_latency_ms.record(recovery_ms);
     }
 
     /// Records a rung-3 process crash at `site`.
@@ -85,7 +75,6 @@ impl FaultMetrics {
         self.contained_per_view += other.contained_per_view;
         self.fallback_restarts += other.fallback_restarts;
         self.crashes += other.crashes;
-        self.recovery_latency_ms.merge(&other.recovery_latency_ms);
     }
 }
 
@@ -93,12 +82,11 @@ impl fmt::Display for FaultMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "faults={} contained={} fallbacks={} crashes={} recovery_ms[{}]",
+            "faults={} contained={} fallbacks={} crashes={}",
             self.total_faults(),
             self.contained_per_view,
             self.fallback_restarts,
-            self.crashes,
-            self.recovery_latency_ms
+            self.crashes
         )
     }
 }
@@ -112,7 +100,7 @@ mod tests {
         let mut m = FaultMetrics::new();
         m.record_contained("attribute-copy");
         m.record_contained("attribute-copy");
-        m.record_fallback("flush-deadline-overrun", 1.25);
+        m.record_fallback("flush-deadline-overrun");
         m.record_crash("app-logic");
         assert_eq!(m.contained_per_view, 2);
         assert_eq!(m.fallback_restarts, 1);
@@ -121,7 +109,6 @@ mod tests {
         assert_eq!(m.site_count("attribute-copy"), 2);
         assert_eq!(m.site_count("flush-deadline-overrun"), 1);
         assert_eq!(m.site_count("unknown"), 0);
-        assert_eq!(m.recovery_latency_ms.count(), 1);
     }
 
     #[test]
@@ -130,7 +117,7 @@ mod tests {
         a.record_contained("essence-mapping-miss");
         let mut b = FaultMetrics::new();
         b.record_contained("essence-mapping-miss");
-        b.record_fallback("bundle-corruption", 3.0);
+        b.record_fallback("bundle-corruption");
         a.merge(&b);
         assert_eq!(a.site_count("essence-mapping-miss"), 2);
         assert_eq!(a.fallback_restarts, 1);
@@ -140,7 +127,7 @@ mod tests {
     #[test]
     fn display_summarises_the_ladder() {
         let mut m = FaultMetrics::new();
-        m.record_fallback("allocation-failure", 2.0);
+        m.record_fallback("allocation-failure");
         let line = m.to_string();
         assert!(line.contains("fallbacks=1"), "got {line}");
     }

@@ -13,13 +13,12 @@ use core::fmt;
 
 use crate::faults::FaultMetrics;
 use crate::migration::MigrationMetrics;
-use crate::stats::Histogram;
 
 /// Everything one device's handler measured: the lazy-migration counters
 /// and the fault-ladder ledger.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceMetrics {
-    /// Lazy-migration flush counters and histograms.
+    /// Lazy-migration flush counters and batch sizes.
     pub migration: MigrationMetrics,
     /// Degradation-ladder fault ledger.
     pub faults: FaultMetrics,
@@ -38,56 +37,38 @@ impl DeviceMetrics {
         self.faults.merge(&other.faults);
     }
 
-    /// A stable one-line rendering covering every counter and histogram
-    /// summary, including the wall-clock latency histograms.
-    pub fn fingerprint(&self) -> String {
-        self.to_string()
-    }
-
-    /// Like [`DeviceMetrics::fingerprint`], restricted to fields that
-    /// depend only on the simulation — counters, batch sizes, fault
-    /// sites. The flush-latency and recovery-latency histograms measure
-    /// host wall-clock, so they contribute only their observation
-    /// counts. This is what fleet determinism digests hash: it must be
+    /// A stable one-line rendering of every field — counters, batch
+    /// sizes, fault sites. All of them depend only on the simulation;
+    /// this is what fleet determinism digests hash: it must be
     /// bit-identical between serial and parallel runs of the same seeds.
     pub fn deterministic_fingerprint(&self) -> String {
         let m = &self.migration;
         let f = &self.faults;
         format!(
-            "migration[flushes={} raw={} coalesced={} batch[{}] latencies={}] \
-             faults[contained={} fallbacks={} crashes={} recoveries={} sites={:?}]",
+            "migration[flushes={} raw={} coalesced={} batch[{}]] \
+             faults[contained={} fallbacks={} crashes={} sites={:?}]",
             m.flushes,
             m.raw_invalidations,
             m.coalesced_entries,
             m.batch_size,
-            m.flush_latency_ns.count(),
             f.contained_per_view,
             f.fallback_restarts,
             f.crashes,
-            f.recovery_latency_ms.count(),
             f.by_site(),
         )
     }
 }
 
-impl fmt::Display for DeviceMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "migration[{}] faults[{}]", self.migration, self.faults)
-    }
-}
-
-/// The fleet driver's outcome ledger: how every task of a run ended,
-/// how often tasks were retried, and how long attempts took.
+/// The fleet driver's outcome ledger: how every task of a run ended and
+/// how often tasks were retried.
 ///
 /// One ledger describes one `run_fleet_supervised` invocation; the
 /// driver fills it from the per-slot outcomes **in task-index order**
 /// after every worker has finished, so the counters are reproducible
-/// for any worker count. The attempt-latency histogram measures host
-/// wall-clock and therefore follows the same fingerprint rule as the
-/// other latency histograms: it is excluded from
-/// [`FleetLedger::deterministic_fingerprint`] entirely (not even its
-/// count — a watchdog retry that a faster host avoids would change it).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// for any worker count. The ledger is plain counters and `Copy`: it
+/// keeps no per-attempt data, so merging it into a long-lived total (the
+/// daemon's) costs the same after a million tasks as after one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetLedger {
     /// Tasks that produced a result (possibly after retries).
     pub ok: u64,
@@ -111,11 +92,9 @@ pub struct FleetLedger {
     pub injected_faults: u64,
     /// Allocation events (see `droidsim_kernel::alloc_track`) observed
     /// across the whole run — the allocations-per-sim diet metric.
-    /// Scratch-buffer reuse depends on scheduling, so this follows the
-    /// wall-clock rule: excluded from the deterministic fingerprint.
+    /// Scratch-buffer reuse depends on scheduling, so this is excluded
+    /// from the deterministic fingerprint.
     pub alloc_events: u64,
-    /// Host wall-clock latency of every finished attempt (ms).
-    pub attempt_latency_ms: Histogram,
 }
 
 impl FleetLedger {
@@ -147,19 +126,12 @@ impl FleetLedger {
         self.timed_out_attempts += other.timed_out_attempts;
         self.injected_faults += other.injected_faults;
         self.alloc_events += other.alloc_events;
-        self.attempt_latency_ms.merge(&other.attempt_latency_ms);
-    }
-
-    /// Allocation events per accounted task, rounded down. Zero when the
-    /// ledger has no tasks.
-    pub fn allocs_per_task(&self) -> u64 {
-        self.alloc_events.checked_div(self.tasks()).unwrap_or(0)
     }
 
     /// The simulation-determined part of the ledger — everything except
-    /// the wall-clock attempt-latency histogram. Identical between
-    /// serial and parallel runs of the same seeds as long as no
-    /// *organic* (host-speed-dependent) timeout fired.
+    /// `alloc_events`. Identical between serial and parallel runs of the
+    /// same seeds as long as no *organic* (host-speed-dependent) timeout
+    /// fired.
     pub fn deterministic_fingerprint(&self) -> String {
         format!(
             "fleet[ok={} panicked={} timed_out={} skipped={} cancelled={} retries={} \
@@ -181,10 +153,9 @@ impl fmt::Display for FleetLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} allocs={} latency[{}]",
+            "{} allocs={}",
             self.deterministic_fingerprint(),
-            self.alloc_events,
-            self.attempt_latency_ms
+            self.alloc_events
         )
     }
 }
@@ -196,7 +167,7 @@ mod tests {
     fn sink(flushes: u64, contained: u64) -> DeviceMetrics {
         let mut m = DeviceMetrics::new();
         for _ in 0..flushes {
-            m.migration.record_flush(2, 4, 1_000);
+            m.migration.record_flush(2, 4);
         }
         for _ in 0..contained {
             m.faults.record_contained("attribute-copy");
@@ -219,46 +190,47 @@ mod tests {
             parallel.merge(d);
         }
         assert_eq!(serial, parallel);
-        assert_eq!(serial.fingerprint(), parallel.fingerprint());
+        assert_eq!(
+            serial.deterministic_fingerprint(),
+            parallel.deterministic_fingerprint()
+        );
         assert_eq!(serial.migration.flushes, 3);
         assert_eq!(serial.faults.contained_per_view, 4);
     }
 
     #[test]
-    fn deterministic_fingerprint_ignores_wall_clock() {
+    fn deterministic_fingerprint_sees_every_simulation_difference() {
         let mut a = DeviceMetrics::new();
         let mut b = DeviceMetrics::new();
-        a.migration.record_flush(2, 4, 1_000);
-        b.migration.record_flush(2, 4, 9_999_999); // same flush, slower host
-        a.faults.record_fallback("bundle-corruption", 0.5);
-        b.faults.record_fallback("bundle-corruption", 123.0);
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        a.migration.record_flush(2, 4);
+        b.migration.record_flush(2, 4);
+        a.faults.record_fallback("bundle-corruption");
+        b.faults.record_fallback("bundle-corruption");
         assert_eq!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
-        // But it still sees every simulation-visible difference.
         b.faults.record_contained("attribute-copy");
+        assert_ne!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
+        a.faults.record_contained("attribute-copy");
+        b.migration.record_flush(3, 3); // a different batch size
         assert_ne!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
     }
 
     #[test]
     fn fingerprint_covers_both_sinks() {
         let m = sink(1, 2);
-        let line = m.fingerprint();
+        let line = m.deterministic_fingerprint();
         assert!(line.contains("flushes=1"), "got {line}");
         assert!(line.contains("contained=2"), "got {line}");
     }
 
     #[test]
-    fn ledger_fingerprint_ignores_attempt_latency() {
+    fn ledger_fingerprint_ignores_alloc_events() {
         let mut a = FleetLedger::new();
         let mut b = FleetLedger::new();
         a.ok = 7;
         a.retries = 2;
-        a.attempt_latency_ms.record(1.0);
         b.ok = 7;
         b.retries = 2;
-        b.attempt_latency_ms.record(900.0);
-        b.attempt_latency_ms.record(900.0); // even the count is excluded
-        b.alloc_events = 42; // scheduling-dependent, also excluded
+        b.alloc_events = 42; // scheduling-dependent, excluded
         assert_eq!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
         b.panicked += 1;
         assert_ne!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
@@ -290,10 +262,8 @@ mod tests {
         assert_eq!(a.retries, 1);
         assert_eq!(a.injected_faults, 5);
         assert_eq!(a.alloc_events, 24);
-        assert_eq!(a.allocs_per_task(), 1, "24 allocs over 13 tasks");
         let line = a.to_string();
         assert!(line.contains("ok=7"), "got {line}");
         assert!(line.contains("allocs=24"), "got {line}");
-        assert!(line.contains("latency["), "got {line}");
     }
 }

@@ -41,7 +41,7 @@ pub use daemon::DaemonLedger;
 pub use energy::EnergyModel;
 pub use faults::FaultMetrics;
 pub use fleet::{DeviceMetrics, FleetLedger};
-pub use memo::{MemoCacheStats, MemoLedger};
+pub use memo::MemoLedger;
 pub use memory::{MemoryModel, MemorySnapshot};
 pub use migration::MigrationMetrics;
 pub use stats::{Histogram, Summary};

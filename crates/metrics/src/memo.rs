@@ -9,7 +9,7 @@
 //! [`MemoLedger::capture`] from the process-wide registry.
 //!
 //! Hit/miss counts depend on job scheduling (which worker saw a shape
-//! first decides who pays the miss), so like wall-clock histograms and
+//! first decides who pays the miss), so like the fleet ledger's
 //! `alloc_events` this ledger is **fingerprint-excluded telemetry**: it
 //! never participates in any deterministic fingerprint, and the memo ≡
 //! cold gates assert exactly that the *digests* stay identical while
@@ -18,47 +18,6 @@
 use core::fmt;
 use droidsim_kernel::memo::{self, MemoSnapshot};
 
-/// Per-cache counters for one memo cache, as captured at a point in time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemoCacheStats {
-    /// Cache name (`"inflate"`).
-    pub name: String,
-    /// Probes answered from the cache.
-    pub hits: u64,
-    /// Probes that fell through to a cold derivation (including the
-    /// first, tombstone-only sighting of a key).
-    pub misses: u64,
-    /// Entries dropped by capacity pressure or a reclaim pass.
-    pub evictions: u64,
-    /// Resident, current-generation entries.
-    pub entries: u64,
-    /// Approximate resident bytes of cached values.
-    pub bytes: u64,
-}
-
-impl MemoCacheStats {
-    fn from_snapshot(s: &MemoSnapshot) -> MemoCacheStats {
-        MemoCacheStats {
-            name: s.name.to_owned(),
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            entries: s.entries,
-            bytes: s.bytes,
-        }
-    }
-
-    /// Hit fraction in `[0, 1]`; zero for an untouched cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Point-in-time snapshot of every registered memo cache, name-sorted.
 ///
 /// Scheduling-dependent telemetry — never enters a deterministic
@@ -66,7 +25,7 @@ impl MemoCacheStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoLedger {
     /// One entry per registered cache, sorted by name.
-    pub caches: Vec<MemoCacheStats>,
+    pub caches: Vec<MemoSnapshot>,
 }
 
 impl MemoLedger {
@@ -75,10 +34,7 @@ impl MemoLedger {
     /// an early capture may see fewer caches than a later one.
     pub fn capture() -> MemoLedger {
         MemoLedger {
-            caches: memo::snapshot_all()
-                .iter()
-                .map(MemoCacheStats::from_snapshot)
-                .collect(),
+            caches: memo::snapshot_all(),
         }
     }
 
@@ -147,24 +103,24 @@ mod tests {
     fn sample() -> MemoLedger {
         MemoLedger {
             caches: vec![
-                MemoCacheStats {
-                    name: "inflate".into(),
+                MemoSnapshot {
+                    name: "inflate",
                     hits: 30,
                     misses: 10,
                     evictions: 2,
                     entries: 8,
                     bytes: 4096,
                 },
-                MemoCacheStats {
-                    name: "mapping".into(),
+                MemoSnapshot {
+                    name: "mapping",
                     hits: 5,
                     misses: 5,
                     evictions: 0,
                     entries: 5,
                     bytes: 640,
                 },
-                MemoCacheStats {
-                    name: "resolve".into(),
+                MemoSnapshot {
+                    name: "resolve",
                     hits: 65,
                     misses: 15,
                     evictions: 1,
@@ -179,15 +135,6 @@ mod tests {
     fn totals_sum_across_caches() {
         let l = sample();
         assert_eq!(l.totals(), (100, 30, 3, 6784));
-    }
-
-    #[test]
-    fn hit_rate_handles_untouched_cache() {
-        let untouched = MemoCacheStats::default();
-        assert_eq!(untouched.hit_rate(), 0.0);
-        let l = sample();
-        let inflate = &l.caches[0];
-        assert!((inflate.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -207,11 +154,13 @@ mod tests {
     #[test]
     fn unknown_cache_folds_into_totals_only() {
         let l = MemoLedger {
-            caches: vec![MemoCacheStats {
-                name: "mystery".into(),
+            caches: vec![MemoSnapshot {
+                name: "mystery",
                 hits: 7,
                 misses: 3,
-                ..MemoCacheStats::default()
+                evictions: 0,
+                entries: 0,
+                bytes: 0,
             }],
         };
         let kv = l.kv_fields();
@@ -224,7 +173,7 @@ mod tests {
         // No caches may be registered yet in this test process; either
         // way capture() must not panic and must come back name-sorted.
         let l = MemoLedger::capture();
-        let names: Vec<&str> = l.caches.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> = l.caches.iter().map(|c| c.name).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);

@@ -8,9 +8,8 @@
 //!   The view tree folds repeated invalidations of one view within a
 //!   delivery, so a ratio of 4 means four calls cost one essence copy;
 //!   1.0 means every call touched a different view.
-//! * **flush behaviour** — how big batches get and how long a flush
-//!   takes, captured as [`Histogram`]s of per-batch entry counts and
-//!   wall-clock flush latency.
+//! * **flush behaviour** — how big batches get, captured as a
+//!   [`Histogram`] of per-batch entry counts.
 //!
 //! [`MigrationMetrics`] accumulates all of these over an engine's
 //! lifetime; the benchmarks and the engine's tests read them back.
@@ -30,8 +29,6 @@ pub struct MigrationMetrics {
     pub coalesced_entries: u64,
     /// Per-flush batch size in coalesced entries.
     pub batch_size: Histogram,
-    /// Per-flush wall-clock latency in nanoseconds.
-    pub flush_latency_ns: Histogram,
 }
 
 impl MigrationMetrics {
@@ -41,8 +38,8 @@ impl MigrationMetrics {
     }
 
     /// Records one flush: `raw` invalidations collapsed into `batch`
-    /// coalesced entries, drained in `latency_ns` nanoseconds.
-    pub fn record_flush(&mut self, batch: usize, raw: usize, latency_ns: u64) {
+    /// coalesced entries.
+    pub fn record_flush(&mut self, batch: usize, raw: usize) {
         debug_assert!(
             batch <= raw,
             "cannot coalesce {raw} raw into {batch} entries"
@@ -51,7 +48,6 @@ impl MigrationMetrics {
         self.raw_invalidations += raw as u64;
         self.coalesced_entries += batch as u64;
         self.batch_size.record(batch as f64);
-        self.flush_latency_ns.record(latency_ns as f64);
     }
 
     /// Raw invalidations per coalesced entry (≥ 1 once anything was
@@ -64,11 +60,6 @@ impl MigrationMetrics {
         }
     }
 
-    /// Mean coalesced entries per flush (0 when idle).
-    pub fn mean_batch_size(&self) -> f64 {
-        self.batch_size.mean()
-    }
-
     /// Folds another engine's metrics into this one (e.g. to aggregate
     /// across apps in an experiment harness).
     pub fn merge(&mut self, other: &MigrationMetrics) {
@@ -76,7 +67,6 @@ impl MigrationMetrics {
         self.raw_invalidations += other.raw_invalidations;
         self.coalesced_entries += other.coalesced_entries;
         self.batch_size.merge(&other.batch_size);
-        self.flush_latency_ns.merge(&other.flush_latency_ns);
     }
 }
 
@@ -84,13 +74,12 @@ impl fmt::Display for MigrationMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "flushes={} raw={} coalesced={} ratio={:.2} batch[{}] latency_ns[{}]",
+            "flushes={} raw={} coalesced={} ratio={:.2} batch[{}]",
             self.flushes,
             self.raw_invalidations,
             self.coalesced_entries,
             self.coalesce_ratio(),
-            self.batch_size,
-            self.flush_latency_ns
+            self.batch_size
         )
     }
 }
@@ -103,19 +92,19 @@ mod tests {
     fn coalesce_ratio_tracks_raw_over_entries() {
         let mut m = MigrationMetrics::new();
         assert_eq!(m.coalesce_ratio(), 0.0);
-        m.record_flush(3, 12, 1_000);
+        m.record_flush(3, 12);
         assert!((m.coalesce_ratio() - 4.0).abs() < 1e-12);
-        m.record_flush(1, 1, 500);
+        m.record_flush(1, 1);
         assert!((m.coalesce_ratio() - 13.0 / 4.0).abs() < 1e-12);
         assert_eq!(m.flushes, 2);
-        assert!((m.mean_batch_size() - 2.0).abs() < 1e-12);
+        assert!((m.batch_size.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn eager_equivalent_usage_has_unit_ratio() {
         let mut m = MigrationMetrics::new();
         for _ in 0..5 {
-            m.record_flush(1, 1, 100);
+            m.record_flush(1, 1);
         }
         assert!((m.coalesce_ratio() - 1.0).abs() < 1e-12);
         assert_eq!(m.batch_size.max(), 1.0);
@@ -124,20 +113,20 @@ mod tests {
     #[test]
     fn merge_aggregates_engines() {
         let mut a = MigrationMetrics::new();
-        a.record_flush(2, 4, 100);
+        a.record_flush(2, 4);
         let mut b = MigrationMetrics::new();
-        b.record_flush(3, 9, 200);
+        b.record_flush(3, 9);
         a.merge(&b);
         assert_eq!(a.flushes, 2);
         assert_eq!(a.raw_invalidations, 13);
         assert_eq!(a.coalesced_entries, 5);
-        assert_eq!(a.flush_latency_ns.count(), 2);
+        assert_eq!(a.batch_size.count(), 2);
     }
 
     #[test]
     fn display_is_human_readable() {
         let mut m = MigrationMetrics::new();
-        m.record_flush(2, 6, 1_500);
+        m.record_flush(2, 6);
         let line = m.to_string();
         assert!(line.contains("ratio=3.00"), "got {line}");
     }

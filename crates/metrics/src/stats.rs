@@ -102,8 +102,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 ///
 /// Samples are kept exactly (the simulator's batch counts are small, so
 /// there is no need for bucketing); summaries and percentiles are computed
-/// on demand. Used by the migration engine to track per-batch sizes and
-/// flush latencies.
+/// on demand. Used by the migration engine to track per-batch sizes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     samples: Vec<f64>,

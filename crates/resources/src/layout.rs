@@ -250,14 +250,6 @@ impl LayoutTemplate {
     pub fn node_count(&self) -> usize {
         self.root.node_count()
     }
-
-    /// Collects the id names declared anywhere in the template.
-    pub fn declared_ids(&self) -> Vec<&str> {
-        self.root
-            .iter()
-            .filter_map(|n| n.id_name.map(Symbol::as_str))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -303,12 +295,13 @@ mod tests {
                 "Button"
             ]
         );
-    }
-
-    #[test]
-    fn declared_ids_skips_anonymous_nodes() {
-        let t = sample();
-        assert_eq!(t.declared_ids(), vec!["root", "title", "hero", "go"]);
+        // Anonymous nodes carry no id name.
+        let ids: Vec<&str> = t
+            .root()
+            .iter()
+            .filter_map(|n| n.id_name.map(Symbol::as_str))
+            .collect();
+        assert_eq!(ids, vec!["root", "title", "hero", "go"]);
     }
 
     #[test]

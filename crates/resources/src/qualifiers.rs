@@ -107,11 +107,6 @@ impl Qualifiers {
         }
         score
     }
-
-    /// Whether this is the default (unqualified) variant.
-    pub fn is_default(&self) -> bool {
-        *self == Qualifiers::default()
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +118,7 @@ mod tests {
     fn any_matches_everything() {
         assert!(Qualifiers::any().matches(&Configuration::phone_portrait()));
         assert!(Qualifiers::any().matches(&Configuration::phone_landscape()));
-        assert!(Qualifiers::any().is_default());
+        assert_eq!(Qualifiers::any(), Qualifiers::default());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 # usage: scripts/check_digest.sh NAME LINE
 #
 # NAME is a key in tests/golden/digests.env; LINE is the `=> fleet: ...
-# digest <hex>` line `rchlint --differential` or `table5` printed, whose
-# last word is the digest. Exits 1 when the two differ, 2 when NAME is
+# digest <hex>` line `rchlint --differential`, `table5`, `fig10` or
+# `ablation` printed, whose last word is the digest. Exits 1 when the two differ, 2 when NAME is
 # not in the file.
 set -euo pipefail
 
