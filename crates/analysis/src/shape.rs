@@ -11,9 +11,10 @@
 //! Each orientation is inflated once, by a throwaway `perform_create`
 //! whose tree the shape keeps. The strict-inflation finding comes from
 //! [`check_nesting`] on the layout template, which builds no tree.
-//! Shapes are not memoized: corpus runs extract each app once, and a
-//! shape cache never hit in an `rchlint` run or in `lint_corpus` (see
-//! DESIGN.md §13).
+//! Nothing here is cached: corpus runs extract each app once, so
+//! neither a shape cache nor an inflation cache ever hit in an `rchlint`
+//! run or in `lint_corpus` (see DESIGN.md §13), and `perform_create` is
+//! the uncached creation path.
 
 use droidsim_app::{Activity, ActivityInstanceId, AppModel, AsyncSpec};
 use droidsim_atms::ActivityRecordId;

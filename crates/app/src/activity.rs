@@ -18,6 +18,31 @@ pub const KEY_HIERARCHY: &str = "android:viewHierarchyState";
 /// Bundle key for the app's own saved state.
 pub const KEY_APP: &str = "app:savedState";
 
+/// Inflates `model`'s main layout for `config`, uncached. A model
+/// without a layout for `config` gets an empty `FrameLayout` with id
+/// `content`.
+pub(crate) fn inflate_main_layout(
+    model: &dyn AppModel,
+    config: &Configuration,
+) -> (ViewTree, InflateStats) {
+    // Inflate straight from the resolved template reference: a deep
+    // clone of the whole template per create was once the largest
+    // allocation on the relaunch path.
+    match model
+        .resources()
+        .resolve_layout(model.main_layout(), config)
+    {
+        Ok(template) => inflate(template, model.resources(), config),
+        Err(_) => {
+            let fallback = droidsim_resources::LayoutTemplate::new(
+                "empty",
+                droidsim_resources::LayoutNode::new("FrameLayout").with_id("content"),
+            );
+            inflate(&fallback, model.resources(), config)
+        }
+    }
+}
+
 /// An activity instance living on the activity thread.
 ///
 /// `member_state` models the instance's Java fields: state the app keeps
@@ -101,23 +126,27 @@ impl Activity {
     /// instance's configuration, lets the model add dynamic views, and —
     /// if a saved-state bundle is supplied — restores the view hierarchy
     /// and hands the app bundle to the model.
+    ///
+    /// This is the uncached path: the analyzer and the tests create
+    /// through it. [`ActivityThread::perform_launch_activity`] creates
+    /// from its process's kept inflation instead and shares everything
+    /// after the inflation with this method.
+    ///
+    /// [`ActivityThread::perform_launch_activity`]: crate::ActivityThread::perform_launch_activity
     pub fn perform_create(&mut self, model: &dyn AppModel, saved: Option<&Bundle>) {
-        // Inflate straight from the resolved template reference — the
-        // old deep clone of the whole template per create was the single
-        // largest allocation on the relaunch path.
-        let (tree, stats) = match model
-            .resources()
-            .resolve_layout(model.main_layout(), &self.config)
-        {
-            Ok(template) => inflate(template, model.resources(), &self.config),
-            Err(_) => {
-                let fallback = droidsim_resources::LayoutTemplate::new(
-                    "empty",
-                    droidsim_resources::LayoutNode::new("FrameLayout").with_id("content"),
-                );
-                inflate(&fallback, model.resources(), &self.config)
-            }
-        };
+        let (tree, stats) = inflate_main_layout(model, &self.config);
+        self.create_from(tree, stats, model, saved);
+    }
+
+    /// The `onCreate` work after the inflation: installs the freshly
+    /// inflated `tree`, runs the model's `on_create` and the restore.
+    pub(crate) fn create_from(
+        &mut self,
+        tree: ViewTree,
+        stats: InflateStats,
+        model: &dyn AppModel,
+        saved: Option<&Bundle>,
+    ) {
         self.tree = tree;
         self.inflate_stats = stats;
         self.fragments.clear();

@@ -116,9 +116,8 @@ impl Activity {
         let config: Configuration = self.config().clone();
         let template = resources
             .resolve_layout(&spec.layout, &config)
-            .map_err(|_| FragmentError::MissingLayout(spec.layout.clone()))?
-            .clone();
-        let (fragment_tree, _) = inflate(&template, resources, &config);
+            .map_err(|_| FragmentError::MissingLayout(spec.layout.clone()))?;
+        let (fragment_tree, _) = inflate(template, resources, &config);
         let root_view = graft(&fragment_tree, &mut self.tree, container)?;
         let attached = AttachedFragment {
             spec: spec.clone(),

@@ -44,10 +44,13 @@ pub trait AppModel {
     fn component_name(&self) -> &str;
 
     /// The app's resource table (layouts for each configuration, strings,
-    /// drawables).
+    /// drawables). It must not change over the model's life, as an APK's
+    /// resources do not: the app process keeps its inflations keyed by
+    /// configuration alone (see [`ActivityThread`](crate::ActivityThread)).
     fn resources(&self) -> &ResourceTable;
 
-    /// The layout inflated by `onCreate`.
+    /// The layout inflated by `onCreate`. Fixed for the model's life,
+    /// like [`AppModel::resources`].
     fn main_layout(&self) -> &str;
 
     /// The `android:configChanges` mask: diffs covered by it are delivered

@@ -1,15 +1,15 @@
 //! The activity thread: instance table, async tasks, UI message queue.
 
-use crate::activity::{Activity, ActivityInstanceId};
+use crate::activity::{self, Activity, ActivityInstanceId};
 use crate::model::{AppModel, AsyncResult, AsyncSpec};
 use crate::state::{ActivityState, StateError};
 use core::fmt;
 use droidsim_atms::ActivityRecordId;
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
-use droidsim_kernel::{IdGen, SimTime};
+use droidsim_kernel::{memo, IdGen, SimTime};
 use droidsim_looper::{AsyncTaskId, AsyncTaskPool, MessageQueue};
-use droidsim_view::ViewError;
+use droidsim_view::{InflateStats, ViewError, ViewTree};
 use std::collections::BTreeMap;
 
 /// A completed background task heading for the UI thread: which instance's
@@ -64,12 +64,74 @@ impl From<ViewError> for ThreadError {
     }
 }
 
+/// One kept inflation: the model's main layout as inflation left it in
+/// one configuration, before `on_create` or a restore touched it.
+#[derive(Debug)]
+struct Kept {
+    layout: String,
+    config: Configuration,
+    tree: ViewTree,
+    stats: InflateStats,
+}
+
+/// The process's inflation cache. Re-creating the activity in a
+/// configuration the process has already shown — a stock relaunch, an
+/// RCHDroid re-init after the GC, a hot reload — clones the kept tree
+/// instead of walking the template again.
+///
+/// Keyed by (main layout, configuration) alone, which is exact because
+/// one thread serves one model and a model's resources never change.
+/// The kept trees are wall-clock state: they stay out of
+/// [`ActivityThread::heap_bytes`], the PSS model and every fingerprint,
+/// and leave with the thread.
+#[derive(Debug, Default)]
+struct InflationCache {
+    kept: Vec<Kept>,
+    /// Resident bytes of the kept trees, as counted into
+    /// [`memo::record_kept`].
+    bytes: u64,
+}
+
+impl InflationCache {
+    fn get(&self, layout: &str, config: &Configuration) -> Option<&Kept> {
+        self.kept
+            .iter()
+            .find(|k| k.config == *config && k.layout == layout)
+    }
+
+    fn keep(&mut self, layout: &str, config: &Configuration, tree: ViewTree, stats: InflateStats) {
+        let bytes = tree.resident_bytes();
+        memo::record_kept(bytes);
+        self.bytes += bytes;
+        self.kept.push(Kept {
+            layout: layout.to_owned(),
+            config: config.clone(),
+            tree,
+            stats,
+        });
+    }
+}
+
+impl Drop for InflationCache {
+    fn drop(&mut self) {
+        if !self.kept.is_empty() {
+            memo::record_dropped(self.kept.len() as u64, self.bytes);
+        }
+    }
+}
+
 /// One app process's activity thread.
 ///
 /// Owns the activity instances, the in-flight async tasks and the UI
 /// message queue. The paper's `ActivityThread` patch (+91 LoC) adds the
 /// `current_shadow`/`current_sunny` pointers and hooks three functions;
 /// the pointers live here, the behaviour is driven by the change handler.
+///
+/// A thread serves **one** [`AppModel`] for its whole life, the way an
+/// app process runs one app: every method that takes a model must be
+/// passed the same one (a debug build checks the component name at each
+/// inflation), and the model's [`resources`](AppModel::resources) never
+/// change. The thread's inflation cache relies on both.
 ///
 /// # Examples
 ///
@@ -97,6 +159,7 @@ pub struct ActivityThread {
     current_sunny: Option<ActivityInstanceId>,
     tasks: AsyncTaskPool<AsyncWork>,
     ui_queue: MessageQueue<UiMessage>,
+    inflations: InflationCache,
 }
 
 impl ActivityThread {
@@ -109,13 +172,15 @@ impl ActivityThread {
             current_sunny: None,
             tasks: AsyncTaskPool::new(),
             ui_queue: MessageQueue::new(),
+            inflations: InflationCache::default(),
         }
     }
 
     /// `performLaunchActivity`: creates an instance bound to `token` and
     /// runs its `onCreate` with the optional saved-state bundle (for
     /// relaunches this is the pre-restart state; for RCHDroid sunny starts
-    /// it is the shadow bundle).
+    /// it is the shadow bundle). The layout comes from
+    /// [`ActivityThread::inflate_main_layout`].
     pub fn perform_launch_activity(
         &mut self,
         model: &dyn AppModel,
@@ -123,11 +188,43 @@ impl ActivityThread {
         config: Configuration,
         saved: Option<&Bundle>,
     ) -> ActivityInstanceId {
+        let (tree, stats) = self.inflate_main_layout(model, &config);
         let id = ActivityInstanceId::new(self.ids.next());
         let mut activity = Activity::new(id, token, model.component_name(), config);
-        activity.perform_create(model, saved);
+        activity.create_from(tree, stats, model, saved);
         self.instances.insert(id, activity);
         id
+    }
+
+    /// The model's main layout inflated for `config`: a clone of the tree
+    /// this process kept when it first inflated in `config`, or a cold
+    /// inflation that it keeps a clone of now. Under the memo kill switch
+    /// it inflates cold and keeps nothing. Either way the result is
+    /// exactly what [`Activity::perform_create`] inflates.
+    pub fn inflate_main_layout(
+        &mut self,
+        model: &dyn AppModel,
+        config: &Configuration,
+    ) -> (ViewTree, InflateStats) {
+        debug_assert!(
+            self.instances
+                .values()
+                .next()
+                .is_none_or(|a| a.component() == model.component_name()),
+            "one activity thread serves one app model"
+        );
+        if !memo::enabled() {
+            return activity::inflate_main_layout(model, config);
+        }
+        let layout = model.main_layout();
+        if let Some(kept) = self.inflations.get(layout, config) {
+            memo::record_probe(true);
+            return (kept.tree.clone(), kept.stats);
+        }
+        memo::record_probe(false);
+        let (tree, stats) = activity::inflate_main_layout(model, config);
+        self.inflations.keep(layout, config, tree.clone(), stats);
+        (tree, stats)
     }
 
     /// Walks an instance to the foreground: `Created/Stopped → Started →
@@ -418,6 +515,9 @@ impl Default for ActivityThread {
 mod tests {
     use super::*;
     use crate::model::SimpleApp;
+    use droidsim_resources::ResourceTable;
+    use droidsim_view::ViewOp;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     fn launched() -> (ActivityThread, SimpleApp, ActivityInstanceId) {
         let model = SimpleApp::with_views(2);
@@ -566,5 +666,175 @@ mod tests {
             .start_async(bogus, model.button_task(), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, ThreadError::UnknownInstance(bogus));
+    }
+
+    /// Sets the process-wide memo switch for one test and restores it on
+    /// drop, holding a lock so the cache tests never see each other's
+    /// setting.
+    struct MemoSwitch {
+        was: bool,
+        _serial: MutexGuard<'static, ()>,
+    }
+
+    impl MemoSwitch {
+        fn set(on: bool) -> MemoSwitch {
+            static LOCK: Mutex<()> = Mutex::new(());
+            let serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            let was = memo::enabled();
+            memo::set_enabled(on);
+            MemoSwitch {
+                was,
+                _serial: serial,
+            }
+        }
+    }
+
+    impl Drop for MemoSwitch {
+        fn drop(&mut self) {
+            memo::set_enabled(self.was);
+        }
+    }
+
+    /// The benchmark app, plus an `on_create` that edits the fresh tree
+    /// and a save callback, so no created instance looks pristine.
+    struct EditingApp(SimpleApp);
+
+    impl AppModel for EditingApp {
+        fn component_name(&self) -> &str {
+            self.0.component_name()
+        }
+
+        fn resources(&self) -> &ResourceTable {
+            self.0.resources()
+        }
+
+        fn main_layout(&self) -> &str {
+            self.0.main_layout()
+        }
+
+        fn implements_save_instance_state(&self) -> bool {
+            true
+        }
+
+        fn on_create(&self, activity: &mut Activity) {
+            let button = activity.tree.find_by_id_name("button").unwrap();
+            activity
+                .tree
+                .apply(button, ViewOp::SetText("created".into()))
+                .unwrap();
+            activity.member_state.put_i32("created", 1);
+        }
+    }
+
+    #[test]
+    fn a_hit_equals_a_cold_inflation_after_the_first_instance_was_mutated() {
+        let _on = MemoSwitch::set(true);
+        let model = EditingApp(SimpleApp::with_views(3));
+        let portrait = Configuration::phone_portrait();
+        let mut thread = ActivityThread::new();
+        let first = thread.perform_launch_activity(
+            &model,
+            ActivityRecordId::new(0),
+            portrait.clone(),
+            None,
+        );
+        thread.resume_sequence(first, false).unwrap();
+        // A user edit, then an async update lands on the live tree.
+        let a = thread.instance_mut(first).unwrap();
+        let root = a.tree.find_by_id_name("root").unwrap();
+        a.tree.apply(root, ViewOp::ScrollTo(240)).unwrap();
+        thread
+            .start_async(first, model.0.button_task(), SimTime::ZERO)
+            .unwrap();
+        thread.pump_async(SimTime::from_secs(5));
+        for UiMessage::AsyncResult(work) in thread.drain_ui(SimTime::from_secs(5)) {
+            thread.deliver_async(&model, &work).unwrap();
+        }
+        // A stock relaunch: the hit gets the saved state restored into it.
+        let saved = thread.instance(first).unwrap().save_instance_state(&model);
+        thread.destroy_activity(first).unwrap();
+        let second = thread.perform_launch_activity(
+            &model,
+            ActivityRecordId::new(0),
+            portrait.clone(),
+            Some(&saved),
+        );
+
+        assert_eq!(thread.inflations.kept.len(), 1, "one configuration");
+        assert_eq!(
+            thread.inflate_main_layout(&model, &portrait),
+            activity::inflate_main_layout(&model, &portrait),
+            "the kept tree is still the pristine inflation"
+        );
+        let mut reference = Activity::new(
+            ActivityInstanceId::new(99),
+            ActivityRecordId::new(0),
+            model.component_name(),
+            portrait,
+        );
+        reference.perform_create(&model, Some(&saved));
+        let relaunched = thread.instance(second).unwrap();
+        let root = relaunched.tree.find_by_id_name("root").unwrap();
+        assert_eq!(relaunched.tree.view(root).unwrap().attrs.scroll_y, 240);
+        assert_eq!(
+            relaunched.tree, reference.tree,
+            "a hit creates what a cold create does"
+        );
+        assert_eq!(relaunched.inflate_stats(), reference.inflate_stats());
+        assert_eq!(relaunched.member_state, reference.member_state);
+    }
+
+    #[test]
+    fn two_configurations_are_kept_apart() {
+        let _on = MemoSwitch::set(true);
+        let model = SimpleApp::with_views(2);
+        let (portrait, landscape) = (
+            Configuration::phone_portrait(),
+            Configuration::phone_landscape(),
+        );
+        let mut thread = ActivityThread::new();
+        for config in [&portrait, &landscape, &portrait, &landscape] {
+            let id = thread.perform_launch_activity(
+                &model,
+                ActivityRecordId::new(0),
+                config.clone(),
+                None,
+            );
+            assert_eq!(
+                thread.instance(id).unwrap().tree,
+                activity::inflate_main_layout(&model, config).0
+            );
+            thread.destroy_activity(id).unwrap();
+        }
+        assert_eq!(thread.inflations.kept.len(), 2);
+        let class_of = |config: &Configuration| {
+            let tree = &thread.inflations.get("activity_main", config).unwrap().tree;
+            let root = tree.find_by_id_name("root").unwrap();
+            tree.view(root).unwrap().kind.class_name()
+        };
+        assert_eq!(class_of(&portrait), "LinearLayout");
+        assert_eq!(class_of(&landscape), "GridLayout");
+    }
+
+    #[test]
+    fn the_kill_switch_keeps_nothing() {
+        let _off = MemoSwitch::set(false);
+        let model = SimpleApp::with_views(2);
+        let config = Configuration::phone_portrait();
+        let mut thread = ActivityThread::new();
+        for _ in 0..2 {
+            let id = thread.perform_launch_activity(
+                &model,
+                ActivityRecordId::new(0),
+                config.clone(),
+                None,
+            );
+            assert_eq!(
+                thread.instance(id).unwrap().tree,
+                activity::inflate_main_layout(&model, &config).0
+            );
+            thread.destroy_activity(id).unwrap();
+        }
+        assert!(thread.inflations.kept.is_empty());
     }
 }

@@ -9,8 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use droidsim_analysis::{analyze_specs, Suppressions};
-use droidsim_config::{Configuration, Orientation, UiMode};
-use droidsim_device::HandlingMode;
+use droidsim_app::AppModel;
+use droidsim_config::{Orientation, UiMode};
+use droidsim_device::{Device, HandlingMode};
 use droidsim_fleet::{
     combine_ordered, run_fleet, run_fleet_reduce, run_fleet_supervised, Digest, FleetConfig,
     FleetOptions, TaskCtx,
@@ -19,9 +20,8 @@ use droidsim_kernel::memo;
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use rch_experiments::{run_app, RunConfig};
 use rch_workloads::{dataloss_specs, top100_sample, GenericAppSpec};
-use rchdroid::MigrationEngine;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Sample size: enough devices that partitioning matters, small enough
 /// that a bench iteration stays under a second.
@@ -76,12 +76,12 @@ fn simulate_supervised(cfg: &FleetConfig, opts: &FleetOptions, sample: &[Generic
 /// Devices in the memo arms' fleet. The timed arms run serially
 /// (jobs=1) so the warm/cold ratio is a pure cache effect — the
 /// per-call thread-spawn constant of a multi-worker fleet would dilute
-/// the ratio without exercising the caches any harder. Cross-worker
-/// cache sharing is covered by the jobs=4 digest assertion before any
-/// timing starts.
+/// the ratio without exercising the caches any harder.
 const MEMO_DEVICES: usize = 16;
 const MEMO_JOBS: usize = 1;
-const MEMO_SHARED_JOBS: usize = 4;
+/// Rotations per device in the `warm`/`cold` arms: each one a stock
+/// relaunch, alternating between portrait and landscape.
+const MEMO_ROTATIONS: usize = 8;
 
 /// Resource table the memo workload resolves against, shaped like a
 /// real multi-config APK: every string has a default and a landscape
@@ -155,11 +155,8 @@ fn memo_table() -> ResourceTable {
 
 /// A 241-node resolution-heavy layout: every row resolves two strings
 /// and two drawables, so a cold inflation pays 192 table resolutions
-/// where a warm one pays one key digest and a tree clone. `tag` varies
-/// the template content: a fixed tag is the repeated-shape workload
-/// (every device inflates the same template), a fresh tag per call
-/// defeats the caches on purpose.
-fn memo_template(tag: u64) -> LayoutTemplate {
+/// where a warm one pays a tree clone.
+fn memo_template() -> LayoutTemplate {
     let mut root = LayoutNode::new("LinearLayout").with_id("root");
     for i in 0..48 {
         root = root.with_child(
@@ -168,8 +165,7 @@ fn memo_template(tag: u64) -> LayoutTemplate {
                 .with_child(
                     LayoutNode::new("TextView")
                         .with_id(&format!("t{i}"))
-                        .with_attr("text", &format!("@string/s{}", i % 8))
-                        .with_attr("tag", &tag.to_string()),
+                        .with_attr("text", &format!("@string/s{}", i % 8)),
                 )
                 .with_child(
                     LayoutNode::new("TextView")
@@ -191,104 +187,133 @@ fn memo_template(tag: u64) -> LayoutTemplate {
     LayoutTemplate::new("memo_bench", root)
 }
 
-/// One device of the warm-path workload: inflate the template twice
-/// (shadow + sunny instance, the memoized derivation; a cold one
-/// resolves every attribute through the table), build the essence
-/// mapping between them, and digest everything observable.
-fn memo_device(index: usize, template: &LayoutTemplate, table: &ResourceTable) -> u64 {
-    let config = if index.is_multiple_of(2) {
-        Configuration::phone_portrait()
-    } else {
-        Configuration::phone_landscape()
-    };
-    let (mut shadow, stats) = droidsim_view::inflate(template, table, &config);
-    let (mut sunny, _) = droidsim_view::inflate(template, table, &config);
-    let mut engine = MigrationEngine::new();
-    let mapped = engine.build_mapping(&mut shadow, &mut sunny);
+/// The memo arms' app: one activity whose main layout is the
+/// resolution-heavy template, the same in both orientations, over the
+/// multi-config table.
+struct MemoApp {
+    resources: Arc<ResourceTable>,
+}
+
+impl MemoApp {
+    /// A freshly built app: its table and its layout.
+    fn build() -> MemoApp {
+        let mut resources = memo_table();
+        resources.put(
+            "memo_bench",
+            Qualifiers::any(),
+            ResourceValue::Layout(memo_template()),
+        );
+        MemoApp {
+            resources: Arc::new(resources),
+        }
+    }
+}
+
+impl AppModel for MemoApp {
+    fn component_name(&self) -> &str {
+        "com.bench/.Memo"
+    }
+
+    fn resources(&self) -> &ResourceTable {
+        &self.resources
+    }
+
+    fn main_layout(&self) -> &str {
+        "memo_bench"
+    }
+}
+
+/// One device of the memo arms: installs `app`, rotates it `rotations`
+/// times under stock handling — every rotation a relaunch, alternating
+/// between the two configurations — and digests what it observed.
+fn memo_device(app: MemoApp, rotations: usize) -> u64 {
+    let mut device = Device::new(HandlingMode::Android10);
+    device
+        .install_and_launch(Box::new(app), 40 << 20, 1.0)
+        .expect("the memo app launches");
     let mut d = Digest::new();
-    d.write_u64(stats.views_created as u64);
-    d.write_u64(stats.drawable_bytes);
-    d.write_u64(stats.strings_resolved as u64);
-    d.write_u64(mapped as u64);
-    d.write_str(
-        table
-            .resolve_string(&format!("s{}", index % 8), &config)
-            .unwrap_or("<missing>"),
-    );
+    for _ in 0..rotations {
+        let report = device.rotate().expect("a stock relaunch");
+        d.write_u64(report.latency.as_micros());
+    }
+    device
+        .with_foreground_activity_mut(|a| {
+            let stats = a.inflate_stats();
+            d.write_u64(stats.views_created as u64);
+            d.write_u64(stats.drawable_bytes);
+            d.write_u64(stats.strings_resolved as u64);
+            let t0 = a.tree.find_by_id_name("t0").expect("row 0");
+            d.write_str(a.tree.view(t0).unwrap().attrs.text.as_deref().unwrap_or(""));
+        })
+        .expect("the memo app is in the foreground");
     d.finish()
 }
 
-/// The repeated-shape fleet: every device inflates the same template,
-/// so once the touch-counted admission warms up, the steady state is
-/// all cache hits.
-fn memo_fleet_jobs(jobs: usize, template: &LayoutTemplate, table: &ResourceTable) -> u64 {
-    run_fleet_reduce(
-        &FleetConfig::new(jobs, 0),
-        &(0..MEMO_DEVICES).collect::<Vec<_>>(),
-        |_ctx, &i| memo_device(i, template, table),
-    )
-}
-
-fn memo_fleet(template: &LayoutTemplate, table: &ResourceTable) -> u64 {
-    memo_fleet_jobs(MEMO_JOBS, template, table)
-}
-
-/// The unique-shape fleet: a fresh template per *device*, so no inflate
-/// key is ever probed more than the one shadow + sunny pair that owns
-/// it. This is the admission policy's worst case on purpose — under the
-/// inflater's three-touch admission both touches are tombstones (key
-/// digest only, both inflates build cold, nothing is published).
-fn memo_fleet_unique(nonce: &AtomicU64, table: &ResourceTable) -> u64 {
-    let templates: Vec<LayoutTemplate> = (0..MEMO_DEVICES)
-        .map(|_| memo_template(nonce.fetch_add(1, Ordering::Relaxed)))
-        .collect();
+/// The relaunching fleet: every device is one process relaunching its
+/// activity across two configurations, so after its first creation in
+/// each it creates from its kept trees.
+fn memo_fleet(app: &MemoApp) -> u64 {
     run_fleet_reduce(
         &FleetConfig::new(MEMO_JOBS, 0),
         &(0..MEMO_DEVICES).collect::<Vec<_>>(),
-        |_ctx, &i| memo_device(i, &templates[i], table),
+        |_ctx, _i| {
+            let app = MemoApp {
+                resources: Arc::clone(&app.resources),
+            };
+            memo_device(app, MEMO_ROTATIONS)
+        },
     )
 }
 
-/// The warm-path cache arms: `memo/warm` vs `memo/cold` is the ≥1.5×
-/// speedup criterion on a repeated-shape fleet; `memo/unique` vs
-/// `memo/unique_cold` is the no-regression criterion when nothing ever
-/// repeats. The memo ≡ cold digest identity is asserted before any
-/// timing.
+/// The unique fleet: a fresh app per device, created once, so every
+/// tree the cache keeps is never reused. This is keep-on-first-
+/// inflation's worst case on purpose: each launch pays the keep clone.
+fn memo_fleet_unique() -> u64 {
+    run_fleet_reduce(
+        &FleetConfig::new(MEMO_JOBS, 0),
+        &(0..MEMO_DEVICES).collect::<Vec<_>>(),
+        |_ctx, _i| memo_device(MemoApp::build(), 0),
+    )
+}
+
+/// The inflation-cache arms: `memo/warm` vs `memo/cold` is the ≥1.5×
+/// speedup criterion on a relaunching fleet; `memo/unique` vs
+/// `memo/unique_cold` is the no-regression criterion when nothing is
+/// ever created twice. The memo ≡ cold digest identity is asserted
+/// before any timing.
 fn bench_memo(c: &mut Criterion) {
-    let table = memo_table();
-    let template = memo_template(0);
+    let app = MemoApp::build();
     memo::set_enabled(false);
-    let cold_digest = memo_fleet(&template, &table);
+    let (cold_digest, unique_cold_digest) = (memo_fleet(&app), memo_fleet_unique());
     memo::set_enabled(true);
     assert_eq!(
-        memo_fleet(&template, &table),
+        memo_fleet(&app),
         cold_digest,
         "memoized fleet digest diverged from the cold run"
     );
     assert_eq!(
-        memo_fleet_jobs(MEMO_SHARED_JOBS, &template, &table),
-        cold_digest,
-        "memoized fleet digest diverged when workers share the caches"
+        memo_fleet_unique(),
+        unique_cold_digest,
+        "memoized unique fleet digest diverged from the cold run"
     );
 
     let mut group = c.benchmark_group("fleet_parallel");
     group.bench_function("memo/warm", |b| {
         memo::set_enabled(true);
-        b.iter(|| black_box(memo_fleet(&template, &table)));
+        b.iter(|| black_box(memo_fleet(&app)));
     });
     group.bench_function("memo/cold", |b| {
         memo::set_enabled(false);
-        b.iter(|| black_box(memo_fleet(&template, &table)));
+        b.iter(|| black_box(memo_fleet(&app)));
         memo::set_enabled(true);
     });
-    let nonce = AtomicU64::new(1);
     group.bench_function("memo/unique", |b| {
         memo::set_enabled(true);
-        b.iter(|| black_box(memo_fleet_unique(&nonce, &table)));
+        b.iter(|| black_box(memo_fleet_unique()));
     });
     group.bench_function("memo/unique_cold", |b| {
         memo::set_enabled(false);
-        b.iter(|| black_box(memo_fleet_unique(&nonce, &table)));
+        b.iter(|| black_box(memo_fleet_unique()));
         memo::set_enabled(true);
     });
     group.finish();

@@ -1051,10 +1051,9 @@ fn reclaim_under_pressure(shared: &Shared) {
     if !shared.headroom.under_pressure() {
         return;
     }
-    // Warm-path memo caches are the cheapest memory to give back: drop
-    // their cold half before shedding any queued work. Reclaim never
-    // changes results — evicted entries are re-derived on the cold path.
-    droidsim_kernel::memo::reclaim_all();
+    // Shedding queued work is the only memory the daemon can give back:
+    // the inflation caches live inside each job's app processes and
+    // leave with them, so there is no process-wide cache to reclaim.
     lock(&shared.ledger).reclaim_passes += 1;
     let victims = shared.queue.shed_lowest_class(Priority::High);
     for victim in victims {

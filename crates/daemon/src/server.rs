@@ -424,9 +424,10 @@ pub(crate) fn dispatch(
             let stats = daemon.stats();
             let mut out = vec![("ok", "true".to_owned())];
             out.extend(stats.ledger.kv_fields());
-            // Warm-path cache telemetry (fingerprint-excluded): the memo
-            // caches live as process statics, so a live capture here is
-            // exactly the worker pool's accumulated hit/miss picture.
+            // Inflation-cache telemetry (fingerprint-excluded): the app
+            // processes of every job count into process-wide tallies, so
+            // a live capture is the worker pool's hit/miss picture and
+            // the trees its running jobs keep.
             out.extend(droidsim_metrics::MemoLedger::capture().kv_fields());
             out.push(("workers", stats.workers.to_string()));
             out.push(("queue_capacity", stats.queue_capacity.to_string()));

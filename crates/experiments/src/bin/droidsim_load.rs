@@ -25,10 +25,10 @@
 //!
 //! The summary reports p50/p95/p99 submit-to-done latency over the
 //! jobs that completed — the operator-facing number a warm daemon is
-//! supposed to improve. `DROIDSIM_NO_MEMO=1` disables the warm-path
-//! memo cache for the *in-process* reference-digest computation (the
-//! daemon process reads its own environment); digests must match
-//! either way.
+//! supposed to improve. `DROIDSIM_NO_MEMO=1` turns off the app
+//! processes' inflation caches for the *in-process* reference-digest
+//! computation (the daemon process reads its own environment); digests
+//! must match either way.
 //!
 //! The client fan-out claims job indices through the same
 //! `run_claiming_pool` skeleton the fleet drivers use. With

@@ -35,10 +35,13 @@
 //! `--max-line-bytes` and `--max-wait-ms` tune the connection
 //! governor; see `cmd=health` for the resulting daemon state.
 //!
-//! `DROIDSIM_NO_MEMO=1` disables the warm-path memo cache for the
-//! whole process — every job takes the cold path. The `stats`
-//! endpoint's `memo_*` fields then stay at zero; digests are identical
-//! either way (the memo ≡ cold contract).
+//! `DROIDSIM_NO_MEMO=1` turns off the inflation cache every simulated
+//! app process keeps for the configurations it has shown — every
+//! creation inflates cold. The `stats` endpoint's `memo_*` fields then
+//! stay at zero; digests are identical either way (the memo ≡ cold
+//! contract). The caches live and die with each job's devices, so the
+//! daemon holds no cache between jobs and has none to reclaim under
+//! memory pressure.
 //!
 //! Exit codes: 0 after a clean `cmd=shutdown`; 2 on a usage error.
 

@@ -78,8 +78,6 @@ pub struct FleetCli {
     pub jobs: Option<usize>,
     /// Supervision knobs assembled from the flags.
     pub options: FleetOptions,
-    /// Whether `--version` was present.
-    pub version: bool,
     /// Tokens the fleet layer did not consume, in command-line order —
     /// the passthrough remainder a binary's own parser receives.
     pub extra: Vec<String>,
@@ -196,7 +194,9 @@ impl FleetCli {
                     let v = value("--resume", inline, &mut args)?;
                     cli.options = cli.options.clone().resuming(v);
                 }
-                "--version" => cli.version = true,
+                // Handled by `version_flag`, which every entry point
+                // calls first; accepted here so it is never unknown.
+                "--version" => {}
                 // Binaries keep their own extra flags: preserve the
                 // raw token (value-bearing forms like `--views=16` or
                 // `--views` + `16` arrive as the original tokens).
@@ -336,9 +336,12 @@ mod cli_tests {
 
     #[test]
     fn version_flag_is_recognized_everywhere() {
-        let cli = parse_plain(&["--version"]).unwrap();
-        assert!(cli.version);
-        assert!(cli.extra.is_empty());
-        assert!(cli.deny_unknown().is_ok());
+        for cli in [
+            parse_plain(&["--version"]).unwrap(),
+            parse(&["--jobs", "2", "--version"]).unwrap(),
+        ] {
+            assert!(cli.extra.is_empty());
+            assert!(cli.deny_unknown().is_ok());
+        }
     }
 }

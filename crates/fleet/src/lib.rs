@@ -603,6 +603,41 @@ mod supervise_tests {
     }
 
     #[test]
+    fn injected_task_faults_unwind_without_the_panic_hook() {
+        // The hook is process-wide: it counts only the injected payload,
+        // so organic panics other tests raise meanwhile do not count.
+        static HOOK: Mutex<()> = Mutex::new(());
+        let _serial = HOOK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let hooked = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&hooked);
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<&str>() == Some(&"injected fleet-task fault") {
+                seen.fetch_add(1, Ordering::Relaxed);
+            }
+        }));
+        let opts = FleetOptions::new()
+            .with_faults(FaultPlan::seeded(3).with_rate(FaultSite::FleetTask, 1.0));
+        let run = supervised(&FleetConfig::new(2, 5), &opts);
+        std::panic::set_hook(previous);
+        assert_eq!(run.report.ledger.injected_faults, 8);
+        assert_eq!(run.report.quarantined.len(), 8);
+        for q in &run.report.quarantined {
+            assert_eq!(
+                (q.kind, q.payload.as_str()),
+                ("panicked", "injected fleet-task fault")
+            );
+        }
+        assert_eq!(
+            hooked.load(Ordering::Relaxed),
+            0,
+            "injected faults reached the hook"
+        );
+    }
+
+    #[test]
     fn transient_forced_fault_retries_to_the_clean_digest() {
         let clean = supervised(&FleetConfig::new(1, 9), &FleetOptions::new());
         let faulted = FleetOptions::new()

@@ -538,7 +538,11 @@ where
                 std::thread::sleep(stall_for);
             }
             if let Some(InjectedKind::Panic) = fault {
-                panic!("injected fleet-task fault");
+                // Unwind without the panic hook: the fleet isolates and
+                // retries an injected fault, so printing a panic block
+                // for it would read like a failure. Organic panics in
+                // the task still go through the hook.
+                std::panic::resume_unwind(Box::new("injected fleet-task fault"));
             }
             run(TaskCtx::stream(seed, index), item)
         }

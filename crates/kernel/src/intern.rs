@@ -24,9 +24,7 @@
 //! arbitrary text go through [`Symbol::lookup`], which never grows the
 //! table. `tests/prop_view.rs` pins this for save/restore, lazy
 //! migration and hot reload. `droidsimd` jobs name fixed studies, so no
-//! client input reaches a layout either. The one growth by design is the
-//! `fleet_parallel` bench's `memo/unique` arm, which interns 16 fresh tag
-//! values per iteration: bounded by the length of the run.
+//! client input reaches a layout either.
 //!
 //! # Sharded, read-mostly layout
 //!
@@ -49,9 +47,8 @@
 //!   the table stays bounded).
 //! * **Determinism** — the *numeric value* of a symbol depends on interning
 //!   order, which differs between serial and parallel fleet runs. Symbol
-//!   values may feed in-process memo keys (a layout's content digest, a
-//!   resource table's fingerprint) and serve as opaque hash keys (the
-//!   view-tree index, peer maps). No output
+//!   values may serve as opaque hash keys (the view-tree index, peer
+//!   maps). No output
 //!   may sort by a symbol or fold one into a fingerprint; everything
 //!   user-visible goes through [`Symbol::as_str`], and ordered containers
 //!   order by the text. The `jobs=N ≡ jobs=1` digest gates catch a

@@ -16,8 +16,8 @@
 //!   append-only log behind the fleet and daemon journals.
 //! * [`alloc_track`] — coarse allocation-event accounting so the fleet
 //!   ledger can report allocations-per-sim.
-//! * [`memo`] — shard-per-key, content-addressed memoization for the
-//!   warm-path caches (inflation, analyzer shapes).
+//! * [`memo`] — the kill switch and process-wide telemetry of the
+//!   per-process inflation caches.
 //!
 //! # Examples
 //!

@@ -1,37 +1,35 @@
-//! The warm-path memoization ledger.
+//! The inflation-cache ledger.
 //!
-//! [`kernel::memo`](droidsim_kernel::memo) keeps content-addressed caches
-//! hot across a whole fleet run (and a whole daemon lifetime): today one,
-//! of inflated templates, which the device path and the analyzer's shape
-//! extraction share. This ledger is the operator-facing view of the
-//! registered caches — per-cache hits, misses, evictions, resident
-//! entries and approximate resident bytes — captured with
-//! [`MemoLedger::capture`] from the process-wide registry.
+//! Every app process keeps the trees it inflated per configuration and
+//! clones them for its later creations (`ActivityThread`, in
+//! `droidsim-app`); [`kernel::memo`](droidsim_kernel::memo) sums those
+//! per-process caches into process-wide tallies. This ledger is the
+//! operator-facing view of them — hits, misses, evictions (always 0: a
+//! process cache evicts nothing), resident entries and approximate
+//! resident bytes — captured with [`MemoLedger::capture`].
 //!
-//! Hit/miss counts depend on job scheduling (which worker saw a shape
-//! first decides who pays the miss), so like the fleet ledger's
-//! `alloc_events` this ledger is **fingerprint-excluded telemetry**: it
-//! never participates in any deterministic fingerprint, and the memo ≡
-//! cold gates assert exactly that the *digests* stay identical while
-//! these counters swing.
+//! Hit/miss counts depend on job scheduling and the kept trees are
+//! wall-clock state, so like the fleet ledger's `alloc_events` this
+//! ledger is **fingerprint-excluded telemetry**: it never participates
+//! in any deterministic fingerprint, and the memo ≡ cold gates assert
+//! exactly that the *digests* stay identical while these counters
+//! swing.
 
 use core::fmt;
 use droidsim_kernel::memo::{self, MemoSnapshot};
 
-/// Point-in-time snapshot of every registered memo cache, name-sorted.
+/// Point-in-time snapshot of every memo cache, name-sorted.
 ///
 /// Scheduling-dependent telemetry — never enters a deterministic
 /// fingerprint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoLedger {
-    /// One entry per registered cache, sorted by name.
+    /// One entry per cache, sorted by name.
     pub caches: Vec<MemoSnapshot>,
 }
 
 impl MemoLedger {
-    /// Captures the current counters of every cache registered with
-    /// `droidsim_kernel::memo`. Caches register lazily on first use, so
-    /// an early capture may see fewer caches than a later one.
+    /// Captures the current counters from `droidsim_kernel::memo`.
     pub fn capture() -> MemoLedger {
         MemoLedger {
             caches: memo::snapshot_all(),
@@ -170,8 +168,8 @@ mod tests {
 
     #[test]
     fn capture_reflects_registered_caches_sorted() {
-        // No caches may be registered yet in this test process; either
-        // way capture() must not panic and must come back name-sorted.
+        // Whatever the process has counted so far, capture() must not
+        // panic and must come back name-sorted.
         let l = MemoLedger::capture();
         let names: Vec<&str> = l.caches.iter().map(|c| c.name).collect();
         let mut sorted = names.clone();

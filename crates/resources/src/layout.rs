@@ -11,10 +11,7 @@
 //! cloning a tree copies `u32`s, and the inflater hands each id straight
 //! to the view tree without interning anything.
 
-use droidsim_kernel::{memo, Symbol};
-use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use droidsim_kernel::Symbol;
 
 /// One node of a layout template.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -130,75 +127,17 @@ impl<'a> Iterator for LayoutIter<'a> {
     }
 }
 
-/// Lazily computed content digest of a template (0 = dirty). Mutation
-/// goes through [`LayoutTemplate::root_mut`], which resets the cell, so
-/// a non-zero value is always derived purely from `(name, root)` — two
-/// templates that compare equal always digest equal once computed. This
-/// is what lets the inflater key its memo cache without re-hashing a
-/// few hundred nodes on every probe.
-struct TemplateDigest(AtomicU64);
-
-impl TemplateDigest {
-    fn dirty() -> Self {
-        TemplateDigest(AtomicU64::new(0))
-    }
-
-    fn invalidate(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Clone for TemplateDigest {
-    fn clone(&self) -> Self {
-        TemplateDigest(AtomicU64::new(self.0.load(Ordering::Relaxed)))
-    }
-}
-
-impl Default for TemplateDigest {
-    fn default() -> Self {
-        TemplateDigest::dirty()
-    }
-}
-
-impl PartialEq for TemplateDigest {
-    /// Always equal: the digest is a cache over the template's content,
-    /// never independent state, so it must not influence equality.
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for TemplateDigest {}
-
-impl fmt::Debug for TemplateDigest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TemplateDigest({:#x})", self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// A complete layout: a named template with a single root node.
 ///
-/// The fields are private so every mutation path can invalidate the
-/// cached [`content digest`](LayoutTemplate::content_digest); read
-/// access goes through [`name`](LayoutTemplate::name) and
-/// [`root`](LayoutTemplate::root), mutation through
-/// [`root_mut`](LayoutTemplate::root_mut).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Immutable once built: read it through [`name`](LayoutTemplate::name)
+/// and [`root`](LayoutTemplate::root).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayoutTemplate {
     /// The layout's resource name (e.g. `"activity_main"`).
     name: String,
     /// The root node — conventionally a view group that becomes the child
     /// of the window's decor view.
     root: LayoutNode,
-    digest: TemplateDigest,
-}
-
-impl Hash for LayoutTemplate {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Content only — the digest cell is a cache, not state.
-        self.name.hash(state);
-        self.root.hash(state);
-    }
 }
 
 impl LayoutTemplate {
@@ -207,7 +146,6 @@ impl LayoutTemplate {
         LayoutTemplate {
             name: name.to_owned(),
             root,
-            digest: TemplateDigest::dirty(),
         }
     }
 
@@ -219,31 +157,6 @@ impl LayoutTemplate {
     /// The root node.
     pub fn root(&self) -> &LayoutNode {
         &self.root
-    }
-
-    /// Mutable access to the root node. Invalidates the cached content
-    /// digest — the next [`content_digest`](LayoutTemplate::content_digest)
-    /// call re-derives it from the mutated tree.
-    pub fn root_mut(&mut self) -> &mut LayoutNode {
-        self.digest.invalidate();
-        &mut self.root
-    }
-
-    /// Content digest of the whole template, computed once and cached
-    /// until the template is mutated. Process-stable (an FNV fold over
-    /// the node tree, whose names hash as their symbol indices), never
-    /// zero, suitable as memo-cache key material — not a cross-process
-    /// fingerprint: symbol indices follow interning order, so the value
-    /// differs between runs and must never reach output.
-    pub fn content_digest(&self) -> u64 {
-        let cached = self.digest.0.load(Ordering::Relaxed);
-        if cached != 0 {
-            return cached;
-        }
-        let d = memo::stable_hash(self);
-        let d = if d == 0 { memo::FNV_PRIME } else { d };
-        self.digest.0.store(d, Ordering::Relaxed);
-        d
     }
 
     /// Total node count.

@@ -5,10 +5,8 @@ use crate::layout::LayoutTemplate;
 use crate::qualifiers::Qualifiers;
 use core::fmt;
 use droidsim_config::Configuration;
-use droidsim_kernel::memo;
 use droidsim_kernel::Symbol;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A resolved resource id (stable per `(table, name)` pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -94,52 +92,6 @@ struct Entry {
     value: ResourceValue,
 }
 
-/// Cached content fingerprint of a [`ResourceTable`], computed lazily on
-/// first use and invalidated (reset to the `0` sentinel) by every
-/// [`ResourceTable::put`]. Lives in an `AtomicU64` so resolution — a
-/// `&self` path — can fill it in; racing fills compute the same value.
-///
-/// Deliberately invisible to equality: the fingerprint is derived purely
-/// from `entries`, so two tables that compare equal always fingerprint
-/// equal once computed.
-struct TableFingerprint(AtomicU64);
-
-impl TableFingerprint {
-    fn dirty() -> Self {
-        TableFingerprint(AtomicU64::new(0))
-    }
-
-    fn invalidate(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Clone for TableFingerprint {
-    fn clone(&self) -> Self {
-        TableFingerprint(AtomicU64::new(self.0.load(Ordering::Relaxed)))
-    }
-}
-
-impl Default for TableFingerprint {
-    fn default() -> Self {
-        TableFingerprint::dirty()
-    }
-}
-
-impl PartialEq for TableFingerprint {
-    /// Always equal: the fingerprint is a cache over `entries`, never
-    /// independent state, so it must not influence table equality.
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for TableFingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TableFingerprint({:#x})", self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// A named, qualified resource store.
 ///
 /// # Examples
@@ -167,9 +119,6 @@ pub struct ResourceTable {
     /// Name → variants, each variant list kept sorted by *descending*
     /// qualifier specificity so resolution takes the first match.
     entries: BTreeMap<String, Vec<Entry>>,
-    /// Lazily-computed content fingerprint (see [`TableFingerprint`]),
-    /// recomputed on demand after every [`put`](ResourceTable::put).
-    fingerprint: TableFingerprint,
 }
 
 impl ResourceTable {
@@ -194,39 +143,6 @@ impl ResourceTable {
             let at = variants.partition_point(|e| e.qualifiers.specificity() >= specificity);
             variants.insert(at, Entry { qualifiers, value });
         }
-        self.fingerprint.invalidate();
-    }
-
-    /// The table's content fingerprint: an FNV-style word fold over
-    /// every `(name, qualifiers, value)` entry, computed lazily and
-    /// cached until the next [`ResourceTable::put`]. A layout contributes
-    /// its cached [`LayoutTemplate::content_digest`], so a template is
-    /// hashed once however many keys it feeds. Equal-content tables
-    /// fingerprint equal, which is what keys the process-wide inflation
-    /// cache. Like the template digest it folds symbol indices, so it is
-    /// an in-process key only. Never `0` (the dirty sentinel).
-    pub fn fingerprint(&self) -> u64 {
-        let cached = self.fingerprint.0.load(Ordering::Relaxed);
-        if cached != 0 {
-            return cached;
-        }
-        let mut fp = memo::FNV_OFFSET;
-        for (name, variants) in &self.entries {
-            fp = memo::fold_u64(fp, memo::stable_hash(name.as_str()));
-            for entry in variants {
-                fp = memo::fold_u64(fp, memo::stable_hash(&entry.qualifiers));
-                fp = memo::fold_u64(
-                    fp,
-                    match &entry.value {
-                        ResourceValue::Layout(t) => t.content_digest(),
-                        value => memo::stable_hash(value),
-                    },
-                );
-            }
-        }
-        let fp = if fp == 0 { memo::FNV_PRIME } else { fp };
-        self.fingerprint.0.store(fp, Ordering::Relaxed);
-        fp
     }
 
     /// The stable id for `name`, if the name exists.
@@ -450,24 +366,6 @@ mod tests {
         assert_eq!(t.id_of("greeting"), Some(ResId(0)));
         assert_eq!(t.id_of("missing"), None);
         assert_eq!(ResId(7).to_string(), "0x7f000007");
-    }
-
-    #[test]
-    fn fingerprint_tracks_content_not_identity() {
-        let a = table_with_variants();
-        let b = table_with_variants();
-        assert_ne!(a.fingerprint(), 0, "never the dirty sentinel");
-        assert_eq!(a.fingerprint(), b.fingerprint(), "equal content");
-        assert_eq!(a.clone().fingerprint(), a.fingerprint(), "clones agree");
-
-        let mut c = table_with_variants();
-        c.put("extra", Qualifiers::any(), ResourceValue::string("x"));
-        assert_ne!(c.fingerprint(), a.fingerprint(), "content change re-keys");
-
-        let mut d = table_with_variants();
-        let before = d.fingerprint();
-        d.put("greeting", Qualifiers::any(), ResourceValue::string("Hi"));
-        assert_ne!(d.fingerprint(), before, "replacement re-keys");
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 use droidsim_app::{ActivityInstanceId, ActivityThread, AppModel, ThreadError};
 use droidsim_atms::{ActivityRecordId, Atms, AtmsError, ConfigDecision};
-use droidsim_view::inflate;
 
 /// The outcome of RuntimeDroid's in-place handling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,23 +112,13 @@ impl RuntimeDroid {
             });
         }
 
+        // Hot reload: re-inflate the layout resource for the new config,
+        // through the process's inflation cache like any creation.
         let config = atms.global_config().clone();
+        let (mut tree, _) = thread.inflate_main_layout(model, &config);
         let activity = thread.instance_mut(instance)?;
         let old_count = activity.tree.view_count();
         let hierarchy = activity.tree.save_hierarchy_state();
-
-        // Hot reload: re-inflate the layout resource for the new config.
-        let template = model
-            .resources()
-            .resolve_layout(model.main_layout(), &config)
-            .cloned()
-            .unwrap_or_else(|_| {
-                droidsim_resources::LayoutTemplate::new(
-                    "empty",
-                    droidsim_resources::LayoutNode::new("FrameLayout").with_id("content"),
-                )
-            });
-        let (mut tree, _) = inflate(&template, model.resources(), &config);
         tree.restore_hierarchy_state(&hierarchy);
         // Dynamic migration: RuntimeDroid's patch copies live view values
         // object-to-object, so state survives even for views that do not

