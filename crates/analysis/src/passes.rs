@@ -478,7 +478,7 @@ mod tests {
         parent: ViewId,
         tree: &mut ViewTree,
     ) -> Result<(), ViewError> {
-        let kind = ViewKind::from_class_name(node.class.as_str());
+        let kind = ViewKind::from_class(node.class);
         let id = tree.add_view(parent, kind, node.id_name.map(Symbol::as_str))?;
         for child in &node.children {
             add_until_failure(child, id, tree)?;

@@ -178,7 +178,7 @@ fn graft_subtree(
     parent: ViewId,
 ) -> Result<ViewId, ViewError> {
     let src = source.view(node)?;
-    let new_id = dest.add_view(parent, src.kind.clone(), src.id_name_str())?;
+    let new_id = dest.add_view(parent, src.kind, src.id_name_str())?;
     dest.edit_attrs(new_id, |attrs| *attrs = src.attrs.clone())?;
     dest.set_saves_state(new_id, src.saves_state)?;
     dest.set_freezes_text(new_id, src.freezes_text)?;

@@ -64,20 +64,27 @@ impl From<ViewError> for ThreadError {
     }
 }
 
-/// One kept inflation: the model's main layout as inflation left it in
-/// one configuration, before `on_create` or a restore touched it.
+/// One (main layout, configuration) the process has inflated in, with
+/// the inflation it keeps there once the configuration recurs: the
+/// tree as inflation left it, before `on_create` or a restore touched
+/// it.
 #[derive(Debug)]
-struct Kept {
+struct Seen {
     layout: String,
     config: Configuration,
-    tree: ViewTree,
-    stats: InflateStats,
+    kept: Option<(ViewTree, InflateStats)>,
 }
 
 /// The process's inflation cache. Re-creating the activity in a
 /// configuration the process has already shown — a stock relaunch, an
 /// RCHDroid re-init after the GC, a hot reload — clones the kept tree
 /// instead of walking the template again.
+///
+/// A tree is kept only where a configuration recurs: the first
+/// inflation in a (layout, configuration) records the pair and keeps
+/// nothing, the second keeps a clone, and every later one clones it.
+/// Most processes create in a configuration once, and a keep clone they
+/// never reuse costs nearly as much as the inflation itself.
 ///
 /// Keyed by (main layout, configuration) alone, which is exact because
 /// one thread serves one model and a model's resources never change.
@@ -86,36 +93,42 @@ struct Kept {
 /// and leave with the thread.
 #[derive(Debug, Default)]
 struct InflationCache {
-    kept: Vec<Kept>,
-    /// Resident bytes of the kept trees, as counted into
+    seen: Vec<Seen>,
+    /// Trees kept, and their resident bytes, as counted into
     /// [`memo::record_kept`].
+    trees: u64,
     bytes: u64,
 }
 
 impl InflationCache {
-    fn get(&self, layout: &str, config: &Configuration) -> Option<&Kept> {
-        self.kept
-            .iter()
-            .find(|k| k.config == *config && k.layout == layout)
+    fn get(&mut self, layout: &str, config: &Configuration) -> Option<&mut Seen> {
+        self.seen
+            .iter_mut()
+            .find(|seen| seen.config == *config && seen.layout == layout)
     }
 
-    fn keep(&mut self, layout: &str, config: &Configuration, tree: ViewTree, stats: InflateStats) {
-        let bytes = tree.resident_bytes();
-        memo::record_kept(bytes);
-        self.bytes += bytes;
-        self.kept.push(Kept {
+    /// Records a first inflation in (`layout`, `config`), keeping nothing.
+    fn see(&mut self, layout: &str, config: &Configuration) {
+        self.seen.push(Seen {
             layout: layout.to_owned(),
             config: config.clone(),
-            tree,
-            stats,
+            kept: None,
         });
+    }
+
+    /// Counts a tree kept into the process-wide tallies.
+    fn count_kept(&mut self, tree: &ViewTree) {
+        let bytes = tree.resident_bytes();
+        memo::record_kept(bytes);
+        self.trees += 1;
+        self.bytes += bytes;
     }
 }
 
 impl Drop for InflationCache {
     fn drop(&mut self) {
-        if !self.kept.is_empty() {
-            memo::record_dropped(self.kept.len() as u64, self.bytes);
+        if self.trees > 0 {
+            memo::record_dropped(self.trees, self.bytes);
         }
     }
 }
@@ -131,7 +144,10 @@ impl Drop for InflationCache {
 /// app process runs one app: every method that takes a model must be
 /// passed the same one (a debug build checks the component name at each
 /// inflation), and the model's [`resources`](AppModel::resources) never
-/// change. The thread's inflation cache relies on both.
+/// change. The thread's inflation cache relies on both: it keeps a
+/// pristine tree for a configuration once the thread creates its
+/// activity there a second time, and clones it from the third creation
+/// on ([`ActivityThread::inflate_main_layout`]).
 ///
 /// # Examples
 ///
@@ -196,11 +212,12 @@ impl ActivityThread {
         id
     }
 
-    /// The model's main layout inflated for `config`: a clone of the tree
-    /// this process kept when it first inflated in `config`, or a cold
-    /// inflation that it keeps a clone of now. Under the memo kill switch
-    /// it inflates cold and keeps nothing. Either way the result is
-    /// exactly what [`Activity::perform_create`] inflates.
+    /// The model's main layout inflated for `config`. The first time this
+    /// process inflates in `config` it inflates cold and only records
+    /// the configuration; the second time it inflates cold and keeps a
+    /// clone; every later time it clones the kept tree. Under the memo
+    /// kill switch it inflates cold and records nothing. Either way the
+    /// result is exactly what [`Activity::perform_create`] inflates.
     pub fn inflate_main_layout(
         &mut self,
         model: &dyn AppModel,
@@ -217,13 +234,19 @@ impl ActivityThread {
             return activity::inflate_main_layout(model, config);
         }
         let layout = model.main_layout();
-        if let Some(kept) = self.inflations.get(layout, config) {
+        let Some(seen) = self.inflations.get(layout, config) else {
+            memo::record_probe(false);
+            self.inflations.see(layout, config);
+            return activity::inflate_main_layout(model, config);
+        };
+        if let Some((tree, stats)) = &seen.kept {
             memo::record_probe(true);
-            return (kept.tree.clone(), kept.stats);
+            return (tree.clone(), *stats);
         }
         memo::record_probe(false);
         let (tree, stats) = activity::inflate_main_layout(model, config);
-        self.inflations.keep(layout, config, tree.clone(), stats);
+        seen.kept = Some((tree.clone(), stats));
+        self.inflations.count_kept(&tree);
         (tree, stats)
     }
 
@@ -726,44 +749,103 @@ mod tests {
         }
     }
 
+    impl ActivityThread {
+        /// How many configurations this thread keeps a tree for.
+        fn kept_trees(&self) -> usize {
+            self.inflations
+                .seen
+                .iter()
+                .filter(|seen| seen.kept.is_some())
+                .count()
+        }
+
+        /// The tree kept for `config`, if any.
+        fn kept_tree(&mut self, config: &Configuration) -> Option<&ViewTree> {
+            let seen = self.inflations.get("activity_main", config)?;
+            seen.kept.as_ref().map(|(tree, _)| tree)
+        }
+    }
+
+    /// Delivers every async result due by `at` on `thread`.
+    fn deliver_due(thread: &mut ActivityThread, model: &dyn AppModel, at: SimTime) {
+        thread.pump_async(at);
+        for UiMessage::AsyncResult(work) in thread.drain_ui(at) {
+            thread.deliver_async(model, &work).unwrap();
+        }
+    }
+
     #[test]
-    fn a_hit_equals_a_cold_inflation_after_the_first_instance_was_mutated() {
+    fn a_configuration_shown_once_keeps_nothing() {
         let _on = MemoSwitch::set(true);
-        let model = EditingApp(SimpleApp::with_views(3));
+        let model = SimpleApp::with_views(2);
         let portrait = Configuration::phone_portrait();
         let mut thread = ActivityThread::new();
-        let first = thread.perform_launch_activity(
+        let id = thread.perform_launch_activity(
             &model,
             ActivityRecordId::new(0),
             portrait.clone(),
             None,
         );
-        thread.resume_sequence(first, false).unwrap();
-        // A user edit, then an async update lands on the live tree.
-        let a = thread.instance_mut(first).unwrap();
-        let root = a.tree.find_by_id_name("root").unwrap();
-        a.tree.apply(root, ViewOp::ScrollTo(240)).unwrap();
-        thread
-            .start_async(first, model.0.button_task(), SimTime::ZERO)
-            .unwrap();
-        thread.pump_async(SimTime::from_secs(5));
-        for UiMessage::AsyncResult(work) in thread.drain_ui(SimTime::from_secs(5)) {
-            thread.deliver_async(&model, &work).unwrap();
-        }
-        // A stock relaunch: the hit gets the saved state restored into it.
-        let saved = thread.instance(first).unwrap().save_instance_state(&model);
-        thread.destroy_activity(first).unwrap();
-        let second = thread.perform_launch_activity(
-            &model,
-            ActivityRecordId::new(0),
-            portrait.clone(),
-            Some(&saved),
-        );
-
-        assert_eq!(thread.inflations.kept.len(), 1, "one configuration");
         assert_eq!(
-            thread.inflate_main_layout(&model, &portrait),
-            activity::inflate_main_layout(&model, &portrait),
+            thread.instance(id).unwrap().tree,
+            activity::inflate_main_layout(&model, &portrait).0
+        );
+        assert_eq!(
+            thread.inflations.seen.len(),
+            1,
+            "the configuration is recorded"
+        );
+        assert_eq!(thread.kept_trees(), 0, "and no tree is kept");
+        assert_eq!(thread.inflations.bytes, 0);
+    }
+
+    #[test]
+    fn the_third_creation_is_the_first_hit_and_equals_a_cold_create() {
+        let _on = MemoSwitch::set(true);
+        let model = EditingApp(SimpleApp::with_views(3));
+        let portrait = Configuration::phone_portrait();
+        let mut thread = ActivityThread::new();
+        let mut saved = None;
+        let mut scroll = 0;
+        let mut instance = None;
+        // Three creations in one configuration, each a stock relaunch of
+        // the last: `on_create` edits each fresh tree, then a user edit
+        // and an async update land on it, and its saved state is
+        // restored into the next.
+        for creation in 1..=3 {
+            let id = thread.perform_launch_activity(
+                &model,
+                ActivityRecordId::new(0),
+                portrait.clone(),
+                saved.as_ref(),
+            );
+            assert_eq!(
+                thread.kept_trees(),
+                usize::from(creation >= 2),
+                "creation {creation}: a tree is kept from the second on"
+            );
+            if creation == 3 {
+                instance = Some(id);
+                break;
+            }
+            thread.resume_sequence(id, false).unwrap();
+            scroll += 120;
+            let a = thread.instance_mut(id).unwrap();
+            let root = a.tree.find_by_id_name("root").unwrap();
+            a.tree.apply(root, ViewOp::ScrollTo(scroll)).unwrap();
+            let start = SimTime::from_secs(5 * (creation - 1));
+            thread
+                .start_async(id, model.0.button_task(), start)
+                .unwrap();
+            deliver_due(&mut thread, &model, SimTime::from_secs(5 * creation));
+            saved = Some(thread.instance(id).unwrap().save_instance_state(&model));
+            thread.destroy_activity(id).unwrap();
+        }
+
+        assert_eq!(thread.inflations.seen.len(), 1, "one configuration");
+        assert_eq!(
+            thread.kept_tree(&portrait),
+            Some(&activity::inflate_main_layout(&model, &portrait).0),
             "the kept tree is still the pristine inflation"
         );
         let mut reference = Activity::new(
@@ -772,16 +854,16 @@ mod tests {
             model.component_name(),
             portrait,
         );
-        reference.perform_create(&model, Some(&saved));
-        let relaunched = thread.instance(second).unwrap();
-        let root = relaunched.tree.find_by_id_name("root").unwrap();
-        assert_eq!(relaunched.tree.view(root).unwrap().attrs.scroll_y, 240);
+        reference.perform_create(&model, saved.as_ref());
+        let third = thread.instance(instance.unwrap()).unwrap();
+        let root = third.tree.find_by_id_name("root").unwrap();
+        assert_eq!(third.tree.view(root).unwrap().attrs.scroll_y, 240);
         assert_eq!(
-            relaunched.tree, reference.tree,
+            third.tree, reference.tree,
             "a hit creates what a cold create does"
         );
-        assert_eq!(relaunched.inflate_stats(), reference.inflate_stats());
-        assert_eq!(relaunched.member_state, reference.member_state);
+        assert_eq!(third.inflate_stats(), reference.inflate_stats());
+        assert_eq!(third.member_state, reference.member_state);
     }
 
     #[test]
@@ -793,7 +875,13 @@ mod tests {
             Configuration::phone_landscape(),
         );
         let mut thread = ActivityThread::new();
-        for config in [&portrait, &landscape, &portrait, &landscape] {
+        for (round, config) in [&portrait, &landscape, &portrait, &landscape, &portrait]
+            .into_iter()
+            .enumerate()
+        {
+            if round == 2 {
+                assert_eq!(thread.kept_trees(), 0, "each shown once so far");
+            }
             let id = thread.perform_launch_activity(
                 &model,
                 ActivityRecordId::new(0),
@@ -806,9 +894,9 @@ mod tests {
             );
             thread.destroy_activity(id).unwrap();
         }
-        assert_eq!(thread.inflations.kept.len(), 2);
-        let class_of = |config: &Configuration| {
-            let tree = &thread.inflations.get("activity_main", config).unwrap().tree;
+        assert_eq!(thread.kept_trees(), 2);
+        let mut class_of = |config: &Configuration| {
+            let tree = thread.kept_tree(config).unwrap();
             let root = tree.find_by_id_name("root").unwrap();
             tree.view(root).unwrap().kind.class_name()
         };
@@ -817,12 +905,12 @@ mod tests {
     }
 
     #[test]
-    fn the_kill_switch_keeps_nothing() {
+    fn the_kill_switch_keeps_and_records_nothing() {
         let _off = MemoSwitch::set(false);
         let model = SimpleApp::with_views(2);
         let config = Configuration::phone_portrait();
         let mut thread = ActivityThread::new();
-        for _ in 0..2 {
+        for _ in 0..3 {
             let id = thread.perform_launch_activity(
                 &model,
                 ActivityRecordId::new(0),
@@ -835,6 +923,6 @@ mod tests {
             );
             thread.destroy_activity(id).unwrap();
         }
-        assert!(thread.inflations.kept.is_empty());
+        assert!(thread.inflations.seen.is_empty());
     }
 }

@@ -1,11 +1,13 @@
 //! Micro-benches of the framework substrate itself: the operations whose
-//! costs the paper's patch touches (inflation, hierarchy save/restore,
-//! mapping build, lazy migration, coin-flip search).
+//! costs the paper's patch touches (layout build, inflation and the
+//! tree clone a kept inflation costs, hierarchy save, mapping build,
+//! lazy migration, resource resolution).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use droidsim_config::{Configuration, Orientation, UiMode};
-use droidsim_resources::{Qualifiers, ResourceTable, ResourceValue};
-use droidsim_view::{ViewKind, ViewOp, ViewTree};
+use droidsim_kernel::Symbol;
+use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
+use droidsim_view::{inflate, ViewKind, ViewOp, ViewTree};
 use rchdroid::MigrationEngine;
 use std::hint::black_box;
 
@@ -42,9 +44,52 @@ fn stateful_tree(n: usize) -> ViewTree {
     t
 }
 
+/// A layout shaped like a generated app's: a root holding `n - 1`
+/// named image views, each with the one attribute every image carries,
+/// `src="@drawable/asset"`. The names are interned beforehand, as the
+/// app interns them once per process.
+fn generic_layout(names: &[Symbol]) -> LayoutTemplate {
+    let (image_view, src, asset) = (
+        Symbol::intern("ImageView"),
+        Symbol::intern("src"),
+        Symbol::intern("@drawable/asset"),
+    );
+    let mut root = LayoutNode::new("LinearLayout").with_id("root");
+    root.children.reserve_exact(names.len());
+    for &name in names {
+        root = root.with_child(
+            LayoutNode::new(image_view)
+                .with_id(name)
+                .with_attr(src, asset),
+        );
+    }
+    LayoutTemplate::new("activity_main", root)
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("framework_micro");
+    let mut table = ResourceTable::new();
+    table.put(
+        "asset",
+        Qualifiers::any(),
+        ResourceValue::drawable("asset.png", 64 << 10),
+    );
+    let portrait = Configuration::phone_portrait();
     for n in [16usize, 128, 1024] {
+        let names: Vec<Symbol> = (1..n)
+            .map(|i| Symbol::intern(&format!("content_{i}")))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("template_build", n), &n, |b, _| {
+            b.iter(|| black_box(generic_layout(&names)));
+        });
+        let template = generic_layout(&names);
+        group.bench_with_input(BenchmarkId::new("inflate", n), &n, |b, _| {
+            b.iter(|| black_box(inflate(&template, &table, &portrait)));
+        });
+        let (tree, _) = inflate(&template, &table, &portrait);
+        group.bench_with_input(BenchmarkId::new("tree_clone", n), &n, |b, _| {
+            b.iter(|| black_box(tree.clone()));
+        });
         group.bench_with_input(BenchmarkId::new("hierarchy_save", n), &n, |b, &n| {
             let t = stateful_tree(n);
             b.iter(|| black_box(t.save_hierarchy_state()));

@@ -508,7 +508,7 @@ mod tests {
         let mut shadow = ViewTree::new();
         let custom = ViewKind::from_class_name("com.app.FancyTextView");
         shadow
-            .add_view(shadow.root(), custom.clone(), Some("fancy"))
+            .add_view(shadow.root(), custom, Some("fancy"))
             .unwrap();
         let mut sunny = ViewTree::new();
         sunny.add_view(sunny.root(), custom, Some("fancy")).unwrap();

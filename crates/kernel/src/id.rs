@@ -1,8 +1,19 @@
-//! Monotone id allocation.
+//! Monotone id allocation, and the hasher for maps keyed by ids.
 //!
 //! Tokens, view ids, activity-record ids and task ids are all allocated from
 //! per-domain [`IdGen`]s so that ids are dense, deterministic and never
 //! reused within a simulation run.
+//!
+//! [`IdMap`] is a `HashMap` for keys the program itself issues: ids from
+//! an [`IdGen`], arena indices, interned [`Symbol`](crate::Symbol)s, and
+//! tuples of them. Its [`IdHasher`] folds each integer with one multiply
+//! instead of running SipHash. SipHash's keyed mixing protects a table
+//! against keys an adversary chooses; these keys are never outside input,
+//! so that protection buys nothing here. Do not key an `IdMap` by text
+//! or by anything a client sends.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A monotone id allocator.
 ///
@@ -50,6 +61,78 @@ impl IdGen {
     }
 }
 
+/// A hasher for program-issued integer keys: each word written folds
+/// into the state with one rotate, one xor and one multiply (the
+/// `FxHash` scheme). The odd multiplier keeps distinct dense keys
+/// distinct in the low bits that pick a bucket, and spreads them into
+/// the high bits the table's control bytes use.
+///
+/// Not collision-resistant: only for keys the program issues (see the
+/// module docs). No output may depend on an [`IdMap`]'s iteration order,
+/// which follows the key values; symbol values differ between serial and
+/// parallel runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher {
+    hash: u64,
+}
+
+/// The multiplier: 2⁶⁴ divided by the golden ratio, made odd.
+const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl IdHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    /// Bytes fold in 8-byte words; integer keys take the typed writes
+    /// below and never come here.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.fold(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.fold(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.fold(i as u64);
+    }
+}
+
+/// A `HashMap` keyed by program-issued integers, hashed by [`IdHasher`].
+///
+/// # Examples
+///
+/// ```
+/// use droidsim_kernel::id::IdMap;
+/// use droidsim_kernel::Symbol;
+///
+/// let mut index: IdMap<Symbol, u64> = IdMap::default();
+/// index.insert(Symbol::intern("title"), 3);
+/// assert_eq!(index.get(&Symbol::intern("title")), Some(&3));
+/// ```
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// Declares a newtype id with `Display`, `From<u64>` and an inherent
 /// constructor — the standard shape for every id in the simulator.
 #[macro_export]
@@ -88,6 +171,7 @@ macro_rules! define_id {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{BuildHasher, Hash};
 
     define_id! {
         /// A test id.
@@ -115,5 +199,32 @@ mod tests {
         assert_eq!(id.raw(), 7);
         assert_eq!(TestId::from(7), id);
         assert_eq!(id.to_string(), "TestId#7");
+    }
+
+    #[test]
+    fn id_hasher_keeps_dense_keys_apart() {
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let hash = |key: &dyn Fn(&mut IdHasher)| {
+            let mut h = build.build_hasher();
+            key(&mut h);
+            h.finish()
+        };
+        let hashes: std::collections::HashSet<u64> = (0..4_096u64)
+            .map(|i| hash(&|h: &mut IdHasher| TestId::new(i).hash(h)))
+            .collect();
+        assert_eq!(hashes.len(), 4_096, "distinct ids hash apart");
+        // Low bits pick the bucket: dense keys fill a 1,024-bucket table
+        // without a collision.
+        let buckets: std::collections::HashSet<u64> = (0..1_024u32)
+            .map(|i| hash(&|h: &mut IdHasher| h.write_u32(i)) & 1_023)
+            .collect();
+        assert_eq!(buckets.len(), 1_024);
+        // A pair is not its swap, and bytes fold like the words they hold.
+        let pair = |a: u32, b: u32| hash(&|h: &mut IdHasher| (a, b).hash(h));
+        assert_ne!(pair(1, 2), pair(2, 1));
+        assert_eq!(
+            hash(&|h: &mut IdHasher| h.write(&7u64.to_le_bytes())),
+            hash(&|h: &mut IdHasher| h.write_u64(7))
+        );
     }
 }

@@ -47,12 +47,17 @@
 //!   the table stays bounded).
 //! * **Determinism** — the *numeric value* of a symbol depends on interning
 //!   order, which differs between serial and parallel fleet runs. Symbol
-//!   values may serve as opaque hash keys (the view-tree index, peer
-//!   maps). No output
-//!   may sort by a symbol or fold one into a fingerprint; everything
-//!   user-visible goes through [`Symbol::as_str`], and ordered containers
-//!   order by the text. The `jobs=N ≡ jobs=1` digest gates catch a
-//!   violation, because interning order differs between those runs.
+//!   values may serve as opaque hash keys: the view tree's name index,
+//!   the peer maps and the inflater's per-call resolutions are
+//!   [`IdMap`](crate::id::IdMap)s, whose one-multiply hash is safe
+//!   because a symbol is issued by the program, never chosen by a
+//!   client. An `IdMap` iterates in key-value order, so no output may
+//!   depend on its iteration order any more than on a symbol's value:
+//!   no output may sort by a symbol or fold one into a fingerprint;
+//!   everything user-visible goes through [`Symbol::as_str`], and ordered
+//!   containers order by the text. The `jobs=N ≡ jobs=1` digest gates
+//!   catch a violation, because interning order differs between those
+//!   runs.
 //!
 //! # Examples
 //!

@@ -11,7 +11,8 @@
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, dependency-free deterministic
 //!   PRNGs used for workload generation and jitter injection,
 //! * [`IdGen`] — monotonically increasing id allocation for tokens, views,
-//!   records, …
+//!   records, … — and [`id::IdMap`], the one-multiply hash map for keys
+//!   the program issues (ids, arena indices, interned symbols),
 //! * [`journal`] — the `key=value` line codec and the crash-safe
 //!   append-only log behind the fleet and daemon journals.
 //! * [`alloc_track`] — coarse allocation-event accounting so the fleet

@@ -4,12 +4,15 @@
 //! re-creating its activity in a configuration it has already shown
 //! inflates the same layout again, on every stock relaunch and on every
 //! RCHDroid re-init after the GC. Each app process's activity thread
-//! (`ActivityThread`, in `droidsim-app`) keeps the pristine tree of its
-//! first inflation per configuration and clones it for every later
-//! creation in that configuration. The cache lives and dies with its
-//! process, so it is exact (the process's model and resources never
-//! change), needs no lock, no key digest and no eviction, and cannot go
-//! stale: there is nothing process-wide to invalidate.
+//! (`ActivityThread`, in `droidsim-app`) keeps a pristine tree only
+//! where a configuration recurs: its first inflation in a configuration
+//! records the configuration and keeps nothing, its second keeps a
+//! clone, and every later creation there clones the kept tree. Most
+//! processes create in a configuration once, and a clone kept for them
+//! was never reused. The cache lives and dies with its process, so it
+//! is exact (the process's model and resources never change), needs no
+//! lock, no key digest and no eviction, and cannot go stale: there is
+//! nothing process-wide to invalidate.
 //!
 //! Nothing is shared across processes. An earlier process-wide,
 //! content-addressed cache keyed every inflation by a template digest
@@ -112,7 +115,8 @@ static INFLATE: Tally = Tally {
     bytes: AtomicU64::new(0),
 };
 
-/// Counts one lookup in a process's inflation cache.
+/// Counts one lookup in a process's inflation cache: a hit clones a
+/// kept tree, a miss inflates cold (whether or not it then keeps one).
 pub fn record_probe(hit: bool) {
     let counter = if hit { &INFLATE.hits } else { &INFLATE.misses };
     counter.fetch_add(1, Ordering::Relaxed);

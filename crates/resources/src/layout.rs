@@ -13,6 +13,20 @@
 
 use droidsim_kernel::Symbol;
 
+/// A node's attribute list in its one canonical form per map: no
+/// pairs, one pair inline, or two or more in a key-sorted `Vec`. Most
+/// nodes carry at most one attribute (an image's `src`, a label's
+/// `text`), so they allocate nothing for it. The list only grows, and
+/// every write keeps the form canonical, so the derived `Eq` and `Hash`
+/// mean map equality.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+enum Attrs {
+    #[default]
+    None,
+    One([(Symbol, Symbol); 1]),
+    Many(Vec<(Symbol, Symbol)>),
+}
+
 /// One node of a layout template.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayoutNode {
@@ -30,7 +44,7 @@ pub struct LayoutNode {
     /// *text* with one entry per key (a repeated key overwrites), so
     /// iteration order, equality and last-write-wins are those of a map
     /// keyed by the attribute name.
-    attrs: Vec<(Symbol, Symbol)>,
+    attrs: Attrs,
     /// Child nodes (only meaningful for view groups).
     pub children: Vec<LayoutNode>,
 }
@@ -41,7 +55,7 @@ impl LayoutNode {
         LayoutNode {
             class: class.into(),
             id_name: None,
-            attrs: Vec::new(),
+            attrs: Attrs::None,
             children: Vec::new(),
         }
     }
@@ -56,19 +70,26 @@ impl LayoutNode {
     /// new value.
     pub fn with_attr(mut self, key: impl Into<Symbol>, value: impl Into<Symbol>) -> Self {
         let (key, value) = (key.into(), value.into());
-        match self
-            .attrs
-            .binary_search_by(|(k, _)| k.as_str().cmp(key.as_str()))
-        {
-            Ok(at) => self.attrs[at].1 = value,
-            Err(at) => self.attrs.insert(at, (key, value)),
-        }
+        self.attrs = match std::mem::take(&mut self.attrs) {
+            Attrs::None => Attrs::One([(key, value)]),
+            Attrs::One([(k, _)]) if k == key => Attrs::One([(key, value)]),
+            Attrs::One([pair]) => {
+                let mut pairs = Vec::with_capacity(2);
+                pairs.push(pair);
+                Attrs::Many(insert_sorted(pairs, key, value))
+            }
+            Attrs::Many(pairs) => Attrs::Many(insert_sorted(pairs, key, value)),
+        };
         self
     }
 
     /// The attributes as `(key, value)` pairs, in key-text order.
     pub fn attrs(&self) -> &[(Symbol, Symbol)] {
-        &self.attrs
+        match &self.attrs {
+            Attrs::None => &[],
+            Attrs::One(pair) => pair,
+            Attrs::Many(pairs) => pairs,
+        }
     }
 
     /// Adds a child node.
@@ -108,6 +129,20 @@ impl LayoutNode {
     }
 }
 
+/// Writes `key` into a key-text-sorted list: a key already there takes
+/// the new value in place, a new one goes where its text sorts.
+fn insert_sorted(
+    mut pairs: Vec<(Symbol, Symbol)>,
+    key: Symbol,
+    value: Symbol,
+) -> Vec<(Symbol, Symbol)> {
+    match pairs.binary_search_by(|(k, _)| k.as_str().cmp(key.as_str())) {
+        Ok(at) => pairs[at].1 = value,
+        Err(at) => pairs.insert(at, (key, value)),
+    }
+    pairs
+}
+
 /// Pre-order iterator over a layout subtree.
 #[derive(Debug)]
 pub struct LayoutIter<'a> {
@@ -138,6 +173,10 @@ pub struct LayoutTemplate {
     /// The root node — conventionally a view group that becomes the child
     /// of the window's decor view.
     root: LayoutNode,
+    /// Nodes under `root`, itself included: counted once here, since
+    /// the template never changes, so the inflater sizes its arena
+    /// without a walk.
+    node_count: usize,
 }
 
 impl LayoutTemplate {
@@ -145,6 +184,7 @@ impl LayoutTemplate {
     pub fn new(name: &str, root: LayoutNode) -> Self {
         LayoutTemplate {
             name: name.to_owned(),
+            node_count: root.node_count(),
             root,
         }
     }
@@ -159,9 +199,9 @@ impl LayoutTemplate {
         &self.root
     }
 
-    /// Total node count.
+    /// Total node count, counted when the template was built.
     pub fn node_count(&self) -> usize {
-        self.root.node_count()
+        self.node_count
     }
 }
 
@@ -223,5 +263,26 @@ mod tests {
         assert_eq!(n.attrs(), [(Symbol::intern("text"), Symbol::intern("hi"))]);
         assert_eq!(n.node_count(), 1);
         assert_eq!(n.depth(), 1);
+    }
+
+    #[test]
+    fn a_lone_attribute_stays_inline_and_a_second_key_sorts_the_pair() {
+        let (text, src) = (Symbol::intern("text"), Symbol::intern("src"));
+        let (a, b) = (Symbol::intern("a"), Symbol::intern("b"));
+        let lone = LayoutNode::new("TextView").with_attr("text", "a");
+        let overwritten = lone.clone().with_attr("text", "b");
+        assert_eq!(overwritten.attrs, Attrs::One([(text, b)]));
+        assert_eq!(overwritten.attrs(), [(text, b)]);
+        // `src` sorts before `text`, whichever is written first.
+        let pair = overwritten.with_attr("src", "a");
+        assert_eq!(pair.attrs, Attrs::Many(vec![(src, a), (text, b)]));
+        let other_order = LayoutNode::new("TextView")
+            .with_attr("src", "a")
+            .with_attr("text", "a")
+            .with_attr("text", "b");
+        assert_eq!(other_order, pair);
+        assert_eq!(other_order.attrs(), [(src, a), (text, b)]);
+        assert_ne!(lone, LayoutNode::new("TextView"));
+        assert_eq!(LayoutNode::new("TextView").attrs(), []);
     }
 }

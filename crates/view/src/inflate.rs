@@ -12,11 +12,22 @@
 //! each app process keeps its own inflations per configuration (the
 //! activity thread's cache in `droidsim-app`), because only a process
 //! re-creating its own activity ever inflates the same layout again.
+//!
+//! One inflation does each step once. The tree's arena and id-name
+//! index are reserved for the template's node count and each
+//! container's child list for its template node's children, so filling
+//! the tree never reallocates. Each distinct `(attribute key, value)`
+//! pair is resolved once per call and every repeat reads the answer (an
+//! app whose 164 images all show `@drawable/asset` pays one table
+//! lookup). [`InflateStats`] still counts per view: every `@string/`
+//! reference and every view's drawable bytes, as the cost model expects.
 
+use crate::attrs::ViewAttrs;
 use crate::error::ViewError;
 use crate::kind::ViewKind;
 use crate::tree::{ViewId, ViewTree};
 use droidsim_config::Configuration;
+use droidsim_kernel::id::IdMap;
 use droidsim_kernel::Symbol;
 use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
 
@@ -64,17 +75,16 @@ pub fn inflate(
     resources: &ResourceTable,
     config: &Configuration,
 ) -> (ViewTree, InflateStats) {
-    let mut tree = ViewTree::new();
-    let mut stats = InflateStats::default();
-    inflate_node(
-        template.root(),
-        tree.root(),
-        &mut tree,
+    let mut inflater = Inflater {
         resources,
         config,
-        &mut stats,
-    );
-    (tree, stats)
+        tree: ViewTree::with_capacity(template.node_count() + 1),
+        stats: InflateStats::default(),
+        resolved: IdMap::default(),
+    };
+    let decor = inflater.tree.root();
+    inflater.add(template.root(), decor);
+    (inflater.tree, inflater.stats)
 }
 
 /// Strict form of [`inflate`]: a template that places children under a
@@ -121,9 +131,7 @@ pub fn try_inflate(
 pub fn check_nesting(template: &LayoutTemplate) -> Result<(), ViewError> {
     fn first_misnested(node: &LayoutNode, next_id: &mut u64) -> Option<ViewId> {
         *next_id += 1;
-        if !node.children.is_empty()
-            && !ViewKind::from_class_name(node.class.as_str()).is_container()
-        {
+        if !node.children.is_empty() && !ViewKind::from_class(node.class).is_container() {
             return Some(ViewId::new(*next_id));
         }
         node.children
@@ -134,73 +142,107 @@ pub fn check_nesting(template: &LayoutTemplate) -> Result<(), ViewError> {
         .map_or(Ok(()), |parent| Err(ViewError::NotAContainer { parent }))
 }
 
-fn inflate_node(
-    node: &LayoutNode,
-    parent: ViewId,
-    tree: &mut ViewTree,
-    resources: &ResourceTable,
-    config: &Configuration,
-    stats: &mut InflateStats,
-) {
-    let kind = ViewKind::from_class_name(node.class.as_str());
-    // The only failure adding a view has: `parent` is not a container,
-    // and then the subtree is dropped.
-    let Ok(id) = tree.add_interned_view(parent, kind, node.id_name) else {
-        return;
-    };
-    stats.views_created += 1;
+/// What one layout attribute sets on a view, resolved once per
+/// inflation for each distinct `(key, value)` pair.
+enum Resolved {
+    /// `text`: the resolved string, and whether it was a `@string/`
+    /// reference (which [`InflateStats::strings_resolved`] counts).
+    Text(String, bool),
+    /// `src`: the drawable's asset and decoded bytes.
+    Drawable(Symbol, u64),
+    /// `progress`, parsed.
+    Progress(i32),
+    /// `videoUri`, as written.
+    VideoUri(String),
+    /// Layout params and the like, or a `progress` that does not parse:
+    /// no simulation effect.
+    Nothing,
+}
 
-    for &(key, value) in node.attrs() {
+impl Resolved {
+    fn of(key: Symbol, value: Symbol, resources: &ResourceTable, config: &Configuration) -> Self {
         match key.as_str() {
-            "text" => {
-                let resolved = resolve_string(value.as_str(), resources, config, stats);
-                if let Ok(v) = tree.node_mut(id) {
-                    v.attrs.text = Some(resolved);
-                }
-            }
+            "text" => match value.as_str().strip_prefix("@string/") {
+                Some(name) => Resolved::Text(
+                    resources
+                        .resolve_string(name, config)
+                        .unwrap_or(value.as_str())
+                        .to_owned(),
+                    true,
+                ),
+                None => Resolved::Text(value.as_str().to_owned(), false),
+            },
             "src" => {
                 let (asset, bytes) = resolve_drawable(value, resources, config);
-                stats.drawable_bytes += bytes;
-                if let Ok(v) = tree.node_mut(id) {
-                    v.attrs.drawable = Some((asset, bytes));
-                }
+                Resolved::Drawable(asset, bytes)
             }
-            "progress" => {
-                if let (Ok(p), Ok(v)) = (value.as_str().parse::<i32>(), tree.node_mut(id)) {
-                    v.attrs.progress = Some(p);
-                }
-            }
-            "videoUri" => {
-                if let Ok(v) = tree.node_mut(id) {
-                    v.attrs.video_uri = Some(value.as_str().to_owned());
-                }
-            }
-            _ => {} // layout params etc. — no simulation effect
+            "progress" => value
+                .as_str()
+                .parse()
+                .map_or(Resolved::Nothing, Resolved::Progress),
+            "videoUri" => Resolved::VideoUri(value.as_str().to_owned()),
+            _ => Resolved::Nothing,
         }
-    }
-    // An editable view with `text`, or a progress view with `progress`,
-    // is inflated holding user state.
-    tree.refresh_stateful(id);
-
-    for child in &node.children {
-        inflate_node(child, id, tree, resources, config, stats);
     }
 }
 
-fn resolve_string(
-    value: &str,
-    resources: &ResourceTable,
-    config: &Configuration,
-    stats: &mut InflateStats,
-) -> String {
-    if let Some(name) = value.strip_prefix("@string/") {
-        stats.strings_resolved += 1;
-        resources
-            .resolve_string(name, config)
-            .unwrap_or(value)
-            .to_owned()
-    } else {
-        value.to_owned()
+/// One call's state: the tree being filled, its stats, and the answers
+/// for the attribute pairs met so far.
+struct Inflater<'a> {
+    resources: &'a ResourceTable,
+    config: &'a Configuration,
+    tree: ViewTree,
+    stats: InflateStats,
+    resolved: IdMap<(Symbol, Symbol), Resolved>,
+}
+
+impl Inflater<'_> {
+    /// Adds `node`'s view under `parent`, then its subtree. A view that
+    /// is not a container drops the children declared under it (the
+    /// lenient rule), so every add's parent is a container.
+    fn add(&mut self, node: &LayoutNode, parent: ViewId) {
+        let kind = ViewKind::from_class(node.class);
+        let mut attrs = ViewAttrs::new();
+        let (mut strings, mut drawable_bytes) = (0, 0);
+        let (resources, config) = (self.resources, self.config);
+        for &(key, value) in node.attrs() {
+            let resolved = self
+                .resolved
+                .entry((key, value))
+                .or_insert_with(|| Resolved::of(key, value, resources, config));
+            match resolved {
+                Resolved::Text(text, reference) => {
+                    strings += usize::from(*reference);
+                    attrs.text = Some(text.clone());
+                }
+                Resolved::Drawable(asset, bytes) => {
+                    drawable_bytes += *bytes;
+                    attrs.drawable = Some((*asset, *bytes));
+                }
+                Resolved::Progress(p) => attrs.progress = Some(*p),
+                Resolved::VideoUri(uri) => attrs.video_uri = Some(uri.clone()),
+                Resolved::Nothing => {}
+            }
+        }
+        let children = if kind.is_container() {
+            node.children.len()
+        } else {
+            0
+        };
+        let Ok(id) = self
+            .tree
+            .add_interned_view(parent, kind, node.id_name, attrs, children)
+        else {
+            return;
+        };
+        self.stats.views_created += 1;
+        self.stats.strings_resolved += strings;
+        self.stats.drawable_bytes += drawable_bytes;
+        if children > 0 {
+            for child in &node.children {
+                self.add(child, id);
+            }
+        }
     }
 }
 
@@ -224,6 +266,77 @@ mod tests {
     use super::*;
     use droidsim_config::{Locale, Orientation};
     use droidsim_resources::{Qualifiers, ResourceValue};
+
+    /// The node-by-node walk [`inflate`] replaced, kept as its oracle:
+    /// a growing tree, each view added bare, then every attribute
+    /// resolved against the table and written through its own lookup.
+    fn oracle_inflate(
+        template: &LayoutTemplate,
+        resources: &ResourceTable,
+        config: &Configuration,
+    ) -> (ViewTree, InflateStats) {
+        fn walk(
+            node: &LayoutNode,
+            parent: ViewId,
+            tree: &mut ViewTree,
+            resources: &ResourceTable,
+            config: &Configuration,
+            stats: &mut InflateStats,
+        ) {
+            let kind = ViewKind::from_class_name(node.class.as_str());
+            let Ok(id) = tree.add_interned_view(parent, kind, node.id_name, ViewAttrs::new(), 0)
+            else {
+                return;
+            };
+            stats.views_created += 1;
+            for &(key, value) in node.attrs() {
+                let v = tree.node_mut(id).unwrap();
+                match key.as_str() {
+                    "text" => {
+                        let text = value.as_str();
+                        v.attrs.text = Some(match text.strip_prefix("@string/") {
+                            Some(name) => {
+                                stats.strings_resolved += 1;
+                                resources
+                                    .resolve_string(name, config)
+                                    .unwrap_or(text)
+                                    .to_owned()
+                            }
+                            None => text.to_owned(),
+                        });
+                    }
+                    "src" => {
+                        let (asset, bytes) = resolve_drawable(value, resources, config);
+                        stats.drawable_bytes += bytes;
+                        v.attrs.drawable = Some((asset, bytes));
+                    }
+                    "progress" => {
+                        if let Ok(p) = value.as_str().parse::<i32>() {
+                            v.attrs.progress = Some(p);
+                        }
+                    }
+                    "videoUri" => v.attrs.video_uri = Some(value.as_str().to_owned()),
+                    _ => {}
+                }
+            }
+            tree.refresh_stateful(id);
+            for child in &node.children {
+                walk(child, id, tree, resources, config, stats);
+            }
+        }
+        let mut tree = ViewTree::new();
+        let mut stats = InflateStats::default();
+        let decor = tree.root();
+        walk(
+            template.root(),
+            decor,
+            &mut tree,
+            resources,
+            config,
+            &mut stats,
+        );
+        (tree, stats)
+    }
 
     fn resources() -> ResourceTable {
         let mut t = ResourceTable::new();
@@ -360,6 +473,10 @@ mod tests {
             ]),
         );
         let (tree, stats) = inflate(&t, &ResourceTable::new(), &Configuration::phone_portrait());
+        assert_eq!(
+            (tree.clone(), stats),
+            oracle_inflate(&t, &ResourceTable::new(), &Configuration::phone_portrait())
+        );
         assert!(tree.find_by_id_name("leaf").is_some());
         assert!(tree.find_by_id_name("after").is_some(), "siblings survive");
         assert!(tree.find_by_id_name("orphan").is_none(), "subtree dropped");
@@ -395,9 +512,65 @@ mod tests {
         let (t, r) = (template(), resources());
         let config = Configuration::phone_portrait();
         let first = inflate(&t, &r, &config);
+        assert_eq!(first, oracle_inflate(&t, &r, &config));
         for _ in 0..2 {
             assert_eq!(inflate(&t, &r, &config), first);
             assert_eq!(try_inflate(&t, &r, &config), Ok(first.clone()));
+        }
+    }
+
+    #[test]
+    fn repeated_references_inflate_to_what_the_node_by_node_walk_gives() {
+        // 100 rows: one `@string/` reference, one `@drawable/` reference
+        // and one literal, each repeated on every row, plus editable
+        // fields and progress bars that inflate holding state.
+        let mut root = LayoutNode::new("LinearLayout").with_id("root");
+        for i in 0..100 {
+            root = root.with_child(
+                LayoutNode::new("FrameLayout").with_children([
+                    LayoutNode::new("TextView")
+                        .with_id(&format!("title{i}"))
+                        .with_attr("text", "@string/title"),
+                    LayoutNode::new("ImageView")
+                        .with_id(&format!("hero{i}"))
+                        .with_attr("src", "@drawable/hero"),
+                    LayoutNode::new("EditText")
+                        .with_id(&format!("field{i}"))
+                        .with_attr("text", "literal"),
+                    LayoutNode::new("ProgressBar")
+                        .with_attr("progress", "30")
+                        .with_attr("videoUri", "clip.mp4")
+                        .with_attr("layout_width", "match_parent"),
+                ]),
+            );
+        }
+        let template = LayoutTemplate::new("rows", root);
+        for config in [
+            Configuration::phone_portrait(),
+            Configuration::phone_landscape(),
+        ] {
+            let (tree, stats) = inflate(&template, &resources(), &config);
+            let (expected, expected_stats) = oracle_inflate(&template, &resources(), &config);
+            assert_eq!(tree, expected, "the same tree as the node-by-node walk");
+            assert_eq!(stats, expected_stats);
+            assert_eq!(tree.save_hierarchy_state(), expected.save_hierarchy_state());
+            // Every reference counts, and every view's drawable bytes.
+            assert_eq!(stats.views_created, 501);
+            assert_eq!(stats.strings_resolved, 100);
+            let hero = if config == Configuration::phone_portrait() {
+                1_000
+            } else {
+                2_000
+            };
+            assert_eq!(stats.drawable_bytes, 100 * hero);
+            // Each text view owns its own string.
+            let mut texts = std::collections::HashSet::new();
+            tree.for_each_id(|id| {
+                if let Some(text) = &tree.view(id).unwrap().attrs.text {
+                    assert!(texts.insert(text.as_ptr()), "a text view shares its string");
+                }
+            });
+            assert_eq!(texts.len(), 200);
         }
     }
 

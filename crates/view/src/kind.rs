@@ -1,6 +1,7 @@
 //! The view type hierarchy of Table 1.
 
 use core::fmt;
+use droidsim_kernel::Symbol;
 
 /// The *basic* view classes the paper's migration policy dispatches on
 /// (Table 1). Every concrete view kind maps to exactly one of these (or to
@@ -48,7 +49,10 @@ impl fmt::Display for MigrationClass {
 /// views carry the basic class they inherit from, which is how the paper
 /// migrates them ("User-defined views … will also be migrated according to
 /// the types they belong to").
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// `Copy`: a custom view's class name is the layout's interned symbol,
+/// so making or cloning a view copies no text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViewKind {
     /// Plain `android.view.View` (dividers, spacers).
     View,
@@ -86,8 +90,9 @@ pub enum ViewKind {
     DecorView,
     /// An app-defined view inheriting from a basic class.
     Custom {
-        /// The app's class name (diagnostics only).
-        class_name: String,
+        /// The app's class name (diagnostics only), interned: class
+        /// names come from layouts and app code, never from users.
+        class_name: Symbol,
         /// The basic class it inherits from.
         base: MigrationClass,
     },
@@ -122,7 +127,7 @@ impl ViewKind {
     pub fn is_editable(&self) -> bool {
         match self {
             ViewKind::EditText | ViewKind::CheckBox | ViewKind::SeekBar => true,
-            ViewKind::Custom { class_name, .. } => class_name.ends_with("EditText"),
+            ViewKind::Custom { class_name, .. } => class_name.as_str().ends_with("EditText"),
             _ => false,
         }
     }
@@ -135,12 +140,19 @@ impl ViewKind {
             || matches!(self, ViewKind::ScrollView | ViewKind::ListView | ViewKind::GridView)
     }
 
-    /// Resolves an XML class name to a kind, as the inflater does.
-    /// Unrecognised names become [`ViewKind::Custom`] with an
+    /// Resolves an XML class name to a kind, as the inflater does: the
+    /// text form of [`ViewKind::from_class`] for callers that hold text.
+    /// The name is interned, so pass only class names from program code.
+    pub fn from_class_name(name: &str) -> ViewKind {
+        ViewKind::from_class(Symbol::intern(name))
+    }
+
+    /// Resolves a layout's interned class name to a kind. Unrecognised
+    /// names become [`ViewKind::Custom`] with an
     /// [`MigrationClass::Opaque`] base unless a known suffix identifies the
     /// parent class (e.g. `com.app.FancyTextView` → TextView base).
-    pub fn from_class_name(name: &str) -> ViewKind {
-        match name {
+    pub fn from_class(class: Symbol) -> ViewKind {
+        match class.as_str() {
             "View" => ViewKind::View,
             "TextView" => ViewKind::TextView,
             "EditText" => ViewKind::EditText,
@@ -178,7 +190,7 @@ impl ViewKind {
                     MigrationClass::Opaque
                 };
                 ViewKind::Custom {
-                    class_name: other.to_owned(),
+                    class_name: class,
                     base,
                 }
             }
@@ -186,7 +198,7 @@ impl ViewKind {
     }
 
     /// Short class name (for `Display` and traces).
-    pub fn class_name(&self) -> &str {
+    pub fn class_name(&self) -> &'static str {
         match self {
             ViewKind::View => "View",
             ViewKind::TextView => "TextView",
@@ -205,7 +217,7 @@ impl ViewKind {
             ViewKind::GridLayout => "GridLayout",
             ViewKind::ConstraintLayout => "ConstraintLayout",
             ViewKind::DecorView => "DecorView",
-            ViewKind::Custom { class_name, .. } => class_name,
+            ViewKind::Custom { class_name, .. } => class_name.as_str(),
         }
     }
 }
@@ -281,6 +293,27 @@ mod tests {
         let k = ViewKind::from_class_name("com.app.FlowLayout");
         assert_eq!(k.migration_class(), MigrationClass::Container);
         assert!(k.is_container());
+    }
+
+    #[test]
+    fn the_symbol_and_text_forms_agree() {
+        for name in [
+            "Button",
+            "LinearLayout",
+            "com.app.FancyTextView",
+            "com.app.X",
+        ] {
+            let kind = ViewKind::from_class(Symbol::intern(name));
+            assert_eq!(kind, ViewKind::from_class_name(name));
+            assert_eq!(kind.class_name(), name);
+        }
+        assert_eq!(
+            ViewKind::from_class_name("com.app.MyEditText"),
+            ViewKind::Custom {
+                class_name: Symbol::intern("com.app.MyEditText"),
+                base: MigrationClass::TextView,
+            }
+        );
     }
 
     #[test]

@@ -41,10 +41,11 @@ use crate::error::ViewError;
 use crate::kind::ViewKind;
 use crate::ops::ViewOp;
 use droidsim_bundle::{Bundle, Value};
+use droidsim_kernel::id::IdMap;
 use droidsim_kernel::{alloc_track, Symbol};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 thread_local! {
@@ -204,7 +205,7 @@ pub struct ViewTree {
     pending: Vec<(ViewId, usize)>,
     /// View → position in `pending`, so a repeat invalidation is an O(1)
     /// in-place count instead of a new entry.
-    pending_pos: HashMap<ViewId, usize>,
+    pending_pos: IdMap<ViewId, usize>,
     /// Raw (uncoalesced) invalidations since the last drain.
     raw_pending: usize,
     /// RCHDroid hook: when true the tree is in the Shadow state — it is
@@ -219,22 +220,35 @@ pub struct ViewTree {
     /// [`ViewTree::remove_view`]) instead of being rebuilt on every
     /// coupling build or flush. Invariant: always equal to
     /// [`ViewTree::rebuild_id_name_index`] (lowest live view id wins for
-    /// duplicate names).
-    id_name_index: HashMap<Symbol, ViewId>,
+    /// duplicate names). Like every map here it is an [`IdMap`]: its keys
+    /// are interned program names and arena ids, so one multiply hashes
+    /// them, and nothing reads its iteration order into an output.
+    id_name_index: IdMap<Symbol, ViewId>,
     /// Live duplicate-name bearers *not* currently in the index, per
     /// name, in ascending id order (appends stay sorted because view ids
     /// only grow). Removal promotes the front entry instead of rescanning
     /// the arena, making index maintenance O(shadowed) per removed name.
-    shadowed_ids: HashMap<Symbol, Vec<ViewId>>,
+    shadowed_ids: IdMap<Symbol, Vec<ViewId>>,
     /// The live views whose saved state is non-empty
     /// ([`ViewNode::has_saved_state`]): the only views the hierarchy save
-    /// visits. A new view holds no state, so adding one leaves it alone.
+    /// visits. A view [`ViewTree::add_view`] adds holds no state; one the
+    /// inflater adds joins the set if its layout attributes give it
+    /// state.
     stateful: BTreeSet<ViewId>,
 }
 
 impl ViewTree {
     /// Creates a tree containing only a decor view.
     pub fn new() -> Self {
+        ViewTree::with_capacity(1)
+    }
+
+    /// A tree containing only a decor view, with its arena and id-name
+    /// index reserved for `views` views (the decor included): the
+    /// inflater sizes a tree from its template's node count, so filling
+    /// it never reallocates. Capacity is not content: the tree equals
+    /// [`ViewTree::new`] given the same adds.
+    pub(crate) fn with_capacity(views: usize) -> Self {
         static DECOR: OnceLock<Symbol> = OnceLock::new();
         let root = ViewId::new(0);
         let decor_name = *DECOR.get_or_init(|| Symbol::intern("decor"));
@@ -250,18 +264,23 @@ impl ViewTree {
             freezes_text: false,
         };
         alloc_track::note(1);
+        let mut nodes = Vec::with_capacity(views.max(1));
+        nodes.push(Some(decor));
+        let mut id_name_index = IdMap::default();
+        id_name_index.reserve(views.max(1));
+        id_name_index.insert(decor_name, root);
         ViewTree {
-            nodes: vec![Some(decor)],
+            nodes,
             live: 1,
             root,
             released: false,
             pending: Vec::new(),
-            pending_pos: HashMap::new(),
+            pending_pos: IdMap::default(),
             raw_pending: 0,
             shadow: false,
             sunny: false,
-            id_name_index: HashMap::from([(decor_name, root)]),
-            shadowed_ids: HashMap::new(),
+            id_name_index,
+            shadowed_ids: IdMap::default(),
             stateful: BTreeSet::new(),
         }
     }
@@ -291,11 +310,11 @@ impl ViewTree {
         self.released = true;
         self.nodes = Vec::new();
         self.live = 0;
-        self.id_name_index = HashMap::new();
-        self.shadowed_ids = HashMap::new();
+        self.id_name_index = IdMap::default();
+        self.shadowed_ids = IdMap::default();
         self.stateful = BTreeSet::new();
         self.pending = Vec::new();
-        self.pending_pos = HashMap::new();
+        self.pending_pos = IdMap::default();
         self.raw_pending = 0;
     }
 
@@ -398,34 +417,49 @@ impl ViewTree {
         kind: ViewKind,
         id_name: Option<&str>,
     ) -> Result<ViewId, ViewError> {
-        self.add_interned_view(parent, kind, id_name.map(Symbol::intern))
+        self.add_interned_view(
+            parent,
+            kind,
+            id_name.map(Symbol::intern),
+            ViewAttrs::new(),
+            0,
+        )
     }
 
-    /// [`ViewTree::add_view`] with the id name already interned: the
-    /// inflater passes each layout node's symbol straight through.
+    /// [`ViewTree::add_view`] for the inflater: the id name already
+    /// interned (each layout node's symbol passes straight through), the
+    /// view's attributes already resolved, and its child list reserved
+    /// for `children` views. A view inflated holding user state (an
+    /// editable view with `text`, a progress view with `progress`)
+    /// joins the stateful set here.
     pub(crate) fn add_interned_view(
         &mut self,
         parent: ViewId,
         kind: ViewKind,
         id_name: Option<Symbol>,
+        attrs: ViewAttrs,
+        children: usize,
     ) -> Result<ViewId, ViewError> {
         let parent_node = self.view(parent)?;
         if !parent_node.kind.is_container() {
             return Err(ViewError::NotAContainer { parent });
         }
         let id = ViewId::new(self.nodes.len() as u64);
-        let freezes_text = kind.is_editable();
-        self.nodes.push(Some(ViewNode {
+        let node = ViewNode {
             id,
             id_name,
             kind,
-            attrs: ViewAttrs::new(),
+            attrs,
             parent: Some(parent),
-            children: Vec::new(),
+            children: Vec::with_capacity(children),
             sunny_peer: None,
             saves_state: true,
-            freezes_text,
-        }));
+            freezes_text: kind.is_editable(),
+        };
+        if node.has_saved_state() {
+            self.stateful.insert(id);
+        }
+        self.nodes.push(Some(node));
         self.live += 1;
         if let Some(name) = id_name {
             // New ids are strictly increasing, so the first bearer stays
@@ -860,15 +894,15 @@ impl ViewTree {
     /// so a coupling build or flush no longer re-traverses the tree or
     /// clones any strings. For duplicate names the lowest live view id
     /// wins, matching [`ViewTree::find_by_id_name`].
-    pub fn id_name_index(&self) -> &HashMap<Symbol, ViewId> {
+    pub fn id_name_index(&self) -> &IdMap<Symbol, ViewId> {
         &self.id_name_index
     }
 
     /// Rebuilds the id-name index from scratch by scanning the arena.
     /// The cached [`ViewTree::id_name_index`] must always equal this;
     /// exposed so tests can check the invariant.
-    pub fn rebuild_id_name_index(&self) -> HashMap<Symbol, ViewId> {
-        let mut index = HashMap::new();
+    pub fn rebuild_id_name_index(&self) -> IdMap<Symbol, ViewId> {
+        let mut index = IdMap::default();
         for node in self.nodes.iter().flatten() {
             if let Some(name) = node.id_name {
                 index.entry(name).or_insert(node.id);
@@ -880,7 +914,7 @@ impl ViewTree {
     /// `Activity.setSunnyViews`: stores sunny-peer pointers on this
     /// (shadow) tree by looking up each view's id name in a sunny tree's
     /// index. Returns how many views were mapped.
-    pub fn set_sunny_peers(&mut self, sunny_index: &HashMap<Symbol, ViewId>) -> usize {
+    pub fn set_sunny_peers(&mut self, sunny_index: &IdMap<Symbol, ViewId>) -> usize {
         if self.released {
             return 0;
         }
@@ -936,6 +970,31 @@ mod tests {
         let text = t.add_view(panel, ViewKind::EditText, Some("name")).unwrap();
         let image = t.add_view(panel, ViewKind::ImageView, None).unwrap();
         (t, panel, text, image)
+    }
+
+    #[test]
+    fn a_presized_tree_equals_a_grown_one() {
+        let mut grown = ViewTree::new();
+        let mut sized = ViewTree::with_capacity(64);
+        for tree in [&mut grown, &mut sized] {
+            let root = tree.root();
+            let panel = tree
+                .add_view(root, ViewKind::LinearLayout, Some("panel"))
+                .unwrap();
+            for i in 0..40 {
+                let kind = if i % 3 == 0 {
+                    ViewKind::EditText
+                } else {
+                    ViewKind::ImageView
+                };
+                tree.add_view(panel, kind, Some(&format!("v{}", i % 30)))
+                    .unwrap();
+            }
+        }
+        assert_eq!(sized, grown);
+        assert_eq!(sized.id_name_index(), grown.id_name_index());
+        assert_eq!(sized.repeated_names().len(), 10);
+        assert_eq!(sized.iter_ids(), grown.iter_ids());
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn coupled_trees(n: usize) -> (ViewTree, ViewTree, MigrationEngine) {
         let mut t = ViewTree::new();
         let root = t.add_view(t.root(), container, Some("root")).unwrap();
         for i in 0..n {
-            let kind = KINDS[i % KINDS.len()].clone();
+            let kind = KINDS[i % KINDS.len()];
             t.add_view(root, kind, Some(&format!("v{i}"))).unwrap();
         }
         t
@@ -174,7 +174,7 @@ fn pooled_tree(names: &[usize]) -> (ViewTree, Vec<ViewId>) {
         .iter()
         .map(|&name| {
             let id_name = (name < 6).then(|| format!("n{name}"));
-            t.add_view(root, KINDS[name % 6].clone(), id_name.as_deref())
+            t.add_view(root, KINDS[name % 6], id_name.as_deref())
                 .unwrap()
         })
         .collect();

@@ -22,7 +22,9 @@ use proptest::test_runner::TestCaseError;
 use rch_workloads::{GenericAppSpec, StateItem, StateMechanism};
 use rchdroid::{MigrationEngine, MigrationReport};
 use runtimedroid_baseline::RuntimeDroid;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Id names the scripts draw from. A small pool, so names repeat: a
@@ -221,7 +223,7 @@ fn apply_script(tree: &mut ViewTree, steps: &[BuildStep], names: &[&str]) {
                     continue;
                 };
                 let id_name = name.map(|n| names[n % names.len()]);
-                let _ = tree.add_view(parent, kind.clone(), id_name);
+                let _ = tree.add_view(parent, *kind, id_name);
             }
             BuildStep::Remove { choice } => {
                 if let Some(id) = pick(*choice) {
@@ -831,6 +833,12 @@ fn attr_oracle(writes: &[(usize, usize)]) -> BTreeMap<String, String> {
     map
 }
 
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 fn attr_template(node: LayoutNode) -> LayoutTemplate {
     LayoutTemplate::new(
         "attrs",
@@ -893,8 +901,12 @@ proptest! {
         prop_assert_eq!(&attr_oracle(&reordered), &oracle);
         let other = attr_node(&reordered);
         prop_assert_eq!(&other, &node);
+        // Equal maps hash equal: a lone attribute is stored inline and
+        // two or more as a sorted list, whatever order wrote them.
+        prop_assert_eq!(hash_of(&other), hash_of(&node));
 
         let (a, b) = (attr_template(node.clone()), attr_template(other));
+        prop_assert_eq!(hash_of(&a), hash_of(&b));
         let (table_a, table_b) = (attr_table(&a), attr_table(&b));
         prop_assert_eq!(&table_a, &table_b);
         for config in [Configuration::phone_portrait(), Configuration::phone_landscape()] {
@@ -945,7 +957,7 @@ fn tree_with_user_content() -> (ViewTree, Vec<String>) {
         (ViewKind::TextView, "label"),
         (ViewKind::VideoView, "player"),
     ] {
-        let view = tree.add_view(root, kind.clone(), Some(name)).unwrap();
+        let view = tree.add_view(root, kind, Some(name)).unwrap();
         let op = if kind == ViewKind::VideoView {
             let uri = fresh_user_string("uri");
             written.push(uri.clone());
