@@ -158,19 +158,23 @@ lint-study:
 # (stock / RCHDroid / RuntimeDroid class schedules), require zero
 # static/dynamic disagreements with the --jobs 1 and --jobs 4 digests
 # identical and equal to the committed one in tests/golden/digests.env,
-# and regenerate the committed per-class loss-rate table
-# (results/table_dataloss.csv) from the verified verdicts.
+# write the per-class loss-rate table from the verified verdicts to
+# target/table_dataloss.csv, and require it to match the committed
+# results/table_dataloss.csv byte for byte (a deliberate change copies
+# the fresh table over the committed one).
 dataloss-study:
 	set -e; \
+	mkdir -p target; \
 	serial=$$($(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
 		--differential --corpus dataloss --jobs 1 | grep '^=> fleet:'); \
 	parallel=$$($(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
 		--differential --corpus dataloss --jobs 4 \
-		--table results/table_dataloss.csv | grep '^=> fleet:'); \
+		--table target/table_dataloss.csv | grep '^=> fleet:'); \
 	echo "serial:   $$serial"; echo "parallel: $$parallel"; \
 	test "$$(echo "$$serial" | sed 's/jobs=[0-9]*//')" = \
 		"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"; \
-	bash scripts/check_digest.sh RCHLINT_DATALOSS "$$serial"
+	bash scripts/check_digest.sh RCHLINT_DATALOSS "$$serial"; \
+	diff -u results/table_dataloss.csv target/table_dataloss.csv
 
 # Real (non-smoke) runs of the fleet and migration benches, with the
 # vendored criterion harness writing its estimates as compact JSON

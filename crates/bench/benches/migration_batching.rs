@@ -84,11 +84,17 @@ fn bench(c: &mut Criterion) {
     {
         let mut rig = coupled();
         chatty_task(&mut rig);
+        let m = rig.engine.metrics();
         println!(
-            "migration_batching: {} views x {} rounds -> {}",
+            "migration_batching: {} views x {} rounds -> flushes={} raw={} coalesced={} \
+             ratio={:.2} batch[{}]",
             VIEWS,
             ROUNDS,
-            rig.engine.metrics()
+            m.flushes,
+            m.raw_invalidations,
+            m.coalesced_entries,
+            m.coalesce_ratio(),
+            m.batch_size
         );
     }
 

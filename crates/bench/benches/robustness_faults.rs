@@ -36,7 +36,7 @@ fn run(rate: f64, seed: u64) -> (u64, u64) {
         let _ = d.rotate();
         d.advance(SimDuration::from_secs(2));
     }
-    let m = d.fault_metrics(&c).expect("metrics");
+    let m = d.device_metrics(&c).expect("metrics").faults;
     (m.contained_per_view, m.fallback_restarts)
 }
 

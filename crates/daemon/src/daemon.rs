@@ -1278,7 +1278,7 @@ mod tests {
         let stats = d.stats();
         assert_eq!(stats.ledger.shed, 2);
         assert!(stats.ledger.reclaim_passes >= 1);
-        assert_eq!(stats.ledger.in_flight(), 0, "{}", stats.ledger);
+        assert_eq!(stats.ledger.in_flight(), 0, "{:?}", stats.ledger);
     }
 
     #[test]

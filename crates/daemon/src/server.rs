@@ -16,7 +16,7 @@
 //! | `cmd=wait job_id=… [timeout_ms=…]`   | like `status`, plus `result=settled`/`timeout` |
 //! | `cmd=cancel job_id=…`                | like `status`                                 |
 //! | `cmd=health`                         | `ok=true state=running\|draining\|degraded\|stopped` + journal/queue fields |
-//! | `cmd=stats`                          | `ok=true` + the full daemon ledger + fleet fingerprint |
+//! | `cmd=stats`                          | `ok=true` + the full daemon ledger + inflation-cache counters + fleet fingerprint |
 //! | `cmd=shutdown [mode=drain\|now]`     | `ok=true result=stopped` (after stopping)     |
 //!
 //! A **connection governor** keeps a hostile or broken client from
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use droidsim_faults::FaultSite;
-use droidsim_kernel::journal;
+use droidsim_kernel::{journal, memo};
 
 use crate::daemon::{Admission, Daemon, ShutdownMode};
 use crate::faultio::IoFaults;
@@ -424,11 +424,24 @@ pub(crate) fn dispatch(
             let stats = daemon.stats();
             let mut out = vec![("ok", "true".to_owned())];
             out.extend(stats.ledger.kv_fields());
-            // Inflation-cache telemetry (fingerprint-excluded): the app
-            // processes of every job count into process-wide tallies, so
-            // a live capture is the worker pool's hit/miss picture and
-            // the trees its running jobs keep.
-            out.extend(droidsim_metrics::MemoLedger::capture().kv_fields());
+            // Inflation-cache telemetry: the app processes of every job
+            // count into one process-wide tally, so a live capture is the
+            // worker pool's hit/miss picture and the trees its running
+            // jobs keep. `memo_inflate` packs hits/misses/evictions/entries.
+            let memo = &memo::snapshot_all()[0];
+            out.extend([
+                ("memo_hits", memo.hits.to_string()),
+                ("memo_misses", memo.misses.to_string()),
+                ("memo_evictions", memo.evictions.to_string()),
+                ("memo_bytes", memo.bytes.to_string()),
+                (
+                    "memo_inflate",
+                    format!(
+                        "{}/{}/{}/{}",
+                        memo.hits, memo.misses, memo.evictions, memo.entries
+                    ),
+                ),
+            ]);
             out.push(("workers", stats.workers.to_string()));
             out.push(("queue_capacity", stats.queue_capacity.to_string()));
             out.push(("fleet", stats.fleet.deterministic_fingerprint()));
@@ -557,6 +570,53 @@ mod tests {
         client.shutdown(ShutdownMode::Drain).unwrap();
         server.join().unwrap().unwrap();
         assert!(!socket.exists(), "socket file is cleaned up");
+    }
+
+    /// The `cmd=stats` keys, in order, one per line (`#` lines are
+    /// comments).
+    const STATS_FIELDS: &str = include_str!("../../../tests/golden/daemon_stats_fields.txt");
+
+    #[test]
+    fn stats_fields_match_the_golden() {
+        let socket = scratch_socket("stats-fields");
+        let daemon = Arc::new(Daemon::start(DaemonConfig::new(), EchoExecutor).unwrap());
+        let server = serve_in_background(&daemon, &socket, ServerConfig::new());
+        let mut client = Client::connect_retry(&socket, Duration::from_secs(5)).unwrap();
+        let id = match client.submit(&JobSpec::new(JobKind::Fig10)).unwrap() {
+            Admission::Accepted { id, .. } => id,
+            other => panic!("expected acceptance, got {other:?}"),
+        };
+        client.wait(id, Duration::from_secs(5)).unwrap();
+        let stats = client.stats().unwrap();
+        client.shutdown(ShutdownMode::Drain).unwrap();
+        server.join().unwrap().unwrap();
+
+        let keys: Vec<&str> = stats.iter().map(|(k, _)| k.as_str()).collect();
+        let golden: Vec<&str> = STATS_FIELDS
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        assert_eq!(keys, golden);
+        // `memo_inflate` packs the inflation cache's
+        // hits/misses/evictions/entries; the first three are the
+        // `memo_*` totals of the same capture.
+        let field = |key: &str| journal::field(&stats, key).unwrap();
+        let packed: Vec<u64> = field("memo_inflate")
+            .split('/')
+            .map(|n| n.parse().unwrap())
+            .collect();
+        assert_eq!(packed.len(), 4, "{}", field("memo_inflate"));
+        for (i, key) in ["memo_hits", "memo_misses", "memo_evictions"]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(packed[i].to_string(), field(key), "{key}");
+        }
+        assert!(
+            field("fleet").starts_with("fleet[ok="),
+            "{}",
+            field("fleet")
+        );
     }
 
     #[test]

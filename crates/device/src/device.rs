@@ -8,7 +8,7 @@ use droidsim_atms::{Atms, ConfigDecision, Intent, RecordState};
 use droidsim_config::Configuration;
 use droidsim_faults::FaultPlan;
 use droidsim_kernel::{SimDuration, SimTime, Xoshiro256};
-use droidsim_metrics::{CostModel, DeviceMetrics, FaultMetrics, MemorySnapshot};
+use droidsim_metrics::{CostModel, DeviceMetrics, MemorySnapshot};
 use rchdroid::{AsyncDelivery, ChangeKind, GcPolicy, LadderRung, RchOptions};
 use std::collections::BTreeMap;
 
@@ -871,21 +871,11 @@ impl Device {
         Ok(())
     }
 
-    /// Lifetime fault-handling metrics of an app's RCHDroid handler:
-    /// faults by site, the rung that absorbed each, and recovery
-    /// latencies.
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::UnknownApp`].
-    pub fn fault_metrics(&self, component: &str) -> Result<FaultMetrics, DeviceError> {
-        Ok(self.process(component)?.rch.fault_metrics())
-    }
-
-    /// The app's complete per-device metric sink — migration counters
-    /// plus the fault ledger — as one mergeable value. This is what a
-    /// fleet reducer collects per device and folds in index order, so
-    /// parallel runs never interleave histogram writes.
+    /// The app's complete per-device metric sink: the lazy-migration
+    /// counters plus the fault ledger (faults by site and the rung that
+    /// absorbed each). Each device fills its own, so parallel runs never
+    /// interleave writes; the fleet determinism gates hash its
+    /// fingerprint per device.
     ///
     /// # Errors
     ///
@@ -1170,7 +1160,7 @@ mod tests {
             DeviceEvent::Fault { site, rung, .. }
                 if site == "bundle-corruption" && rung == "fallback-restart"
         )));
-        let m = d.fault_metrics(&c).unwrap();
+        let m = d.device_metrics(&c).unwrap().faults;
         assert_eq!(m.fallback_restarts, 1);
         assert_eq!(m.site_count("bundle-corruption"), 1);
         // The ladder recovers: the next change runs the protocol again.
@@ -1196,7 +1186,7 @@ mod tests {
             DeviceEvent::Fault { site, rung, .. }
                 if site == "async-callback-panic" && rung == "contained-per-view"
         )));
-        assert_eq!(d.fault_metrics(&c).unwrap().contained_per_view, 1);
+        assert_eq!(d.device_metrics(&c).unwrap().faults.contained_per_view, 1);
         assert_eq!(
             d.process(&c).unwrap().thread().alive_instances().len(),
             2,

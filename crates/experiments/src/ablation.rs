@@ -285,7 +285,8 @@ mod tests {
         let _ = d.rotate(); // releases the first shadow: the task is now stale
         d.advance(SimDuration::from_secs(8));
         assert!(!d.is_crashed(&c));
-        assert_eq!(d.fault_metrics(&c).unwrap().site_count("stale-callback"), 1);
+        let faults = d.device_metrics(&c).unwrap().faults;
+        assert_eq!(faults.site_count("stale-callback"), 1);
     }
 
     #[test]

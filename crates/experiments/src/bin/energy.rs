@@ -1,5 +1,5 @@
 //! Regenerates the paper's energy result; see `rch_experiments::energy`.
 fn main() {
-    rch_experiments::version_flag();
+    rch_experiments::FleetCli::from_args();
     print!("{}", rch_experiments::energy::run().render());
 }

@@ -1,5 +1,5 @@
 //! Regenerates the paper's fig7 result; see `rch_experiments::fig7`.
 fn main() {
-    rch_experiments::version_flag();
+    rch_experiments::FleetCli::from_args();
     print!("{}", rch_experiments::fig7::run().render());
 }

@@ -15,9 +15,10 @@
 //! meets it on the next odd rotation — and is reported as
 //! [`DetectionReport::latent_after_two`].
 
+use droidsim_app::Activity;
 use droidsim_device::{Device, HandlingMode};
 use droidsim_kernel::SimDuration;
-use rch_workloads::{DataLossClass, GenericAppSpec};
+use rch_workloads::{DataLossClass, GenericApp, GenericAppSpec};
 use std::collections::BTreeSet;
 
 /// What the oracle found for one app under one system.
@@ -58,11 +59,15 @@ impl DetectionReport {
     }
 }
 
-/// One probe of the app's live instances: items the *foreground*
-/// instance lost, and items missing from any other live, un-released
-/// instance (deduplicated — several shadows missing the same key is one
-/// loss).
-fn lost_items(device: &Device, component: &str, probe: &rch_workloads::GenericApp) -> Probe {
+/// One probe of the app's live instances: the keys `lost_in` reports
+/// for the *foreground* instance, and those it reports for any other
+/// live, un-released instance (deduplicated — several shadows missing
+/// the same key is one loss).
+fn lost_items(
+    device: &Device,
+    component: &str,
+    lost_in: impl Fn(&Activity) -> Vec<String>,
+) -> Probe {
     let Ok(process) = device.process(component) else {
         return Probe::default();
     };
@@ -76,19 +81,35 @@ fn lost_items(device: &Device, component: &str, probe: &rch_workloads::GenericAp
         if activity.tree.is_released() {
             continue; // a released tree holds no probe-able state
         }
-        let lost = probe
-            .surviving_state(activity)
-            .into_iter()
-            .filter(|(_, survived)| !survived)
-            .map(|(item, _)| &item.key);
+        let lost = lost_in(activity);
         if Some(id) == foreground {
-            result.foreground = lost.cloned().collect();
+            result.foreground = lost;
         } else {
-            latent.extend(lost.cloned());
+            latent.extend(lost);
         }
     }
     result.latent = latent.into_iter().collect();
     result
+}
+
+/// The keys of the state items `probe` set that `activity` lost.
+fn lost_state(probe: &GenericApp, activity: &Activity) -> Vec<String> {
+    probe
+        .surviving_state(activity)
+        .into_iter()
+        .filter(|(_, survived)| !survived)
+        .map(|(item, _)| item.key.clone())
+        .collect()
+}
+
+/// The keys of the data-loss fields `probe` set that `activity` lost.
+fn lost_fields(probe: &GenericApp, activity: &Activity) -> Vec<String> {
+    probe
+        .dataloss_surviving(activity)
+        .into_iter()
+        .filter(|(_, survived)| !survived)
+        .map(|(field, _)| field.key.clone())
+        .collect()
 }
 
 #[derive(Debug, Default)]
@@ -124,7 +145,7 @@ pub fn check(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionReport {
     let lost_after_one = if device.is_crashed(&component) {
         Vec::new()
     } else {
-        lost_items(&device, &component, &probe).foreground
+        lost_items(&device, &component, |a| lost_state(&probe, a)).foreground
     };
 
     let _ = device.rotate();
@@ -132,7 +153,7 @@ pub fn check(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionReport {
     let (lost_after_two, latent_after_two) = if crashed {
         (Vec::new(), Vec::new())
     } else {
-        let p = lost_items(&device, &component, &probe);
+        let p = lost_items(&device, &component, |a| lost_state(&probe, a));
         (p.foreground, p.latent)
     };
 
@@ -143,41 +164,6 @@ pub fn check(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionReport {
         latent_after_two,
         crashed,
     }
-}
-
-/// One probe of a data-loss app's live instances, mirroring
-/// [`lost_items`] for the per-field data-loss corpus.
-fn dataloss_lost_items(
-    device: &Device,
-    component: &str,
-    probe: &rch_workloads::GenericApp,
-) -> Probe {
-    let Ok(process) = device.process(component) else {
-        return Probe::default();
-    };
-    let foreground = process.foreground_instance();
-    let mut result = Probe::default();
-    let mut latent = BTreeSet::new();
-    for id in process.thread().alive_instances() {
-        let Ok(activity) = process.thread().instance(id) else {
-            continue;
-        };
-        if activity.tree.is_released() {
-            continue;
-        }
-        let lost = probe
-            .dataloss_surviving(activity)
-            .into_iter()
-            .filter(|(_, survived)| !survived)
-            .map(|(field, _)| &field.key);
-        if Some(id) == foreground {
-            result.foreground = lost.cloned().collect();
-        } else {
-            latent.extend(lost.cloned());
-        }
-    }
-    result.latent = latent.into_iter().collect();
-    result
 }
 
 /// The dynamic data-loss oracle: drives the scenario's lifecycle
@@ -228,14 +214,14 @@ pub fn check_dataloss(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionRep
             let lost_after_one = if device.is_crashed(&component) {
                 Vec::new()
             } else {
-                dataloss_lost_items(&device, &component, &probe).foreground
+                lost_items(&device, &component, |a| lost_fields(&probe, a)).foreground
             };
             let _ = device.rotate();
             let crashed = device.is_crashed(&component);
             let (lost_after_two, latent_after_two) = if crashed {
                 (Vec::new(), Vec::new())
             } else {
-                let p = dataloss_lost_items(&device, &component, &probe);
+                let p = lost_items(&device, &component, |a| lost_fields(&probe, a));
                 (p.foreground, p.latent)
             };
             DetectionReport {
@@ -257,7 +243,7 @@ pub fn check_dataloss(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionRep
             let (lost_after_two, latent_after_two) = if crashed {
                 (Vec::new(), Vec::new())
             } else {
-                let p = dataloss_lost_items(&device, &component, &probe);
+                let p = lost_items(&device, &component, |a| lost_fields(&probe, a));
                 (p.foreground, p.latent)
             };
             DetectionReport {
@@ -297,7 +283,7 @@ pub fn check_dataloss(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionRep
             let lost = if crashed {
                 Vec::new()
             } else {
-                dataloss_lost_items(&device, &component, &probe).foreground
+                lost_items(&device, &component, |a| lost_fields(&probe, a)).foreground
             };
             DetectionReport {
                 app: spec.name.clone(),

@@ -1,6 +1,7 @@
 //! The study binaries end to end: `table5`, `fig10` and `ablation` print
 //! their committed digests at any worker count, and the binaries that
-//! run no supervised study refuse the supervision flags by name.
+//! run no supervised study refuse the supervision flags and unknown
+//! flags by name.
 
 use std::process::{Command, Output};
 
@@ -73,6 +74,7 @@ fn supervision_flags_are_refused_outside_the_study_binaries() {
             env!("CARGO_BIN_EXE_all"),
             &["--journal", journal, "--max-retries", "2"],
         ),
+        (env!("CARGO_BIN_EXE_fig7"), &["--journal", journal]),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -83,5 +85,35 @@ fn supervision_flags_are_refused_outside_the_study_binaries() {
             "{bin} wrote a journal"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn binaries_without_flags_refuse_unknown_ones() {
+    // `export`'s one argument is a directory: a flag must not become one.
+    let dir = std::env::temp_dir().join(format!("unknown-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (bin, args, flag) in [
+        (
+            env!("CARGO_BIN_EXE_table3"),
+            &["--bogus"][..],
+            "\"--bogus\"",
+        ),
+        (env!("CARGO_BIN_EXE_export"), &["--jobs", "2"], "\"--jobs\""),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap_or_else(|e| panic!("{bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{bin}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} ran anyway");
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "export wrote into {dir:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

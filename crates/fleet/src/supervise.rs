@@ -642,7 +642,6 @@ where
 
     let run = Arc::new(run);
     let records: Vec<Mutex<Option<TaskRecord<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let allocs_before = droidsim_kernel::alloc_track::current();
 
     let cancelled = || opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
     let worker_body = |i: usize| {
@@ -738,9 +737,6 @@ where
     // run_fleet's reducer, so the report is reproducible for any worker
     // count.
     let mut ledger = FleetLedger::new();
-    // Process-wide delta, not per-task: concurrent runs overlap, so the
-    // value is diagnostic only (and excluded from fingerprints).
-    ledger.alloc_events = droidsim_kernel::alloc_track::current().saturating_sub(allocs_before);
     let mut quarantined = Vec::new();
     let mut outcomes = Vec::with_capacity(n);
     let mut digests = Vec::with_capacity(n);

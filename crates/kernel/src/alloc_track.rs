@@ -4,17 +4,19 @@
 //! traversal stacks, drain buffers, flush batches, and logcat line
 //! buffers are reused instead of re-allocated. This module is how that
 //! diet stays *measurable* — the known allocation sites that remain (or
-//! that a fallback path re-introduces) bump a process-wide counter, and
-//! the fleet ledger records the delta per run as `alloc_events`.
+//! that a fallback path re-introduces) bump a process-wide counter. Two
+//! readers take deltas of it: the daemon's `stats` endpoint reports the
+//! events since the daemon started (`alloc_events`), and the `rchbench`
+//! benchmark reports events per operation (`alloc.events_per_op`).
 //!
 //! The counter is intentionally a single relaxed atomic, not a
 //! thread-local: supervised attempts may run on a watchdog-spawned
-//! thread, and the ledger wants the whole run's total regardless of
+//! thread, and a reader wants the whole process's total regardless of
 //! which thread allocated. Events are coarse (one per buffer
 //! materialised, not per byte), so the atomic is nowhere near any hot
-//! loop. Like wall-clock latency, the value is **diagnostic**: it never
-//! participates in deterministic fingerprints, because scratch-buffer
-//! reuse depends on scheduling.
+//! loop. Like wall-clock latency, the value is **diagnostic**: no
+//! deterministic fingerprint reads it, because scratch-buffer reuse
+//! depends on scheduling and concurrent work in the process counts too.
 //!
 //! # Examples
 //!

@@ -15,8 +15,8 @@
 //!   the program issues (ids, arena indices, interned symbols),
 //! * [`journal`] — the `key=value` line codec and the crash-safe
 //!   append-only log behind the fleet and daemon journals.
-//! * [`alloc_track`] — coarse allocation-event accounting so the fleet
-//!   ledger can report allocations-per-sim.
+//! * [`alloc_track`] — coarse allocation-event accounting, read by the
+//!   daemon's `stats` endpoint and the `rchbench` benchmark.
 //! * [`memo`] — the kill switch and process-wide telemetry of the
 //!   per-process inflation caches.
 //!

@@ -29,9 +29,10 @@
 //! `memo ≡ cold` invariant the fleet determinism suite asserts (per-device
 //! logcat and metrics digests equal with the cache on and off, at any job
 //! count). Hit/miss counts and resident bytes are wall-clock state and
-//! telemetry: they surface through [`snapshot_all`] into the
-//! fingerprint-*excluded* part of the metrics ledgers, like allocation
-//! events, and never into a deterministic fingerprint.
+//! telemetry, read through [`snapshot_all`] by the daemon's `stats`
+//! endpoint (the `memo_*` fields), the `rchbench` benchmark's per-layer
+//! `memo.*` metrics and the memo-parity tests. Like allocation events,
+//! they never enter a deterministic fingerprint.
 //!
 //! # Kill switch
 //!

@@ -2,20 +2,23 @@
 //!
 //! `droidsimd` is a long-running service: unlike one fleet run's
 //! [`FleetLedger`](crate::FleetLedger), its ledger accumulates over the
-//! daemon's whole lifetime (and, via [`DaemonLedger::merge`], across a
-//! restart). The counters answer the questions an operator asks an
-//! overloaded service: how many jobs were accepted vs explicitly
-//! rejected, how many the shedder dropped with an explicit verdict, how
-//! deep the admission queue got, and how much the resume pass recovered
-//! after a crash.
+//! daemon's whole lifetime. A restarted daemon rebuilds it from its
+//! journal (`Daemon::start`): settled jobs of the previous life count
+//! as accepted and settled, unfinished ones as resumed. The counters
+//! answer the questions an operator asks an overloaded service: how
+//! many jobs were accepted vs explicitly rejected, how many the shedder
+//! dropped with an explicit verdict, how deep the admission queue got,
+//! and how much the resume pass recovered after a crash.
 //!
 //! Every rejected or shed job shows up here — the daemon's contract is
 //! *zero silent drops*, so `accepted == completed + failed + cancelled +
-//! shed + still-pending` must always reconcile, and the `stats` endpoint
-//! renders this ledger so external tooling (the `bench_gate` family) can
-//! assert exactly that.
-
-use core::fmt;
+//! shed + still-pending` must always reconcile. The `stats` endpoint
+//! renders the ledger for operators ([`DaemonLedger::kv_fields`]), and
+//! the daemon's tests read it there.
+//!
+//! The ledger carries no fingerprint: its queue gauge, allocation count
+//! and chaos-edge counters depend on timing and the environment, so no
+//! deterministic digest reads it.
 
 /// Lifetime counters and gauges for one `droidsimd` process.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,26 +50,22 @@ pub struct DaemonLedger {
     /// Deepest the admission queue ever got.
     pub queue_high_water: u64,
     /// Allocation events (`droidsim_kernel::alloc_track`) observed since
-    /// daemon start. Wall-clock-class telemetry: excluded from the
-    /// deterministic fingerprint, surfaced for `bench_gate`-style tools.
+    /// daemon start, refreshed at each `stats` snapshot. Wall-clock
+    /// telemetry: other work in the process counts too.
     pub alloc_events: u64,
     /// Times the daemon entered the `degraded` health state because the
-    /// journal stopped accepting writes. Environment-dependent (a real
-    /// or injected I/O fault), so fingerprint-excluded like
-    /// `alloc_events`.
+    /// journal stopped accepting writes (a real or injected I/O fault).
     pub degraded_entries: u64,
     /// Journal write/fsync failures observed (real or injected).
-    /// Fingerprint-excluded.
     pub journal_faults: u64,
     /// Submissions answered `result=duplicate` because their
-    /// `dedupe_key` matched an already-accepted job. Fingerprint-
-    /// excluded: a retry schedule is timing, not admission order.
+    /// `dedupe_key` matched an already-accepted job.
     pub dedupe_hits: u64,
     /// Connections refused by the concurrent-connection cap with
-    /// `error=too-many-connections`. Fingerprint-excluded.
+    /// `error=too-many-connections`.
     pub conns_rejected: u64,
     /// Connections closed by the per-connection read timeout (slowloris
-    /// defense). Fingerprint-excluded.
+    /// defense).
     pub slowloris_closed: u64,
 }
 
@@ -93,56 +92,8 @@ impl DaemonLedger {
         self.queue_high_water = self.queue_high_water.max(depth);
     }
 
-    /// Folds another ledger into this one (e.g. a restarted daemon
-    /// folding the pre-crash ledger recovered from its journal). Gauges
-    /// keep `other`'s value only for the high-water mark.
-    pub fn merge(&mut self, other: &DaemonLedger) {
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.rejected_injected += other.rejected_injected;
-        self.shed += other.shed;
-        self.resumed += other.resumed;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.cancelled += other.cancelled;
-        self.deadline_expired += other.deadline_expired;
-        self.reclaim_passes += other.reclaim_passes;
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        self.alloc_events += other.alloc_events;
-        self.degraded_entries += other.degraded_entries;
-        self.journal_faults += other.journal_faults;
-        self.dedupe_hits += other.dedupe_hits;
-        self.conns_rejected += other.conns_rejected;
-        self.slowloris_closed += other.slowloris_closed;
-    }
-
-    /// The admission-sequence-determined part of the ledger: everything
-    /// except the live queue-depth gauge, the allocation counter, and
-    /// the chaos-edge counters (degraded entries, journal faults,
-    /// dedupe hits, connection rejections, slowloris closes) — those
-    /// depend on fault timing and client behavior, like the fleet
-    /// ledger's `alloc_events`. Identical across runs replaying the
-    /// same admission sequence.
-    pub fn deterministic_fingerprint(&self) -> String {
-        format!(
-            "daemon[accepted={} rejected={} rejected_injected={} shed={} resumed={} \
-             completed={} failed={} cancelled={} deadline_expired={} reclaim_passes={}]",
-            self.accepted,
-            self.rejected,
-            self.rejected_injected,
-            self.shed,
-            self.resumed,
-            self.completed,
-            self.failed,
-            self.cancelled,
-            self.deadline_expired,
-            self.reclaim_passes,
-        )
-    }
-
     /// The `stats`-endpoint fields as `(key, value)` pairs, in a fixed
-    /// order, ready for one kv journal line. Includes the telemetry the
-    /// fingerprint excludes (queue gauges, allocation events).
+    /// order, ready for one kv journal line.
     pub fn kv_fields(&self) -> Vec<(&'static str, String)> {
         vec![
             ("accepted", self.accepted.to_string()),
@@ -165,19 +116,6 @@ impl DaemonLedger {
             ("conns_rejected", self.conns_rejected.to_string()),
             ("slowloris_closed", self.slowloris_closed.to_string()),
         ]
-    }
-}
-
-impl fmt::Display for DaemonLedger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} queue[depth={} high_water={}] allocs={}",
-            self.deterministic_fingerprint(),
-            self.queue_depth,
-            self.queue_high_water,
-            self.alloc_events
-        )
     }
 }
 
@@ -206,62 +144,6 @@ mod tests {
         l.observe_queue_depth(2);
         assert_eq!(l.queue_depth, 2);
         assert_eq!(l.queue_high_water, 7);
-        let line = l.to_string();
-        assert!(line.contains("high_water=7"), "got {line}");
-    }
-
-    #[test]
-    fn fingerprint_excludes_gauges_and_allocs() {
-        let mut a = DaemonLedger::new();
-        let mut b = DaemonLedger::new();
-        a.accepted = 4;
-        b.accepted = 4;
-        b.observe_queue_depth(9);
-        b.alloc_events = 1234;
-        b.degraded_entries = 2;
-        b.journal_faults = 5;
-        b.dedupe_hits = 3;
-        b.conns_rejected = 8;
-        b.slowloris_closed = 1;
-        assert_eq!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
-        b.shed += 1;
-        assert_ne!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_maxes_high_water() {
-        let mut a = DaemonLedger {
-            accepted: 3,
-            completed: 2,
-            queue_high_water: 5,
-            alloc_events: 10,
-            ..DaemonLedger::new()
-        };
-        let b = DaemonLedger {
-            accepted: 4,
-            rejected: 2,
-            shed: 1,
-            resumed: 3,
-            queue_high_water: 2,
-            alloc_events: 5,
-            degraded_entries: 1,
-            journal_faults: 4,
-            dedupe_hits: 2,
-            conns_rejected: 6,
-            slowloris_closed: 3,
-            ..DaemonLedger::new()
-        };
-        a.merge(&b);
-        assert_eq!(a.accepted, 7);
-        assert_eq!(a.rejected, 2);
-        assert_eq!(a.resumed, 3);
-        assert_eq!(a.queue_high_water, 5);
-        assert_eq!(a.alloc_events, 15);
-        assert_eq!(a.degraded_entries, 1);
-        assert_eq!(a.journal_faults, 4);
-        assert_eq!(a.dedupe_hits, 2);
-        assert_eq!(a.conns_rejected, 6);
-        assert_eq!(a.slowloris_closed, 3);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! 3. *process crash* — nothing could absorb it; the process died (the
 //!    same outcome stock Android has for every lifecycle fault).
 
-use core::fmt;
 use std::collections::BTreeMap;
 
 /// Lifetime fault counters for one handler.
@@ -78,19 +77,6 @@ impl FaultMetrics {
     }
 }
 
-impl fmt::Display for FaultMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "faults={} contained={} fallbacks={} crashes={}",
-            self.total_faults(),
-            self.contained_per_view,
-            self.fallback_restarts,
-            self.crashes
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,13 +108,5 @@ mod tests {
         assert_eq!(a.site_count("essence-mapping-miss"), 2);
         assert_eq!(a.fallback_restarts, 1);
         assert_eq!(a.total_faults(), 3);
-    }
-
-    #[test]
-    fn display_summarises_the_ladder() {
-        let mut m = FaultMetrics::new();
-        m.record_fallback("allocation-failure");
-        let line = m.to_string();
-        assert!(line.contains("fallbacks=1"), "got {line}");
     }
 }

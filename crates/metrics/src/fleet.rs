@@ -1,15 +1,18 @@
-//! Per-device metric sinks for fleet reduction.
+//! The per-device metric sink and the fleet run's outcome ledger.
 //!
-//! The serial harnesses could get away with one global accumulator; a
-//! parallel fleet cannot — two workers folding histograms into a shared
-//! sink would interleave nondeterministically. [`DeviceMetrics`] is the
-//! per-device sink: each simulated device owns exactly one, filled only
-//! by that device's handler, and the reducer merges the sinks **in
-//! device-index order** after every worker has finished. Merging is
-//! associative over disjoint devices, so the merged aggregate of a
-//! parallel run equals the serial run's, histogram bins and all.
-
-use core::fmt;
+//! [`DeviceMetrics`] is what one device's handler measured. Each
+//! simulated device owns exactly one, filled only by that device's
+//! handler, so a parallel fleet never interleaves writes into it. No
+//! reducer merges device sinks: the fleet-determinism and memo-parity
+//! gates hash each device's [`DeviceMetrics::deterministic_fingerprint`]
+//! into that device's digest and combine the digests in device-index
+//! order.
+//!
+//! [`FleetLedger`] counts how the tasks of one supervised run ended.
+//!
+//! Both hold only values the simulation fixes — no wall clock, no
+//! allocation count — so their fingerprints are the same for any
+//! worker count by construction.
 
 use crate::faults::FaultMetrics;
 use crate::migration::MigrationMetrics;
@@ -30,16 +33,9 @@ impl DeviceMetrics {
         DeviceMetrics::default()
     }
 
-    /// Folds another device's sink into this one. Call in device-index
-    /// order from the fleet reducer so aggregates are reproducible.
-    pub fn merge(&mut self, other: &DeviceMetrics) {
-        self.migration.merge(&other.migration);
-        self.faults.merge(&other.faults);
-    }
-
     /// A stable one-line rendering of every field — counters, batch
     /// sizes, fault sites. All of them depend only on the simulation;
-    /// this is what fleet determinism digests hash: it must be
+    /// this is what the fleet determinism gates hash: it must be
     /// bit-identical between serial and parallel runs of the same seeds.
     pub fn deterministic_fingerprint(&self) -> String {
         let m = &self.migration;
@@ -90,11 +86,6 @@ pub struct FleetLedger {
     pub timed_out_attempts: u64,
     /// Injected `fleet-task` faults that actually struck.
     pub injected_faults: u64,
-    /// Allocation events (see `droidsim_kernel::alloc_track`) observed
-    /// across the whole run — the allocations-per-sim diet metric.
-    /// Scratch-buffer reuse depends on scheduling, so this is excluded
-    /// from the deterministic fingerprint.
-    pub alloc_events: u64,
 }
 
 impl FleetLedger {
@@ -113,8 +104,8 @@ impl FleetLedger {
         self.panicked + self.timed_out
     }
 
-    /// Folds another run's ledger into this one (e.g. a resumed run's
-    /// ledger onto the interrupted run's).
+    /// Folds another run's ledger into this one (the daemon keeps the
+    /// lifetime total of the jobs it ran).
     pub fn merge(&mut self, other: &FleetLedger) {
         self.ok += other.ok;
         self.panicked += other.panicked;
@@ -125,13 +116,11 @@ impl FleetLedger {
         self.panicked_attempts += other.panicked_attempts;
         self.timed_out_attempts += other.timed_out_attempts;
         self.injected_faults += other.injected_faults;
-        self.alloc_events += other.alloc_events;
     }
 
-    /// The simulation-determined part of the ledger — everything except
-    /// `alloc_events`. Identical between serial and parallel runs of the
-    /// same seeds as long as no *organic* (host-speed-dependent) timeout
-    /// fired.
+    /// Every counter on one line. Identical between serial and parallel
+    /// runs of the same seeds as long as no *organic* (host-speed-
+    /// dependent) timeout fired.
     pub fn deterministic_fingerprint(&self) -> String {
         format!(
             "fleet[ok={} panicked={} timed_out={} skipped={} cancelled={} retries={} \
@@ -149,17 +138,6 @@ impl FleetLedger {
     }
 }
 
-impl fmt::Display for FleetLedger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} allocs={}",
-            self.deterministic_fingerprint(),
-            self.alloc_events
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,29 +151,6 @@ mod tests {
             m.faults.record_contained("attribute-copy");
         }
         m
-    }
-
-    #[test]
-    fn merge_is_order_stable_for_disjoint_devices() {
-        // Serial reduction: fold device sinks 0, 1, 2 in order.
-        let devices = [sink(1, 0), sink(2, 3), sink(0, 1)];
-        let mut serial = DeviceMetrics::new();
-        for d in &devices {
-            serial.merge(d);
-        }
-        // "Parallel" reduction: same sinks, same index order (the fleet
-        // reducer's contract), regardless of which worker filled them.
-        let mut parallel = DeviceMetrics::new();
-        for d in &devices {
-            parallel.merge(d);
-        }
-        assert_eq!(serial, parallel);
-        assert_eq!(
-            serial.deterministic_fingerprint(),
-            parallel.deterministic_fingerprint()
-        );
-        assert_eq!(serial.migration.flushes, 3);
-        assert_eq!(serial.faults.contained_per_view, 4);
     }
 
     #[test]
@@ -223,20 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_fingerprint_ignores_alloc_events() {
-        let mut a = FleetLedger::new();
-        let mut b = FleetLedger::new();
-        a.ok = 7;
-        a.retries = 2;
-        b.ok = 7;
-        b.retries = 2;
-        b.alloc_events = 42; // scheduling-dependent, excluded
-        assert_eq!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
-        b.panicked += 1;
-        assert_ne!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
-    }
-
-    #[test]
     fn ledger_merge_adds_every_counter() {
         let mut a = FleetLedger {
             ok: 3,
@@ -252,7 +193,6 @@ mod tests {
             panicked_attempts: 3,
             timed_out_attempts: 2,
             injected_faults: 5,
-            alloc_events: 24,
             ..FleetLedger::new()
         };
         a.merge(&b);
@@ -261,9 +201,10 @@ mod tests {
         assert_eq!(a.quarantined(), 3);
         assert_eq!(a.retries, 1);
         assert_eq!(a.injected_faults, 5);
-        assert_eq!(a.alloc_events, 24);
-        let line = a.to_string();
+        let line = a.deterministic_fingerprint();
         assert!(line.contains("ok=7"), "got {line}");
-        assert!(line.contains("allocs=24"), "got {line}");
+        let mut c = a;
+        c.panicked += 1;
+        assert_ne!(line, c.deterministic_fingerprint());
     }
 }

@@ -29,7 +29,6 @@ pub mod daemon;
 pub mod energy;
 pub mod faults;
 pub mod fleet;
-pub mod memo;
 pub mod memory;
 pub mod migration;
 pub mod stats;
@@ -41,7 +40,6 @@ pub use daemon::DaemonLedger;
 pub use energy::EnergyModel;
 pub use faults::FaultMetrics;
 pub use fleet::{DeviceMetrics, FleetLedger};
-pub use memo::MemoLedger;
 pub use memory::{MemoryModel, MemorySnapshot};
 pub use migration::MigrationMetrics;
 pub use stats::{Histogram, Summary};

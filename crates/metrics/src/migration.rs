@@ -14,8 +14,6 @@
 //! [`MigrationMetrics`] accumulates all of these over an engine's
 //! lifetime; the benchmarks and the engine's tests read them back.
 
-use core::fmt;
-
 use crate::stats::Histogram;
 
 /// Lifetime counters and distributions for one migration engine.
@@ -59,29 +57,6 @@ impl MigrationMetrics {
             self.raw_invalidations as f64 / self.coalesced_entries as f64
         }
     }
-
-    /// Folds another engine's metrics into this one (e.g. to aggregate
-    /// across apps in an experiment harness).
-    pub fn merge(&mut self, other: &MigrationMetrics) {
-        self.flushes += other.flushes;
-        self.raw_invalidations += other.raw_invalidations;
-        self.coalesced_entries += other.coalesced_entries;
-        self.batch_size.merge(&other.batch_size);
-    }
-}
-
-impl fmt::Display for MigrationMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "flushes={} raw={} coalesced={} ratio={:.2} batch[{}]",
-            self.flushes,
-            self.raw_invalidations,
-            self.coalesced_entries,
-            self.coalesce_ratio(),
-            self.batch_size
-        )
-    }
 }
 
 #[cfg(test)]
@@ -108,26 +83,5 @@ mod tests {
         }
         assert!((m.coalesce_ratio() - 1.0).abs() < 1e-12);
         assert_eq!(m.batch_size.max(), 1.0);
-    }
-
-    #[test]
-    fn merge_aggregates_engines() {
-        let mut a = MigrationMetrics::new();
-        a.record_flush(2, 4);
-        let mut b = MigrationMetrics::new();
-        b.record_flush(3, 9);
-        a.merge(&b);
-        assert_eq!(a.flushes, 2);
-        assert_eq!(a.raw_invalidations, 13);
-        assert_eq!(a.coalesced_entries, 5);
-        assert_eq!(a.batch_size.count(), 2);
-    }
-
-    #[test]
-    fn display_is_human_readable() {
-        let mut m = MigrationMetrics::new();
-        m.record_flush(2, 6);
-        let line = m.to_string();
-        assert!(line.contains("ratio=3.00"), "got {line}");
     }
 }

@@ -150,11 +150,6 @@ impl Histogram {
     pub fn summary(&self) -> Summary {
         Summary::of(&self.samples)
     }
-
-    /// Merges another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -232,17 +227,6 @@ mod tests {
         assert_eq!(h.max(), 4.0);
         assert!((h.percentile(0.5) - 2.5).abs() < 1e-12);
         assert_eq!(h.summary().min, 1.0);
-    }
-
-    #[test]
-    fn histogram_merge_combines_samples() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        let mut b = Histogram::new();
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -104,7 +104,7 @@ fn every_forced_site_is_absorbed_by_the_ladder() {
         |_ctx, (seed, site)| {
             let plan = FaultPlan::seeded(seed).on_nth_probe(site, 1);
             let (d, c) = run_scenario(plan);
-            let m = d.fault_metrics(&c).unwrap();
+            let m = d.device_metrics(&c).unwrap().faults;
             CellOutcome {
                 label: format!("seed {seed}: {site}"),
                 injected: m.total_faults(),
@@ -147,7 +147,7 @@ fn rate_injection_never_escapes_a_panic() {
         |_ctx, seed| {
             let plan = FaultPlan::seeded(seed).with_rate_everywhere(0.5);
             let (d, c) = run_scenario(plan);
-            let m = d.fault_metrics(&c).unwrap();
+            let m = d.device_metrics(&c).unwrap().faults;
             let mut bad = Vec::new();
             if m.total_faults() != m.contained_per_view + m.fallback_restarts + m.crashes {
                 bad.push(format!("seed {seed}: fault ledger out of balance"));
@@ -191,7 +191,7 @@ fn rate_injection_never_escapes_a_panic() {
 fn disarmed_plan_changes_nothing() {
     let (d, c) = run_scenario(FaultPlan::disarmed());
     assert!(!d.is_crashed(&c));
-    let m = d.fault_metrics(&c).unwrap();
+    let m = d.device_metrics(&c).unwrap().faults;
     assert_eq!(m.total_faults(), 0);
     assert!(!d
         .events()
@@ -204,7 +204,7 @@ fn forced_and_rate_runs_are_deterministic_per_seed() {
     let fingerprint = |seed: u64| {
         let plan = FaultPlan::seeded(seed).with_rate_everywhere(0.2);
         let (d, c) = run_scenario(plan);
-        let m = d.fault_metrics(&c).unwrap();
+        let m = d.device_metrics(&c).unwrap().faults;
         (
             m.total_faults(),
             m.contained_per_view,

@@ -167,6 +167,9 @@ fn chunked_supervised_run_with_retries_matches_inline_unordered() {
             run.report.render()
         );
         assert_eq!(run.report.ledger.retries, 1, "jobs={jobs}");
+        // The whole ledger, not only its fingerprint: no field of it
+        // depends on scheduling.
+        assert_eq!(run.report.ledger, inline.report.ledger, "jobs={jobs}");
         assert_eq!(
             run.combined_digest(),
             inline.combined_digest(),
