@@ -58,25 +58,17 @@ bench-smoke:
 # machine's core count are both exercised. Then the three study
 # binaries (table5, fig10, ablation) must print the same digest at
 # --jobs 1 and --jobs 4, equal to the committed one in
-# tests/golden/digests.env. Then the resume check: a table5 study
-# journaled into a fresh file, cut 51 lines plus 45 bytes in (inside
-# line 52's digest, as a crash would), must print the full run's digest
-# line on each of two resumes, and that digest must be the committed
-# one.
+# tests/golden/digests.env (scripts/check_digest.sh runs both). Then the
+# resume check: a table5 study journaled into a fresh file, cut 51 lines
+# plus 45 bytes in (inside line 52's digest, as a crash would), must
+# print the full run's digest line on each of two resumes, and that
+# digest must be the committed one.
 fleet-determinism:
 	$(CARGO) test -q --test fleet_determinism
 	DROIDSIM_JOBS=2 $(CARGO) test -q --test fleet_determinism
-	set -e; \
 	for study in table5:TABLE5 fig10:FIG10 ablation:ABLATION; do \
-		bin=$${study%%:*}; name=$${study##*:}; \
-		serial=$$($(CARGO) run -q --release -p rch-experiments --bin $$bin -- \
-			--jobs 1 | tail -1); \
-		parallel=$$($(CARGO) run -q --release -p rch-experiments --bin $$bin -- \
-			--jobs 4 | tail -1); \
-		echo "$$bin serial:   $$serial"; echo "$$bin parallel: $$parallel"; \
-		test "$$(echo "$$serial" | sed 's/jobs=[0-9]*//')" = \
-			"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"; \
-		bash scripts/check_digest.sh $$name "$$serial"; \
+		bash scripts/check_digest.sh $${study##*:} -- $(CARGO) run -q --release \
+			-p rch-experiments --bin $${study%%:*} -- || exit 1; \
 	done
 	set -e; \
 	rm -f target/t5.journal; \
@@ -143,15 +135,8 @@ chaos-soak:
 lint-study:
 	$(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
 		--corpus all --clean-only --deny-warnings
-	set -e; \
-	serial=$$($(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
-		--differential --corpus all --jobs 1 | tail -1); \
-	parallel=$$($(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
-		--differential --corpus all --jobs 4 | tail -1); \
-	echo "serial:   $$serial"; echo "parallel: $$parallel"; \
-	test "$$(echo "$$serial" | sed 's/jobs=[0-9]*//')" = \
-		"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"; \
-	bash scripts/check_digest.sh RCHLINT_ALL "$$serial"
+	bash scripts/check_digest.sh RCHLINT_ALL -- $(CARGO) run -q --release \
+		-p rch-experiments --bin rchlint -- --differential --corpus all
 
 # The data-loss differential study (DESIGN.md §15): replay the whole
 # generated 520-app corpus through the three-runtime dynamic oracle
@@ -159,21 +144,15 @@ lint-study:
 # static/dynamic disagreements with the --jobs 1 and --jobs 4 digests
 # identical and equal to the committed one in tests/golden/digests.env,
 # write the per-class loss-rate table from the verified verdicts to
-# target/table_dataloss.csv, and require it to match the committed
-# results/table_dataloss.csv byte for byte (a deliberate change copies
-# the fresh table over the committed one).
+# target/table_dataloss.csv (both runs write the same table), and
+# require it to match the committed results/table_dataloss.csv byte for
+# byte (a deliberate change copies the fresh table over the committed
+# one).
 dataloss-study:
-	set -e; \
-	mkdir -p target; \
-	serial=$$($(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
-		--differential --corpus dataloss --jobs 1 | grep '^=> fleet:'); \
-	parallel=$$($(CARGO) run -q --release -p rch-experiments --bin rchlint -- \
-		--differential --corpus dataloss --jobs 4 \
-		--table target/table_dataloss.csv | grep '^=> fleet:'); \
-	echo "serial:   $$serial"; echo "parallel: $$parallel"; \
-	test "$$(echo "$$serial" | sed 's/jobs=[0-9]*//')" = \
-		"$$(echo "$$parallel" | sed 's/jobs=[0-9]*//')"; \
-	bash scripts/check_digest.sh RCHLINT_DATALOSS "$$serial"; \
+	mkdir -p target
+	bash scripts/check_digest.sh RCHLINT_DATALOSS -- $(CARGO) run -q --release \
+		-p rch-experiments --bin rchlint -- --differential --corpus dataloss \
+		--table target/table_dataloss.csv
 	diff -u results/table_dataloss.csv target/table_dataloss.csv
 
 # Real (non-smoke) runs of the fleet and migration benches, with the

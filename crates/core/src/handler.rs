@@ -347,7 +347,6 @@ impl RchDroid {
                 model,
                 old_instance,
                 Some(FaultSite::BundleCorruption),
-                now,
             );
         }
 
@@ -370,7 +369,6 @@ impl RchDroid {
                         model,
                         old_instance,
                         Some(FaultSite::AllocationFailure),
-                        now,
                     );
                 }
                 // First change: launch the sunny instance from the shadow
@@ -386,7 +384,7 @@ impl RchDroid {
                     self.supervised_dead.insert(sunny_instance);
                     let _ = thread.destroy_activity(sunny_instance);
                     atms.rollback_sunny_start(&start, fore_record, now)?;
-                    return self.fallback_restart(thread, atms, model, old_instance, None, now);
+                    return self.fallback_restart(thread, atms, model, old_instance, None);
                 }
                 thread.set_current_shadow(Some(old_instance));
                 let engine = &mut self.engine;
@@ -417,13 +415,13 @@ impl RchDroid {
                 // back and the change degrades to a stock restart.
                 let Some(sunny_instance) = thread.instance_for_token(start.record) else {
                     atms.rollback_sunny_start(&start, fore_record, now)?;
-                    return self.fallback_restart(thread, atms, model, old_instance, None, now);
+                    return self.fallback_restart(thread, atms, model, old_instance, None);
                 };
                 if thread.resume_sequence(sunny_instance, true).is_err() {
                     self.supervised_dead.insert(sunny_instance);
                     let _ = thread.destroy_activity(sunny_instance);
                     atms.rollback_sunny_start(&start, fore_record, now)?;
-                    return self.fallback_restart(thread, atms, model, old_instance, None, now);
+                    return self.fallback_restart(thread, atms, model, old_instance, None);
                 }
                 thread.set_current_shadow(Some(old_instance));
                 thread.set_current_sunny(Some(sunny_instance));
@@ -466,7 +464,6 @@ impl RchDroid {
         atms: &mut Atms,
         model: &dyn AppModel,
         work: &AsyncWork,
-        now: SimTime,
     ) -> Result<AsyncDelivery, HandlerError> {
         // Fault site `async-callback-panic`: the callback throws before
         // touching any view. Contained — the delivery is dropped.
@@ -520,7 +517,7 @@ impl RchDroid {
             Ok(report) => Ok(AsyncDelivery::Migrated(report)),
             Err(e) if !e.is_app_crash() => {
                 let site = e.site();
-                self.fallback_restart(thread, atms, model, sunny, site, now)?;
+                self.fallback_restart(thread, atms, model, sunny, site)?;
                 Ok(AsyncDelivery::FallbackRestart { site })
             }
             Err(e) => Err(self.escalate(HandlerError::Migration(e))),
@@ -540,7 +537,6 @@ impl RchDroid {
         model: &dyn AppModel,
         old_instance: ActivityInstanceId,
         site: Option<FaultSite>,
-        _now: SimTime,
     ) -> Result<ChangeOutcome, HandlerError> {
         self.abandon_coupling(thread, atms, old_instance)?;
 
@@ -854,13 +850,7 @@ mod tests {
         let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
         let report = rig
             .rch
-            .on_async_delivered(
-                &mut rig.thread,
-                &mut rig.atms,
-                &rig.model,
-                work,
-                SimTime::from_secs(5),
-            )
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
             .unwrap()
             .report()
             .expect("migration ran");
@@ -903,13 +893,7 @@ mod tests {
         let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
         let delivery = rig
             .rch
-            .on_async_delivered(
-                &mut rig.thread,
-                &mut rig.atms,
-                &rig.model,
-                work,
-                SimTime::from_secs(6),
-            )
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
             .unwrap();
         assert_eq!(delivery, AsyncDelivery::Delivered);
         assert!(delivery.report().is_none());
@@ -1102,13 +1086,7 @@ mod tests {
         let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
         let delivery = rig
             .rch
-            .on_async_delivered(
-                &mut rig.thread,
-                &mut rig.atms,
-                &rig.model,
-                work,
-                SimTime::from_secs(5),
-            )
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
             .unwrap();
         assert_eq!(delivery, AsyncDelivery::CallbackPanicked);
         // Rung 1: the callback was dropped, both instances live on.
@@ -1155,13 +1133,7 @@ mod tests {
         let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
         let delivery = rig
             .rch
-            .on_async_delivered(
-                &mut rig.thread,
-                &mut rig.atms,
-                &rig.model,
-                work,
-                SimTime::from_secs(5),
-            )
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
             .unwrap();
         assert_eq!(
             delivery,

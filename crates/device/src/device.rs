@@ -3,7 +3,7 @@
 use crate::events::{DeviceEvent, HandlingPath};
 use crate::process::AppProcess;
 use core::fmt;
-use droidsim_app::{AppModel, AsyncSpec, ThreadError, UiMessage};
+use droidsim_app::{AppModel, AsyncSpec, UiMessage};
 use droidsim_atms::{Atms, ConfigDecision, Intent, RecordState};
 use droidsim_config::Configuration;
 use droidsim_faults::FaultPlan;
@@ -751,7 +751,6 @@ impl Device {
                             &mut self.atms,
                             p.model.as_ref(),
                             &work,
-                            now,
                         ) {
                             Ok(AsyncDelivery::Delivered) => {
                                 self.events.push(DeviceEvent::AsyncDelivered {
@@ -798,16 +797,6 @@ impl Device {
                                     migration_latency: None,
                                     migrated_views: 0,
                                 });
-                            }
-                            Err(ThreadError::View(v)) if v.is_crash() => {
-                                Self::mark_crashed(
-                                    &mut self.atms,
-                                    &mut self.events,
-                                    p,
-                                    &component,
-                                    now,
-                                    v.to_string(),
-                                );
                             }
                             Err(e) => {
                                 Self::mark_crashed(

@@ -19,7 +19,7 @@
 
 use crate::Study;
 use droidsim_app::SimpleApp;
-use droidsim_device::{Device, DeviceEvent, HandlingMode, HandlingPath};
+use droidsim_device::{Device, HandlingMode};
 use droidsim_fleet::{Digest, FleetConfig};
 use droidsim_kernel::SimDuration;
 use rch_workloads::BENCHMARK_BASE_MEMORY;
@@ -206,31 +206,29 @@ pub fn run() -> Ablation {
     STUDY.complete(&FleetConfig::from_env(None, 0))
 }
 
-/// The events of an arm's device, for white-box assertions in tests.
-pub fn paths_taken(mode: HandlingMode) -> Vec<HandlingPath> {
-    let mut device = Device::new(mode);
-    device
-        .install_and_launch(
-            Box::new(SimpleApp::with_views(4)),
-            BENCHMARK_BASE_MEMORY,
-            1.0,
-        )
-        .expect("launch");
-    let mut paths = Vec::new();
-    for _ in 0..4 {
-        paths.push(device.rotate().expect("handled").path);
-        device.advance(SimDuration::from_secs(1));
-    }
-    let _ = device
-        .events()
-        .iter()
-        .filter(|e| matches!(e, DeviceEvent::GcPass { .. }));
-    paths
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use droidsim_device::HandlingPath;
+
+    /// The handling path of each of four rotations, a second apart, on
+    /// one device in `mode`.
+    fn paths_taken(mode: HandlingMode) -> Vec<HandlingPath> {
+        let mut device = Device::new(mode);
+        device
+            .install_and_launch(
+                Box::new(SimpleApp::with_views(4)),
+                BENCHMARK_BASE_MEMORY,
+                1.0,
+            )
+            .expect("launch");
+        let mut paths = Vec::new();
+        for _ in 0..4 {
+            paths.push(device.rotate().expect("handled").path);
+            device.advance(SimDuration::from_secs(1));
+        }
+        paths
+    }
 
     #[test]
     fn coin_flip_off_pays_init_every_time() {

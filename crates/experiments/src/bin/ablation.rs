@@ -1,5 +1,10 @@
 //! Runs the design-choice ablation study; see `rch_experiments::ablation`.
 //!
+//! ```text
+//! ablation [--jobs N] [--max-retries N] [--task-budget-ms N]
+//!          [--journal PATH] [--resume PATH] [--version]
+//! ```
+//!
 //! `--jobs N` (or `DROIDSIM_JOBS=N`) partitions the arms across N
 //! workers; the table and digest are identical for any worker count.
 //! Runs supervised, like `table5` (see it for the flag contract); exits

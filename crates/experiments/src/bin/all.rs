@@ -1,12 +1,17 @@
 //! Regenerates every table and figure of the paper in one run.
 //!
-//! The fleet-ported harnesses (Fig. 10, Table 5, the ablation) honour
-//! `--jobs N` / `DROIDSIM_JOBS=N`; every result is identical for any
-//! worker count.
-use rch_experiments::{ablation, fig10, table5, FleetCli};
+//! ```text
+//! all [--jobs N] [--version]
+//! ```
+//!
+//! The fleet-ported harnesses (Fig. 10, Table 5, the ablation) run on
+//! `--jobs N` workers (else `DROIDSIM_JOBS=N`, else every core); every
+//! result is identical for any worker count. The supervision flags
+//! belong to the study binaries alone, and are refused here by name.
+use rch_experiments::{ablation, fig10, table5, Args};
 
 fn main() {
-    let cfg = FleetCli::from_args().config(0);
+    let cfg = Args::cli(|args| args.fleet(0));
     println!("==== Table 3 ====");
     print!("{}", rch_experiments::table3::run().render());
     println!("\n==== Fig. 7 ====");

@@ -4,6 +4,7 @@
 //!
 //! ```text
 //! bench_gate <fresh.json> <baseline.json> [<fresh2.json> <baseline2.json> ...]
+//! bench_gate --version
 //! ```
 //!
 //! For every benchmark id present in a baseline file the gate looks up
@@ -374,8 +375,8 @@ fn gate(pairs: &[(String, BenchDoc, BenchDoc)]) -> Verdict {
 }
 
 fn main() -> ExitCode {
-    rch_experiments::version_flag();
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> =
+        rch_experiments::Args::cli(|args| Ok(std::iter::from_fn(|| args.positional()).collect()));
     if args.is_empty() || !args.len().is_multiple_of(2) {
         eprintln!("usage: bench_gate <fresh.json> <baseline.json> [...more pairs]");
         return ExitCode::from(2);

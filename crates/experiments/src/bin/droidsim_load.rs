@@ -11,9 +11,11 @@
 //! ```
 //!
 //! Submits `--total` jobs (default: **2× the daemon's queue capacity**,
-//! queried over `cmd=health`) from `--clients` concurrent connections,
-//! then waits for every acknowledged job to settle and audits the
-//! daemon's zero-silent-drop contract:
+//! queried over `cmd=health`; `0` submits none) from `--clients`
+//! concurrent connections, then waits for every acknowledged job to
+//! settle and audits the daemon's zero-silent-drop contract. A zero
+//! `--clients`, `--size`, `--distinct` or `--inner-jobs` is a usage
+//! error. The audit:
 //!
 //! * every submission got an explicit answer — `accepted` or
 //!   `rejected reason=…`;
@@ -60,8 +62,9 @@ use droidsim_daemon::{
     Admission, Client, JobKind, JobSpec, JobState, Priority, RetryingClient, ShutdownMode,
 };
 use droidsim_fleet::run_claiming_pool;
-use rch_experiments::daemon_exec::reference_digest;
+use rch_experiments::{daemon_exec::reference_digest, Args};
 
+#[derive(Debug, PartialEq)]
 struct LoadCli {
     socket: PathBuf,
     total: Option<usize>,
@@ -80,92 +83,31 @@ struct LoadCli {
     shutdown: Option<ShutdownMode>,
 }
 
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<LoadCli, String> {
-    let mut cli = LoadCli {
-        socket: PathBuf::from("droidsimd.sock"),
-        total: None,
-        clients: 4,
-        job: "table5".to_owned(),
-        size: 4,
-        rate_pct: 5,
-        seed: 0x10AD,
-        distinct: 4,
-        inner_jobs: 1,
-        mixed_priorities: false,
-        wait_ms: 120_000,
-        reconnect_ms: 30_000,
-        chaos_drop_pct: 0,
-        verify: true,
-        shutdown: None,
-    };
-    let mut args = args.into_iter();
-    let value = |flag: &str, inline: Option<String>, args: &mut dyn Iterator<Item = String>| {
-        inline
-            .or_else(|| args.next())
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let number = |flag: &str, v: &str| -> Result<u64, String> {
-        v.parse()
-            .map_err(|_| format!("{flag}: not a number: {v:?}"))
-    };
-    while let Some(a) = args.next() {
-        let (flag, inline) = match a.split_once('=') {
-            Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
-            None => (a, None),
-        };
-        let flag = flag.as_str();
-        match flag {
-            "--socket" => cli.socket = PathBuf::from(value(flag, inline, &mut args)?),
-            "--total" => cli.total = Some(number(flag, &value(flag, inline, &mut args)?)? as usize),
-            "--clients" => {
-                cli.clients = (number(flag, &value(flag, inline, &mut args)?)? as usize).max(1);
-            }
-            "--job" => {
-                let v = value(flag, inline, &mut args)?;
-                if !["table5", "fault-matrix"].contains(&v.as_str()) {
-                    return Err(format!("--job: unknown kind {v:?} (table5|fault-matrix)"));
-                }
-                cli.job = v;
-            }
-            "--size" => {
-                cli.size = (number(flag, &value(flag, inline, &mut args)?)? as usize).max(1);
-            }
-            "--rate-pct" => {
-                let pct = number(flag, &value(flag, inline, &mut args)?)?;
-                if pct > 100 {
-                    return Err(format!("--rate-pct: {pct} is not a percentage"));
-                }
-                cli.rate_pct = pct as u8;
-            }
-            "--seed" => cli.seed = number(flag, &value(flag, inline, &mut args)?)?,
-            "--distinct" => {
-                cli.distinct = (number(flag, &value(flag, inline, &mut args)?)? as usize).max(1);
-            }
-            "--inner-jobs" => {
-                cli.inner_jobs = (number(flag, &value(flag, inline, &mut args)?)? as usize).max(1);
-            }
-            "--mixed-priorities" => cli.mixed_priorities = true,
-            "--wait-ms" => cli.wait_ms = number(flag, &value(flag, inline, &mut args)?)?,
-            "--reconnect-ms" => cli.reconnect_ms = number(flag, &value(flag, inline, &mut args)?)?,
-            "--chaos-drop-pct" => {
-                let pct = number(flag, &value(flag, inline, &mut args)?)?;
-                if pct > 100 {
-                    return Err(format!("--chaos-drop-pct: {pct} is not a percentage"));
-                }
-                cli.chaos_drop_pct = pct as u8;
-            }
-            "--no-verify" => cli.verify = false,
-            "--shutdown" => {
-                let v = value(flag, inline, &mut args)?;
-                cli.shutdown = Some(
-                    ShutdownMode::parse(&v)
-                        .ok_or_else(|| format!("--shutdown: unknown mode {v:?} (drain|now)"))?,
-                );
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(cli)
+fn parse_cli(args: &mut Args) -> Result<LoadCli, String> {
+    Ok(LoadCli {
+        socket: args
+            .value("--socket")?
+            .unwrap_or_else(|| PathBuf::from("droidsimd.sock")),
+        total: args.value("--total")?,
+        clients: args.count("--clients")?.unwrap_or(4),
+        job: args
+            .choice("--job", &["table5", "fault-matrix"])?
+            .unwrap_or("table5")
+            .to_owned(),
+        size: args.count("--size")?.unwrap_or(4),
+        rate_pct: args.percent("--rate-pct")?.unwrap_or(5),
+        seed: args.value("--seed")?.unwrap_or(0x10AD),
+        distinct: args.count("--distinct")?.unwrap_or(4),
+        inner_jobs: args.count("--inner-jobs")?.unwrap_or(1),
+        mixed_priorities: args.switch("--mixed-priorities")?,
+        wait_ms: args.value("--wait-ms")?.unwrap_or(120_000),
+        reconnect_ms: args.value("--reconnect-ms")?.unwrap_or(30_000),
+        chaos_drop_pct: args.percent("--chaos-drop-pct")?.unwrap_or(0),
+        verify: !args.switch("--no-verify")?,
+        shutdown: args
+            .choice("--shutdown", &["drain", "now"])?
+            .and_then(ShutdownMode::parse),
+    })
 }
 
 /// What one submission ended as, from the client's ledger.
@@ -222,11 +164,7 @@ fn retrying(cli: &LoadCli) -> RetryingClient {
 }
 
 fn main() {
-    rch_experiments::version_flag();
-    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let cli = Args::cli(parse_cli);
     // Size the burst off the daemon's own capacity: 2x forces the
     // admission path to answer under overload.
     let mut probe = Client::connect_retry(&cli.socket, Duration::from_millis(cli.reconnect_ms))
@@ -515,4 +453,157 @@ fn main() {
 /// Looks up a numeric field in decoded response pairs.
 fn num_field(fields: &[(String, String)], key: &str) -> Option<usize> {
     droidsim_kernel::journal::field(fields, key).and_then(|v| v.parse().ok())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses one command line as `main` does.
+    fn parse(line: &str) -> LoadCli {
+        Args::new(line.split_whitespace())
+            .parse(parse_cli)
+            .unwrap_or_else(|e| panic!("{line}: {e}"))
+    }
+
+    /// What `droidsim-load` does without flags.
+    fn defaults() -> LoadCli {
+        LoadCli {
+            socket: PathBuf::from("droidsimd.sock"),
+            total: None,
+            clients: 4,
+            job: "table5".to_owned(),
+            size: 4,
+            rate_pct: 5,
+            seed: 0x10AD,
+            distinct: 4,
+            inner_jobs: 1,
+            mixed_priorities: false,
+            wait_ms: 120_000,
+            reconnect_ms: 30_000,
+            chaos_drop_pct: 0,
+            verify: true,
+            shutdown: None,
+        }
+    }
+
+    #[test]
+    fn no_flags_is_the_default_load() {
+        assert_eq!(parse(""), defaults());
+    }
+
+    #[test]
+    fn the_daemon_soak_line() {
+        assert_eq!(
+            parse(
+                "--socket /tmp/s/droidsimd.sock --job fault-matrix --size 48 --rate-pct 5 \
+                 --clients 4 --distinct 4 --wait-ms 300000 --reconnect-ms 120000 \
+                 --shutdown drain"
+            ),
+            LoadCli {
+                socket: PathBuf::from("/tmp/s/droidsimd.sock"),
+                job: "fault-matrix".to_owned(),
+                size: 48,
+                wait_ms: 300_000,
+                reconnect_ms: 120_000,
+                shutdown: Some(ShutdownMode::Drain),
+                ..defaults()
+            }
+        );
+    }
+
+    #[test]
+    fn the_chaos_soak_lines() {
+        assert_eq!(
+            parse(
+                "--socket /tmp/c/enospc.sock --job fault-matrix --size 24 --rate-pct 0 \
+                 --clients 2 --distinct 2 --wait-ms 120000 --reconnect-ms 60000 \
+                 --shutdown drain"
+            ),
+            LoadCli {
+                socket: PathBuf::from("/tmp/c/enospc.sock"),
+                job: "fault-matrix".to_owned(),
+                size: 24,
+                rate_pct: 0,
+                clients: 2,
+                distinct: 2,
+                reconnect_ms: 60_000,
+                shutdown: Some(ShutdownMode::Drain),
+                ..defaults()
+            }
+        );
+        assert_eq!(
+            parse(
+                "--socket /tmp/c/chaos.sock --job fault-matrix --size 48 --rate-pct 5 \
+                 --clients 4 --distinct 4 --wait-ms 300000 --reconnect-ms 120000 \
+                 --chaos-drop-pct 20 --shutdown drain"
+            ),
+            LoadCli {
+                socket: PathBuf::from("/tmp/c/chaos.sock"),
+                job: "fault-matrix".to_owned(),
+                size: 48,
+                wait_ms: 300_000,
+                reconnect_ms: 120_000,
+                chaos_drop_pct: 20,
+                shutdown: Some(ShutdownMode::Drain),
+                ..defaults()
+            }
+        );
+        assert_eq!(
+            parse(
+                "--socket /tmp/c/chaos.sock --total 0 --no-verify --shutdown drain \
+                 --reconnect-ms 2000"
+            ),
+            LoadCli {
+                socket: PathBuf::from("/tmp/c/chaos.sock"),
+                total: Some(0),
+                verify: false,
+                shutdown: Some(ShutdownMode::Drain),
+                reconnect_ms: 2_000,
+                ..defaults()
+            }
+        );
+    }
+
+    #[test]
+    fn the_readme_lines() {
+        assert_eq!(
+            parse("--socket /tmp/droidsimd.sock --job fault-matrix --rate-pct 5 --shutdown drain"),
+            LoadCli {
+                socket: PathBuf::from("/tmp/droidsimd.sock"),
+                job: "fault-matrix".to_owned(),
+                shutdown: Some(ShutdownMode::Drain),
+                ..defaults()
+            }
+        );
+        assert_eq!(
+            parse("--socket /tmp/droidsimd.sock --chaos-drop-pct 20"),
+            LoadCli {
+                socket: PathBuf::from("/tmp/droidsimd.sock"),
+                chaos_drop_pct: 20,
+                ..defaults()
+            }
+        );
+    }
+
+    #[test]
+    fn invalid_values_and_stray_tokens_are_usage_errors() {
+        for line in [
+            "--job fig9",
+            "--rate-pct 101",
+            "--chaos-drop-pct 200",
+            "--shutdown later",
+            "--total many",
+            "--socket",
+            "--bogus",
+            "--jobs 2",
+        ] {
+            let err = Args::new(line.split_whitespace())
+                .parse(parse_cli)
+                .err()
+                .unwrap_or_else(|| panic!("{line} parsed"));
+            let flag = line.split_whitespace().next().unwrap();
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
 }

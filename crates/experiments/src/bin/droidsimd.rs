@@ -51,7 +51,7 @@ use std::time::Duration;
 
 use droidsim_daemon::{server, Daemon, DaemonConfig, HeadroomProbe, IoFaults};
 use droidsim_faults::{FaultPlan, FaultSite};
-use rch_experiments::StudyExecutor;
+use rch_experiments::{Args, StudyExecutor};
 
 struct DaemonCli {
     socket: PathBuf,
@@ -59,110 +59,39 @@ struct DaemonCli {
     server: server::ServerConfig,
 }
 
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<DaemonCli, String> {
-    let mut socket = PathBuf::from("droidsimd.sock");
-    let mut config = DaemonConfig::new();
-    let mut server_cfg = server::ServerConfig::new();
-    let mut fault_pct: u8 = 0;
-    let mut io_fault_pct: u8 = 0;
-    let mut enospc_window: u64 = 0;
-    let mut seed: u64 = 0x5EED;
-    let mut args = args.into_iter();
-    let value = |flag: &str, inline: Option<String>, args: &mut dyn Iterator<Item = String>| {
-        inline
-            .or_else(|| args.next())
-            .ok_or_else(|| format!("{flag} needs a value"))
+fn parse_cli(args: &mut Args) -> Result<DaemonCli, String> {
+    let socket = args
+        .value("--socket")?
+        .unwrap_or_else(|| PathBuf::from("droidsimd.sock"));
+    let defaults = DaemonConfig::new();
+    let mut config = DaemonConfig {
+        queue_capacity: args.count("--capacity")?.unwrap_or(defaults.queue_capacity),
+        workers: args.count("--workers")?.unwrap_or(defaults.workers),
+        journal_dir: args.value("--journal-dir")?,
+        headroom: args
+            .value("--headroom-floor-kib")?
+            .map_or(HeadroomProbe::disabled(), HeadroomProbe::proc_meminfo),
+        tick: args
+            .value("--tick-ms")?
+            .map_or(defaults.tick, Duration::from_millis),
+        ..defaults
     };
-    let number = |flag: &str, v: &str| -> Result<u64, String> {
-        v.parse()
-            .map_err(|_| format!("{flag}: not a number: {v:?}"))
+    let defaults = server::ServerConfig::new();
+    let mut server_cfg = server::ServerConfig {
+        max_conns: args.count("--max-conns")?.unwrap_or(defaults.max_conns),
+        read_timeout: args
+            .value("--read-timeout-ms")?
+            .map_or(defaults.read_timeout, Duration::from_millis),
+        max_line_bytes: args
+            .count("--max-line-bytes")?
+            .unwrap_or(defaults.max_line_bytes),
+        max_wait_ms: args.value("--max-wait-ms")?.unwrap_or(defaults.max_wait_ms),
+        ..defaults
     };
-    while let Some(a) = args.next() {
-        let (flag, inline) = match a.split_once('=') {
-            Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
-            None => (a, None),
-        };
-        match flag.as_str() {
-            "--socket" => socket = PathBuf::from(value("--socket", inline, &mut args)?),
-            "--capacity" => {
-                let v = value("--capacity", inline, &mut args)?;
-                let n = number("--capacity", &v)? as usize;
-                if n == 0 {
-                    return Err("--capacity: must be at least 1".to_owned());
-                }
-                config = config.with_capacity(n);
-            }
-            "--workers" => {
-                let v = value("--workers", inline, &mut args)?;
-                let n = number("--workers", &v)? as usize;
-                if n == 0 {
-                    return Err("--workers: must be at least 1".to_owned());
-                }
-                config = config.with_workers(n);
-            }
-            "--journal-dir" => {
-                config = config.with_journal_dir(value("--journal-dir", inline, &mut args)?);
-            }
-            "--headroom-floor-kib" => {
-                let v = value("--headroom-floor-kib", inline, &mut args)?;
-                config = config.with_headroom(HeadroomProbe::proc_meminfo(number(&flag, &v)?));
-            }
-            "--admission-fault-pct" => {
-                let v = value("--admission-fault-pct", inline, &mut args)?;
-                let pct = number(&flag, &v)?;
-                if pct > 100 {
-                    return Err(format!("{flag}: {pct} is not a percentage"));
-                }
-                fault_pct = pct as u8;
-            }
-            "--io-fault-pct" => {
-                let v = value(&flag, inline, &mut args)?;
-                let pct = number(&flag, &v)?;
-                if pct > 100 {
-                    return Err(format!("{flag}: {pct} is not a percentage"));
-                }
-                io_fault_pct = pct as u8;
-            }
-            "--enospc-window" => {
-                let v = value(&flag, inline, &mut args)?;
-                enospc_window = number(&flag, &v)?;
-            }
-            "--max-conns" => {
-                let v = value(&flag, inline, &mut args)?;
-                let n = number(&flag, &v)? as usize;
-                if n == 0 {
-                    return Err(format!("{flag}: must be at least 1"));
-                }
-                server_cfg = server_cfg.with_max_conns(n);
-            }
-            "--read-timeout-ms" => {
-                let v = value(&flag, inline, &mut args)?;
-                server_cfg =
-                    server_cfg.with_read_timeout(Duration::from_millis(number(&flag, &v)?));
-            }
-            "--max-line-bytes" => {
-                let v = value(&flag, inline, &mut args)?;
-                let n = number(&flag, &v)? as usize;
-                if n == 0 {
-                    return Err(format!("{flag}: must be at least 1"));
-                }
-                server_cfg = server_cfg.with_max_line_bytes(n);
-            }
-            "--max-wait-ms" => {
-                let v = value(&flag, inline, &mut args)?;
-                server_cfg = server_cfg.with_max_wait_ms(number(&flag, &v)?);
-            }
-            "--seed" => {
-                let v = value("--seed", inline, &mut args)?;
-                seed = number("--seed", &v)?;
-            }
-            "--tick-ms" => {
-                let v = value("--tick-ms", inline, &mut args)?;
-                config = config.with_tick(Duration::from_millis(number("--tick-ms", &v)?));
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    let fault_pct = args.percent("--admission-fault-pct")?.unwrap_or(0);
+    let io_fault_pct = args.percent("--io-fault-pct")?.unwrap_or(0);
+    let enospc_window: u64 = args.value("--enospc-window")?.unwrap_or(0);
+    let seed = args.value("--seed")?.unwrap_or(0x5EED);
     if fault_pct > 0 {
         config = config.with_admission_faults(
             FaultPlan::seeded(seed).with_rate(FaultSite::Admission, f64::from(fault_pct) / 100.0),
@@ -192,11 +121,7 @@ fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<DaemonCli, String
 }
 
 fn main() {
-    rch_experiments::version_flag();
-    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let cli = Args::cli(parse_cli);
     if let Some(dir) = &cli.config.journal_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("error: --journal-dir {}: {e}", dir.display());
@@ -232,4 +157,174 @@ fn main() {
     // response (the `shutdown` ack races process exit otherwise).
     std::thread::sleep(Duration::from_millis(200));
     println!("droidsimd: stopped");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses one command line as `main` does.
+    fn parse(line: &str) -> DaemonCli {
+        Args::new(line.split_whitespace())
+            .parse(parse_cli)
+            .unwrap_or_else(|e| panic!("{line}: {e}"))
+    }
+
+    const IO_SITES: [FaultSite; 4] = [
+        FaultSite::JournalWrite,
+        FaultSite::JournalSync,
+        FaultSite::SocketRead,
+        FaultSite::SocketWrite,
+    ];
+
+    /// The next `n` injection verdicts at each I/O site of `io`.
+    fn io_schedule(io: &IoFaults, n: usize) -> Vec<bool> {
+        IO_SITES
+            .iter()
+            .flat_map(|&site| (0..n).map(move |_| io.should_inject(site)))
+            .collect()
+    }
+
+    /// `--io-fault-pct pct --seed seed` as a shim of its own.
+    fn io_rate(pct: u8, seed: u64) -> IoFaults {
+        let rate = f64::from(pct) / 100.0;
+        IoFaults::new(
+            IO_SITES
+                .iter()
+                .fold(FaultPlan::seeded(seed), |plan, &site| {
+                    plan.with_rate(site, rate)
+                }),
+        )
+    }
+
+    fn assert_base(cli: &DaemonCli, socket: &str, journal: &str, capacity: usize, workers: usize) {
+        assert_eq!(cli.socket, PathBuf::from(socket));
+        assert_eq!(cli.config.journal_dir, Some(PathBuf::from(journal)));
+        assert_eq!(cli.config.queue_capacity, capacity);
+        assert_eq!(cli.config.workers, workers);
+        assert_eq!(cli.config.admission_faults, FaultPlan::disarmed());
+        assert!(matches!(cli.config.headroom, HeadroomProbe::Disabled));
+    }
+
+    #[test]
+    fn the_daemon_soak_line() {
+        let cli = parse(
+            "--socket /tmp/droidsim-soak.x/droidsimd.sock \
+             --journal-dir /tmp/droidsim-soak.x/journal --capacity 8 --workers 2 --tick-ms 10",
+        );
+        assert_base(
+            &cli,
+            "/tmp/droidsim-soak.x/droidsimd.sock",
+            "/tmp/droidsim-soak.x/journal",
+            8,
+            2,
+        );
+        assert_eq!(cli.config.tick, Duration::from_millis(10));
+        assert!(!cli.config.io_faults.is_armed() && !cli.server.io_faults.is_armed());
+    }
+
+    #[test]
+    fn the_chaos_soak_enospc_line() {
+        let cli = parse(
+            "--socket /tmp/c/enospc.sock --journal-dir /tmp/c/enospc-journal \
+             --capacity 8 --workers 2 --tick-ms 10 --enospc-window 3",
+        );
+        assert_base(&cli, "/tmp/c/enospc.sock", "/tmp/c/enospc-journal", 8, 2);
+        assert_eq!(cli.config.tick, Duration::from_millis(10));
+        // The first three journal writes fail, then none; no other site
+        // ever injects.
+        let io = &cli.config.io_faults;
+        let writes: Vec<bool> = (0..100)
+            .map(|_| io.should_inject(FaultSite::JournalWrite))
+            .collect();
+        assert_eq!(writes.iter().filter(|&&hit| hit).count(), 3);
+        assert!(writes[..3].iter().all(|&hit| hit));
+        assert!(!io_schedule(io, 100)[100..].contains(&true));
+    }
+
+    #[test]
+    fn the_chaos_soak_fault_line() {
+        let cli = parse(
+            "--socket /tmp/c/chaos.sock --journal-dir /tmp/c/chaos-journal \
+             --capacity 8 --workers 2 --tick-ms 10 --io-fault-pct 5 --seed 50181",
+        );
+        assert_base(&cli, "/tmp/c/chaos.sock", "/tmp/c/chaos-journal", 8, 2);
+        assert_eq!(cli.config.tick, Duration::from_millis(10));
+        let got = io_schedule(&cli.config.io_faults, 400);
+        assert_eq!(got, io_schedule(&io_rate(5, 50181), 400));
+        assert!(got.contains(&true));
+        // The journal and the socket server share one shim.
+        assert_eq!(cli.server.io_faults.probes(FaultSite::SocketRead), 400);
+    }
+
+    #[test]
+    fn the_restart_test_line() {
+        let cli = parse(
+            "--socket /tmp/r/droidsimd.sock --journal-dir /tmp/r/journal --workers 1 --tick-ms 10",
+        );
+        assert_base(&cli, "/tmp/r/droidsimd.sock", "/tmp/r/journal", 16, 1);
+        assert_eq!(cli.config.tick, Duration::from_millis(10));
+    }
+
+    #[test]
+    fn the_readme_lines() {
+        let cli = parse(
+            "--socket /tmp/droidsimd.sock --journal-dir /tmp/droidsimd-journal \
+             --capacity 16 --workers 2",
+        );
+        assert_base(&cli, "/tmp/droidsimd.sock", "/tmp/droidsimd-journal", 16, 2);
+        assert_eq!(cli.config.tick, DaemonConfig::new().tick);
+        assert!(!cli.config.io_faults.is_armed());
+
+        let cli = parse(
+            "--socket /tmp/droidsimd.sock --journal-dir /tmp/droidsimd-journal \
+             --io-fault-pct 5 --seed 7 --max-conns 64 --read-timeout-ms 10000",
+        );
+        assert_base(&cli, "/tmp/droidsimd.sock", "/tmp/droidsimd-journal", 16, 2);
+        assert_eq!(cli.server.max_conns, 64);
+        assert_eq!(cli.server.read_timeout, Duration::from_millis(10_000));
+        assert_eq!(
+            io_schedule(&cli.server.io_faults, 400),
+            io_schedule(&io_rate(5, 7), 400)
+        );
+    }
+
+    #[test]
+    fn no_flags_is_the_default_daemon() {
+        let cli = parse("");
+        assert_eq!(cli.socket, PathBuf::from("droidsimd.sock"));
+        let want = DaemonConfig::new();
+        assert_eq!(cli.config.journal_dir, None);
+        assert_eq!(
+            (
+                cli.config.queue_capacity,
+                cli.config.workers,
+                cli.config.tick
+            ),
+            (want.queue_capacity, want.workers, want.tick)
+        );
+        assert!(!cli.config.io_faults.is_armed());
+        assert_eq!(cli.server.max_conns, server::ServerConfig::new().max_conns);
+    }
+
+    #[test]
+    fn zero_counts_and_stray_tokens_are_usage_errors() {
+        for line in [
+            "--workers 0",
+            "--capacity 0",
+            "--max-conns 0",
+            "--io-fault-pct 101",
+            "--tick-ms soon",
+            "--socket",
+            "--bogus",
+            "--jobs 2",
+        ] {
+            let err = Args::new(line.split_whitespace())
+                .parse(parse_cli)
+                .err()
+                .unwrap_or_else(|| panic!("{line} parsed"));
+            let flag = line.split_whitespace().next().unwrap();
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
 }

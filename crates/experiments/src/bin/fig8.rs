@@ -1,5 +1,12 @@
 //! Regenerates the paper's fig8 result; see `rch_experiments::fig8`.
+//!
+//! ```text
+//! fig8 [--version]
+//! ```
+//!
+//! It takes no other flag: it runs no fleet, so `--jobs` is refused
+//! like any flag it does not take (exit 2).
 fn main() {
-    rch_experiments::FleetCli::from_args();
+    rch_experiments::Args::cli(|_| Ok(()));
     print!("{}", rch_experiments::fig8::run().render());
 }

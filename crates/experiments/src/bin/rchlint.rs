@@ -4,7 +4,7 @@
 //! rchlint [--corpus tp27|top100|dataloss|all] [--format human|json|sarif]
 //!         [--output PATH] [--allow [APP:]CODE]... [--only APP]
 //!         [--clean-only] [--deny-warnings] [--differential]
-//!         [--table PATH] [--jobs N]
+//!         [--table PATH] [--jobs N] [--version]
 //! ```
 //!
 //! Default mode lints every corpus app with the `RCH0xx` passes
@@ -28,7 +28,7 @@
 
 use droidsim_analysis::{analyze_specs, Suppressions};
 use droidsim_fleet::combine_ordered;
-use rch_experiments::differential;
+use rch_experiments::{differential, Args};
 use rch_workloads::{dataloss_specs, top100_specs, tp27_specs, GenericAppSpec};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +38,7 @@ enum Format {
     Sarif,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct LintCli {
     corpus: String,
     format: Format,
@@ -51,61 +51,26 @@ struct LintCli {
     table: Option<String>,
 }
 
-/// Parses the tokens [`rch_experiments::FleetCli`] did not consume
-/// (its passthrough remainder) — so this parser never sees a fleet
-/// flag and owns the unknown-flag rejection for everything else.
-fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<LintCli, String> {
-    let mut cli = LintCli {
-        corpus: "all".to_owned(),
-        format: Format::Human,
-        output: None,
-        allow: Suppressions::none(),
-        only: None,
-        clean_only: false,
-        deny_warnings: false,
-        differential: false,
-        table: None,
-    };
-    let mut args = args.into_iter();
-    let value = |flag: &str, inline: Option<String>, args: &mut dyn Iterator<Item = String>| {
-        inline
-            .or_else(|| args.next())
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = args.next() {
-        let (flag, inline) = match a.split_once('=') {
-            Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
-            None => (a, None),
-        };
-        match flag.as_str() {
-            "--corpus" => {
-                let v = value("--corpus", inline, &mut args)?;
-                if !["tp27", "top100", "dataloss", "all"].contains(&v.as_str()) {
-                    return Err(format!(
-                        "--corpus: unknown corpus {v:?} (tp27|top100|dataloss|all)"
-                    ));
-                }
-                cli.corpus = v;
-            }
-            "--format" => {
-                cli.format = match value("--format", inline, &mut args)?.as_str() {
-                    "human" => Format::Human,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    v => return Err(format!("--format: unknown format {v:?} (human|json|sarif)")),
-                };
-            }
-            "--output" => cli.output = Some(value("--output", inline, &mut args)?),
-            "--allow" => cli.allow.add_rule(&value("--allow", inline, &mut args)?)?,
-            "--only" => cli.only = Some(value("--only", inline, &mut args)?),
-            "--clean-only" => cli.clean_only = true,
-            "--deny-warnings" => cli.deny_warnings = true,
-            "--differential" => cli.differential = true,
-            "--table" => cli.table = Some(value("--table", inline, &mut args)?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(cli)
+/// Takes `rchlint`'s own flags (everything but `--jobs`).
+fn parse_cli(args: &mut Args) -> Result<LintCli, String> {
+    Ok(LintCli {
+        corpus: args
+            .choice("--corpus", &["tp27", "top100", "dataloss", "all"])?
+            .unwrap_or("all")
+            .to_owned(),
+        format: match args.choice("--format", &["human", "json", "sarif"])? {
+            Some("json") => Format::Json,
+            Some("sarif") => Format::Sarif,
+            _ => Format::Human,
+        },
+        output: args.value("--output")?,
+        allow: Suppressions::parse(args.values("--allow")?)?,
+        only: args.value("--only")?,
+        clean_only: args.switch("--clean-only")?,
+        deny_warnings: args.switch("--deny-warnings")?,
+        differential: args.switch("--differential")?,
+        table: args.value("--table")?,
+    })
 }
 
 fn corpora(corpus: &str) -> Vec<&'static str> {
@@ -153,12 +118,7 @@ fn emit(cli: &LintCli, rendered: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let fleet = rch_experiments::FleetCli::from_args_passthrough();
-    let cfg = fleet.config(0);
-    let cli = parse_cli(fleet.extra.clone()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let (cli, cfg) = Args::cli(|args| Ok((parse_cli(args)?, args.fleet(0)?)));
 
     let mut failed = false;
     if cli.differential {
@@ -217,5 +177,170 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses one command line as `main` does: the lint flags and the
+    /// explicit `--jobs`.
+    fn parse(line: &str) -> (LintCli, Option<usize>) {
+        Args::new(line.split_whitespace())
+            .parse(|args| Ok((parse_cli(args)?, args.jobs()?)))
+            .unwrap_or_else(|e| panic!("{line}: {e}"))
+    }
+
+    /// What `rchlint` does without flags.
+    fn defaults() -> LintCli {
+        LintCli {
+            corpus: "all".to_owned(),
+            format: Format::Human,
+            output: None,
+            allow: Suppressions::none(),
+            only: None,
+            clean_only: false,
+            deny_warnings: false,
+            differential: false,
+            table: None,
+        }
+    }
+
+    #[test]
+    fn no_flags_lints_every_corpus() {
+        assert_eq!(parse(""), (defaults(), None));
+    }
+
+    #[test]
+    fn the_makefile_lines() {
+        assert_eq!(
+            parse("--corpus all --clean-only --deny-warnings"),
+            (
+                LintCli {
+                    clean_only: true,
+                    deny_warnings: true,
+                    ..defaults()
+                },
+                None
+            )
+        );
+        for jobs in [1, 4] {
+            assert_eq!(
+                parse(&format!("--differential --corpus all --jobs {jobs}")),
+                (
+                    LintCli {
+                        differential: true,
+                        ..defaults()
+                    },
+                    Some(jobs)
+                )
+            );
+        }
+        assert_eq!(
+            parse("--differential --corpus dataloss --jobs 1"),
+            (
+                LintCli {
+                    corpus: "dataloss".to_owned(),
+                    differential: true,
+                    ..defaults()
+                },
+                Some(1)
+            )
+        );
+        assert_eq!(
+            parse("--differential --corpus dataloss --jobs 4 --table target/table_dataloss.csv"),
+            (
+                LintCli {
+                    corpus: "dataloss".to_owned(),
+                    differential: true,
+                    table: Some("target/table_dataloss.csv".to_owned()),
+                    ..defaults()
+                },
+                Some(4)
+            )
+        );
+    }
+
+    #[test]
+    fn the_ci_and_golden_lines() {
+        assert_eq!(
+            parse("--corpus all --format json --output rchlint-diagnostics.json"),
+            (
+                LintCli {
+                    format: Format::Json,
+                    output: Some("rchlint-diagnostics.json".to_owned()),
+                    ..defaults()
+                },
+                None
+            )
+        );
+        assert_eq!(
+            parse("--corpus tp27 --format sarif"),
+            (
+                LintCli {
+                    corpus: "tp27".to_owned(),
+                    format: Format::Sarif,
+                    ..defaults()
+                },
+                None
+            )
+        );
+    }
+
+    #[test]
+    fn the_readme_lines() {
+        assert_eq!(
+            parse("--corpus tp27 --only DiskDiggerPro"),
+            (
+                LintCli {
+                    corpus: "tp27".to_owned(),
+                    only: Some("DiskDiggerPro".to_owned()),
+                    ..defaults()
+                },
+                None
+            )
+        );
+        assert_eq!(
+            parse("--corpus dataloss --only DlSubState001"),
+            (
+                LintCli {
+                    corpus: "dataloss".to_owned(),
+                    only: Some("DlSubState001".to_owned()),
+                    ..defaults()
+                },
+                None
+            )
+        );
+        assert_eq!(
+            parse("--corpus dataloss --allow RCH010 --allow DlSubState001:RCH008"),
+            (
+                LintCli {
+                    corpus: "dataloss".to_owned(),
+                    allow: Suppressions::parse(["RCH010", "DlSubState001:RCH008"]).unwrap(),
+                    ..defaults()
+                },
+                None
+            )
+        );
+    }
+
+    #[test]
+    fn invalid_values_and_stray_tokens_are_usage_errors() {
+        for (line, names) in [
+            ("--corpus nope", "--corpus"),
+            ("--format xml", "--format"),
+            ("--allow RCH999", "--allow"),
+            ("--jobs 0", "--jobs"),
+            ("--output", "--output"),
+            ("--journal j.log", "--journal"),
+            ("--corpus tp27 --bogus", "--bogus"),
+        ] {
+            let err = Args::new(line.split_whitespace())
+                .parse(|args| Ok((parse_cli(args)?, args.jobs()?)))
+                .err()
+                .unwrap_or_else(|| panic!("{line} parsed"));
+            assert!(err.contains(names), "{line}: {err}");
+        }
     }
 }

@@ -8,8 +8,17 @@
 //! quarantine report. The journal and per-task crash dumps land under
 //! `target/soak/` so CI can archive them.
 //!
+//! ```text
+//! soak [--version]
+//! ```
+//!
+//! It takes no other flag: the soak's size, faults, retries and journal
+//! are fixed, and the worker count comes from `DROIDSIM_JOBS` (else
+//! every core).
+//!
 //! Exit codes: 0 — survived with the expected quarantine; 1 — the soak
-//! contract was violated (no quarantine, or collateral task loss).
+//! contract was violated (no quarantine, or collateral task loss); 2 —
+//! a usage error, or an invalid `DROIDSIM_JOBS`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -28,13 +37,14 @@ const SOAK_SEED: u64 = 0x50AC;
 const HARD_FAIL: [usize; 2] = [7, 23];
 
 fn main() {
-    rch_experiments::version_flag();
+    let cfg = rch_experiments::Args::cli(|_| {
+        FleetConfig::try_from_env(None, SOAK_SEED).map_err(|e| e.to_string())
+    });
     let dir = PathBuf::from("target/soak");
     fs::create_dir_all(&dir).expect("create target/soak");
     let journal = dir.join("soak.journal");
     let _ = fs::remove_file(&journal); // each soak starts fresh
 
-    let cfg = FleetConfig::from_env(None, SOAK_SEED);
     let mut opts = FleetOptions::new()
         .with_retries(2)
         .with_budget(Duration::from_millis(2_000))

@@ -1,5 +1,10 @@
 //! Regenerates the paper's table5 result; see `rch_experiments::table5`.
 //!
+//! ```text
+//! table5 [--jobs N] [--max-retries N] [--task-budget-ms N]
+//!        [--journal PATH] [--resume PATH] [--version]
+//! ```
+//!
 //! `--jobs N` (or `DROIDSIM_JOBS=N`) partitions the 100 apps across N
 //! workers; the rows and digest are identical for any worker count.
 //!

@@ -15,7 +15,7 @@ use droidsim_fleet::{
     run_fleet_supervised, FleetConfig, FleetError, FleetOptions, FleetRun, TaskCtx, TaskOutcome,
 };
 
-use crate::FleetCli;
+use crate::Args;
 
 /// A fleet study harness. `T` is one task's item, `R` its row, and `S`
 /// the assembled result of a complete run.
@@ -97,15 +97,14 @@ where
         out
     }
 
-    /// The `main` of a study binary: parses `--jobs` and the supervision
-    /// flags, runs the study, and prints the render and the
+    /// The `main` of a study binary: takes `--jobs` and the supervision
+    /// flags and no other, runs the study, and prints the render and the
     /// `=> fleet: jobs=N … digest <hex>` line. Exits 1 when a task was
     /// lost (the line then says PARTIAL) and 2 on a usage or journal
     /// error.
     pub fn main(&self) {
-        let cli = FleetCli::from_study_args();
-        let cfg = cli.config(0);
-        let run = self.run(&cfg, &cli.options).unwrap_or_else(|e| {
+        let (cfg, options) = Args::cli(|args| Ok((args.fleet(0)?, args.supervision()?)));
+        let run = self.run(&cfg, &options).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         });

@@ -28,11 +28,6 @@ pub struct FaultMetrics {
 }
 
 impl FaultMetrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> FaultMetrics {
-        FaultMetrics::default()
-    }
-
     /// Records a rung-1 containment at `site`.
     pub fn record_contained(&mut self, site: &str) {
         *self.by_site.entry(site.to_owned()).or_insert(0) += 1;
@@ -83,7 +78,7 @@ mod tests {
 
     #[test]
     fn rungs_accumulate_independently() {
-        let mut m = FaultMetrics::new();
+        let mut m = FaultMetrics::default();
         m.record_contained("attribute-copy");
         m.record_contained("attribute-copy");
         m.record_fallback("flush-deadline-overrun");
@@ -99,9 +94,9 @@ mod tests {
 
     #[test]
     fn merge_aggregates_handlers() {
-        let mut a = FaultMetrics::new();
+        let mut a = FaultMetrics::default();
         a.record_contained("essence-mapping-miss");
-        let mut b = FaultMetrics::new();
+        let mut b = FaultMetrics::default();
         b.record_contained("essence-mapping-miss");
         b.record_fallback("bundle-corruption");
         a.merge(&b);

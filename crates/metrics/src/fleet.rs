@@ -28,11 +28,6 @@ pub struct DeviceMetrics {
 }
 
 impl DeviceMetrics {
-    /// Fresh, all-zero sink.
-    pub fn new() -> DeviceMetrics {
-        DeviceMetrics::default()
-    }
-
     /// A stable one-line rendering of every field — counters, batch
     /// sizes, fault sites. All of them depend only on the simulation;
     /// this is what the fleet determinism gates hash: it must be
@@ -143,7 +138,7 @@ mod tests {
     use super::*;
 
     fn sink(flushes: u64, contained: u64) -> DeviceMetrics {
-        let mut m = DeviceMetrics::new();
+        let mut m = DeviceMetrics::default();
         for _ in 0..flushes {
             m.migration.record_flush(2, 4);
         }
@@ -155,8 +150,8 @@ mod tests {
 
     #[test]
     fn deterministic_fingerprint_sees_every_simulation_difference() {
-        let mut a = DeviceMetrics::new();
-        let mut b = DeviceMetrics::new();
+        let mut a = DeviceMetrics::default();
+        let mut b = DeviceMetrics::default();
         a.migration.record_flush(2, 4);
         b.migration.record_flush(2, 4);
         a.faults.record_fallback("bundle-corruption");

@@ -30,11 +30,6 @@ pub struct MigrationMetrics {
 }
 
 impl MigrationMetrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> MigrationMetrics {
-        MigrationMetrics::default()
-    }
-
     /// Records one flush: `raw` invalidations collapsed into `batch`
     /// coalesced entries.
     pub fn record_flush(&mut self, batch: usize, raw: usize) {
@@ -65,7 +60,7 @@ mod tests {
 
     #[test]
     fn coalesce_ratio_tracks_raw_over_entries() {
-        let mut m = MigrationMetrics::new();
+        let mut m = MigrationMetrics::default();
         assert_eq!(m.coalesce_ratio(), 0.0);
         m.record_flush(3, 12);
         assert!((m.coalesce_ratio() - 4.0).abs() < 1e-12);
@@ -77,7 +72,7 @@ mod tests {
 
     #[test]
     fn eager_equivalent_usage_has_unit_ratio() {
-        let mut m = MigrationMetrics::new();
+        let mut m = MigrationMetrics::default();
         for _ in 0..5 {
             m.record_flush(1, 1);
         }
