@@ -64,15 +64,15 @@ impl From<ViewError> for ThreadError {
     }
 }
 
-/// One (main layout, configuration) the process has inflated in, with
-/// the inflation it keeps there once the configuration recurs: the
-/// tree as inflation left it, before `on_create` or a restore touched
-/// it.
+/// One (main layout, configuration) the process has created its
+/// activity in, with the tree its first inflation there left: shared,
+/// and taken before `on_create` or a restore touched it.
 #[derive(Debug)]
-struct Seen {
+struct Kept {
     layout: String,
     config: Configuration,
-    kept: Option<(ViewTree, InflateStats)>,
+    tree: ViewTree,
+    stats: InflateStats,
 }
 
 /// The process's inflation cache. Re-creating the activity in a
@@ -80,11 +80,12 @@ struct Seen {
 /// RCHDroid re-init after the GC, a hot reload — clones the kept tree
 /// instead of walking the template again.
 ///
-/// A tree is kept only where a configuration recurs: the first
-/// inflation in a (layout, configuration) records the pair and keeps
-/// nothing, the second keeps a clone, and every later one clones it.
-/// Most processes create in a configuration once, and a keep clone they
-/// never reuse costs nearly as much as the inflation itself.
+/// The first creation in a (layout, configuration) keeps its inflation,
+/// and every later one clones it. A kept tree is shared
+/// ([`ViewTree::share`]), so keeping it moves its views into chunks
+/// without copying them, a clone shares every chunk, and a creation
+/// copies only the chunks its `on_create`, restore and later updates
+/// write.
 ///
 /// Keyed by (main layout, configuration) alone, which is exact because
 /// one thread serves one model and a model's resources never change.
@@ -93,42 +94,38 @@ struct Seen {
 /// and leave with the thread.
 #[derive(Debug, Default)]
 struct InflationCache {
-    seen: Vec<Seen>,
-    /// Trees kept, and their resident bytes, as counted into
+    kept: Vec<Kept>,
+    /// The kept trees' resident bytes, as counted into
     /// [`memo::record_kept`].
-    trees: u64,
     bytes: u64,
 }
 
 impl InflationCache {
-    fn get(&mut self, layout: &str, config: &Configuration) -> Option<&mut Seen> {
-        self.seen
-            .iter_mut()
-            .find(|seen| seen.config == *config && seen.layout == layout)
+    fn get(&self, layout: &str, config: &Configuration) -> Option<&Kept> {
+        self.kept
+            .iter()
+            .find(|kept| kept.config == *config && kept.layout == layout)
     }
 
-    /// Records a first inflation in (`layout`, `config`), keeping nothing.
-    fn see(&mut self, layout: &str, config: &Configuration) {
-        self.seen.push(Seen {
-            layout: layout.to_owned(),
-            config: config.clone(),
-            kept: None,
-        });
-    }
-
-    /// Counts a tree kept into the process-wide tallies.
-    fn count_kept(&mut self, tree: &ViewTree) {
+    /// Keeps `tree`, a first inflation in (`layout`, `config`), and
+    /// counts it into the process-wide tallies.
+    fn keep(&mut self, layout: &str, config: &Configuration, tree: ViewTree, stats: InflateStats) {
         let bytes = tree.resident_bytes();
         memo::record_kept(bytes);
-        self.trees += 1;
         self.bytes += bytes;
+        self.kept.push(Kept {
+            layout: layout.to_owned(),
+            config: config.clone(),
+            tree,
+            stats,
+        });
     }
 }
 
 impl Drop for InflationCache {
     fn drop(&mut self) {
-        if self.trees > 0 {
-            memo::record_dropped(self.trees, self.bytes);
+        if !self.kept.is_empty() {
+            memo::record_dropped(self.kept.len() as u64, self.bytes);
         }
     }
 }
@@ -144,10 +141,10 @@ impl Drop for InflationCache {
 /// app process runs one app: every method that takes a model must be
 /// passed the same one (a debug build checks the component name at each
 /// inflation), and the model's [`resources`](AppModel::resources) never
-/// change. The thread's inflation cache relies on both: it keeps a
-/// pristine tree for a configuration once the thread creates its
-/// activity there a second time, and clones it from the third creation
-/// on ([`ActivityThread::inflate_main_layout`]).
+/// change. The thread's inflation cache relies on both: it keeps the
+/// pristine, shared tree of the first creation in each configuration
+/// and clones it for every later one
+/// ([`ActivityThread::inflate_main_layout`]).
 ///
 /// # Examples
 ///
@@ -213,11 +210,12 @@ impl ActivityThread {
     }
 
     /// The model's main layout inflated for `config`. The first time this
-    /// process inflates in `config` it inflates cold and only records
-    /// the configuration; the second time it inflates cold and keeps a
-    /// clone; every later time it clones the kept tree. Under the memo
-    /// kill switch it inflates cold and records nothing. Either way the
-    /// result is exactly what [`Activity::perform_create`] inflates.
+    /// process inflates in `config` it inflates cold, shares the tree
+    /// ([`ViewTree::share`]) and keeps a clone; every later time it
+    /// clones the kept tree, which shares its chunks until a write
+    /// copies one. Under the memo kill switch it inflates cold and keeps
+    /// nothing. Either way the result is exactly what
+    /// [`Activity::perform_create`] inflates.
     pub fn inflate_main_layout(
         &mut self,
         model: &dyn AppModel,
@@ -234,19 +232,14 @@ impl ActivityThread {
             return activity::inflate_main_layout(model, config);
         }
         let layout = model.main_layout();
-        let Some(seen) = self.inflations.get(layout, config) else {
-            memo::record_probe(false);
-            self.inflations.see(layout, config);
-            return activity::inflate_main_layout(model, config);
-        };
-        if let Some((tree, stats)) = &seen.kept {
+        if let Some(kept) = self.inflations.get(layout, config) {
             memo::record_probe(true);
-            return (tree.clone(), *stats);
+            return (kept.tree.clone(), kept.stats);
         }
         memo::record_probe(false);
-        let (tree, stats) = activity::inflate_main_layout(model, config);
-        seen.kept = Some((tree.clone(), stats));
-        self.inflations.count_kept(&tree);
+        let (mut tree, stats) = activity::inflate_main_layout(model, config);
+        tree.share();
+        self.inflations.keep(layout, config, tree.clone(), stats);
         (tree, stats)
     }
 
@@ -752,17 +745,13 @@ mod tests {
     impl ActivityThread {
         /// How many configurations this thread keeps a tree for.
         fn kept_trees(&self) -> usize {
-            self.inflations
-                .seen
-                .iter()
-                .filter(|seen| seen.kept.is_some())
-                .count()
+            self.inflations.kept.len()
         }
 
         /// The tree kept for `config`, if any.
-        fn kept_tree(&mut self, config: &Configuration) -> Option<&ViewTree> {
-            let seen = self.inflations.get("activity_main", config)?;
-            seen.kept.as_ref().map(|(tree, _)| tree)
+        fn kept_tree(&self, config: &Configuration) -> Option<&ViewTree> {
+            let kept = self.inflations.get("activity_main", config)?;
+            Some(&kept.tree)
         }
     }
 
@@ -775,9 +764,9 @@ mod tests {
     }
 
     #[test]
-    fn a_configuration_shown_once_keeps_nothing() {
+    fn the_first_creation_keeps_its_pristine_inflation() {
         let _on = MemoSwitch::set(true);
-        let model = SimpleApp::with_views(2);
+        let model = EditingApp(SimpleApp::with_views(2));
         let portrait = Configuration::phone_portrait();
         let mut thread = ActivityThread::new();
         let id = thread.perform_launch_activity(
@@ -786,21 +775,24 @@ mod tests {
             portrait.clone(),
             None,
         );
+        let cold = activity::inflate_main_layout(&model, &portrait).0;
+        assert_eq!(thread.kept_trees(), 1, "kept on the first creation");
+        assert!(thread.inflations.bytes > 0);
         assert_eq!(
-            thread.instance(id).unwrap().tree,
-            activity::inflate_main_layout(&model, &portrait).0
+            thread.kept_tree(&portrait),
+            Some(&cold),
+            "the instance's on_create wrote its own copy, not the kept tree"
         );
+        let created = &thread.instance(id).unwrap().tree;
+        let button = created.find_by_id_name("button").unwrap();
         assert_eq!(
-            thread.inflations.seen.len(),
-            1,
-            "the configuration is recorded"
+            created.view(button).unwrap().attrs.text.as_deref(),
+            Some("created")
         );
-        assert_eq!(thread.kept_trees(), 0, "and no tree is kept");
-        assert_eq!(thread.inflations.bytes, 0);
     }
 
     #[test]
-    fn the_third_creation_is_the_first_hit_and_equals_a_cold_create() {
+    fn the_second_creation_is_the_first_hit_and_equals_a_cold_create() {
         let _on = MemoSwitch::set(true);
         let model = EditingApp(SimpleApp::with_views(3));
         let portrait = Configuration::phone_portrait();
@@ -811,7 +803,7 @@ mod tests {
         // Three creations in one configuration, each a stock relaunch of
         // the last: `on_create` edits each fresh tree, then a user edit
         // and an async update land on it, and its saved state is
-        // restored into the next.
+        // restored into the next. The second and third are hits.
         for creation in 1..=3 {
             let id = thread.perform_launch_activity(
                 &model,
@@ -821,8 +813,8 @@ mod tests {
             );
             assert_eq!(
                 thread.kept_trees(),
-                usize::from(creation >= 2),
-                "creation {creation}: a tree is kept from the second on"
+                1,
+                "creation {creation}: one tree, kept from the first on"
             );
             if creation == 3 {
                 instance = Some(id);
@@ -842,7 +834,7 @@ mod tests {
             thread.destroy_activity(id).unwrap();
         }
 
-        assert_eq!(thread.inflations.seen.len(), 1, "one configuration");
+        assert_eq!(thread.inflations.kept.len(), 1, "one configuration");
         assert_eq!(
             thread.kept_tree(&portrait),
             Some(&activity::inflate_main_layout(&model, &portrait).0),
@@ -880,7 +872,7 @@ mod tests {
             .enumerate()
         {
             if round == 2 {
-                assert_eq!(thread.kept_trees(), 0, "each shown once so far");
+                assert_eq!(thread.kept_trees(), 2, "each kept on its first creation");
             }
             let id = thread.perform_launch_activity(
                 &model,
@@ -895,7 +887,7 @@ mod tests {
             thread.destroy_activity(id).unwrap();
         }
         assert_eq!(thread.kept_trees(), 2);
-        let mut class_of = |config: &Configuration| {
+        let class_of = |config: &Configuration| {
             let tree = thread.kept_tree(config).unwrap();
             let root = tree.find_by_id_name("root").unwrap();
             tree.view(root).unwrap().kind.class_name()
@@ -923,6 +915,6 @@ mod tests {
             );
             thread.destroy_activity(id).unwrap();
         }
-        assert!(thread.inflations.seen.is_empty());
+        assert!(thread.inflations.kept.is_empty());
     }
 }

@@ -252,11 +252,11 @@ fn memo_device(app: MemoApp, rotations: usize) -> u64 {
 }
 
 /// The relaunching fleet: every device is one process relaunching its
-/// activity across two configurations. A process keeps a tree only
-/// where a configuration recurs, so of each device's 9 creations the
-/// first two (one per configuration) inflate cold and keep nothing, the
-/// next two inflate cold and keep a clone, and the last 5 clone a kept
-/// tree: 4 misses and 5 hits.
+/// activity across two configurations. A process keeps the shared tree
+/// of its first creation in each configuration, so of each device's 9
+/// creations the first two (one per configuration) inflate cold and
+/// keep theirs, and the other 7 clone a kept tree and copy the chunks
+/// they write: 2 misses and 7 hits.
 fn memo_fleet(app: &MemoApp) -> u64 {
     run_fleet_reduce(
         &FleetConfig::new(MEMO_JOBS, 0),
@@ -271,9 +271,10 @@ fn memo_fleet(app: &MemoApp) -> u64 {
 }
 
 /// The unique fleet: a fresh app per device, created once. The cache
-/// records the configuration and keeps nothing, so the arm reads what
-/// a process that never re-creates its activity pays for the cache: one
-/// probe and one record, no clone.
+/// keeps that one inflation, so the arm reads what a process that never
+/// re-creates its activity pays for the cache: one probe, one share of
+/// the tree and one clone of its chunks, and the chunks its creation
+/// then writes.
 fn memo_fleet_unique() -> u64 {
     run_fleet_reduce(
         &FleetConfig::new(MEMO_JOBS, 0),

@@ -8,9 +8,10 @@
 //! invalidated shadow view to its sunny peer with a per-type policy
 //! (Table 1).
 //!
-//! The mapping is the `sunny_peer` pointer each view holds into the other
-//! tree, set on both trees by [`MigrationEngine::build_mapping`], so a
-//! coin flip migrates the other way without a rebuild. Lazy migration is
+//! The mapping is the sunny-peer pointer each tree keeps per view into
+//! the other tree ([`ViewTree::sunny_peer`]), set on both trees by
+//! [`MigrationEngine::build_mapping`], so a coin flip migrates the other
+//! way without a rebuild. Lazy migration is
 //! one loop, run once per async delivery (one *flush*): it drains the
 //! shadow tree's invalidations, which the tree already coalesces per
 //! view, and copies each dirty view's essence to the peer its pointer
@@ -106,10 +107,11 @@ fn copy_essence(
 
 /// The coupling between a shadow tree and a sunny tree.
 ///
-/// The mapping itself lives on the trees, as each view's `sunny_peer`
-/// pointer. The engine holds what migrating through it needs: the fault
-/// schedule and watchdog probed on every flush, the views rung-1
-/// containment skipped, and lifetime [`MigrationMetrics`].
+/// The mapping itself lives on the trees, as each view's sunny-peer
+/// pointer ([`ViewTree::sunny_peer`]). The engine holds what migrating
+/// through it needs: the fault schedule and watchdog probed on every
+/// flush, the views rung-1 containment skipped, and lifetime
+/// [`MigrationMetrics`].
 #[derive(Debug, Clone, Default)]
 pub struct MigrationEngine {
     mapped_views: usize,
@@ -261,7 +263,7 @@ impl MigrationEngine {
         for &view in batch {
             report.examined += 1;
             let missed = self.faults.should_inject(FaultSite::EssenceMappingMiss);
-            let Some(peer) = shadow.view(view).ok().and_then(|n| n.sunny_peer) else {
+            let Some(peer) = shadow.sunny_peer(view) else {
                 // An anonymous view, or one the other layout lacks.
                 report.unmapped += 1;
                 continue;
@@ -324,7 +326,7 @@ impl MigrationEngine {
                 }
             };
             report.examined += 1;
-            let Some(peer) = node.sunny_peer else {
+            let Some(peer) = shadow.sunny_peer(view) else {
                 report.unmapped += 1;
                 return;
             };
@@ -377,10 +379,10 @@ mod tests {
         // decor, panel, name, hero, list, player, bar = 7 named views.
         assert_eq!(engine.mapped_views(), 7);
         let s_name = shadow.find_by_id_name("name").unwrap();
-        let peer = shadow.view(s_name).unwrap().sunny_peer.unwrap();
+        let peer = shadow.sunny_peer(s_name).unwrap();
         assert_eq!(peer, sunny.find_by_id_name("name").unwrap());
         // Reverse direction too (flip support).
-        let r_peer = sunny.view(peer).unwrap().sunny_peer.unwrap();
+        let r_peer = sunny.sunny_peer(peer).unwrap();
         assert_eq!(r_peer, s_name);
     }
 
@@ -572,7 +574,7 @@ mod tests {
         let (mut side0, mut side1, mut engine) = named_pair(&["x", "x"], &["x"]);
         let (first, second) = (ViewId::new(1), ViewId::new(2));
         let x = side1.find_by_id_name("x").unwrap();
-        assert_eq!(side1.view(x).unwrap().sunny_peer, Some(first));
+        assert_eq!(side1.sunny_peer(x), Some(first));
         // After a flip side 1 is the shadow.
         side1.apply(x, ViewOp::SetText("flipped".into())).unwrap();
         let r = engine

@@ -35,8 +35,8 @@ pub fn patch_inventory() -> Vec<PatchEntry> {
             modification: "Add the Shadow/Sunny state and the sunny view pointer; \
                            modify the invalidate function to catch updates",
             loc: 79,
-            reproduced_in: "droidsim_view::ViewNode::sunny_peer, \
-                            droidsim_view::ViewTree::{invalidate,drain_invalidations}",
+            reproduced_in: "droidsim_view::ViewTree::{sunny_peer,invalidate,\
+                            drain_invalidations}",
         },
         PatchEntry {
             class: "ViewGroup",

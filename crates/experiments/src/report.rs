@@ -4,6 +4,7 @@
 //! one CSV per figure so the plots can be regenerated with any tool:
 //! `cargo run --release -p rch-experiments --bin export -- <dir>`.
 
+use droidsim_fleet::FleetConfig;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -20,12 +21,13 @@ fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> std::io::
 }
 
 /// Exports every figure's data as CSV into `dir` (created if missing).
-/// Returns the written paths.
+/// The two fleet studies, Fig. 10 and Table 5, run with `cfg`'s worker
+/// count; the CSVs are the same at any. Returns the written paths.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn export_all(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub fn export_all(dir: &Path, cfg: &FleetConfig) -> std::io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
 
@@ -84,7 +86,7 @@ pub fn export_all(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
             .collect::<Vec<_>>(),
     )?);
 
-    let fig10 = crate::fig10::run();
+    let fig10 = crate::fig10::STUDY.complete(cfg);
     written.push(write_csv(
         dir,
         "fig10a_scalability.csv",
@@ -149,7 +151,7 @@ pub fn export_all(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
             .collect::<Vec<_>>(),
     )?);
 
-    let study = crate::table5::run();
+    let study = crate::table5::STUDY.complete(cfg);
     // Cross-reference: the static analyzer's predicted verdicts ride
     // along so the CSV exposes the lint-vs-dynamic agreement the
     // differential gate enforces (`rchlint --differential`).
@@ -197,7 +199,7 @@ mod tests {
     #[test]
     fn export_writes_every_figure() {
         let dir = std::env::temp_dir().join(format!("rch_export_{}", std::process::id()));
-        let written = export_all(&dir).expect("export succeeds");
+        let written = export_all(&dir, &FleetConfig::new(2, 0)).expect("export succeeds");
         assert_eq!(written.len(), 8);
         for path in &written {
             let content = fs::read_to_string(path).unwrap();

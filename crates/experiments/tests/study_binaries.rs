@@ -80,6 +80,11 @@ const BINARIES: [(&str, &str); 20] = [
 /// Runs binary `name` with `args` in a fresh, empty directory; returns
 /// its output and the names of whatever it left there.
 fn run_in_empty_dir(name: &str, args: &[&str]) -> (Output, Vec<PathBuf>) {
+    run_in_empty_dir_with(name, args, None)
+}
+
+/// [`run_in_empty_dir`] with `DROIDSIM_JOBS` set to `jobs`, or unset.
+fn run_in_empty_dir_with(name: &str, args: &[&str], jobs: Option<&str>) -> (Output, Vec<PathBuf>) {
     let bin = BINARIES
         .iter()
         .find_map(|&(n, path)| (n == name).then_some(path))
@@ -91,12 +96,15 @@ fn run_in_empty_dir(name: &str, args: &[&str]) -> (Output, Vec<PathBuf>) {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(bin)
+    let mut command = Command::new(bin);
+    command
         .args(args)
         .current_dir(&dir)
-        .env_remove("DROIDSIM_JOBS")
-        .output()
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        .env_remove("DROIDSIM_JOBS");
+    if let Some(jobs) = jobs {
+        command.env("DROIDSIM_JOBS", jobs);
+    }
+    let out = command.output().unwrap_or_else(|e| panic!("{name}: {e}"));
     let left = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| PathBuf::from(e.unwrap().file_name()))
@@ -160,4 +168,16 @@ fn every_binary_refuses_a_flag_it_does_not_take() {
         }
     }
     assert!(broken.is_empty(), "{}", broken.join("\n"));
+}
+
+#[test]
+fn export_refuses_an_invalid_worker_count_before_writing() {
+    // Fig. 10 and Table 5 run fleets, so a bad `DROIDSIM_JOBS` must stop
+    // `export` before its first CSV, not after three.
+    let (out, left) = run_in_empty_dir_with("export", &["out"], Some("three"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr {stderr:?}");
+    assert!(stderr.contains("DROIDSIM_JOBS"), "stderr {stderr:?}");
+    assert!(out.stdout.is_empty());
+    assert!(left.is_empty(), "export left {left:?}");
 }

@@ -4,12 +4,12 @@
 //! re-creating its activity in a configuration it has already shown
 //! inflates the same layout again, on every stock relaunch and on every
 //! RCHDroid re-init after the GC. Each app process's activity thread
-//! (`ActivityThread`, in `droidsim-app`) keeps a pristine tree only
-//! where a configuration recurs: its first inflation in a configuration
-//! records the configuration and keeps nothing, its second keeps a
-//! clone, and every later creation there clones the kept tree. Most
-//! processes create in a configuration once, and a clone kept for them
-//! was never reused. The cache lives and dies with its process, so it
+//! (`ActivityThread`, in `droidsim-app`) keeps the pristine tree of its
+//! first inflation in each configuration, and every later creation
+//! there clones it. The kept tree is shared copy-on-write
+//! (`ViewTree::share` in `droidsim-view`), so a keep moves no view, a
+//! clone shares every chunk of views, and a creation copies only the
+//! chunks it writes. The cache lives and dies with its process, so it
 //! is exact (the process's model and resources never change), needs no
 //! lock, no key digest and no eviction, and cannot go stale: there is
 //! nothing process-wide to invalidate.

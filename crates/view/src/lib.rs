@@ -9,7 +9,9 @@
 //! * [`ViewTree`] — an arena of views rooted at a decor view, with
 //!   parent/child structure, per-view attributes, and the `invalidate`
 //!   mechanism (invalidations are *recorded* so a change handler can catch
-//!   the generic update step, exactly the hook the paper adds),
+//!   the generic update step, exactly the hook the paper adds); once
+//!   [`ViewTree::share`]d, clones share its views and a write copies one
+//!   chunk,
 //! * hierarchy state save/restore ([`ViewTree::save_hierarchy_state`] /
 //!   [`ViewTree::restore_hierarchy_state`]) keyed by `android:id` names —
 //!   views without ids silently lose state, the classic Android pitfall,
@@ -32,6 +34,7 @@
 //! assert_eq!(tree.drain_invalidations(), vec![text]);
 //! ```
 
+mod arena;
 pub mod attrs;
 pub mod error;
 pub mod inflate;

@@ -4,8 +4,9 @@
 //! Besides the stock Android behaviour (structure, attribute mutation via
 //! [`ViewOp`], hierarchy state save/restore, invalidation), the tree also
 //! carries the *hook points* the paper's patch adds to `View`/`ViewGroup`
-//! (Table 2): a per-view **sunny peer pointer** (81+79 LoC of the patch)
-//! and shadow/sunny dispatch along the tree (12 LoC in `ViewGroup`).
+//! (Table 2): a **sunny peer pointer** per view (81+79 LoC of the patch),
+//! kept in a side table of the tree, and shadow/sunny dispatch along the
+//! tree (12 LoC in `ViewGroup`).
 //! The hooks are inert unless a change handler uses them, so with no
 //! handler installed the tree behaves exactly like stock Android 10.
 //!
@@ -15,15 +16,25 @@
 //! crate gets a `&mut ViewNode`: a view's attributes and save flags
 //! change only through [`ViewTree::apply`], [`ViewTree::edit_attrs`],
 //! [`ViewTree::set_saves_state`], [`ViewTree::set_freezes_text`] and the
-//! restore paths, and its name, parent, children and sunny peer only
-//! through the structural ops. Every write re-checks the one view it
-//! touched against the saved-state predicate, so the tree always knows
-//! its *stateful* views — the live views whose hierarchy state is
-//! non-empty — without looking. [`ViewTree::save_hierarchy_state`]
-//! visits only those, which makes the snapshot every configuration
-//! change takes (the coin flip included) cost the stateful views, not
-//! the tree. The set is a function of the tree's content, so the derived
-//! `PartialEq` is still content equality.
+//! restore paths, and its name, parent and children only through the
+//! structural ops. Every write re-checks the one view it touched
+//! against the saved-state predicate, so the tree always knows its
+//! *stateful* views — the live views whose hierarchy state is non-empty
+//! — without looking. [`ViewTree::save_hierarchy_state`] visits only
+//! those, which makes the snapshot every configuration change takes
+//! (the coin flip included) cost the stateful views, not the tree. The
+//! set is a function of the tree's content, so the derived `PartialEq`
+//! is still content equality.
+//!
+//! A write also unshares the view's chunk. After [`ViewTree::share`]
+//! the views sit behind a reference count that every clone shares, and
+//! the first write to a view through any tree method copies that view's
+//! chunk of 32 views for the tree it wrote (the `arena` module has the
+//! layout). Because nothing else holds a `&mut ViewNode`, no caller can
+//! write into a chunk another tree still reads, and a clone of a shared
+//! tree costs its chunks, not its views. The sunny peers live in a side
+//! table rather than on the views, so that building RCHDroid's mapping
+//! writes no view.
 //!
 //! # Panic policy
 //!
@@ -36,6 +47,7 @@
 //! `#[cfg(test)]` code or doc examples, where a panic *is* the failure
 //! report; keep it that way when adding code here.
 
+use crate::arena::Arena;
 use crate::attrs::ViewAttrs;
 use crate::error::ViewError;
 use crate::kind::ViewKind;
@@ -46,6 +58,7 @@ use droidsim_kernel::{alloc_track, Symbol};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::OnceLock;
 
 thread_local! {
@@ -129,9 +142,6 @@ pub struct ViewNode {
     pub parent: Option<ViewId>,
     /// Children in order.
     pub children: Vec<ViewId>,
-    /// RCHDroid hook: pointer to the corresponding view in the coupled
-    /// sunny-state tree. `None` by default (stock behaviour).
-    pub sunny_peer: Option<ViewId>,
     /// Whether the view participates in hierarchy state save/restore.
     /// Framework views do (`true`); a user-defined view that fails to
     /// implement `onSaveInstanceState` — the most common cause of the
@@ -192,8 +202,9 @@ impl ViewNode {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewTree {
-    nodes: Vec<Option<ViewNode>>,
-    /// Live views in `nodes`, kept by add, remove and release so
+    /// The views by id, copy-on-write once [`ViewTree::share`] ran.
+    arena: Arena,
+    /// Live views in the arena, kept by add, remove and release so
     /// [`ViewTree::view_count`] never scans the arena.
     live: usize,
     root: ViewId,
@@ -222,8 +233,10 @@ pub struct ViewTree {
     /// [`ViewTree::rebuild_id_name_index`] (lowest live view id wins for
     /// duplicate names). Like every map here it is an [`IdMap`]: its keys
     /// are interned program names and arena ids, so one multiply hashes
-    /// them, and nothing reads its iteration order into an output.
-    id_name_index: IdMap<Symbol, ViewId>,
+    /// them, and nothing reads its iteration order into an output. Like
+    /// the views it is shared by clones and copied by the first
+    /// structural op on a tree that shares it.
+    id_name_index: Rc<IdMap<Symbol, ViewId>>,
     /// Live duplicate-name bearers *not* currently in the index, per
     /// name, in ascending id order (appends stay sorted because view ids
     /// only grow). Removal promotes the front entry instead of rescanning
@@ -235,6 +248,34 @@ pub struct ViewTree {
     /// inflater adds joins the set if its layout attributes give it
     /// state.
     stateful: BTreeSet<ViewId>,
+    /// RCHDroid hook: each view's pointer to the corresponding view in
+    /// the coupled tree, by view id, as [`ViewTree::set_sunny_peers`]
+    /// left it. Empty by default (stock behaviour).
+    sunny_peers: SunnyPeers,
+}
+
+/// A tree's sunny-peer pointers, indexed by view id. Views past the end
+/// have no peer, so two tables that differ only in trailing `None`s are
+/// equal.
+#[derive(Debug, Clone, Default)]
+struct SunnyPeers(Vec<Option<ViewId>>);
+
+impl SunnyPeers {
+    /// The table without its trailing `None`s.
+    fn mapped(&self) -> &[Option<ViewId>] {
+        let end = self
+            .0
+            .iter()
+            .rposition(Option::is_some)
+            .map_or(0, |i| i + 1);
+        &self.0[..end]
+    }
+}
+
+impl PartialEq for SunnyPeers {
+    fn eq(&self, other: &Self) -> bool {
+        self.mapped() == other.mapped()
+    }
 }
 
 impl ViewTree {
@@ -259,18 +300,17 @@ impl ViewTree {
             attrs: ViewAttrs::new(),
             parent: None,
             children: Vec::new(),
-            sunny_peer: None,
             saves_state: true,
             freezes_text: false,
         };
         alloc_track::note(1);
-        let mut nodes = Vec::with_capacity(views.max(1));
-        nodes.push(Some(decor));
+        let mut arena = Arena::with_capacity(views.max(1));
+        arena.push(decor);
         let mut id_name_index = IdMap::default();
         id_name_index.reserve(views.max(1));
         id_name_index.insert(decor_name, root);
         ViewTree {
-            nodes,
+            arena,
             live: 1,
             root,
             released: false,
@@ -279,9 +319,10 @@ impl ViewTree {
             raw_pending: 0,
             shadow: false,
             sunny: false,
-            id_name_index,
+            id_name_index: Rc::new(id_name_index),
             shadowed_ids: IdMap::default(),
             stateful: BTreeSet::new(),
+            sunny_peers: SunnyPeers::default(),
         }
     }
 
@@ -299,8 +340,9 @@ impl ViewTree {
     /// [`ViewError::NullPointer`] — the stock-Android crash scenario.
     ///
     /// The views themselves are freed: the arena, the id-name index, the
-    /// shadowed-duplicate lists, the stateful set and the pending
-    /// invalidations are all dropped, so a released tree holds no views
+    /// shadowed-duplicate lists, the stateful set, the sunny peers and
+    /// the pending invalidations are all dropped (a chunk another tree
+    /// shares only loses a reference), so a released tree holds no views
     /// ([`ViewTree::view_count`] and [`ViewTree::heap_bytes`] read 0,
     /// [`ViewTree::find_by_id_name`] finds nothing). Only the decor id
     /// survives, for
@@ -308,9 +350,10 @@ impl ViewTree {
     /// names the view its `NullPointer` is about.
     pub fn release(&mut self) {
         self.released = true;
-        self.nodes = Vec::new();
+        self.arena = Arena::default();
+        self.sunny_peers = SunnyPeers::default();
         self.live = 0;
-        self.id_name_index = IdMap::default();
+        self.id_name_index = Rc::default();
         self.shadowed_ids = IdMap::default();
         self.stateful = BTreeSet::new();
         self.pending = Vec::new();
@@ -331,27 +374,47 @@ impl ViewTree {
     ///
     /// [`ViewError::NullPointer`] if the tree is released,
     /// [`ViewError::UnknownView`] if the id is stale.
+    #[inline]
     pub fn view(&self, id: ViewId) -> Result<&ViewNode, ViewError> {
         self.check_alive(id)?;
         self.node(id).ok_or(ViewError::UnknownView(id))
     }
 
     /// A live view, or `None` (no liveness error: released trees have an
-    /// empty arena).
+    /// empty arena). Inlined by hand, with [`ViewTree::view`] and
+    /// [`ViewTree::node_mut`]: the arena's out-of-line path for shared
+    /// views keeps the compiler from inlining them into other crates,
+    /// and every walk and lookup goes through them.
+    #[inline]
     fn node(&self, id: ViewId) -> Option<&ViewNode> {
-        self.nodes.get(id.raw() as usize).and_then(Option::as_ref)
+        self.arena.get(id.raw() as usize)
     }
 
     /// Mutable lookup for this crate's structural bookkeeping and the
-    /// inflater; same errors as [`ViewTree::view`]. A caller that writes
-    /// attributes or save flags through it must call
-    /// [`ViewTree::refresh_stateful`] afterwards.
+    /// inflater; same errors as [`ViewTree::view`]. It unshares the
+    /// view's chunk. A caller that writes attributes or save flags
+    /// through it must call [`ViewTree::refresh_stateful`] afterwards.
+    #[inline]
     pub(crate) fn node_mut(&mut self, id: ViewId) -> Result<&mut ViewNode, ViewError> {
         self.check_alive(id)?;
-        self.nodes
+        self.arena
             .get_mut(id.raw() as usize)
-            .and_then(Option::as_mut)
             .ok_or(ViewError::UnknownView(id))
+    }
+
+    /// Shares the tree's views with every clone made from now on: they
+    /// move behind a reference count, a clone shares them, and the first
+    /// write to a view through any of the trees copies only that view's
+    /// chunk of 32 views. The views move as they are, at a cost in
+    /// chunks rather than views. Only the first share of a tree does
+    /// anything: views added after it stay the tree's own, and a clone
+    /// copies them. Sharing changes no content: the tree equals what it
+    /// was.
+    ///
+    /// A process keeps its pristine inflations shared, so re-creating an
+    /// activity costs the views the creation writes, not the tree.
+    pub fn share(&mut self) {
+        self.arena.share();
     }
 
     /// Re-checks one view against the saved-state predicate and updates
@@ -444,7 +507,7 @@ impl ViewTree {
         if !parent_node.kind.is_container() {
             return Err(ViewError::NotAContainer { parent });
         }
-        let id = ViewId::new(self.nodes.len() as u64);
+        let id = ViewId::new(self.arena.len() as u64);
         let node = ViewNode {
             id,
             id_name,
@@ -452,20 +515,19 @@ impl ViewTree {
             attrs,
             parent: Some(parent),
             children: Vec::with_capacity(children),
-            sunny_peer: None,
             saves_state: true,
             freezes_text: kind.is_editable(),
         };
         if node.has_saved_state() {
             self.stateful.insert(id);
         }
-        self.nodes.push(Some(node));
+        self.arena.push(node);
         self.live += 1;
         if let Some(name) = id_name {
             // New ids are strictly increasing, so the first bearer stays
             // the lowest; later bearers queue in the shadowed list, which
             // stays sorted because appends only ever add larger ids.
-            match self.id_name_index.entry(name) {
+            match Rc::make_mut(&mut self.id_name_index).entry(name) {
                 Entry::Vacant(e) => {
                     e.insert(id);
                 }
@@ -494,13 +556,12 @@ impl ViewTree {
         let mut stack = vec![id];
         let mut removed_names: Vec<(Symbol, ViewId)> = Vec::new();
         while let Some(current) = stack.pop() {
-            if let Some(node) = self
-                .nodes
-                .get_mut(current.raw() as usize)
-                .and_then(Option::take)
-            {
+            if let Some(node) = self.arena.take(current.raw() as usize) {
                 self.live -= 1;
                 self.stateful.remove(&current);
+                if let Some(peer) = self.sunny_peers.0.get_mut(current.raw() as usize) {
+                    *peer = None;
+                }
                 if let Some(name) = node.id_name {
                     removed_names.push((name, node.id));
                 }
@@ -518,11 +579,11 @@ impl ViewTree {
                         if shadowed.is_empty() {
                             self.shadowed_ids.remove(&name);
                         }
-                        self.id_name_index.insert(name, next);
+                        Rc::make_mut(&mut self.id_name_index).insert(name, next);
                     }
                     _ => {
                         self.shadowed_ids.remove(&name);
-                        self.id_name_index.remove(&name);
+                        Rc::make_mut(&mut self.id_name_index).remove(&name);
                     }
                 }
             } else if let Some(shadowed) = self.shadowed_ids.get_mut(&name) {
@@ -567,14 +628,15 @@ impl ViewTree {
     /// Liveness errors; [`ViewError::InapplicableOp`] when the op does not
     /// fit the view's migration class.
     pub fn apply(&mut self, id: ViewId, op: ViewOp) -> Result<(), ViewError> {
-        let node = self.node_mut(id)?;
-        let class = node.kind.migration_class();
+        // Checked on a read, so a refused op unshares nothing.
+        let class = self.view(id)?.kind.migration_class();
         if !op.applies_to(class) {
             return Err(ViewError::InapplicableOp {
                 view: id,
                 op: op.name(),
             });
         }
+        let node = self.node_mut(id)?;
         match op {
             ViewOp::SetText(t) => node.attrs.text = Some(t),
             ViewOp::SetDrawable(name, bytes) => node.attrs.drawable = Some((name, bytes)),
@@ -657,7 +719,7 @@ impl ViewTree {
     /// Allocates; hot paths use [`ViewTree::for_each_id`] instead.
     pub fn iter_ids(&self) -> Vec<ViewId> {
         alloc_track::note(1);
-        let mut out = Vec::with_capacity(self.nodes.len());
+        let mut out = Vec::with_capacity(self.live);
         self.for_each_id(|id| out.push(id));
         out
     }
@@ -707,20 +769,20 @@ impl ViewTree {
     /// Total *simulated* heap footprint of the hierarchy in bytes: the ART
     /// cost model, which charges every drawable at its decoded size.
     pub fn heap_bytes(&self) -> u64 {
-        self.nodes.iter().flatten().map(ViewNode::heap_bytes).sum()
+        self.arena.iter().map(ViewNode::heap_bytes).sum()
     }
 
     /// What the tree really occupies in this process's memory: the arena
     /// at its capacity, plus the strings and child lists the live views
-    /// own. Caches weigh trees with this; [`ViewTree::heap_bytes`] is the
+    /// own. A chunk shared with another tree counts in full for each.
+    /// Caches weigh trees with this; [`ViewTree::heap_bytes`] is the
     /// simulated device heap and overstates a tree with drawables by
     /// orders of magnitude.
     pub fn resident_bytes(&self) -> u64 {
-        let arena = self.nodes.capacity() * std::mem::size_of::<Option<ViewNode>>();
+        let arena = self.arena.slot_bytes();
         let owned: u64 = self
-            .nodes
+            .arena
             .iter()
-            .flatten()
             .map(|n| {
                 (n.children.capacity() * std::mem::size_of::<ViewId>()) as u64
                     + n.attrs.owned_bytes()
@@ -846,11 +908,7 @@ impl ViewTree {
         };
         let shadowed = self.shadowed_ids.get(&name).map_or(&[][..], Vec::as_slice);
         for id in std::iter::once(first).chain(shadowed.iter().copied()) {
-            if let Some(node) = self
-                .nodes
-                .get_mut(id.raw() as usize)
-                .and_then(Option::as_mut)
-            {
+            if let Some(node) = self.arena.get_mut(id.raw() as usize) {
                 node.attrs.restore_user_state(state);
                 mark_stateful(&mut self.stateful, id, node.has_saved_state());
             }
@@ -903,7 +961,7 @@ impl ViewTree {
     /// exposed so tests can check the invariant.
     pub fn rebuild_id_name_index(&self) -> IdMap<Symbol, ViewId> {
         let mut index = IdMap::default();
-        for node in self.nodes.iter().flatten() {
+        for node in self.arena.iter() {
             if let Some(name) = node.id_name {
                 index.entry(name).or_insert(node.id);
             }
@@ -913,42 +971,40 @@ impl ViewTree {
 
     /// `Activity.setSunnyViews`: stores sunny-peer pointers on this
     /// (shadow) tree by looking up each view's id name in a sunny tree's
-    /// index. Returns how many views were mapped.
+    /// index. Returns how many views were mapped. The pointers go into
+    /// the tree's side table, so the mapping writes no view and unshares
+    /// no chunk.
     pub fn set_sunny_peers(&mut self, sunny_index: &IdMap<Symbol, ViewId>) -> usize {
         if self.released {
             return 0;
         }
-        let (mut visited, mut mapped) = (0, 0);
-        with_scratch_stack(|stack| {
-            stack.push(self.root);
-            while let Some(id) = stack.pop() {
-                let Some(node) = self
-                    .nodes
-                    .get_mut(id.raw() as usize)
-                    .and_then(Option::as_mut)
-                else {
-                    continue;
-                };
-                visited += 1;
-                for &child in node.children.iter().rev() {
-                    stack.push(child);
-                }
-                node.sunny_peer = node.id_name.and_then(|n| sunny_index.get(&n)).copied();
-                if node.sunny_peer.is_some() {
-                    mapped += 1;
-                }
+        let mut peers = std::mem::take(&mut self.sunny_peers.0);
+        peers.clear();
+        peers.resize(self.arena.len(), None);
+        let mut mapped = 0;
+        for node in self.arena.iter() {
+            let peer = node.id_name.and_then(|n| sunny_index.get(&n)).copied();
+            mapped += usize::from(peer.is_some());
+            if let Some(slot) = peers.get_mut(node.id.raw() as usize) {
+                *slot = peer;
             }
-        });
-        note_visits(visited);
+        }
+        note_visits(self.live);
+        self.sunny_peers.0 = peers;
         mapped
+    }
+
+    /// The sunny peer [`ViewTree::set_sunny_peers`] stored for `id`:
+    /// `None` for a view it did not map, one added or removed since, a
+    /// released tree, or after [`ViewTree::clear_sunny_peers`].
+    pub fn sunny_peer(&self, id: ViewId) -> Option<ViewId> {
+        self.sunny_peers.0.get(id.raw() as usize).copied().flatten()
     }
 
     /// Clears every sunny-peer pointer (used when the coupling is broken,
     /// e.g. the shadow activity is garbage collected).
     pub fn clear_sunny_peers(&mut self) {
-        for node in self.nodes.iter_mut().flatten() {
-            node.sunny_peer = None;
-        }
+        self.sunny_peers = SunnyPeers::default();
     }
 }
 
@@ -995,6 +1051,46 @@ mod tests {
         assert_eq!(sized.id_name_index(), grown.id_name_index());
         assert_eq!(sized.repeated_names().len(), 10);
         assert_eq!(sized.iter_ids(), grown.iter_ids());
+    }
+
+    #[test]
+    fn a_clone_shares_every_chunk_until_a_write_copies_one() {
+        let mut kept = ViewTree::new();
+        let list = kept
+            .add_view(kept.root(), ViewKind::LinearLayout, Some("list"))
+            .unwrap();
+        for i in 0..200 {
+            kept.add_view(list, ViewKind::EditText, Some(&format!("f{i}")))
+                .unwrap();
+        }
+        let flat = kept.clone();
+        kept.share();
+        assert_eq!(kept, flat, "sharing changes no content");
+        let chunks = kept.arena.chunks();
+        assert_eq!(chunks, 202usize.div_ceil(crate::arena::CHUNK));
+
+        let mut instance = kept.clone();
+        let all: Vec<usize> = (0..chunks).collect();
+        assert_eq!(instance.arena.chunks_shared_with(&kept.arena), all);
+        let field = instance.find_by_id_name("f100").unwrap();
+        let chunk = field.raw() as usize / crate::arena::CHUNK;
+        instance
+            .apply(field, ViewOp::SetText("typed".into()))
+            .unwrap();
+        let rest: Vec<usize> = all.iter().copied().filter(|&k| k != chunk).collect();
+        assert_eq!(instance.arena.chunks_shared_with(&kept.arena), rest);
+        assert_eq!(kept, flat, "the write never reached the kept tree");
+        assert_eq!(
+            instance.view(field).unwrap().attrs.text.as_deref(),
+            Some("typed")
+        );
+        // A refused op and a read copy nothing more.
+        assert!(instance.apply(field, ViewOp::SetProgress(1)).is_err());
+        instance.save_hierarchy_state();
+        assert_eq!(instance.arena.chunks_shared_with(&kept.arena), rest);
+        // A released clone drops its references; the kept tree reads on.
+        instance.release();
+        assert_eq!(kept, flat);
     }
 
     #[test]
@@ -1283,10 +1379,10 @@ mod tests {
         // decor + panel + name have ids → 3 mapped; anonymous image not.
         assert_eq!(mapped, 3);
         let name_view = shadow.find_by_id_name("name").unwrap();
-        let peer = shadow.view(name_view).unwrap().sunny_peer.unwrap();
+        let peer = shadow.sunny_peer(name_view).unwrap();
         assert_eq!(peer, sunny.find_by_id_name("name").unwrap());
         shadow.clear_sunny_peers();
-        assert!(shadow.view(name_view).unwrap().sunny_peer.is_none());
+        assert!(shadow.sunny_peer(name_view).is_none());
     }
 
     #[test]

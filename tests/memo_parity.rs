@@ -225,18 +225,44 @@ fn cached_inflation_never_changes_analysis_results() {
 /// shadow and the next change re-inits, again and again.
 const LONG_LIVED_CHANGES: usize = 64;
 
-/// One long-lived device under `mode`: 64 rotations with async tasks
-/// (RCHDroid only; under stock they are the crash bug), a 70 s idle
-/// after every 16th change so the GC collects the shadow, and a 5 %
-/// fault rate, so relaunches, re-inits and fallbacks keep re-creating
-/// the activity in configurations the process has already shown.
-fn long_lived_device_digest(mode: HandlingMode, fault_seed: u64) -> u64 {
-    let spec = GenericAppSpec::sized("memo-parity-long-lived", "10M+", false)
+/// The custom view `on_create` flags as not saving its state.
+fn custom_state() -> StateItem {
+    StateItem::new("long-lived-state", StateMechanism::CustomViewNoSave, "kept")
+}
+
+/// A 12–56-view app: every view fits in one chunk of a shared tree.
+fn small_spec() -> GenericAppSpec {
+    GenericAppSpec::sized("memo-parity-long-lived", "10M+", false)
         .with_async_task()
-        .with_issue(
-            "state loss on change",
-            StateItem::new("long-lived-state", StateMechanism::CustomViewNoSave, "kept"),
+        .with_issue("state loss on change", custom_state())
+}
+
+/// A 705-view app whose writes land in chunks far apart. The layout
+/// lists 600 images, the async target, then each state item's view in
+/// order: 100 framework fields that save their typed text, and last the
+/// custom view, over a hundred views after the target and the first
+/// fields.
+fn wide_spec() -> GenericAppSpec {
+    let mut spec = GenericAppSpec::sized("memo-parity-wide", "10M+", true).with_async_task();
+    spec.view_count = 600;
+    for i in 0..100 {
+        let field = StateItem::new(
+            &format!("field_{i}"),
+            StateMechanism::FrameworkView,
+            "typed",
         );
+        spec = spec.with_issue("state loss on change", field);
+    }
+    spec.with_issue("state loss on change", custom_state())
+}
+
+/// One long-lived device under `mode` running `spec`: 64 rotations with
+/// async tasks (RCHDroid only; under stock they are the crash bug), a
+/// 70 s idle after every 16th change so the GC collects the shadow, and
+/// a 5 % fault rate, so relaunches, re-inits and fallbacks keep
+/// re-creating the activity in configurations the process has already
+/// shown.
+fn long_lived_device_digest(spec: &GenericAppSpec, mode: HandlingMode, fault_seed: u64) -> u64 {
     let probe = spec.build();
     let mut d = Device::new(mode).with_jitter(fault_seed, 0.1);
     let c = d
@@ -282,23 +308,39 @@ fn long_lived_device_digest(mode: HandlingMode, fault_seed: u64) -> u64 {
 fn a_long_lived_device_digests_the_same_with_and_without_the_cache() {
     let _serial = FLAG_LOCK.lock().unwrap();
     let inflate_hits = || memo::snapshot_all()[0].hits;
-    for mode in [HandlingMode::rchdroid_default(), HandlingMode::Android10] {
-        for fault_seed in [42u64, 43] {
-            let cold = {
-                let _off = MemoGuard::set(false);
-                long_lived_device_digest(mode, fault_seed)
-            };
-            let _on = MemoGuard::set(true);
-            let before = inflate_hits();
-            assert_eq!(
-                long_lived_device_digest(mode, fault_seed),
-                cold,
-                "{mode:?}, fault seed {fault_seed}: the cached run diverged"
-            );
-            assert!(
-                inflate_hits() > before,
-                "{mode:?}, fault seed {fault_seed}: the device never hit its cache"
-            );
+    // The wide app's custom view lies more than two 32-view chunks past
+    // the async target.
+    let mut probe = Device::new(HandlingMode::Android10);
+    probe
+        .install_and_launch(Box::new(wide_spec().build()), 0, 1.0)
+        .unwrap();
+    let gap = probe
+        .with_foreground_activity_mut(|a| {
+            let id = |name| a.tree.find_by_id_name(name).unwrap().raw();
+            id("long-lived-state") - id("async_target")
+        })
+        .unwrap();
+    assert_eq!(gap, 101);
+    for spec in [small_spec(), wide_spec()] {
+        for mode in [HandlingMode::rchdroid_default(), HandlingMode::Android10] {
+            for fault_seed in [42u64, 43] {
+                let name = &spec.name;
+                let cold = {
+                    let _off = MemoGuard::set(false);
+                    long_lived_device_digest(&spec, mode, fault_seed)
+                };
+                let _on = MemoGuard::set(true);
+                let before = inflate_hits();
+                assert_eq!(
+                    long_lived_device_digest(&spec, mode, fault_seed),
+                    cold,
+                    "{name}, {mode:?}, fault seed {fault_seed}: the cached run diverged"
+                );
+                assert!(
+                    inflate_hits() > before,
+                    "{name}, {mode:?}, fault seed {fault_seed}: the device never hit its cache"
+                );
+            }
         }
     }
 }

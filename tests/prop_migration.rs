@@ -107,9 +107,9 @@ proptest! {
         // root + decor + n views all have ids.
         prop_assert_eq!(engine.mapped_views(), n + 2);
         for id in shadow.iter_ids() {
-            let node = shadow.view(id).unwrap();
-            let peer = node.sunny_peer.expect("all views have ids here");
-            let back = sunny.view(peer).unwrap().sunny_peer.expect("reverse mapped");
+            let peer = shadow.sunny_peer(id).expect("all views have ids here");
+            sunny.view(peer).unwrap();
+            let back = sunny.sunny_peer(peer).expect("reverse mapped");
             prop_assert_eq!(back, id);
         }
     }

@@ -441,7 +441,7 @@ fn oracle_seed(shadow: &ViewTree, sunny: &mut ViewTree) -> Result<MigrationRepor
     for view in shadow.iter_ids() {
         let node = shadow.view(view)?;
         report.examined += 1;
-        let Some(peer) = node.sunny_peer else {
+        let Some(peer) = shadow.sunny_peer(view) else {
             report.unmapped += 1;
             continue;
         };
@@ -635,6 +635,128 @@ proptest! {
         let tree = run_script(&steps);
         // decor view alone is > 0.
         prop_assert!(tree.heap_bytes() >= 512);
+    }
+}
+
+// ---- Copy-on-write: trees cloned from a kept, shared inflation write
+// ---- their own chunks and never each other's.
+
+/// One step of a sharing script, on one of the trees cloned from a kept
+/// inflation.
+#[derive(Debug, Clone)]
+enum ShareStep {
+    /// A [`BuildStep`]: an add, a removal, an `apply`, the save flags, a
+    /// restore or a release (not a clone: [`ShareStep::Fork`] is that).
+    Build(BuildStep),
+    /// `edit_attrs`: a scroll written with no invalidation.
+    Edit { choice: usize, scroll_y: i32 },
+    /// `set_sunny_peers` against tree `other`'s name index.
+    MapPeers { other: usize },
+    /// `clear_sunny_peers`.
+    ClearPeers,
+    /// Continues on a clone of tree `other`, sharing whatever chunks it
+    /// copied so far.
+    Fork { other: usize },
+    /// Shares the tree (a no-op on a tree shared before).
+    Share,
+}
+
+/// [`arb_step`]'s steps (listed three times, so trees change and carry
+/// state), restores, releases, and the copy-on-write steps.
+fn arb_share_step() -> impl Strategy<Value = ShareStep> {
+    prop_oneof![
+        arb_step().prop_map(ShareStep::Build),
+        arb_step().prop_map(ShareStep::Build),
+        arb_step().prop_map(ShareStep::Build),
+        arb_script(20).prop_map(|other| ShareStep::Build(BuildStep::Restore(oracle_save(
+            &run_script(&other)
+        )))),
+        Just(ShareStep::Build(BuildStep::Release)),
+        (any::<usize>(), -500i32..500)
+            .prop_map(|(choice, scroll_y)| ShareStep::Edit { choice, scroll_y }),
+        any::<usize>().prop_map(|other| ShareStep::MapPeers { other }),
+        Just(ShareStep::ClearPeers),
+        any::<usize>().prop_map(|other| ShareStep::Fork { other }),
+        Just(ShareStep::Share),
+    ]
+}
+
+/// A layout of 10–60 random subtrees under one container: wide enough
+/// that an inflation spans several chunks.
+fn arb_wide_layout() -> impl Strategy<Value = LayoutTemplate> {
+    let subtree = arb_layout(LAYOUT_CLASSES.len()).prop_map(|t| t.root().clone());
+    proptest::collection::vec(subtree, 10..60).prop_map(|children| {
+        LayoutTemplate::new(
+            "wide",
+            LayoutNode::new("LinearLayout")
+                .with_id("v0")
+                .with_children(children),
+        )
+    })
+}
+
+/// Runs `step` on `trees[at]`; `trees` are all the trees the step may
+/// read from. Trees that must never share (the oracles) skip
+/// [`ShareStep::Share`].
+fn apply_share_step(trees: &mut [ViewTree], at: usize, step: &ShareStep, shares: bool) {
+    let n = trees.len();
+    match step {
+        ShareStep::Build(step) => apply_script(&mut trees[at], std::slice::from_ref(step), &NAMES),
+        ShareStep::Edit { choice, scroll_y } => {
+            let tree = &mut trees[at];
+            let ids = tree.iter_ids();
+            if let Some(&id) = ids.get(choice % ids.len().max(1)) {
+                tree.edit_attrs(id, |attrs| attrs.scroll_y = *scroll_y)
+                    .unwrap();
+            }
+        }
+        ShareStep::MapPeers { other } => {
+            let index = trees[other % n].id_name_index().clone();
+            trees[at].set_sunny_peers(&index);
+        }
+        ShareStep::ClearPeers => trees[at].clear_sunny_peers(),
+        ShareStep::Fork { other } => trees[at] = trees[other % n].clone(),
+        ShareStep::Share if shares => trees[at].share(),
+        ShareStep::Share => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_write_never_reaches_a_tree_sharing_its_chunk(
+        layout in arb_wide_layout(),
+        clones in 2usize..4,
+        script in proptest::collection::vec((any::<usize>(), arb_share_step()), 0..80),
+    ) {
+        // The process's cache: the first inflation shared and kept, its
+        // creation (the source) and later ones cloned from the kept tree.
+        // The oracles are never-shared inflations that get the same
+        // steps.
+        let config = Configuration::phone_portrait();
+        let mut table = ResourceTable::new();
+        table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
+        let cold = inflate(&layout, &table, &config).0;
+        let mut source = cold.clone();
+        source.share();
+        let kept = source.clone();
+        let mut trees = vec![source];
+        trees.extend((0..clones).map(|_| kept.clone()));
+        let mut oracles = vec![cold.clone(); trees.len()];
+        for (which, step) in &script {
+            let at = which % trees.len();
+            apply_share_step(&mut trees, at, step, true);
+            apply_share_step(&mut oracles, at, step, false);
+            for (tree, oracle) in trees.iter().zip(&oracles) {
+                prop_assert_eq!(tree, oracle, "after {:?} on tree {}", step, at);
+                prop_assert_eq!(tree.save_hierarchy_state(), oracle.save_hierarchy_state());
+                for id in oracle.iter_ids() {
+                    prop_assert_eq!(tree.sunny_peer(id), oracle.sunny_peer(id));
+                }
+            }
+            prop_assert_eq!(&kept, &cold, "a write reached the kept tree");
+        }
     }
 }
 
