@@ -4,12 +4,12 @@
 CARGO ?= cargo
 
 .PHONY: ci build test fmt fmt-fix clippy doc bench-smoke fault-matrix \
-	fleet-determinism memo-parity bench-json bench-gate soak lint-study \
-	dataloss-study daemon-soak chaos-soak rchbench-test
+	fleet-determinism export-diff memo-parity bench-json bench-gate soak \
+	lint-study dataloss-study daemon-soak chaos-soak rchbench-test
 
 ci: build test fmt clippy doc rchbench-test fault-matrix fleet-determinism \
-	memo-parity bench-smoke lint-study dataloss-study soak daemon-soak \
-	chaos-soak
+	export-diff memo-parity bench-smoke lint-study dataloss-study soak \
+	daemon-soak chaos-soak
 
 # Seeds for the fault-injection suite: each seed runs every fault site
 # under RCHDroid's one handling mode.
@@ -84,6 +84,19 @@ fleet-determinism:
 	echo "full:   $$full"; echo "first:  $$first"; echo "second: $$second"; \
 	test "$$full" = "$$first"; test "$$full" = "$$second"; \
 	bash scripts/check_digest.sh TABLE5 "$$full"
+
+# The figure export: `export` writes its eight CSVs into a fresh
+# target/export, and each must match the committed one under results/
+# byte for byte (a deliberate change copies the fresh CSVs over the
+# committed ones).
+EXPORT_CSVS = fig07_handling_time fig08_memory fig09_trace fig10a_scalability \
+	fig10b_migration fig11_gc_tradeoff fig12_runtimedroid table5_top100
+export-diff:
+	rm -rf target/export
+	$(CARGO) run -q --release -p rch-experiments --bin export -- target/export
+	for csv in $(EXPORT_CSVS); do \
+		diff -u results/$$csv.csv target/export/$$csv.csv || exit 1; \
+	done
 
 # The inflation-cache parity gate (DESIGN.md §13): fleet digests with
 # the per-process caches on must be bit-identical to a cold run at

@@ -26,11 +26,9 @@ pub mod fragment;
 pub mod model;
 pub mod state;
 pub mod thread;
-pub mod transaction;
 
 pub use activity::{Activity, ActivityInstanceId};
 pub use fragment::{AttachedFragment, FragmentError, FragmentSpec};
 pub use model::{AppModel, AsyncResult, AsyncSpec, SimpleApp};
 pub use state::{ActivityState, StateError};
 pub use thread::{ActivityThread, AsyncWork, ThreadError, UiMessage};
-pub use transaction::{ClientTransaction, LifecycleItem};

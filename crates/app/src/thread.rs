@@ -344,6 +344,29 @@ impl ActivityThread {
         Ok(())
     }
 
+    /// `handleRelaunchActivity`: destroys `current`, launches a fresh
+    /// instance for `config` on `current`'s record token with `saved`
+    /// restored, and resumes it. Stock Android passes the state it saved
+    /// just before; RCHDroid's fallback passes its own choice of bundle.
+    /// In-flight async tasks keep targeting the destroyed instance.
+    ///
+    /// # Errors
+    ///
+    /// [`ThreadError::UnknownInstance`] if `current` is not on the thread.
+    pub fn relaunch(
+        &mut self,
+        model: &dyn AppModel,
+        current: ActivityInstanceId,
+        config: Configuration,
+        saved: Option<&Bundle>,
+    ) -> Result<ActivityInstanceId, ThreadError> {
+        let token = self.instance(current)?.token();
+        self.destroy_activity(current)?;
+        let id = self.perform_launch_activity(model, token, config, saved);
+        self.resume_sequence(id, false)?;
+        Ok(id)
+    }
+
     /// Starts a background task whose callback targets `instance`.
     ///
     /// # Errors
@@ -553,6 +576,29 @@ mod tests {
         let (thread, _, id) = launched();
         assert_eq!(thread.instance(id).unwrap().state(), ActivityState::Resumed);
         assert_eq!(thread.alive_instances(), vec![id]);
+    }
+
+    #[test]
+    fn relaunch_restores_the_saved_state_on_the_same_token() {
+        let (mut thread, model, first) = launched();
+        let token = thread.instance(first).unwrap().token();
+        let a = thread.instance_mut(first).unwrap();
+        let root = a.tree.find_by_id_name("root").unwrap();
+        a.tree.apply(root, ViewOp::ScrollTo(640)).unwrap();
+        let saved = thread.instance(first).unwrap().save_instance_state(&model);
+
+        let landscape = Configuration::phone_landscape();
+        let second = thread
+            .relaunch(&model, first, landscape.clone(), Some(&saved))
+            .unwrap();
+        assert_ne!(second, first);
+        assert!(!thread.instance(first).unwrap().state().is_alive());
+        assert_eq!(thread.instance_for_token(token), Some(second));
+        let a = thread.instance(second).unwrap();
+        let root = a.tree.find_by_id_name("root").unwrap();
+        assert_eq!(a.tree.view(root).unwrap().attrs.scroll_y, 640);
+        assert_eq!(a.state(), ActivityState::Resumed);
+        assert_eq!(a.config(), &landscape);
     }
 
     #[test]

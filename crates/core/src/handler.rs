@@ -526,10 +526,11 @@ impl RchDroid {
 
     /// Rung 2 of the degradation ladder: abandon shadow/sunny handling
     /// for this change and replay the stock restart path —
-    /// `onSaveInstanceState` → destroy → recreate → resume — on
-    /// `old_instance`'s record. Any coupled partner instance (and its
-    /// record) is reclaimed first so the task stack never references a
-    /// dead instance.
+    /// `onSaveInstanceState`, then [`ActivityThread::relaunch`], the
+    /// method stock Android's relaunch calls — on `old_instance`'s
+    /// record. Any coupled partner instance (and its record) is
+    /// reclaimed first so the task stack never references a dead
+    /// instance.
     fn fallback_restart(
         &mut self,
         thread: &mut ActivityThread,
@@ -553,18 +554,12 @@ impl RchDroid {
             }
         };
 
-        // Stock destroy → recreate on the same record token, with the
+        // The stock relaunch on the same record token, with the
         // configuration the change was about.
         let token = thread.instance(old_instance)?.token();
         self.supervised_dead.insert(old_instance);
-        thread.destroy_activity(old_instance)?;
-        let new_instance = thread.perform_launch_activity(
-            model,
-            token,
-            atms.global_config().clone(),
-            bundle.as_ref(),
-        );
-        thread.resume_sequence(new_instance, false)?;
+        let config = atms.global_config().clone();
+        let new_instance = thread.relaunch(model, old_instance, config, bundle.as_ref())?;
         atms.set_record_state(token, RecordState::Resumed)?;
 
         let site_name = site.map_or("migration-error", FaultSite::name);

@@ -183,28 +183,7 @@ impl Device {
         base_memory_bytes: u64,
         complexity: f64,
     ) -> Result<String, DeviceError> {
-        // Foreground switch: background the old app's activity and
-        // release any shadow it holds.
-        if let Some(prev) = self.foreground_component() {
-            if let Some(p) = self.apps.get_mut(&prev) {
-                if let Some(instance) = p.foreground_instance() {
-                    let token = p
-                        .thread
-                        .instance(instance)
-                        .map(droidsim_app::Activity::token)
-                        .ok();
-                    let _ = p.thread.pause_stop_sequence(instance);
-                    if let Some(token) = token {
-                        let _ = self.atms.set_record_state(token, RecordState::Stopped);
-                    }
-                }
-                if self.mode.is_rchdroid() {
-                    p.rch
-                        .on_foreground_switched(&mut p.thread, &mut self.atms)
-                        .map_err(|e| DeviceError::Handling(e.to_string()))?;
-                }
-            }
-        }
+        self.background_foreground_app()?;
 
         let component = model.component_name().to_owned();
         if self.apps.contains_key(&component) {
@@ -248,6 +227,29 @@ impl Device {
         Ok(component)
     }
 
+    /// Backgrounds the foreground app, if any: pauses and stops its
+    /// foreground activity, marks its record `Stopped` and, under
+    /// RCHDroid, releases its shadow (§3.5's immediate-release rule).
+    fn background_foreground_app(&mut self) -> Result<(), DeviceError> {
+        let Some(p) = self
+            .foreground_component()
+            .and_then(|c| self.apps.get_mut(&c))
+        else {
+            return Ok(());
+        };
+        if let Some(a) = p.foreground_activity() {
+            let (instance, token) = (a.id(), a.token());
+            let _ = p.thread.pause_stop_sequence(instance);
+            let _ = self.atms.set_record_state(token, RecordState::Stopped);
+        }
+        if self.mode.is_rchdroid() {
+            p.rch
+                .on_foreground_switched(&mut p.thread, &mut self.atms)
+                .map_err(|e| DeviceError::Handling(e.to_string()))?;
+        }
+        Ok(())
+    }
+
     /// The component of the foreground activity, if any.
     pub fn foreground_component(&self) -> Option<String> {
         let record = self.atms.foreground_record()?;
@@ -269,57 +271,31 @@ impl Device {
         if !self.apps.contains_key(component) || self.is_crashed(component) {
             return Err(DeviceError::UnknownApp(component.to_owned()));
         }
-        let previous = self.foreground_component();
-        if previous.as_deref() == Some(component) {
+        if self.foreground_component().as_deref() == Some(component) {
             return Ok(());
         }
-
-        // Background the previous foreground app.
-        if let Some(prev) = previous {
-            let p = self.apps.get_mut(&prev).expect("installed");
-            if let Some(instance) = p.foreground_instance() {
-                let token = p
-                    .thread
-                    .instance(instance)
-                    .map(droidsim_app::Activity::token)
-                    .ok();
-                let _ = p.thread.pause_stop_sequence(instance);
-                if let Some(token) = token {
-                    let _ = self.atms.set_record_state(token, RecordState::Stopped);
-                }
-            }
-            if self.mode.is_rchdroid() {
-                p.rch
-                    .on_foreground_switched(&mut p.thread, &mut self.atms)
-                    .map_err(|e| DeviceError::Handling(e.to_string()))?;
-            }
-        }
+        self.background_foreground_app()?;
 
         // Bring the target's task to the front and resume its activity.
         let record = self
             .atms
             .bring_to_front(component)
             .ok_or_else(|| DeviceError::UnknownApp(component.to_owned()))?;
-        let saved_state = self.atms.record(record).and_then(|r| r.saved_state.clone());
-        let config = self.atms.global_config().clone();
         let p = self.apps.get_mut(component).expect("checked above");
-        if let Some(instance) = p.thread.instance_for_token(record) {
+        // An instance reclaimed under memory pressure is launched again
+        // from the bundle the system retained.
+        let instance = p.thread.instance_for_token(record).unwrap_or_else(|| {
+            let saved = self
+                .atms
+                .record(record)
+                .and_then(|r| r.saved_state.as_ref());
+            let config = self.atms.global_config().clone();
             p.thread
-                .resume_sequence(instance, false)
-                .map_err(|e| DeviceError::Handling(e.to_string()))?;
-        } else {
-            // The instance was reclaimed under memory pressure: relaunch
-            // it from the bundle the system retained.
-            let transaction = droidsim_app::ClientTransaction::new(record)
-                .with(droidsim_app::LifecycleItem::Launch {
-                    config,
-                    saved_state,
-                })
-                .with(droidsim_app::LifecycleItem::Resume { sunny: false });
-            p.thread
-                .execute_transaction(p.model.as_ref(), &transaction)
-                .map_err(|e| DeviceError::Handling(e.to_string()))?;
-        }
+                .perform_launch_activity(p.model.as_ref(), record, config, saved)
+        });
+        p.thread
+            .resume_sequence(instance, false)
+            .map_err(|e| DeviceError::Handling(e.to_string()))?;
         let _ = self.atms.set_record_state(record, RecordState::Resumed);
         let profile = p.cost_profile();
         let latency = self.cost.resume_existing(&profile);
@@ -577,16 +553,19 @@ impl Device {
                         )
                     }
                     ConfigDecision::Relaunch(_) => {
-                        // Stock relaunch: the ATMS ships a relaunch
-                        // ClientTransaction (save + destroy + recreate +
-                        // resume). Async tasks keep running against the
-                        // dead instance — the crash scenario.
-                        let transaction = droidsim_app::ClientTransaction::relaunch(
-                            record,
-                            self.atms.global_config().clone(),
-                        );
+                        // Stock relaunch: save, destroy, recreate, resume.
+                        // Async tasks keep running against the dead
+                        // instance — the crash scenario.
+                        let model = p.model.as_ref();
+                        let (current, saved) = p
+                            .thread
+                            .instance_for_token(record)
+                            .and_then(|id| p.thread.instance(id).ok())
+                            .map(|a| (a.id(), a.save_instance_state(model)))
+                            .ok_or(DeviceError::NoForegroundApp)?;
+                        let config = self.atms.global_config().clone();
                         p.thread
-                            .execute_transaction(p.model.as_ref(), &transaction)
+                            .relaunch(model, current, config, Some(&saved))
                             .map_err(|e| DeviceError::Handling(e.to_string()))?;
                         let _ = self.atms.set_record_state(record, RecordState::Resumed);
                         (

@@ -1,12 +1,12 @@
 //! Crash-safety soak: a bounded fleet with injected panics and stalls.
 //!
-//! Runs 40 top-100 app simulations under the supervised fleet with a 5 %
-//! `fleet-task` fault rate, a stall watchdog, two retries, and two apps
-//! hard-broken on purpose (they panic on every attempt). The run must
-//! finish — isolating every injected fault, retrying the transient ones,
-//! and quarantining the hard-broken pair — and exit 0 with a non-empty
-//! quarantine report. The journal and per-task crash dumps land under
-//! `target/soak/` so CI can archive them.
+//! Runs the Table 5 study's first 40 apps under the supervised fleet
+//! with a 5 % `fleet-task` fault rate, a stall watchdog, two retries,
+//! and two apps hard-broken on purpose (they panic on every attempt).
+//! The run must finish — isolating every injected fault, retrying the
+//! transient ones, and quarantining the hard-broken pair — and exit 0
+//! with a non-empty quarantine report. The journal and per-task crash
+//! dumps land under `target/soak/` so CI can archive them.
 //!
 //! ```text
 //! soak [--version]
@@ -25,9 +25,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_fleet::{run_fleet_supervised, FleetConfig, FleetOptions};
-use rch_experiments::daemon_exec::{app_digest, measure_app};
-use rch_workloads::top100_sample;
+use droidsim_fleet::{FleetConfig, FleetOptions};
+use rch_experiments::table5;
 
 const TASKS: usize = 40;
 const FAULT_RATE: f64 = 0.05;
@@ -63,7 +62,8 @@ fn main() {
     // sleep ending) is what reclaims the worker.
     opts.stall_for = Duration::from_secs(5);
 
-    let run = run_fleet_supervised(&cfg, &opts, top100_sample(TASKS), measure_app, app_digest)
+    let run = table5::STUDY
+        .run_first(TASKS, &cfg, &opts)
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);

@@ -5,16 +5,7 @@
 //! decomposition of each path straight from the calibrated model, so the
 //! aggregate latencies in Figs. 7/10/14 can be audited step by step.
 
-use droidsim_metrics::{AppCostProfile, CostModel};
-
-/// One step of a path's cost.
-#[derive(Debug, Clone)]
-pub struct Step {
-    /// Step label.
-    pub name: &'static str,
-    /// Cost in ms.
-    pub ms: f64,
-}
+use droidsim_metrics::{AppCostProfile, CostModel, CostStep};
 
 /// One handling path's decomposition.
 #[derive(Debug, Clone)]
@@ -22,13 +13,16 @@ pub struct PathBreakdown {
     /// Path label.
     pub path: &'static str,
     /// Steps in execution order.
-    pub steps: Vec<Step>,
+    pub steps: Vec<CostStep>,
 }
 
 impl PathBreakdown {
-    /// Sum over the steps.
+    /// Sum over the steps, in ms.
     pub fn total_ms(&self) -> f64 {
-        self.steps.iter().map(|s| s.ms).sum()
+        self.steps
+            .iter()
+            .map(|(_, cost)| cost.as_millis_f64())
+            .sum()
     }
 }
 
@@ -55,124 +49,37 @@ impl Breakdown {
                 path.path,
                 path.total_ms()
             ));
-            for step in &path.steps {
-                let share = step.ms / path.total_ms() * 100.0;
-                out.push_str(&format!(
-                    "  {:<28} {:>8.2} ms {:>5.1}%\n",
-                    step.name, step.ms, share
-                ));
+            for (name, cost) in &path.steps {
+                let ms = cost.as_millis_f64();
+                let share = ms / path.total_ms() * 100.0;
+                out.push_str(&format!("  {name:<28} {ms:>8.2} ms {share:>5.1}%\n"));
             }
         }
         out
     }
 }
 
-fn ms(d: droidsim_kernel::SimDuration) -> f64 {
-    d.as_millis_f64()
-}
-
-/// Computes the decomposition for a profile.
+/// Computes the decomposition for a profile: each change path's steps
+/// as the cost model lists them.
 pub fn breakdown(profile: AppCostProfile) -> Breakdown {
     let m = CostModel::calibrated();
     let p = &profile;
     let paths = vec![
         PathBreakdown {
             path: "Android-10 relaunch",
-            steps: vec![
-                Step {
-                    name: "IPC (2 hops)",
-                    ms: ms(m.ipc()) * 2.0,
-                },
-                Step {
-                    name: "destroy old instance",
-                    ms: ms(m.destroy(p)),
-                },
-                Step {
-                    name: "create new instance",
-                    ms: ms(m.create(p)),
-                },
-                Step {
-                    name: "inflate layout",
-                    ms: ms(m.inflate(p)),
-                },
-                Step {
-                    name: "restore instance state",
-                    ms: ms(m.restore(p)),
-                },
-                Step {
-                    name: "first measure/layout/draw",
-                    ms: ms(m.resume_fresh(p)),
-                },
-            ],
+            steps: m.android10_relaunch_steps(p).to_vec(),
         },
         PathBreakdown {
             path: "RCHDroid first change (init)",
-            steps: vec![
-                Step {
-                    name: "IPC (2 hops)",
-                    ms: ms(m.ipc()) * 2.0,
-                },
-                Step {
-                    name: "enter shadow + snapshot",
-                    ms: ms(m.shadow_enter(p)),
-                },
-                Step {
-                    name: "create sunny instance",
-                    ms: ms(m.create(p)),
-                },
-                Step {
-                    name: "inflate layout",
-                    ms: ms(m.inflate(p)),
-                },
-                Step {
-                    name: "restore from shadow bundle",
-                    ms: ms(m.restore(p)),
-                },
-                Step {
-                    name: "build essence mapping",
-                    ms: ms(m.mapping_build(p.view_count)),
-                },
-                Step {
-                    name: "couple instances",
-                    ms: ms(m.init_coupling()),
-                },
-                Step {
-                    name: "first measure/layout/draw",
-                    ms: ms(m.resume_fresh(p)),
-                },
-            ],
+            steps: m.rchdroid_init_steps(p).to_vec(),
         },
         PathBreakdown {
             path: "RCHDroid later change (flip)",
-            steps: vec![
-                Step {
-                    name: "IPC (2 hops)",
-                    ms: ms(m.ipc()) * 2.0,
-                },
-                Step {
-                    name: "search task stack",
-                    ms: ms(m.stack_search()),
-                },
-                Step {
-                    name: "reorder record to top",
-                    ms: ms(m.reorder()),
-                },
-                Step {
-                    name: "swap shadow/sunny states",
-                    ms: ms(m.state_swap()),
-                },
-                Step {
-                    name: "re-show existing instance",
-                    ms: ms(m.resume_existing(p)),
-                },
-            ],
+            steps: m.rchdroid_flip_steps(p).to_vec(),
         },
         PathBreakdown {
             path: "RuntimeDroid in-place",
-            steps: vec![Step {
-                name: "reload + reconstruct + relayout",
-                ms: ms(m.runtimedroid(p)),
-            }],
+            steps: vec![("reload + reconstruct + relayout", m.runtimedroid(p))],
         },
     ];
     Breakdown { profile, paths }
@@ -188,42 +95,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn steps_sum_to_the_composite_costs() {
-        let m = CostModel::calibrated();
-        let p = AppCostProfile::benchmark(7);
-        let b = breakdown(p);
-        let by_name = |n: &str| {
-            b.paths
-                .iter()
-                .find(|x| x.path.contains(n))
-                .unwrap()
-                .total_ms()
-        };
-        assert!((by_name("Android-10") - m.android10_relaunch(&p).as_millis_f64()).abs() < 1e-6);
-        assert!((by_name("init") - m.rchdroid_init(&p).as_millis_f64()).abs() < 1e-6);
-        assert!((by_name("flip") - m.rchdroid_flip(&p).as_millis_f64()).abs() < 1e-6);
-    }
-
-    #[test]
     fn flip_skips_creation_entirely() {
         let b = run();
         let flip = b.paths.iter().find(|p| p.path.contains("flip")).unwrap();
-        assert!(flip.steps.iter().all(|s| !s.name.contains("create")));
-        assert!(flip.steps.iter().all(|s| !s.name.contains("inflate")));
-        assert!(flip.steps.iter().all(|s| !s.name.contains("mapping")));
+        assert!(flip.steps.iter().all(|(name, _)| !name.contains("create")));
+        assert!(flip.steps.iter().all(|(name, _)| !name.contains("inflate")));
+        assert!(flip.steps.iter().all(|(name, _)| !name.contains("mapping")));
     }
 
     #[test]
     fn creation_dominates_the_init_path() {
         let b = run();
         let init = b.paths.iter().find(|p| p.path.contains("init")).unwrap();
-        let create = init
+        let (_, create) = init
             .steps
             .iter()
-            .find(|s| s.name.contains("create"))
+            .find(|(name, _)| name.contains("create"))
             .unwrap();
         assert!(
-            create.ms > init.total_ms() * 0.25,
+            create.as_millis_f64() > init.total_ms() * 0.25,
             "creation is the biggest single step"
         );
     }

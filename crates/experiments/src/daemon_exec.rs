@@ -2,10 +2,14 @@
 //! onto the real experiment harnesses.
 //!
 //! [`StudyExecutor`] is what `droidsimd` plugs into
-//! [`droidsim_daemon::Daemon::start`]. Each accepted job runs the same
-//! supervised fleet machinery as the standalone binaries —
-//! [`crate::table5`], [`crate::fig10`], [`crate::ablation`], or a
-//! fault-matrix campaign — wired to the daemon's cooperative controls:
+//! [`droidsim_daemon::Daemon::start`]. Each accepted job runs a study
+//! the standalone binaries run: a `table5 apps=N` job runs
+//! [`table5::STUDY`] over the first N top-100 apps
+//! ([`Study::run_first`](crate::Study::run_first)), a `fault-matrix
+//! tasks=N` job runs the same under an injected `fleet-task` fault
+//! rate, and `fig10` and `ablation` jobs run [`fig10::STUDY`] and
+//! [`ablation::STUDY`] whole. Each is wired to the daemon's cooperative
+//! controls:
 //!
 //! * the job's [`CancelToken`] goes into
 //!   [`FleetOptions::with_cancel`], so client cancels, blown deadlines
@@ -27,16 +31,10 @@
 use std::time::Duration;
 
 use droidsim_daemon::{JobControl, JobExecutor, JobKind, JobSpec, JobVerdict};
-use droidsim_device::HandlingMode;
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_fleet::{
-    run_fleet_supervised, CancelToken, Digest, FleetConfig, FleetError, FleetOptions, FleetRun,
-    TaskCtx,
-};
-use rch_workloads::{top100_sample, GenericAppSpec};
+use droidsim_fleet::{CancelToken, FleetConfig, FleetError, FleetOptions, FleetRun};
 
-use crate::scenario::{run_app, RunConfig};
-use crate::{ablation, fig10};
+use crate::{ablation, fig10, table5};
 
 /// The production [`JobExecutor`]: one instance serves every job the
 /// daemon schedules (see module docs).
@@ -56,10 +54,7 @@ pub fn run_study(spec: &JobSpec, ctl: &JobControl) -> JobVerdict {
     let cfg = FleetConfig::new(spec.inner_jobs, spec.seed);
     let opts = fleet_options(spec, ctl);
     match &spec.kind {
-        JobKind::Table5 { apps } => finish(
-            run_fleet_supervised(&cfg, &opts, top100_sample(*apps), measure_app, app_digest),
-            ctl,
-        ),
+        JobKind::Table5 { apps } => finish(table5::STUDY.run_first(*apps, &cfg, &opts), ctl),
         JobKind::Fig10 => finish(fig10::STUDY.run(&cfg, &opts), ctl),
         JobKind::Ablation => finish(ablation::STUDY.run(&cfg, &opts), ctl),
         JobKind::FaultMatrix { tasks, rate_pct } => {
@@ -67,10 +62,7 @@ pub fn run_study(spec: &JobSpec, ctl: &JobControl) -> JobVerdict {
                 FaultPlan::seeded(spec.seed)
                     .with_rate(FaultSite::FleetTask, f64::from(*rate_pct) / 100.0),
             );
-            finish(
-                run_fleet_supervised(&cfg, &opts, top100_sample(*tasks), measure_app, app_digest),
-                ctl,
-            )
+            finish(table5::STUDY.run_first(*tasks, &cfg, &opts), ctl)
         }
     }
 }
@@ -107,29 +99,6 @@ fn fleet_options(spec: &JobSpec, ctl: &JobControl) -> FleetOptions {
         opts = opts.resuming(path);
     }
     opts
-}
-
-/// One app simulation under RCHDroid defaults — the per-task body of
-/// the daemon's `table5` and `fault-matrix` jobs and of the crash-safety
-/// soak, so their results are comparable across every harness that
-/// samples the top-100 corpus.
-pub fn measure_app(_ctx: TaskCtx, spec: GenericAppSpec) -> (String, f64, f64) {
-    let outcome = run_app(&spec, &RunConfig::new(HandlingMode::rchdroid_default()));
-    (
-        spec.name.clone(),
-        outcome.mean_latency_ms(),
-        outcome.memory_mib,
-    )
-}
-
-/// The digest of one [`measure_app`] row: name, mean latency and PSS,
-/// bit-exact.
-pub fn app_digest(row: &(String, f64, f64)) -> u64 {
-    let mut d = Digest::new();
-    d.write_str(&row.0);
-    d.write_f64(row.1);
-    d.write_f64(row.2);
-    d.finish()
 }
 
 /// Folds a supervised run into the job verdict: cancellation first
@@ -179,6 +148,17 @@ mod tests {
             JobVerdict::Done { digest, .. } => digest,
             other => panic!("expected Done, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_full_table5_job_digests_as_the_table5_binary() {
+        let committed = include_str!("../../../tests/golden/digests.env")
+            .lines()
+            .find_map(|line| line.strip_prefix("TABLE5="))
+            .expect("TABLE5 in tests/golden/digests.env");
+        let spec = JobSpec::new(JobKind::Table5 { apps: 100 }).with_seed(0);
+        let digest = reference_digest(&spec).unwrap();
+        assert_eq!(format!("{digest:016x}"), committed);
     }
 
     #[test]

@@ -49,7 +49,20 @@ where
     /// Runs the study under fleet supervision: per-item outcomes in item
     /// order, their digests, and the fleet report.
     pub fn run(&self, cfg: &FleetConfig, opts: &FleetOptions) -> Result<FleetRun<R>, FleetError> {
-        run_fleet_supervised(cfg, opts, (self.items)(), self.measure, self.digest)
+        self.run_first(usize::MAX, cfg, opts)
+    }
+
+    /// [`Study::run`] over the study's first `n` items (every item when
+    /// it has fewer): a daemon job's or the soak's sized study.
+    pub fn run_first(
+        &self,
+        n: usize,
+        cfg: &FleetConfig,
+        opts: &FleetOptions,
+    ) -> Result<FleetRun<R>, FleetError> {
+        let mut items = (self.items)();
+        items.truncate(n);
+        run_fleet_supervised(cfg, opts, items, self.measure, self.digest)
     }
 
     /// The complete study on `cfg`'s workers, for callers that need

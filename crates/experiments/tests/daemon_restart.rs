@@ -51,15 +51,24 @@ fn killed_daemon_resumes_acknowledged_jobs_to_the_reference_digest() {
     let mut child = spawn_daemon(&socket, &journal);
     let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
 
-    // Table5 over 8 apps takes long enough on one worker that the kill
-    // below lands mid-backlog; seeds vary so digests are per-job.
+    // Table5 over 4 to 8 apps takes long enough on one worker that the
+    // kill below lands mid-backlog. The seed reaches no app run, so the
+    // sizes differ to give every job its own digest: a daemon that
+    // settled one job with another's result fails the check below.
     let specs: Vec<JobSpec> = (0..5)
         .map(|i| {
-            JobSpec::new(JobKind::Table5 { apps: 8 })
-                .with_seed(7_000 + i)
+            JobSpec::new(JobKind::Table5 { apps: 4 + i })
+                .with_seed(7_000 + i as u64)
                 .with_tag(format!("restart-{i}"))
         })
         .collect();
+    let expected: Vec<u64> = specs.iter().map(|s| reference_digest(s).unwrap()).collect();
+    for (i, a) in expected.iter().enumerate() {
+        assert!(
+            !expected[i + 1..].contains(a),
+            "jobs share a digest: {expected:x?}"
+        );
+    }
     let ids: Vec<u64> = specs
         .iter()
         .map(|spec| match client.submit(spec).unwrap() {
@@ -71,9 +80,9 @@ fn killed_daemon_resumes_acknowledged_jobs_to_the_reference_digest() {
 
     // Kill only once the backlog is genuinely mixed: at least one job
     // done (its terminal state journaled) and at least one still open.
-    // A job over 8 apps takes a few milliseconds, so the mixed window
-    // after the first completion lasts only about four jobs' time; the
-    // poll must be finer than that or it can step over the window.
+    // A job over 4 to 8 apps takes a few milliseconds, so the mixed
+    // window after the first completion lasts only about four jobs'
+    // time; the poll must be finer than that or it can step over it.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         assert!(
@@ -103,8 +112,7 @@ fn killed_daemon_resumes_acknowledged_jobs_to_the_reference_digest() {
 
     // Every acknowledged job — completed in life one or resumed in life
     // two — must settle Done with the jobs=1 reference digest.
-    for (spec, &id) in specs.iter().zip(&ids) {
-        let expected = reference_digest(spec).unwrap();
+    for (&expected, &id) in expected.iter().zip(&ids) {
         let deadline = Instant::now() + Duration::from_secs(120);
         let digest = loop {
             let status = client.wait(id, Duration::from_secs(5)).unwrap();

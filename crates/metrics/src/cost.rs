@@ -3,7 +3,8 @@
 //! Every constant is in milliseconds of virtual time and was calibrated
 //! once against the paper's reported numbers (see the calibration tests at
 //! the bottom of this file). Composite costs are sums of exactly the steps
-//! each protocol executes:
+//! each protocol executes, and the three change paths list theirs as
+//! [`CostStep`]s (`*_steps`), which the `breakdown` harness renders:
 //!
 //! | Protocol | Steps |
 //! |---|---|
@@ -18,6 +19,14 @@
 //! is exactly the configuration being flipped back to.
 
 use droidsim_kernel::SimDuration;
+
+/// One step of a protocol's cost: its label and its price.
+pub type CostStep = (&'static str, SimDuration);
+
+/// The saturating sum of `steps`, in order.
+fn total(steps: &[CostStep]) -> SimDuration {
+    steps.iter().map(|&(_, cost)| cost).sum()
+}
 
 /// Per-app scaling of the cost model.
 ///
@@ -294,36 +303,61 @@ impl CostModel {
 
     // ---- composite protocol costs ----
 
-    /// Stock Android 10: destroy + recreate.
+    /// Stock Android 10's relaunch, step by step: destroy + recreate.
+    pub fn android10_relaunch_steps(&self, p: &AppCostProfile) -> [CostStep; 6] {
+        [
+            ("IPC (2 hops)", self.ipc().saturating_mul(2)),
+            ("destroy old instance", self.destroy(p)),
+            ("create new instance", self.create(p)),
+            ("inflate layout", self.inflate(p)),
+            ("restore instance state", self.restore(p)),
+            ("first measure/layout/draw", self.resume_fresh(p)),
+        ]
+    }
+
+    /// Stock Android 10: the sum of [`CostModel::android10_relaunch_steps`].
     pub fn android10_relaunch(&self, p: &AppCostProfile) -> SimDuration {
-        self.ipc().saturating_mul(2)
-            + self.destroy(p)
-            + self.create(p)
-            + self.inflate(p)
-            + self.restore(p)
-            + self.resume_fresh(p)
+        total(&self.android10_relaunch_steps(p))
     }
 
-    /// RCHDroid's first runtime change (no shadow exists yet): shadow the
-    /// old instance, create the sunny one, build the mapping.
+    /// RCHDroid's first runtime change (no shadow exists yet), step by
+    /// step: shadow the old instance, create the sunny one, build the
+    /// mapping.
+    pub fn rchdroid_init_steps(&self, p: &AppCostProfile) -> [CostStep; 8] {
+        [
+            ("IPC (2 hops)", self.ipc().saturating_mul(2)),
+            ("enter shadow + snapshot", self.shadow_enter(p)),
+            ("create sunny instance", self.create(p)),
+            ("inflate layout", self.inflate(p)),
+            ("restore from shadow bundle", self.restore(p)),
+            ("build essence mapping", self.mapping_build(p.view_count)),
+            ("couple instances", self.init_coupling()),
+            ("first measure/layout/draw", self.resume_fresh(p)),
+        ]
+    }
+
+    /// RCHDroid's first runtime change: the sum of
+    /// [`CostModel::rchdroid_init_steps`].
     pub fn rchdroid_init(&self, p: &AppCostProfile) -> SimDuration {
-        self.ipc().saturating_mul(2)
-            + self.shadow_enter(p)
-            + self.create(p)
-            + self.inflate(p)
-            + self.restore(p)
-            + self.mapping_build(p.view_count)
-            + self.init_coupling()
-            + self.resume_fresh(p)
+        total(&self.rchdroid_init_steps(p))
     }
 
-    /// RCHDroid's steady state: coin-flip the coupled shadow back.
+    /// RCHDroid's steady state, step by step: coin-flip the coupled
+    /// shadow back.
+    pub fn rchdroid_flip_steps(&self, p: &AppCostProfile) -> [CostStep; 5] {
+        [
+            ("IPC (2 hops)", self.ipc().saturating_mul(2)),
+            ("search task stack", self.stack_search()),
+            ("reorder record to top", self.reorder()),
+            ("swap shadow/sunny states", self.state_swap()),
+            ("re-show existing instance", self.resume_existing(p)),
+        ]
+    }
+
+    /// RCHDroid's steady state: the sum of
+    /// [`CostModel::rchdroid_flip_steps`].
     pub fn rchdroid_flip(&self, p: &AppCostProfile) -> SimDuration {
-        self.ipc().saturating_mul(2)
-            + self.stack_search()
-            + self.reorder()
-            + self.state_swap()
-            + self.resume_existing(p)
+        total(&self.rchdroid_flip_steps(p))
     }
 
     /// An app that declared `android:configChanges`: one IPC delivers

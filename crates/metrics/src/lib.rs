@@ -35,7 +35,7 @@ pub mod stats;
 pub mod trace;
 
 pub use analysis::AnalysisLedger;
-pub use cost::{AppCostProfile, CostModel, CostParams};
+pub use cost::{AppCostProfile, CostModel, CostParams, CostStep};
 pub use daemon::DaemonLedger;
 pub use energy::EnergyModel;
 pub use faults::FaultMetrics;
