@@ -4,7 +4,7 @@
 //! This is the half of the Android framework that lives inside each app's
 //! process (Fig. 2a of the paper): the **activity thread** owns activity
 //! *instances*, each with a view tree, and is the only thread allowed to
-//! touch views; async work finishes by posting back to it.
+//! touch views; async work finishes by running its callback on it.
 //!
 //! The paper's patch surface here (Table 2):
 //!
@@ -31,4 +31,4 @@ pub use activity::{Activity, ActivityInstanceId};
 pub use fragment::{AttachedFragment, FragmentError, FragmentSpec};
 pub use model::{AppModel, AsyncResult, AsyncSpec, SimpleApp};
 pub use state::{ActivityState, StateError};
-pub use thread::{ActivityThread, AsyncWork, ThreadError, UiMessage};
+pub use thread::{ActivityThread, AsyncWork, ThreadError};

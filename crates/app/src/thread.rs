@@ -1,4 +1,5 @@
-//! The activity thread: instance table, async tasks, UI message queue.
+//! The activity thread: instance table, in-flight async callbacks,
+//! inflation cache.
 
 use crate::activity::{self, Activity, ActivityInstanceId};
 use crate::model::{AppModel, AsyncResult, AsyncSpec};
@@ -8,9 +9,8 @@ use droidsim_atms::ActivityRecordId;
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
 use droidsim_kernel::{memo, IdGen, SimTime};
-use droidsim_looper::{AsyncTaskId, AsyncTaskPool, MessageQueue};
 use droidsim_view::{InflateStats, ViewError, ViewTree};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A completed background task heading for the UI thread: which instance's
 /// callback runs and what it does.
@@ -20,13 +20,6 @@ pub struct AsyncWork {
     pub instance: ActivityInstanceId,
     /// The callback's effect.
     pub result: AsyncResult,
-}
-
-/// Messages on the UI thread's queue.
-#[derive(Debug, Clone, PartialEq)]
-pub enum UiMessage {
-    /// An async task finished; run its callback.
-    AsyncResult(AsyncWork),
 }
 
 /// Activity-thread errors.
@@ -132,8 +125,8 @@ impl Drop for InflationCache {
 
 /// One app process's activity thread.
 ///
-/// Owns the activity instances, the in-flight async tasks and the UI
-/// message queue. The paper's `ActivityThread` patch (+91 LoC) adds the
+/// Owns the activity instances and the in-flight async callbacks. The
+/// paper's `ActivityThread` patch (+91 LoC) adds the
 /// `current_shadow`/`current_sunny` pointers and hooks three functions;
 /// the pointers live here, the behaviour is driven by the change handler.
 ///
@@ -166,12 +159,20 @@ impl Drop for InflationCache {
 /// ```
 #[derive(Debug)]
 pub struct ActivityThread {
+    /// Every instance the thread has created. A destroyed one stays, so a
+    /// late callback still finds it and crashes as on stock Android.
     instances: BTreeMap<ActivityInstanceId, Activity>,
+    /// The instances not yet destroyed, so the scans for live ones skip
+    /// the destroyed ones the table keeps.
+    alive: BTreeSet<ActivityInstanceId>,
     ids: IdGen,
     current_shadow: Option<ActivityInstanceId>,
     current_sunny: Option<ActivityInstanceId>,
-    tasks: AsyncTaskPool<AsyncWork>,
-    ui_queue: MessageQueue<UiMessage>,
+    /// In-flight async callbacks keyed by (deadline, start order): the
+    /// order the UI thread runs them in.
+    pending: BTreeMap<(SimTime, u64), AsyncWork>,
+    /// How many async tasks the thread has started.
+    started: u64,
     inflations: InflationCache,
 }
 
@@ -180,11 +181,12 @@ impl ActivityThread {
     pub fn new() -> Self {
         ActivityThread {
             instances: BTreeMap::new(),
+            alive: BTreeSet::new(),
             ids: IdGen::new(),
             current_shadow: None,
             current_sunny: None,
-            tasks: AsyncTaskPool::new(),
-            ui_queue: MessageQueue::new(),
+            pending: BTreeMap::new(),
+            started: 0,
             inflations: InflationCache::default(),
         }
     }
@@ -206,6 +208,7 @@ impl ActivityThread {
         let mut activity = Activity::new(id, token, model.component_name(), config);
         activity.create_from(tree, stats, model, saved);
         self.instances.insert(id, activity);
+        self.alive.insert(id);
         id
     }
 
@@ -335,6 +338,7 @@ impl ActivityThread {
     pub fn destroy_activity(&mut self, id: ActivityInstanceId) -> Result<(), ThreadError> {
         let a = self.instance_mut(id)?;
         a.destroy();
+        self.alive.remove(&id);
         if self.current_shadow == Some(id) {
             self.current_shadow = None;
         }
@@ -367,7 +371,9 @@ impl ActivityThread {
         Ok(id)
     }
 
-    /// Starts a background task whose callback targets `instance`.
+    /// Starts a background task at `now` whose callback targets
+    /// `instance` and comes due after `spec.duration`. Nothing cancels it:
+    /// like the paper's apps, a task outlives the instance it captured.
     ///
     /// # Errors
     ///
@@ -377,37 +383,32 @@ impl ActivityThread {
         instance: ActivityInstanceId,
         spec: AsyncSpec,
         now: SimTime,
-    ) -> Result<AsyncTaskId, ThreadError> {
+    ) -> Result<(), ThreadError> {
         if !self.instances.contains_key(&instance) {
             return Err(ThreadError::UnknownInstance(instance));
         }
-        Ok(self.tasks.spawn(
-            now,
-            spec.duration,
-            AsyncWork {
-                instance,
-                result: spec.result,
-            },
-        ))
+        let work = AsyncWork {
+            instance,
+            result: spec.result,
+        };
+        self.pending
+            .insert((now + spec.duration, self.started), work);
+        self.started += 1;
+        Ok(())
     }
 
-    /// Moves finished tasks onto the UI queue (worker thread → looper).
-    pub fn pump_async(&mut self, now: SimTime) {
-        for completion in self.tasks.completions_until(now) {
-            self.ui_queue.post(
-                completion.finished_at,
-                UiMessage::AsyncResult(completion.payload),
-            );
+    /// Removes and returns the callbacks due at or before `now`, by
+    /// deadline and then by start order: the order the UI thread runs
+    /// them in.
+    pub fn take_due_async(&mut self, now: SimTime) -> Vec<AsyncWork> {
+        let mut due = Vec::new();
+        while let Some(entry) = self.pending.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            due.push(entry.remove());
         }
-    }
-
-    /// Drains UI messages due at or before `now`.
-    pub fn drain_ui(&mut self, now: SimTime) -> Vec<UiMessage> {
-        self.ui_queue
-            .drain_until(now)
-            .into_iter()
-            .map(|m| m.what)
-            .collect()
+        due
     }
 
     /// Runs one async callback against its instance (the UI thread's
@@ -431,13 +432,9 @@ impl ActivityThread {
         Ok(())
     }
 
-    /// The earliest instant at which new work becomes due (async deadline
-    /// or queued UI message).
+    /// The earliest deadline among the in-flight async callbacks.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        match (self.tasks.next_deadline(), self.ui_queue.next_due()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.pending.first_key_value().map(|(&(at, _), _)| at)
     }
 
     /// Looks up an instance.
@@ -511,34 +508,27 @@ impl ActivityThread {
         self.current_sunny = id;
     }
 
-    /// Number of in-flight async tasks.
-    pub fn async_task_count(&self) -> usize {
-        self.tasks.len()
+    /// The alive (non-destroyed) instances, in id order.
+    fn alive_activities(&self) -> impl Iterator<Item = &Activity> {
+        self.alive
+            .iter()
+            .filter_map(|id| self.instances.get(id))
+            .filter(|a| a.state().is_alive())
     }
 
     /// Alive (non-destroyed) instances.
     pub fn alive_instances(&self) -> Vec<ActivityInstanceId> {
-        self.instances
-            .values()
-            .filter(|a| a.state().is_alive())
-            .map(Activity::id)
-            .collect()
+        self.alive_activities().map(Activity::id).collect()
     }
 
     /// Total heap footprint of alive instances, in bytes.
     pub fn heap_bytes(&self) -> u64 {
-        self.instances
-            .values()
-            .filter(|a| a.state().is_alive())
-            .map(Activity::heap_bytes)
-            .sum()
+        self.alive_activities().map(Activity::heap_bytes).sum()
     }
 
     /// Finds the instance bound to a record token.
     pub fn instance_for_token(&self, token: ActivityRecordId) -> Option<ActivityInstanceId> {
-        self.instances
-            .values()
-            .filter(|a| a.state().is_alive())
+        self.alive_activities()
             .find(|a| a.token() == token)
             .map(Activity::id)
     }
@@ -606,14 +596,15 @@ mod tests {
         let (mut thread, model, id) = launched();
         let spec = model.button_task();
         thread.start_async(id, spec, SimTime::ZERO).unwrap();
-        assert_eq!(thread.async_task_count(), 1);
         assert_eq!(thread.next_wakeup(), Some(SimTime::from_secs(5)));
+        assert!(thread
+            .take_due_async(SimTime::from_millis(4_999))
+            .is_empty());
 
-        thread.pump_async(SimTime::from_secs(5));
-        let messages = thread.drain_ui(SimTime::from_secs(5));
-        assert_eq!(messages.len(), 1);
-        let UiMessage::AsyncResult(work) = &messages[0];
-        thread.deliver_async(&model, work).unwrap();
+        let due = thread.take_due_async(SimTime::from_secs(5));
+        assert_eq!(due.len(), 1);
+        assert_eq!(thread.next_wakeup(), None, "taken once");
+        thread.deliver_async(&model, &due[0]).unwrap();
         let a = thread.instance(id).unwrap();
         let img = a.tree.find_by_id_name("image_1").unwrap();
         assert_eq!(
@@ -638,16 +629,56 @@ mod tests {
             .unwrap();
         // The restart destroys the instance but does NOT cancel the task.
         thread.destroy_activity(id).unwrap();
-        assert_eq!(thread.async_task_count(), 1);
+        assert_eq!(thread.next_wakeup(), Some(SimTime::from_secs(5)));
 
-        thread.pump_async(SimTime::from_secs(5));
-        let messages = thread.drain_ui(SimTime::from_secs(5));
-        let UiMessage::AsyncResult(work) = &messages[0];
-        let err = thread.deliver_async(&model, work).unwrap_err();
+        let due = thread.take_due_async(SimTime::from_secs(5));
+        let err = thread.deliver_async(&model, &due[0]).unwrap_err();
         match err {
             ThreadError::View(v) => assert!(v.is_crash()),
             other => panic!("expected a crash, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_thousand_relaunches_leave_one_alive_instance_and_a_crashing_callback() {
+        let (mut thread, model, first) = launched();
+        let token = thread.instance(first).unwrap().token();
+        thread
+            .start_async(first, model.button_task(), SimTime::ZERO)
+            .unwrap();
+        let configs = [
+            Configuration::phone_landscape(),
+            Configuration::phone_portrait(),
+        ];
+        let mut current = first;
+        for round in 0..1_000 {
+            let saved = thread
+                .instance(current)
+                .unwrap()
+                .save_instance_state(&model);
+            current = thread
+                .relaunch(&model, current, configs[round % 2].clone(), Some(&saved))
+                .unwrap();
+        }
+        assert_eq!(thread.alive_instances(), vec![current]);
+        assert_eq!(thread.instance_for_token(token), Some(current));
+        assert_eq!(
+            thread.heap_bytes(),
+            thread.instance(current).unwrap().heap_bytes()
+        );
+        assert_eq!(
+            thread.instance(first).unwrap().state(),
+            ActivityState::Destroyed,
+            "the first instance stays in the table, destroyed"
+        );
+        let due = thread.take_due_async(SimTime::from_secs(5));
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].instance, first, "the callback kept its capture");
+        let err = thread.deliver_async(&model, &due[0]).unwrap_err();
+        assert!(
+            err.to_string().contains("NullPointerException"),
+            "stock Android's crash: {err}"
+        );
     }
 
     #[test]
@@ -673,11 +704,9 @@ mod tests {
             .unwrap();
         thread.enter_shadow(id, &model).unwrap();
 
-        thread.pump_async(SimTime::from_secs(5));
-        let messages = thread.drain_ui(SimTime::from_secs(5));
-        let UiMessage::AsyncResult(work) = &messages[0];
+        let due = thread.take_due_async(SimTime::from_secs(5));
         // The shadow instance is alive: the callback succeeds.
-        thread.deliver_async(&model, work).unwrap();
+        thread.deliver_async(&model, &due[0]).unwrap();
         let a = thread.instance_mut(id).unwrap();
         assert_eq!(
             a.tree.drain_invalidations().len(),
@@ -803,8 +832,7 @@ mod tests {
 
     /// Delivers every async result due by `at` on `thread`.
     fn deliver_due(thread: &mut ActivityThread, model: &dyn AppModel, at: SimTime) {
-        thread.pump_async(at);
-        for UiMessage::AsyncResult(work) in thread.drain_ui(at) {
+        for work in thread.take_due_async(at) {
             thread.deliver_async(model, &work).unwrap();
         }
     }

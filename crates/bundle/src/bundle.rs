@@ -1,6 +1,5 @@
 //! The [`Bundle`] container and its [`Value`] variants.
 
-use crate::parcel::Parcel;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -39,6 +38,25 @@ macro_rules! value_from {
             }
         }
     };
+}
+
+impl Value {
+    /// The bytes this value takes in a parcel after its type tag: a scalar
+    /// its width, a string, blob or list a 4-byte length and then its items
+    /// (each string of a list length-prefixed again), a nested bundle its
+    /// [`Bundle::parcel_size`].
+    fn payload_size(&self) -> usize {
+        match self {
+            Value::Bool(_) => 1,
+            Value::I32(_) => 4,
+            Value::I64(_) | Value::F64(_) => 8,
+            Value::Str(s) => 4 + s.len(),
+            Value::Blob(bytes) => 4 + bytes.len(),
+            Value::I32List(items) => 4 + 4 * items.len(),
+            Value::StrList(items) => items.iter().fold(4, |size, s| size + 4 + s.len()),
+            Value::Nested(bundle) => bundle.parcel_size(),
+        }
+    }
 }
 
 value_from!(bool => Bool);
@@ -236,12 +254,14 @@ impl Bundle {
         }
     }
 
-    /// The size in bytes of this bundle flattened into a [`Parcel`] — used
-    /// by the memory model to account for the shadow activity's saved state.
+    /// The size in bytes of this bundle flattened into a binder parcel —
+    /// used by the memory model to account for the shadow activity's saved
+    /// state. A bundle is a 4-byte entry count, then per entry a 4-byte key
+    /// length, the UTF-8 key, a 1-byte type tag and the value's payload.
     pub fn parcel_size(&self) -> usize {
-        let mut parcel = Parcel::new();
-        parcel.write_bundle(self);
-        parcel.len()
+        self.iter().fold(4, |size, (key, value)| {
+            size + 4 + key.len() + 1 + value.payload_size()
+        })
     }
 }
 
@@ -333,6 +353,31 @@ mod tests {
         let mut big = small.clone();
         big.put_string("text", &"x".repeat(1000));
         assert!(big.parcel_size() > small.parcel_size() + 900);
+    }
+
+    #[test]
+    fn every_variant_counts_the_pinned_parcel_bytes() {
+        assert_eq!(Bundle::new().parcel_size(), 4, "the entry count alone");
+        let mut inner = Bundle::new();
+        inner.put_i32("n", 7);
+        let mut b = Bundle::new();
+        b.put_bool("a", true);
+        b.put_i32("b", -2);
+        b.put_i64("c", 1 << 40);
+        b.put_f64("d", 0.5);
+        b.put_string("e", "hi");
+        b.put("f", vec![0u8, 255]);
+        b.put("g", vec![1i32, -1]);
+        b.put("h", vec!["x".to_owned(), String::new()]);
+        b.put_bundle("i", inner);
+        // Entry count, then per entry: a 4-byte key length, a 1-byte key
+        // and a 1-byte tag, then the payload — scalars at their width;
+        // strings, blobs and lists behind a 4-byte length.
+        assert_eq!(
+            b.parcel_size(),
+            130,
+            "4 + 7 + 10 + 14 + 14 + 12 + 12 + 18 + 19 + 20"
+        );
     }
 
     #[test]

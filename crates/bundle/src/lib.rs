@@ -1,12 +1,13 @@
-//! `Bundle` and `Parcel`: the typed key-value containers Android uses for
-//! instance state.
+//! `Bundle`: the typed key-value container Android uses for instance
+//! state.
 //!
 //! RCHDroid's view-tree migration (§3.3 of the paper) works by explicitly
 //! calling `onSaveInstanceState` on the shadow-state activity, which
 //! recursively saves every view's state into a [`Bundle`], and then
 //! initialising the sunny-state activity from that bundle. This crate
-//! provides that container plus a byte-accurate [`Parcel`] flattening used
-//! by the memory model to account for saved-state footprints.
+//! provides that container and its byte-accurate parcel size
+//! ([`Bundle::parcel_size`]), which the memory model counts as the
+//! saved-state footprint.
 //!
 //! # Examples
 //!
@@ -21,7 +22,5 @@
 //! ```
 
 pub mod bundle;
-pub mod parcel;
 
 pub use bundle::{Bundle, Value};
-pub use parcel::{Parcel, ParcelReader};

@@ -839,13 +839,11 @@ mod tests {
         let outcome = rotate(&mut rig, SimTime::from_millis(100));
 
         // Task returns at t = 5 s, onto the SHADOW instance.
-        rig.thread.pump_async(SimTime::from_secs(5));
-        let messages = rig.thread.drain_ui(SimTime::from_secs(5));
-        assert_eq!(messages.len(), 1);
-        let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
+        let due = rig.thread.take_due_async(SimTime::from_secs(5));
+        assert_eq!(due.len(), 1);
         let report = rig
             .rch
-            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, &due[0])
             .unwrap()
             .report()
             .expect("migration ran");
@@ -883,12 +881,10 @@ mod tests {
                 SimTime::from_secs(1),
             )
             .unwrap();
-        rig.thread.pump_async(SimTime::from_secs(6));
-        let messages = rig.thread.drain_ui(SimTime::from_secs(6));
-        let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
+        let due = rig.thread.take_due_async(SimTime::from_secs(6));
         let delivery = rig
             .rch
-            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, &due[0])
             .unwrap();
         assert_eq!(delivery, AsyncDelivery::Delivered);
         assert!(delivery.report().is_none());
@@ -1076,12 +1072,10 @@ mod tests {
         let outcome = rotate(&mut rig, SimTime::from_millis(100));
         rig.rch
             .arm_faults(FaultPlan::seeded(13).on_nth_probe(FaultSite::AsyncCallbackPanic, 1));
-        rig.thread.pump_async(SimTime::from_secs(5));
-        let messages = rig.thread.drain_ui(SimTime::from_secs(5));
-        let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
+        let due = rig.thread.take_due_async(SimTime::from_secs(5));
         let delivery = rig
             .rch
-            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, &due[0])
             .unwrap();
         assert_eq!(delivery, AsyncDelivery::CallbackPanicked);
         // Rung 1: the callback was dropped, both instances live on.
@@ -1123,12 +1117,10 @@ mod tests {
         // The delivery dirties 3 views × 100 µs against a 50 µs budget:
         // the watchdog fires and the delivery degrades to a fallback
         // restart of the foreground.
-        rig.thread.pump_async(SimTime::from_secs(5));
-        let messages = rig.thread.drain_ui(SimTime::from_secs(5));
-        let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
+        let due = rig.thread.take_due_async(SimTime::from_secs(5));
         let delivery = rig
             .rch
-            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, work)
+            .on_async_delivered(&mut rig.thread, &mut rig.atms, &rig.model, &due[0])
             .unwrap();
         assert_eq!(
             delivery,

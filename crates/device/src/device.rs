@@ -3,7 +3,7 @@
 use crate::events::{DeviceEvent, HandlingPath};
 use crate::process::AppProcess;
 use core::fmt;
-use droidsim_app::{AppModel, AsyncSpec, UiMessage};
+use droidsim_app::{AppModel, AsyncSpec};
 use droidsim_atms::{Atms, ConfigDecision, Intent, RecordState};
 use droidsim_config::Configuration;
 use droidsim_faults::FaultPlan;
@@ -651,9 +651,9 @@ impl Device {
         })
     }
 
-    /// Advances the virtual clock by `duration`, delivering async-task
-    /// completions and UI messages as they come due and running the shadow
-    /// GC (RCHDroid mode) on its interval.
+    /// Advances the virtual clock by `duration`, running each async
+    /// callback at its deadline and the shadow GC (RCHDroid mode) on its
+    /// interval.
     pub fn advance(&mut self, duration: SimDuration) {
         let target = self.clock + duration;
         loop {
@@ -684,7 +684,7 @@ impl Device {
                 continue;
             }
 
-            // Async completions + UI dispatch for every live app.
+            // Due async callbacks, for every live app.
             self.pump_apps_until(next);
         }
         self.clock = self.clock.max(target);
@@ -719,10 +719,12 @@ impl Device {
             if p.crashed.is_some() {
                 continue;
             }
-            p.thread.pump_async(now);
-            let messages = p.thread.drain_ui(now);
-            for message in messages {
-                let UiMessage::AsyncResult(work) = message;
+            for work in p.thread.take_due_async(now) {
+                // A process that died on an earlier callback runs none of
+                // the others.
+                if p.crashed.is_some() {
+                    break;
+                }
                 match self.mode {
                     HandlingMode::RchDroid(..) => {
                         match p.rch.on_async_delivered(
@@ -895,7 +897,7 @@ impl fmt::Debug for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use droidsim_app::SimpleApp;
+    use droidsim_app::{AsyncResult, SimpleApp};
     use droidsim_view::ViewOp;
 
     fn device_with_app(mode: HandlingMode, views: usize) -> (Device, String) {
@@ -962,6 +964,38 @@ mod tests {
             0,
             "process gone"
         );
+    }
+
+    #[test]
+    fn a_dead_process_runs_none_of_its_other_due_callbacks() {
+        // Two presses at one instant, then a relaunch: both callbacks come
+        // due together, and both captured the destroyed instance. The
+        // first one's NullPointerException kills the process, so the
+        // second, which would leak a dialog's window, never runs.
+        let (mut d, c) = device_with_app(HandlingMode::Android10, 4);
+        d.start_async_on_foreground(SimpleApp::with_views(4).button_task())
+            .unwrap();
+        let dialog = AsyncSpec {
+            duration: SimDuration::from_secs(5),
+            result: AsyncResult {
+                ops: Vec::new(),
+                shows_dialog: true,
+            },
+        };
+        d.start_async_on_foreground(dialog).unwrap();
+        d.rotate().unwrap();
+        d.advance(SimDuration::from_secs(10));
+        let crashes: Vec<&str> = d
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                DeviceEvent::Crash { exception, .. } => Some(exception.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashes.len(), 1, "one process death, one crash");
+        assert!(crashes[0].contains("NullPointerException"), "{crashes:?}");
+        assert_eq!(d.process(&c).unwrap().crash(), Some(crashes[0]));
     }
 
     #[test]

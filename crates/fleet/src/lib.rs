@@ -3,7 +3,7 @@
 //! Every experiment harness in this workspace — the top-100 study, the
 //! Fig. 10 sweeps, the fault matrix, the ablations — simulates *devices*:
 //! fully self-contained state machines with their own virtual clock,
-//! event queue, logcat buffer, and metrics sinks. Two devices never share
+//! event log, logcat buffer, and metrics sinks. Two devices never share
 //! state, so a study over N devices is embarrassingly parallel. This
 //! crate partitions that work across a [`std::thread::scope`]-based pool
 //! while keeping the result of a parallel run **bit-identical** to the

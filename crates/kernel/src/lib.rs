@@ -2,12 +2,9 @@
 //!
 //! The whole RCHDroid reproduction runs on a *virtual* clock: there are no OS
 //! threads, no wall-clock reads, and every run is reproducible from a seed.
-//! This crate provides the three primitives everything else builds on:
+//! This crate provides the primitives everything else builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time,
-//! * [`EventQueue`] — a monotone priority queue of timestamped events with
-//!   FIFO tie-breaking (two events scheduled for the same instant fire in the
-//!   order they were scheduled),
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, dependency-free deterministic
 //!   PRNGs used for workload generation and jitter injection,
 //! * [`IdGen`] — monotonically increasing id allocation for tokens, views,
@@ -23,13 +20,14 @@
 //! # Examples
 //!
 //! ```
-//! use droidsim_kernel::{EventQueue, SimDuration, SimTime};
+//! use droidsim_kernel::{SimDuration, SimTime, Xoshiro256};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(5), "second");
-//! q.schedule(SimTime::ZERO, "first");
-//! assert_eq!(q.pop().map(|e| e.payload), Some("first"));
-//! assert_eq!(q.pop().map(|e| e.payload), Some("second"));
+//! let deadline = SimTime::ZERO + SimDuration::from_secs(5);
+//! assert!(SimTime::from_millis(4_999) < deadline);
+//! assert_eq!(deadline.as_millis_f64(), 5_000.0);
+//!
+//! let (mut a, mut b) = (Xoshiro256::seed_from(7), Xoshiro256::seed_from(7));
+//! assert_eq!(a.next_u64(), b.next_u64(), "one seed, one stream");
 //! ```
 
 pub mod alloc_track;
@@ -37,12 +35,10 @@ pub mod id;
 pub mod intern;
 pub mod journal;
 pub mod memo;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use id::IdGen;
 pub use intern::Symbol;
-pub use queue::{Event, EventQueue};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use time::{SimDuration, SimTime};

@@ -329,10 +329,8 @@ mod tests {
         RuntimeDroid::new()
             .handle_configuration_change(&mut thread, &mut atms, &model)
             .unwrap();
-        thread.pump_async(droidsim_kernel::SimTime::from_secs(5));
-        let messages = thread.drain_ui(droidsim_kernel::SimTime::from_secs(5));
-        let droidsim_app::UiMessage::AsyncResult(work) = &messages[0];
-        thread.deliver_async(&model, work).unwrap();
+        let due = thread.take_due_async(droidsim_kernel::SimTime::from_secs(5));
+        thread.deliver_async(&model, &due[0]).unwrap();
     }
 
     #[test]

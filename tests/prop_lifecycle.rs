@@ -1,8 +1,12 @@
-//! Property tests on the activity lifecycle state machine (Fig. 4) and
-//! the deterministic simulation kernel.
+//! Property tests on the activity lifecycle state machine (Fig. 4), the
+//! activity thread's async callbacks and the deterministic simulation
+//! kernel.
 
-use droidsim_app::ActivityState;
-use droidsim_kernel::{EventQueue, SimTime, Xoshiro256};
+use droidsim_app::{ActivityState, ActivityThread, AsyncResult, AsyncSpec, SimpleApp};
+use droidsim_atms::ActivityRecordId;
+use droidsim_config::Configuration;
+use droidsim_kernel::{SimDuration, SimTime, Xoshiro256};
+use droidsim_view::ViewOp;
 use proptest::prelude::*;
 
 const ALL_STATES: [ActivityState; 8] = [
@@ -60,23 +64,68 @@ proptest! {
     }
 
     #[test]
-    fn event_queue_pops_sorted_and_stable(times in proptest::collection::vec(0u64..1_000, 0..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
+    fn async_callbacks_come_due_once_in_deadline_then_start_order(
+        mut tasks in proptest::collection::vec((0u64..1_000, 0u64..1_000), 0..64),
+        steps in proptest::collection::vec(0u64..120, 0..16),
+    ) {
+        let model = SimpleApp::with_views(1);
+        let mut thread = ActivityThread::new();
+        let id = thread.perform_launch_activity(
+            &model,
+            ActivityRecordId::new(0),
+            Configuration::phone_portrait(),
+            None,
+        );
+        // Tasks start in clock order; each callback names its start index.
+        tasks.sort_by_key(|&(start, _)| start);
+        let deadlines: Vec<SimTime> = tasks
+            .iter()
+            .map(|&(start, run)| SimTime::from_micros(start + run))
+            .collect();
+        for (i, &(start, run)) in tasks.iter().enumerate() {
+            let spec = AsyncSpec {
+                duration: SimDuration::from_micros(run),
+                result: AsyncResult {
+                    ops: vec![("button".to_owned(), ViewOp::SetText(i.to_string()))],
+                    shows_dialog: false,
+                },
+            };
+            thread.start_async(id, spec, SimTime::from_micros(start)).unwrap();
         }
-        let mut popped = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push((e.at, e.payload));
+
+        // Take at increasing instants, the last one past every deadline.
+        let mut at = 0;
+        let instants = steps
+            .iter()
+            .map(|step| {
+                at += step;
+                at
+            })
+            .chain([2_000]);
+        let mut taken: Vec<usize> = Vec::new();
+        let mut previous = None;
+        for now in instants.map(SimTime::from_micros) {
+            let pending = (0..tasks.len()).filter(|i| !taken.contains(i));
+            prop_assert_eq!(thread.next_wakeup(), pending.map(|i| deadlines[i]).min());
+            for work in thread.take_due_async(now) {
+                let ViewOp::SetText(label) = &work.result.ops[0].1 else {
+                    unreachable!("every callback sets a text")
+                };
+                let i: usize = label.parse().unwrap();
+                prop_assert!(deadlines[i] <= now, "never before its deadline");
+                prop_assert!(
+                    previous.is_none_or(|before| deadlines[i] > before),
+                    "taken at the first instant at or after its deadline"
+                );
+                taken.push(i);
+            }
+            previous = Some(now);
         }
-        // Sorted by time…
-        prop_assert!(popped.windows(2).all(|w| w[0].0 <= w[1].0));
-        // …and FIFO within equal times.
-        prop_assert!(popped
-            .windows(2)
-            .all(|w| w[0].0 < w[1].0 || w[0].1 < w[1].1));
-        // Nothing lost.
-        prop_assert_eq!(popped.len(), times.len());
+        prop_assert_eq!(thread.next_wakeup(), None);
+        // Each callback exactly once, by deadline and then start order.
+        let mut expected: Vec<usize> = (0..tasks.len()).collect();
+        expected.sort_by_key(|&i| (deadlines[i], i));
+        prop_assert_eq!(taken, expected);
     }
 
     #[test]
