@@ -15,9 +15,10 @@ ci: build test fmt clippy doc rchbench-test fault-matrix fleet-determinism \
 # under RCHDroid's one handling mode.
 FAULT_SEEDS ?= 1 2 3 5 8
 
-# --locked: the committed Cargo.lock must already match the manifests.
+# --offline: every dependency is vendored or in-tree. --locked: the
+# committed Cargo.lock must already match the manifests.
 build:
-	$(CARGO) build --release --locked
+	$(CARGO) build --release --offline --locked
 
 test:
 	$(CARGO) test -q --workspace --offline
@@ -129,7 +130,8 @@ daemon-soak:
 
 # Chaos soak (DESIGN.md §14): the daemon edge under injected I/O
 # faults. Phase 1 forces an ENOSPC window (--enospc-window) and
-# requires the full degraded -> recovered round trip on disk; phase 2
+# requires the full degraded -> recovered round trip, waiting on the
+# daemon's `cmd=health` between its two bursts; phase 2
 # floods a daemon running 5% journal/socket faults at 2x capacity with
 # 20% deliberately lost acks and a SIGKILL/restart mid-backlog. Gate:
 # zero lost acknowledged jobs, zero duplicated executions, explicit

@@ -188,12 +188,12 @@ impl Activity {
     /// (pausing/stopping as needed) and releases the view tree. This is
     /// what a relaunch or `finish()` does.
     ///
-    /// The instance itself stays on its thread, so a callback captured
-    /// before the destroy still finds it and crashes with `NullPointer`
-    /// (or `WindowLeaked` for a dialog) exactly as on stock Android. Its
-    /// views do not stay: [`ViewTree::release`] frees the whole arena, so
-    /// a destroyed instance keeps only its fields and bundles, however
-    /// many views it had.
+    /// A callback captured before the destroy keeps the instance on its
+    /// thread ([`crate::ActivityThread::destroy_activity`]), finds it, and
+    /// crashes with `NullPointer` (or `WindowLeaked` for a dialog) exactly
+    /// as on stock Android. Its views do not stay: [`ViewTree::release`]
+    /// frees the whole arena, so a destroyed instance keeps only its
+    /// fields and bundles, however many views it had.
     pub fn destroy(&mut self) {
         use ActivityState::{Created, Destroyed, Paused, Resumed, Shadow, Started, Stopped, Sunny};
         loop {

@@ -10,7 +10,7 @@ use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
 use droidsim_kernel::{memo, IdGen, SimTime};
 use droidsim_view::{InflateStats, ViewError, ViewTree};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A completed background task heading for the UI thread: which instance's
 /// callback runs and what it does.
@@ -159,12 +159,10 @@ impl Drop for InflationCache {
 /// ```
 #[derive(Debug)]
 pub struct ActivityThread {
-    /// Every instance the thread has created. A destroyed one stays, so a
-    /// late callback still finds it and crashes as on stock Android.
+    /// The alive instances, and the destroyed ones a pending callback
+    /// captured: a late callback still finds its instance and crashes as
+    /// on stock Android.
     instances: BTreeMap<ActivityInstanceId, Activity>,
-    /// The instances not yet destroyed, so the scans for live ones skip
-    /// the destroyed ones the table keeps.
-    alive: BTreeSet<ActivityInstanceId>,
     ids: IdGen,
     current_shadow: Option<ActivityInstanceId>,
     current_sunny: Option<ActivityInstanceId>,
@@ -181,7 +179,6 @@ impl ActivityThread {
     pub fn new() -> Self {
         ActivityThread {
             instances: BTreeMap::new(),
-            alive: BTreeSet::new(),
             ids: IdGen::new(),
             current_shadow: None,
             current_sunny: None,
@@ -208,7 +205,6 @@ impl ActivityThread {
         let mut activity = Activity::new(id, token, model.component_name(), config);
         activity.create_from(tree, stats, model, saved);
         self.instances.insert(id, activity);
-        self.alive.insert(id);
         id
     }
 
@@ -330,15 +326,16 @@ impl ActivityThread {
 
     /// Destroys an instance (releasing its views). In-flight async tasks
     /// are **not** cancelled — faithfully reproducing the failure mode the
-    /// paper targets.
+    /// paper targets — and each keeps its instance on the thread until it runs.
     ///
     /// # Errors
     ///
     /// [`ThreadError::UnknownInstance`].
     pub fn destroy_activity(&mut self, id: ActivityInstanceId) -> Result<(), ThreadError> {
-        let a = self.instance_mut(id)?;
-        a.destroy();
-        self.alive.remove(&id);
+        self.instance_mut(id)?.destroy();
+        if !self.pending.values().any(|work| work.instance == id) {
+            self.instances.remove(&id);
+        }
         if self.current_shadow == Some(id) {
             self.current_shadow = None;
         }
@@ -399,8 +396,12 @@ impl ActivityThread {
 
     /// Removes and returns the callbacks due at or before `now`, by
     /// deadline and then by start order: the order the UI thread runs
-    /// them in.
+    /// them in. The caller delivers them all before it takes again, so a
+    /// destroyed instance no pending callback captures leaves here.
     pub fn take_due_async(&mut self, now: SimTime) -> Vec<AsyncWork> {
+        let pending = &self.pending;
+        self.instances
+            .retain(|&id, a| a.state().is_alive() || pending.values().any(|w| w.instance == id));
         let mut due = Vec::new();
         while let Some(entry) = self.pending.first_entry() {
             if entry.key().0 > now {
@@ -510,10 +511,7 @@ impl ActivityThread {
 
     /// The alive (non-destroyed) instances, in id order.
     fn alive_activities(&self) -> impl Iterator<Item = &Activity> {
-        self.alive
-            .iter()
-            .filter_map(|id| self.instances.get(id))
-            .filter(|a| a.state().is_alive())
+        self.instances.values().filter(|a| a.state().is_alive())
     }
 
     /// Alive (non-destroyed) instances.
@@ -582,7 +580,12 @@ mod tests {
             .relaunch(&model, first, landscape.clone(), Some(&saved))
             .unwrap();
         assert_ne!(second, first);
-        assert!(!thread.instance(first).unwrap().state().is_alive());
+        assert_eq!(
+            thread.instance(first).unwrap_err(),
+            ThreadError::UnknownInstance(first),
+            "no callback captured the destroyed instance, so it left"
+        );
+        assert_eq!(thread.alive_instances(), vec![second]);
         assert_eq!(thread.instance_for_token(token), Some(second));
         let a = thread.instance(second).unwrap();
         let root = a.tree.find_by_id_name("root").unwrap();
@@ -669,7 +672,11 @@ mod tests {
         assert_eq!(
             thread.instance(first).unwrap().state(),
             ActivityState::Destroyed,
-            "the first instance stays in the table, destroyed"
+            "the captured instance stays on the thread, destroyed"
+        );
+        assert!(
+            (1..1_000).all(|i| thread.instance(ActivityInstanceId::new(i)).is_err()),
+            "no callback captured the others, so none stayed"
         );
         let due = thread.take_due_async(SimTime::from_secs(5));
         assert_eq!(due.len(), 1);
@@ -679,6 +686,10 @@ mod tests {
             err.to_string().contains("NullPointerException"),
             "stock Android's crash: {err}"
         );
+        // Its last callback delivered, the instance leaves at the next take.
+        assert!(thread.take_due_async(SimTime::from_secs(6)).is_empty());
+        assert!(thread.instance(first).is_err());
+        assert_eq!(thread.alive_instances(), vec![current]);
     }
 
     #[test]

@@ -1,22 +1,26 @@
 //! A blocking client for the daemon's line protocol.
 //!
-//! One [`Client`] owns one connection and issues one request line at a
-//! time, reading exactly one response line per request (the protocol
-//! has no server pushes, so this lock-step discipline is complete).
-//! The typed helpers ([`Client::submit`], [`Client::wait`], …) wrap
-//! [`Client::request`], which is public so tools can speak extensions
-//! the helpers do not know.
+//! A [`Client`] issues one request line at a time and reads exactly one
+//! response line per request (the protocol has no server pushes, so
+//! this lock-step discipline is complete). It connects on its first
+//! operation and keeps the connection for the next.
 //!
-//! [`RetryingClient`] layers resilience on top: transparent reconnect
-//! with capped, jittered exponential [`Backoff`] when the connection
-//! dies mid-operation (a daemon restart, an injected socket reset, a
-//! governor close). Blind retry is only safe because submission is
-//! idempotent — which is why [`RetryingClient::submit`] *requires* a
-//! `dedupe_key` and refuses specs without one.
+//! A client with a retry deadline ([`Client::with_deadline`]) survives
+//! connection loss: a daemon still starting or restarting, an injected
+//! socket reset, a governor close. It reconnects with capped, jittered
+//! exponential [`Backoff`] until the deadline. A request whose write
+//! failed never reached the daemon and is always sent again. A request
+//! whose line may already have reached the daemon is sent again only
+//! when a second copy changes nothing: a keyed submit (the daemon
+//! answers `duplicate` of the first job) and the read-only or
+//! idempotent operations. A submit without a `dedupe_key` and
+//! `shutdown` are never sent twice.
+//! With the default zero deadline the client connects once and retries
+//! nothing.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use droidsim_kernel::journal;
@@ -48,8 +52,8 @@ impl Backoff {
         }
     }
 
-    /// The schedule `connect_retry` and [`RetryingClient`] share:
-    /// 1 ms doubling to a 100 ms cap.
+    /// The schedule a [`Client`] reconnects on: 1 ms doubling to a
+    /// 100 ms cap.
     pub fn for_reconnect(seed: u64) -> Backoff {
         Backoff::new(Duration::from_millis(1), Duration::from_millis(100), seed)
     }
@@ -76,80 +80,125 @@ impl Backoff {
     }
 }
 
-/// A connected protocol client (see module docs).
+/// A protocol client (see module docs).
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<UnixStream>,
+    socket: PathBuf,
+    conn: Option<BufReader<UnixStream>>,
+    backoff: Backoff,
+    deadline: Duration,
 }
 
 impl Client {
-    /// Connects to a listening daemon socket.
-    pub fn connect(socket_path: &Path) -> io::Result<Client> {
-        let stream = UnixStream::connect(socket_path)?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-        })
+    /// A client for the daemon listening on `socket_path`, with a zero
+    /// retry deadline. Construction never fails: the first operation
+    /// connects.
+    pub fn new(socket_path: impl Into<PathBuf>) -> Client {
+        Client {
+            socket: socket_path.into(),
+            conn: None,
+            backoff: Backoff::for_reconnect(0x9E37),
+            deadline: Duration::ZERO,
+        }
     }
 
-    /// Connects, retrying with jittered exponential backoff until
-    /// `timeout` — for racing a daemon that is still starting up (or
-    /// restarting).
-    pub fn connect_retry(socket_path: &Path, timeout: Duration) -> io::Result<Client> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = Backoff::for_reconnect(0x5EED);
-        loop {
-            match Client::connect(socket_path) {
-                Ok(client) => return Ok(client),
+    /// Sets the per-operation retry deadline: how long one operation
+    /// keeps reconnecting, to a daemon that is starting or restarting
+    /// as much as to one that dropped the connection.
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
+    /// Drops the live connection (if any) on the floor: the chaos
+    /// harness's mid-burst connection kill. The next operation
+    /// reconnects.
+    pub fn drop_connection(&mut self) {
+        self.conn = None;
+    }
+
+    /// Sends one request line without reading the response, then drops
+    /// the connection: the chaos harness's "lost ack". The daemon
+    /// processes the request, but this client never hears the answer.
+    /// Pair with a dedupe-keyed resubmit to prove idempotency.
+    pub fn send_and_drop(&mut self, fields: &[(&str, &str)]) -> io::Result<()> {
+        let deadline = Instant::now() + self.deadline;
+        let sent = send_line(self.connected(deadline)?.get_mut(), fields);
+        self.conn = None;
+        sent
+    }
+
+    /// The live connection, connecting (and, until `deadline`,
+    /// reconnecting with backoff) if there is none.
+    fn connected(&mut self, deadline: Instant) -> io::Result<&mut BufReader<UnixStream>> {
+        while self.conn.is_none() {
+            match UnixStream::connect(&self.socket) {
+                Ok(stream) => {
+                    self.conn = Some(BufReader::new(stream));
+                    self.backoff.reset();
+                }
                 Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(backoff.next_delay()),
+                Err(_) => std::thread::sleep(self.backoff.next_delay()),
             }
         }
+        Ok(self.conn.as_mut().expect("connected above"))
     }
 
-    /// Sends one request line **without reading the response** — the
-    /// chaos harness's "lost ack": the daemon processes the request,
-    /// but this client never hears the answer. Pair with a dedupe-keyed
-    /// resubmit to prove idempotency.
-    pub fn send(&mut self, fields: &[(&str, &str)]) -> io::Result<()> {
-        let line = journal::encode_line(fields);
-        let stream = self.reader.get_mut();
-        writeln!(stream, "{line}")?;
-        stream.flush()
-    }
-
-    /// Sends one request line and reads one response line, decoded.
-    pub fn request(&mut self, fields: &[(&str, &str)]) -> io::Result<Vec<(String, String)>> {
-        let line = journal::encode_line(fields);
-        let stream = self.reader.get_mut();
-        writeln!(stream, "{line}")?;
-        stream.flush()?;
-        let mut response = String::new();
-        if self.reader.read_line(&mut response)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            ));
+    /// Sends one request line and reads one response line, decoded: the
+    /// path every operation takes. On a lost connection it tries again
+    /// on a fresh one, with backoff, until the deadline. A failed write
+    /// means the daemon never read the line, so every operation is sent
+    /// again (past the deadline the error is `NotConnected`); a loss
+    /// after the write sends a second copy only when `resend` allows it.
+    /// Other errors surface at once.
+    fn call(&mut self, fields: &[(&str, &str)], resend: bool) -> io::Result<Vec<(String, String)>> {
+        let deadline = Instant::now() + self.deadline;
+        loop {
+            let conn = self.connected(deadline)?;
+            let (e, written) = match send_line(conn.get_mut(), fields) {
+                Err(e) => (e, false),
+                Ok(()) => match read_response(conn) {
+                    Err(e) => (e, true),
+                    response => return response,
+                },
+            };
+            if !is_connection_loss(e.kind()) {
+                return Err(e);
+            }
+            self.conn = None;
+            if written && !resend {
+                return Err(e);
+            }
+            if Instant::now() >= deadline {
+                return Err(if written {
+                    e
+                } else {
+                    io::Error::new(
+                        io::ErrorKind::NotConnected,
+                        format!("request not sent: {e}"),
+                    )
+                });
+            }
+            std::thread::sleep(self.backoff.next_delay());
         }
-        journal::decode_line(&response).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unparseable response: {response:?}"),
-            )
-        })
     }
 
-    /// `cmd=ping` — true when the daemon answers.
+    /// `cmd=ping`: true when the daemon answers.
     pub fn ping(&mut self) -> io::Result<bool> {
-        let resp = self.request(&[("cmd", "ping")])?;
+        let resp = self.call(&[("cmd", "ping")], true)?;
         Ok(journal::field(&resp, "pong") == Some("1"))
     }
 
-    /// Submits a job, returning the daemon's explicit verdict.
+    /// Submits a job, returning the daemon's explicit verdict. A spec
+    /// with a `dedupe_key` is re-sent after a lost connection; one
+    /// without is not, because a second copy could run the job twice:
+    /// once its line may have reached the daemon, a lost connection is
+    /// the caller's error to handle.
     pub fn submit(&mut self, spec: &JobSpec) -> io::Result<Admission> {
         let owned = spec.kv_fields();
         let mut fields: Vec<(&str, &str)> = vec![("cmd", "submit")];
         fields.extend(owned.iter().map(|(k, v)| (*k, v.as_str())));
-        let resp = self.request(&fields)?;
+        let resp = self.call(&fields, !spec.dedupe_key.is_empty())?;
         match journal::field(&resp, "result") {
             Some("accepted") => {
                 let id = journal::field(&resp, "job_id")
@@ -177,64 +226,83 @@ impl Client {
 
     /// `cmd=status` for one job.
     pub fn status(&mut self, id: u64) -> io::Result<JobStatus> {
-        let resp = self.request(&[("cmd", "status"), ("job_id", &id.to_string())])?;
+        let resp = self.call(&[("cmd", "status"), ("job_id", &id.to_string())], true)?;
         parse_status(&resp)
     }
 
-    /// `cmd=wait` — blocks (server-side) until the job settles or the
-    /// timeout elapses, returning the status either way.
+    /// `cmd=wait`: blocks (server-side) until the job settles or
+    /// `timeout` elapses, returning the status either way. The retry
+    /// deadline still bounds the whole operation.
     pub fn wait(&mut self, id: u64, timeout: Duration) -> io::Result<JobStatus> {
         let timeout_ms = timeout.as_millis().to_string();
-        let resp = self.request(&[
-            ("cmd", "wait"),
-            ("job_id", &id.to_string()),
-            ("timeout_ms", &timeout_ms),
-        ])?;
+        let resp = self.call(
+            &[
+                ("cmd", "wait"),
+                ("job_id", &id.to_string()),
+                ("timeout_ms", &timeout_ms),
+            ],
+            true,
+        )?;
         parse_status(&resp)
     }
 
-    /// `cmd=cancel` — requests cooperative cancellation.
+    /// `cmd=cancel`: requests cooperative cancellation (a second request
+    /// changes nothing).
     pub fn cancel(&mut self, id: u64) -> io::Result<JobStatus> {
-        let resp = self.request(&[("cmd", "cancel"), ("job_id", &id.to_string())])?;
+        let resp = self.call(&[("cmd", "cancel"), ("job_id", &id.to_string())], true)?;
         parse_status(&resp)
     }
 
-    /// `cmd=health` — the coarse liveness fields.
+    /// `cmd=health`: the coarse liveness fields.
     pub fn health(&mut self) -> io::Result<Vec<(String, String)>> {
-        self.request(&[("cmd", "health")])
+        self.call(&[("cmd", "health")], true)
     }
 
-    /// `cmd=stats` — the full ledger snapshot as decoded fields.
+    /// `cmd=stats`: the full ledger snapshot as decoded fields.
     pub fn stats(&mut self) -> io::Result<Vec<(String, String)>> {
-        self.request(&[("cmd", "stats")])
+        self.call(&[("cmd", "stats")], true)
     }
 
-    /// `cmd=shutdown` — stops the daemon; the response arrives after
-    /// the stop completes. A connection that dies after the request is
-    /// sent also counts as success: a stopping `droidsimd` process may
-    /// exit before its handler thread flushes the response line, and
-    /// the daemon going away is exactly what was asked for.
+    /// `cmd=shutdown`: stops the daemon; the response arrives after the
+    /// stop completes. Never re-sent once written, and a connection that
+    /// dies after the write counts as success: a stopping `droidsimd`
+    /// process may exit before its handler thread flushes the response
+    /// line, and the daemon going away is exactly what was asked for.
     pub fn shutdown(&mut self, mode: ShutdownMode) -> io::Result<()> {
-        let resp = match self.request(&[("cmd", "shutdown"), ("mode", mode.name())]) {
-            Ok(resp) => resp,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::UnexpectedEof
-                        | io::ErrorKind::ConnectionReset
-                        | io::ErrorKind::BrokenPipe
-                ) =>
-            {
-                return Ok(())
-            }
-            Err(e) => return Err(e),
+        let result = match self.call(&[("cmd", "shutdown"), ("mode", mode.name())], false) {
+            Ok(resp) if journal::field(&resp, "result") == Some("stopped") => Ok(()),
+            Ok(resp) => Err(bad_response(&render(&resp))),
+            Err(e) if is_connection_loss(e.kind()) => Ok(()),
+            Err(e) => Err(e),
         };
-        if journal::field(&resp, "result") == Some("stopped") {
-            Ok(())
-        } else {
-            Err(bad_response(&render(&resp)))
-        }
+        self.conn = None;
+        result
     }
+}
+
+/// Writes one request line in one `write_all`: when it fails, the
+/// newline never left, so the daemon cannot have read the request.
+fn send_line(stream: &mut UnixStream, fields: &[(&str, &str)]) -> io::Result<()> {
+    let mut line = journal::encode_line(fields);
+    line.push('\n');
+    stream.write_all(line.as_bytes())
+}
+
+/// One response line in, decoded.
+fn read_response(conn: &mut BufReader<UnixStream>) -> io::Result<Vec<(String, String)>> {
+    let mut response = String::new();
+    if conn.read_line(&mut response)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "daemon closed the connection",
+        ));
+    }
+    journal::decode_line(&response).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unparseable response: {response:?}"),
+        )
+    })
 }
 
 fn parse_status(resp: &[(String, String)]) -> io::Result<JobStatus> {
@@ -268,155 +336,16 @@ fn is_connection_loss(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// A client that survives connection loss: every operation reconnects
-/// and retries with capped jittered [`Backoff`] until it succeeds or
-/// the per-operation deadline expires (see module docs for why submit
-/// demands a `dedupe_key`).
-#[derive(Debug)]
-pub struct RetryingClient {
-    socket: PathBuf,
-    conn: Option<Client>,
-    backoff: Backoff,
-    deadline: Duration,
-}
-
-impl RetryingClient {
-    /// A lazily-connecting resilient client for `socket_path` with a
-    /// 30 s per-operation deadline. Construction never fails — the
-    /// first operation connects (and retries).
-    pub fn new(socket_path: impl Into<PathBuf>) -> RetryingClient {
-        RetryingClient {
-            socket: socket_path.into(),
-            conn: None,
-            backoff: Backoff::for_reconnect(0x9E37),
-            deadline: Duration::from_secs(30),
-        }
-    }
-
-    /// Sets the per-operation retry deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Drops the live connection (if any) on the floor — the chaos
-    /// harness's mid-burst connection kill. The next operation
-    /// transparently reconnects.
-    pub fn drop_connection(&mut self) {
-        self.conn = None;
-    }
-
-    /// Sends a request on the live connection without reading the
-    /// response, then kills the connection — the full "lost ack"
-    /// scenario in one call. Connects first if needed.
-    pub fn send_and_drop(&mut self, fields: &[(&str, &str)]) -> io::Result<()> {
-        self.run(|c| c.send(fields))?;
-        self.drop_connection();
-        Ok(())
-    }
-
-    /// Runs `op`, reconnecting and retrying on connection loss until
-    /// the deadline. Non-connection errors surface immediately.
-    fn run<T>(&mut self, mut op: impl FnMut(&mut Client) -> io::Result<T>) -> io::Result<T> {
-        let deadline = Instant::now() + self.deadline;
-        loop {
-            if self.conn.is_none() {
-                match Client::connect(&self.socket) {
-                    Ok(client) => {
-                        self.conn = Some(client);
-                        self.backoff.reset();
-                    }
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(e);
-                        }
-                        std::thread::sleep(self.backoff.next_delay());
-                        continue;
-                    }
-                }
-            }
-            let client = self.conn.as_mut().expect("connected above");
-            match op(client) {
-                Ok(value) => return Ok(value),
-                Err(e) if is_connection_loss(e.kind()) => {
-                    // The connection is dead either way; retrying on a
-                    // fresh one is safe for every protocol op (submit
-                    // is gated on a dedupe_key).
-                    self.conn = None;
-                    if Instant::now() >= deadline {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.backoff.next_delay());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// `cmd=ping`, retried across reconnects.
-    pub fn ping(&mut self) -> io::Result<bool> {
-        self.run(Client::ping)
-    }
-
-    /// Idempotent submit. **Requires** a non-empty `dedupe_key`: a
-    /// blind retry without one could execute the job twice, which is
-    /// exactly the bug this client exists to make impossible.
-    pub fn submit(&mut self, spec: &JobSpec) -> io::Result<Admission> {
-        if spec.dedupe_key.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "RetryingClient::submit requires a dedupe_key \
-                 (a retried submit without one may duplicate work)",
-            ));
-        }
-        self.run(|c| c.submit(spec))
-    }
-
-    /// `cmd=status`, retried across reconnects.
-    pub fn status(&mut self, id: u64) -> io::Result<JobStatus> {
-        self.run(|c| c.status(id))
-    }
-
-    /// `cmd=wait`, retried across reconnects. `timeout` is the
-    /// *server-side* wait; the retry deadline still bounds the whole
-    /// operation.
-    pub fn wait(&mut self, id: u64, timeout: Duration) -> io::Result<JobStatus> {
-        self.run(|c| c.wait(id, timeout))
-    }
-
-    /// `cmd=cancel`, retried across reconnects (cancellation is
-    /// naturally idempotent).
-    pub fn cancel(&mut self, id: u64) -> io::Result<JobStatus> {
-        self.run(|c| c.cancel(id))
-    }
-
-    /// `cmd=health`, retried across reconnects.
-    pub fn health(&mut self) -> io::Result<Vec<(String, String)>> {
-        self.run(Client::health)
-    }
-
-    /// `cmd=stats`, retried across reconnects.
-    pub fn stats(&mut self) -> io::Result<Vec<(String, String)>> {
-        self.run(Client::stats)
-    }
-
-    /// `cmd=shutdown`. Not retried: a connection that dies after the
-    /// request already counts as success ([`Client::shutdown`]), and
-    /// re-sending to a daemon that is not there would just wait out
-    /// the deadline.
-    pub fn shutdown(&mut self, mode: ShutdownMode) -> io::Result<()> {
-        let result = match self.conn.as_mut() {
-            Some(client) => client.shutdown(mode),
-            None => Client::connect(&self.socket).and_then(|mut c| c.shutdown(mode)),
-        };
-        self.conn = None;
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::{Daemon, DaemonConfig, JobControl, JobExecutor, JobVerdict};
+    use crate::server::{serve_with, ServerConfig};
+    use crate::spec::JobKind;
+    use crate::IoFaults;
+    use droidsim_faults::{FaultPlan, FaultSite};
+    use droidsim_metrics::FleetLedger;
+    use std::sync::Arc;
 
     #[test]
     fn backoff_grows_caps_and_jitters_within_bounds() {
@@ -456,17 +385,99 @@ mod tests {
         assert_ne!(mk(1), mk(2), "different seeds de-correlate");
     }
 
+    /// Settles every job at once.
+    struct Settle;
+
+    impl JobExecutor for Settle {
+        fn execute(&self, spec: &JobSpec, _ctl: &JobControl) -> JobVerdict {
+            JobVerdict::Done {
+                digest: spec.seed,
+                fleet: FleetLedger::new(),
+            }
+        }
+    }
+
+    /// Waits until the server has closed `client`'s kept connection: its
+    /// end then reads EOF.
+    fn wait_until_closed_by_server(client: &mut Client) {
+        let conn = client.conn.as_mut().expect("a kept connection");
+        conn.get_ref()
+            .set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !matches!(conn.fill_buf(), Ok([])) {
+            assert!(Instant::now() < deadline, "the server kept the connection");
+        }
+    }
+
     #[test]
-    fn retrying_submit_refuses_specs_without_a_dedupe_key() {
-        let mut rc = RetryingClient::new("/nonexistent/droidsimd.sock")
-            .with_deadline(Duration::from_millis(50));
-        let spec = crate::spec::JobSpec::new(crate::spec::JobKind::Fig10);
-        let err = rc.submit(&spec).expect_err("keyless submit must refuse");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        // With a key it proceeds to (and fails at) the connection —
-        // proving the gate is the key, not the transport.
-        let keyed = spec.with_dedupe_key("k");
-        let err = rc.submit(&keyed).expect_err("no daemon listening");
-        assert_ne!(err.kind(), io::ErrorKind::InvalidInput);
+    fn a_lost_ack_resends_a_keyed_submit_but_never_an_unkeyed_one() {
+        let dir = std::env::temp_dir().join(format!("droidsimd-client-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("droidsimd.sock");
+        // The first and third responses are lost: the daemon acts on the
+        // request, then drops the connection before answering. A kept
+        // connection idle for 200 ms is closed by the read timeout.
+        let faults = IoFaults::new(
+            FaultPlan::seeded(1)
+                .on_nth_probe(FaultSite::SocketWrite, 1)
+                .on_nth_probe(FaultSite::SocketWrite, 3),
+        );
+        let daemon = Arc::new(Daemon::start(DaemonConfig::new(), Settle).unwrap());
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            let socket = socket.clone();
+            let cfg = ServerConfig::new()
+                .with_io_faults(faults)
+                .with_read_timeout(Duration::from_millis(200));
+            std::thread::spawn(move || serve_with(&daemon, &socket, cfg))
+        };
+        let mut client = Client::new(&socket).with_deadline(Duration::from_secs(5));
+
+        let spec = JobSpec::new(JobKind::Fig10);
+        let err = client
+            .submit(&spec)
+            .expect_err("an unkeyed submit whose ack was lost is not re-sent");
+        assert!(is_connection_loss(err.kind()), "{err}");
+        let stats = client.stats().unwrap();
+        assert_eq!(journal::field(&stats, "accepted"), Some("1"), "sent once");
+
+        let keyed = spec.with_tag("keyed").with_dedupe_key("k");
+        let id = match client.submit(&keyed).unwrap() {
+            Admission::Duplicate { id } => id,
+            other => panic!("the re-sent keyed submit meets its first copy: {other:?}"),
+        };
+        assert_eq!(client.status(id).unwrap().tag, "keyed");
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            journal::field(&stats, "accepted"),
+            Some("2"),
+            "one job per key"
+        );
+        assert_eq!(journal::field(&stats, "dedupe_hits"), Some("1"));
+
+        // A write to a connection the server already closed fails, so
+        // the daemon never read the line: even an unkeyed submit is sent
+        // again, on a fresh connection.
+        wait_until_closed_by_server(&mut client);
+        assert!(matches!(
+            client.submit(&JobSpec::new(JobKind::Fig10)).unwrap(),
+            Admission::Accepted { .. }
+        ));
+        let stats = client.stats().unwrap();
+        assert_eq!(journal::field(&stats, "accepted"), Some("3"));
+        // Without a deadline the failed write is an error that says so,
+        // and a `shutdown` that was never sent is no success.
+        let mut once = Client::new(&socket);
+        assert!(once.ping().unwrap());
+        wait_until_closed_by_server(&mut once);
+        let err = once.shutdown(ShutdownMode::Drain).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotConnected, "{err}");
+        assert!(!daemon.is_stopped());
+
+        client.shutdown(ShutdownMode::Drain).unwrap();
+        server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

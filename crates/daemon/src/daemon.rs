@@ -28,15 +28,17 @@
 //! which is precisely what makes the next start resume them.
 
 use std::collections::BTreeMap;
+use std::os::unix::fs::MetadataExt;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_fleet::CancelToken;
+use droidsim_fleet::{payload_text, CancelToken};
 use droidsim_kernel::journal;
 use droidsim_metrics::{DaemonLedger, FleetLedger};
 
@@ -339,6 +341,9 @@ struct Shared {
     degraded: AtomicBool,
     stop_now: AtomicBool,
     stopped: AtomicBool,
+    /// The sockets whose accept loops a stop must wake
+    /// ([`Daemon::wake_on_stop`]), each with the inode it was bound as.
+    listeners: Mutex<Vec<(PathBuf, u64)>>,
     allocs_at_start: u64,
     journal_dir: Option<PathBuf>,
     headroom: HeadroomProbe,
@@ -350,14 +355,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
+/// Connects once to `socket` if the path still names the file bound as
+/// `inode` (another file would lead to another listener): the
+/// connection returns the accept blocked on it.
+fn wake_accept(socket: &Path, inode: u64) -> std::io::Result<()> {
+    if std::fs::metadata(socket)?.ino() != inode {
+        return Err(std::io::Error::other("the socket file was replaced"));
     }
+    UnixStream::connect(socket).map(drop)
 }
 
 /// The resident scheduler (see module docs). Construct with
@@ -463,6 +468,7 @@ impl Daemon {
             degraded: AtomicBool::new(false),
             stop_now: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
+            listeners: Mutex::new(Vec::new()),
             allocs_at_start: droidsim_kernel::alloc_track::current(),
             journal_dir: cfg.journal_dir.clone(),
             headroom: cfg.headroom.clone(),
@@ -694,7 +700,11 @@ impl Daemon {
     }
 
     /// Stops the daemon (see [`ShutdownMode`]). Blocks until the pool
-    /// and watchdog have exited. Idempotent.
+    /// and watchdog have exited, then connects once to every socket
+    /// [`serve_with`](crate::server::serve_with) is accepting on, which
+    /// wakes its blocking accept; a socket file that was removed or
+    /// replaced cannot be reached, and the stop logs that to stderr.
+    /// Idempotent.
     pub fn shutdown(&self, mode: ShutdownMode) {
         let shared = &self.shared;
         shared.draining.store(true, Ordering::Release);
@@ -733,6 +743,35 @@ impl Daemon {
         if let Some(handle) = lock(&self.watchdog).take() {
             let _ = handle.join();
         }
+        let listeners = lock(&shared.listeners).clone();
+        for (socket, inode) in listeners {
+            if let Err(e) = wake_accept(&socket, inode) {
+                eprintln!(
+                    "droidsimd: cannot wake the accept on {}: {e}",
+                    socket.display()
+                );
+            }
+        }
+    }
+
+    /// Registers `socket`, bound as file `inode`, as one a stop must
+    /// wake: once the daemon has stopped, [`Daemon::shutdown`] connects
+    /// to it once, which returns its blocking accept. Returns `false`,
+    /// registering nothing, when the daemon has already stopped. The
+    /// register-then-check under one lock means a stop either sees the
+    /// socket or is seen here.
+    pub(crate) fn wake_on_stop(&self, socket: &Path, inode: u64) -> bool {
+        let mut listeners = lock(&self.shared.listeners);
+        if self.is_stopped() {
+            return false;
+        }
+        listeners.push((socket.to_path_buf(), inode));
+        true
+    }
+
+    /// Undoes [`Daemon::wake_on_stop`] of `socket` as `inode`.
+    pub(crate) fn forget_listener(&self, socket: &Path, inode: u64) {
+        lock(&self.shared.listeners).retain(|(s, i)| !(s == socket && *i == inode));
     }
 
     /// Whether [`Daemon::shutdown`] has completed.
@@ -922,7 +961,7 @@ fn run_job(shared: &Arc<Shared>, job: &QueuedJob) {
     })) {
         Ok(v) => v,
         Err(p) => JobVerdict::Failed {
-            reason: format!("executor panicked: {}", panic_text(p)),
+            reason: format!("executor panicked: {}", payload_text(p)),
         },
     };
     match verdict {

@@ -37,7 +37,7 @@ pub mod queue;
 pub mod server;
 pub mod spec;
 
-pub use client::{Backoff, Client, RetryingClient};
+pub use client::{Backoff, Client};
 pub use daemon::{
     Admission, Daemon, DaemonConfig, DaemonStats, JobControl, JobExecutor, JobStatus, JobVerdict,
     ShutdownMode,

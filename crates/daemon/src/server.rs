@@ -23,13 +23,15 @@
 //! taking the edge down ([`ServerConfig`]): a per-connection read
 //! timeout closes stalled connections (slowloris defense), request
 //! lines are read through a bounded buffer so a newline-less stream
-//! cannot exhaust memory (`error=line-too-long`, then close), and a
-//! concurrent-connection cap answers overflow with an explicit
+//! cannot exhaust memory (`error=line-too-long`, then a clean close),
+//! and a concurrent-connection cap answers overflow with an explicit
 //! `error=too-many-connections` instead of an unbounded thread pile.
 //! Every governor action is visible in `cmd=stats`
 //! (`conns_rejected`, `slowloris_closed`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::Shutdown;
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,6 +48,10 @@ use crate::DaemonError;
 
 /// Default `cmd=wait` timeout when the request names none.
 pub const DEFAULT_WAIT_MS: u64 = 60_000;
+
+/// Most bytes a handler discards after answering `line-too-long`, while
+/// it waits for the client to stop sending.
+const DRAIN_CAP: u64 = 64 * 1024;
 
 /// The connection governor's knobs (see module docs).
 #[derive(Debug, Clone)]
@@ -154,6 +160,16 @@ pub fn serve(daemon: &Arc<Daemon>, socket_path: &Path) -> Result<(), DaemonError
 }
 
 /// [`serve`] with explicit governor knobs.
+///
+/// The accept blocks: a connection is taken the moment it arrives, and
+/// the stop wakes the loop with one connection of its own
+/// ([`Daemon::shutdown`]), after which this returns. No thread is
+/// started but the connections' handlers.
+///
+/// The stop reaches the accept through the socket file, so the file
+/// must stay in place while this serves. If it is removed, or replaced
+/// (say by a second `serve_with` on the same path), the stop logs that
+/// it cannot wake the accept, and this stays blocked.
 pub fn serve_with(
     daemon: &Arc<Daemon>,
     socket_path: &Path,
@@ -163,44 +179,52 @@ pub fn serve_with(
         std::fs::remove_file(socket_path)?;
     }
     let listener = UnixListener::bind(socket_path)?;
-    listener.set_nonblocking(true)?;
+    let result = std::fs::metadata(socket_path).and_then(|file| {
+        if !daemon.wake_on_stop(socket_path, file.ino()) {
+            return Ok(());
+        }
+        let accepted = accept_until_stopped(daemon, &listener, cfg);
+        daemon.forget_listener(socket_path, file.ino());
+        accepted
+    });
+    let _ = std::fs::remove_file(socket_path);
+    result.map_err(DaemonError::Io)
+}
+
+/// The accept loop: one handler thread per connection under the cap,
+/// until a connection arrives after the daemon stopped.
+fn accept_until_stopped(
+    daemon: &Arc<Daemon>,
+    listener: &UnixListener,
+    cfg: ServerConfig,
+) -> std::io::Result<()> {
     let cfg = Arc::new(cfg);
     let active = Arc::new(AtomicUsize::new(0));
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => match ConnSlot::claim(&active, cfg.max_conns) {
-                Some(slot) => {
-                    let daemon = Arc::clone(daemon);
-                    let cfg = Arc::clone(&cfg);
-                    std::thread::spawn(move || handle_connection(&daemon, stream, &cfg, slot));
-                }
-                None => {
-                    // Over the cap: answer explicitly, then close. The
-                    // refusal costs one write on the accept loop, not a
-                    // thread.
-                    daemon.note_conn_rejected();
-                    let mut stream = stream;
-                    let _ = writeln!(
-                        stream,
-                        "{}",
-                        journal::encode_line(&error_response("too-many-connections"))
-                    );
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if daemon.is_stopped() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
+        let (stream, _) = listener.accept()?;
+        if daemon.is_stopped() {
+            return Ok(());
+        }
+        match ConnSlot::claim(&active, cfg.max_conns) {
+            Some(slot) => {
+                let daemon = Arc::clone(daemon);
+                let cfg = Arc::clone(&cfg);
+                std::thread::spawn(move || handle_connection(&daemon, stream, &cfg, slot));
             }
-            Err(e) => {
-                let _ = std::fs::remove_file(socket_path);
-                return Err(DaemonError::Io(e));
+            None => {
+                // Over the cap: answer explicitly, then close. The
+                // refusal costs one write on the accept loop, not a
+                // thread.
+                daemon.note_conn_rejected();
+                let mut stream = stream;
+                let _ = writeln!(
+                    stream,
+                    "{}",
+                    journal::encode_line(&error_response("too-many-connections"))
+                );
             }
         }
     }
-    let _ = std::fs::remove_file(socket_path);
-    Ok(())
 }
 
 /// How one bounded line read ended.
@@ -280,6 +304,14 @@ fn handle_connection(
                     "{}",
                     journal::encode_line(&error_response("line-too-long"))
                 );
+                // Close cleanly: end the responses, then discard what the
+                // client is still sending, until its EOF, the read
+                // timeout or `DRAIN_CAP` bytes. A socket dropped with
+                // unread input resets the connection: the client's
+                // pending writes would fail, and its reads would end in
+                // a reset instead of EOF.
+                let _ = write_half.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut reader.take(DRAIN_CAP), &mut std::io::sink());
                 return;
             }
             BoundedRead::TimedOut => {
@@ -469,7 +501,6 @@ mod tests {
     use crate::spec::{JobKind, JobSpec};
     use crate::Client;
     use droidsim_metrics::FleetLedger;
-    use std::io::Read;
     use std::path::PathBuf;
     use std::time::Instant;
 
@@ -544,7 +575,7 @@ mod tests {
             let socket = socket.clone();
             std::thread::spawn(move || serve(&daemon, &socket))
         };
-        let mut client = Client::connect_retry(&socket, Duration::from_secs(5)).unwrap();
+        let mut client = Client::new(&socket).with_deadline(Duration::from_secs(5));
         assert!(client.ping().unwrap());
 
         let spec = JobSpec::new(JobKind::Fig10)
@@ -572,6 +603,34 @@ mod tests {
         assert!(!socket.exists(), "socket file is cleaned up");
     }
 
+    #[test]
+    fn fresh_connections_are_answered_at_once() {
+        let socket = scratch_socket("fresh");
+        let daemon = Arc::new(Daemon::start(DaemonConfig::new(), EchoExecutor).unwrap());
+        let server = serve_in_background(&daemon, &socket, ServerConfig::new());
+        let mut first = Client::new(&socket).with_deadline(Duration::from_secs(5));
+        assert!(first.ping().unwrap(), "the server is up");
+        // An accept that polled every 10 ms would keep each of these
+        // waiting for the next poll, about 10 ms; a blocking accept
+        // answers in a fraction of a millisecond. The median shrugs off
+        // a few round trips a busy host delays.
+        let mut round_trips: Vec<Duration> = (0..20)
+            .map(|_| {
+                let started = Instant::now();
+                assert!(Client::new(&socket).ping().unwrap());
+                started.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(5),
+            "median fresh-connection ping {median:?} of {round_trips:?}"
+        );
+        daemon.shutdown(ShutdownMode::Drain);
+        server.join().unwrap().unwrap();
+    }
+
     /// The `cmd=stats` keys, in order, one per line (`#` lines are
     /// comments).
     const STATS_FIELDS: &str = include_str!("../../../tests/golden/daemon_stats_fields.txt");
@@ -581,7 +640,7 @@ mod tests {
         let socket = scratch_socket("stats-fields");
         let daemon = Arc::new(Daemon::start(DaemonConfig::new(), EchoExecutor).unwrap());
         let server = serve_in_background(&daemon, &socket, ServerConfig::new());
-        let mut client = Client::connect_retry(&socket, Duration::from_secs(5)).unwrap();
+        let mut client = Client::new(&socket).with_deadline(Duration::from_secs(5));
         let id = match client.submit(&JobSpec::new(JobKind::Fig10)).unwrap() {
             Admission::Accepted { id, .. } => id,
             other => panic!("expected acceptance, got {other:?}"),
@@ -624,7 +683,7 @@ mod tests {
         let socket = scratch_socket("duplicate");
         let daemon = Arc::new(Daemon::start(DaemonConfig::new(), EchoExecutor).unwrap());
         let server = serve_in_background(&daemon, &socket, ServerConfig::new());
-        let mut client = Client::connect_retry(&socket, Duration::from_secs(5)).unwrap();
+        let mut client = Client::new(&socket).with_deadline(Duration::from_secs(5));
         let spec = JobSpec::new(JobKind::Fig10)
             .with_seed(9)
             .with_dedupe_key("dup-key");
@@ -646,7 +705,7 @@ mod tests {
         let daemon = Arc::new(Daemon::start(DaemonConfig::new(), EchoExecutor).unwrap());
         let server = serve_in_background(&daemon, &socket, ServerConfig::new().with_max_conns(1));
         // First connection holds its slot (and proves it works)…
-        let mut held = Client::connect_retry(&socket, Duration::from_secs(5)).unwrap();
+        let mut held = Client::new(&socket).with_deadline(Duration::from_secs(5));
         assert!(held.ping().unwrap());
         // …so the second is refused explicitly.
         let mut refused = raw_connect(&socket);

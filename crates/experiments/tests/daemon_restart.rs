@@ -49,7 +49,7 @@ fn killed_daemon_resumes_acknowledged_jobs_to_the_reference_digest() {
     let journal = dir.join("journal");
 
     let mut child = spawn_daemon(&socket, &journal);
-    let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
+    let mut client = Client::new(&socket).with_deadline(Duration::from_secs(10));
 
     // Table5 over 4 to 8 apps takes long enough on one worker that the
     // kill below lands mid-backlog. The seed reaches no app run, so the
@@ -106,7 +106,7 @@ fn killed_daemon_resumes_acknowledged_jobs_to_the_reference_digest() {
     let _ = std::fs::remove_file(&socket);
 
     let mut child = spawn_daemon(&socket, &journal);
-    let mut client = Client::connect_retry(&socket, Duration::from_secs(10)).unwrap();
+    let mut client = Client::new(&socket).with_deadline(Duration::from_secs(10));
     let resumed = stat(&client.stats().unwrap(), "resumed");
     assert!(resumed >= 1, "restart resumed nothing despite open jobs");
 

@@ -57,8 +57,8 @@ pub mod supervise;
 
 pub use digest::{combine_indexed, combine_ordered, mix_indexed, Digest};
 pub use supervise::{
-    run_fleet_supervised, FleetError, FleetJournal, FleetOptions, FleetReport, FleetRun,
-    QuarantinedTask, TaskOutcome,
+    payload_text, run_fleet_supervised, FleetError, FleetJournal, FleetOptions, FleetReport,
+    FleetRun, QuarantinedTask, TaskOutcome,
 };
 
 use droidsim_kernel::Xoshiro256;

@@ -497,7 +497,9 @@ fn injected_fault(opts: &FleetOptions, index: usize, attempt: u32) -> Option<Inj
     })
 }
 
-pub(crate) fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message a caught panic carried: its `&str` or `String` payload,
+/// or a placeholder for any other payload type.
+pub fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

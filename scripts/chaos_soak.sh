@@ -3,12 +3,13 @@
 # roof. Two phases, one verdict:
 #
 # Phase 1 — ENOSPC round trip. A daemon started with --enospc-window
-# has its first journal writes refused: the first submissions are
-# rejected `journal-degraded`, the watchdog's probe records consume
-# the window, and the daemon re-arms. The burst that follows must be
-# accepted and settle cleanly; the surviving `kind=probe` record in
-# the journal is the proof the degraded -> recovered transition
-# actually happened on disk.
+# has its first journal writes refused: a first burst is rejected
+# `journal-degraded`, the watchdog's probe records consume the window,
+# and the daemon re-arms. The script waits for `cmd=health` to report
+# the journal healthy, and the burst that follows must be accepted and
+# settle cleanly; the surviving `kind=probe` record in the journal is
+# the proof the degraded -> recovered transition actually happened on
+# disk.
 #
 # Phase 2 — chaos burst. droidsim-load floods a daemon running with
 # --io-fault-pct 5 (journal write/sync + socket read/write faults) at
@@ -58,17 +59,50 @@ JOURNAL="$DIR/enospc-journal"
 DAEMON_PID=$!
 echo "chaos-soak: [enospc] droidsimd pid $DAEMON_PID, first 3 journal writes refused"
 
-# The burst rides straight into the ENOSPC window: the earliest
-# submissions bounce with `rejected reason=journal-degraded` (explicit,
-# never silent — the audit tolerates rejections, not silence), the
-# watchdog re-arms the journal, and the rest of the 2x-capacity burst
-# lands. No chaos drops here: this phase isolates the durability ladder.
-if ! "$LOAD" --socket "$SOCK" --job fault-matrix --size 24 --rate-pct 0 \
-    --clients 2 --distinct 2 --wait-ms 120000 --reconnect-ms 60000 \
-    --shutdown drain | tee "$DIR/enospc-load.log"; then
+# Each step waits on the daemon's own state, never on timing: the
+# watchdog re-arms the journal one probe per tick, and a burst arrives
+# far faster than that.
+enospc_burst() { # one 2x-capacity burst; its transcript is archived
+  "$LOAD" --socket "$SOCK" --job fault-matrix --size 24 --rate-pct 0 \
+    --clients 2 --distinct 2 --wait-ms 120000 --reconnect-ms 60000 "$@" \
+    | tee -a "$DIR/enospc-load.log"
+}
+
+# The first burst rides straight into the ENOSPC window: it bounces
+# with `rejected reason=journal-degraded` (explicit, never silent — the
+# audit tolerates rejections, not silence). No chaos drops here: this
+# phase isolates the durability ladder.
+if ! burst=$(enospc_burst); then
+  echo "$burst"
   echo "chaos-soak: FAIL — [enospc] load audit reported violations" >&2
   exit 1
 fi
+echo "$burst"
+if [[ $burst != *journal-degraded=[1-9]* ]]; then
+  echo "chaos-soak: FAIL — [enospc] no journal-degraded rejection: window not exercised" >&2
+  exit 1
+fi
+
+# Then the watchdog's probes consume the window: wait until the daemon
+# says its journal is healthy again.
+deadline=$((SECONDS + 60))
+health=
+until [[ $health == *journal_degraded=false* ]]; do
+  if ((SECONDS >= deadline)); then
+    echo "chaos-soak: FAIL — [enospc] journal still degraded after 60s" >&2
+    exit 1
+  fi
+  sleep 0.01
+  health=$("$LOAD" --socket "$SOCK" --total 0 --no-verify --reconnect-ms 2000 || true)
+done
+
+# Recovered: the next burst must land, verify and drain.
+if ! landed=$(enospc_burst --shutdown drain); then
+  echo "$landed"
+  echo "chaos-soak: FAIL — [enospc] load audit reported violations" >&2
+  exit 1
+fi
+echo "$landed"
 if ! wait "$DAEMON_PID"; then
   echo "chaos-soak: FAIL — [enospc] droidsimd did not exit cleanly" >&2
   exit 1
@@ -87,12 +121,8 @@ if [ "$(count '^kind=accepted ' "$JOURNAL")" -lt 1 ]; then
   echo "chaos-soak: FAIL — [enospc] nothing accepted after recovery" >&2
   exit 1
 fi
-if ! grep -q 'journal_degraded=false' "$DIR/enospc-load.log"; then
+if [[ $landed != *journal_degraded=false* ]]; then
   echo "chaos-soak: FAIL — [enospc] daemon still degraded at exit" >&2
-  exit 1
-fi
-if ! grep -q 'journal-degraded=[1-9]' "$DIR/enospc-load.log"; then
-  echo "chaos-soak: FAIL — [enospc] no journal-degraded rejection: window not exercised" >&2
   exit 1
 fi
 echo "chaos-soak: [enospc] PASS — degraded -> recovered round trip held"
@@ -120,9 +150,11 @@ echo "chaos-soak: [chaos] droidsimd pid $DAEMON_PID, 5% I/O faults armed"
 LOAD_PID=$!
 
 # Kill once the backlog is mixed: at least one job settled and at least
-# one acknowledged job still open.
+# one acknowledged job still open. A fast burst can settle in a few
+# hundred milliseconds, so the journal is sampled every 10 ms.
 mixed=0
-for _ in $(seq 1 600); do
+deadline=$((SECONDS + 60))
+while ((SECONDS < deadline)); do
   if ! kill -0 "$LOAD_PID" 2>/dev/null; then
     break # load finished before a kill window opened
   fi
@@ -132,7 +164,7 @@ for _ in $(seq 1 600); do
     mixed=1
     break
   fi
-  sleep 0.1
+  sleep 0.01
 done
 if [ "$mixed" -ne 1 ]; then
   echo "chaos-soak: FAIL — [chaos] no mixed backlog within 60s; kill not exercised" >&2

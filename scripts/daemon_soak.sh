@@ -62,9 +62,12 @@ LOAD_PID=$!
 
 # Kill once the backlog is mixed: at least one job settled (a state
 # record is journaled) and at least one acknowledged job still open.
-# The journal is append-only line text, so grep is a safe probe.
+# The journal is append-only line text, so grep is a safe probe. A fast
+# burst can settle in a few hundred milliseconds, so it is sampled every
+# 10 ms.
 mixed=0
-for _ in $(seq 1 600); do
+deadline=$((SECONDS + 60))
+while ((SECONDS < deadline)); do
   if ! kill -0 "$LOAD_PID" 2>/dev/null; then
     break # load finished before a kill window opened
   fi
@@ -74,7 +77,7 @@ for _ in $(seq 1 600); do
     mixed=1
     break
   fi
-  sleep 0.1
+  sleep 0.01
 done
 if [ "$mixed" -ne 1 ]; then
   echo "daemon-soak: FAIL — no mixed backlog within 60s; kill not exercised" >&2

@@ -1,5 +1,6 @@
 //! The Shadow state's system-kill exemption (§3.2) under memory pressure,
-//! and relaunch churn: destroyed instances must not keep their views.
+//! and relaunch churn: a destroyed instance no callback captured leaves
+//! its thread, views and all.
 
 use droidsim_app::{ActivityInstanceId, ActivityState, AsyncResult, AsyncSpec};
 use droidsim_device::{Device, DeviceEvent, HandlingMode};
@@ -149,29 +150,28 @@ fn churn_app(mode: HandlingMode) -> (Device, String, GenericAppSpec) {
     (d, c, spec)
 }
 
-/// `(state, view count, simulated heap)` of every instance the app's
-/// thread ever created, destroyed ones included: instance ids are dense
-/// from 0 and a destroyed instance stays on its thread.
-fn all_instances(d: &Device, component: &str) -> Vec<(ActivityState, usize, u64)> {
+/// `(state, view count)` of every instance the app's thread holds.
+/// Instance ids are dense from 0 and a rotation creates at most one, so
+/// after `rotations` of them no id is above `rotations`.
+fn held_instances(d: &Device, component: &str, rotations: u64) -> Vec<(ActivityState, usize)> {
     let thread = d.process(component).unwrap().thread();
-    (0..)
-        .map_while(|i| thread.instance(ActivityInstanceId::new(i)).ok())
-        .map(|a| (a.state(), a.tree.view_count(), a.tree.heap_bytes()))
+    (0..=rotations)
+        .filter_map(|i| thread.instance(ActivityInstanceId::new(i)).ok())
+        .map(|a| (a.state(), a.tree.view_count()))
         .collect()
 }
 
-/// Every destroyed instance holds an empty tree; every alive one keeps
-/// its full layout.
-fn assert_only_alive_trees_hold_views(d: &Device, component: &str, destroyed: usize) {
-    let (dead, alive): (Vec<_>, Vec<_>) = all_instances(d, component)
-        .into_iter()
-        .partition(|(state, ..)| *state == ActivityState::Destroyed);
-    assert_eq!(dead.len(), destroyed);
-    for (_, views, heap) in dead {
-        assert_eq!((views, heap), (0, 0), "a destroyed tree kept its views");
-    }
-    assert!(!alive.is_empty());
-    for (_, views, _) in alive {
+/// Once no callback captures a destroyed instance, the thread holds
+/// none, and every alive instance keeps its full layout.
+fn assert_only_alive_instances_are_held(d: &Device, component: &str, rotations: u64) {
+    let held = held_instances(d, component, rotations);
+    assert!(!held.is_empty());
+    for (state, views) in held {
+        assert_ne!(
+            state,
+            ActivityState::Destroyed,
+            "a destroyed instance stayed"
+        );
         assert!(views > CHURN_VIEWS, "an alive tree lost views: {views}");
     }
 }
@@ -211,13 +211,23 @@ fn stock_churn() -> (Device, String, GenericAppSpec) {
 #[test]
 fn stock_relaunch_churn_frees_every_destroyed_tree() {
     let (mut d, c, spec) = stock_churn();
-    assert_only_alive_trees_hold_views(&d, &c, 128);
+    assert_only_alive_instances_are_held(&d, &c, 128);
     assert_eq!(d.memory_snapshot(&c).unwrap(), STOCK_CHURN_SNAPSHOT);
 
     // A callback captured before one more restart still dereferences
     // the released tree, with the very same exception.
     d.start_async_on_foreground(spec.async_task()).unwrap();
     d.rotate().unwrap();
+    let destroyed: Vec<usize> = held_instances(&d, &c, 129)
+        .into_iter()
+        .filter(|(state, _)| *state == ActivityState::Destroyed)
+        .map(|(_, views)| views)
+        .collect();
+    assert_eq!(
+        destroyed,
+        [0],
+        "the captured instance stays, views released"
+    );
     d.advance(SimDuration::from_secs(8));
     assert!(d.is_crashed(&c));
     assert_eq!(
@@ -264,6 +274,6 @@ fn rchdroid_gc_cycles_free_every_collected_shadow_tree() {
         })
         .count();
     assert_eq!(collected, 4);
-    assert_only_alive_trees_hold_views(&d, &c, 4);
+    assert_only_alive_instances_are_held(&d, &c, 12);
     assert_eq!(d.memory_snapshot(&c).unwrap(), RCH_CHURN_SNAPSHOT);
 }
