@@ -5,7 +5,7 @@ use crate::state::{ActivityState, StateError};
 use droidsim_atms::ActivityRecordId;
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
-use droidsim_view::{inflate, InflateStats, ViewTree};
+use droidsim_view::{inflate_weighed, InflateStats, ViewTree};
 
 droidsim_kernel::define_id! {
     /// Identifies one activity *instance* inside an app process (distinct
@@ -18,13 +18,13 @@ pub const KEY_HIERARCHY: &str = "android:viewHierarchyState";
 /// Bundle key for the app's own saved state.
 pub const KEY_APP: &str = "app:savedState";
 
-/// Inflates `model`'s main layout for `config`, uncached. A model
-/// without a layout for `config` gets an empty `FrameLayout` with id
-/// `content`.
+/// Inflates `model`'s main layout for `config`, uncached, with the
+/// tree's resident bytes as the inflater counted them. A model without
+/// a layout for `config` gets an empty `FrameLayout` with id `content`.
 pub(crate) fn inflate_main_layout(
     model: &dyn AppModel,
     config: &Configuration,
-) -> (ViewTree, InflateStats) {
+) -> (ViewTree, InflateStats, u64) {
     // Inflate straight from the resolved template reference: a deep
     // clone of the whole template per create was once the largest
     // allocation on the relaunch path.
@@ -32,13 +32,13 @@ pub(crate) fn inflate_main_layout(
         .resources()
         .resolve_layout(model.main_layout(), config)
     {
-        Ok(template) => inflate(template, model.resources(), config),
+        Ok(template) => inflate_weighed(template, model.resources(), config),
         Err(_) => {
             let fallback = droidsim_resources::LayoutTemplate::new(
                 "empty",
                 droidsim_resources::LayoutNode::new("FrameLayout").with_id("content"),
             );
-            inflate(&fallback, model.resources(), config)
+            inflate_weighed(&fallback, model.resources(), config)
         }
     }
 }
@@ -134,7 +134,7 @@ impl Activity {
     ///
     /// [`ActivityThread::perform_launch_activity`]: crate::ActivityThread::perform_launch_activity
     pub fn perform_create(&mut self, model: &dyn AppModel, saved: Option<&Bundle>) {
-        let (tree, stats) = inflate_main_layout(model, &self.config);
+        let (tree, stats, _) = inflate_main_layout(model, &self.config);
         self.create_from(tree, stats, model, saved);
     }
 

@@ -1,15 +1,23 @@
 //! Micro-benches of the framework substrate itself: the operations whose
 //! costs the paper's patch touches (layout build, inflation and the
 //! tree clone a kept inflation costs, hierarchy save, mapping build,
-//! lazy migration, resource resolution).
+//! lazy migration, an RCHDroid re-init after the GC, resource
+//! resolution).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use droidsim_app::SimpleApp;
 use droidsim_config::{Configuration, Orientation, UiMode};
-use droidsim_kernel::Symbol;
+use droidsim_device::{Device, HandlingMode, HandlingPath};
+use droidsim_kernel::{SimDuration, Symbol};
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{inflate, ViewKind, ViewOp, ViewTree};
 use rchdroid::MigrationEngine;
+use std::cell::RefCell;
 use std::hint::black_box;
+
+/// Longer than THRESH_T: an idle this long lets the GC collect the
+/// shadow.
+const GC_IDLE: SimDuration = SimDuration::from_secs(120);
 
 fn tree_with(n: usize) -> ViewTree {
     let mut t = ViewTree::new();
@@ -57,13 +65,27 @@ fn generic_layout(names: &[Symbol]) -> LayoutTemplate {
     let mut root = LayoutNode::new("LinearLayout").with_id("root");
     root.children.reserve_exact(names.len());
     for &name in names {
-        root = root.with_child(
+        root.children.push(
             LayoutNode::new(image_view)
                 .with_id(name)
                 .with_attr(src, asset),
         );
     }
     LayoutTemplate::new("activity_main", root)
+}
+
+/// An RCHDroid device running a `views`-view app whose first change
+/// (the init) and a coin flip are done: its process keeps both
+/// configurations' inflations and their coupling.
+fn flipped_device(views: usize) -> Device {
+    let mut d = Device::new(HandlingMode::rchdroid_default());
+    d.install_and_launch(Box::new(SimpleApp::with_views(views)), 40 << 20, 1.0)
+        .unwrap();
+    for path in [HandlingPath::RchInit, HandlingPath::RchFlip] {
+        assert_eq!(d.rotate().unwrap().path, path);
+        d.advance(SimDuration::from_secs(1));
+    }
+    d
 }
 
 fn bench(c: &mut Criterion) {
@@ -124,6 +146,29 @@ fn bench(c: &mut Criterion) {
                             .migrate_invalidations(&mut shadow, &mut sunny)
                             .unwrap(),
                     )
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
+    }
+
+    // One device re-initialising: each sample's set-up idles it past
+    // THRESH_T so the GC collects the shadow, and the timed rotation is
+    // the re-init. The device goes back into the slot, so no drop is
+    // timed.
+    for n in [64usize, 512, 2048] {
+        let slot = RefCell::new(Some(flipped_device(n)));
+        group.bench_with_input(BenchmarkId::new("reinit", n), &n, |b, _| {
+            b.iter_batched(
+                || {
+                    let mut d = slot.borrow_mut().take().unwrap();
+                    d.advance(GC_IDLE);
+                    d
+                },
+                |mut d| {
+                    let path = d.rotate().unwrap().path;
+                    *slot.borrow_mut() = Some(d);
+                    assert_eq!(path, HandlingPath::RchInit, "the GC collected the shadow");
                 },
                 criterion::BatchSize::SmallInput,
             );

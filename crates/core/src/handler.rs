@@ -387,10 +387,14 @@ impl RchDroid {
                     return self.fallback_restart(thread, atms, model, old_instance, None);
                 }
                 thread.set_current_shadow(Some(old_instance));
+                // A re-init between trees cloned from the process's kept
+                // inflations adopts the coupling the first init kept.
+                let kept = thread.kept_coupling(old_instance, sunny_instance);
                 let engine = &mut self.engine;
                 let (mapped, view_count) =
                     thread.with_instance_pair(old_instance, sunny_instance, |shadow, sunny| {
-                        let mapped = engine.build_mapping(&mut shadow.tree, &mut sunny.tree);
+                        let mapped =
+                            engine.couple(&mut shadow.tree, &mut sunny.tree, kept.as_ref());
                         // Seed user state the bundle restore missed (views
                         // that skip onSaveInstanceState), then clear the
                         // bookkeeping invalidations.
@@ -399,6 +403,11 @@ impl RchDroid {
                         sunny.tree.drain_invalidations();
                         (mapped, sunny.tree.view_count())
                     })?;
+                if kept.is_none() {
+                    if let Some(coupling) = self.engine.coupling() {
+                        thread.keep_coupling(coupling);
+                    }
+                }
                 Ok(ChangeOutcome {
                     kind: ChangeKind::Init,
                     sunny_instance,

@@ -11,7 +11,11 @@
 //! The mapping is the sunny-peer pointer each tree keeps per view into
 //! the other tree ([`ViewTree::sunny_peer`]), set on both trees by
 //! [`MigrationEngine::build_mapping`], so a coin flip migrates the other
-//! way without a rebuild. Lazy migration is
+//! way without a rebuild. Two trees cloned from a process's kept
+//! inflations carry their stamps ([`ViewTree::stamp`]), and their
+//! mapping is a [`Coupling`] of the two kept structures that the process
+//! keeps: [`MigrationEngine::couple`] adopts it, and only the first init
+//! between two kept trees walks them. Lazy migration is
 //! one loop, run once per async delivery (one *flush*): it drains the
 //! shadow tree's invalidations, which the tree already coalesces per
 //! view, and copies each dirty view's essence to the peer its pointer
@@ -20,7 +24,7 @@
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_metrics::MigrationMetrics;
-use droidsim_view::{MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
+use droidsim_view::{Coupling, MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
 use std::panic::{self, AssertUnwindSafe};
 
 /// The result of one lazy-migration pass.
@@ -110,11 +114,15 @@ fn copy_essence(
 /// The mapping itself lives on the trees, as each view's sunny-peer
 /// pointer ([`ViewTree::sunny_peer`]). The engine holds what migrating
 /// through it needs: the fault schedule and watchdog probed on every
-/// flush, the views rung-1 containment skipped, and lifetime
-/// [`MigrationMetrics`].
+/// flush, the views rung-1 containment skipped, lifetime
+/// [`MigrationMetrics`], and the kept coupling the last mapping built or
+/// adopted.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationEngine {
     mapped_views: usize,
+    /// The coupling of the two kept structures the last mapping was
+    /// built or adopted for; `None` when it walked.
+    coupling: Option<Coupling>,
     metrics: MigrationMetrics,
     /// Fault schedule probed on the flush path (sites
     /// `essence-mapping-miss`, `attribute-copy`,
@@ -173,6 +181,7 @@ impl MigrationEngine {
     pub fn reset_coupling(&mut self) {
         self.stale_views.clear();
         self.mapped_views = 0;
+        self.coupling = None;
     }
 
     /// Lifetime flush/coalescing metrics.
@@ -186,14 +195,57 @@ impl MigrationEngine {
     /// essence-based mapping"). In either direction a repeated id name
     /// maps to its [`ViewTree::find_by_id_name`] bearer on the other side.
     /// Returns the number of shadow views mapped.
+    ///
+    /// Two stamped trees are mapped through the [`Coupling`] of their
+    /// kept structures, built here and then offered by
+    /// [`MigrationEngine::coupling`]; other trees are walked.
     pub fn build_mapping(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
-        // The id-name indexes are cached on the trees (maintained
-        // incrementally on structural ops), so no index is rebuilt here.
-        let mapped = shadow.set_sunny_peers(sunny.id_name_index());
-        sunny.set_sunny_peers(shadow.id_name_index());
+        self.couple(shadow, sunny, None)
+    }
+
+    /// [`MigrationEngine::build_mapping`] that adopts `kept` when it
+    /// couples the trees' stamps, so the mapping costs the views added
+    /// since the shares instead of both trees. The peers and the count
+    /// are the ones a walk would give.
+    pub fn couple(
+        &mut self,
+        shadow: &mut ViewTree,
+        sunny: &mut ViewTree,
+        kept: Option<&Coupling>,
+    ) -> usize {
+        let adopt = |coupling: &Coupling, shadow: &mut ViewTree, sunny: &mut ViewTree| {
+            let mapped = shadow.adopt_sunny_peers(coupling, sunny)?;
+            sunny.adopt_sunny_peers(coupling, shadow)?;
+            Some((mapped, coupling.clone()))
+        };
+        let coupled = kept
+            .and_then(|c| adopt(c, shadow, sunny))
+            .or_else(|| adopt(&Coupling::build(shadow, sunny)?, shadow, sunny));
+        let mapped = match coupled {
+            Some((mapped, coupling)) => {
+                self.coupling = Some(coupling);
+                mapped
+            }
+            None => {
+                // The id-name indexes are cached on the trees (maintained
+                // incrementally on structural ops), so no index is rebuilt
+                // here.
+                self.coupling = None;
+                let mapped = shadow.set_sunny_peers(sunny.id_name_index());
+                sunny.set_sunny_peers(shadow.id_name_index());
+                mapped
+            }
+        };
         self.stale_views.clear();
         self.mapped_views = mapped;
         mapped
+    }
+
+    /// The coupling of the kept structures the last mapping was built or
+    /// adopted for: what a process keeps so that its next init between
+    /// trees of those structures adopts it.
+    pub fn coupling(&self) -> Option<&Coupling> {
+        self.coupling.as_ref()
     }
 
     /// Views mapped by the last [`MigrationEngine::build_mapping`].
@@ -304,6 +356,13 @@ impl MigrationEngine {
     /// loaded the correct resources for the new configuration and stale
     /// old-configuration content must not overwrite them.
     ///
+    /// While both trees still carry the stamps the last mapping was
+    /// built or adopted for, no view was removed from either since, so
+    /// every peer is live: the seeding visits only the shadow's views
+    /// that hold state ([`ViewTree::state_holders`]) and counts the
+    /// report from the mapping. Otherwise it walks the shadow tree and
+    /// checks every peer.
+    ///
     /// # Errors
     ///
     /// Propagates sunny-tree [`ViewError`]s.
@@ -312,6 +371,13 @@ impl MigrationEngine {
         shadow: &ViewTree,
         sunny: &mut ViewTree,
     ) -> Result<MigrationReport, ViewError> {
+        if self
+            .coupling
+            .as_ref()
+            .is_some_and(|c| c.fits(shadow, sunny))
+        {
+            return seed_state_holders(shadow, sunny);
+        }
         let mut report = MigrationReport::default();
         let mut failure: Option<ViewError> = None;
         shadow.for_each_id(|view| {
@@ -345,6 +411,33 @@ impl MigrationEngine {
             None => Ok(report),
         }
     }
+}
+
+/// [`MigrationEngine::seed_user_state`] for a pair whose peers are all
+/// live: copies the state of the shadow's views that hold some to their
+/// peers, and counts the report from the mapping instead of walking for
+/// it.
+fn seed_state_holders(
+    shadow: &ViewTree,
+    sunny: &mut ViewTree,
+) -> Result<MigrationReport, ViewError> {
+    for view in shadow.state_holders() {
+        let Some(peer) = shadow.sunny_peer(view) else {
+            continue;
+        };
+        let node = shadow.view(view)?;
+        if let Some(state) = node.attrs.user_state(node.freezes_text) {
+            sunny.edit_attrs(peer, |target| target.restore_user_state(&state))?;
+        }
+    }
+    let examined = shadow.view_count();
+    let migrated = shadow.mapped_peers();
+    Ok(MigrationReport {
+        examined,
+        migrated,
+        unmapped: examined.saturating_sub(migrated),
+        ..MigrationReport::default()
+    })
 }
 
 #[cfg(test)]
@@ -490,6 +583,48 @@ mod tests {
         assert_eq!(
             engine.seed_user_state(&shadow, &mut sunny),
             Err(ViewError::UnknownView(hero))
+        );
+    }
+
+    #[test]
+    fn seeding_from_the_state_holders_writes_a_repeated_name_in_pre_order() {
+        // A kept tree whose `dup` field follows an empty panel, and a
+        // creation that adds a second `dup` into the panel: a later id,
+        // but first in pre-order.
+        let mut kept = ViewTree::new();
+        let panel = kept
+            .add_view(kept.root(), ViewKind::LinearLayout, Some("panel"))
+            .unwrap();
+        let field = kept
+            .add_view(kept.root(), ViewKind::EditText, Some("dup"))
+            .unwrap();
+        kept.share();
+        let mut shadow = kept.clone();
+        let added = shadow
+            .add_view(panel, ViewKind::EditText, Some("dup"))
+            .unwrap();
+        assert!(added > field && shadow.stamp().is_some());
+        for (view, text) in [(field, "last in pre-order"), (added, "first in pre-order")] {
+            shadow.apply(view, ViewOp::SetText(text.into())).unwrap();
+        }
+        let mut sunny = ViewTree::new();
+        sunny
+            .add_view(sunny.root(), ViewKind::EditText, Some("dup"))
+            .unwrap();
+        sunny.share();
+        let mut engine = MigrationEngine::new();
+        engine.build_mapping(&mut shadow, &mut sunny);
+        assert!(engine.coupling().is_some_and(|c| c.fits(&shadow, &sunny)));
+        // Both bearers map to the one `dup`: the walk's last write wins.
+        let report = engine.seed_user_state(&shadow, &mut sunny).unwrap();
+        assert_eq!(
+            (report.examined, report.migrated, report.unmapped),
+            (4, 3, 1)
+        );
+        let dup = sunny.find_by_id_name("dup").unwrap();
+        assert_eq!(
+            sunny.view(dup).unwrap().attrs.text.as_deref(),
+            Some("last in pre-order")
         );
     }
 

@@ -341,6 +341,13 @@ struct Shared {
     degraded: AtomicBool,
     stop_now: AtomicBool,
     stopped: AtomicBool,
+    /// The watchdog waits out each tick on this, and a stop notifies
+    /// it, so a stop never waits for the watchdog's next tick.
+    stop_wake: Condvar,
+    /// The lock `stop_wake` waits under. A stop takes it between
+    /// setting `stopped` and notifying, so its wake cannot fall between
+    /// the watchdog's check of `stopped` and its wait.
+    pace: Mutex<()>,
     /// The sockets whose accept loops a stop must wake
     /// ([`Daemon::wake_on_stop`]), each with the inode it was bound as.
     listeners: Mutex<Vec<(PathBuf, u64)>>,
@@ -468,6 +475,8 @@ impl Daemon {
             degraded: AtomicBool::new(false),
             stop_now: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
+            stop_wake: Condvar::new(),
+            pace: Mutex::new(()),
             listeners: Mutex::new(Vec::new()),
             allocs_at_start: droidsim_kernel::alloc_track::current(),
             journal_dir: cfg.journal_dir.clone(),
@@ -740,6 +749,8 @@ impl Daemon {
             let _ = handle.join();
         }
         shared.stopped.store(true, Ordering::Release);
+        drop(lock(&shared.pace));
+        shared.stop_wake.notify_all();
         if let Some(handle) = lock(&self.watchdog).take() {
             let _ = handle.join();
         }
@@ -993,9 +1004,19 @@ fn run_job(shared: &Arc<Shared>, job: &QueuedJob) {
     }
 }
 
+/// Runs one round of the watchdog's checks per tick. The wait between
+/// rounds ends early when the daemon stops; a drain still gets its last
+/// round (the journal probe may pay a backlog), a stop `Now` none.
 fn watchdog_loop(shared: &Arc<Shared>) {
     while !shared.stopped.load(Ordering::Acquire) {
-        std::thread::sleep(shared.tick);
+        let paced = lock(&shared.pace);
+        let running = |_: &mut ()| !shared.stopped.load(Ordering::Acquire);
+        drop(
+            shared
+                .stop_wake
+                .wait_timeout_while(paced, shared.tick, running)
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
         if shared.stop_now.load(Ordering::Acquire) {
             return;
         }
@@ -1656,6 +1677,22 @@ mod tests {
         assert_eq!(field(&h, "journal"), "disabled");
         d.shutdown(ShutdownMode::Drain);
         assert_eq!(field(&d.health_fields(), "state"), "stopped");
+    }
+
+    #[test]
+    fn a_stop_does_not_wait_for_the_watchdog_tick() {
+        let d = Daemon::start(
+            DaemonConfig::new().with_tick(Duration::from_secs(2)),
+            TestExecutor::instant(),
+        )
+        .unwrap();
+        // Let the watchdog start its first two-second wait.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        d.shutdown(ShutdownMode::Drain);
+        let took = started.elapsed();
+        assert!(d.is_stopped());
+        assert!(took < Duration::from_millis(500), "the stop took {took:?}");
     }
 
     #[test]

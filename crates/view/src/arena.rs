@@ -131,13 +131,17 @@ impl Arena {
         self.owned.push(Some(view));
     }
 
-    /// Every slot in id order.
-    fn slots(&self) -> impl Iterator<Item = &Slot> {
+    /// Every slot of the shared prefix in id order, each read from its
+    /// chunk's copy if it has one.
+    fn shared_slots(&self) -> impl Iterator<Item = &Slot> {
         let shared = self.shared.as_deref().map_or(&[][..], Vec::as_slice);
         let chunks = shared.chunks(CHUNK).zip(&self.copies);
-        chunks
-            .flat_map(|(chunk, copy)| copy.as_deref().map_or(chunk, Vec::as_slice))
-            .chain(&self.owned)
+        chunks.flat_map(|(chunk, copy)| copy.as_deref().map_or(chunk, Vec::as_slice))
+    }
+
+    /// Every slot in id order.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.shared_slots().chain(&self.owned)
     }
 
     /// Every live view in id order.
@@ -149,14 +153,32 @@ impl Arena {
     /// from now on share it: the owned vector moves behind a reference
     /// count as it is, which costs the chunks, not the views. An arena
     /// that already has a shared prefix keeps it and its owned slots as
-    /// they are.
-    pub(crate) fn share(&mut self) {
+    /// they are. Returns whether this call shared anything.
+    pub(crate) fn share(&mut self) -> bool {
         if self.shared.is_some() {
-            return;
+            return false;
         }
         self.split = self.owned.len();
         self.copies = vec![None; self.split.div_ceil(CHUNK)];
         self.shared = Some(Rc::new(std::mem::take(&mut self.owned)));
+        true
+    }
+
+    /// The slots the share made the shared prefix: `0..split`.
+    pub(crate) fn split(&self) -> usize {
+        self.split
+    }
+
+    /// The live views in the shared prefix, with their slot numbers.
+    pub(crate) fn shared_views(&self) -> impl Iterator<Item = (usize, &ViewNode)> {
+        let slots = self.shared_slots().enumerate();
+        slots.filter_map(|(i, slot)| Some((i, slot.as_ref()?)))
+    }
+
+    /// The live views past the shared prefix: every view of an arena
+    /// never shared, or those added since the share.
+    pub(crate) fn owned_views(&self) -> impl Iterator<Item = &ViewNode> {
+        self.owned.iter().flatten()
     }
 
     /// Bytes of slot storage this arena reaches, each vector at its

@@ -75,16 +75,34 @@ pub fn inflate(
     resources: &ResourceTable,
     config: &Configuration,
 ) -> (ViewTree, InflateStats) {
+    let (tree, stats, _) = inflate_weighed(template, resources, config);
+    (tree, stats)
+}
+
+/// [`inflate`], also returning what [`ViewTree::resident_bytes`] reads
+/// for the tree, counted while the inflater filled it rather than by a
+/// walk: the arena at its capacity, each container's child list as
+/// reserved, and each string the views were given.
+pub fn inflate_weighed(
+    template: &LayoutTemplate,
+    resources: &ResourceTable,
+    config: &Configuration,
+) -> (ViewTree, InflateStats, u64) {
     let mut inflater = Inflater {
         resources,
         config,
         tree: ViewTree::with_capacity(template.node_count() + 1),
         stats: InflateStats::default(),
         resolved: IdMap::default(),
+        reserved_children: 0,
+        string_bytes: 0,
     };
     let decor = inflater.tree.root();
     inflater.add(template.root(), decor);
-    (inflater.tree, inflater.stats)
+    let bytes = inflater
+        .tree
+        .inflated_bytes(inflater.reserved_children, inflater.string_bytes);
+    (inflater.tree, inflater.stats, bytes)
 }
 
 /// Strict form of [`inflate`]: a template that places children under a
@@ -186,14 +204,18 @@ impl Resolved {
     }
 }
 
-/// One call's state: the tree being filled, its stats, and the answers
-/// for the attribute pairs met so far.
+/// One call's state: the tree being filled, its stats, the answers for
+/// the attribute pairs met so far, and what the views own.
 struct Inflater<'a> {
     resources: &'a ResourceTable,
     config: &'a Configuration,
     tree: ViewTree,
     stats: InflateStats,
     resolved: IdMap<(Symbol, Symbol), Resolved>,
+    /// Child-list slots reserved so far.
+    reserved_children: usize,
+    /// Bytes of the strings given to views so far, at capacity.
+    string_bytes: u64,
 }
 
 impl Inflater<'_> {
@@ -203,7 +225,7 @@ impl Inflater<'_> {
     fn add(&mut self, node: &LayoutNode, parent: ViewId) {
         let kind = ViewKind::from_class(node.class);
         let mut attrs = ViewAttrs::new();
-        let (mut strings, mut drawable_bytes) = (0, 0);
+        let (mut strings, mut drawable_bytes, mut string_bytes) = (0, 0, 0);
         let (resources, config) = (self.resources, self.config);
         for &(key, value) in node.attrs() {
             let resolved = self
@@ -213,14 +235,20 @@ impl Inflater<'_> {
             match resolved {
                 Resolved::Text(text, reference) => {
                     strings += usize::from(*reference);
-                    attrs.text = Some(text.clone());
+                    let text = text.clone();
+                    string_bytes += text.capacity();
+                    attrs.text = Some(text);
                 }
                 Resolved::Drawable(asset, bytes) => {
                     drawable_bytes += *bytes;
                     attrs.drawable = Some((*asset, *bytes));
                 }
                 Resolved::Progress(p) => attrs.progress = Some(*p),
-                Resolved::VideoUri(uri) => attrs.video_uri = Some(uri.clone()),
+                Resolved::VideoUri(uri) => {
+                    let uri = uri.clone();
+                    string_bytes += uri.capacity();
+                    attrs.video_uri = Some(uri);
+                }
                 Resolved::Nothing => {}
             }
         }
@@ -238,6 +266,8 @@ impl Inflater<'_> {
         self.stats.views_created += 1;
         self.stats.strings_resolved += strings;
         self.stats.drawable_bytes += drawable_bytes;
+        self.reserved_children += children;
+        self.string_bytes += string_bytes as u64;
         if children > 0 {
             for child in &node.children {
                 self.add(child, id);
@@ -571,6 +601,38 @@ mod tests {
                 }
             });
             assert_eq!(texts.len(), 200);
+        }
+    }
+
+    #[test]
+    fn the_counted_bytes_are_the_resident_bytes() {
+        for views in [0usize, 1, 64, 2_048] {
+            // Labels, typed fields, videos and images, every eighth one
+            // nested in a frame of its own.
+            let mut root = LayoutNode::new("LinearLayout").with_id("root");
+            for i in 0..views {
+                let leaf = match i % 4 {
+                    0 => LayoutNode::new("TextView")
+                        .with_id(&format!("label{i}"))
+                        .with_attr("text", "@string/title"),
+                    1 => LayoutNode::new("EditText").with_attr("text", "typed by hand"),
+                    2 => LayoutNode::new("VideoView").with_attr("videoUri", "clip.mp4"),
+                    _ => LayoutNode::new("ImageView").with_attr("src", "@drawable/hero"),
+                };
+                root.children.push(if i % 8 == 0 {
+                    LayoutNode::new("FrameLayout").with_child(leaf)
+                } else {
+                    leaf
+                });
+            }
+            let template = LayoutTemplate::new("sized", root);
+            let config = Configuration::phone_portrait();
+            let (mut tree, stats, bytes) = inflate_weighed(&template, &resources(), &config);
+            assert_eq!(stats.views_created, views + views.div_ceil(8) + 1);
+            assert_eq!(bytes, tree.resident_bytes(), "{views} views");
+            // What a process keeps is the shared tree's clone.
+            tree.share();
+            assert_eq!(bytes, tree.clone().resident_bytes(), "{views} views, kept");
         }
     }
 

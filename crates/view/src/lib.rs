@@ -45,8 +45,8 @@ pub mod tree;
 
 pub use attrs::ViewAttrs;
 pub use error::ViewError;
-pub use inflate::{check_nesting, inflate, try_inflate, InflateStats};
+pub use inflate::{check_nesting, inflate, inflate_weighed, try_inflate, InflateStats};
 pub use kind::{MigrationClass, ViewKind};
 pub use layout::{layout, LayoutResult, Rect};
 pub use ops::ViewOp;
-pub use tree::{views_visited, ViewId, ViewNode, ViewTree};
+pub use tree::{views_visited, Coupling, NameIndex, Stamp, ViewId, ViewNode, ViewTree};

@@ -36,6 +36,21 @@
 //! table rather than on the views, so that building RCHDroid's mapping
 //! writes no view.
 //!
+//! # Kept structures
+//!
+//! The first share also gives the tree a [`Stamp`], which its clones
+//! inherit. A stamped tree still has every view the share kept, each
+//! with its name; views added since sit past them, and the names they
+//! add go to an owned overlay of the shared id-name index
+//! ([`NameIndex`]), so an add copies neither the index nor the stamp
+//! away. Removing a view or releasing the tree drops the stamp. Two
+//! trees that carry stamps map their kept views to each other the same
+//! way whatever was written into them, so a process can keep that
+//! mapping ([`Coupling`]) and every later pair of trees with the same
+//! stamps adopts it, mapping only the views added since. The stamp says
+//! where a tree came from, not what it holds: the derived `PartialEq`
+//! ignores it and stays content equality.
+//!
 //! # Panic policy
 //!
 //! Production code in this module is panic-free: every fallible lookup
@@ -56,10 +71,17 @@ use droidsim_bundle::{Bundle, Value};
 use droidsim_kernel::id::IdMap;
 use droidsim_kernel::{alloc_track, Symbol};
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{self, Entry};
 use std::collections::BTreeSet;
+use std::fmt;
+use std::num::NonZeroU64;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+mod coupling;
+
+pub use coupling::Coupling;
 
 thread_local! {
     /// Reusable DFS stack for [`ViewTree::for_each_id`]-style traversals:
@@ -88,7 +110,7 @@ pub fn views_visited() -> u64 {
     VISITS.with(Cell::get)
 }
 
-/// Puts `id` into a tree's stateful set or takes it out.
+/// Puts `id` into a tree's set of views holding state or takes it out.
 fn mark_stateful(set: &mut BTreeSet<ViewId>, id: ViewId, stateful: bool) {
     if stateful {
         set.insert(id);
@@ -170,8 +192,7 @@ impl ViewNode {
 
     /// What `onSaveInstanceState` writes for this view: its name and its
     /// user state. `None` for a view that skips the protocol, has no id,
-    /// or holds no user state; `Some` exactly when
-    /// [`ViewNode::has_saved_state`] holds.
+    /// or holds no user state.
     fn saved_state(&self) -> Option<(Symbol, Bundle)> {
         if !self.saves_state {
             return None; // custom view without onSaveInstanceState
@@ -180,10 +201,126 @@ impl ViewNode {
         Some((name, self.attrs.user_state(self.freezes_text)?))
     }
 
-    /// Whether the hierarchy save writes an entry for this view, decided
-    /// by field checks alone: the predicate of the tree's stateful set.
-    fn has_saved_state(&self) -> bool {
-        self.saves_state && self.id_name.is_some() && self.attrs.has_user_state(self.freezes_text)
+    /// Whether the view has an id name and user state, whether or not it
+    /// saves that state, decided by field checks alone: the predicate of
+    /// the tree's stateful set. The hierarchy save writes an entry for
+    /// exactly the members that save their state.
+    fn holds_state(&self) -> bool {
+        self.id_name.is_some() && self.attrs.has_user_state(self.freezes_text)
+    }
+}
+
+/// Stamps handed out so far, process-wide.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+/// Names the structure of one shared tree: [`ViewTree::share`] gives a
+/// tree a stamp no other share in the process gets, its clones inherit
+/// it, and removing a view or releasing the tree drops it. Two trees
+/// with the same stamp still have the views that share kept, with their
+/// names, so their sunny peers against any one other stamp are the same
+/// ([`Coupling`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Stamp(NonZeroU64);
+
+impl Stamp {
+    fn fresh() -> Stamp {
+        let raw = STAMPS.fetch_add(1, Ordering::Relaxed);
+        Stamp(NonZeroU64::new(raw).unwrap_or(NonZeroU64::MIN))
+    }
+}
+
+/// A tree's [`Stamp`], if it still has one. Where the tree came from,
+/// not what it holds: any two compare equal, so the tree's derived
+/// `PartialEq` stays content equality.
+#[derive(Debug, Clone, Copy, Default)]
+struct Provenance(Option<Stamp>);
+
+impl PartialEq for Provenance {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// A tree's `android:id` name index: each name's lowest live bearer.
+///
+/// A kept tree's index is shared by its clones, and a stamped tree puts
+/// the names it adds into an owned overlay instead of copying the shared
+/// map; the two never hold the same name, and lookups read both. Every
+/// other tree writes its one map in place. Equality is that of the
+/// merged map, whichever part holds a name.
+#[derive(Clone, Default)]
+pub struct NameIndex {
+    /// The index as the tree's share left it (or the whole index of a
+    /// tree without a stamp), shared with the clones.
+    base: Rc<IdMap<Symbol, ViewId>>,
+    /// Names a stamped tree added that `base` lacks.
+    added: IdMap<Symbol, ViewId>,
+}
+
+impl NameIndex {
+    /// The lowest live bearer of `name`.
+    #[inline]
+    pub fn get(&self, name: &Symbol) -> Option<&ViewId> {
+        match self.base.get(name) {
+            Some(id) => Some(id),
+            None if self.added.is_empty() => None,
+            None => self.added.get(name),
+        }
+    }
+
+    /// Names indexed.
+    pub fn len(&self) -> usize {
+        self.base.len() + self.added.len()
+    }
+
+    /// Whether no name is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every (name, lowest bearer), in no particular order.
+    pub fn iter(&self) -> std::iter::Chain<IndexIter<'_>, IndexIter<'_>> {
+        self.base.iter().chain(self.added.iter())
+    }
+
+    /// The map that holds `name`, for a removal to update: the overlay
+    /// if it has the name, else the base (copied first if shared).
+    fn holder_mut(&mut self, name: &Symbol) -> &mut IdMap<Symbol, ViewId> {
+        if self.added.contains_key(name) {
+            &mut self.added
+        } else {
+            Rc::make_mut(&mut self.base)
+        }
+    }
+}
+
+/// An iterator over one part of a [`NameIndex`].
+pub type IndexIter<'a> = hash_map::Iter<'a, Symbol, ViewId>;
+
+impl<'a> IntoIterator for &'a NameIndex {
+    type Item = (&'a Symbol, &'a ViewId);
+    type IntoIter = std::iter::Chain<IndexIter<'a>, IndexIter<'a>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq<IdMap<Symbol, ViewId>> for NameIndex {
+    fn eq(&self, map: &IdMap<Symbol, ViewId>) -> bool {
+        self.len() == map.len() && self.iter().all(|(name, id)| map.get(name) == Some(id))
+    }
+}
+
+impl PartialEq for NameIndex {
+    fn eq(&self, other: &NameIndex) -> bool {
+        self.len() == other.len() && self.iter().all(|(name, id)| other.get(name) == Some(id))
+    }
+}
+
+impl fmt::Debug for NameIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -231,50 +368,89 @@ pub struct ViewTree {
     /// [`ViewTree::remove_view`]) instead of being rebuilt on every
     /// coupling build or flush. Invariant: always equal to
     /// [`ViewTree::rebuild_id_name_index`] (lowest live view id wins for
-    /// duplicate names). Like every map here it is an [`IdMap`]: its keys
-    /// are interned program names and arena ids, so one multiply hashes
-    /// them, and nothing reads its iteration order into an output. Like
-    /// the views it is shared by clones and copied by the first
-    /// structural op on a tree that shares it.
-    id_name_index: Rc<IdMap<Symbol, ViewId>>,
+    /// duplicate names). Like every map here it is made of [`IdMap`]s:
+    /// its keys are interned program names and arena ids, so one
+    /// multiply hashes them, and nothing reads its iteration order into
+    /// an output. Like the views it is shared by clones; a stamped tree
+    /// adds names to its overlay, and a removal copies the shared part.
+    id_name_index: NameIndex,
     /// Live duplicate-name bearers *not* currently in the index, per
     /// name, in ascending id order (appends stay sorted because view ids
     /// only grow). Removal promotes the front entry instead of rescanning
     /// the arena, making index maintenance O(shadowed) per removed name.
     shadowed_ids: IdMap<Symbol, Vec<ViewId>>,
-    /// The live views whose saved state is non-empty
-    /// ([`ViewNode::has_saved_state`]): the only views the hierarchy save
-    /// visits. A view [`ViewTree::add_view`] adds holds no state; one the
-    /// inflater adds joins the set if its layout attributes give it
-    /// state.
+    /// The live views with an id name and user state, whether or not
+    /// they save it ([`ViewNode::holds_state`]): the only views the
+    /// hierarchy save and RCHDroid's seeding visit. A view
+    /// [`ViewTree::add_view`] adds holds no state; one the inflater adds
+    /// joins the set if its layout attributes give it state.
     stateful: BTreeSet<ViewId>,
     /// RCHDroid hook: each view's pointer to the corresponding view in
     /// the coupled tree, by view id, as [`ViewTree::set_sunny_peers`]
-    /// left it. Empty by default (stock behaviour).
+    /// or an adopted [`Coupling`] left it. Empty by default (stock
+    /// behaviour).
     sunny_peers: SunnyPeers,
+    /// The stamp of the structure this tree still has, if any.
+    kept: Provenance,
 }
 
 /// A tree's sunny-peer pointers, indexed by view id. Views past the end
 /// have no peer, so two tables that differ only in trailing `None`s are
 /// equal.
 #[derive(Debug, Clone, Default)]
-struct SunnyPeers(Vec<Option<ViewId>>);
+struct SunnyPeers {
+    /// The peers of the lowest ids: a walk's whole table, or an adopted
+    /// coupling's table of the kept views, which the coupling and every
+    /// tree that adopted it share until a removal copies it.
+    low: Option<Rc<Vec<Option<ViewId>>>>,
+    /// The peers of the ids past `low`: the views a stamped tree added
+    /// since its share, when it adopted a coupling.
+    high: Vec<Option<ViewId>>,
+    /// Entries that name a peer.
+    mapped: usize,
+}
 
 impl SunnyPeers {
-    /// The table without its trailing `None`s.
-    fn mapped(&self) -> &[Option<ViewId>] {
-        let end = self
-            .0
-            .iter()
-            .rposition(Option::is_some)
-            .map_or(0, |i| i + 1);
-        &self.0[..end]
+    fn low(&self) -> &[Option<ViewId>] {
+        self.low.as_deref().map_or(&[][..], Vec::as_slice)
+    }
+
+    fn len(&self) -> usize {
+        self.low().len() + self.high.len()
+    }
+
+    /// The peer of the view in slot `i`.
+    #[inline]
+    fn get(&self, i: usize) -> Option<ViewId> {
+        let low = self.low();
+        match low.get(i) {
+            Some(&peer) => peer,
+            None => self.high.get(i - low.len()).copied().flatten(),
+        }
+    }
+
+    /// Drops the peer of the view in slot `i`; a table it shares is
+    /// copied first, unless the view had no peer.
+    fn clear(&mut self, i: usize) {
+        if self.get(i).is_none() {
+            return;
+        }
+        let low_len = self.low().len();
+        let slot = match &mut self.low {
+            Some(low) if i < low_len => Rc::make_mut(low).get_mut(i),
+            _ => self.high.get_mut(i - low_len),
+        };
+        if let Some(peer) = slot {
+            *peer = None;
+            self.mapped -= 1;
+        }
     }
 }
 
 impl PartialEq for SunnyPeers {
     fn eq(&self, other: &Self) -> bool {
-        self.mapped() == other.mapped()
+        let len = self.len().max(other.len());
+        (0..len).all(|i| self.get(i) == other.get(i))
     }
 }
 
@@ -306,9 +482,9 @@ impl ViewTree {
         alloc_track::note(1);
         let mut arena = Arena::with_capacity(views.max(1));
         arena.push(decor);
-        let mut id_name_index = IdMap::default();
-        id_name_index.reserve(views.max(1));
-        id_name_index.insert(decor_name, root);
+        let mut names = IdMap::default();
+        names.reserve(views.max(1));
+        names.insert(decor_name, root);
         ViewTree {
             arena,
             live: 1,
@@ -319,10 +495,14 @@ impl ViewTree {
             raw_pending: 0,
             shadow: false,
             sunny: false,
-            id_name_index: Rc::new(id_name_index),
+            id_name_index: NameIndex {
+                base: Rc::new(names),
+                added: IdMap::default(),
+            },
             shadowed_ids: IdMap::default(),
             stateful: BTreeSet::new(),
             sunny_peers: SunnyPeers::default(),
+            kept: Provenance::default(),
         }
     }
 
@@ -342,7 +522,8 @@ impl ViewTree {
     /// The views themselves are freed: the arena, the id-name index, the
     /// shadowed-duplicate lists, the stateful set, the sunny peers and
     /// the pending invalidations are all dropped (a chunk another tree
-    /// shares only loses a reference), so a released tree holds no views
+    /// shares only loses a reference), and so is the stamp, so a
+    /// released tree holds no views
     /// ([`ViewTree::view_count`] and [`ViewTree::heap_bytes`] read 0,
     /// [`ViewTree::find_by_id_name`] finds nothing). Only the decor id
     /// survives, for
@@ -352,8 +533,9 @@ impl ViewTree {
         self.released = true;
         self.arena = Arena::default();
         self.sunny_peers = SunnyPeers::default();
+        self.kept = Provenance::default();
         self.live = 0;
-        self.id_name_index = Rc::default();
+        self.id_name_index = NameIndex::default();
         self.shadowed_ids = IdMap::default();
         self.stateful = BTreeSet::new();
         self.pending = Vec::new();
@@ -413,15 +595,27 @@ impl ViewTree {
     ///
     /// A process keeps its pristine inflations shared, so re-creating an
     /// activity costs the views the creation writes, not the tree.
+    ///
+    /// The first share also stamps the tree ([`ViewTree::stamp`]).
     pub fn share(&mut self) {
-        self.arena.share();
+        if self.arena.share() {
+            self.kept = Provenance(Some(Stamp::fresh()));
+        }
     }
 
-    /// Re-checks one view against the saved-state predicate and updates
-    /// the stateful set. Every write to a view's attributes or save flags
+    /// The stamp of the shared structure this tree still has: `Some`
+    /// from its first [`ViewTree::share`] (or its source's, for a clone)
+    /// until a view is removed or the tree is released. Views added in
+    /// between keep it.
+    pub fn stamp(&self) -> Option<Stamp> {
+        self.kept.0
+    }
+
+    /// Re-checks one view against the stateful predicate and updates the
+    /// stateful set. Every write to a view's attributes or save flags
     /// ends here.
     pub(crate) fn refresh_stateful(&mut self, id: ViewId) {
-        let stateful = self.node(id).is_some_and(ViewNode::has_saved_state);
+        let stateful = self.node(id).is_some_and(ViewNode::holds_state);
         mark_stateful(&mut self.stateful, id, stateful);
     }
 
@@ -518,24 +712,37 @@ impl ViewTree {
             saves_state: true,
             freezes_text: kind.is_editable(),
         };
-        if node.has_saved_state() {
+        if node.holds_state() {
             self.stateful.insert(id);
         }
         self.arena.push(node);
         self.live += 1;
         if let Some(name) = id_name {
-            // New ids are strictly increasing, so the first bearer stays
-            // the lowest; later bearers queue in the shadowed list, which
-            // stays sorted because appends only ever add larger ids.
-            match Rc::make_mut(&mut self.id_name_index).entry(name) {
-                Entry::Vacant(e) => {
-                    e.insert(id);
-                }
-                Entry::Occupied(_) => self.shadowed_ids.entry(name).or_default().push(id),
-            }
+            self.index_added(name, id);
         }
         self.node_mut(parent)?.children.push(id);
         Ok(id)
+    }
+
+    /// Indexes `name` for the view `id` just added. New ids are strictly
+    /// increasing, so the first bearer stays the lowest; later bearers
+    /// queue in the shadowed list, which stays sorted because appends
+    /// only ever add larger ids. A stamped tree puts a new name into the
+    /// overlay, so the shared index is never copied for an add.
+    fn index_added(&mut self, name: Symbol, id: ViewId) {
+        let index = &mut self.id_name_index;
+        let (fresh, other) = if self.kept.0.is_some() {
+            (&mut index.added, &*index.base)
+        } else {
+            (Rc::make_mut(&mut index.base), &index.added)
+        };
+        let taken = !other.is_empty() && other.contains_key(&name);
+        match fresh.entry(name) {
+            Entry::Vacant(e) if !taken => {
+                e.insert(id);
+            }
+            _ => self.shadowed_ids.entry(name).or_default().push(id),
+        }
     }
 
     /// Removes a view and its whole subtree. Removing the decor view is
@@ -553,15 +760,14 @@ impl ViewTree {
             });
         }
         let parent = self.view(id)?.parent;
+        self.kept = Provenance::default();
         let mut stack = vec![id];
         let mut removed_names: Vec<(Symbol, ViewId)> = Vec::new();
         while let Some(current) = stack.pop() {
             if let Some(node) = self.arena.take(current.raw() as usize) {
                 self.live -= 1;
                 self.stateful.remove(&current);
-                if let Some(peer) = self.sunny_peers.0.get_mut(current.raw() as usize) {
-                    *peer = None;
-                }
+                self.sunny_peers.clear(current.raw() as usize);
                 if let Some(name) = node.id_name {
                     removed_names.push((name, node.id));
                 }
@@ -573,17 +779,18 @@ impl ViewTree {
                 // The indexed occurrence left the tree; promote the
                 // lowest shadowed bearer — O(shadowed) bookkeeping
                 // instead of the old full arena rescan.
+                let holder = self.id_name_index.holder_mut(&name);
                 match self.shadowed_ids.get_mut(&name) {
                     Some(shadowed) if !shadowed.is_empty() => {
                         let next = shadowed.remove(0);
                         if shadowed.is_empty() {
                             self.shadowed_ids.remove(&name);
                         }
-                        Rc::make_mut(&mut self.id_name_index).insert(name, next);
+                        holder.insert(name, next);
                     }
                     _ => {
                         self.shadowed_ids.remove(&name);
-                        Rc::make_mut(&mut self.id_name_index).remove(&name);
+                        holder.remove(&name);
                     }
                 }
             } else if let Some(shadowed) = self.shadowed_ids.get_mut(&name) {
@@ -791,6 +998,16 @@ impl ViewTree {
         arena as u64 + owned
     }
 
+    /// [`ViewTree::resident_bytes`] of a tree the inflater just filled,
+    /// from what it counted while filling: the child-list slots it
+    /// reserved and the bytes of the strings it gave the views. Reads
+    /// the arena's capacity and the decor view, not the other views.
+    pub(crate) fn inflated_bytes(&self, reserved_children: usize, string_bytes: u64) -> u64 {
+        let decor = self.node(self.root).map_or(0, |d| d.children.capacity());
+        let lists = (reserved_children + decor) * std::mem::size_of::<ViewId>();
+        (self.arena.slot_bytes() + lists) as u64 + string_bytes
+    }
+
     /// Saves the hierarchy state: for every view *with an id name*, its
     /// user state goes into the bundle under `view:{id_name}`. Views
     /// without ids are skipped — exactly Android's (lossy) contract — and
@@ -798,19 +1015,22 @@ impl ViewTree {
     /// several views share a name, the last one in pre-order that has
     /// state wins.
     ///
-    /// The save visits only the tree's stateful views, the ones those
-    /// rules keep, so it costs the views that hold state and not the
+    /// The save visits only the tree's stateful views, a superset of
+    /// the ones those rules keep (it also holds the views that skip the
+    /// protocol), so it costs the views that hold state and not the
     /// tree. The bundle is a sorted map, so the visiting order matters
-    /// only for a name with several live bearers: there the stateful
+    /// only for a name with several live bearers: there the saving
     /// bearers are ranked in pre-order by their ancestor chains, with no
     /// walk.
     pub fn save_hierarchy_state(&self) -> Bundle {
         let mut out = Bundle::new();
-        // Names with several live bearers, each with the stateful bearer
+        // Names with several live bearers, each with the saving bearer
         // that comes last in pre-order so far.
         let mut contested: Vec<(Symbol, ViewId)> = Vec::new();
         for &id in &self.stateful {
-            let Some(node) = self.node(id) else { continue };
+            let Some(node) = self.node(id).filter(|n| n.saves_state) else {
+                continue;
+            };
             match node.id_name {
                 Some(name) if self.shadowed_ids.contains_key(&name) => {
                     match contested.iter_mut().find(|(n, _)| *n == name) {
@@ -910,9 +1130,31 @@ impl ViewTree {
         for id in std::iter::once(first).chain(shadowed.iter().copied()) {
             if let Some(node) = self.arena.get_mut(id.raw() as usize) {
                 node.attrs.restore_user_state(state);
-                mark_stateful(&mut self.stateful, id, node.has_saved_state());
+                mark_stateful(&mut self.stateful, id, node.holds_state());
             }
         }
+    }
+
+    /// The live views with an id name and user state, whether or not
+    /// they save it: the views RCHDroid's seeding copies. In id order,
+    /// except that the bearers of a name several live views bear come
+    /// last, in pre-order, so copying them in turn leaves each name's
+    /// state as a pre-order walk leaves it. Costs those views (and a
+    /// repeated name's ancestor chains), not the tree.
+    pub fn state_holders(&self) -> Vec<ViewId> {
+        alloc_track::note(1);
+        let mut out = Vec::with_capacity(self.stateful.len());
+        let mut repeated = Vec::new();
+        for &id in &self.stateful {
+            match self.node(id).and_then(|n| n.id_name) {
+                Some(name) if self.shadowed_ids.contains_key(&name) => repeated.push(id),
+                _ => out.push(id),
+            }
+        }
+        note_visits(self.stateful.len());
+        repeated.sort_by(|a, b| self.precedes(*b, *a).cmp(&self.precedes(*a, *b)));
+        out.extend(repeated);
+        out
     }
 
     // ---- RCHDroid hook points (Table 2 patch surface) ----
@@ -952,7 +1194,7 @@ impl ViewTree {
     /// so a coupling build or flush no longer re-traverses the tree or
     /// clones any strings. For duplicate names the lowest live view id
     /// wins, matching [`ViewTree::find_by_id_name`].
-    pub fn id_name_index(&self) -> &IdMap<Symbol, ViewId> {
+    pub fn id_name_index(&self) -> &NameIndex {
         &self.id_name_index
     }
 
@@ -974,11 +1216,14 @@ impl ViewTree {
     /// index. Returns how many views were mapped. The pointers go into
     /// the tree's side table, so the mapping writes no view and unshares
     /// no chunk.
-    pub fn set_sunny_peers(&mut self, sunny_index: &IdMap<Symbol, ViewId>) -> usize {
+    pub fn set_sunny_peers(&mut self, sunny_index: &NameIndex) -> usize {
         if self.released {
             return 0;
         }
-        let mut peers = std::mem::take(&mut self.sunny_peers.0);
+        let table = std::mem::take(&mut self.sunny_peers).low;
+        let mut peers = table
+            .and_then(|t| Rc::try_unwrap(t).ok())
+            .unwrap_or_default();
         peers.clear();
         peers.resize(self.arena.len(), None);
         let mut mapped = 0;
@@ -990,15 +1235,26 @@ impl ViewTree {
             }
         }
         note_visits(self.live);
-        self.sunny_peers.0 = peers;
+        self.sunny_peers = SunnyPeers {
+            low: Some(Rc::new(peers)),
+            high: Vec::new(),
+            mapped,
+        };
         mapped
     }
 
-    /// The sunny peer [`ViewTree::set_sunny_peers`] stored for `id`:
-    /// `None` for a view it did not map, one added or removed since, a
-    /// released tree, or after [`ViewTree::clear_sunny_peers`].
+    /// The sunny peer [`ViewTree::set_sunny_peers`] (or an adopted
+    /// [`Coupling`]) stored for `id`: `None` for a view it did not map,
+    /// one added or removed since, a released tree, or after
+    /// [`ViewTree::clear_sunny_peers`].
     pub fn sunny_peer(&self, id: ViewId) -> Option<ViewId> {
-        self.sunny_peers.0.get(id.raw() as usize).copied().flatten()
+        self.sunny_peers.get(id.raw() as usize)
+    }
+
+    /// How many live views have a sunny peer: what the last mapping
+    /// returned, less the mapped views removed since.
+    pub fn mapped_peers(&self) -> usize {
+        self.sunny_peers.mapped
     }
 
     /// Clears every sunny-peer pointer (used when the coupling is broken,
@@ -1264,8 +1520,11 @@ mod tests {
         assert_eq!(visits(&t), (0, 0));
         t.apply(field, ViewOp::SetText("typed".into())).unwrap();
         assert_eq!(visits(&t), (1, 1));
+        // A view that skips the protocol still holds its state, which
+        // RCHDroid's seeding copies: the save visits it and writes
+        // nothing for it.
         t.set_saves_state(field, false).unwrap();
-        assert_eq!(visits(&t), (0, 0));
+        assert_eq!(visits(&t), (1, 0));
         t.set_saves_state(field, true).unwrap();
         t.remove_view(field).unwrap();
         assert_eq!(visits(&t), (0, 0));

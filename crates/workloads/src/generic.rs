@@ -338,15 +338,18 @@ impl GenericApp {
         ] {
             let mut root = LayoutNode::new(container).with_id("root");
             root.children.reserve_exact(image_count + extra_children);
+            // Pushed into the reserved list: a `with_child` per node
+            // would move the root through a builder call each time.
+            let children = &mut root.children;
             for &id in &content_ids {
-                root = root.with_child(
+                children.push(
                     LayoutNode::new(image_view)
                         .with_id(id)
                         .with_attr(src, asset_ref),
                 );
             }
             // The async-task target.
-            root = root.with_child(LayoutNode::new("TextView").with_id("async_target"));
+            children.push(LayoutNode::new("TextView").with_id("async_target"));
             // One layout-declared custom view per CustomViewNoSave item.
             for item in &spec.state_items {
                 if item.mechanism == StateMechanism::CustomViewNoSave
@@ -357,7 +360,7 @@ impl GenericApp {
                     } else {
                         "EditText"
                     };
-                    root = root.with_child(LayoutNode::new(class).with_id(&item.key));
+                    children.push(LayoutNode::new(class).with_id(&item.key));
                 }
             }
             // Layout-declared homes for data-loss fields: a fragment
@@ -367,18 +370,17 @@ impl GenericApp {
             // the dialog is shown); member fields have no view at all.
             if let Some(dl) = &spec.dataloss {
                 for f in &dl.fields {
-                    root = match f.owner {
-                        FieldOwner::Fragment => root.with_child(
-                            LayoutNode::new("FrameLayout").with_id(&format!("frag_{}", f.key)),
-                        ),
-                        FieldOwner::AsyncView => {
-                            root.with_child(LayoutNode::new("TextView").with_id(&f.key))
+                    let home = match f.owner {
+                        FieldOwner::Fragment => {
+                            LayoutNode::new("FrameLayout").with_id(&format!("frag_{}", f.key))
                         }
-                        FieldOwner::InputView => root.with_child(
-                            LayoutNode::new("com.app.InFlightEditText").with_id(&f.key),
-                        ),
-                        FieldOwner::Member | FieldOwner::Dialog => root,
+                        FieldOwner::AsyncView => LayoutNode::new("TextView").with_id(&f.key),
+                        FieldOwner::InputView => {
+                            LayoutNode::new("com.app.InFlightEditText").with_id(&f.key)
+                        }
+                        FieldOwner::Member | FieldOwner::Dialog => continue,
                     };
+                    children.push(home);
                 }
             }
             resources.put(

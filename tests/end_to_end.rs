@@ -165,6 +165,54 @@ fn a_flip_visits_the_stateful_views_not_the_tree() {
     );
 }
 
+/// Views visited by an RCHDroid device's first change (the init) and by
+/// its re-init after the GC collected the shadow the init and a coin
+/// flip left, with the stateful views the re-init's new shadow holds.
+fn reinit_work(views: usize) -> (u64, u64, usize) {
+    let probe = three_state_app(views);
+    let mut d = Device::new(HandlingMode::rchdroid_default());
+    let c = d
+        .install_and_launch(Box::new(three_state_app(views)), 40 << 20, 1.0)
+        .unwrap();
+    d.with_foreground_activity_mut(|a| probe.apply_user_state(a))
+        .unwrap();
+    let init = rotation_work(&mut d, HandlingPath::RchInit);
+    d.advance(SimDuration::from_secs(1));
+    rotation_work(&mut d, HandlingPath::RchFlip);
+    // Idle past THRESH_T with an empty frequency window: the GC collects.
+    d.advance(SimDuration::from_secs(120));
+    let thread = d.process(&c).unwrap().thread();
+    assert_eq!(thread.current_shadow(), None, "the GC collected the shadow");
+    let holders = thread
+        .instance(thread.current_sunny().unwrap())
+        .unwrap()
+        .tree
+        .state_holders()
+        .len();
+    let reinit = rotation_work(&mut d, HandlingPath::RchInit);
+    (init, reinit, holders)
+}
+
+#[test]
+fn a_warm_reinit_visits_the_stateful_views_not_the_tree() {
+    let (small_init, small_reinit, holders) = reinit_work(64);
+    let (large_init, large_reinit, _) = reinit_work(2_048);
+    // The first init still walks both trees once to map them.
+    assert!(
+        large_init >= small_init + (2_048 - 64),
+        "init visits {small_init} → {large_init}"
+    );
+    // The re-init adopts the mapping the first init kept: its work is
+    // the views that hold state (snapshot and seeding) and the code-made
+    // view each tree added, whatever the tree's size.
+    assert_eq!(small_reinit, large_reinit, "re-init visits");
+    assert!(holders >= 3, "three state items hold state: {holders}");
+    assert!(
+        large_reinit <= 2 * holders as u64 + 4,
+        "{large_reinit} visits for {holders} stateful views"
+    );
+}
+
 #[test]
 fn async_work_survives_arbitrary_rotation_counts_under_rchdroid() {
     for rotations in 1..=5 {

@@ -237,6 +237,21 @@ fn small_spec() -> GenericAppSpec {
         .with_issue("state loss on change", custom_state())
 }
 
+/// A 12–56-view app whose `on_create` adds a view the layout lacks, so
+/// every creation's tree differs from its kept inflation by one view:
+/// its name goes to the overlay of the shared index, and each re-init
+/// adopts the kept coupling and maps that view on its own.
+fn dynamic_spec() -> GenericAppSpec {
+    let dynamic = StateItem::new(
+        "long-lived-dynamic",
+        StateMechanism::DynamicViewNoSave,
+        "typed",
+    );
+    GenericAppSpec::sized("memo-parity-dynamic", "10M+", false)
+        .with_async_task()
+        .with_issue("state loss on change", dynamic)
+}
+
 /// A 705-view app whose writes land in chunks far apart. The layout
 /// lists 600 images, the async target, then each state item's view in
 /// order: 100 framework fields that save their typed text, and last the
@@ -321,7 +336,7 @@ fn a_long_lived_device_digests_the_same_with_and_without_the_cache() {
         })
         .unwrap();
     assert_eq!(gap, 101);
-    for spec in [small_spec(), wide_spec()] {
+    for spec in [small_spec(), dynamic_spec(), wide_spec()] {
         for mode in [HandlingMode::rchdroid_default(), HandlingMode::Android10] {
             for fault_seed in [42u64, 43] {
                 let name = &spec.name;

@@ -791,6 +791,121 @@ proptest! {
     }
 }
 
+// ---- Kept couplings: the mapping between two kept inflations, built by
+// ---- a process's first init and adopted by every later one.
+
+/// Names the kept couplings' scripts add from: [`NAMES`], which the
+/// layouts use too, and three that a layout lacks until a script adds
+/// them, so each tree adds names the other tree kept.
+const MORE_NAMES: [&str; 9] = ["v0", "v1", "v2", "v3", "v4", "v5", "w0", "w1", "w2"];
+
+/// Edits that keep a tree's stamp: adds (under any view and under
+/// containers), `apply`s and save flags.
+fn arb_stamped_edits() -> impl Strategy<Value = Vec<BuildStep>> {
+    let step = prop_oneof![
+        arb_add(false),
+        arb_add(true),
+        arb_mutate(),
+        arb_mutate(),
+        (any::<usize>(), any::<bool>(), any::<bool>()).prop_map(
+            |(choice, saves_state, freezes_text)| BuildStep::Flags {
+                choice,
+                saves_state,
+                freezes_text,
+            }
+        ),
+    ];
+    proptest::collection::vec(step, 0..16)
+}
+
+/// Both trees mapped by a walk, [`ViewTree::set_sunny_peers`] each way.
+fn walked_mapping(shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
+    let mapped = shadow.set_sunny_peers(sunny.id_name_index());
+    sunny.set_sunny_peers(shadow.id_name_index());
+    mapped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn an_adopted_coupling_maps_and_seeds_as_a_walk_does(
+        layouts in (arb_wide_layout(), arb_wide_layout()),
+        kept_scripts in (arb_script(12), arb_script(12)),
+        first in (arb_stamped_edits(), arb_stamped_edits()),
+        later in (arb_stamped_edits(), arb_stamped_edits()),
+        removal in (any::<bool>(), any::<bool>(), any::<usize>()),
+        swap in any::<bool>(),
+    ) {
+        // A process's two kept inflations, one per configuration, each
+        // changed before its share (removals leave empty slots in what
+        // it keeps).
+        let config = Configuration::phone_portrait();
+        let mut table = ResourceTable::new();
+        table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
+        let kept = [(&layouts.0, &kept_scripts.0), (&layouts.1, &kept_scripts.1)].map(
+            |(layout, script)| {
+                let mut tree = inflate(layout, &table, &config).0;
+                apply_script(&mut tree, script, &MORE_NAMES);
+                tree.share();
+                tree
+            },
+        );
+        let created = |side: usize, edits: &[BuildStep]| {
+            let mut tree = kept[side].clone();
+            apply_script(&mut tree, edits, &MORE_NAMES);
+            tree
+        };
+
+        // The first init between two creations maps them and builds the
+        // coupling of the kept pair.
+        let (mut a, mut b) = (created(0, &first.0), created(1, &first.1));
+        let (mut walked_a, mut walked_b) = (a.clone(), b.clone());
+        let mut engine = MigrationEngine::new();
+        let mapped = engine.build_mapping(&mut a, &mut b);
+        prop_assert_eq!(mapped, walked_mapping(&mut walked_a, &mut walked_b));
+        prop_assert_eq!(&a, &walked_a);
+        prop_assert_eq!(&b, &walked_b);
+        let coupling = engine.coupling().cloned();
+        prop_assert!(coupling.as_ref().is_some_and(|c| c.fits(&a, &b)));
+
+        // A later init between two other creations, in the roles the GC
+        // left, maybe after a removal that drops a stamp.
+        let (mut shadow, mut sunny) = (created(0, &later.0), created(1, &later.1));
+        if swap {
+            std::mem::swap(&mut shadow, &mut sunny);
+        }
+        if let (true, in_shadow, choice) = removal {
+            let tree = if in_shadow { &mut shadow } else { &mut sunny };
+            let ids = tree.iter_ids();
+            let _ = tree.remove_view(ids[choice % ids.len()]);
+        }
+        let adopts = coupling.as_ref().is_some_and(|c| c.fits(&shadow, &sunny));
+        prop_assert_eq!(adopts, shadow.stamp().is_some() && sunny.stamp().is_some());
+        let (mut walked_shadow, mut walked_sunny) = (shadow.clone(), sunny.clone());
+        let mut engine = MigrationEngine::new();
+        let mapped = engine.couple(&mut shadow, &mut sunny, coupling.as_ref());
+        prop_assert_eq!(mapped, walked_mapping(&mut walked_shadow, &mut walked_sunny));
+        prop_assert_eq!(shadow.mapped_peers(), walked_shadow.mapped_peers());
+        prop_assert_eq!(sunny.mapped_peers(), walked_sunny.mapped_peers());
+        prop_assert_eq!(&shadow, &walked_shadow);
+        prop_assert_eq!(&sunny, &walked_sunny);
+        for id in walked_shadow.iter_ids() {
+            prop_assert_eq!(shadow.sunny_peer(id), walked_shadow.sunny_peer(id));
+        }
+        for id in walked_sunny.iter_ids() {
+            prop_assert_eq!(sunny.sunny_peer(id), walked_sunny.sunny_peer(id));
+        }
+
+        // Seeding, from the state holders when the stamps held, equals
+        // the whole-tree oracle.
+        let mut seeded = sunny.clone();
+        let report = engine.seed_user_state(&shadow, &mut seeded);
+        prop_assert_eq!(report, oracle_seed(&walked_shadow, &mut walked_sunny));
+        prop_assert_eq!(seeded, walked_sunny);
+    }
+}
+
 // ---- What strict inflation and RCH001's grouping computed by building
 // ---- and walking trees, now read off the template and the name index.
 
