@@ -9,7 +9,7 @@ use droidsim_atms::ActivityRecordId;
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
 use droidsim_kernel::{memo, IdGen, SimTime};
-use droidsim_view::{Coupling, InflateStats, ViewError, ViewTree};
+use droidsim_view::{InflateStats, ViewError, ViewTree};
 use std::collections::BTreeMap;
 
 /// A completed background task heading for the UI thread: which instance's
@@ -85,16 +85,9 @@ struct Kept {
 /// The kept trees are wall-clock state: they stay out of
 /// [`ActivityThread::heap_bytes`], the PSS model and every fingerprint,
 /// and leave with the thread.
-///
-/// Sharing stamps each kept tree ([`ViewTree::stamp`]), and the cache
-/// also keeps the [`Coupling`] of each pair of kept trees an RCHDroid
-/// init has mapped, so a later init between two trees cloned from the
-/// same pair adopts it instead of walking them. The couplings are not
-/// counted into the byte tally.
 #[derive(Debug, Default)]
 struct InflationCache {
     kept: Vec<Kept>,
-    couplings: Vec<Coupling>,
     /// The kept trees' resident bytes, as counted into
     /// [`memo::record_kept`].
     bytes: u64,
@@ -256,26 +249,6 @@ impl ActivityThread {
         self.inflations
             .keep(layout, config, tree.clone(), stats, bytes);
         (tree, stats)
-    }
-
-    /// The coupling this process keeps for the kept structures that the
-    /// trees of instances `a` and `b` still carry, in either order: the
-    /// mapping an RCHDroid init between them adopts instead of walking.
-    pub fn kept_coupling(&self, a: ActivityInstanceId, b: ActivityInstanceId) -> Option<Coupling> {
-        let stamp = |id| self.instances.get(&id)?.tree.stamp();
-        let (a, b) = (stamp(a)?, stamp(b)?);
-        let couplings = &self.inflations.couplings;
-        couplings.iter().find(|c| c.couples(a, b)).cloned()
-    }
-
-    /// Keeps `coupling` for its pair of kept structures, unless the
-    /// process keeps one for them already.
-    pub fn keep_coupling(&mut self, coupling: &Coupling) {
-        let couplings = &mut self.inflations.couplings;
-        let [a, b] = coupling.stamps();
-        if !couplings.iter().any(|c| c.couples(a, b)) {
-            couplings.push(coupling.clone());
-        }
     }
 
     /// Walks an instance to the foreground: `Created/Stopped → Started →

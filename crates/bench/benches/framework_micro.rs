@@ -1,8 +1,7 @@
 //! Micro-benches of the framework substrate itself: the operations whose
 //! costs the paper's patch touches (layout build, inflation and the
-//! tree clone a kept inflation costs, hierarchy save, mapping build,
-//! lazy migration, an RCHDroid re-init after the GC, resource
-//! resolution).
+//! tree clone a kept inflation costs, hierarchy save, lazy migration,
+//! an RCHDroid re-init after the GC, resource resolution).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use droidsim_app::SimpleApp;
@@ -76,7 +75,7 @@ fn generic_layout(names: &[Symbol]) -> LayoutTemplate {
 
 /// An RCHDroid device running a `views`-view app whose first change
 /// (the init) and a coin flip are done: its process keeps both
-/// configurations' inflations and their coupling.
+/// configurations' inflations.
 fn flipped_device(views: usize) -> Device {
     let mut d = Device::new(HandlingMode::rchdroid_default());
     d.install_and_launch(Box::new(SimpleApp::with_views(views)), 40 << 20, 1.0)
@@ -116,22 +115,12 @@ fn bench(c: &mut Criterion) {
             let t = stateful_tree(n);
             b.iter(|| black_box(t.save_hierarchy_state()));
         });
-        group.bench_with_input(BenchmarkId::new("mapping_build", n), &n, |b, &n| {
-            b.iter_batched(
-                || (tree_with(n), tree_with(n), MigrationEngine::new()),
-                |(mut shadow, mut sunny, mut engine)| {
-                    black_box(engine.build_mapping(&mut shadow, &mut sunny))
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
         group.bench_with_input(BenchmarkId::new("lazy_migration", n), &n, |b, &n| {
             b.iter_batched(
                 || {
                     let mut shadow = tree_with(n);
-                    let mut sunny = tree_with(n);
-                    let mut engine = MigrationEngine::new();
-                    engine.build_mapping(&mut shadow, &mut sunny);
+                    let sunny = tree_with(n);
+                    let engine = MigrationEngine::new();
                     for i in 0..n {
                         let v = shadow.find_by_id_name(&format!("v{i}")).unwrap();
                         shadow

@@ -2,8 +2,8 @@
 //! benchmark app with a chatty async task that invalidates every view
 //! once per delivery, over several deliveries.
 //!
-//! Each delivery pays one `copy_essence` per dirty view, resolved through
-//! the view's peer pointer. The id keeps its `eager` segment so the
+//! Each delivery pays one `copy_essence` per dirty view, its peer looked
+//! up by name in the sunny tree's index. The id keeps its `eager` segment so the
 //! committed `results/BENCH_migration.json` row still applies.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -38,10 +38,9 @@ struct Rig {
 }
 
 fn coupled() -> Rig {
-    let mut shadow = tree_with(VIEWS);
-    let mut sunny = tree_with(VIEWS);
-    let mut engine = MigrationEngine::new();
-    engine.build_mapping(&mut shadow, &mut sunny);
+    let shadow = tree_with(VIEWS);
+    let sunny = tree_with(VIEWS);
+    let engine = MigrationEngine::new();
     // Pre-resolve lookups so the measured loop is invalidation +
     // migration, not string formatting.
     let ids = (0..VIEWS)

@@ -40,9 +40,6 @@ pub struct ChangeOutcome {
     pub sunny_instance: ActivityInstanceId,
     /// The coupled shadow instance, if one exists.
     pub shadow_instance: Option<ActivityInstanceId>,
-    /// Views linked by the essence-based mapping (0 for flips — the
-    /// mapping already exists).
-    pub mapped_views: usize,
     /// The view count of the foreground tree (cost-model input).
     pub view_count: usize,
     /// The fault that forced a [`ChangeKind::FallbackRestart`], if it is
@@ -146,7 +143,7 @@ impl From<MigrationError> for HandlerError {
 /// the paper's full system). Turning one off isolates its contribution:
 ///
 /// * without **coin-flipping**, every change pays the init cost (creating
-///   a fresh sunny instance and rebuilding the mapping) — the Fig. 10a
+///   and seeding a fresh sunny instance) — the Fig. 10a
 ///   "RCHDroid-init" line becomes the steady state,
 /// * without **lazy migration**, async-task results still land safely on
 ///   the alive shadow instance (no crash), but the foreground tree never
@@ -291,7 +288,6 @@ impl RchDroid {
                     kind: ChangeKind::NoChange,
                     sunny_instance: old_instance,
                     shadow_instance: thread.current_shadow(),
-                    mapped_views: 0,
                     view_count,
                     fault: None,
                 });
@@ -304,7 +300,6 @@ impl RchDroid {
                     kind: ChangeKind::HandledByApp,
                     sunny_instance: old_instance,
                     shadow_instance: thread.current_shadow(),
-                    mapped_views: 0,
                     view_count,
                     fault: None,
                 });
@@ -372,7 +367,7 @@ impl RchDroid {
                     );
                 }
                 // First change: launch the sunny instance from the shadow
-                // bundle and build the essence-based mapping (step ③).
+                // bundle and couple it (step ③).
                 let shadow_bundle = thread.instance(old_instance)?.shadow_bundle.clone();
                 let sunny_instance = thread.perform_launch_activity(
                     model,
@@ -387,32 +382,25 @@ impl RchDroid {
                     return self.fallback_restart(thread, atms, model, old_instance, None);
                 }
                 thread.set_current_shadow(Some(old_instance));
-                // A re-init between trees cloned from the process's kept
-                // inflations adopts the coupling the first init kept.
-                let kept = thread.kept_coupling(old_instance, sunny_instance);
+                // The mapping is the two trees' id-name indexes, so nothing
+                // is built: seed the user state the bundle restore missed
+                // (views that skip onSaveInstanceState), then clear the
+                // bookkeeping invalidations.
                 let engine = &mut self.engine;
-                let (mapped, view_count) =
-                    thread.with_instance_pair(old_instance, sunny_instance, |shadow, sunny| {
-                        let mapped =
-                            engine.couple(&mut shadow.tree, &mut sunny.tree, kept.as_ref());
-                        // Seed user state the bundle restore missed (views
-                        // that skip onSaveInstanceState), then clear the
-                        // bookkeeping invalidations.
-                        let _ = engine.seed_user_state(&shadow.tree, &mut sunny.tree);
+                let view_count = thread.with_instance_pair(
+                    old_instance,
+                    sunny_instance,
+                    |shadow, sunny| {
+                        engine.seed_user_state(&shadow.tree, &mut sunny.tree)?;
                         shadow.tree.drain_invalidations();
                         sunny.tree.drain_invalidations();
-                        (mapped, sunny.tree.view_count())
-                    })?;
-                if kept.is_none() {
-                    if let Some(coupling) = self.engine.coupling() {
-                        thread.keep_coupling(coupling);
-                    }
-                }
+                        Ok::<_, ViewError>(sunny.tree.view_count())
+                    },
+                )??;
                 Ok(ChangeOutcome {
                     kind: ChangeKind::Init,
                     sunny_instance,
                     shadow_instance: Some(old_instance),
-                    mapped_views: mapped,
                     view_count,
                     fault: None,
                 })
@@ -439,7 +427,6 @@ impl RchDroid {
                     kind: ChangeKind::Flip,
                     sunny_instance,
                     shadow_instance: Some(old_instance),
-                    mapped_views: 0, // the mapping already exists
                     view_count,
                     fault: None,
                 })
@@ -579,7 +566,6 @@ impl RchDroid {
             kind: ChangeKind::FallbackRestart,
             sunny_instance: new_instance,
             shadow_instance: None,
-            mapped_views: 0,
             view_count,
             fault: site,
         })
@@ -630,8 +616,7 @@ impl RchDroid {
     }
 
     /// `doGcForShadowIfNeeded` (§3.5): evaluates Algorithm 1 and, on a
-    /// `Collect` verdict, destroys the shadow instance, its record, and
-    /// the sunny side's peer pointers.
+    /// `Collect` verdict, destroys the shadow instance and its record.
     ///
     /// # Errors
     ///
@@ -684,11 +669,6 @@ impl RchDroid {
         self.supervised_dead.insert(shadow_instance);
         thread.destroy_activity(shadow_instance)?;
         atms.destroy_record(token)?;
-        if let Some(sunny) = thread.current_sunny() {
-            if let Ok(s) = thread.instance_mut(sunny) {
-                s.tree.clear_sunny_peers();
-            }
-        }
         Ok(())
     }
 }
@@ -752,7 +732,6 @@ mod tests {
         assert_eq!(outcome.kind, ChangeKind::Init);
         assert_eq!(outcome.shadow_instance, Some(rig.instance));
         assert_ne!(outcome.sunny_instance, rig.instance);
-        assert!(outcome.mapped_views > 0);
         // Old instance alive in Shadow, new one in Sunny.
         assert_eq!(
             rig.thread.instance(rig.instance).unwrap().state(),

@@ -13,8 +13,8 @@
 //!    view id (§3.3),
 //! 4. when an async task later mutates the shadow tree, **lazily migrate**
 //!    the intercepted updates to the mapped sunny views using per-type
-//!    policies (Table 1), once per delivery, through the peer pointers
-//!    the mapping stored on both trees,
+//!    policies (Table 1), once per delivery, each view's peer looked up
+//!    by name in the other tree's index,
 //! 5. reclaim the shadow instance with a **threshold GC** based on its age
 //!    and entry frequency (§3.5, Algorithm 1).
 //!

@@ -3,28 +3,24 @@
 //! The key observation of the paper: no matter what an app's async
 //! callback does internally, its effect always ends as attribute updates
 //! on views, funnelled through the generic `invalidate` step. RCHDroid
-//! therefore (a) builds, once per coupling, a mapping between the shadow
-//! and sunny trees keyed by view id, and (b) copies the *essence* of an
-//! invalidated shadow view to its sunny peer with a per-type policy
-//! (Table 1).
+//! therefore (a) maps the shadow and sunny trees to each other by view
+//! id, and (b) copies the *essence* of an invalidated shadow view to its
+//! sunny peer with a per-type policy (Table 1).
 //!
-//! The mapping is the sunny-peer pointer each tree keeps per view into
-//! the other tree ([`ViewTree::sunny_peer`]), set on both trees by
-//! [`MigrationEngine::build_mapping`], so a coin flip migrates the other
-//! way without a rebuild. Two trees cloned from a process's kept
-//! inflations carry their stamps ([`ViewTree::stamp`]), and their
-//! mapping is a [`Coupling`] of the two kept structures that the process
-//! keeps: [`MigrationEngine::couple`] adopts it, and only the first init
-//! between two kept trees walks them. Lazy migration is
-//! one loop, run once per async delivery (one *flush*): it drains the
-//! shadow tree's invalidations, which the tree already coalesces per
-//! view, and copies each dirty view's essence to the peer its pointer
-//! names.
+//! The mapping is the id-name index each tree already keeps: a view's
+//! sunny peer is the bearer of its name in the other tree
+//! ([`ViewTree::peer_in`]), looked up when a flush or the init's seeding
+//! needs it. Nothing is built or stored per coupling, so an init costs
+//! the views that hold state, and after a coin flip the same lookup runs
+//! the other way. Lazy migration is one loop, run once per async
+//! delivery (one *flush*): it drains the shadow tree's invalidations,
+//! which the tree already coalesces per view, and copies each dirty
+//! view's essence to its peer.
 
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_metrics::MigrationMetrics;
-use droidsim_view::{Coupling, MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
+use droidsim_view::{MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
 use std::panic::{self, AssertUnwindSafe};
 
 /// The result of one lazy-migration pass.
@@ -111,18 +107,12 @@ fn copy_essence(
 
 /// The coupling between a shadow tree and a sunny tree.
 ///
-/// The mapping itself lives on the trees, as each view's sunny-peer
-/// pointer ([`ViewTree::sunny_peer`]). The engine holds what migrating
-/// through it needs: the fault schedule and watchdog probed on every
-/// flush, the views rung-1 containment skipped, lifetime
-/// [`MigrationMetrics`], and the kept coupling the last mapping built or
-/// adopted.
+/// The mapping itself is the trees' id-name indexes, read through
+/// [`ViewTree::peer_in`]. The engine holds what migrating through it
+/// needs: the fault schedule and watchdog probed on every flush, the
+/// views rung-1 containment skipped, and lifetime [`MigrationMetrics`].
 #[derive(Debug, Clone, Default)]
 pub struct MigrationEngine {
-    mapped_views: usize,
-    /// The coupling of the two kept structures the last mapping was
-    /// built or adopted for; `None` when it walked.
-    coupling: Option<Coupling>,
     metrics: MigrationMetrics,
     /// Fault schedule probed on the flush path (sites
     /// `essence-mapping-miss`, `attribute-copy`,
@@ -130,7 +120,7 @@ pub struct MigrationEngine {
     faults: FaultPlan,
     watchdog: MigrationWatchdog,
     fault_log: FaultLog,
-    /// Views skipped by rung-1 containment since the last mapping build.
+    /// Views skipped by rung-1 containment since the last init.
     stale_views: Vec<ViewId>,
     /// Reusable batch buffer: a flush drains the shadow's dirty views into
     /// it and the emptied vector returns afterwards, so steady-state
@@ -139,7 +129,7 @@ pub struct MigrationEngine {
 }
 
 impl MigrationEngine {
-    /// Creates an engine with no coupling built.
+    /// Creates an engine with no fault armed.
     pub fn new() -> Self {
         MigrationEngine::default()
     }
@@ -159,8 +149,8 @@ impl MigrationEngine {
         self.watchdog
     }
 
-    /// Views skipped by rung-1 containment since the last mapping build:
-    /// their sunny copy may be stale and must not be trusted.
+    /// Views skipped by rung-1 containment since the last init: their
+    /// sunny copy may be stale and must not be trusted.
     pub fn stale_views(&self) -> &[ViewId] {
         &self.stale_views
     }
@@ -175,13 +165,11 @@ impl MigrationEngine {
         self.fault_log.drain()
     }
 
-    /// Tears the coupling down: the stale set and the mapped count.
-    /// Called when a fallback restart abandons shadow/sunny handling; the
-    /// peer pointers die with the trees it destroys.
+    /// Tears the coupling down: the stale set. Called when a fallback
+    /// restart abandons shadow/sunny handling; the mapping goes with the
+    /// trees it destroys.
     pub fn reset_coupling(&mut self) {
         self.stale_views.clear();
-        self.mapped_views = 0;
-        self.coupling = None;
     }
 
     /// Lifetime flush/coalescing metrics.
@@ -189,74 +177,10 @@ impl MigrationEngine {
         &self.metrics
     }
 
-    /// Builds the essence-based mapping **both ways**: each tree's views
-    /// store peers into the other, so a coin flip swaps roles without
-    /// rebuilding (the paper: the flip "avoids … the building of the
-    /// essence-based mapping"). In either direction a repeated id name
-    /// maps to its [`ViewTree::find_by_id_name`] bearer on the other side.
-    /// Returns the number of shadow views mapped.
-    ///
-    /// Two stamped trees are mapped through the [`Coupling`] of their
-    /// kept structures, built here and then offered by
-    /// [`MigrationEngine::coupling`]; other trees are walked.
-    pub fn build_mapping(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
-        self.couple(shadow, sunny, None)
-    }
-
-    /// [`MigrationEngine::build_mapping`] that adopts `kept` when it
-    /// couples the trees' stamps, so the mapping costs the views added
-    /// since the shares instead of both trees. The peers and the count
-    /// are the ones a walk would give.
-    pub fn couple(
-        &mut self,
-        shadow: &mut ViewTree,
-        sunny: &mut ViewTree,
-        kept: Option<&Coupling>,
-    ) -> usize {
-        let adopt = |coupling: &Coupling, shadow: &mut ViewTree, sunny: &mut ViewTree| {
-            let mapped = shadow.adopt_sunny_peers(coupling, sunny)?;
-            sunny.adopt_sunny_peers(coupling, shadow)?;
-            Some((mapped, coupling.clone()))
-        };
-        let coupled = kept
-            .and_then(|c| adopt(c, shadow, sunny))
-            .or_else(|| adopt(&Coupling::build(shadow, sunny)?, shadow, sunny));
-        let mapped = match coupled {
-            Some((mapped, coupling)) => {
-                self.coupling = Some(coupling);
-                mapped
-            }
-            None => {
-                // The id-name indexes are cached on the trees (maintained
-                // incrementally on structural ops), so no index is rebuilt
-                // here.
-                self.coupling = None;
-                let mapped = shadow.set_sunny_peers(sunny.id_name_index());
-                sunny.set_sunny_peers(shadow.id_name_index());
-                mapped
-            }
-        };
-        self.stale_views.clear();
-        self.mapped_views = mapped;
-        mapped
-    }
-
-    /// The coupling of the kept structures the last mapping was built or
-    /// adopted for: what a process keeps so that its next init between
-    /// trees of those structures adopts it.
-    pub fn coupling(&self) -> Option<&Coupling> {
-        self.coupling.as_ref()
-    }
-
-    /// Views mapped by the last [`MigrationEngine::build_mapping`].
-    pub fn mapped_views(&self) -> usize {
-        self.mapped_views
-    }
-
     /// Lazy migration, one flush per delivery: drains the shadow tree's
     /// recorded invalidations and copies each dirty view's essence to
-    /// the sunny peer its pointer names. A delivery that dirtied nothing
-    /// returns an empty report without probing a fault site.
+    /// its sunny peer. A delivery that dirtied nothing returns an empty
+    /// report without probing a fault site.
     ///
     /// Rung 1 of the degradation ladder lives here: a fault touching one
     /// view (injected essence-map miss or attribute-copy error, a panic
@@ -315,7 +239,7 @@ impl MigrationEngine {
         for &view in batch {
             report.examined += 1;
             let missed = self.faults.should_inject(FaultSite::EssenceMappingMiss);
-            let Some(peer) = shadow.sunny_peer(view) else {
+            let Some(peer) = shadow.peer_in(view, sunny) else {
                 // An anonymous view, or one the other layout lacks.
                 report.unmapped += 1;
                 continue;
@@ -348,96 +272,40 @@ impl MigrationEngine {
         report.contained += 1;
     }
 
-    /// Seeds the sunny tree with the shadow tree's *user state* right
-    /// after coupling — direct object access, so it also covers views
-    /// that skip the save/restore protocol (the paper's custom-view
-    /// state-loss class). Unlike full essence migration, seeding never
-    /// copies *content* (label text, drawables): the sunny tree just
-    /// loaded the correct resources for the new configuration and stale
-    /// old-configuration content must not overwrite them.
+    /// Seeds the sunny tree with the shadow tree's *user state* at init
+    /// — direct object access, so it also covers views that skip the
+    /// save/restore protocol (the paper's custom-view state-loss class).
+    /// Unlike full essence migration, seeding never copies *content*
+    /// (label text, drawables): the sunny tree just loaded the correct
+    /// resources for the new configuration and stale old-configuration
+    /// content must not overwrite them.
     ///
-    /// While both trees still carry the stamps the last mapping was
-    /// built or adopted for, no view was removed from either since, so
-    /// every peer is live: the seeding visits only the shadow's views
-    /// that hold state ([`ViewTree::state_holders`]) and counts the
-    /// report from the mapping. Otherwise it walks the shadow tree and
-    /// checks every peer.
+    /// It visits only the shadow's views that hold state
+    /// ([`ViewTree::state_holders`]) and copies each one's state to its
+    /// peer. The bearers of a repeated name share one peer and come last,
+    /// in pre-order, so the last of them in pre-order wins, as in a walk.
+    /// An init starts a coupling, so the rung-1 stale set resets here.
     ///
     /// # Errors
     ///
-    /// Propagates sunny-tree [`ViewError`]s.
+    /// Propagates [`ViewError`]s from either tree.
     pub fn seed_user_state(
-        &self,
+        &mut self,
         shadow: &ViewTree,
         sunny: &mut ViewTree,
-    ) -> Result<MigrationReport, ViewError> {
-        if self
-            .coupling
-            .as_ref()
-            .is_some_and(|c| c.fits(shadow, sunny))
-        {
-            return seed_state_holders(shadow, sunny);
-        }
-        let mut report = MigrationReport::default();
-        let mut failure: Option<ViewError> = None;
-        shadow.for_each_id(|view| {
-            if failure.is_some() {
-                return;
+    ) -> Result<(), ViewError> {
+        self.stale_views.clear();
+        for view in shadow.state_holders() {
+            let Some(peer) = shadow.peer_in(view, sunny) else {
+                continue;
+            };
+            let node = shadow.view(view)?;
+            if let Some(state) = node.attrs.user_state(node.freezes_text) {
+                sunny.edit_attrs(peer, |target| target.restore_user_state(&state))?;
             }
-            let node = match shadow.view(view) {
-                Ok(n) => n,
-                Err(e) => {
-                    failure = Some(e);
-                    return;
-                }
-            };
-            report.examined += 1;
-            let Some(peer) = shadow.sunny_peer(view) else {
-                report.unmapped += 1;
-                return;
-            };
-            // A stale peer fails even when there is nothing to copy.
-            let copied = match node.attrs.user_state(node.freezes_text) {
-                Some(state) => sunny.edit_attrs(peer, |target| target.restore_user_state(&state)),
-                None => sunny.view(peer).map(drop),
-            };
-            match copied {
-                Ok(()) => report.migrated += 1,
-                Err(e) => failure = Some(e),
-            }
-        });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
         }
+        Ok(())
     }
-}
-
-/// [`MigrationEngine::seed_user_state`] for a pair whose peers are all
-/// live: copies the state of the shadow's views that hold some to their
-/// peers, and counts the report from the mapping instead of walking for
-/// it.
-fn seed_state_holders(
-    shadow: &ViewTree,
-    sunny: &mut ViewTree,
-) -> Result<MigrationReport, ViewError> {
-    for view in shadow.state_holders() {
-        let Some(peer) = shadow.sunny_peer(view) else {
-            continue;
-        };
-        let node = shadow.view(view)?;
-        if let Some(state) = node.attrs.user_state(node.freezes_text) {
-            sunny.edit_attrs(peer, |target| target.restore_user_state(&state))?;
-        }
-    }
-    let examined = shadow.view_count();
-    let migrated = shadow.mapped_peers();
-    Ok(MigrationReport {
-        examined,
-        migrated,
-        unmapped: examined.saturating_sub(migrated),
-        ..MigrationReport::default()
-    })
 }
 
 #[cfg(test)]
@@ -459,24 +327,9 @@ mod tests {
             t.add_view(root, ViewKind::TextView, None).unwrap(); // anonymous
             t
         };
-        let mut shadow = build(ViewKind::LinearLayout);
-        let mut sunny = build(ViewKind::GridLayout); // different layout, same ids
-        let mut engine = MigrationEngine::new();
-        engine.build_mapping(&mut shadow, &mut sunny);
-        (shadow, sunny, engine)
-    }
-
-    #[test]
-    fn mapping_links_by_id_name_both_ways() {
-        let (shadow, sunny, engine) = coupled_trees();
-        // decor, panel, name, hero, list, player, bar = 7 named views.
-        assert_eq!(engine.mapped_views(), 7);
-        let s_name = shadow.find_by_id_name("name").unwrap();
-        let peer = shadow.sunny_peer(s_name).unwrap();
-        assert_eq!(peer, sunny.find_by_id_name("name").unwrap());
-        // Reverse direction too (flip support).
-        let r_peer = sunny.sunny_peer(peer).unwrap();
-        assert_eq!(r_peer, s_name);
+        let shadow = build(ViewKind::LinearLayout);
+        let sunny = build(ViewKind::GridLayout); // different layout, same ids
+        (shadow, sunny, MigrationEngine::new())
     }
 
     #[test]
@@ -575,15 +428,49 @@ mod tests {
     }
 
     #[test]
-    fn seeding_a_stale_peer_fails_even_with_nothing_to_copy() {
-        let (shadow, mut sunny, engine) = coupled_trees();
+    fn a_peer_is_read_from_the_trees_as_they_stand() {
+        let (mut shadow, mut sunny, mut engine) = coupled_trees();
+        engine.seed_user_state(&shadow, &mut sunny).unwrap();
+        // A sunny view removed after the init is no one's peer: an update
+        // to its namesake is unmapped, not a fault.
         let hero = sunny.find_by_id_name("hero").unwrap();
         sunny.remove_view(hero).unwrap();
-        // The shadow's image view holds no user state, but its peer is gone.
+        let s_hero = shadow.find_by_id_name("hero").unwrap();
+        assert_eq!(shadow.peer_in(s_hero, &sunny), None);
+        shadow
+            .apply(s_hero, ViewOp::SetDrawable("late.png".into(), 9))
+            .unwrap();
+        let r = engine
+            .migrate_invalidations(&mut shadow, &mut sunny)
+            .unwrap();
+        assert_eq!((r.examined, r.unmapped, r.contained), (1, 1, 0));
+        assert_eq!(engine.fault_metrics().contained_per_view, 0);
+        // A view both trees add after the init is a peer at once.
+        let s_panel = shadow.find_by_id_name("panel").unwrap();
+        let late = shadow
+            .add_view(s_panel, ViewKind::EditText, Some("late"))
+            .unwrap();
+        let panel = sunny.find_by_id_name("panel").unwrap();
+        let peer = sunny
+            .add_view(panel, ViewKind::EditText, Some("late"))
+            .unwrap();
+        shadow.apply(late, ViewOp::SetText("typed".into())).unwrap();
+        let r = engine
+            .migrate_invalidations(&mut shadow, &mut sunny)
+            .unwrap();
+        assert_eq!(r.migrated, 1);
         assert_eq!(
-            engine.seed_user_state(&shadow, &mut sunny),
-            Err(ViewError::UnknownView(hero))
+            sunny.view(peer).unwrap().attrs.text.as_deref(),
+            Some("typed")
         );
+        // A repeated name maps to its lowest live bearer, the next one
+        // once that leaves.
+        let second = sunny
+            .add_view(panel, ViewKind::EditText, Some("late"))
+            .unwrap();
+        assert_eq!(shadow.peer_in(late, &sunny), Some(peer));
+        sunny.remove_view(peer).unwrap();
+        assert_eq!(shadow.peer_in(late, &sunny), Some(second));
     }
 
     #[test]
@@ -603,7 +490,7 @@ mod tests {
         let added = shadow
             .add_view(panel, ViewKind::EditText, Some("dup"))
             .unwrap();
-        assert!(added > field && shadow.stamp().is_some());
+        assert!(added > field);
         for (view, text) in [(field, "last in pre-order"), (added, "first in pre-order")] {
             shadow.apply(view, ViewOp::SetText(text.into())).unwrap();
         }
@@ -611,16 +498,9 @@ mod tests {
         sunny
             .add_view(sunny.root(), ViewKind::EditText, Some("dup"))
             .unwrap();
-        sunny.share();
-        let mut engine = MigrationEngine::new();
-        engine.build_mapping(&mut shadow, &mut sunny);
-        assert!(engine.coupling().is_some_and(|c| c.fits(&shadow, &sunny)));
         // Both bearers map to the one `dup`: the walk's last write wins.
-        let report = engine.seed_user_state(&shadow, &mut sunny).unwrap();
-        assert_eq!(
-            (report.examined, report.migrated, report.unmapped),
-            (4, 3, 1)
-        );
+        let mut engine = MigrationEngine::new();
+        engine.seed_user_state(&shadow, &mut sunny).unwrap();
         let dup = sunny.find_by_id_name("dup").unwrap();
         assert_eq!(
             sunny.view(dup).unwrap().attrs.text.as_deref(),
@@ -650,7 +530,6 @@ mod tests {
         let mut sunny = ViewTree::new();
         sunny.add_view(sunny.root(), custom, Some("fancy")).unwrap();
         let mut engine = MigrationEngine::new();
-        engine.build_mapping(&mut shadow, &mut sunny);
         let f = shadow.find_by_id_name("fancy").unwrap();
         shadow.apply(f, ViewOp::SetText("styled".into())).unwrap();
         engine
@@ -672,8 +551,8 @@ mod tests {
         engine
             .migrate_invalidations(&mut side0, &mut side1)
             .unwrap();
-        // Coin flip: roles swap, the mapping is NOT rebuilt. Side1 is now
-        // the shadow; resolution goes through its own peer pointers.
+        // Coin flip: roles swap, nothing is rebuilt. Side1 is now the
+        // shadow; its views' peers are looked up in side0.
         let peer_name = side1.find_by_id_name("name").unwrap();
         side1
             .apply(peer_name, ViewOp::SetText("rev".into()))
@@ -696,20 +575,17 @@ mod tests {
             }
             t
         };
-        let (mut shadow, mut sunny) = (build(side0), build(side1));
-        let mut engine = MigrationEngine::new();
-        engine.build_mapping(&mut shadow, &mut sunny);
-        (shadow, sunny, engine)
+        (build(side0), build(side1), MigrationEngine::new())
     }
 
     #[test]
-    fn a_flip_migrates_a_repeated_name_to_the_bearer_its_pointer_names() {
-        // Side 0 has two `x`, side 1 has one; both `x` on side 0 point at
-        // it, and it points back at the first (lowest-id) bearer.
+    fn a_flip_migrates_a_repeated_name_to_its_lowest_bearer() {
+        // Side 0 has two `x`, side 1 has one; both `x` on side 0 map to
+        // it, and it maps back to the first (lowest-id) bearer.
         let (mut side0, mut side1, mut engine) = named_pair(&["x", "x"], &["x"]);
         let (first, second) = (ViewId::new(1), ViewId::new(2));
         let x = side1.find_by_id_name("x").unwrap();
-        assert_eq!(side1.sunny_peer(x), Some(first));
+        assert_eq!(side1.peer_in(x, &side0), Some(first));
         // After a flip side 1 is the shadow.
         side1.apply(x, ViewOp::SetText("flipped".into())).unwrap();
         let r = engine
@@ -725,8 +601,8 @@ mod tests {
 
     #[test]
     fn a_flip_migrates_every_bearer_of_a_repeated_name() {
-        // Side 1 has two `y`, side 0 has one. No side-0 view points at the
-        // second `y`, but its own pointer names side 0's `y`.
+        // Side 1 has two `y`, side 0 has one. No side-0 view maps to the
+        // second `y`, but it maps to side 0's `y`.
         let (mut side0, mut side1, mut engine) = named_pair(&["y"], &["y", "y"]);
         let second = ViewId::new(2);
         side1
@@ -860,7 +736,6 @@ mod tests {
             .unwrap();
         assert_eq!(engine.stale_views(), [name]);
         engine.reset_coupling();
-        assert_eq!(engine.mapped_views(), 0);
         assert!(engine.stale_views().is_empty());
     }
 }

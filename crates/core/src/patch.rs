@@ -28,14 +28,15 @@ pub fn patch_inventory() -> Vec<PatchEntry> {
                            (getAllSunnyViews, setSunnyViews)",
             loc: 81,
             reproduced_in: "droidsim_app::ActivityState::{Shadow,Sunny}, \
-                            droidsim_view::ViewTree::{id_name_index,set_sunny_peers}",
+                            droidsim_view::ViewTree::id_name_index (setSunnyViews \
+                            stores nothing: a peer is looked up there)",
         },
         PatchEntry {
             class: "View",
             modification: "Add the Shadow/Sunny state and the sunny view pointer; \
                            modify the invalidate function to catch updates",
             loc: 79,
-            reproduced_in: "droidsim_view::ViewTree::{sunny_peer,invalidate,\
+            reproduced_in: "droidsim_view::ViewTree::{peer_in,invalidate,\
                             drain_invalidations}",
         },
         PatchEntry {

@@ -153,32 +153,14 @@ impl Arena {
     /// from now on share it: the owned vector moves behind a reference
     /// count as it is, which costs the chunks, not the views. An arena
     /// that already has a shared prefix keeps it and its owned slots as
-    /// they are. Returns whether this call shared anything.
-    pub(crate) fn share(&mut self) -> bool {
+    /// they are.
+    pub(crate) fn share(&mut self) {
         if self.shared.is_some() {
-            return false;
+            return;
         }
         self.split = self.owned.len();
         self.copies = vec![None; self.split.div_ceil(CHUNK)];
         self.shared = Some(Rc::new(std::mem::take(&mut self.owned)));
-        true
-    }
-
-    /// The slots the share made the shared prefix: `0..split`.
-    pub(crate) fn split(&self) -> usize {
-        self.split
-    }
-
-    /// The live views in the shared prefix, with their slot numbers.
-    pub(crate) fn shared_views(&self) -> impl Iterator<Item = (usize, &ViewNode)> {
-        let slots = self.shared_slots().enumerate();
-        slots.filter_map(|(i, slot)| Some((i, slot.as_ref()?)))
-    }
-
-    /// The live views past the shared prefix: every view of an arena
-    /// never shared, or those added since the share.
-    pub(crate) fn owned_views(&self) -> impl Iterator<Item = &ViewNode> {
-        self.owned.iter().flatten()
     }
 
     /// Bytes of slot storage this arena reaches, each vector at its

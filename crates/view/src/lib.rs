@@ -19,7 +19,8 @@
 //!   [`LayoutTemplate`](droidsim_resources::LayoutTemplate) for a
 //!   configuration, resolving `@string/…` and `@drawable/…` references,
 //! * the shadow/sunny hook points the paper's 348-LoC patch adds to `View`
-//!   and `ViewGroup` (a sunny-peer pointer and state-dispatch helpers).
+//!   and `ViewGroup` (the sunny peer, looked up by name in the coupled
+//!   tree, and state-dispatch helpers).
 //!
 //! # Examples
 //!
@@ -49,4 +50,4 @@ pub use inflate::{check_nesting, inflate, inflate_weighed, try_inflate, InflateS
 pub use kind::{MigrationClass, ViewKind};
 pub use layout::{layout, LayoutResult, Rect};
 pub use ops::ViewOp;
-pub use tree::{views_visited, Coupling, NameIndex, Stamp, ViewId, ViewNode, ViewTree};
+pub use tree::{views_visited, NameIndex, ViewId, ViewNode, ViewTree};

@@ -4,9 +4,9 @@
 //! Besides the stock Android behaviour (structure, attribute mutation via
 //! [`ViewOp`], hierarchy state save/restore, invalidation), the tree also
 //! carries the *hook points* the paper's patch adds to `View`/`ViewGroup`
-//! (Table 2): a **sunny peer pointer** per view (81+79 LoC of the patch),
-//! kept in a side table of the tree, and shadow/sunny dispatch along the
-//! tree (12 LoC in `ViewGroup`).
+//! (Table 2): each view's **sunny peer** (81+79 LoC of the patch), read
+//! off the coupled tree's id-name index ([`ViewTree::peer_in`]), and
+//! shadow/sunny dispatch along the tree (12 LoC in `ViewGroup`).
 //! The hooks are inert unless a change handler uses them, so with no
 //! handler installed the tree behaves exactly like stock Android 10.
 //!
@@ -32,24 +32,18 @@
 //! chunk of 32 views for the tree it wrote (the `arena` module has the
 //! layout). Because nothing else holds a `&mut ViewNode`, no caller can
 //! write into a chunk another tree still reads, and a clone of a shared
-//! tree costs its chunks, not its views. The sunny peers live in a side
-//! table rather than on the views, so that building RCHDroid's mapping
-//! writes no view.
+//! tree costs its chunks, not its views. A sunny peer is looked up, not
+//! stored, so RCHDroid's mapping writes no view.
 //!
 //! # Kept structures
 //!
-//! The first share also gives the tree a [`Stamp`], which its clones
-//! inherit. A stamped tree still has every view the share kept, each
-//! with its name; views added since sit past them, and the names they
-//! add go to an owned overlay of the shared id-name index
-//! ([`NameIndex`]), so an add copies neither the index nor the stamp
-//! away. Removing a view or releasing the tree drops the stamp. Two
-//! trees that carry stamps map their kept views to each other the same
-//! way whatever was written into them, so a process can keep that
-//! mapping ([`Coupling`]) and every later pair of trees with the same
-//! stamps adopts it, mapping only the views added since. The stamp says
-//! where a tree came from, not what it holds: the derived `PartialEq`
-//! ignores it and stays content equality.
+//! Clones share the id-name index as they share the views
+//! ([`NameIndex`]): while another tree still holds the same map, the
+//! names a tree adds go to an owned overlay, so an add never copies the
+//! shared map, and a removal copies the part it changes. That index is
+//! the paper's essence mapping (§3.3), as it stands when a flush or the
+//! init's seeding reads it: an init stores no peer, and a view removed
+//! or added after it loses or gains its peer at once.
 //!
 //! # Panic policy
 //!
@@ -74,20 +68,12 @@ use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{self, Entry};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::num::NonZeroU64;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-mod coupling;
-
-pub use coupling::Coupling;
 
 thread_local! {
     /// Reusable DFS stack for [`ViewTree::for_each_id`]-style traversals:
-    /// the coupling and migration paths walk the tree many times per
-    /// configuration change, and each walk used to allocate a fresh id
-    /// vector.
+    /// each walk used to allocate a fresh id vector.
     static SCRATCH_STACK: RefCell<Vec<ViewId>> = const { RefCell::new(Vec::new()) };
     /// Views touched by traversals on this thread; see [`views_visited`].
     static VISITS: Cell<u64> = const { Cell::new(0) };
@@ -100,12 +86,13 @@ fn note_visits(views: usize) {
 
 /// Views visited by tree traversals on this thread so far: the shared
 /// pre-order walk ([`ViewTree::for_each_id`] and everything built on
-/// it), [`ViewTree::set_sunny_peers`], and the hierarchy save's pass over
-/// its stateful views (with the ancestor chains it climbs to break a
-/// tie). Snapshot before and after a region and subtract: the
-/// difference counts work, not time, so a test can pin how a path
-/// scales. Like `alloc_track`, the count is diagnostic and enters no
-/// fingerprint.
+/// it), and the passes of the hierarchy save and of
+/// [`ViewTree::state_holders`] over the stateful views (with the
+/// ancestor chains they climb to rank a repeated name). A peer lookup
+/// ([`ViewTree::peer_in`]) visits none. Snapshot before and after a
+/// region and subtract: the difference counts work, not time, so a test
+/// can pin how a path scales. Like `alloc_track`, the count is
+/// diagnostic and enters no fingerprint.
 pub fn views_visited() -> u64 {
     VISITS.with(Cell::get)
 }
@@ -210,50 +197,20 @@ impl ViewNode {
     }
 }
 
-/// Stamps handed out so far, process-wide.
-static STAMPS: AtomicU64 = AtomicU64::new(1);
-
-/// Names the structure of one shared tree: [`ViewTree::share`] gives a
-/// tree a stamp no other share in the process gets, its clones inherit
-/// it, and removing a view or releasing the tree drops it. Two trees
-/// with the same stamp still have the views that share kept, with their
-/// names, so their sunny peers against any one other stamp are the same
-/// ([`Coupling`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Stamp(NonZeroU64);
-
-impl Stamp {
-    fn fresh() -> Stamp {
-        let raw = STAMPS.fetch_add(1, Ordering::Relaxed);
-        Stamp(NonZeroU64::new(raw).unwrap_or(NonZeroU64::MIN))
-    }
-}
-
-/// A tree's [`Stamp`], if it still has one. Where the tree came from,
-/// not what it holds: any two compare equal, so the tree's derived
-/// `PartialEq` stays content equality.
-#[derive(Debug, Clone, Copy, Default)]
-struct Provenance(Option<Stamp>);
-
-impl PartialEq for Provenance {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
 /// A tree's `android:id` name index: each name's lowest live bearer.
 ///
-/// A kept tree's index is shared by its clones, and a stamped tree puts
-/// the names it adds into an owned overlay instead of copying the shared
-/// map; the two never hold the same name, and lookups read both. Every
-/// other tree writes its one map in place. Equality is that of the
-/// merged map, whichever part holds a name.
+/// A tree's index is shared by its clones. While another tree still
+/// holds the same base map, the tree puts the names it adds into an
+/// owned overlay instead of copying the base; the two never hold the
+/// same name, and lookups read both. A tree that holds its base alone
+/// writes it in place. Equality is that of the merged map, whichever
+/// part holds a name.
 #[derive(Clone, Default)]
 pub struct NameIndex {
-    /// The index as the tree's share left it (or the whole index of a
-    /// tree without a stamp), shared with the clones.
+    /// The map clones share: the whole index of a tree that has no
+    /// overlay.
     base: Rc<IdMap<Symbol, ViewId>>,
-    /// Names a stamped tree added that `base` lacks.
+    /// Names added while `base` was shared that `base` lacks.
     added: IdMap<Symbol, ViewId>,
 }
 
@@ -365,14 +322,15 @@ pub struct ViewTree {
     sunny: bool,
     /// Cached `android:id` name → view id index, maintained incrementally
     /// on the structural ops ([`ViewTree::add_view`] /
-    /// [`ViewTree::remove_view`]) instead of being rebuilt on every
-    /// coupling build or flush. Invariant: always equal to
+    /// [`ViewTree::remove_view`]) instead of being rebuilt for every
+    /// peer lookup. Invariant: always equal to
     /// [`ViewTree::rebuild_id_name_index`] (lowest live view id wins for
     /// duplicate names). Like every map here it is made of [`IdMap`]s:
     /// its keys are interned program names and arena ids, so one
     /// multiply hashes them, and nothing reads its iteration order into
-    /// an output. Like the views it is shared by clones; a stamped tree
-    /// adds names to its overlay, and a removal copies the shared part.
+    /// an output. Like the views it is shared by clones; while it is
+    /// shared a tree adds names to its overlay, and a removal copies the
+    /// shared part.
     id_name_index: NameIndex,
     /// Live duplicate-name bearers *not* currently in the index, per
     /// name, in ascending id order (appends stay sorted because view ids
@@ -385,73 +343,6 @@ pub struct ViewTree {
     /// [`ViewTree::add_view`] adds holds no state; one the inflater adds
     /// joins the set if its layout attributes give it state.
     stateful: BTreeSet<ViewId>,
-    /// RCHDroid hook: each view's pointer to the corresponding view in
-    /// the coupled tree, by view id, as [`ViewTree::set_sunny_peers`]
-    /// or an adopted [`Coupling`] left it. Empty by default (stock
-    /// behaviour).
-    sunny_peers: SunnyPeers,
-    /// The stamp of the structure this tree still has, if any.
-    kept: Provenance,
-}
-
-/// A tree's sunny-peer pointers, indexed by view id. Views past the end
-/// have no peer, so two tables that differ only in trailing `None`s are
-/// equal.
-#[derive(Debug, Clone, Default)]
-struct SunnyPeers {
-    /// The peers of the lowest ids: a walk's whole table, or an adopted
-    /// coupling's table of the kept views, which the coupling and every
-    /// tree that adopted it share until a removal copies it.
-    low: Option<Rc<Vec<Option<ViewId>>>>,
-    /// The peers of the ids past `low`: the views a stamped tree added
-    /// since its share, when it adopted a coupling.
-    high: Vec<Option<ViewId>>,
-    /// Entries that name a peer.
-    mapped: usize,
-}
-
-impl SunnyPeers {
-    fn low(&self) -> &[Option<ViewId>] {
-        self.low.as_deref().map_or(&[][..], Vec::as_slice)
-    }
-
-    fn len(&self) -> usize {
-        self.low().len() + self.high.len()
-    }
-
-    /// The peer of the view in slot `i`.
-    #[inline]
-    fn get(&self, i: usize) -> Option<ViewId> {
-        let low = self.low();
-        match low.get(i) {
-            Some(&peer) => peer,
-            None => self.high.get(i - low.len()).copied().flatten(),
-        }
-    }
-
-    /// Drops the peer of the view in slot `i`; a table it shares is
-    /// copied first, unless the view had no peer.
-    fn clear(&mut self, i: usize) {
-        if self.get(i).is_none() {
-            return;
-        }
-        let low_len = self.low().len();
-        let slot = match &mut self.low {
-            Some(low) if i < low_len => Rc::make_mut(low).get_mut(i),
-            _ => self.high.get_mut(i - low_len),
-        };
-        if let Some(peer) = slot {
-            *peer = None;
-            self.mapped -= 1;
-        }
-    }
-}
-
-impl PartialEq for SunnyPeers {
-    fn eq(&self, other: &Self) -> bool {
-        let len = self.len().max(other.len());
-        (0..len).all(|i| self.get(i) == other.get(i))
-    }
 }
 
 impl ViewTree {
@@ -501,8 +392,6 @@ impl ViewTree {
             },
             shadowed_ids: IdMap::default(),
             stateful: BTreeSet::new(),
-            sunny_peers: SunnyPeers::default(),
-            kept: Provenance::default(),
         }
     }
 
@@ -520,10 +409,9 @@ impl ViewTree {
     /// [`ViewError::NullPointer`] — the stock-Android crash scenario.
     ///
     /// The views themselves are freed: the arena, the id-name index, the
-    /// shadowed-duplicate lists, the stateful set, the sunny peers and
-    /// the pending invalidations are all dropped (a chunk another tree
-    /// shares only loses a reference), and so is the stamp, so a
-    /// released tree holds no views
+    /// shadowed-duplicate lists, the stateful set and the pending
+    /// invalidations are all dropped (a chunk another tree shares only
+    /// loses a reference), so a released tree holds no views
     /// ([`ViewTree::view_count`] and [`ViewTree::heap_bytes`] read 0,
     /// [`ViewTree::find_by_id_name`] finds nothing). Only the decor id
     /// survives, for
@@ -532,8 +420,6 @@ impl ViewTree {
     pub fn release(&mut self) {
         self.released = true;
         self.arena = Arena::default();
-        self.sunny_peers = SunnyPeers::default();
-        self.kept = Provenance::default();
         self.live = 0;
         self.id_name_index = NameIndex::default();
         self.shadowed_ids = IdMap::default();
@@ -595,20 +481,8 @@ impl ViewTree {
     ///
     /// A process keeps its pristine inflations shared, so re-creating an
     /// activity costs the views the creation writes, not the tree.
-    ///
-    /// The first share also stamps the tree ([`ViewTree::stamp`]).
     pub fn share(&mut self) {
-        if self.arena.share() {
-            self.kept = Provenance(Some(Stamp::fresh()));
-        }
-    }
-
-    /// The stamp of the shared structure this tree still has: `Some`
-    /// from its first [`ViewTree::share`] (or its source's, for a clone)
-    /// until a view is removed or the tree is released. Views added in
-    /// between keep it.
-    pub fn stamp(&self) -> Option<Stamp> {
-        self.kept.0
+        self.arena.share();
     }
 
     /// Re-checks one view against the stateful predicate and updates the
@@ -727,14 +601,13 @@ impl ViewTree {
     /// Indexes `name` for the view `id` just added. New ids are strictly
     /// increasing, so the first bearer stays the lowest; later bearers
     /// queue in the shadowed list, which stays sorted because appends
-    /// only ever add larger ids. A stamped tree puts a new name into the
-    /// overlay, so the shared index is never copied for an add.
+    /// only ever add larger ids. While another tree shares the base map
+    /// a new name goes to the overlay, so an add never copies it.
     fn index_added(&mut self, name: Symbol, id: ViewId) {
         let index = &mut self.id_name_index;
-        let (fresh, other) = if self.kept.0.is_some() {
-            (&mut index.added, &*index.base)
-        } else {
-            (Rc::make_mut(&mut index.base), &index.added)
+        let (fresh, other) = match Rc::get_mut(&mut index.base) {
+            Some(base) => (base, &index.added),
+            None => (&mut index.added, &*index.base),
         };
         let taken = !other.is_empty() && other.contains_key(&name);
         match fresh.entry(name) {
@@ -760,14 +633,12 @@ impl ViewTree {
             });
         }
         let parent = self.view(id)?.parent;
-        self.kept = Provenance::default();
         let mut stack = vec![id];
         let mut removed_names: Vec<(Symbol, ViewId)> = Vec::new();
         while let Some(current) = stack.pop() {
             if let Some(node) = self.arena.take(current.raw() as usize) {
                 self.live -= 1;
                 self.stateful.remove(&current);
-                self.sunny_peers.clear(current.raw() as usize);
                 if let Some(name) = node.id_name {
                     removed_names.push((name, node.id));
                 }
@@ -1188,12 +1059,13 @@ impl ViewTree {
     }
 
     /// `Activity.getAllSunnyViews`: the hash table of id name → view id
-    /// for this tree (the first half of the essence-based mapping).
+    /// for this tree, which is the essence-based mapping itself: a
+    /// view's sunny peer is its name's entry here ([`ViewTree::peer_in`]).
     ///
     /// The index is cached and maintained incrementally on structural ops,
-    /// so a coupling build or flush no longer re-traverses the tree or
-    /// clones any strings. For duplicate names the lowest live view id
-    /// wins, matching [`ViewTree::find_by_id_name`].
+    /// so a lookup never traverses the tree or clones a string. For
+    /// duplicate names the lowest live view id wins, matching
+    /// [`ViewTree::find_by_id_name`].
     pub fn id_name_index(&self) -> &NameIndex {
         &self.id_name_index
     }
@@ -1211,56 +1083,18 @@ impl ViewTree {
         index
     }
 
-    /// `Activity.setSunnyViews`: stores sunny-peer pointers on this
-    /// (shadow) tree by looking up each view's id name in a sunny tree's
-    /// index. Returns how many views were mapped. The pointers go into
-    /// the tree's side table, so the mapping writes no view and unshares
-    /// no chunk.
-    pub fn set_sunny_peers(&mut self, sunny_index: &NameIndex) -> usize {
-        if self.released {
-            return 0;
-        }
-        let table = std::mem::take(&mut self.sunny_peers).low;
-        let mut peers = table
-            .and_then(|t| Rc::try_unwrap(t).ok())
-            .unwrap_or_default();
-        peers.clear();
-        peers.resize(self.arena.len(), None);
-        let mut mapped = 0;
-        for node in self.arena.iter() {
-            let peer = node.id_name.and_then(|n| sunny_index.get(&n)).copied();
-            mapped += usize::from(peer.is_some());
-            if let Some(slot) = peers.get_mut(node.id.raw() as usize) {
-                *slot = peer;
-            }
-        }
-        note_visits(self.live);
-        self.sunny_peers = SunnyPeers {
-            low: Some(Rc::new(peers)),
-            high: Vec::new(),
-            mapped,
-        };
-        mapped
-    }
-
-    /// The sunny peer [`ViewTree::set_sunny_peers`] (or an adopted
-    /// [`Coupling`]) stored for `id`: `None` for a view it did not map,
-    /// one added or removed since, a released tree, or after
-    /// [`ViewTree::clear_sunny_peers`].
-    pub fn sunny_peer(&self, id: ViewId) -> Option<ViewId> {
-        self.sunny_peers.get(id.raw() as usize)
-    }
-
-    /// How many live views have a sunny peer: what the last mapping
-    /// returned, less the mapped views removed since.
-    pub fn mapped_peers(&self) -> usize {
-        self.sunny_peers.mapped
-    }
-
-    /// Clears every sunny-peer pointer (used when the coupling is broken,
-    /// e.g. the shadow activity is garbage collected).
-    pub fn clear_sunny_peers(&mut self) {
-        self.sunny_peers = SunnyPeers::default();
+    /// The sunny peer of view `id` in `other`, the tree it is coupled
+    /// with: the lowest live bearer of `id`'s name in `other`'s index,
+    /// as both trees stand now. The patch's `setSunnyViews` stores this
+    /// pointer on each view at init; looking it up instead stores
+    /// nothing, works in both directions, so a coin flip rebuilds
+    /// nothing, and never names a removed view. `None` for an anonymous
+    /// or removed view, a name `other` lacks, or a released tree on
+    /// either side.
+    #[inline]
+    pub fn peer_in(&self, id: ViewId, other: &ViewTree) -> Option<ViewId> {
+        let name = self.node(id)?.id_name?;
+        other.id_name_index.get(&name).copied()
     }
 }
 
@@ -1630,18 +1464,42 @@ mod tests {
     }
 
     #[test]
-    fn sunny_peer_mapping_by_id_name() {
-        let (mut shadow, ..) = tree_with_views();
-        let (sunny, ..) = tree_with_views();
-        let index = sunny.id_name_index();
-        let mapped = shadow.set_sunny_peers(index);
+    fn a_peer_is_the_bearer_of_its_name_in_the_other_tree() {
+        let (shadow, _, name_view, image) = tree_with_views();
+        let (mut sunny, ..) = tree_with_views();
+        let peer = sunny.find_by_id_name("name").unwrap();
+        assert_eq!(shadow.peer_in(name_view, &sunny), Some(peer));
+        assert_eq!(sunny.peer_in(peer, &shadow), Some(name_view));
         // decor + panel + name have ids → 3 mapped; anonymous image not.
-        assert_eq!(mapped, 3);
-        let name_view = shadow.find_by_id_name("name").unwrap();
-        let peer = shadow.sunny_peer(name_view).unwrap();
-        assert_eq!(peer, sunny.find_by_id_name("name").unwrap());
-        shadow.clear_sunny_peers();
-        assert!(shadow.sunny_peer(name_view).is_none());
+        let ids = shadow.iter_ids();
+        let mapped = ids
+            .iter()
+            .filter(|&&id| shadow.peer_in(id, &sunny).is_some());
+        assert_eq!(mapped.count(), 3);
+        assert_eq!(shadow.peer_in(image, &sunny), None);
+        sunny.release();
+        assert_eq!(shadow.peer_in(name_view, &sunny), None);
+    }
+
+    #[test]
+    fn an_add_into_a_shared_clone_leaves_the_shared_index_alone() {
+        let (mut kept, panel, ..) = tree_with_views();
+        kept.share();
+        let mut clone = kept.clone();
+        let added = clone
+            .add_view(panel, ViewKind::TextView, Some("extra"))
+            .unwrap();
+        let (a, b) = (&kept.id_name_index, &clone.id_name_index);
+        assert!(Rc::ptr_eq(&a.base, &b.base), "the add copied the index");
+        assert_eq!(clone.find_by_id_name("extra"), Some(added));
+        assert_eq!(kept.find_by_id_name("extra"), None);
+        // Alone with its base, a tree writes it in place.
+        drop(kept);
+        clone
+            .add_view(panel, ViewKind::TextView, Some("more"))
+            .unwrap();
+        assert_eq!(clone.id_name_index.added.len(), 1);
+        assert_eq!(*clone.id_name_index(), clone.rebuild_id_name_index());
     }
 
     #[test]

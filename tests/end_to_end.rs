@@ -117,10 +117,17 @@ fn rotation_work(d: &mut Device, path: HandlingPath) -> u64 {
     views_visited() - before
 }
 
-/// Views visited by an RCHDroid device's first change (the init) and by
+/// The views holding state in the foreground tree of app `c`.
+fn foreground_holders(d: &Device, c: &str) -> usize {
+    let foreground = d.process(c).unwrap().foreground_activity().unwrap();
+    foreground.tree.state_holders().len()
+}
+
+/// Views visited by an RCHDroid device's first change (the init), the
+/// views holding state its shadow-to-be held, and the views visited by
 /// each of the coin flips after it, with the stateful views each flip
 /// snapshotted. Checks every flip's snapshot against a whole-tree walk.
-fn change_work(views: usize) -> (u64, Vec<(u64, usize)>) {
+fn change_work(views: usize) -> (u64, usize, Vec<(u64, usize)>) {
     let probe = three_state_app(views);
     let mut d = Device::new(HandlingMode::rchdroid_default());
     let c = d
@@ -128,6 +135,7 @@ fn change_work(views: usize) -> (u64, Vec<(u64, usize)>) {
         .unwrap();
     d.with_foreground_activity_mut(|a| probe.apply_user_state(a))
         .unwrap();
+    let holders = foreground_holders(&d, &c);
     let init = rotation_work(&mut d, HandlingPath::RchInit);
     let mut flips = Vec::new();
     for _ in 0..4 {
@@ -140,13 +148,13 @@ fn change_work(views: usize) -> (u64, Vec<(u64, usize)>) {
         assert_eq!(snapshot.bundle(KEY_HIERARCHY), Some(&walked));
         flips.push((visited, walked.len()));
     }
-    (init, flips)
+    (init, holders, flips)
 }
 
 #[test]
 fn a_flip_visits_the_stateful_views_not_the_tree() {
-    let (small_init, small_flips) = change_work(64);
-    let (large_init, large_flips) = change_work(2_048);
+    let (small_init, holders, small_flips) = change_work(64);
+    let (large_init, _, large_flips) = change_work(2_048);
     assert_eq!(
         small_flips, large_flips,
         "a flip's work is independent of the tree's size"
@@ -158,10 +166,13 @@ fn a_flip_visits_the_stateful_views_not_the_tree() {
             "{visited} visits for {stateful} stateful views"
         );
     }
-    // The init walks the tree (coupling, seeding), so the counter counts.
+    // The init maps nothing: it visits the views that hold state
+    // (snapshot and seeding) and the code-made view, whatever the size.
+    assert_eq!(small_init, large_init, "init visits");
+    assert!(holders >= 3, "three state items hold state: {holders}");
     assert!(
-        large_init >= small_init + (2_048 - 64),
-        "init visits {small_init} → {large_init}"
+        large_init <= 2 * holders as u64 + 4,
+        "{large_init} visits for {holders} stateful views"
     );
 }
 
@@ -183,12 +194,7 @@ fn reinit_work(views: usize) -> (u64, u64, usize) {
     d.advance(SimDuration::from_secs(120));
     let thread = d.process(&c).unwrap().thread();
     assert_eq!(thread.current_shadow(), None, "the GC collected the shadow");
-    let holders = thread
-        .instance(thread.current_sunny().unwrap())
-        .unwrap()
-        .tree
-        .state_holders()
-        .len();
+    let holders = foreground_holders(&d, &c);
     let reinit = rotation_work(&mut d, HandlingPath::RchInit);
     (init, reinit, holders)
 }
@@ -197,14 +203,10 @@ fn reinit_work(views: usize) -> (u64, u64, usize) {
 fn a_warm_reinit_visits_the_stateful_views_not_the_tree() {
     let (small_init, small_reinit, holders) = reinit_work(64);
     let (large_init, large_reinit, _) = reinit_work(2_048);
-    // The first init still walks both trees once to map them.
-    assert!(
-        large_init >= small_init + (2_048 - 64),
-        "init visits {small_init} → {large_init}"
-    );
-    // The re-init adopts the mapping the first init kept: its work is
-    // the views that hold state (snapshot and seeding) and the code-made
-    // view each tree added, whatever the tree's size.
+    // Neither init maps anything: each one's work is the views that
+    // hold state (snapshot and seeding) and the code-made view each tree
+    // added, whatever the tree's size.
+    assert_eq!(small_init, large_init, "init visits");
     assert_eq!(small_reinit, large_reinit, "re-init visits");
     assert!(holders >= 3, "three state items hold state: {holders}");
     assert!(

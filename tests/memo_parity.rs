@@ -239,8 +239,8 @@ fn small_spec() -> GenericAppSpec {
 
 /// A 12–56-view app whose `on_create` adds a view the layout lacks, so
 /// every creation's tree differs from its kept inflation by one view:
-/// its name goes to the overlay of the shared index, and each re-init
-/// adopts the kept coupling and maps that view on its own.
+/// its name goes to the overlay of the shared index, where every peer
+/// lookup finds it.
 fn dynamic_spec() -> GenericAppSpec {
     let dynamic = StateItem::new(
         "long-lived-dynamic",

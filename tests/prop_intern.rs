@@ -142,8 +142,8 @@ proptest! {
         split in any::<usize>(),
     ) {
         // A kept tree and a clone of it: the clone's adds go to its
-        // overlay until a removal drops its stamp, and a removal copies
-        // the shared part it changes.
+        // overlay while the two share the base, and a removal copies the
+        // shared part it changes.
         let mut kept = run_script(&before);
         kept.share();
         let index = kept.id_name_index().clone();

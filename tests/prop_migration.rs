@@ -1,6 +1,6 @@
 //! Property tests on RCHDroid's essence-based mapping and lazy migration.
 
-use droidsim_view::{ViewId, ViewKind, ViewOp, ViewTree};
+use droidsim_view::{ViewId, ViewKind, ViewNode, ViewOp, ViewTree};
 use proptest::prelude::*;
 use rchdroid::MigrationEngine;
 
@@ -26,11 +26,9 @@ fn coupled_trees(n: usize) -> (ViewTree, ViewTree, MigrationEngine) {
         }
         t
     };
-    let mut shadow = build(ViewKind::LinearLayout);
-    let mut sunny = build(ViewKind::GridLayout);
-    let mut engine = MigrationEngine::new();
-    engine.build_mapping(&mut shadow, &mut sunny);
-    (shadow, sunny, engine)
+    let shadow = build(ViewKind::LinearLayout);
+    let sunny = build(ViewKind::GridLayout);
+    (shadow, sunny, MigrationEngine::new())
 }
 
 /// An op applicable to the view kind at index `i`.
@@ -103,13 +101,14 @@ proptest! {
 
     #[test]
     fn mapping_is_a_bijection_on_shared_id_names(n in 0usize..32) {
-        let (shadow, sunny, engine) = coupled_trees(n);
+        let (shadow, sunny, _) = coupled_trees(n);
         // root + decor + n views all have ids.
-        prop_assert_eq!(engine.mapped_views(), n + 2);
-        for id in shadow.iter_ids() {
-            let peer = shadow.sunny_peer(id).expect("all views have ids here");
+        let (ids, peers) = (shadow.iter_ids(), sunny.iter_ids());
+        prop_assert_eq!((ids.len(), peers.len()), (n + 2, n + 2));
+        for id in ids {
+            let peer = shadow.peer_in(id, &sunny).expect("all views have ids here");
             sunny.view(peer).unwrap();
-            let back = sunny.sunny_peer(peer).expect("reverse mapped");
+            let back = sunny.peer_in(peer, &shadow).expect("reverse mapped");
             prop_assert_eq!(back, id);
         }
     }
@@ -120,7 +119,7 @@ proptest! {
         scroll in -2_000i32..2_000,
         text in "[a-z]{1,12}",
     ) {
-        let (mut shadow, mut sunny, engine) = coupled_trees(n);
+        let (mut shadow, mut sunny, mut engine) = coupled_trees(n);
         // User state: scroll on root + typed text in the EditText (v0).
         let root = shadow.find_by_id_name("root").unwrap();
         shadow.apply(root, ViewOp::ScrollTo(scroll)).unwrap();
@@ -191,31 +190,51 @@ enum Step {
     Flip,
 }
 
+/// The reference's Table-1 copy of `node` onto `peer`, for the kinds
+/// [`pooled_tree`] builds: the one field [`op_for`] writes for the kind,
+/// then enablement and visibility, each through `apply` so that the peer
+/// records an invalidation as it does under the engine's copy.
+fn reference_copy(node: &ViewNode, sunny: &mut ViewTree, peer: ViewId) {
+    let a = &node.attrs;
+    let essence = match node.kind {
+        ViewKind::EditText | ViewKind::TextView => a.text.clone().map(ViewOp::SetText),
+        ViewKind::ImageView => a
+            .drawable
+            .map(|(name, bytes)| ViewOp::SetDrawable(name, bytes)),
+        ViewKind::ListView => a.selector_position.map(ViewOp::SetSelection),
+        ViewKind::VideoView => a.video_uri.clone().map(ViewOp::SetVideoUri),
+        ViewKind::ProgressBar => a.progress.map(ViewOp::SetProgress),
+        _ => None,
+    };
+    let ops = essence
+        .into_iter()
+        .chain([ViewOp::SetEnabled(a.enabled), ViewOp::SetVisible(a.visible)]);
+    for op in ops {
+        sunny.apply(peer, op).unwrap();
+    }
+}
+
 /// A coupled pair whose roles swap on a flip, plus the engine driving it.
 struct System {
     trees: [ViewTree; 2],
     ids: [Vec<ViewId>; 2],
     names: [Vec<usize>; 2],
     shadow: usize,
-    engine: MigrationEngine,
-    /// The reference rebuilds the mapping for the current roles before
-    /// each delivery; the system under test maps once, like the handler.
-    rebuild: bool,
+    /// Drives the system under test; the reference has none.
+    engine: Option<MigrationEngine>,
 }
 
 impl System {
-    fn new(names: &[Vec<usize>; 2], rebuild: bool) -> System {
-        let (mut side0, ids0) = pooled_tree(&names[0]);
-        let (mut side1, ids1) = pooled_tree(&names[1]);
-        let mut engine = MigrationEngine::new();
-        engine.build_mapping(&mut side0, &mut side1);
+    /// The system under test with an engine, the reference without one.
+    fn new(names: &[Vec<usize>; 2], engine: Option<MigrationEngine>) -> System {
+        let (side0, ids0) = pooled_tree(&names[0]);
+        let (side1, ids1) = pooled_tree(&names[1]);
         System {
             trees: [side0, side1],
             ids: [ids0, ids1],
             names: names.clone(),
             shadow: 0,
             engine,
-            rebuild,
         }
     }
 
@@ -230,10 +249,22 @@ impl System {
             Step::Deliver => {
                 let [a, b] = &mut self.trees;
                 let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
-                if self.rebuild {
-                    self.engine.build_mapping(shadow, sunny);
+                match &mut self.engine {
+                    Some(engine) => {
+                        engine.migrate_invalidations(shadow, sunny).unwrap();
+                    }
+                    None => {
+                        // A name table rebuilt from the sunny tree's arena
+                        // for the current roles.
+                        let names = sunny.rebuild_id_name_index();
+                        for view in shadow.drain_invalidations() {
+                            let node = shadow.view(view).unwrap();
+                            if let Some(&peer) = node.id_name.and_then(|n| names.get(&n)) {
+                                reference_copy(node, sunny, peer);
+                            }
+                        }
+                    }
                 }
-                self.engine.migrate_invalidations(shadow, sunny).unwrap();
             }
             Step::Flip => self.shadow = 1 - self.shadow,
         }
@@ -251,11 +282,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The mapping is built once per coupling and coin flips reuse it
-    /// (§3.4): for ANY interleaving of updates, deliveries and flips, on
-    /// trees where names repeat or are missing on either side, migrating
-    /// through the stored pointers leaves every view of both trees exactly
-    /// as a fresh mapping for the current roles would.
+    /// Coin flips rebuild no mapping (§3.4): for ANY interleaving of
+    /// updates, deliveries and flips, on trees where names repeat or are
+    /// missing on either side, the engine's looked-up peers leave every
+    /// view of both trees exactly as a reference that rebuilds a name
+    /// table for the current roles before each delivery.
     #[test]
     fn a_flip_migrates_like_a_fresh_mapping(
         side0 in proptest::collection::vec(0usize..7, 1..12),
@@ -263,8 +294,8 @@ proptest! {
         script in proptest::collection::vec(step_strategy(), 0..48),
     ) {
         let names = [side0, side1];
-        let mut real = System::new(&names, false);
-        let mut reference = System::new(&names, true);
+        let mut real = System::new(&names, Some(MigrationEngine::new()));
+        let mut reference = System::new(&names, None);
         for (k, step) in script.iter().enumerate() {
             real.step(step);
             reference.step(step);

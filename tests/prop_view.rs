@@ -20,7 +20,7 @@ use droidsim_view::{
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rch_workloads::{GenericAppSpec, StateItem, StateMechanism};
-use rchdroid::{MigrationEngine, MigrationReport};
+use rchdroid::MigrationEngine;
 use runtimedroid_baseline::RuntimeDroid;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -434,22 +434,20 @@ fn oracle_restore(tree: &mut ViewTree, state: &Bundle) {
     }
 }
 
-/// `MigrationEngine::seed_user_state` as it was: a put-then-remove copy
-/// into every mapped peer.
-fn oracle_seed(shadow: &ViewTree, sunny: &mut ViewTree) -> Result<MigrationReport, ViewError> {
-    let mut report = MigrationReport::default();
+/// `MigrationEngine::seed_user_state` as it was: a pre-order walk of the
+/// shadow tree, with a put-then-remove copy into every view's peer, the
+/// bearer of its name in a name table rebuilt from the sunny tree's arena.
+fn oracle_seed(shadow: &ViewTree, sunny: &mut ViewTree) -> Result<(), ViewError> {
+    let names = sunny.rebuild_id_name_index();
     for view in shadow.iter_ids() {
         let node = shadow.view(view)?;
-        report.examined += 1;
-        let Some(peer) = shadow.sunny_peer(view) else {
-            report.unmapped += 1;
+        let Some(&peer) = node.id_name.and_then(|name| names.get(&name)) else {
             continue;
         };
         let state = oracle_copy_state(node.freezes_text, &node.attrs);
         sunny.edit_attrs(peer, |attrs| attrs.restore_user_state(&state))?;
-        report.migrated += 1;
     }
-    Ok(report)
+    Ok(())
 }
 
 /// RuntimeDroid's hot reload as it was: re-inflate for `config`, restore
@@ -599,17 +597,12 @@ proptest! {
         sunny_edits in arb_script(40),
     ) {
         // Two inflations of one layout, each edited on its own.
-        let mut shadow = run_script(&[layout.clone(), shadow_edits].concat());
-        let mut sunny = run_script(&[layout, sunny_edits].concat());
-        let engine = {
-            let mut e = MigrationEngine::new();
-            e.build_mapping(&mut shadow, &mut sunny);
-            e
-        };
+        let shadow = run_script(&[layout.clone(), shadow_edits].concat());
+        let sunny = run_script(&[layout, sunny_edits].concat());
         let mut seeded = sunny.clone();
-        let report = engine.seed_user_state(&shadow, &mut seeded);
+        let seeding = MigrationEngine::new().seed_user_state(&shadow, &mut seeded);
         let mut expected = sunny;
-        prop_assert_eq!(report, oracle_seed(&shadow, &mut expected));
+        prop_assert_eq!(seeding, oracle_seed(&shadow, &mut expected));
         prop_assert_eq!(seeded, expected);
     }
 
@@ -650,10 +643,6 @@ enum ShareStep {
     Build(BuildStep),
     /// `edit_attrs`: a scroll written with no invalidation.
     Edit { choice: usize, scroll_y: i32 },
-    /// `set_sunny_peers` against tree `other`'s name index.
-    MapPeers { other: usize },
-    /// `clear_sunny_peers`.
-    ClearPeers,
     /// Continues on a clone of tree `other`, sharing whatever chunks it
     /// copied so far.
     Fork { other: usize },
@@ -674,8 +663,6 @@ fn arb_share_step() -> impl Strategy<Value = ShareStep> {
         Just(ShareStep::Build(BuildStep::Release)),
         (any::<usize>(), -500i32..500)
             .prop_map(|(choice, scroll_y)| ShareStep::Edit { choice, scroll_y }),
-        any::<usize>().prop_map(|other| ShareStep::MapPeers { other }),
-        Just(ShareStep::ClearPeers),
         any::<usize>().prop_map(|other| ShareStep::Fork { other }),
         Just(ShareStep::Share),
     ]
@@ -710,11 +697,6 @@ fn apply_share_step(trees: &mut [ViewTree], at: usize, step: &ShareStep, shares:
                     .unwrap();
             }
         }
-        ShareStep::MapPeers { other } => {
-            let index = trees[other % n].id_name_index().clone();
-            trees[at].set_sunny_peers(&index);
-        }
-        ShareStep::ClearPeers => trees[at].clear_sunny_peers(),
         ShareStep::Fork { other } => trees[at] = trees[other % n].clone(),
         ShareStep::Share if shares => trees[at].share(),
         ShareStep::Share => {}
@@ -751,9 +733,6 @@ proptest! {
             for (tree, oracle) in trees.iter().zip(&oracles) {
                 prop_assert_eq!(tree, oracle, "after {:?} on tree {}", step, at);
                 prop_assert_eq!(tree.save_hierarchy_state(), oracle.save_hierarchy_state());
-                for id in oracle.iter_ids() {
-                    prop_assert_eq!(tree.sunny_peer(id), oracle.sunny_peer(id));
-                }
             }
             prop_assert_eq!(&kept, &cold, "a write reached the kept tree");
         }
@@ -788,121 +767,6 @@ proptest! {
             .unwrap();
         let expected = oracle_hot_reload(&old, &model, &landscape);
         prop_assert_eq!(&thread.instance(instance).unwrap().tree, &expected);
-    }
-}
-
-// ---- Kept couplings: the mapping between two kept inflations, built by
-// ---- a process's first init and adopted by every later one.
-
-/// Names the kept couplings' scripts add from: [`NAMES`], which the
-/// layouts use too, and three that a layout lacks until a script adds
-/// them, so each tree adds names the other tree kept.
-const MORE_NAMES: [&str; 9] = ["v0", "v1", "v2", "v3", "v4", "v5", "w0", "w1", "w2"];
-
-/// Edits that keep a tree's stamp: adds (under any view and under
-/// containers), `apply`s and save flags.
-fn arb_stamped_edits() -> impl Strategy<Value = Vec<BuildStep>> {
-    let step = prop_oneof![
-        arb_add(false),
-        arb_add(true),
-        arb_mutate(),
-        arb_mutate(),
-        (any::<usize>(), any::<bool>(), any::<bool>()).prop_map(
-            |(choice, saves_state, freezes_text)| BuildStep::Flags {
-                choice,
-                saves_state,
-                freezes_text,
-            }
-        ),
-    ];
-    proptest::collection::vec(step, 0..16)
-}
-
-/// Both trees mapped by a walk, [`ViewTree::set_sunny_peers`] each way.
-fn walked_mapping(shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
-    let mapped = shadow.set_sunny_peers(sunny.id_name_index());
-    sunny.set_sunny_peers(shadow.id_name_index());
-    mapped
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn an_adopted_coupling_maps_and_seeds_as_a_walk_does(
-        layouts in (arb_wide_layout(), arb_wide_layout()),
-        kept_scripts in (arb_script(12), arb_script(12)),
-        first in (arb_stamped_edits(), arb_stamped_edits()),
-        later in (arb_stamped_edits(), arb_stamped_edits()),
-        removal in (any::<bool>(), any::<bool>(), any::<usize>()),
-        swap in any::<bool>(),
-    ) {
-        // A process's two kept inflations, one per configuration, each
-        // changed before its share (removals leave empty slots in what
-        // it keeps).
-        let config = Configuration::phone_portrait();
-        let mut table = ResourceTable::new();
-        table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
-        let kept = [(&layouts.0, &kept_scripts.0), (&layouts.1, &kept_scripts.1)].map(
-            |(layout, script)| {
-                let mut tree = inflate(layout, &table, &config).0;
-                apply_script(&mut tree, script, &MORE_NAMES);
-                tree.share();
-                tree
-            },
-        );
-        let created = |side: usize, edits: &[BuildStep]| {
-            let mut tree = kept[side].clone();
-            apply_script(&mut tree, edits, &MORE_NAMES);
-            tree
-        };
-
-        // The first init between two creations maps them and builds the
-        // coupling of the kept pair.
-        let (mut a, mut b) = (created(0, &first.0), created(1, &first.1));
-        let (mut walked_a, mut walked_b) = (a.clone(), b.clone());
-        let mut engine = MigrationEngine::new();
-        let mapped = engine.build_mapping(&mut a, &mut b);
-        prop_assert_eq!(mapped, walked_mapping(&mut walked_a, &mut walked_b));
-        prop_assert_eq!(&a, &walked_a);
-        prop_assert_eq!(&b, &walked_b);
-        let coupling = engine.coupling().cloned();
-        prop_assert!(coupling.as_ref().is_some_and(|c| c.fits(&a, &b)));
-
-        // A later init between two other creations, in the roles the GC
-        // left, maybe after a removal that drops a stamp.
-        let (mut shadow, mut sunny) = (created(0, &later.0), created(1, &later.1));
-        if swap {
-            std::mem::swap(&mut shadow, &mut sunny);
-        }
-        if let (true, in_shadow, choice) = removal {
-            let tree = if in_shadow { &mut shadow } else { &mut sunny };
-            let ids = tree.iter_ids();
-            let _ = tree.remove_view(ids[choice % ids.len()]);
-        }
-        let adopts = coupling.as_ref().is_some_and(|c| c.fits(&shadow, &sunny));
-        prop_assert_eq!(adopts, shadow.stamp().is_some() && sunny.stamp().is_some());
-        let (mut walked_shadow, mut walked_sunny) = (shadow.clone(), sunny.clone());
-        let mut engine = MigrationEngine::new();
-        let mapped = engine.couple(&mut shadow, &mut sunny, coupling.as_ref());
-        prop_assert_eq!(mapped, walked_mapping(&mut walked_shadow, &mut walked_sunny));
-        prop_assert_eq!(shadow.mapped_peers(), walked_shadow.mapped_peers());
-        prop_assert_eq!(sunny.mapped_peers(), walked_sunny.mapped_peers());
-        prop_assert_eq!(&shadow, &walked_shadow);
-        prop_assert_eq!(&sunny, &walked_sunny);
-        for id in walked_shadow.iter_ids() {
-            prop_assert_eq!(shadow.sunny_peer(id), walked_shadow.sunny_peer(id));
-        }
-        for id in walked_sunny.iter_ids() {
-            prop_assert_eq!(sunny.sunny_peer(id), walked_sunny.sunny_peer(id));
-        }
-
-        // Seeding, from the state holders when the stamps held, equals
-        // the whole-tree oracle.
-        let mut seeded = sunny.clone();
-        let report = engine.seed_user_state(&shadow, &mut seeded);
-        prop_assert_eq!(report, oracle_seed(&walked_shadow, &mut walked_sunny));
-        prop_assert_eq!(seeded, walked_sunny);
     }
 }
 
@@ -1228,7 +1092,6 @@ fn user_content_never_enters_the_interner() {
     let (mut sunny, strings) = tree_with_user_content();
     written.extend(strings);
     let mut engine = MigrationEngine::new();
-    engine.build_mapping(&mut shadow, &mut sunny);
     shadow.drain_invalidations(); // the set-up writes are not part of the flush
     let (text, uri) = (fresh_user_string("text"), fresh_user_string("uri"));
     for (name, op) in [
