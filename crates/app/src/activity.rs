@@ -299,7 +299,7 @@ mod tests {
         );
         b.perform_create(&model, Some(&saved));
         let root_b = b.tree.find_by_id_name("root").unwrap();
-        assert_eq!(b.tree.view(root_b).unwrap().attrs.scroll_y, 480);
+        assert_eq!(b.tree.view(root_b).unwrap().attrs.scroll_y(), 480);
     }
 
     #[test]

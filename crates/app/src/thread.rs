@@ -518,12 +518,14 @@ impl ActivityThread {
         self.current_sunny = id;
     }
 
-    /// The alive (non-destroyed) instances, in id order.
-    fn alive_activities(&self) -> impl Iterator<Item = &Activity> {
+    /// The alive (non-destroyed) instances, in id order, without
+    /// collecting them: what a read-only pass over them walks.
+    pub fn alive_activities(&self) -> impl Iterator<Item = &Activity> {
         self.instances.values().filter(|a| a.state().is_alive())
     }
 
-    /// Alive (non-destroyed) instances.
+    /// Alive (non-destroyed) instance ids, collected: for a caller that
+    /// destroys instances while it goes through them.
     pub fn alive_instances(&self) -> Vec<ActivityInstanceId> {
         self.alive_activities().map(Activity::id).collect()
     }
@@ -598,7 +600,7 @@ mod tests {
         assert_eq!(thread.instance_for_token(token), Some(second));
         let a = thread.instance(second).unwrap();
         let root = a.tree.find_by_id_name("root").unwrap();
-        assert_eq!(a.tree.view(root).unwrap().attrs.scroll_y, 640);
+        assert_eq!(a.tree.view(root).unwrap().attrs.scroll_y(), 640);
         assert_eq!(a.state(), ActivityState::Resumed);
         assert_eq!(a.config(), &landscape);
     }
@@ -943,7 +945,7 @@ mod tests {
         reference.perform_create(&model, saved.as_ref());
         let third = thread.instance(instance.unwrap()).unwrap();
         let root = third.tree.find_by_id_name("root").unwrap();
-        assert_eq!(third.tree.view(root).unwrap().attrs.scroll_y, 240);
+        assert_eq!(third.tree.view(root).unwrap().attrs.scroll_y(), 240);
         assert_eq!(
             third.tree, reference.tree,
             "a hit creates what a cold create does"

@@ -5,7 +5,7 @@ use crate::gc::{GcDecision, GcPolicy, ShadowAgeTracker};
 use crate::migration::{MigrationEngine, MigrationReport};
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
 use core::fmt;
-use droidsim_app::ActivityInstanceId;
+use droidsim_app::{Activity, ActivityInstanceId};
 use droidsim_app::{ActivityState, ActivityThread, AppModel, AsyncWork, ThreadError};
 use droidsim_atms::{Atms, AtmsError, ConfigDecision, Intent, RecordState, StartDisposition};
 use droidsim_faults::{FaultPlan, FaultSite};
@@ -572,8 +572,9 @@ impl RchDroid {
     }
 
     /// Tears down everything the shadow/sunny protocol holds except
-    /// `keep`: the engine's coupling state, any partner instance still on
-    /// the thread, and the partner's ATMS record. Partners are found by
+    /// `keep`: any partner instance still on the thread, the partner's
+    /// ATMS record, the shadow and sunny pointers and the GC tracker (the
+    /// engine keeps no per-coupling state). Partners are found by
     /// component, not by the shadow/sunny pointers — `enter_shadow`
     /// repoints those mid-change, and a second alive instance of the
     /// activity can only ever be the protocol's coupling partner.
@@ -583,17 +584,11 @@ impl RchDroid {
         atms: &mut Atms,
         keep: ActivityInstanceId,
     ) -> Result<(), HandlerError> {
-        self.engine.reset_coupling();
-        let component = thread.instance(keep)?.component().to_owned();
+        let component = thread.instance(keep)?.component();
         let partners: Vec<ActivityInstanceId> = thread
-            .alive_instances()
-            .into_iter()
-            .filter(|&id| {
-                id != keep
-                    && thread
-                        .instance(id)
-                        .is_ok_and(|a| a.component() == component)
-            })
+            .alive_activities()
+            .filter(|a| a.id() != keep && a.component() == component)
+            .map(Activity::id)
             .collect();
         for partner in partners {
             let token = thread.instance(partner)?.token();
@@ -814,7 +809,7 @@ mod tests {
         let outcome = rotate(&mut rig, SimTime::from_millis(10));
         let sunny = rig.thread.instance(outcome.sunny_instance).unwrap();
         let root = sunny.tree.find_by_id_name("root").unwrap();
-        assert_eq!(sunny.tree.view(root).unwrap().attrs.scroll_y, 480);
+        assert_eq!(sunny.tree.view(root).unwrap().attrs.scroll_y(), 480);
     }
 
     #[test]
@@ -999,7 +994,7 @@ mod tests {
         let fresh = rig.thread.instance(outcome.sunny_instance).unwrap();
         let root = fresh.tree.find_by_id_name("root").unwrap();
         assert_eq!(
-            fresh.tree.view(root).unwrap().attrs.scroll_y,
+            fresh.tree.view(root).unwrap().attrs.scroll_y(),
             0,
             "corrupted parcel restores nothing"
         );

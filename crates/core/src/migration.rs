@@ -37,13 +37,17 @@ pub struct MigrationReport {
     /// view during the delivery: essence copies saved by coalescing.
     pub coalesced: usize,
     /// Views whose migration faulted and was contained per-view (rung 1
-    /// of the degradation ladder): the view was skipped and marked
-    /// stale, the rest of the batch migrated.
+    /// of the degradation ladder): the view was skipped, so its sunny
+    /// copy keeps its old essence until the app next updates it, and the
+    /// rest of the batch migrated.
     pub contained: usize,
 }
 
 /// The Table-1 essence copy of `shadow_view` (in `shadow`) onto its peer
-/// `peer` (in `sunny`), per the policy for the view's basic class.
+/// `peer` (in `sunny`), per the policy for the view's basic class. It
+/// reads the shadow view in place and clones only what the policy moves
+/// (a text or a video URI); the two trees are distinct, so the read
+/// borrow outlives the writes.
 fn copy_essence(
     shadow: &ViewTree,
     sunny: &mut ViewTree,
@@ -51,18 +55,17 @@ fn copy_essence(
     peer: ViewId,
 ) -> Result<(), ViewError> {
     let node = shadow.view(shadow_view)?;
-    let class = node.kind.migration_class();
-    let attrs = node.attrs.clone();
+    let attrs = &node.attrs;
 
     // Per-type policies of Table 1. Ops go through ViewTree::apply so the
     // sunny tree invalidates (and redraws) exactly as if the app had
     // updated it directly.
-    match class {
+    match node.kind.migration_class() {
         MigrationClass::TextView => {
-            if let Some(text) = attrs.text {
-                sunny.apply(peer, ViewOp::SetText(text))?;
+            if let Some(text) = &attrs.text {
+                sunny.apply(peer, ViewOp::SetText(text.clone()))?;
             }
-            if let Some(checked) = attrs.checked {
+            if let Some(checked) = attrs.checked() {
                 sunny.apply(peer, ViewOp::SetChecked(checked))?;
             }
         }
@@ -72,29 +75,29 @@ fn copy_essence(
             }
         }
         MigrationClass::AbsListView => {
-            if let Some(pos) = attrs.selector_position {
+            if let Some(pos) = attrs.selector_position() {
                 sunny.apply(peer, ViewOp::SetSelection(pos))?;
             }
-            for item in attrs.checked_items {
+            for &item in attrs.checked_items() {
                 sunny.apply(peer, ViewOp::SetItemChecked(item, true))?;
             }
-            if attrs.scroll_y != 0 {
-                sunny.apply(peer, ViewOp::ScrollTo(attrs.scroll_y))?;
+            if attrs.scroll_y() != 0 {
+                sunny.apply(peer, ViewOp::ScrollTo(attrs.scroll_y()))?;
             }
         }
         MigrationClass::VideoView => {
-            if let Some(uri) = attrs.video_uri {
-                sunny.apply(peer, ViewOp::SetVideoUri(uri))?;
+            if let Some(uri) = attrs.video_uri() {
+                sunny.apply(peer, ViewOp::SetVideoUri(uri.to_owned()))?;
             }
         }
         MigrationClass::ProgressBar => {
-            if let Some(p) = attrs.progress {
+            if let Some(p) = attrs.progress() {
                 sunny.apply(peer, ViewOp::SetProgress(p))?;
             }
         }
         MigrationClass::Container => {
-            if attrs.scroll_y != 0 {
-                sunny.apply(peer, ViewOp::ScrollTo(attrs.scroll_y))?;
+            if attrs.scroll_y() != 0 {
+                sunny.apply(peer, ViewOp::ScrollTo(attrs.scroll_y()))?;
             }
         }
         MigrationClass::Opaque => {}
@@ -110,7 +113,7 @@ fn copy_essence(
 /// The mapping itself is the trees' id-name indexes, read through
 /// [`ViewTree::peer_in`]. The engine holds what migrating through it
 /// needs: the fault schedule and watchdog probed on every flush, the
-/// views rung-1 containment skipped, and lifetime [`MigrationMetrics`].
+/// log of the faults it contained, and lifetime [`MigrationMetrics`].
 #[derive(Debug, Clone, Default)]
 pub struct MigrationEngine {
     metrics: MigrationMetrics,
@@ -120,8 +123,6 @@ pub struct MigrationEngine {
     faults: FaultPlan,
     watchdog: MigrationWatchdog,
     fault_log: FaultLog,
-    /// Views skipped by rung-1 containment since the last init.
-    stale_views: Vec<ViewId>,
     /// Reusable batch buffer: a flush drains the shadow's dirty views into
     /// it and the emptied vector returns afterwards, so steady-state
     /// flushing allocates nothing per call.
@@ -149,12 +150,6 @@ impl MigrationEngine {
         self.watchdog
     }
 
-    /// Views skipped by rung-1 containment since the last init: their
-    /// sunny copy may be stale and must not be trusted.
-    pub fn stale_views(&self) -> &[ViewId] {
-        &self.stale_views
-    }
-
     /// Lifetime fault metrics for the flush path.
     pub(crate) fn fault_metrics(&self) -> &droidsim_metrics::FaultMetrics {
         self.fault_log.metrics()
@@ -163,13 +158,6 @@ impl MigrationEngine {
     /// Drains the recent fault records (device layer → logcat).
     pub(crate) fn take_fault_records(&mut self) -> Vec<FaultRecord> {
         self.fault_log.drain()
-    }
-
-    /// Tears the coupling down: the stale set. Called when a fallback
-    /// restart abandons shadow/sunny handling; the mapping goes with the
-    /// trees it destroys.
-    pub fn reset_coupling(&mut self) {
-        self.stale_views.clear();
     }
 
     /// Lifetime flush/coalescing metrics.
@@ -185,7 +173,8 @@ impl MigrationEngine {
     /// Rung 1 of the degradation ladder lives here: a fault touching one
     /// view (injected essence-map miss or attribute-copy error, a panic
     /// inside the Table-1 copy, a benign tree rejection) skips that view,
-    /// marks it stale and keeps migrating the rest of the batch.
+    /// counts it as contained in the report and the fault log, and keeps
+    /// migrating the rest of the batch.
     ///
     /// # Errors
     ///
@@ -246,18 +235,18 @@ impl MigrationEngine {
             };
             if missed {
                 // A view that *was* mapped losing its peer is a fault.
-                self.contain(view, FaultSite::EssenceMappingMiss, &mut report);
+                self.contain(FaultSite::EssenceMappingMiss, &mut report);
                 continue;
             }
             if self.faults.should_inject(FaultSite::AttributeCopy) {
-                self.contain(view, FaultSite::AttributeCopy, &mut report);
+                self.contain(FaultSite::AttributeCopy, &mut report);
                 continue;
             }
             match panic::catch_unwind(AssertUnwindSafe(|| copy_essence(shadow, sunny, view, peer)))
             {
                 Ok(Ok(())) => report.migrated += 1,
                 Ok(Err(e)) if e.is_crash() => return Err(MigrationError::Tree(e)),
-                Ok(Err(_)) | Err(_) => self.contain(view, FaultSite::AttributeCopy, &mut report),
+                Ok(Err(_)) | Err(_) => self.contain(FaultSite::AttributeCopy, &mut report),
             }
         }
         report.coalesced = raw.saturating_sub(report.examined);
@@ -266,8 +255,7 @@ impl MigrationEngine {
     }
 
     /// Rung-1 containment bookkeeping for one skipped view.
-    fn contain(&mut self, view: ViewId, site: FaultSite, report: &mut MigrationReport) {
-        self.stale_views.push(view);
+    fn contain(&mut self, site: FaultSite, report: &mut MigrationReport) {
         self.fault_log.contained(site.name());
         report.contained += 1;
     }
@@ -284,7 +272,6 @@ impl MigrationEngine {
     /// ([`ViewTree::state_holders`]) and copies each one's state to its
     /// peer. The bearers of a repeated name share one peer and come last,
     /// in pre-order, so the last of them in pre-order wins, as in a walk.
-    /// An init starts a coupling, so the rung-1 stale set resets here.
     ///
     /// # Errors
     ///
@@ -294,7 +281,6 @@ impl MigrationEngine {
         shadow: &ViewTree,
         sunny: &mut ViewTree,
     ) -> Result<(), ViewError> {
-        self.stale_views.clear();
         for view in shadow.state_holders() {
             let Some(peer) = shadow.peer_in(view, sunny) else {
                 continue;
@@ -379,10 +365,10 @@ mod tests {
             get("hero").drawable.as_ref().unwrap().0.as_str(),
             "landscape.png"
         );
-        assert_eq!(get("list").selector_position, Some(5));
-        assert_eq!(get("list").checked_items, vec![2]);
-        assert_eq!(get("player").video_uri.as_deref(), Some("clip.mp4"));
-        assert_eq!(get("bar").progress, Some(66));
+        assert_eq!(get("list").selector_position(), Some(5));
+        assert_eq!(get("list").checked_items(), [2]);
+        assert_eq!(get("player").video_uri(), Some("clip.mp4"));
+        assert_eq!(get("bar").progress(), Some(66));
     }
 
     #[test]
@@ -674,7 +660,7 @@ mod tests {
         assert_eq!(r.examined, 2);
         assert_eq!(r.contained, 1, "one view skipped");
         assert_eq!(r.migrated, 1, "the rest of the batch migrated");
-        assert_eq!(engine.stale_views().len(), 1);
+        assert_eq!(engine.fault_metrics().site_count("attribute-copy"), 1);
         assert_eq!(engine.fault_metrics().contained_per_view, 1);
         assert_eq!(engine.take_fault_records().len(), 1);
     }
@@ -726,16 +712,21 @@ mod tests {
     }
 
     #[test]
-    fn reset_coupling_clears_everything() {
+    fn a_contained_view_is_counted_and_left_unmigrated() {
         let (mut shadow, mut sunny, mut engine) = coupled_trees();
         engine.arm_faults(FaultPlan::seeded(6).on_nth_probe(FaultSite::AttributeCopy, 1));
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
-        engine
+        let r = engine
             .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
-        assert_eq!(engine.stale_views(), [name]);
-        engine.reset_coupling();
-        assert!(engine.stale_views().is_empty());
+        assert_eq!((r.examined, r.migrated, r.contained), (1, 0, 1));
+        assert_eq!(engine.fault_metrics().contained_per_view, 1);
+        let peer = sunny.find_by_id_name("name").unwrap();
+        assert_eq!(sunny.view(peer).unwrap().attrs.text, None);
+        // The init's seeding counts nothing and leaves the counts alone.
+        engine.seed_user_state(&shadow, &mut sunny).unwrap();
+        assert_eq!(engine.fault_metrics().contained_per_view, 1);
+        assert_eq!(engine.take_fault_records().len(), 1);
     }
 }

@@ -1081,7 +1081,7 @@ mod tests {
         let scroll = d
             .with_foreground_activity_mut(|a| {
                 let root = a.tree.find_by_id_name("root").unwrap();
-                a.tree.view(root).unwrap().attrs.scroll_y
+                a.tree.view(root).unwrap().attrs.scroll_y()
             })
             .unwrap();
         assert_eq!(scroll, 777);

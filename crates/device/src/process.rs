@@ -80,9 +80,7 @@ impl AppProcess {
     /// The instance currently in the foreground (resumed or sunny).
     pub fn foreground_activity(&self) -> Option<&Activity> {
         self.thread
-            .alive_instances()
-            .into_iter()
-            .filter_map(|id| self.thread.instance(id).ok())
+            .alive_activities()
             .find(|a| a.state().is_foreground())
     }
 
@@ -97,13 +95,8 @@ impl AppProcess {
         if self.crashed.is_some() {
             return MemorySnapshot::default();
         }
-        self.memory.snapshot(
-            self.thread
-                .alive_instances()
-                .into_iter()
-                .filter_map(|id| self.thread.instance(id).ok())
-                .map(Activity::heap_bytes),
-        )
+        self.memory
+            .snapshot(self.thread.alive_activities().map(Activity::heap_bytes))
     }
 }
 
@@ -113,7 +106,7 @@ impl core::fmt::Debug for AppProcess {
             .field("component", &self.component())
             .field("complexity", &self.complexity)
             .field("crashed", &self.crashed)
-            .field("alive_instances", &self.thread.alive_instances().len())
+            .field("alive_instances", &self.thread.alive_activities().count())
             .finish()
     }
 }

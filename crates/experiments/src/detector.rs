@@ -74,15 +74,12 @@ fn lost_items(
     let foreground = process.foreground_instance();
     let mut result = Probe::default();
     let mut latent = BTreeSet::new();
-    for id in process.thread().alive_instances() {
-        let Ok(activity) = process.thread().instance(id) else {
-            continue;
-        };
+    for activity in process.thread().alive_activities() {
         if activity.tree.is_released() {
             continue; // a released tree holds no probe-able state
         }
         let lost = lost_in(activity);
-        if Some(id) == foreground {
+        if Some(activity.id()) == foreground {
             result.foreground = lost;
         } else {
             latent.extend(lost);

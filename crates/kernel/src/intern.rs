@@ -73,6 +73,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
@@ -84,8 +85,12 @@ use std::sync::{OnceLock, RwLock};
 /// `Symbol` key is as cheap as an integer. Use [`Symbol::as_str`] to get
 /// the text back and [`Symbol::hierarchy_key`] for the precomputed
 /// `view:{name}` bundle key used by hierarchy-state save/restore.
+///
+/// Index 0 is never issued, so `Option<Symbol>` is four bytes, like the
+/// symbol itself: a view's or a layout node's optional id name costs no
+/// tag word.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(u32);
+pub struct Symbol(NonZeroU32);
 
 /// Prefix of every hierarchy-state bundle key ([`Symbol::hierarchy_key`]).
 const HIERARCHY_KEY_PREFIX: &str = "view:";
@@ -114,9 +119,10 @@ struct Slot {
 /// index→slot arena. Names are leaked to `&'static str` so resolving a
 /// symbol never copies; the table only grows.
 struct Interner {
-    /// Name → index, split by FNV-1a hash of the name.
-    shards: [RwLock<HashMap<&'static str, u32>>; SHARD_COUNT],
+    /// Name → symbol, split by FNV-1a hash of the name.
+    shards: [RwLock<HashMap<&'static str, Symbol>>; SHARD_COUNT],
     /// Next unissued symbol index, claimed under a shard write lock.
+    /// Starts at 1: index 0 is the niche of `Option<Symbol>`.
     next: AtomicU32,
     /// Append-only chunked slot storage; each chunk materialises on first
     /// use and each slot is written exactly once, before its index
@@ -128,7 +134,7 @@ fn interner() -> &'static Interner {
     static INTERNER: OnceLock<Interner> = OnceLock::new();
     INTERNER.get_or_init(|| Interner {
         shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-        next: AtomicU32::new(0),
+        next: AtomicU32::new(1),
         chunks: std::array::from_fn(|_| OnceLock::new()),
     })
 }
@@ -191,17 +197,20 @@ impl Symbol {
     pub fn intern(name: &str) -> Symbol {
         let it = interner();
         let shard = &it.shards[shard_of(name)];
-        if let Some(&idx) = shard.read().unwrap().get(name) {
-            return Symbol(idx);
+        if let Some(&sym) = shard.read().unwrap().get(name) {
+            return sym;
         }
         let mut map = shard.write().unwrap();
         // Double-checked: another thread may have interned between our
         // read probe and taking the write lock.
-        if let Some(&idx) = map.get(name) {
-            return Symbol(idx);
+        if let Some(&sym) = map.get(name) {
+            return sym;
         }
         let idx = it.next.fetch_add(1, Ordering::Relaxed);
-        assert!(idx != u32::MAX, "symbol table overflow");
+        let sym = match NonZeroU32::new(idx) {
+            Some(nonzero) if idx != u32::MAX => Symbol(nonzero),
+            _ => panic!("symbol table overflow"),
+        };
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
         let key: &'static str = Box::leak(format!("{HIERARCHY_KEY_PREFIX}{name}").into_boxed_str());
         it.publish(
@@ -211,8 +220,8 @@ impl Symbol {
                 hierarchy_key: key,
             },
         );
-        map.insert(leaked, idx);
-        Symbol(idx)
+        map.insert(leaked, sym);
+        sym
     }
 
     /// Returns the symbol for `name` if it has already been interned,
@@ -224,19 +233,18 @@ impl Symbol {
             .unwrap()
             .get(name)
             .copied()
-            .map(Symbol)
     }
 
     /// The interned text. Lock-free: resolves through the append-only
     /// slot arena without touching any shard lock.
     pub fn as_str(self) -> &'static str {
-        interner().resolve(self.0).name
+        interner().resolve(self.0.get()).name
     }
 
     /// The precomputed `view:{name}` key used for hierarchy-state
     /// bundles. Lock-free, like [`Symbol::as_str`].
     pub fn hierarchy_key(self) -> &'static str {
-        interner().resolve(self.0).hierarchy_key
+        interner().resolve(self.0.get()).hierarchy_key
     }
 
     /// The inverse of [`Symbol::hierarchy_key`]: the already-interned
@@ -250,7 +258,7 @@ impl Symbol {
     /// The raw table index. Only for diagnostics — the value depends on
     /// interning order and must never reach deterministic output.
     pub fn index(self) -> u32 {
-        self.0
+        self.0.get()
     }
 }
 
@@ -288,6 +296,12 @@ mod tests {
         let b = Symbol::intern("idempotent-check");
         assert_eq!(a, b);
         assert_eq!(a.index(), b.index());
+    }
+
+    #[test]
+    fn an_optional_symbol_costs_no_tag() {
+        assert_eq!(std::mem::size_of::<Option<Symbol>>(), 4);
+        assert_ne!(Symbol::intern("niche-check").index(), 0);
     }
 
     #[test]

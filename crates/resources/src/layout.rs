@@ -51,6 +51,11 @@ pub struct LayoutNode {
 
 impl LayoutNode {
     /// Creates a leaf node of the given class.
+    ///
+    /// The builders are inlined: a layout builder chains them once per
+    /// node, and out of line each call would move the 56-byte node in
+    /// and out by value.
+    #[inline]
     pub fn new(class: impl Into<Symbol>) -> Self {
         LayoutNode {
             class: class.into(),
@@ -61,25 +66,22 @@ impl LayoutNode {
     }
 
     /// Sets the id name.
+    #[inline]
     pub fn with_id(mut self, id_name: impl Into<Symbol>) -> Self {
         self.id_name = Some(id_name.into());
         self
     }
 
     /// Sets an attribute; a key set before keeps its place and takes the
-    /// new value.
+    /// new value. A node's first attribute is written in place; a later
+    /// one takes the out-of-line path that sorts the list.
+    #[inline]
     pub fn with_attr(mut self, key: impl Into<Symbol>, value: impl Into<Symbol>) -> Self {
         let (key, value) = (key.into(), value.into());
-        self.attrs = match std::mem::take(&mut self.attrs) {
-            Attrs::None => Attrs::One([(key, value)]),
-            Attrs::One([(k, _)]) if k == key => Attrs::One([(key, value)]),
-            Attrs::One([pair]) => {
-                let mut pairs = Vec::with_capacity(2);
-                pairs.push(pair);
-                Attrs::Many(insert_sorted(pairs, key, value))
-            }
-            Attrs::Many(pairs) => Attrs::Many(insert_sorted(pairs, key, value)),
-        };
+        match self.attrs {
+            Attrs::None => self.attrs = Attrs::One([(key, value)]),
+            _ => self.attrs.insert(key, value),
+        }
         self
     }
 
@@ -93,6 +95,7 @@ impl LayoutNode {
     }
 
     /// Adds a child node.
+    #[inline]
     pub fn with_child(mut self, child: LayoutNode) -> Self {
         self.children.push(child);
         self
@@ -126,6 +129,23 @@ impl LayoutNode {
     /// Pre-order iteration over the subtree.
     pub fn iter(&self) -> LayoutIter<'_> {
         LayoutIter { stack: vec![self] }
+    }
+}
+
+impl Attrs {
+    /// Writes `key` into a list that already holds a pair, keeping the
+    /// form canonical.
+    fn insert(&mut self, key: Symbol, value: Symbol) {
+        *self = match std::mem::take(self) {
+            Attrs::None => Attrs::One([(key, value)]),
+            Attrs::One([(k, _)]) if k == key => Attrs::One([(key, value)]),
+            Attrs::One([pair]) => {
+                let mut pairs = Vec::with_capacity(2);
+                pairs.push(pair);
+                Attrs::Many(insert_sorted(pairs, key, value))
+            }
+            Attrs::Many(pairs) => Attrs::Many(insert_sorted(pairs, key, value)),
+        };
     }
 }
 
@@ -225,6 +245,14 @@ mod tests {
                         .with_attr("text", "Go"),
                 ]),
         )
+    }
+
+    #[test]
+    fn a_node_is_seven_words() {
+        // Class, optional id (the symbol's niche makes it four bytes),
+        // attribute list and child list. A field that grows it shows here.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<LayoutNode>(), 56);
     }
 
     #[test]

@@ -291,7 +291,7 @@ mod tests {
             .unwrap();
         let a = thread.instance(instance).unwrap();
         let root = a.tree.find_by_id_name("root").unwrap();
-        assert_eq!(a.tree.view(root).unwrap().attrs.scroll_y, 480);
+        assert_eq!(a.tree.view(root).unwrap().attrs.scroll_y(), 480);
     }
 
     #[test]

@@ -16,16 +16,21 @@
 //! One inflation does each step once. The tree's arena and id-name
 //! index are reserved for the template's node count and each
 //! container's child list for its template node's children, so filling
-//! the tree never reallocates. Each distinct `(attribute key, value)`
-//! pair is resolved once per call and every repeat reads the answer (an
-//! app whose 164 images all show `@drawable/asset` pays one table
+//! the tree never reallocates. Each view is written once: its attributes
+//! are resolved into locals and the finished node is pushed straight
+//! into the arena, under a parent the inflater itself pushed as a
+//! container, so no add re-checks its parent. Each distinct class and
+//! each distinct `(attribute key, value)` pair is resolved once per
+//! call and every repeat reads the answer (an app whose 164 images all
+//! show `@drawable/asset` pays one kind resolution and one table
 //! lookup). [`InflateStats`] still counts per view: every `@string/`
-//! reference and every view's drawable bytes, as the cost model expects.
+//! reference and every view's drawable bytes, as the cost model
+//! expects.
 
-use crate::attrs::ViewAttrs;
+use crate::attrs::{ExtraAttrs, ViewAttrs};
 use crate::error::ViewError;
 use crate::kind::ViewKind;
-use crate::tree::{ViewId, ViewTree};
+use crate::tree::{ViewId, ViewNode, ViewTree};
 use droidsim_config::Configuration;
 use droidsim_kernel::id::IdMap;
 use droidsim_kernel::Symbol;
@@ -82,7 +87,8 @@ pub fn inflate(
 /// [`inflate`], also returning what [`ViewTree::resident_bytes`] reads
 /// for the tree, counted while the inflater filled it rather than by a
 /// walk: the arena at its capacity, each container's child list as
-/// reserved, and each string the views were given.
+/// reserved, and each string and box of rarely held attributes the
+/// views were given.
 pub fn inflate_weighed(
     template: &LayoutTemplate,
     resources: &ResourceTable,
@@ -93,15 +99,19 @@ pub fn inflate_weighed(
         config,
         tree: ViewTree::with_capacity(template.node_count() + 1),
         stats: InflateStats::default(),
+        kinds: IdMap::default(),
         resolved: IdMap::default(),
         reserved_children: 0,
-        string_bytes: 0,
+        owned_bytes: 0,
     };
     let decor = inflater.tree.root();
-    inflater.add(template.root(), decor);
+    let root = inflater.add(template.root(), decor);
+    if let Ok(decor) = inflater.tree.node_mut(decor) {
+        decor.children.push(root);
+    }
     let bytes = inflater
         .tree
-        .inflated_bytes(inflater.reserved_children, inflater.string_bytes);
+        .inflated_bytes(inflater.reserved_children, inflater.owned_bytes);
     (inflater.tree, inflater.stats, bytes)
 }
 
@@ -205,27 +215,34 @@ impl Resolved {
 }
 
 /// One call's state: the tree being filled, its stats, the answers for
-/// the attribute pairs met so far, and what the views own.
+/// the classes and attribute pairs met so far, and what the views own.
 struct Inflater<'a> {
     resources: &'a ResourceTable,
     config: &'a Configuration,
     tree: ViewTree,
     stats: InflateStats,
+    /// Each class's kind, and whether its text is user input.
+    kinds: IdMap<Symbol, (ViewKind, bool)>,
     resolved: IdMap<(Symbol, Symbol), Resolved>,
     /// Child-list slots reserved so far.
     reserved_children: usize,
-    /// Bytes of the strings given to views so far, at capacity.
-    string_bytes: u64,
+    /// Bytes the views were given so far on the heap: their strings at
+    /// capacity and their boxes of rarely held attributes.
+    owned_bytes: u64,
 }
 
 impl Inflater<'_> {
-    /// Adds `node`'s view under `parent`, then its subtree. A view that
-    /// is not a container drops the children declared under it (the
-    /// lenient rule), so every add's parent is a container.
-    fn add(&mut self, node: &LayoutNode, parent: ViewId) {
-        let kind = ViewKind::from_class(node.class);
-        let mut attrs = ViewAttrs::new();
-        let (mut strings, mut drawable_bytes, mut string_bytes) = (0, 0, 0);
+    /// Pushes `node`'s view under `parent`, then its subtree, and
+    /// returns the view's id. A view that is not a container drops the
+    /// children declared under it (the lenient rule), so every push's
+    /// parent is a container.
+    fn add(&mut self, node: &LayoutNode, parent: ViewId) -> ViewId {
+        let class = node.class;
+        let (kind, freezes_text) = *self.kinds.entry(class).or_insert_with(|| {
+            let kind = ViewKind::from_class(class);
+            (kind, kind.is_editable())
+        });
+        let (mut text, mut drawable, mut extra) = (None, None, None::<Box<ExtraAttrs>>);
         let (resources, config) = (self.resources, self.config);
         for &(key, value) in node.attrs() {
             let resolved = self
@@ -233,46 +250,53 @@ impl Inflater<'_> {
                 .entry((key, value))
                 .or_insert_with(|| Resolved::of(key, value, resources, config));
             match resolved {
-                Resolved::Text(text, reference) => {
-                    strings += usize::from(*reference);
-                    let text = text.clone();
-                    string_bytes += text.capacity();
-                    attrs.text = Some(text);
+                Resolved::Text(resolved, reference) => {
+                    self.stats.strings_resolved += usize::from(*reference);
+                    let resolved = resolved.clone();
+                    self.owned_bytes += resolved.capacity() as u64;
+                    text = Some(resolved);
                 }
                 Resolved::Drawable(asset, bytes) => {
-                    drawable_bytes += *bytes;
-                    attrs.drawable = Some((*asset, *bytes));
+                    self.stats.drawable_bytes += *bytes;
+                    drawable = Some((*asset, *bytes));
                 }
-                Resolved::Progress(p) => attrs.progress = Some(*p),
+                Resolved::Progress(p) => {
+                    extra.get_or_insert_with(Box::default).progress = Some(*p);
+                }
                 Resolved::VideoUri(uri) => {
                     let uri = uri.clone();
-                    string_bytes += uri.capacity();
-                    attrs.video_uri = Some(uri);
+                    self.owned_bytes += uri.capacity() as u64;
+                    extra.get_or_insert_with(Box::default).video_uri = Some(uri);
                 }
                 Resolved::Nothing => {}
             }
         }
-        let children = if kind.is_container() {
-            node.children.len()
-        } else {
-            0
-        };
-        let Ok(id) = self
-            .tree
-            .add_interned_view(parent, kind, node.id_name, attrs, children)
-        else {
-            return;
-        };
+        if extra.is_some() {
+            self.owned_bytes += std::mem::size_of::<ExtraAttrs>() as u64;
+        }
+        let id = self.tree.next_id();
+        self.tree.push(ViewNode {
+            id,
+            id_name: node.id_name,
+            kind,
+            attrs: ViewAttrs::inflated(text, drawable, extra),
+            parent: Some(parent),
+            children: Vec::new(),
+            saves_state: true,
+            freezes_text,
+        });
         self.stats.views_created += 1;
-        self.stats.strings_resolved += strings;
-        self.stats.drawable_bytes += drawable_bytes;
-        self.reserved_children += children;
-        self.string_bytes += string_bytes as u64;
-        if children > 0 {
+        if kind.is_container() && !node.children.is_empty() {
+            let mut children = Vec::with_capacity(node.children.len());
             for child in &node.children {
-                self.add(child, id);
+                children.push(self.add(child, id));
+            }
+            self.reserved_children += children.len();
+            if let Ok(view) = self.tree.node_mut(id) {
+                view.children = children;
             }
         }
+        id
     }
 }
 
@@ -314,8 +338,7 @@ mod tests {
             stats: &mut InflateStats,
         ) {
             let kind = ViewKind::from_class_name(node.class.as_str());
-            let Ok(id) = tree.add_interned_view(parent, kind, node.id_name, ViewAttrs::new(), 0)
-            else {
+            let Ok(id) = tree.add_view(parent, kind, node.id_name.map(Symbol::as_str)) else {
                 return;
             };
             stats.views_created += 1;
@@ -342,10 +365,10 @@ mod tests {
                     }
                     "progress" => {
                         if let Ok(p) = value.as_str().parse::<i32>() {
-                            v.attrs.progress = Some(p);
+                            v.attrs.set_progress(Some(p));
                         }
                     }
-                    "videoUri" => v.attrs.video_uri = Some(value.as_str().to_owned()),
+                    "videoUri" => v.attrs.set_video_uri(Some(value.as_str().to_owned())),
                     _ => {}
                 }
             }
@@ -607,16 +630,18 @@ mod tests {
     #[test]
     fn the_counted_bytes_are_the_resident_bytes() {
         for views in [0usize, 1, 64, 2_048] {
-            // Labels, typed fields, videos and images, every eighth one
-            // nested in a frame of its own.
+            // Labels, typed fields, videos, seek bars and images, every
+            // eighth one nested in a frame of its own. Videos and seek
+            // bars own a box of rarely held attributes.
             let mut root = LayoutNode::new("LinearLayout").with_id("root");
             for i in 0..views {
-                let leaf = match i % 4 {
+                let leaf = match i % 5 {
                     0 => LayoutNode::new("TextView")
                         .with_id(&format!("label{i}"))
                         .with_attr("text", "@string/title"),
                     1 => LayoutNode::new("EditText").with_attr("text", "typed by hand"),
                     2 => LayoutNode::new("VideoView").with_attr("videoUri", "clip.mp4"),
+                    3 => LayoutNode::new("SeekBar").with_attr("progress", "7"),
                     _ => LayoutNode::new("ImageView").with_attr("src", "@drawable/hero"),
                 };
                 root.children.push(if i % 8 == 0 {
@@ -640,6 +665,6 @@ mod tests {
     fn progress_attr_parses() {
         let (tree, _) = inflate(&template(), &resources(), &Configuration::phone_portrait());
         let bar = tree.find_by_id_name("bar").unwrap();
-        assert_eq!(tree.view(bar).unwrap().attrs.progress, Some(30));
+        assert_eq!(tree.view(bar).unwrap().attrs.progress(), Some(30));
     }
 }

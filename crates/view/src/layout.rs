@@ -132,7 +132,7 @@ fn place(tree: &ViewTree, id: ViewId, rect: Rect, result: &mut LayoutResult) {
     if children.is_empty() {
         return;
     }
-    let scroll = node.attrs.scroll_y;
+    let scroll = node.attrs.scroll_y();
     match &node.kind {
         ViewKind::LinearLayout | ViewKind::ListView => {
             let slice = (rect.height / children.len() as u32).max(1);

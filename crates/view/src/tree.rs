@@ -548,54 +548,47 @@ impl ViewTree {
         kind: ViewKind,
         id_name: Option<&str>,
     ) -> Result<ViewId, ViewError> {
-        self.add_interned_view(
-            parent,
-            kind,
-            id_name.map(Symbol::intern),
-            ViewAttrs::new(),
-            0,
-        )
-    }
-
-    /// [`ViewTree::add_view`] for the inflater: the id name already
-    /// interned (each layout node's symbol passes straight through), the
-    /// view's attributes already resolved, and its child list reserved
-    /// for `children` views. A view inflated holding user state (an
-    /// editable view with `text`, a progress view with `progress`)
-    /// joins the stateful set here.
-    pub(crate) fn add_interned_view(
-        &mut self,
-        parent: ViewId,
-        kind: ViewKind,
-        id_name: Option<Symbol>,
-        attrs: ViewAttrs,
-        children: usize,
-    ) -> Result<ViewId, ViewError> {
-        let parent_node = self.view(parent)?;
-        if !parent_node.kind.is_container() {
+        if !self.view(parent)?.kind.is_container() {
             return Err(ViewError::NotAContainer { parent });
         }
-        let id = ViewId::new(self.arena.len() as u64);
-        let node = ViewNode {
+        let id = self.next_id();
+        self.push(ViewNode {
             id,
-            id_name,
+            id_name: id_name.map(Symbol::intern),
             kind,
-            attrs,
+            attrs: ViewAttrs::new(),
             parent: Some(parent),
-            children: Vec::with_capacity(children),
+            children: Vec::new(),
             saves_state: true,
             freezes_text: kind.is_editable(),
-        };
+        });
+        self.node_mut(parent)?.children.push(id);
+        Ok(id)
+    }
+
+    /// The id the next view added gets.
+    #[inline]
+    pub(crate) fn next_id(&self) -> ViewId {
+        ViewId::new(self.arena.len() as u64)
+    }
+
+    /// Appends `node`, whose id is [`ViewTree::next_id`] and whose parent
+    /// is a live container, indexing its name and, if it holds user
+    /// state, putting it into the stateful set. Nothing is checked: the
+    /// caller guarantees both, and writes the id into the parent's child
+    /// list. [`ViewTree::add_view`] checks first; the inflater needs no
+    /// check, since it descends only into the containers it pushed.
+    #[inline]
+    pub(crate) fn push(&mut self, node: ViewNode) {
+        let id = node.id;
         if node.holds_state() {
             self.stateful.insert(id);
         }
-        self.arena.push(node);
-        self.live += 1;
-        if let Some(name) = id_name {
+        if let Some(name) = node.id_name {
             self.index_added(name, id);
         }
-        self.node_mut(parent)?.children.push(id);
-        Ok(id)
+        self.arena.push(node);
+        self.live += 1;
     }
 
     /// Indexes `name` for the view `id` just added. New ids are strictly
@@ -718,21 +711,12 @@ impl ViewTree {
         match op {
             ViewOp::SetText(t) => node.attrs.text = Some(t),
             ViewOp::SetDrawable(name, bytes) => node.attrs.drawable = Some((name, bytes)),
-            ViewOp::SetSelection(p) => node.attrs.selector_position = Some(p),
-            ViewOp::SetItemChecked(item, checked) => {
-                if checked {
-                    if !node.attrs.checked_items.contains(&item) {
-                        node.attrs.checked_items.push(item);
-                        node.attrs.checked_items.sort_unstable();
-                    }
-                } else {
-                    node.attrs.checked_items.retain(|&i| i != item);
-                }
-            }
-            ViewOp::ScrollTo(y) => node.attrs.scroll_y = y,
-            ViewOp::SetVideoUri(u) => node.attrs.video_uri = Some(u),
-            ViewOp::SetProgress(p) => node.attrs.progress = Some(p),
-            ViewOp::SetChecked(c) => node.attrs.checked = Some(c),
+            ViewOp::SetSelection(p) => node.attrs.set_selector_position(Some(p)),
+            ViewOp::SetItemChecked(item, checked) => node.attrs.set_item_checked(item, checked),
+            ViewOp::ScrollTo(y) => node.attrs.set_scroll_y(y),
+            ViewOp::SetVideoUri(u) => node.attrs.set_video_uri(Some(u)),
+            ViewOp::SetProgress(p) => node.attrs.set_progress(Some(p)),
+            ViewOp::SetChecked(c) => node.attrs.set_checked(Some(c)),
             ViewOp::SetEnabled(e) => node.attrs.enabled = e,
             ViewOp::SetVisible(v) => node.attrs.visible = v,
         }
@@ -851,11 +835,11 @@ impl ViewTree {
     }
 
     /// What the tree really occupies in this process's memory: the arena
-    /// at its capacity, plus the strings and child lists the live views
-    /// own. A chunk shared with another tree counts in full for each.
-    /// Caches weigh trees with this; [`ViewTree::heap_bytes`] is the
-    /// simulated device heap and overstates a tree with drawables by
-    /// orders of magnitude.
+    /// at its capacity, plus the strings, boxes of rarely held attributes
+    /// and child lists the live views own. A chunk shared with another
+    /// tree counts in full for each. Caches weigh trees with this;
+    /// [`ViewTree::heap_bytes`] is the simulated device heap and
+    /// overstates a tree with drawables by orders of magnitude.
     pub fn resident_bytes(&self) -> u64 {
         let arena = self.arena.slot_bytes();
         let owned: u64 = self
@@ -871,12 +855,13 @@ impl ViewTree {
 
     /// [`ViewTree::resident_bytes`] of a tree the inflater just filled,
     /// from what it counted while filling: the child-list slots it
-    /// reserved and the bytes of the strings it gave the views. Reads
-    /// the arena's capacity and the decor view, not the other views.
-    pub(crate) fn inflated_bytes(&self, reserved_children: usize, string_bytes: u64) -> u64 {
+    /// reserved and the heap bytes it gave the views (strings and
+    /// attribute boxes). Reads the arena's capacity and the decor view,
+    /// not the other views.
+    pub(crate) fn inflated_bytes(&self, reserved_children: usize, owned_bytes: u64) -> u64 {
         let decor = self.node(self.root).map_or(0, |d| d.children.capacity());
         let lists = (reserved_children + decor) * std::mem::size_of::<ViewId>();
-        (self.arena.slot_bytes() + lists) as u64 + string_bytes
+        (self.arena.slot_bytes() + lists) as u64 + owned_bytes
     }
 
     /// Saves the hierarchy state: for every view *with an id name*, its
@@ -1116,6 +1101,25 @@ mod tests {
         let text = t.add_view(panel, ViewKind::EditText, Some("name")).unwrap();
         let image = t.add_view(panel, ViewKind::ImageView, None).unwrap();
         (t, panel, text, image)
+    }
+
+    #[test]
+    fn a_view_fits_in_two_cache_lines() {
+        use std::mem::size_of;
+        assert!(size_of::<ViewNode>() <= 128, "{}", size_of::<ViewNode>());
+        assert!(size_of::<ViewAttrs>() <= 64, "{}", size_of::<ViewAttrs>());
+        // The exact layout DESIGN.md gives: a field that moves either
+        // size fails here until the document is updated with it.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(
+            (
+                size_of::<ViewNode>(),
+                size_of::<ViewAttrs>(),
+                size_of::<crate::attrs::ExtraAttrs>(),
+                size_of::<Option<ViewNode>>(),
+            ),
+            (120, 56, 72, 120)
+        );
     }
 
     #[test]
@@ -1552,8 +1556,8 @@ mod tests {
         t.apply(list, ViewOp::SetItemChecked(4, true)).unwrap();
         t.apply(list, ViewOp::SetItemChecked(2, true)).unwrap();
         t.apply(list, ViewOp::SetItemChecked(4, true)).unwrap();
-        assert_eq!(t.view(list).unwrap().attrs.checked_items, vec![2, 4]);
+        assert_eq!(t.view(list).unwrap().attrs.checked_items(), [2, 4]);
         t.apply(list, ViewOp::SetItemChecked(2, false)).unwrap();
-        assert_eq!(t.view(list).unwrap().attrs.checked_items, vec![4]);
+        assert_eq!(t.view(list).unwrap().attrs.checked_items(), [4]);
     }
 }

@@ -102,7 +102,7 @@ fn main() {
             let email = a.tree.find_by_id_name("email").unwrap();
             let remember = a.tree.find_by_id_name("remember_me").unwrap();
             let email_text = a.tree.view(email).unwrap().attrs.text.clone();
-            let checked = a.tree.view(remember).unwrap().attrs.checked;
+            let checked = a.tree.view(remember).unwrap().attrs.checked();
             println!("email after rotation:        {email_text:?}");
             println!("remember-me after rotation:  {checked:?}");
             assert_eq!(email_text.as_deref(), Some("alice@example.com"));

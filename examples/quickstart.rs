@@ -47,7 +47,7 @@ fn main() {
     let scroll = device
         .with_foreground_activity_mut(|activity| {
             let root = activity.tree.find_by_id_name("root").unwrap();
-            activity.tree.view(root).unwrap().attrs.scroll_y
+            activity.tree.view(root).unwrap().attrs.scroll_y()
         })
         .expect("foreground alive");
     println!("scroll position after two rotations: {scroll}px");

@@ -24,7 +24,7 @@ fn device() -> Device {
 fn foreground_scroll(d: &mut Device) -> i32 {
     d.with_foreground_activity_mut(|a| {
         let root = a.tree.find_by_id_name("root").unwrap();
-        a.tree.view(root).unwrap().attrs.scroll_y
+        a.tree.view(root).unwrap().attrs.scroll_y()
     })
     .unwrap()
 }

@@ -331,7 +331,7 @@ fn scroll_state_round_trips_through_both_restart_and_rchdroid() {
         let scroll = d
             .with_foreground_activity_mut(|a| {
                 let root = a.tree.find_by_id_name("root").unwrap();
-                a.tree.view(root).unwrap().attrs.scroll_y
+                a.tree.view(root).unwrap().attrs.scroll_y()
             })
             .unwrap();
         // Framework-view user state survives under BOTH systems — that is

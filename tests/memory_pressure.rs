@@ -91,7 +91,7 @@ fn reclaimed_activity_restores_from_the_retained_bundle() {
     let scroll = d
         .with_foreground_activity_mut(|act| {
             let root = act.tree.find_by_id_name("root").unwrap();
-            act.tree.view(root).unwrap().attrs.scroll_y
+            act.tree.view(root).unwrap().attrs.scroll_y()
         })
         .unwrap();
     assert_eq!(scroll, 987);

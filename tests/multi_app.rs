@@ -107,7 +107,7 @@ fn background_app_state_survives_the_switch() {
     let scroll = d
         .with_foreground_activity_mut(|a| {
             let root = a.tree.find_by_id_name("root").unwrap();
-            a.tree.view(root).unwrap().attrs.scroll_y
+            a.tree.view(root).unwrap().attrs.scroll_y()
         })
         .unwrap();
     assert_eq!(scroll, 321, "backgrounded instances keep their live state");

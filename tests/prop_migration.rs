@@ -72,9 +72,9 @@ proptest! {
                     prop_assert_eq!(st, ut);
                 }
                 1 => prop_assert_eq!(&s.attrs.drawable, &u.attrs.drawable),
-                2 => prop_assert_eq!(s.attrs.selector_position, u.attrs.selector_position),
-                3 => prop_assert_eq!(&s.attrs.video_uri, &u.attrs.video_uri),
-                4 => prop_assert_eq!(s.attrs.progress, u.attrs.progress),
+                2 => prop_assert_eq!(s.attrs.selector_position(), u.attrs.selector_position()),
+                3 => prop_assert_eq!(s.attrs.video_uri(), u.attrs.video_uri()),
+                4 => prop_assert_eq!(s.attrs.progress(), u.attrs.progress()),
                 _ => unreachable!(),
             }
         }
@@ -138,7 +138,7 @@ proptest! {
         engine.seed_user_state(&shadow, &mut sunny).unwrap();
 
         let s_root = sunny.find_by_id_name("root").unwrap();
-        prop_assert_eq!(sunny.view(s_root).unwrap().attrs.scroll_y, scroll);
+        prop_assert_eq!(sunny.view(s_root).unwrap().attrs.scroll_y(), scroll);
         let s_edit = sunny.find_by_id_name("v0").unwrap();
         prop_assert_eq!(sunny.view(s_edit).unwrap().attrs.text.as_deref(), Some(text.as_str()));
         if n > 5 {
@@ -201,9 +201,9 @@ fn reference_copy(node: &ViewNode, sunny: &mut ViewTree, peer: ViewId) {
         ViewKind::ImageView => a
             .drawable
             .map(|(name, bytes)| ViewOp::SetDrawable(name, bytes)),
-        ViewKind::ListView => a.selector_position.map(ViewOp::SetSelection),
-        ViewKind::VideoView => a.video_uri.clone().map(ViewOp::SetVideoUri),
-        ViewKind::ProgressBar => a.progress.map(ViewOp::SetProgress),
+        ViewKind::ListView => a.selector_position().map(ViewOp::SetSelection),
+        ViewKind::VideoView => a.video_uri().map(|uri| ViewOp::SetVideoUri(uri.to_owned())),
+        ViewKind::ProgressBar => a.progress().map(ViewOp::SetProgress),
         _ => None,
     };
     let ops = essence

@@ -3,10 +3,11 @@
 //! that replay the whole-tree save/restore and user-state copies the
 //! entry-driven code must match bit for bit, the save checked after every
 //! step of scripts that start from inflated or grafted layouts — plus
-//! the walks strict inflation and RCH001's grouping used to do, as
-//! oracles for the nesting check and the repeated-names query, a map
-//! oracle for layout attribute lists, and the rule that user content is
-//! never interned.
+//! the add-by-add walks inflation and RCH001's grouping used to do, as
+//! oracles for the nesting check, the single-write inflater (strict and
+//! lenient, on every attribute it resolves) and the repeated-names
+//! query, a map oracle for layout attribute lists, and the rule that
+//! user content is never interned.
 
 use droidsim_app::{Activity, ActivityInstanceId, ActivityThread, AppModel, FragmentSpec};
 use droidsim_atms::{ActivityRecordId, Atms, Intent};
@@ -15,7 +16,8 @@ use droidsim_config::Configuration;
 use droidsim_kernel::Symbol;
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{
-    check_nesting, inflate, try_inflate, ViewAttrs, ViewError, ViewId, ViewKind, ViewOp, ViewTree,
+    check_nesting, inflate, inflate_weighed, try_inflate, ViewAttrs, ViewError, ViewId, ViewKind,
+    ViewOp, ViewTree,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -278,6 +280,25 @@ const LAYOUT_CLASSES: [&str; 8] = [
 const LAYOUT_CONTAINERS: usize = 3;
 const LAYOUT_TEXTS: [&str; 3] = ["draft", "@string/title", "@string/missing"];
 const LAYOUT_PROGRESS: [&str; 3] = ["0", "42", "not a number"];
+/// A drawable reference [`layout_table`] resolves, one it lacks, and a
+/// literal asset.
+const LAYOUT_SRCS: [&str; 3] = ["@drawable/hero", "@drawable/missing", "inline.png"];
+/// A video URI, and a `@string/` reference that a `videoUri` keeps as
+/// written.
+const LAYOUT_VIDEOS: [&str; 2] = ["clip.mp4", "@string/title"];
+
+/// What inflated start layouts resolve against: `@string/title` and
+/// `@drawable/hero`; the `missing` references stay literal.
+fn layout_table() -> ResourceTable {
+    let mut table = ResourceTable::new();
+    table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
+    table.put(
+        "hero",
+        Qualifiers::any(),
+        ResourceValue::drawable("hero.png", 4_096),
+    );
+    table
+}
 
 /// A script's starting tree.
 #[derive(Debug, Clone)]
@@ -292,25 +313,33 @@ enum Start {
 }
 
 /// One layout node of a class among the first `classes` of
-/// [`LAYOUT_CLASSES`], maybe named from [`NAMES`], maybe carrying `text`
-/// and `progress` attributes.
+/// [`LAYOUT_CLASSES`], maybe named from [`NAMES`], maybe carrying `text`,
+/// `progress`, `src` and `videoUri` attributes: every attribute the
+/// inflater resolves, inline or boxed, in any combination.
 fn arb_layout_node(classes: usize) -> impl Strategy<Value = LayoutNode> {
     (
-        0..classes,
-        0..NAMES.len() + 1,
-        0..LAYOUT_TEXTS.len() + 1,
-        0..LAYOUT_PROGRESS.len() + 1,
+        (0..classes, 0..NAMES.len() + 1),
+        (
+            0..LAYOUT_TEXTS.len() + 1,
+            0..LAYOUT_PROGRESS.len() + 1,
+            0..LAYOUT_SRCS.len() + 1,
+            0..LAYOUT_VIDEOS.len() + 1,
+        ),
     )
-        .prop_map(|(class, name, text, progress)| {
+        .prop_map(|((class, name), (text, progress, src, video))| {
             let mut node = LayoutNode::new(LAYOUT_CLASSES[class]);
             if let Some(&name) = NAMES.get(name) {
                 node = node.with_id(name);
             }
-            if let Some(&text) = LAYOUT_TEXTS.get(text) {
-                node = node.with_attr("text", text);
-            }
-            if let Some(&progress) = LAYOUT_PROGRESS.get(progress) {
-                node = node.with_attr("progress", progress);
+            for (key, value) in [
+                ("text", LAYOUT_TEXTS.get(text)),
+                ("progress", LAYOUT_PROGRESS.get(progress)),
+                ("src", LAYOUT_SRCS.get(src)),
+                ("videoUri", LAYOUT_VIDEOS.get(video)),
+            ] {
+                if let Some(&value) = value {
+                    node = node.with_attr(key, value);
+                }
             }
             node
         })
@@ -341,8 +370,7 @@ fn arb_start() -> impl Strategy<Value = Start> {
 
 fn start_tree(start: &Start) -> ViewTree {
     let config = Configuration::phone_portrait();
-    let mut table = ResourceTable::new();
-    table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
+    let mut table = layout_table();
     match start {
         Start::Empty => ViewTree::new(),
         Start::Inflate(layout) => inflate(layout, &table, &config).0,
@@ -375,19 +403,19 @@ fn oracle_user_state(attrs: &ViewAttrs) -> Bundle {
     if let Some(t) = &attrs.text {
         b.put_string("text", t);
     }
-    if let Some(p) = attrs.selector_position {
+    if let Some(p) = attrs.selector_position() {
         b.put_i32("selector_position", p);
     }
-    if !attrs.checked_items.is_empty() {
-        b.put("checked_items", attrs.checked_items.clone());
+    if !attrs.checked_items().is_empty() {
+        b.put("checked_items", attrs.checked_items().to_vec());
     }
-    if attrs.scroll_y != 0 {
-        b.put_i32("scroll_y", attrs.scroll_y);
+    if attrs.scroll_y() != 0 {
+        b.put_i32("scroll_y", attrs.scroll_y());
     }
-    if let Some(p) = attrs.progress {
+    if let Some(p) = attrs.progress() {
         b.put_i32("progress", p);
     }
-    if let Some(c) = attrs.checked {
+    if let Some(c) = attrs.checked() {
         b.put_bool("checked", c);
     }
     b
@@ -693,7 +721,7 @@ fn apply_share_step(trees: &mut [ViewTree], at: usize, step: &ShareStep, shares:
             let tree = &mut trees[at];
             let ids = tree.iter_ids();
             if let Some(&id) = ids.get(choice % ids.len().max(1)) {
-                tree.edit_attrs(id, |attrs| attrs.scroll_y = *scroll_y)
+                tree.edit_attrs(id, |attrs| attrs.set_scroll_y(*scroll_y))
                     .unwrap();
             }
         }
@@ -773,47 +801,61 @@ proptest! {
 // ---- What strict inflation and RCH001's grouping computed by building
 // ---- and walking trees, now read off the template and the name index.
 
-/// Strict inflation as it was: each node's view added with
-/// [`ViewTree::add_view`] in pre-order, stopping at the first add that
-/// fails, and given the `text` and `progress` attributes the start
-/// layouts carry, resolved against `table` the way the inflater does.
-fn oracle_strict_inflate(
+/// Inflation as it was, add by add: each node's view added with
+/// [`ViewTree::add_view`] in pre-order, which re-checks its parent, and
+/// given every attribute the start layouts carry, resolved against
+/// `table` the way the inflater does. Strict, it stops at the first add
+/// that fails; lenient, it skips a view whose add fails, with its
+/// subtree, as the inflater drops the children of a leaf.
+fn oracle_walk_inflate(
     layout: &LayoutTemplate,
     table: &ResourceTable,
     config: &Configuration,
+    strict: bool,
 ) -> Result<ViewTree, ViewError> {
     fn add(
         node: &LayoutNode,
         parent: ViewId,
         tree: &mut ViewTree,
-        table: &ResourceTable,
-        config: &Configuration,
+        env: (&ResourceTable, &Configuration, bool),
     ) -> Result<(), ViewError> {
+        let (table, config, strict) = env;
         let kind = ViewKind::from_class_name(node.class.as_str());
-        let id = tree.add_view(parent, kind, node.id_name.map(Symbol::as_str))?;
+        let id = match tree.add_view(parent, kind, node.id_name.map(Symbol::as_str)) {
+            Ok(id) => id,
+            Err(ViewError::NotAContainer { .. }) if !strict => return Ok(()),
+            Err(e) => return Err(e),
+        };
         tree.edit_attrs(id, |attrs| {
             for (key, value) in node.attrs() {
-                let value = value.as_str();
+                let text = value.as_str();
                 match key.as_str() {
                     "text" => {
-                        let resolved = value
+                        let resolved = text
                             .strip_prefix("@string/")
                             .and_then(|name| table.resolve_string(name, config));
-                        attrs.text = Some(resolved.unwrap_or(value).to_owned());
+                        attrs.text = Some(resolved.unwrap_or(text).to_owned());
                     }
-                    "progress" => attrs.progress = value.parse().ok().or(attrs.progress),
+                    "progress" => attrs.set_progress(text.parse().ok().or(attrs.progress())),
+                    "src" => {
+                        let resolved = text
+                            .strip_prefix("@drawable/")
+                            .and_then(|name| table.resolve_drawable(name, config).ok());
+                        attrs.drawable = Some(resolved.unwrap_or((*value, 0)));
+                    }
+                    "videoUri" => attrs.set_video_uri(Some(text.to_owned())),
                     _ => {}
                 }
             }
         })?;
         for child in &node.children {
-            add(child, id, tree, table, config)?;
+            add(child, id, tree, env)?;
         }
         Ok(())
     }
     let mut tree = ViewTree::new();
     let root = tree.root();
-    add(layout.root(), root, &mut tree, table, config)?;
+    add(layout.root(), root, &mut tree, (table, config, strict))?;
     Ok(tree)
 }
 
@@ -852,9 +894,8 @@ proptest! {
         // Leaves may hold children, so most layouts are malformed, and
         // the error must name the parent a strict walk stops at.
         let config = Configuration::phone_portrait();
-        let mut table = ResourceTable::new();
-        table.put("title", Qualifiers::any(), ResourceValue::string("Title"));
-        let reference = oracle_strict_inflate(&layout, &table, &config);
+        let table = layout_table();
+        let reference = oracle_walk_inflate(&layout, &table, &config, true);
         prop_assert_eq!(check_nesting(&layout), reference.as_ref().map(|_| ()).map_err(Clone::clone));
         match (try_inflate(&layout, &table, &config), reference) {
             (Ok((strict, _)), Ok(reference)) => {
@@ -863,6 +904,23 @@ proptest! {
             }
             (strict, reference) => prop_assert_eq!(strict.map(|_| ()), reference.map(|_| ())),
         }
+    }
+
+    #[test]
+    fn lenient_inflation_matches_a_skip_what_fails_walk(
+        layout in arb_layout(LAYOUT_CLASSES.len()),
+    ) {
+        // The inflater pushes each view without re-checking its parent;
+        // on malformed layouts that must build what checked adds build.
+        let config = Configuration::phone_portrait();
+        let table = layout_table();
+        let reference = oracle_walk_inflate(&layout, &table, &config, false)
+            .map_err(|e| TestCaseError::fail(format!("a lenient walk failed: {e}")))?;
+        let (tree, stats, bytes) = inflate_weighed(&layout, &table, &config);
+        prop_assert_eq!(&tree, &reference);
+        prop_assert_eq!(stats.views_created + 1, reference.view_count());
+        prop_assert_eq!(tree.save_hierarchy_state(), reference.save_hierarchy_state());
+        prop_assert_eq!(bytes, tree.resident_bytes());
     }
 }
 
