@@ -435,7 +435,7 @@ mod tests {
             droidsim_app::ActivityInstanceId::new(0),
             droidsim_atms::ActivityRecordId::new(0),
             "test.Host",
-            config.clone(),
+            config,
         );
         activity.tree = droidsim_view::inflate(&host, &resources, &config).0;
         let graft = droidsim_app::FragmentSpec::new("f", "frag", "slot");

@@ -6,6 +6,7 @@ use droidsim_atms::ActivityRecordId;
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
 use droidsim_view::{inflate_weighed, InflateStats, ViewTree};
+use std::rc::Rc;
 
 droidsim_kernel::define_id! {
     /// Identifies one activity *instance* inside an app process (distinct
@@ -53,7 +54,9 @@ pub(crate) fn inflate_main_layout(
 pub struct Activity {
     id: ActivityInstanceId,
     token: ActivityRecordId,
-    component: String,
+    /// The component name, shared with the thread and every other
+    /// instance of the app.
+    component: Rc<str>,
     state: ActivityState,
     config: Configuration,
     /// The instance's view hierarchy.
@@ -75,13 +78,13 @@ impl Activity {
     pub fn new(
         id: ActivityInstanceId,
         token: ActivityRecordId,
-        component: &str,
+        component: impl Into<Rc<str>>,
         config: Configuration,
     ) -> Self {
         Activity {
             id,
             token,
-            component: component.to_owned(),
+            component: component.into(),
             state: ActivityState::Created,
             config,
             tree: ViewTree::new(),

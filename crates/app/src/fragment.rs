@@ -113,7 +113,7 @@ impl Activity {
             .tree
             .find_by_id_name(&spec.container)
             .ok_or_else(|| FragmentError::UnknownContainer(spec.container.clone()))?;
-        let config: Configuration = self.config().clone();
+        let config: Configuration = *self.config();
         let template = resources
             .resolve_layout(&spec.layout, &config)
             .map_err(|_| FragmentError::MissingLayout(spec.layout.clone()))?;

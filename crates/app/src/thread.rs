@@ -11,6 +11,7 @@ use droidsim_config::Configuration;
 use droidsim_kernel::{memo, IdGen, SimTime};
 use droidsim_view::{InflateStats, ViewError, ViewTree};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// A completed background task heading for the UI thread: which instance's
 /// callback runs and what it does.
@@ -115,7 +116,7 @@ impl InflationCache {
         self.bytes += bytes;
         self.kept.push(Kept {
             layout: layout.to_owned(),
-            config: config.clone(),
+            config: *config,
             tree,
             stats,
         });
@@ -170,6 +171,9 @@ pub struct ActivityThread {
     /// captured: a late callback still finds its instance and crashes as
     /// on stock Android.
     instances: BTreeMap<ActivityInstanceId, Activity>,
+    /// The served model's component name, allocated at the first launch
+    /// and shared by every instance.
+    component: Option<Rc<str>>,
     ids: IdGen,
     current_shadow: Option<ActivityInstanceId>,
     current_sunny: Option<ActivityInstanceId>,
@@ -186,6 +190,7 @@ impl ActivityThread {
     pub fn new() -> Self {
         ActivityThread {
             instances: BTreeMap::new(),
+            component: None,
             ids: IdGen::new(),
             current_shadow: None,
             current_sunny: None,
@@ -193,6 +198,12 @@ impl ActivityThread {
             started: 0,
             inflations: InflationCache::default(),
         }
+    }
+
+    /// The component name of the model this thread serves, once it has
+    /// launched an activity. Every instance shares this one allocation.
+    pub fn component(&self) -> Option<&Rc<str>> {
+        self.component.as_ref()
     }
 
     /// `performLaunchActivity`: creates an instance bound to `token` and
@@ -209,7 +220,10 @@ impl ActivityThread {
     ) -> ActivityInstanceId {
         let (tree, stats) = self.inflate_main_layout(model, &config);
         let id = ActivityInstanceId::new(self.ids.next());
-        let mut activity = Activity::new(id, token, model.component_name(), config);
+        let component = self
+            .component
+            .get_or_insert_with(|| model.component_name().into());
+        let mut activity = Activity::new(id, token, Rc::clone(component), config);
         activity.create_from(tree, stats, model, saved);
         self.instances.insert(id, activity);
         id
@@ -228,10 +242,9 @@ impl ActivityThread {
         config: &Configuration,
     ) -> (ViewTree, InflateStats) {
         debug_assert!(
-            self.instances
-                .values()
-                .next()
-                .is_none_or(|a| a.component() == model.component_name()),
+            self.component
+                .as_deref()
+                .is_none_or(|c| c == model.component_name()),
             "one activity thread serves one app model"
         );
         if !memo::enabled() {
@@ -588,7 +601,7 @@ mod tests {
 
         let landscape = Configuration::phone_landscape();
         let second = thread
-            .relaunch(&model, first, landscape.clone(), Some(&saved))
+            .relaunch(&model, first, landscape, Some(&saved))
             .unwrap();
         assert_ne!(second, first);
         assert_eq!(
@@ -671,7 +684,7 @@ mod tests {
                 .unwrap()
                 .save_instance_state(&model);
             current = thread
-                .relaunch(&model, current, configs[round % 2].clone(), Some(&saved))
+                .relaunch(&model, current, configs[round % 2], Some(&saved))
                 .unwrap();
         }
         assert_eq!(thread.alive_instances(), vec![current]);
@@ -865,12 +878,7 @@ mod tests {
         let model = EditingApp(SimpleApp::with_views(2));
         let portrait = Configuration::phone_portrait();
         let mut thread = ActivityThread::new();
-        let id = thread.perform_launch_activity(
-            &model,
-            ActivityRecordId::new(0),
-            portrait.clone(),
-            None,
-        );
+        let id = thread.perform_launch_activity(&model, ActivityRecordId::new(0), portrait, None);
         let cold = activity::inflate_main_layout(&model, &portrait).0;
         assert_eq!(thread.kept_trees(), 1, "kept on the first creation");
         assert!(thread.inflations.bytes > 0);
@@ -904,7 +912,7 @@ mod tests {
             let id = thread.perform_launch_activity(
                 &model,
                 ActivityRecordId::new(0),
-                portrait.clone(),
+                portrait,
                 saved.as_ref(),
             );
             assert_eq!(
@@ -970,12 +978,8 @@ mod tests {
             if round == 2 {
                 assert_eq!(thread.kept_trees(), 2, "each kept on its first creation");
             }
-            let id = thread.perform_launch_activity(
-                &model,
-                ActivityRecordId::new(0),
-                config.clone(),
-                None,
-            );
+            let id =
+                thread.perform_launch_activity(&model, ActivityRecordId::new(0), *config, None);
             assert_eq!(
                 thread.instance(id).unwrap().tree,
                 activity::inflate_main_layout(&model, config).0
@@ -999,12 +1003,7 @@ mod tests {
         let config = Configuration::phone_portrait();
         let mut thread = ActivityThread::new();
         for _ in 0..3 {
-            let id = thread.perform_launch_activity(
-                &model,
-                ActivityRecordId::new(0),
-                config.clone(),
-                None,
-            );
+            let id = thread.perform_launch_activity(&model, ActivityRecordId::new(0), config, None);
             assert_eq!(
                 thread.instance(id).unwrap().tree,
                 activity::inflate_main_layout(&model, &config).0

@@ -85,7 +85,9 @@ impl fmt::Display for IntentFlags {
     }
 }
 
-/// An activity-start request.
+/// An activity-start request. It borrows its target's name: the ATMS
+/// copies a name only into a record it creates, so a request that
+/// reuses or coin-flips a record allocates nothing.
 ///
 /// # Examples
 ///
@@ -96,18 +98,18 @@ impl fmt::Display for IntentFlags {
 /// assert!(intent.flags.contains(IntentFlags::SUNNY));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Intent {
+pub struct Intent<'a> {
     /// Target component (`package/.Activity`).
-    pub component: String,
+    pub component: &'a str,
     /// Launch flags.
     pub flags: IntentFlags,
 }
 
-impl Intent {
+impl<'a> Intent<'a> {
     /// Creates a default-flag intent for a component.
-    pub fn new(component: &str) -> Self {
+    pub fn new(component: &'a str) -> Self {
         Intent {
-            component: component.to_owned(),
+            component,
             flags: IntentFlags::NONE,
         }
     }
@@ -119,12 +121,12 @@ impl Intent {
     }
 
     /// RCHDroid convenience: the sunny-start intent for a component.
-    pub fn sunny(component: &str) -> Self {
+    pub fn sunny(component: &'a str) -> Self {
         Intent::new(component).with_flags(IntentFlags::SUNNY)
     }
 }
 
-impl fmt::Display for Intent {
+impl fmt::Display for Intent<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Intent{{{} [{}]}}", self.component, self.flags)
     }

@@ -133,8 +133,7 @@ impl Atms {
     /// Brings an existing app's task to the front (the recents/app-switch
     /// gesture). Returns the record now in the foreground.
     pub fn bring_to_front(&mut self, component: &str) -> Option<ActivityRecordId> {
-        let affinity = affinity_of(component);
-        let task = self.stack.task_by_affinity(&affinity)?;
+        let task = self.stack.task_by_affinity(affinity_of(component))?;
         self.stack.move_task_to_front(task);
         let record = self.stack.task(task)?.top()?;
         if let Some(r) = self.records.get_mut(&record) {
@@ -168,11 +167,11 @@ impl Atms {
     ) -> StartResult {
         // NEW_TASK with an existing task reuses it, like Android; a task is
         // created only when none with the affinity exists yet.
-        let affinity = affinity_of(&intent.component);
+        let affinity = affinity_of(intent.component);
         let task_id = self
             .stack
-            .task_by_affinity(&affinity)
-            .unwrap_or_else(|| self.stack.create_task(&affinity));
+            .task_by_affinity(affinity)
+            .unwrap_or_else(|| self.stack.create_task(affinity));
         self.stack.move_task_to_front(task_id);
 
         if intent.flags.contains(IntentFlags::SUNNY) {
@@ -233,8 +232,8 @@ impl Atms {
             }
         }
 
-        let record = self.create_record(&intent.component, handled);
-        self.push_record(task_id, &affinity, record);
+        let record = self.create_record(intent.component, handled);
+        self.push_record(task_id, affinity, record);
         StartResult {
             record,
             task: task_id,
@@ -279,7 +278,7 @@ impl Atms {
             }
             if let Some(r) = self.records.get_mut(&shadow_id) {
                 r.set_shadow(false, now);
-                r.config = self.global_config.clone();
+                r.config = self.global_config;
                 r.state = RecordState::Resumed;
             }
             if let Some(prev) = current_top.filter(|&p| p != shadow_id) {
@@ -299,9 +298,8 @@ impl Atms {
         // First runtime change: create a *second* instance of the same
         // component (the stock same-as-top test is bypassed for SUNNY),
         // push it, and shadow the previous top.
-        let record = self.create_record(&intent.component, handled);
-        let affinity = affinity_of(&intent.component);
-        self.push_record(task_id, &affinity, record);
+        let record = self.create_record(intent.component, handled);
+        self.push_record(task_id, affinity_of(intent.component), record);
         if let Some(prev) = current_top {
             if let Some(r) = self.records.get_mut(&prev) {
                 r.set_shadow(true, now);
@@ -319,7 +317,7 @@ impl Atms {
         let id = ActivityRecordId::new(self.record_ids.next());
         self.records.insert(
             id,
-            ActivityRecord::new(id, component, self.global_config.clone(), handled),
+            ActivityRecord::new(id, component, self.global_config, handled),
         );
         id
     }
@@ -340,7 +338,7 @@ impl Atms {
         record: ActivityRecordId,
         prevent_relaunch: bool,
     ) -> Result<ConfigDecision, AtmsError> {
-        let global = self.global_config.clone();
+        let global = self.global_config;
         let r = self
             .records
             .get_mut(&record)
@@ -438,8 +436,8 @@ impl Atms {
         let affinity = affinity_of(r.component());
         let task_id = self
             .stack
-            .task_by_affinity(&affinity)
-            .unwrap_or_else(|| self.stack.create_task(&affinity));
+            .task_by_affinity(affinity)
+            .unwrap_or_else(|| self.stack.create_task(affinity));
         if let Some(task) = self.stack.task_mut(task_id) {
             if !task.move_to_top(previous_top) {
                 task.push(previous_top);
@@ -481,8 +479,12 @@ impl Atms {
     }
 }
 
-fn affinity_of(component: &str) -> String {
-    component.split('/').next().unwrap_or(component).to_owned()
+/// The package part of `package/.Activity`: the task a component's
+/// activities collect in.
+fn affinity_of(component: &str) -> &str {
+    component
+        .split_once('/')
+        .map_or(component, |(package, _)| package)
 }
 
 #[cfg(test)]

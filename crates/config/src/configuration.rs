@@ -39,7 +39,11 @@ pub enum UiMode {
 /// let translated = base.with_locale(Locale::zh_cn());
 /// assert_eq!(base.diff(&translated), ConfigChanges::LOCALE);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A configuration is plain data (its locale is two interned symbols),
+/// so it is `Copy`: the handling paths copy it into records and
+/// instances without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Configuration {
     /// Screen orientation.
     pub orientation: Orientation,
@@ -80,7 +84,7 @@ impl Configuration {
     /// Returns this configuration rotated 90° (orientation flips, screen
     /// dimensions swap).
     pub fn rotated(&self) -> Configuration {
-        let mut next = self.clone();
+        let mut next = *self;
         next.screen = self.screen.swapped();
         next.orientation = next.screen.orientation();
         next
@@ -88,28 +92,28 @@ impl Configuration {
 
     /// Returns this configuration with a different locale.
     pub fn with_locale(&self, locale: Locale) -> Configuration {
-        let mut next = self.clone();
+        let mut next = *self;
         next.locale = locale;
         next
     }
 
     /// Returns this configuration with a different keyboard state.
     pub fn with_keyboard(&self, keyboard: KeyboardState) -> Configuration {
-        let mut next = self.clone();
+        let mut next = *self;
         next.keyboard = keyboard;
         next
     }
 
     /// Returns this configuration with a different UI mode.
     pub fn with_ui_mode(&self, ui_mode: UiMode) -> Configuration {
-        let mut next = self.clone();
+        let mut next = *self;
         next.ui_mode = ui_mode;
         next
     }
 
     /// Returns this configuration with a different font scale (×1000).
     pub fn with_font_scale_milli(&self, font_scale_milli: u32) -> Configuration {
-        let mut next = self.clone();
+        let mut next = *self;
         next.font_scale_milli = font_scale_milli;
         next
     }
@@ -118,7 +122,7 @@ impl Configuration {
     /// `wm size WxH` debug command used by the paper's workflow). The
     /// orientation is recomputed from the aspect ratio.
     pub fn with_screen(&self, screen: ScreenSize) -> Configuration {
-        let mut next = self.clone();
+        let mut next = *self;
         next.screen = screen;
         next.orientation = screen.orientation();
         next
@@ -239,6 +243,16 @@ mod tests {
         let p = Configuration::phone_portrait();
         let n = p.with_ui_mode(UiMode::Night);
         assert_eq!(p.diff(&n), ConfigChanges::UI_MODE);
+    }
+
+    #[test]
+    fn debug_text_is_stable() {
+        assert_eq!(
+            format!("{:?}", Configuration::phone_portrait()),
+            "Configuration { orientation: Portrait, screen: ScreenSize { width_dp: 1080, \
+             height_dp: 1920 }, locale: Locale { language: \"en\", region: \"US\" }, \
+             keyboard: None, font_scale_milli: 1000, ui_mode: Day, density_dpi: 420 }"
+        );
     }
 
     #[test]

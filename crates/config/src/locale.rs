@@ -1,9 +1,16 @@
 //! System locale.
 
 use core::fmt;
+use droidsim_kernel::Symbol;
+use std::sync::OnceLock;
 
 /// A BCP-47-ish locale tag (language + region), the unit of language
 /// switching in the paper's motivation.
+///
+/// Both subtags are interned [`Symbol`]s, so a locale is two `u32`s:
+/// it is `Copy`, and so is every [`Configuration`](crate::Configuration)
+/// holding one. Locales come only from program code ([`Locale::en_us`],
+/// [`Locale::zh_cn`] and tests), which keeps the symbol table bounded.
 ///
 /// # Examples
 ///
@@ -15,10 +22,10 @@ use core::fmt;
 /// assert_ne!(en, zh);
 /// assert_eq!(en.to_string(), "en-US");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Locale {
-    language: String,
-    region: String,
+    language: Symbol,
+    region: Symbol,
 }
 
 impl Locale {
@@ -26,29 +33,32 @@ impl Locale {
     /// normalised (language lowercased, region uppercased).
     pub fn new(language: &str, region: &str) -> Self {
         Locale {
-            language: language.to_ascii_lowercase(),
-            region: region.to_ascii_uppercase(),
+            language: Symbol::intern(&language.to_ascii_lowercase()),
+            region: Symbol::intern(&region.to_ascii_uppercase()),
         }
     }
 
-    /// US English — the default system locale.
+    /// US English — the default system locale. Interned once per
+    /// process, so booting a device interns nothing.
     pub fn en_us() -> Self {
-        Locale::new("en", "US")
+        static EN_US: OnceLock<Locale> = OnceLock::new();
+        *EN_US.get_or_init(|| Locale::new("en", "US"))
     }
 
     /// Simplified Chinese — used by the language-switch workloads.
     pub fn zh_cn() -> Self {
-        Locale::new("zh", "CN")
+        static ZH_CN: OnceLock<Locale> = OnceLock::new();
+        *ZH_CN.get_or_init(|| Locale::new("zh", "CN"))
     }
 
     /// The language subtag.
-    pub fn language(&self) -> &str {
-        &self.language
+    pub fn language(&self) -> &'static str {
+        self.language.as_str()
     }
 
     /// The region subtag.
-    pub fn region(&self) -> &str {
-        &self.region
+    pub fn region(&self) -> &'static str {
+        self.region.as_str()
     }
 }
 
@@ -58,9 +68,18 @@ impl Default for Locale {
     }
 }
 
+impl fmt::Debug for Locale {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Locale")
+            .field("language", &self.language())
+            .field("region", &self.region())
+            .finish()
+    }
+}
+
 impl fmt::Display for Locale {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-{}", self.language, self.region)
+        write!(f, "{}-{}", self.language(), self.region())
     }
 }
 
@@ -84,5 +103,15 @@ mod tests {
     #[test]
     fn distinct_locales_differ() {
         assert_ne!(Locale::en_us(), Locale::zh_cn());
+    }
+
+    #[test]
+    fn debug_and_display_show_the_subtags() {
+        let zh = Locale::zh_cn();
+        assert_eq!(
+            format!("{zh:?}"),
+            r#"Locale { language: "zh", region: "CN" }"#
+        );
+        assert_eq!(zh.to_string(), "zh-CN");
     }
 }

@@ -346,9 +346,9 @@ impl RchDroid {
         }
 
         // Step ②: sunny-start through the ATMS (creates or coin-flips).
-        let component = thread.instance(old_instance)?.component().to_owned();
+        let component = thread.instance(old_instance)?.component();
         let start =
-            atms.start_activity_with_mask(&Intent::sunny(&component), now, model.handled_changes());
+            atms.start_activity_with_mask(&Intent::sunny(component), now, model.handled_changes());
 
         match start.disposition {
             StartDisposition::CreatedNew => {
@@ -372,7 +372,7 @@ impl RchDroid {
                 let sunny_instance = thread.perform_launch_activity(
                     model,
                     start.record,
-                    atms.global_config().clone(),
+                    *atms.global_config(),
                     shadow_bundle.as_ref(),
                 );
                 if thread.resume_sequence(sunny_instance, true).is_err() {
@@ -554,7 +554,7 @@ impl RchDroid {
         // configuration the change was about.
         let token = thread.instance(old_instance)?.token();
         self.supervised_dead.insert(old_instance);
-        let config = atms.global_config().clone();
+        let config = *atms.global_config();
         let new_instance = thread.relaunch(model, old_instance, config, bundle.as_ref())?;
         atms.set_record_state(token, RecordState::Resumed)?;
 
@@ -759,7 +759,7 @@ mod tests {
     #[test]
     fn no_change_short_circuits() {
         let mut rig = boot(2);
-        let same = rig.atms.global_config().clone();
+        let same = *rig.atms.global_config();
         rig.atms.update_global_config(same);
         let outcome = rig
             .rch

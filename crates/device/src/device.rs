@@ -9,8 +9,9 @@ use droidsim_config::Configuration;
 use droidsim_faults::FaultPlan;
 use droidsim_kernel::{SimDuration, SimTime, Xoshiro256};
 use droidsim_metrics::{CostModel, DeviceMetrics, MemorySnapshot};
-use rchdroid::{AsyncDelivery, ChangeKind, GcPolicy, LadderRung, RchOptions};
+use rchdroid::{AsyncDelivery, ChangeKind, GcDecision, GcPolicy, LadderRung, RchOptions};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Which runtime-change handling system the device runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +55,7 @@ pub struct ChangeReport {
     /// Change arrival → activity resumed.
     pub latency: SimDuration,
     /// Foreground component that handled the change.
-    pub component: String,
+    pub component: Rc<str>,
 }
 
 /// Device-level errors.
@@ -88,7 +89,9 @@ pub struct Device {
     mode: HandlingMode,
     cost: CostModel,
     atms: Atms,
-    apps: BTreeMap<String, AppProcess>,
+    /// The installed apps, keyed by their component name: one shared
+    /// allocation per app, which events and reports share too.
+    apps: BTreeMap<Rc<str>, AppProcess>,
     clock: SimTime,
     events: Vec<DeviceEvent>,
     gc_interval: SimDuration,
@@ -172,7 +175,8 @@ impl Device {
     /// mode is active and the previous foreground app holds a shadow, the
     /// switch releases it (§3.5's immediate-release rule).
     ///
-    /// Returns the component name used to address the app later.
+    /// Returns the component name used to address the app later: the
+    /// app's one shared name.
     ///
     /// # Errors
     ///
@@ -182,13 +186,13 @@ impl Device {
         model: Box<dyn AppModel>,
         base_memory_bytes: u64,
         complexity: f64,
-    ) -> Result<String, DeviceError> {
+    ) -> Result<Rc<str>, DeviceError> {
         self.background_foreground_app()?;
 
-        let component = model.component_name().to_owned();
-        if self.apps.contains_key(&component) {
+        if self.apps.contains_key(model.component_name()) {
             return Err(DeviceError::Handling(format!(
-                "`{component}` is already installed"
+                "`{}` is already installed",
+                model.component_name()
             )));
         }
         let handled = model.handled_changes();
@@ -197,15 +201,18 @@ impl Device {
             process.rch = rchdroid::RchDroid::with_options(policy, options);
         }
 
-        let start =
-            self.atms
-                .start_activity_with_mask(&Intent::new(&component), self.clock, handled);
+        let start = self.atms.start_activity_with_mask(
+            &Intent::new(process.model.component_name()),
+            self.clock,
+            handled,
+        );
         let instance = process.thread.perform_launch_activity(
             process.model.as_ref(),
             start.record,
-            self.atms.global_config().clone(),
+            *self.atms.global_config(),
             None,
         );
+        let component = Rc::clone(process.thread.component().expect("just launched"));
         process
             .thread
             .resume_sequence(instance, false)
@@ -221,9 +228,9 @@ impl Device {
         self.clock += latency;
         self.events.push(DeviceEvent::AppLaunched {
             at: self.clock,
-            component: component.clone(),
+            component: Rc::clone(&component),
         });
-        self.apps.insert(component.clone(), process);
+        self.apps.insert(Rc::clone(&component), process);
         Ok(component)
     }
 
@@ -250,11 +257,14 @@ impl Device {
         Ok(())
     }
 
-    /// The component of the foreground activity, if any.
-    pub fn foreground_component(&self) -> Option<String> {
+    /// The component of the foreground activity, if an installed app
+    /// owns it: the app's shared name, so the lookup copies no text.
+    pub fn foreground_component(&self) -> Option<Rc<str>> {
         let record = self.atms.foreground_record()?;
-        let component = self.atms.record(record)?.component().to_owned();
-        self.apps.contains_key(&component).then_some(component)
+        let component = self.atms.record(record)?.component();
+        self.apps
+            .get_key_value(component)
+            .map(|(name, _)| Rc::clone(name))
     }
 
     /// Switches to an already-installed app (the recents gesture). The
@@ -289,7 +299,7 @@ impl Device {
                 .atms
                 .record(record)
                 .and_then(|r| r.saved_state.as_ref());
-            let config = self.atms.global_config().clone();
+            let config = *self.atms.global_config();
             p.thread
                 .perform_launch_activity(p.model.as_ref(), record, config, saved)
         });
@@ -311,7 +321,7 @@ impl Device {
             .record(record)
             .is_some_and(|r| r.config != *self.atms.global_config());
         if stale {
-            let current = self.atms.global_config().clone();
+            let current = *self.atms.global_config();
             let _ = self.change_configuration(current);
         }
         Ok(())
@@ -355,11 +365,7 @@ impl Device {
     /// Returns the number of activity instances reclaimed.
     pub fn trigger_memory_pressure(&mut self) -> usize {
         let mut reclaimed = 0;
-        let components: Vec<String> = self.apps.keys().cloned().collect();
-        for component in components {
-            let Some(p) = self.apps.get_mut(&component) else {
-                continue;
-            };
+        for p in self.apps.values_mut() {
             if p.crashed.is_some() {
                 continue;
             }
@@ -432,7 +438,7 @@ impl Device {
             .get_mut(&component)
             .expect("foreground app installed");
         if p.crashed.is_some() {
-            return Err(DeviceError::AppCrashed(component));
+            return Err(DeviceError::AppCrashed(component.to_string()));
         }
         let instance = p
             .foreground_instance()
@@ -459,7 +465,7 @@ impl Device {
             .get_mut(&component)
             .expect("foreground app installed");
         if p.crashed.is_some() {
-            return Err(DeviceError::AppCrashed(component));
+            return Err(DeviceError::AppCrashed(component.to_string()));
         }
         let instance = p
             .foreground_instance()
@@ -519,7 +525,7 @@ impl Device {
             .foreground_component()
             .ok_or(DeviceError::NoForegroundApp)?;
         if self.is_crashed(&component) {
-            return Err(DeviceError::AppCrashed(component));
+            return Err(DeviceError::AppCrashed(component.to_string()));
         }
         let record = self
             .atms
@@ -563,7 +569,7 @@ impl Device {
                             .and_then(|id| p.thread.instance(id).ok())
                             .map(|a| (a.id(), a.save_instance_state(model)))
                             .ok_or(DeviceError::NoForegroundApp)?;
-                        let config = self.atms.global_config().clone();
+                        let config = *self.atms.global_config();
                         p.thread
                             .relaunch(model, current, config, Some(&saved))
                             .map_err(|e| DeviceError::Handling(e.to_string()))?;
@@ -599,7 +605,7 @@ impl Device {
                             now,
                             e.to_string(),
                         );
-                        return Err(DeviceError::AppCrashed(component));
+                        return Err(DeviceError::AppCrashed(component.to_string()));
                     }
                 };
                 match outcome.kind {
@@ -642,7 +648,7 @@ impl Device {
             at: now,
             latency,
             path,
-            component: component.clone(),
+            component: Rc::clone(&component),
         });
         Ok(ChangeReport {
             path,
@@ -690,32 +696,25 @@ impl Device {
         self.clock = self.clock.max(target);
     }
 
+    /// One shadow-GC tick: a pass, and its event, for every live app
+    /// that holds a shadow.
     fn run_gc_tick(&mut self) {
         let now = self.clock;
-        let mut passes = Vec::new();
         for p in self.apps.values_mut() {
-            if p.crashed.is_some() {
+            if p.crashed.is_some() || p.thread.current_shadow().is_none() {
                 continue;
             }
-            if p.thread.current_shadow().is_none() {
-                continue;
-            }
-            match p.rch.run_gc(&mut p.thread, &mut self.atms, now) {
-                Ok(decision) => passes.push(decision.should_collect()),
-                Err(_) => passes.push(false),
-            }
-        }
-        for collected in passes {
+            let collected = p
+                .rch
+                .run_gc(&mut p.thread, &mut self.atms, now)
+                .is_ok_and(GcDecision::should_collect);
             self.events.push(DeviceEvent::GcPass { at: now, collected });
         }
     }
 
+    /// Delivers every live app's callbacks due at `now`.
     fn pump_apps_until(&mut self, now: SimTime) {
-        let components: Vec<String> = self.apps.keys().cloned().collect();
-        for component in components {
-            let Some(p) = self.apps.get_mut(&component) else {
-                continue;
-            };
+        for (component, p) in &mut self.apps {
             if p.crashed.is_some() {
                 continue;
             }
@@ -736,7 +735,7 @@ impl Device {
                             Ok(AsyncDelivery::Delivered) => {
                                 self.events.push(DeviceEvent::AsyncDelivered {
                                     at: now,
-                                    component: component.clone(),
+                                    component: Rc::clone(component),
                                     migration_latency: None,
                                     migrated_views: 0,
                                 });
@@ -744,7 +743,7 @@ impl Device {
                             Ok(AsyncDelivery::Migrated(r)) => {
                                 self.events.push(DeviceEvent::AsyncDelivered {
                                     at: now,
-                                    component: component.clone(),
+                                    component: Rc::clone(component),
                                     migration_latency: Some(self.cost.async_migration(r.migrated)),
                                     migrated_views: r.migrated,
                                 });
@@ -762,7 +761,7 @@ impl Device {
                                     &mut self.atms,
                                     &mut self.events,
                                     p,
-                                    &component,
+                                    component,
                                     now,
                                     e.to_string(),
                                 );
@@ -774,7 +773,7 @@ impl Device {
                             Ok(()) => {
                                 self.events.push(DeviceEvent::AsyncDelivered {
                                     at: now,
-                                    component: component.clone(),
+                                    component: Rc::clone(component),
                                     migration_latency: None,
                                     migrated_views: 0,
                                 });
@@ -784,7 +783,7 @@ impl Device {
                                     &mut self.atms,
                                     &mut self.events,
                                     p,
-                                    &component,
+                                    component,
                                     now,
                                     e.to_string(),
                                 );
@@ -796,9 +795,7 @@ impl Device {
             // Frame boundary: faults absorbed on the delivery path reach
             // the event log (and logcat).
             if self.mode.is_rchdroid() {
-                if let Some(p) = self.apps.get_mut(&component) {
-                    Self::drain_fault_records(&mut self.events, p, &component, now);
-                }
+                Self::drain_fault_records(&mut self.events, p, component, now);
             }
         }
     }
@@ -809,7 +806,7 @@ impl Device {
     fn drain_fault_records(
         events: &mut Vec<DeviceEvent>,
         p: &mut AppProcess,
-        component: &str,
+        component: &Rc<str>,
         now: SimTime,
     ) {
         for record in p.rch.take_fault_records() {
@@ -818,9 +815,9 @@ impl Device {
             }
             events.push(DeviceEvent::Fault {
                 at: now,
-                component: component.to_owned(),
-                site: record.site.to_owned(),
-                rung: record.rung.name().to_owned(),
+                component: Rc::clone(component),
+                site: record.site,
+                rung: record.rung.name(),
             });
         }
     }
@@ -862,7 +859,7 @@ impl Device {
         atms: &mut Atms,
         events: &mut Vec<DeviceEvent>,
         p: &mut AppProcess,
-        component: &str,
+        component: &Rc<str>,
         now: SimTime,
         exception: String,
     ) {
@@ -877,7 +874,7 @@ impl Device {
         p.crashed = Some(exception.clone());
         events.push(DeviceEvent::Crash {
             at: now,
-            component: component.to_owned(),
+            component: Rc::clone(component),
             exception,
         });
     }
@@ -900,7 +897,7 @@ mod tests {
     use droidsim_app::{AsyncResult, SimpleApp};
     use droidsim_view::ViewOp;
 
-    fn device_with_app(mode: HandlingMode, views: usize) -> (Device, String) {
+    fn device_with_app(mode: HandlingMode, views: usize) -> (Device, Rc<str>) {
         let mut d = Device::new(mode);
         let c = d
             .install_and_launch(Box::new(SimpleApp::with_views(views)), 40 << 20, 1.0)
@@ -1135,7 +1132,7 @@ mod tests {
     #[test]
     fn no_change_is_free() {
         let (mut d, _) = device_with_app(HandlingMode::rchdroid_default(), 2);
-        let same = d.configuration().clone();
+        let same = *d.configuration();
         let report = d.change_configuration(same).unwrap();
         assert_eq!(report.path, HandlingPath::NoChange);
         assert_eq!(report.latency, SimDuration::ZERO);
@@ -1160,7 +1157,7 @@ mod tests {
         assert!(d.events().iter().any(|e| matches!(
             e,
             DeviceEvent::Fault { site, rung, .. }
-                if site == "bundle-corruption" && rung == "fallback-restart"
+                if *site == "bundle-corruption" && *rung == "fallback-restart"
         )));
         let m = d.device_metrics(&c).unwrap().faults;
         assert_eq!(m.fallback_restarts, 1);
@@ -1186,7 +1183,7 @@ mod tests {
         assert!(d.events().iter().any(|e| matches!(
             e,
             DeviceEvent::Fault { site, rung, .. }
-                if site == "async-callback-panic" && rung == "contained-per-view"
+                if *site == "async-callback-panic" && *rung == "contained-per-view"
         )));
         assert_eq!(d.device_metrics(&c).unwrap().faults.contained_per_view, 1);
         assert_eq!(

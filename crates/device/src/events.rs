@@ -2,6 +2,7 @@
 //! consume to rebuild the paper's figures.
 
 use droidsim_kernel::{SimDuration, SimTime};
+use std::rc::Rc;
 
 /// Which handling path a configuration change took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +25,9 @@ pub enum HandlingPath {
 }
 
 /// One entry of the device's event log.
+///
+/// An entry copies no text on the handling paths: its component is the
+/// app's one shared name, and a fault's site and rung are static names.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeviceEvent {
     /// An app was installed and brought to the foreground.
@@ -31,7 +35,7 @@ pub enum DeviceEvent {
         /// Completion time.
         at: SimTime,
         /// Component name.
-        component: String,
+        component: Rc<str>,
     },
     /// A runtime configuration change was handled.
     ConfigChange {
@@ -42,14 +46,14 @@ pub enum DeviceEvent {
         /// Path taken.
         path: HandlingPath,
         /// Foreground component.
-        component: String,
+        component: Rc<str>,
     },
     /// An async callback was delivered.
     AsyncDelivered {
         /// Delivery time.
         at: SimTime,
         /// Component.
-        component: String,
+        component: Rc<str>,
         /// Lazy-migration cost, when the callback landed on a shadow
         /// instance and its updates were migrated (RCHDroid only).
         migration_latency: Option<SimDuration>,
@@ -61,7 +65,7 @@ pub enum DeviceEvent {
         /// Crash time.
         at: SimTime,
         /// Component.
-        component: String,
+        component: Rc<str>,
         /// The exception, rendered.
         exception: String,
     },
@@ -78,11 +82,11 @@ pub enum DeviceEvent {
         /// When the fault was absorbed.
         at: SimTime,
         /// Component whose handler absorbed it.
-        component: String,
+        component: Rc<str>,
         /// The fault site's stable name (e.g. `"bundle-corruption"`).
-        site: String,
+        site: &'static str,
         /// The ladder rung that handled it (e.g. `"contained-per-view"`).
-        rung: String,
+        rung: &'static str,
     },
 }
 
@@ -136,13 +140,21 @@ mod tests {
             DeviceEvent::Fault {
                 at: t,
                 component: "c".into(),
-                site: "bundle-corruption".into(),
-                rung: "fallback-restart".into(),
+                site: "bundle-corruption",
+                rung: "fallback-restart",
             },
         ];
         for e in events {
             assert_eq!(e.at(), t);
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_event_is_eight_words() {
+        // The widest entry is a fault: time, shared component name and
+        // two static names. A new field that copies text grows this.
+        assert_eq!(std::mem::size_of::<DeviceEvent>(), 64);
     }
 
     #[test]

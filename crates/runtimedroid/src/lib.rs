@@ -114,7 +114,7 @@ impl RuntimeDroid {
 
         // Hot reload: re-inflate the layout resource for the new config,
         // through the process's inflation cache like any creation.
-        let config = atms.global_config().clone();
+        let config = *atms.global_config();
         let (mut tree, _) = thread.inflate_main_layout(model, &config);
         let activity = thread.instance_mut(instance)?;
         let old_count = activity.tree.view_count();
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn no_change_is_a_cheap_no_op() {
         let (model, mut atms, mut thread, instance) = boot();
-        let same = atms.global_config().clone();
+        let same = *atms.global_config();
         atms.update_global_config(same);
         let outcome = RuntimeDroid::new()
             .handle_configuration_change(&mut thread, &mut atms, &model)

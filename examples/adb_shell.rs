@@ -20,8 +20,9 @@ use droidsim_app::SimpleApp;
 use droidsim_device::{Device, HandlingMode};
 use droidsim_kernel::SimDuration;
 use std::io::{BufRead, IsTerminal};
+use std::rc::Rc;
 
-fn run_command(device: &mut Device, installed: &mut Option<String>, line: &str) {
+fn run_command(device: &mut Device, installed: &mut Option<Rc<str>>, line: &str) {
     let parts: Vec<&str> = line.split_whitespace().collect();
     match parts.as_slice() {
         [] | ["#", ..] => {}

@@ -5,8 +5,9 @@
 use droidsim_device::{Device, HandlingMode, HandlingPath};
 use droidsim_view::{layout, ViewOp};
 use rch_workloads::DeepApp;
+use std::rc::Rc;
 
-fn deep_device(depth: usize) -> (Device, String) {
+fn deep_device(depth: usize) -> (Device, Rc<str>) {
     let mut d = Device::new(HandlingMode::rchdroid_default());
     let c = d
         .install_and_launch(Box::new(DeepApp::new(depth)), 40 << 20, 1.0)

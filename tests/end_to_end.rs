@@ -8,8 +8,9 @@ use droidsim_device::{Device, DeviceEvent, HandlingMode, HandlingPath};
 use droidsim_kernel::SimDuration;
 use droidsim_view::{views_visited, ViewOp, ViewTree};
 use rch_workloads::{tp27_specs, GenericApp, GenericAppSpec, StateItem, StateMechanism};
+use std::rc::Rc;
 
-fn bench_device(mode: HandlingMode, views: usize) -> (Device, String) {
+fn bench_device(mode: HandlingMode, views: usize) -> (Device, Rc<str>) {
     let mut device = Device::new(mode);
     let component = device
         .install_and_launch(Box::new(SimpleApp::with_views(views)), 40 << 20, 1.0)

@@ -5,8 +5,9 @@ use droidsim_app::{AsyncResult, AsyncSpec, SimpleApp};
 use droidsim_device::{Device, DeviceEvent, HandlingMode};
 use droidsim_kernel::{SimDuration, SimTime};
 use droidsim_view::ViewOp;
+use std::rc::Rc;
 
-fn device(mode: HandlingMode) -> (Device, String) {
+fn device(mode: HandlingMode) -> (Device, Rc<str>) {
     let mut d = Device::new(mode);
     let c = d
         .install_and_launch(Box::new(SimpleApp::with_views(2)), 40 << 20, 1.0)

@@ -15,6 +15,7 @@ use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_fleet::{run_fleet_supervised, Digest, FleetConfig, FleetOptions};
 use droidsim_kernel::SimDuration;
 use rchdroid::GcPolicy;
+use std::rc::Rc;
 
 /// The matrix loops fan out across the fleet (`DROIDSIM_JOBS`, default
 /// all cores); each cell simulates on its own `Device` and returns only
@@ -43,7 +44,7 @@ fn seeds() -> Vec<u64> {
 /// One scripted scenario that reaches every probe site: an async task in
 /// flight across a change (flush sites + callback site), the change
 /// itself (bundle + allocation sites), and a follow-up change.
-fn run_scenario(plan: FaultPlan) -> (Device, String) {
+fn run_scenario(plan: FaultPlan) -> (Device, Rc<str>) {
     let mut d = Device::new(HandlingMode::rchdroid_default());
     let c = d
         .install_and_launch(Box::new(SimpleApp::with_views(4)), 40 << 20, 1.0)
@@ -161,7 +162,7 @@ fn rate_injection_never_escapes_a_panic() {
             for e in d.events() {
                 if let DeviceEvent::Fault { site, rung, .. } = e {
                     if site.is_empty()
-                        || (rung != "contained-per-view" && rung != "fallback-restart")
+                        || (*rung != "contained-per-view" && *rung != "fallback-restart")
                     {
                         bad.push(format!("seed {seed}: unexpected rung {rung} for {site}"));
                     }

@@ -7,6 +7,7 @@ use droidsim_bundle::Bundle;
 use droidsim_device::{Device, HandlingMode};
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::ViewOp;
+use std::rc::Rc;
 
 /// An app whose login form lives in a dynamically attached fragment (the
 /// framework-managed pattern: `onCreate` re-attaches it).
@@ -77,7 +78,7 @@ impl AppModel for FragmentApp {
     fn on_save_instance_state(&self, _activity: &Activity, _out: &mut Bundle) {}
 }
 
-fn launch(mode: HandlingMode) -> (Device, String) {
+fn launch(mode: HandlingMode) -> (Device, Rc<str>) {
     let mut device = Device::new(mode);
     let component = device
         .install_and_launch(Box::new(FragmentApp::new()), 50 << 20, 1.0)

@@ -8,8 +8,9 @@ use droidsim_kernel::SimDuration;
 use droidsim_metrics::MemorySnapshot;
 use droidsim_view::ViewOp;
 use rch_workloads::GenericAppSpec;
+use std::rc::Rc;
 
-fn two_apps(mode: HandlingMode) -> (Device, String, String) {
+fn two_apps(mode: HandlingMode) -> (Device, Rc<str>, Rc<str>) {
     let mut d = Device::new(mode);
     let a = GenericAppSpec::sized("PressureA", "1M+", false);
     let b = GenericAppSpec::sized("PressureB", "1M+", false);
@@ -136,7 +137,7 @@ const RCH_CHURN_SNAPSHOT: MemorySnapshot = MemorySnapshot {
     activities_bytes: 14_495_467,
 };
 
-fn churn_app(mode: HandlingMode) -> (Device, String, GenericAppSpec) {
+fn churn_app(mode: HandlingMode) -> (Device, Rc<str>, GenericAppSpec) {
     let mut spec = GenericAppSpec::sized("ChurnApp", "1M+", true);
     spec.view_count = CHURN_VIEWS;
     let mut d = Device::new(mode);
@@ -199,7 +200,7 @@ fn dialog_task() -> AsyncSpec {
 }
 
 /// 128 stock relaunches, each destroying the previous instance.
-fn stock_churn() -> (Device, String, GenericAppSpec) {
+fn stock_churn() -> (Device, Rc<str>, GenericAppSpec) {
     let (mut d, c, spec) = churn_app(HandlingMode::Android10);
     for _ in 0..128 {
         d.rotate().unwrap();

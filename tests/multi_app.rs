@@ -5,8 +5,9 @@ use droidsim_device::{Device, DeviceError, HandlingMode};
 use droidsim_kernel::SimDuration;
 use droidsim_view::ViewOp;
 use rch_workloads::GenericAppSpec;
+use std::rc::Rc;
 
-fn two_apps(mode: HandlingMode) -> (Device, String, String) {
+fn two_apps(mode: HandlingMode) -> (Device, Rc<str>, Rc<str>) {
     let mut d = Device::new(mode);
     let mail = GenericAppSpec::sized("MailClient", "10M+", false);
     let maps = GenericAppSpec::sized("MapsViewer", "10M+", false);
@@ -69,7 +70,7 @@ fn app_switch_releases_the_shadow_immediately() {
     // (Mail may now hold a shadow of its own: it resumed with a stale
     // configuration and RCHDroid handled that via the shadow/sunny path.)
     for record in d.atms().shadow_records() {
-        assert_eq!(d.atms().record(record).unwrap().component(), mail);
+        assert_eq!(d.atms().record(record).unwrap().component(), &*mail);
     }
 }
 

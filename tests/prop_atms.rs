@@ -77,7 +77,7 @@ fn run_script(script: &[AtmsAction]) -> Atms {
                 let next = if *rotate {
                     atms.global_config().rotated()
                 } else {
-                    atms.global_config().clone()
+                    *atms.global_config()
                 };
                 atms.update_global_config(next);
             }

@@ -100,7 +100,7 @@ proptest! {
         let ref_instance = reference.perform_launch_activity(
             &rig.model,
             ActivityRecordId::new(9_999),
-            rig.atms.global_config().clone(),
+            *rig.atms.global_config(),
             bundle,
         );
         reference.resume_sequence(ref_instance, false).unwrap();

@@ -789,7 +789,7 @@ proptest! {
         let old = tree.clone();
 
         let landscape = Configuration::phone_landscape();
-        atms.update_global_config(landscape.clone());
+        atms.update_global_config(landscape);
         RuntimeDroid::new()
             .handle_configuration_change(&mut thread, &mut atms, &model)
             .unwrap();
