@@ -26,7 +26,7 @@
 use crate::activity::Activity;
 use droidsim_config::Configuration;
 use droidsim_resources::ResourceTable;
-use droidsim_view::{inflate, ViewError, ViewId};
+use droidsim_view::{inflate_under, ViewError, ViewId};
 
 /// A fragment description: which layout it inflates and where it mounts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,11 +66,10 @@ pub enum FragmentError {
     UnknownContainer(String),
     /// A fragment with this tag is already attached.
     DuplicateTag(String),
-    /// No fragment with this tag is attached.
-    UnknownTag(String),
     /// The fragment's layout resource failed to resolve.
     MissingLayout(String),
-    /// View-tree failure during attach/detach.
+    /// View-tree failure during attach: the container cannot hold
+    /// children, or the tree was released.
     View(ViewError),
 }
 
@@ -79,7 +78,6 @@ impl core::fmt::Display for FragmentError {
         match self {
             FragmentError::UnknownContainer(c) => write!(f, "no container view `{c}`"),
             FragmentError::DuplicateTag(t) => write!(f, "fragment `{t}` already attached"),
-            FragmentError::UnknownTag(t) => write!(f, "no fragment `{t}` attached"),
             FragmentError::MissingLayout(l) => write!(f, "fragment layout `{l}` not found"),
             FragmentError::View(e) => write!(f, "{e}"),
         }
@@ -96,7 +94,8 @@ impl From<ViewError> for FragmentError {
 
 impl Activity {
     /// Attaches a fragment: inflates its layout for this instance's
-    /// configuration and grafts the subtree under the container view.
+    /// configuration straight into the activity's tree, under the
+    /// container view.
     ///
     /// # Errors
     ///
@@ -117,30 +116,13 @@ impl Activity {
         let template = resources
             .resolve_layout(&spec.layout, &config)
             .map_err(|_| FragmentError::MissingLayout(spec.layout.clone()))?;
-        let (fragment_tree, _) = inflate(template, resources, &config);
-        let root_view = graft(&fragment_tree, &mut self.tree, container)?;
+        let root_view = inflate_under(&mut self.tree, container, template, resources, &config)?;
         let attached = AttachedFragment {
             spec: spec.clone(),
             root_view,
         };
         self.fragments.push(attached.clone());
         Ok(attached)
-    }
-
-    /// Detaches a fragment, removing its whole subtree.
-    ///
-    /// # Errors
-    ///
-    /// [`FragmentError::UnknownTag`] if no such fragment is attached.
-    pub fn detach_fragment(&mut self, tag: &str) -> Result<(), FragmentError> {
-        let pos = self
-            .fragments
-            .iter()
-            .position(|f| f.spec.tag == tag)
-            .ok_or_else(|| FragmentError::UnknownTag(tag.to_owned()))?;
-        let fragment = self.fragments.remove(pos);
-        self.tree.remove_view(fragment.root_view)?;
-        Ok(())
     }
 
     /// The fragments currently attached.
@@ -152,40 +134,6 @@ impl Activity {
     pub fn fragment(&self, tag: &str) -> Option<&AttachedFragment> {
         self.fragments.iter().find(|f| f.spec.tag == tag)
     }
-}
-
-/// Copies `source`'s tree (excluding its decor view) under `target_parent`
-/// in `dest`, returning the id of the grafted root.
-fn graft(
-    source: &droidsim_view::ViewTree,
-    dest: &mut droidsim_view::ViewTree,
-    target_parent: ViewId,
-) -> Result<ViewId, ViewError> {
-    // The source root (decor) has exactly the inflated layout root as its
-    // child; graft from there.
-    let source_root = *source
-        .view(source.root())?
-        .children
-        .first()
-        .ok_or(ViewError::UnknownView(source.root()))?;
-    graft_subtree(source, source_root, dest, target_parent)
-}
-
-fn graft_subtree(
-    source: &droidsim_view::ViewTree,
-    node: ViewId,
-    dest: &mut droidsim_view::ViewTree,
-    parent: ViewId,
-) -> Result<ViewId, ViewError> {
-    let src = source.view(node)?;
-    let new_id = dest.add_view(parent, src.kind, src.id_name_str())?;
-    dest.edit_attrs(new_id, |attrs| *attrs = src.attrs.clone())?;
-    dest.set_saves_state(new_id, src.saves_state)?;
-    dest.set_freezes_text(new_id, src.freezes_text)?;
-    for &child in &src.children {
-        graft_subtree(source, child, dest, new_id)?;
-    }
-    Ok(new_id)
 }
 
 #[cfg(test)]
@@ -260,24 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn detach_removes_the_subtree() {
-        let mut a = activity();
-        let resources = resources_with_fragment();
-        a.attach_fragment(
-            &resources,
-            &FragmentSpec::new("login", "fragment_login", "root"),
-        )
-        .unwrap();
-        a.detach_fragment("login").unwrap();
-        assert!(a.tree.find_by_id_name("username").is_none());
-        assert!(a.fragments().is_empty());
-        assert_eq!(
-            a.detach_fragment("login"),
-            Err(FragmentError::UnknownTag("login".into()))
-        );
-    }
-
-    #[test]
     fn duplicate_tags_are_rejected() {
         let mut a = activity();
         let resources = resources_with_fragment();
@@ -304,5 +234,12 @@ mod tests {
             a.attach_fragment(&resources, &FragmentSpec::new("x", "no_layout", "root")),
             Err(FragmentError::MissingLayout("no_layout".into()))
         );
+        // A container name that names a leaf view inflates nothing.
+        let button = a.tree.find_by_id_name("button").unwrap();
+        let spec = FragmentSpec::new("x", "fragment_login", "button");
+        let views = a.tree.view_count();
+        let refused = FragmentError::View(ViewError::NotAContainer { parent: button });
+        assert_eq!(a.attach_fragment(&resources, &spec), Err(refused));
+        assert_eq!(a.tree.view_count(), views);
     }
 }

@@ -110,13 +110,6 @@ impl Client {
         self
     }
 
-    /// Drops the live connection (if any) on the floor: the chaos
-    /// harness's mid-burst connection kill. The next operation
-    /// reconnects.
-    pub fn drop_connection(&mut self) {
-        self.conn = None;
-    }
-
     /// Sends one request line without reading the response, then drops
     /// the connection: the chaos harness's "lost ack". The daemon
     /// processes the request, but this client never hears the answer.

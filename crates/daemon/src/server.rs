@@ -717,9 +717,15 @@ mod tests {
         drop(held);
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
+            // A retry that arrives before the held slot is freed is
+            // refused and closed, which can fail its write or its read as
+            // well as answer it with the refusal: all three mean "again".
             let mut retry = raw_connect(&socket);
-            writeln!(retry, "cmd=ping").unwrap();
-            if read_response(&mut retry).contains("pong=1") {
+            let answer = writeln!(retry, "cmd=ping").and_then(|()| {
+                let mut line = String::new();
+                BufReader::new(&retry).read_line(&mut line).map(|_| line)
+            });
+            if answer.is_ok_and(|line| line.contains("pong=1")) {
                 break;
             }
             assert!(Instant::now() < deadline, "slot never freed");

@@ -12,8 +12,8 @@
 //! in, and a dropped clone the chunks it copied. Views added after a
 //! share go to the owned vector again.
 //!
-//! Slots are never reused: a removed view leaves `None` behind, so an
-//! id indexes the same slot for the tree's whole life.
+//! Views are only appended, and a tree drops them all at once when it
+//! is released, so an id indexes the same slot for the tree's whole life.
 
 use crate::tree::ViewNode;
 use std::fmt;
@@ -22,11 +22,8 @@ use std::rc::Rc;
 /// Views per chunk: what the first write to a shared view copies.
 pub(crate) const CHUNK: usize = 32;
 
-/// One slot: a live view, or `None` once it was removed.
-type Slot = Option<ViewNode>;
-
 /// Reference-counted slots: the shared prefix, or one chunk's copy.
-type Shared = Rc<Vec<Slot>>;
+type Shared = Rc<Vec<ViewNode>>;
 
 /// The slots of one tree, `0..len()` by view id.
 ///
@@ -43,7 +40,7 @@ pub(crate) struct Arena {
     /// needed one, itself shared with clones made after the write.
     copies: Vec<Option<Shared>>,
     /// Slots `split..`, this arena's alone.
-    owned: Vec<Slot>,
+    owned: Vec<ViewNode>,
 }
 
 impl Arena {
@@ -55,7 +52,7 @@ impl Arena {
         }
     }
 
-    /// Slots, live or removed: the id the next view gets.
+    /// Slots: the id the next view gets.
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.split + self.owned.len()
@@ -67,39 +64,25 @@ impl Arena {
     /// and falls through to the shared prefix.
     #[inline]
     pub(crate) fn get(&self, i: usize) -> Option<&ViewNode> {
-        match self.owned.get(i.wrapping_sub(self.split)) {
-            Some(slot) => slot.as_ref(),
-            None => self.shared_slot(i)?.as_ref(),
-        }
+        let j = i.wrapping_sub(self.split);
+        self.owned.get(j).or_else(|| self.shared_slot(i))
     }
 
     /// Slot `i`, read from its chunk's copy if it has one; `None` for
     /// an id past the shared prefix.
-    fn shared_slot(&self, i: usize) -> Option<&Slot> {
+    fn shared_slot(&self, i: usize) -> Option<&ViewNode> {
         match self.copies.get(i / CHUNK)? {
             Some(copy) => copy.get(i % CHUNK),
             None => self.shared.as_deref()?.get(i),
         }
     }
 
-    /// The live view in slot `i`, for writing. A view in the shared
-    /// prefix first gets its chunk copied, unless this arena already
-    /// holds the only reference to a copy; a removed or unknown slot
-    /// copies nothing.
+    /// The live view in slot `i`, for writing, tried in the owned slots
+    /// first as [`Arena::get`] does. A view in the shared prefix first
+    /// gets its chunk copied, unless this arena already holds the only
+    /// reference to a copy; an unknown slot copies nothing.
     #[inline]
     pub(crate) fn get_mut(&mut self, i: usize) -> Option<&mut ViewNode> {
-        self.slot_mut(i)?.as_mut()
-    }
-
-    /// Takes the live view out of slot `i`, leaving `None`.
-    pub(crate) fn take(&mut self, i: usize) -> Option<ViewNode> {
-        self.slot_mut(i)?.take()
-    }
-
-    /// Slot `i` for writing, tried in the owned slots first as
-    /// [`Arena::get`] does.
-    #[inline]
-    fn slot_mut(&mut self, i: usize) -> Option<&mut Slot> {
         let j = i.wrapping_sub(self.split);
         if j < self.owned.len() {
             self.owned.get_mut(j)
@@ -110,8 +93,8 @@ impl Arena {
 
     /// Slot `i` of the shared prefix for writing, its chunk copied out
     /// first if this arena shares it; `None` for an id past the prefix.
-    fn shared_slot_mut(&mut self, i: usize) -> Option<&mut Slot> {
-        self.shared_slot(i)?.as_ref()?;
+    fn shared_slot_mut(&mut self, i: usize) -> Option<&mut ViewNode> {
+        self.shared_slot(i)?;
         let k = i / CHUNK;
         let copy = self.copies.get_mut(k)?;
         let chunk = match copy {
@@ -128,25 +111,20 @@ impl Arena {
     /// Appends a view to the owned slots.
     #[inline]
     pub(crate) fn push(&mut self, view: ViewNode) {
-        self.owned.push(Some(view));
+        self.owned.push(view);
     }
 
     /// Every slot of the shared prefix in id order, each read from its
     /// chunk's copy if it has one.
-    fn shared_slots(&self) -> impl Iterator<Item = &Slot> {
+    fn shared_slots(&self) -> impl Iterator<Item = &ViewNode> {
         let shared = self.shared.as_deref().map_or(&[][..], Vec::as_slice);
         let chunks = shared.chunks(CHUNK).zip(&self.copies);
         chunks.flat_map(|(chunk, copy)| copy.as_deref().map_or(chunk, Vec::as_slice))
     }
 
-    /// Every slot in id order.
-    fn slots(&self) -> impl Iterator<Item = &Slot> {
-        self.shared_slots().chain(&self.owned)
-    }
-
-    /// Every live view in id order.
+    /// Every view in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &ViewNode> {
-        self.slots().flatten()
+        self.shared_slots().chain(&self.owned)
     }
 
     /// Makes every slot so far the shared prefix, so that clones made
@@ -169,7 +147,7 @@ impl Arena {
     pub(crate) fn slot_bytes(&self) -> usize {
         let shared = self.shared.as_ref().map_or(0, |s| s.capacity());
         let copies: usize = self.copies.iter().flatten().map(|c| c.capacity()).sum();
-        (shared + copies + self.owned.capacity()) * std::mem::size_of::<Slot>()
+        (shared + copies + self.owned.capacity()) * std::mem::size_of::<ViewNode>()
     }
 
     /// Chunks of the shared prefix.
@@ -202,12 +180,12 @@ impl Arena {
 
 impl PartialEq for Arena {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.slots().eq(other.slots())
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
 impl fmt::Debug for Arena {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.slots()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }

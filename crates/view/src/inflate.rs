@@ -7,6 +7,7 @@
 //! [`ViewError::NotAContainer`] — which is what the static analyzer
 //! reports instead of silently analysing a truncated tree.
 //! [`try_inflate`] is the two together: the check, then [`inflate`].
+//! [`inflate_under`] inflates into a live tree, as a fragment joins one.
 //!
 //! Inflation is a pure function of its inputs and is not cached here:
 //! each app process keeps its own inflations per configuration (the
@@ -94,25 +95,31 @@ pub fn inflate_weighed(
     resources: &ResourceTable,
     config: &Configuration,
 ) -> (ViewTree, InflateStats, u64) {
-    let mut inflater = Inflater {
-        resources,
-        config,
-        tree: ViewTree::with_capacity(template.node_count() + 1),
-        stats: InflateStats::default(),
-        kinds: IdMap::default(),
-        resolved: IdMap::default(),
-        reserved_children: 0,
-        owned_bytes: 0,
-    };
-    let decor = inflater.tree.root();
-    let root = inflater.add(template.root(), decor);
-    if let Ok(decor) = inflater.tree.node_mut(decor) {
-        decor.children.push(root);
+    let mut tree = ViewTree::with_capacity(template.node_count() + 1);
+    let decor = tree.root();
+    let mut inflater = Inflater::new(resources, config);
+    inflater.attach(&mut tree, decor, template);
+    let bytes = tree.inflated_bytes(inflater.reserved_children, inflater.owned_bytes);
+    (tree, inflater.stats, bytes)
+}
+
+/// Inflates `template` into `tree` under `parent`, as [`inflate`] does
+/// under a fresh tree's decor view, and returns the layout root's id.
+///
+/// # Errors
+///
+/// [`ViewTree::add_view`]'s errors for `parent`, before any view is added.
+pub fn inflate_under(
+    tree: &mut ViewTree,
+    parent: ViewId,
+    template: &LayoutTemplate,
+    resources: &ResourceTable,
+    config: &Configuration,
+) -> Result<ViewId, ViewError> {
+    if !tree.view(parent)?.kind.is_container() {
+        return Err(ViewError::NotAContainer { parent });
     }
-    let bytes = inflater
-        .tree
-        .inflated_bytes(inflater.reserved_children, inflater.owned_bytes);
-    (inflater.tree, inflater.stats, bytes)
+    Ok(Inflater::new(resources, config).attach(tree, parent, template))
 }
 
 /// Strict form of [`inflate`]: a template that places children under a
@@ -214,12 +221,11 @@ impl Resolved {
     }
 }
 
-/// One call's state: the tree being filled, its stats, the answers for
-/// the classes and attribute pairs met so far, and what the views own.
+/// One call's state: its stats, the answers for the classes and
+/// attribute pairs met so far, and what the views own.
 struct Inflater<'a> {
     resources: &'a ResourceTable,
     config: &'a Configuration,
-    tree: ViewTree,
     stats: InflateStats,
     /// Each class's kind, and whether its text is user input.
     kinds: IdMap<Symbol, (ViewKind, bool)>,
@@ -231,12 +237,35 @@ struct Inflater<'a> {
     owned_bytes: u64,
 }
 
-impl Inflater<'_> {
+impl<'a> Inflater<'a> {
+    fn new(resources: &'a ResourceTable, config: &'a Configuration) -> Self {
+        Inflater {
+            resources,
+            config,
+            stats: InflateStats::default(),
+            kinds: IdMap::default(),
+            resolved: IdMap::default(),
+            reserved_children: 0,
+            owned_bytes: 0,
+        }
+    }
+
+    /// Pushes `template`'s views into `tree` under `parent`, a live
+    /// container, appends the layout's root to `parent`'s children and
+    /// returns the root's id.
+    fn attach(&mut self, tree: &mut ViewTree, parent: ViewId, template: &LayoutTemplate) -> ViewId {
+        let root = self.add(tree, template.root(), parent);
+        if let Ok(parent) = tree.node_mut(parent) {
+            parent.children.push(root);
+        }
+        root
+    }
+
     /// Pushes `node`'s view under `parent`, then its subtree, and
     /// returns the view's id. A view that is not a container drops the
     /// children declared under it (the lenient rule), so every push's
     /// parent is a container.
-    fn add(&mut self, node: &LayoutNode, parent: ViewId) -> ViewId {
+    fn add(&mut self, tree: &mut ViewTree, node: &LayoutNode, parent: ViewId) -> ViewId {
         let class = node.class;
         let (kind, freezes_text) = *self.kinds.entry(class).or_insert_with(|| {
             let kind = ViewKind::from_class(class);
@@ -274,8 +303,8 @@ impl Inflater<'_> {
         if extra.is_some() {
             self.owned_bytes += std::mem::size_of::<ExtraAttrs>() as u64;
         }
-        let id = self.tree.next_id();
-        self.tree.push(ViewNode {
+        let id = tree.next_id();
+        tree.push(ViewNode {
             id,
             id_name: node.id_name,
             kind,
@@ -289,10 +318,10 @@ impl Inflater<'_> {
         if kind.is_container() && !node.children.is_empty() {
             let mut children = Vec::with_capacity(node.children.len());
             for child in &node.children {
-                children.push(self.add(child, id));
+                children.push(self.add(tree, child, id));
             }
             self.reserved_children += children.len();
-            if let Ok(view) = self.tree.node_mut(id) {
+            if let Ok(view) = tree.node_mut(id) {
                 view.children = children;
             }
         }

@@ -46,7 +46,9 @@ pub mod tree;
 
 pub use attrs::ViewAttrs;
 pub use error::ViewError;
-pub use inflate::{check_nesting, inflate, inflate_weighed, try_inflate, InflateStats};
+pub use inflate::{
+    check_nesting, inflate, inflate_under, inflate_weighed, try_inflate, InflateStats,
+};
 pub use kind::{MigrationClass, ViewKind};
 pub use layout::{layout, LayoutResult, Rect};
 pub use ops::ViewOp;

@@ -40,21 +40,22 @@
 //! Clones share the id-name index as they share the views
 //! ([`NameIndex`]): while another tree still holds the same map, the
 //! names a tree adds go to an owned overlay, so an add never copies the
-//! shared map, and a removal copies the part it changes. That index is
-//! the paper's essence mapping (§3.3), as it stands when a flush or the
-//! init's seeding reads it: an init stores no peer, and a view removed
-//! or added after it loses or gains its peer at once.
+//! shared map. That index is the paper's essence mapping (§3.3), as it
+//! stands when a flush or the init's seeding reads it: an init stores
+//! no peer, and a view added after it gains its peer at once.
 //!
 //! # Panic policy
 //!
 //! Production code in this module is panic-free: every fallible lookup
-//! returns [`ViewError`] (or `Option`), and the arena is append-only with
-//! ids handed out by [`ViewTree::add_view`], so an id obtained from this
-//! tree cannot dangle — until [`ViewTree::release`] drops the whole arena,
-//! after which every lookup fails with [`ViewError::NullPointer`] before
-//! touching it. The `unwrap`/`expect` calls below all live in
-//! `#[cfg(test)]` code or doc examples, where a panic *is* the failure
-//! report; keep it that way when adding code here.
+//! returns [`ViewError`] (or `Option`), and a tree only grows: a view
+//! enters through the inflater (a layout, or a fragment's under a live
+//! container) or [`ViewTree::add_view`] and never leaves on its own, so
+//! an id obtained from this tree cannot dangle — until
+//! [`ViewTree::release`] drops the whole arena, after which every lookup
+//! fails with [`ViewError::NullPointer`] before touching it. The
+//! `unwrap`/`expect` calls below all live in `#[cfg(test)]` code or doc
+//! examples, where a panic *is* the failure report; keep it that way
+//! when adding code here.
 
 use crate::arena::Arena;
 use crate::attrs::ViewAttrs;
@@ -239,16 +240,6 @@ impl NameIndex {
     pub fn iter(&self) -> std::iter::Chain<IndexIter<'_>, IndexIter<'_>> {
         self.base.iter().chain(self.added.iter())
     }
-
-    /// The map that holds `name`, for a removal to update: the overlay
-    /// if it has the name, else the base (copied first if shared).
-    fn holder_mut(&mut self, name: &Symbol) -> &mut IdMap<Symbol, ViewId> {
-        if self.added.contains_key(name) {
-            &mut self.added
-        } else {
-            Rc::make_mut(&mut self.base)
-        }
-    }
 }
 
 /// An iterator over one part of a [`NameIndex`].
@@ -298,9 +289,6 @@ impl fmt::Debug for NameIndex {
 pub struct ViewTree {
     /// The views by id, copy-on-write once [`ViewTree::share`] ran.
     arena: Arena,
-    /// Live views in the arena, kept by add, remove and release so
-    /// [`ViewTree::view_count`] never scans the arena.
-    live: usize,
     root: ViewId,
     released: bool,
     /// Pending invalidations, coalesced *at insert time*: one entry per
@@ -320,22 +308,19 @@ pub struct ViewTree {
     /// RCHDroid hook: when true the tree belongs to the Sunny (foreground)
     /// activity.
     sunny: bool,
-    /// Cached `android:id` name → view id index, maintained incrementally
-    /// on the structural ops ([`ViewTree::add_view`] /
-    /// [`ViewTree::remove_view`]) instead of being rebuilt for every
-    /// peer lookup. Invariant: always equal to
-    /// [`ViewTree::rebuild_id_name_index`] (lowest live view id wins for
+    /// Cached `android:id` name → view id index, kept as each view is
+    /// pushed ([`ViewTree::add_view`] and the inflater) instead of being
+    /// rebuilt for every peer lookup. Invariant: always equal to
+    /// [`ViewTree::rebuild_id_name_index`] (lowest view id wins for
     /// duplicate names). Like every map here it is made of [`IdMap`]s:
     /// its keys are interned program names and arena ids, so one
     /// multiply hashes them, and nothing reads its iteration order into
     /// an output. Like the views it is shared by clones; while it is
-    /// shared a tree adds names to its overlay, and a removal copies the
-    /// shared part.
+    /// shared a tree adds names to its overlay.
     id_name_index: NameIndex,
-    /// Live duplicate-name bearers *not* currently in the index, per
-    /// name, in ascending id order (appends stay sorted because view ids
-    /// only grow). Removal promotes the front entry instead of rescanning
-    /// the arena, making index maintenance O(shadowed) per removed name.
+    /// Every bearer of a repeated name but the indexed (lowest) one, per
+    /// name, in ascending id order (view ids only grow), so the names
+    /// several views bear are found without a walk.
     shadowed_ids: IdMap<Symbol, Vec<ViewId>>,
     /// The live views with an id name and user state, whether or not
     /// they save it ([`ViewNode::holds_state`]): the only views the
@@ -378,7 +363,6 @@ impl ViewTree {
         names.insert(decor_name, root);
         ViewTree {
             arena,
-            live: 1,
             root,
             released: false,
             pending: Vec::new(),
@@ -420,7 +404,6 @@ impl ViewTree {
     pub fn release(&mut self) {
         self.released = true;
         self.arena = Arena::default();
-        self.live = 0;
         self.id_name_index = NameIndex::default();
         self.shadowed_ids = IdMap::default();
         self.stateful = BTreeSet::new();
@@ -441,7 +424,7 @@ impl ViewTree {
     /// # Errors
     ///
     /// [`ViewError::NullPointer`] if the tree is released,
-    /// [`ViewError::UnknownView`] if the id is stale.
+    /// [`ViewError::UnknownView`] if the id names no view of this tree.
     #[inline]
     pub fn view(&self, id: ViewId) -> Result<&ViewNode, ViewError> {
         self.check_alive(id)?;
@@ -588,7 +571,6 @@ impl ViewTree {
             self.index_added(name, id);
         }
         self.arena.push(node);
-        self.live += 1;
     }
 
     /// Indexes `name` for the view `id` just added. New ids are strictly
@@ -609,69 +591,6 @@ impl ViewTree {
             }
             _ => self.shadowed_ids.entry(name).or_default().push(id),
         }
-    }
-
-    /// Removes a view and its whole subtree. Removing the decor view is
-    /// not allowed.
-    ///
-    /// # Errors
-    ///
-    /// Liveness errors; [`ViewError::InapplicableOp`] when targeting the
-    /// decor view.
-    pub fn remove_view(&mut self, id: ViewId) -> Result<(), ViewError> {
-        if id == self.root {
-            return Err(ViewError::InapplicableOp {
-                view: id,
-                op: "removeView(decor)",
-            });
-        }
-        let parent = self.view(id)?.parent;
-        let mut stack = vec![id];
-        let mut removed_names: Vec<(Symbol, ViewId)> = Vec::new();
-        while let Some(current) = stack.pop() {
-            if let Some(node) = self.arena.take(current.raw() as usize) {
-                self.live -= 1;
-                self.stateful.remove(&current);
-                if let Some(name) = node.id_name {
-                    removed_names.push((name, node.id));
-                }
-                stack.extend(node.children);
-            }
-        }
-        for (name, removed_id) in removed_names {
-            if self.id_name_index.get(&name) == Some(&removed_id) {
-                // The indexed occurrence left the tree; promote the
-                // lowest shadowed bearer — O(shadowed) bookkeeping
-                // instead of the old full arena rescan.
-                let holder = self.id_name_index.holder_mut(&name);
-                match self.shadowed_ids.get_mut(&name) {
-                    Some(shadowed) if !shadowed.is_empty() => {
-                        let next = shadowed.remove(0);
-                        if shadowed.is_empty() {
-                            self.shadowed_ids.remove(&name);
-                        }
-                        holder.insert(name, next);
-                    }
-                    _ => {
-                        self.shadowed_ids.remove(&name);
-                        holder.remove(&name);
-                    }
-                }
-            } else if let Some(shadowed) = self.shadowed_ids.get_mut(&name) {
-                if let Some(pos) = shadowed.iter().position(|&v| v == removed_id) {
-                    shadowed.remove(pos);
-                }
-                if shadowed.is_empty() {
-                    self.shadowed_ids.remove(&name);
-                }
-            }
-        }
-        if let Some(parent) = parent {
-            if let Ok(p) = self.node_mut(parent) {
-                p.children.retain(|&c| c != id);
-            }
-        }
-        Ok(())
     }
 
     /// Every name two or more live views bear, in no particular order,
@@ -781,7 +700,7 @@ impl ViewTree {
     /// Allocates; hot paths use [`ViewTree::for_each_id`] instead.
     pub fn iter_ids(&self) -> Vec<ViewId> {
         alloc_track::note(1);
-        let mut out = Vec::with_capacity(self.live);
+        let mut out = Vec::with_capacity(self.view_count());
         self.for_each_id(|id| out.push(id));
         out
     }
@@ -813,10 +732,10 @@ impl ViewTree {
         note_visits(visited);
     }
 
-    /// Number of live views (0 once released). O(1): a counter kept by
-    /// add, remove and release.
+    /// Number of views (0 once released): the arena's length, since a
+    /// view leaves a tree only when its release drops them all.
     pub fn view_count(&self) -> usize {
-        self.live
+        self.arena.len()
     }
 
     /// Finds a view by its `android:id` name — an O(1) lookup against the
@@ -1069,13 +988,13 @@ impl ViewTree {
     }
 
     /// The sunny peer of view `id` in `other`, the tree it is coupled
-    /// with: the lowest live bearer of `id`'s name in `other`'s index,
-    /// as both trees stand now. The patch's `setSunnyViews` stores this
+    /// with: the lowest bearer of `id`'s name in `other`'s index, as
+    /// both trees stand now. The patch's `setSunnyViews` stores this
     /// pointer on each view at init; looking it up instead stores
     /// nothing, works in both directions, so a coin flip rebuilds
-    /// nothing, and never names a removed view. `None` for an anonymous
-    /// or removed view, a name `other` lacks, or a released tree on
-    /// either side.
+    /// nothing, and gives a view either tree adds after the init its
+    /// peer at once. `None` for an anonymous view, a name `other`
+    /// lacks, or a released tree on either side.
     #[inline]
     pub fn peer_in(&self, id: ViewId, other: &ViewTree) -> Option<ViewId> {
         let name = self.node(id)?.id_name?;
@@ -1116,9 +1035,8 @@ mod tests {
                 size_of::<ViewNode>(),
                 size_of::<ViewAttrs>(),
                 size_of::<crate::attrs::ExtraAttrs>(),
-                size_of::<Option<ViewNode>>(),
             ),
-            (120, 56, 72, 120)
+            (120, 56, 72)
         );
     }
 
@@ -1202,20 +1120,6 @@ mod tests {
         let err = t.add_view(text, ViewKind::TextView, None).unwrap_err();
         assert_eq!(err, ViewError::NotAContainer { parent: text });
         assert_eq!(t.view_count(), 4, "a failed add leaves the count alone");
-    }
-
-    #[test]
-    fn remove_view_drops_subtree() {
-        let (mut t, panel, _, _) = tree_with_views();
-        t.remove_view(panel).unwrap();
-        assert_eq!(t.view_count(), 1);
-        assert!(t.view(panel).is_err());
-    }
-
-    #[test]
-    fn decor_view_cannot_be_removed() {
-        let (mut t, ..) = tree_with_views();
-        assert!(t.remove_view(t.root()).is_err());
     }
 
     #[test]
@@ -1364,12 +1268,12 @@ mod tests {
         t.set_saves_state(field, false).unwrap();
         assert_eq!(visits(&t), (1, 0));
         t.set_saves_state(field, true).unwrap();
-        t.remove_view(field).unwrap();
+        t.edit_attrs(field, |attrs| attrs.text = None).unwrap();
         assert_eq!(visits(&t), (0, 0));
-        // A walk counts every live view it reaches.
+        // A walk counts every view it reaches.
         let before = views_visited();
         t.for_each_id(|_| {});
-        assert_eq!(views_visited() - before, 502);
+        assert_eq!(views_visited() - before, 503);
     }
 
     #[test]
@@ -1406,7 +1310,7 @@ mod tests {
         }
         let views = t.view_count() as u64;
         assert_eq!(views, 2048);
-        let node = std::mem::size_of::<Option<ViewNode>>() as u64;
+        let node = std::mem::size_of::<ViewNode>() as u64;
         let resident = t.resident_bytes();
         // The arena alone, at most doubled by growth, plus the root's
         // child list and a short asset name per view.
@@ -1530,21 +1434,10 @@ mod tests {
         assert_eq!(*t.id_name_index(), t.rebuild_id_name_index());
         assert_eq!(t.id_name_index().len(), 3); // decor, panel, name
 
-        // A duplicate name indexes the lowest id; removing it falls back
-        // to the survivor.
-        let dup = t.add_view(panel, ViewKind::TextView, Some("name")).unwrap();
+        // A duplicate name indexes the lowest id.
+        t.add_view(panel, ViewKind::TextView, Some("name")).unwrap();
         assert_eq!(t.find_by_id_name("name"), Some(text));
         assert_eq!(*t.id_name_index(), t.rebuild_id_name_index());
-        t.remove_view(text).unwrap();
-        assert_eq!(t.find_by_id_name("name"), Some(dup));
-        assert_eq!(*t.id_name_index(), t.rebuild_id_name_index());
-
-        // Subtree removal drops every indexed name underneath.
-        t.remove_view(panel).unwrap();
-        assert_eq!(t.find_by_id_name("name"), None);
-        assert_eq!(t.find_by_id_name("panel"), None);
-        assert_eq!(*t.id_name_index(), t.rebuild_id_name_index());
-        assert_eq!(t.id_name_index().len(), 1); // decor remains
     }
 
     #[test]

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 /// A deliberately small name pool so scripts collide on id names and
-/// exercise the duplicate-name fallback paths of the cached index.
+/// queue duplicate bearers behind each name's indexed one.
 const NAME_POOL: [&str; 6] = ["pool_a", "pool_b", "pool_c", "pool_d", "pool_e", "pool_f"];
 
 #[derive(Debug, Clone)]
@@ -19,9 +19,6 @@ enum Step {
     Add {
         parent_choice: usize,
         name_choice: Option<usize>,
-    },
-    Remove {
-        choice: usize,
     },
     Mutate {
         choice: usize,
@@ -42,7 +39,6 @@ fn arb_step() -> impl Strategy<Value = Step> {
                 name_choice: (!anonymous).then_some(name),
             }
         ),
-        any::<usize>().prop_map(|choice| Step::Remove { choice }),
         any::<usize>().prop_map(|choice| Step::Mutate { choice }),
     ]
 }
@@ -64,9 +60,6 @@ fn apply_steps(tree: &mut ViewTree, steps: &[Step]) {
                 let parent = ids[parent_choice % ids.len()];
                 let name = name_choice.map(|n| NAME_POOL[n % NAME_POOL.len()]);
                 let _ = tree.add_view(parent, ViewKind::TextView, name);
-            }
-            Step::Remove { choice } => {
-                let _ = tree.remove_view(ids[choice % ids.len()]);
             }
             Step::Mutate { choice } => {
                 let _ = tree.apply(ids[choice % ids.len()], ViewOp::SetText("x".into()));
@@ -91,9 +84,8 @@ fn check_index(tree: &ViewTree) -> Result<(), TestCaseError> {
             .unwrap();
         prop_assert_eq!(id, lowest);
     }
-    // The shadowed-duplicate side index (which makes removal O(depth)
-    // instead of a full arena rescan) accounts for exactly the live
-    // named bearers that lost the lowest-id race.
+    // The shadowed-duplicate side index accounts for exactly the named
+    // bearers that lost the lowest-id race.
     let named_bearers = tree
         .iter_ids()
         .into_iter()
@@ -142,8 +134,7 @@ proptest! {
         split in any::<usize>(),
     ) {
         // A kept tree and a clone of it: the clone's adds go to its
-        // overlay while the two share the base, and a removal copies the
-        // shared part it changes.
+        // overlay while the two share the base.
         let mut kept = run_script(&before);
         kept.share();
         let index = kept.id_name_index().clone();

@@ -34,9 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// from different scripts share names the way two inflations do.
 const NAMES: [&str; 6] = ["v0", "v1", "v2", "v3", "v4", "v5"];
 
-/// A random tree-building script: each step adds a view, removes a
-/// subtree, mutates a view, flips a view's save flags, restores a saved
-/// bundle, continues on a clone, or releases the tree.
+/// A random tree-building script: each step adds a view, mutates a
+/// view, flips a view's save flags, restores a saved bundle, continues
+/// on a clone, or releases the tree.
 #[derive(Debug, Clone)]
 enum BuildStep {
     /// Adds a view under any live view (so most adds under a leaf fail
@@ -47,9 +47,6 @@ enum BuildStep {
         under_container: bool,
         kind: ViewKind,
         name: Option<usize>,
-    },
-    Remove {
-        choice: usize,
     },
     Mutate {
         choice: usize,
@@ -114,13 +111,11 @@ fn arb_mutate() -> impl Strategy<Value = BuildStep> {
 }
 
 /// Adds (one under any view, one under a container) and mutations are
-/// listed twice so trees grow and carry state; removals and flag flips
-/// are rarer.
+/// listed twice so trees grow and carry state; flag flips are rarer.
 fn arb_step() -> impl Strategy<Value = BuildStep> {
     prop_oneof![
         arb_add(false),
         arb_add(true),
-        any::<usize>().prop_map(|choice| BuildStep::Remove { choice }),
         arb_mutate(),
         arb_mutate(),
         (any::<usize>(), any::<bool>(), any::<bool>()).prop_map(
@@ -226,11 +221,6 @@ fn apply_script(tree: &mut ViewTree, steps: &[BuildStep], names: &[&str]) {
                 };
                 let id_name = name.map(|n| names[n % names.len()]);
                 let _ = tree.add_view(parent, *kind, id_name);
-            }
-            BuildStep::Remove { choice } => {
-                if let Some(id) = pick(*choice) {
-                    let _ = tree.remove_view(id);
-                }
             }
             BuildStep::Mutate { choice, op } => {
                 if let Some(id) = pick(*choice) {
@@ -541,8 +531,8 @@ proptest! {
         let ids = tree.iter_ids();
         // The root is always alive and first in pre-order.
         prop_assert_eq!(ids[0], tree.root());
-        // Every live view is reachable from the root exactly once, and
-        // the O(1) live counter agrees with the walk.
+        // Every view is reachable from the root exactly once: the view
+        // count, the arena's length, agrees with the walk.
         prop_assert_eq!(ids.len(), tree.view_count());
         // Parent/child links are symmetric.
         for id in &ids {
@@ -558,14 +548,10 @@ proptest! {
 
     #[test]
     fn invalidations_reference_live_views(steps in arb_script(60)) {
+        // No view leaves a tree, so every invalidation resolves.
         let mut tree = run_script(&steps);
-        let live = tree.iter_ids();
         for inv in tree.drain_invalidations() {
-            // An invalidation may reference a view that was since removed;
-            // but if it is live it must resolve.
-            if live.contains(&inv) {
-                prop_assert!(tree.view(inv).is_ok());
-            }
+            prop_assert!(tree.view(inv).is_ok());
         }
     }
 
@@ -601,8 +587,8 @@ proptest! {
         target in arb_script(80),
     ) {
         // Two trees sharing the name pool: the saved entries land on
-        // duplicate bearers, on removed names, and on views that do not
-        // save state themselves.
+        // duplicate bearers, on names the target lacks, and on views that
+        // do not save state themselves.
         let saved = oracle_save(&run_script(&source));
         let fresh = run_script(&target);
         let mut restored = fresh.clone();
@@ -666,8 +652,8 @@ proptest! {
 /// inflation.
 #[derive(Debug, Clone)]
 enum ShareStep {
-    /// A [`BuildStep`]: an add, a removal, an `apply`, the save flags, a
-    /// restore or a release (not a clone: [`ShareStep::Fork`] is that).
+    /// A [`BuildStep`]: an add, an `apply`, the save flags, a restore or
+    /// a release (not a clone: [`ShareStep::Fork`] is that).
     Build(BuildStep),
     /// `edit_attrs`: a scroll written with no invalidation.
     Edit { choice: usize, scroll_y: i32 },
@@ -922,6 +908,21 @@ proptest! {
         prop_assert_eq!(tree.save_hierarchy_state(), reference.save_hierarchy_state());
         prop_assert_eq!(bytes, tree.resident_bytes());
     }
+
+    #[test]
+    fn a_fragment_attached_to_an_empty_host_is_its_inflation(
+        layout in arb_layout(LAYOUT_CLASSES.len()),
+    ) {
+        // A fragment's layout joins the live tree under its container as
+        // an inflation fills a fresh tree under the decor view, so on a
+        // host that holds only its decor view the two build one tree.
+        let attached = start_tree(&Start::Graft(layout.clone()));
+        let inflated = inflate(&layout, &layout_table(), &Configuration::phone_portrait()).0;
+        prop_assert_eq!(&attached, &inflated);
+        prop_assert_eq!(attached.id_name_index(), inflated.id_name_index());
+        prop_assert_eq!(repeated_names_by_text(&attached)?, repeated_names_by_text(&inflated)?);
+        prop_assert_eq!(attached.save_hierarchy_state(), inflated.save_hierarchy_state());
+    }
 }
 
 proptest! {
@@ -932,9 +933,9 @@ proptest! {
         start in arb_start(),
         steps in arb_save_script(200),
     ) {
-        // Adds under any live view, removes, clones and grafted starts
-        // put later ids ahead of earlier ones in pre-order, so the
-        // bearers' order is the pre-order walk's, not the ids'.
+        // Adds under any live view put later ids ahead of earlier ones in
+        // pre-order, so the bearers' order is the pre-order walk's, not
+        // the ids'.
         let mut tree = start_tree(&start);
         prop_assert_eq!(repeated_names_by_text(&tree)?, oracle_repeated_names(&tree));
         for step in &steps {
