@@ -21,7 +21,7 @@
 //!   ([`passes_dataloss`]): field-level save/restore reachability over
 //!   persistence descriptors, `RCH007`–`RCH012`;
 //! * **Verdicts** ([`verdict`]) — a field-exact static prediction of
-//!   the dynamic oracle's `DetectionReport` under stock, RCHDroid and
+//!   the dynamic oracle's [`Verdict`] under stock, RCHDroid and
 //!   RuntimeDroid;
 //! * **Reports** ([`report`]) — fleet-parallel corpus runs whose
 //!   digest, ledger and renderings (human, JSON, SARIF) are identical
@@ -44,4 +44,4 @@ pub use passes::analyze_app;
 pub use passes_dataloss::dataloss_passes;
 pub use report::{analyze_specs, AnalysisReport, AppAnalysis};
 pub use shape::{view_path, AppShape, ConfigTree};
-pub use verdict::{predict, AnalysisMode, StaticVerdict};
+pub use verdict::{predict, AnalysisMode, Verdict};

@@ -19,7 +19,7 @@
 
 use crate::diag::{Diagnostic, LintCode, Loc, Severity};
 use crate::shape::{view_path, AppShape};
-use crate::verdict::{predict, AnalysisMode, StaticVerdict};
+use crate::verdict::{predict, AnalysisMode, Verdict};
 use rch_workloads::{DataLossClass, DataLossField, FieldOwner, GenericAppSpec};
 
 /// Runs the data-loss passes over one app. A no-op for apps without a
@@ -39,7 +39,7 @@ fn field_reachability(
     shape: &AppShape,
     class: DataLossClass,
     field: &DataLossField,
-    verdicts: &[(AnalysisMode, StaticVerdict); 3],
+    verdicts: &[(AnalysisMode, Verdict); 3],
     out: &mut Vec<Diagnostic>,
 ) {
     let lost_under: Vec<String> = verdicts
@@ -102,7 +102,7 @@ fn owner_noun(owner: FieldOwner) -> &'static str {
 /// probe sees, or a crash that pre-empts the field entirely.
 fn loss_annotation(
     mode: &AnalysisMode,
-    v: &StaticVerdict,
+    v: &Verdict,
     class: DataLossClass,
     key: &str,
 ) -> Option<String> {
@@ -127,7 +127,7 @@ fn loss_annotation(
 /// Pass 12 (`RCH012`): the data-loss verdict itself, per mode.
 fn predicted_data_loss(
     shape: &AppShape,
-    verdicts: &[(AnalysisMode, StaticVerdict); 3],
+    verdicts: &[(AnalysisMode, Verdict); 3],
     out: &mut Vec<Diagnostic>,
 ) {
     for (mode, v) in verdicts {

@@ -9,7 +9,7 @@
 use crate::diag::{json_string, Diagnostic, LintCode, Severity, Suppressions};
 use crate::passes::analyze_app;
 use crate::shape::AppShape;
-use crate::verdict::{predict, AnalysisMode, StaticVerdict};
+use crate::verdict::{predict, AnalysisMode, Verdict};
 use droidsim_fleet::{combine_ordered, run_fleet, Digest, FleetConfig};
 use droidsim_metrics::AnalysisLedger;
 use rch_workloads::GenericAppSpec;
@@ -24,11 +24,11 @@ pub struct AppAnalysis {
     /// Findings dropped by `--allow` rules.
     pub suppressed: u64,
     /// Predicted oracle report under stock handling.
-    pub stock: StaticVerdict,
+    pub stock: Verdict,
     /// Predicted oracle report under RCHDroid.
-    pub rchdroid: StaticVerdict,
+    pub rchdroid: Verdict,
     /// Predicted oracle report under RuntimeDroid.
-    pub runtimedroid: StaticVerdict,
+    pub runtimedroid: Verdict,
     /// The data-loss class label, for data-loss corpus apps.
     pub dataloss_class: Option<&'static str>,
 }
@@ -250,7 +250,7 @@ impl AnalysisReport {
     }
 }
 
-fn verdict_json(v: &StaticVerdict) -> String {
+fn verdict_json(v: &Verdict) -> String {
     let list = |items: &[String]| {
         let mut s = String::from("[");
         for (i, k) in items.iter().enumerate() {

@@ -80,26 +80,29 @@ impl AnalysisMode {
     }
 }
 
-/// The statically predicted mirror of `experiments::detector`'s
-/// `DetectionReport`.
+/// What the double-rotation check finds for one app under one system:
+/// [`predict`] computes it from the descriptor, and the dynamic oracle
+/// (`experiments::detector`) observes it on a device. The differential
+/// gate holds the two equal field by field.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticVerdict {
+pub struct Verdict {
     /// App name.
     pub app: String,
-    /// Predicted: the app crashes during the double-rotation check.
+    /// The app crashed during the check.
     pub crashed: bool,
-    /// Predicted state items lost after a single rotation.
+    /// State items lost after a single rotation.
     pub lost_after_one: Vec<String>,
-    /// Predicted items lost (on the foreground instance) after the
-    /// double rotation.
+    /// Items lost (on the foreground instance) after the double
+    /// rotation.
     pub lost_after_two: Vec<String>,
-    /// Predicted items missing from a live *non-foreground* (shadow)
-    /// instance after the double rotation — loss the coin flip masks.
+    /// Items missing from a live *non-foreground* (shadow) instance
+    /// after the double rotation — loss the coin flip masks.
     pub latent_after_two: Vec<String>,
 }
 
-impl StaticVerdict {
-    /// The predicted oracle verdict.
+impl Verdict {
+    /// Whether the app has a runtime-change issue under the checked
+    /// system.
     pub fn has_issue(&self) -> bool {
         self.crashed
             || !self.lost_after_one.is_empty()
@@ -115,8 +118,8 @@ impl StaticVerdict {
     }
 
     /// A clean verdict.
-    fn clean(app: &str) -> StaticVerdict {
-        StaticVerdict {
+    pub fn clean(app: &str) -> Verdict {
+        Verdict {
             app: app.to_owned(),
             crashed: false,
             lost_after_one: Vec::new(),
@@ -177,14 +180,14 @@ fn keys(spec: &GenericAppSpec, pred: impl Fn(&StateItem) -> bool) -> Vec<String>
 }
 
 /// Predicts the dynamic oracle's report for `spec` under `mode`.
-pub fn predict(spec: &GenericAppSpec, mode: AnalysisMode) -> StaticVerdict {
+pub fn predict(spec: &GenericAppSpec, mode: AnalysisMode) -> Verdict {
     if let Some(dl) = &spec.dataloss {
         return predict_dataloss(spec, dl, mode);
     }
     // RuntimeDroid's patch hooks the change before `configChanges` is
     // consulted, so self-handling only short-circuits the other two.
     if spec.handles_changes && mode != AnalysisMode::RuntimeDroid {
-        return StaticVerdict::clean(&spec.name);
+        return Verdict::clean(&spec.name);
     }
     match mode {
         AnalysisMode::Stock => {
@@ -192,29 +195,29 @@ pub fn predict(spec: &GenericAppSpec, mode: AnalysisMode) -> StaticVerdict {
                 // The 5 s callback fires into the released tree during
                 // the oracle's 8 s settle; nothing is probed after a
                 // crash.
-                StaticVerdict {
+                Verdict {
                     crashed: true,
-                    ..StaticVerdict::clean(&spec.name)
+                    ..Verdict::clean(&spec.name)
                 }
             } else {
                 let lost = keys(spec, |i| !survives_restart(i, spec));
-                StaticVerdict {
+                Verdict {
                     lost_after_one: lost.clone(),
                     lost_after_two: lost,
-                    ..StaticVerdict::clean(&spec.name)
+                    ..Verdict::clean(&spec.name)
                 }
             }
         }
         AnalysisMode::RchDroid => {
             let member_lost = keys(spec, |i| member_not_snapshotted(i, spec));
-            StaticVerdict {
+            Verdict {
                 lost_after_one: member_lost.clone(),
                 // The double rotation flips the original instance back:
                 // its member fields reappear on the foreground…
                 lost_after_two: Vec::new(),
                 // …but stay missing on the shadow-state replacement.
                 latent_after_two: member_lost,
-                ..StaticVerdict::clean(&spec.name)
+                ..Verdict::clean(&spec.name)
             }
         }
         AnalysisMode::RuntimeDroid => {
@@ -223,10 +226,10 @@ pub fn predict(spec: &GenericAppSpec, mode: AnalysisMode) -> StaticVerdict {
             // the app created in code is never rebuilt, since
             // `onCreate` does not re-run.
             let lost = keys(spec, |i| !i.mechanism.fixed_by_runtimedroid());
-            StaticVerdict {
+            Verdict {
                 lost_after_one: lost.clone(),
                 lost_after_two: lost,
-                ..StaticVerdict::clean(&spec.name)
+                ..Verdict::clean(&spec.name)
             }
         }
     }
@@ -265,17 +268,13 @@ fn field_keys(dl: &DataLossScenario, pred: impl Fn(&DataLossField) -> bool) -> V
 /// * **Input in flight** — uncommitted text is only in the view: the
 ///   stock restart drops it; RCHDroid migrates live attributes and
 ///   RuntimeDroid copies them by id.
-fn predict_dataloss(
-    spec: &GenericAppSpec,
-    dl: &DataLossScenario,
-    mode: AnalysisMode,
-) -> StaticVerdict {
-    let clean = StaticVerdict::clean(&spec.name);
+fn predict_dataloss(spec: &GenericAppSpec, dl: &DataLossScenario, mode: AnalysisMode) -> Verdict {
+    let clean = Verdict::clean(&spec.name);
     let transient = |f: &DataLossField| f.persistence == FieldPersistence::Transient;
     match dl.class {
         DataLossClass::ProcessDeath => {
             let lost = field_keys(dl, transient);
-            StaticVerdict {
+            Verdict {
                 lost_after_one: lost.clone(),
                 lost_after_two: lost,
                 ..clean
@@ -285,7 +284,7 @@ fn predict_dataloss(
             _ if spec.handles_changes => clean,
             AnalysisMode::Stock => {
                 let lost = field_keys(dl, transient);
-                StaticVerdict {
+                Verdict {
                     lost_after_one: lost.clone(),
                     lost_after_two: lost,
                     ..clean
@@ -293,7 +292,7 @@ fn predict_dataloss(
             }
             AnalysisMode::RchDroid => {
                 let lost = field_keys(dl, transient);
-                StaticVerdict {
+                Verdict {
                     lost_after_one: lost.clone(),
                     latent_after_two: lost,
                     ..clean
@@ -307,7 +306,7 @@ fn predict_dataloss(
                     clean
                 } else {
                     let lost = field_keys(dl, transient);
-                    StaticVerdict {
+                    Verdict {
                         lost_after_one: lost.clone(),
                         lost_after_two: lost,
                         ..clean
@@ -322,7 +321,7 @@ fn predict_dataloss(
                     // seeded from the live shadow; a transient dialog
                     // has no save site and no onCreate site either.
                     let lost = field_keys(dl, |f| transient(f) && f.owner == FieldOwner::Dialog);
-                    StaticVerdict {
+                    Verdict {
                         lost_after_one: lost.clone(),
                         latent_after_two: lost,
                         ..clean
@@ -331,7 +330,7 @@ fn predict_dataloss(
             }
             AnalysisMode::RuntimeDroid => {
                 let lost = field_keys(dl, |_| true);
-                StaticVerdict {
+                Verdict {
                     lost_after_one: lost.clone(),
                     lost_after_two: lost,
                     ..clean
@@ -340,11 +339,11 @@ fn predict_dataloss(
         },
         DataLossClass::AsyncRace => match mode {
             _ if spec.handles_changes => clean,
-            AnalysisMode::Stock => StaticVerdict {
+            AnalysisMode::Stock => Verdict {
                 crashed: true,
                 ..clean
             },
-            AnalysisMode::RchDroid => StaticVerdict {
+            AnalysisMode::RchDroid => Verdict {
                 latent_after_two: field_keys(dl, |_| true),
                 ..clean
             },
@@ -354,7 +353,7 @@ fn predict_dataloss(
             _ if spec.handles_changes => clean,
             AnalysisMode::Stock => {
                 let lost = field_keys(dl, |_| true);
-                StaticVerdict {
+                Verdict {
                     lost_after_one: lost.clone(),
                     lost_after_two: lost,
                     ..clean

@@ -68,7 +68,7 @@ pub struct Activity {
     /// bundle").
     pub shadow_bundle: Option<Bundle>,
     /// Fragments currently attached (see [`crate::fragment`]).
-    pub(crate) fragments: Vec<crate::fragment::AttachedFragment>,
+    pub(crate) fragments: Vec<crate::FragmentSpec>,
     inflate_stats: InflateStats,
 }
 
@@ -174,15 +174,8 @@ impl Activity {
     /// [`StateError`] for edges Fig. 4 forbids.
     pub fn transition(&mut self, to: ActivityState) -> Result<(), StateError> {
         self.state = self.state.transition_to(to)?;
-        match to {
-            ActivityState::Shadow => self.tree.dispatch_shadow_state_changed(true),
-            ActivityState::Sunny => self.tree.dispatch_sunny_state_changed(true),
-            ActivityState::Destroyed => self.tree.release(),
-            _ => {
-                if self.tree.is_shadow() {
-                    self.tree.dispatch_shadow_state_changed(false);
-                }
-            }
+        if to == ActivityState::Destroyed {
+            self.tree.release();
         }
         Ok(())
     }
@@ -273,7 +266,6 @@ mod tests {
         a.transition(ActivityState::Started).unwrap();
         a.transition(ActivityState::Sunny).unwrap();
         assert!(a.state().is_foreground());
-        assert!(a.tree.is_sunny());
     }
 
     #[test]
@@ -356,7 +348,7 @@ mod tests {
         a.transition(ActivityState::Resumed).unwrap();
         a.transition(ActivityState::Paused).unwrap();
         a.transition(ActivityState::Shadow).unwrap();
-        assert!(a.tree.is_shadow());
+        assert_eq!(a.state(), ActivityState::Shadow);
         assert!(a.state().is_alive());
     }
 

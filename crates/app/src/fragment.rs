@@ -26,7 +26,7 @@
 use crate::activity::Activity;
 use droidsim_config::Configuration;
 use droidsim_resources::ResourceTable;
-use droidsim_view::{inflate_under, ViewError, ViewId};
+use droidsim_view::{inflate_under, ViewError};
 
 /// A fragment description: which layout it inflates and where it mounts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,15 +48,6 @@ impl FragmentSpec {
             container: container.to_owned(),
         }
     }
-}
-
-/// A fragment attached to an activity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttachedFragment {
-    /// The spec it was attached from.
-    pub spec: FragmentSpec,
-    /// The root view of the fragment's subtree in the activity's tree.
-    pub root_view: ViewId,
 }
 
 /// Fragment errors.
@@ -104,8 +95,8 @@ impl Activity {
         &mut self,
         resources: &ResourceTable,
         spec: &FragmentSpec,
-    ) -> Result<AttachedFragment, FragmentError> {
-        if self.fragments.iter().any(|f| f.spec.tag == spec.tag) {
+    ) -> Result<(), FragmentError> {
+        if self.fragments.iter().any(|f| f.tag == spec.tag) {
             return Err(FragmentError::DuplicateTag(spec.tag.clone()));
         }
         let container = self
@@ -116,23 +107,14 @@ impl Activity {
         let template = resources
             .resolve_layout(&spec.layout, &config)
             .map_err(|_| FragmentError::MissingLayout(spec.layout.clone()))?;
-        let root_view = inflate_under(&mut self.tree, container, template, resources, &config)?;
-        let attached = AttachedFragment {
-            spec: spec.clone(),
-            root_view,
-        };
-        self.fragments.push(attached.clone());
-        Ok(attached)
+        inflate_under(&mut self.tree, container, template, resources, &config)?;
+        self.fragments.push(spec.clone());
+        Ok(())
     }
 
-    /// The fragments currently attached.
-    pub fn fragments(&self) -> &[AttachedFragment] {
+    /// The specs of the fragments currently attached.
+    pub fn fragments(&self) -> &[FragmentSpec] {
         &self.fragments
-    }
-
-    /// Finds an attached fragment by tag.
-    pub fn fragment(&self, tag: &str) -> Option<&AttachedFragment> {
-        self.fragments.iter().find(|f| f.spec.tag == tag)
     }
 }
 
@@ -178,15 +160,11 @@ mod tests {
         let mut a = activity();
         let resources = resources_with_fragment();
         let before = a.tree.view_count();
-        let attached = a
-            .attach_fragment(
-                &resources,
-                &FragmentSpec::new("login", "fragment_login", "root"),
-            )
-            .unwrap();
+        let spec = FragmentSpec::new("login", "fragment_login", "root");
+        a.attach_fragment(&resources, &spec).unwrap();
         assert_eq!(a.tree.view_count(), before + 3);
         assert!(a.tree.find_by_id_name("username").is_some());
-        assert_eq!(a.fragment("login").unwrap().root_view, attached.root_view);
+        assert_eq!(a.fragments(), [spec]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod state;
 pub mod thread;
 
 pub use activity::{Activity, ActivityInstanceId};
-pub use fragment::{AttachedFragment, FragmentError, FragmentSpec};
+pub use fragment::{FragmentError, FragmentSpec};
 pub use model::{AppModel, AsyncResult, AsyncSpec, SimpleApp};
 pub use state::{ActivityState, StateError};
 pub use thread::{ActivityThread, AsyncWork, ThreadError};

@@ -1,6 +1,5 @@
 //! The ATMS facade: record arena + activity stack + starter logic.
 
-use crate::intent::{Intent, IntentFlags};
 use crate::record::{ActivityRecord, ActivityRecordId, RecordState};
 use crate::stack::{ActivityStack, TaskId, TaskRecord};
 use core::fmt;
@@ -13,9 +12,6 @@ use std::collections::BTreeMap;
 pub enum StartDisposition {
     /// A new record was created and pushed.
     CreatedNew,
-    /// The top record already matched (default/SINGLE_TOP semantics);
-    /// nothing was created.
-    ReusedTop,
     /// RCHDroid coin-flip: an alive shadow record was reordered to the top
     /// and its shadow state removed; the previous top became the shadow.
     FlippedShadow {
@@ -24,7 +20,7 @@ pub enum StartDisposition {
     },
 }
 
-/// The outcome of [`Atms::start_activity`].
+/// The outcome of [`Atms::start_activity`] and [`Atms::start_sunny`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StartResult {
     /// The record now at the top of the task (the foreground activity).
@@ -35,7 +31,7 @@ pub struct StartResult {
     pub disposition: StartDisposition,
 }
 
-/// `ensureActivityConfiguration`'s verdict for one record.
+/// `ensureActivityConfiguration`'s verdict for the foreground record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigDecision {
     /// The configurations are identical.
@@ -43,11 +39,9 @@ pub enum ConfigDecision {
     /// The app declared it handles every changed axis: deliver
     /// `onConfigurationChanged`, no relaunch.
     HandledByApp(ConfigChanges),
-    /// Stock Android: destroy and recreate the activity.
+    /// The change needs a restart. Stock Android performs it; RCHDroid
+    /// (§3.1) and RuntimeDroid prevent it.
     Relaunch(ConfigChanges),
-    /// RCHDroid: the relaunch test is skipped; the change handler will run
-    /// the shadow/sunny protocol instead.
-    PreventedRelaunch(ConfigChanges),
 }
 
 /// ATMS errors.
@@ -55,15 +49,12 @@ pub enum ConfigDecision {
 pub enum AtmsError {
     /// No record with this token.
     UnknownRecord(ActivityRecordId),
-    /// No task with this id.
-    UnknownTask(TaskId),
 }
 
 impl fmt::Display for AtmsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AtmsError::UnknownRecord(r) => write!(f, "unknown activity record {r}"),
-            AtmsError::UnknownTask(t) => write!(f, "unknown task {t}"),
         }
     }
 }
@@ -72,21 +63,21 @@ impl std::error::Error for AtmsError {}
 
 /// The activity task manager service.
 ///
-/// Owns the activity stack and the record arena, and implements the
-/// starter logic — including the RCHDroid start path taken for intents
-/// carrying [`IntentFlags::SUNNY`].
+/// Owns the activity stack and the record arena, and implements the two
+/// starts the simulation makes: a launch, and RCHDroid's coin-flipping
+/// sunny start.
 ///
 /// # Examples
 ///
 /// ```
-/// use droidsim_atms::{Atms, Intent, IntentFlags, StartDisposition};
-/// use droidsim_config::Configuration;
+/// use droidsim_atms::{Atms, StartDisposition};
+/// use droidsim_config::{ConfigChanges, Configuration};
 /// use droidsim_kernel::SimTime;
 ///
 /// let mut atms = Atms::new(Configuration::phone_portrait());
-/// let first = atms.start_activity_at(&Intent::new("app/.Main"), SimTime::ZERO);
+/// let first = atms.start_activity("app/.Main", ConfigChanges::NONE);
 /// // A sunny start creates a *second* instance of the same component:
-/// let sunny = atms.start_activity_at(&Intent::sunny("app/.Main"), SimTime::from_secs(1));
+/// let sunny = atms.start_sunny("app/.Main", SimTime::from_secs(1), ConfigChanges::NONE);
 /// assert!(matches!(sunny.disposition, StartDisposition::CreatedNew));
 /// assert!(atms.record(first.record).unwrap().is_shadow());
 /// ```
@@ -96,9 +87,6 @@ pub struct Atms {
     records: BTreeMap<ActivityRecordId, ActivityRecord>,
     record_ids: IdGen,
     global_config: Configuration,
-    /// Default handled-changes mask applied to newly started components
-    /// (set per-start via [`Atms::start_activity_with_mask`]).
-    default_handled: ConfigChanges,
 }
 
 impl Atms {
@@ -109,7 +97,6 @@ impl Atms {
             records: BTreeMap::new(),
             record_ids: IdGen::new(),
             global_config,
-            default_handled: ConfigChanges::NONE,
         }
     }
 
@@ -118,11 +105,18 @@ impl Atms {
         &self.global_config
     }
 
-    /// Replaces the global configuration, returning the foreground record
-    /// (the one that must now handle the change), if any.
-    pub fn update_global_config(&mut self, config: Configuration) -> Option<ActivityRecordId> {
+    /// `updateConfiguration`: replaces the global configuration and
+    /// ensures the foreground record's configuration against it. Returns
+    /// that record (the one that must now handle the change) with its
+    /// verdict, or `None` when nothing is in the foreground.
+    pub fn update_global_config(
+        &mut self,
+        config: Configuration,
+    ) -> Option<(ActivityRecordId, ConfigDecision)> {
         self.global_config = config;
-        self.foreground_record()
+        let record = self.foreground_record()?;
+        let decision = self.ensure_activity_configuration(record)?;
+        Some((record, decision))
     }
 
     /// The foreground (top-of-top-task) record.
@@ -142,126 +136,32 @@ impl Atms {
         Some(record)
     }
 
-    /// Starts an activity at time zero (tests/examples convenience).
-    pub fn start_activity(&mut self, intent: &Intent) -> StartResult {
-        self.start_activity_at(intent, SimTime::ZERO)
-    }
-
-    /// Starts an activity with default handled-mask.
-    pub fn start_activity_at(&mut self, intent: &Intent, now: SimTime) -> StartResult {
-        self.start_activity_with_mask(intent, now, self.default_handled)
-    }
-
-    /// Starts an activity, declaring the component's
-    /// `android:configChanges` mask.
-    ///
-    /// Implements `ActivityStarter.startActivityUnchecked` +
-    /// `setTaskFromIntentActivity`, including the paper's +41 LoC: when the
-    /// intent carries [`IntentFlags::SUNNY`], first search the current task
-    /// for an alive shadow record and coin-flip instead of creating.
-    pub fn start_activity_with_mask(
-        &mut self,
-        intent: &Intent,
-        now: SimTime,
-        handled: ConfigChanges,
-    ) -> StartResult {
-        // NEW_TASK with an existing task reuses it, like Android; a task is
-        // created only when none with the affinity exists yet.
-        let affinity = affinity_of(intent.component);
-        let task_id = self
-            .stack
-            .task_by_affinity(affinity)
-            .unwrap_or_else(|| self.stack.create_task(affinity));
-        self.stack.move_task_to_front(task_id);
-
-        if intent.flags.contains(IntentFlags::SUNNY) {
-            return self.start_sunny(intent, task_id, now, handled);
-        }
-
-        // CLEAR_TOP: if an instance of the component exists anywhere in
-        // the task, destroy everything above it and deliver to it.
-        if intent.flags.contains(IntentFlags::CLEAR_TOP) {
-            let existing = self.stack.task(task_id).and_then(|t| {
-                t.records().iter().copied().find(|id| {
-                    self.records
-                        .get(id)
-                        .is_some_and(|r| r.component() == intent.component && r.is_alive())
-                })
-            });
-            if let Some(target) = existing {
-                let above: Vec<ActivityRecordId> = self
-                    .stack
-                    .task(task_id)
-                    .map(|t| {
-                        t.records()
-                            .iter()
-                            .copied()
-                            .skip_while(|&id| id != target)
-                            .skip(1)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for record in above {
-                    let _ = self.destroy_record(record);
-                }
-                if let Some(r) = self.records.get_mut(&target) {
-                    r.state = RecordState::Resumed;
-                }
-                return StartResult {
-                    record: target,
-                    task: task_id,
-                    disposition: StartDisposition::ReusedTop,
-                };
-            }
-        }
-
-        // Stock semantics: with default or SINGLE_TOP flags, starting the
-        // activity already on top is a no-op.
-        let top = self.stack.task(task_id).and_then(TaskRecord::top);
-        if let Some(top_id) = top {
-            let matches_top = self
-                .records
-                .get(&top_id)
-                .is_some_and(|r| r.component() == intent.component && !r.is_shadow());
-            if matches_top {
-                return StartResult {
-                    record: top_id,
-                    task: task_id,
-                    disposition: StartDisposition::ReusedTop,
-                };
-            }
-        }
-
-        let record = self.create_record(intent.component, handled);
-        self.push_record(task_id, affinity, record);
+    /// Launches `component`, whose `android:configChanges` mask is
+    /// `handled`: a new record goes on top of the task its package
+    /// names, which is created if missing and brought to the front.
+    pub fn start_activity(&mut self, component: &str, handled: ConfigChanges) -> StartResult {
+        let task = self.front_task(component);
+        let record = self.push_new_record(task, component, handled);
         StartResult {
             record,
-            task: task_id,
+            task,
             disposition: StartDisposition::CreatedNew,
         }
     }
 
-    /// Pushes `record` onto `task_id`, recreating the task if it vanished
-    /// in between (keeps the starter panic-free on the hot path).
-    fn push_record(&mut self, task_id: TaskId, affinity: &str, record: ActivityRecordId) {
-        let task_id = if self.stack.task(task_id).is_some() {
-            task_id
-        } else {
-            self.stack.create_task(affinity)
-        };
-        if let Some(task) = self.stack.task_mut(task_id) {
-            task.push(record);
-        }
-    }
-
-    /// The SUNNY start path (RCHDroid §3.4).
-    fn start_sunny(
+    /// RCHDroid's start path (§3.4, the paper's +41 LoC in
+    /// `ActivityStarter`): the second half of a runtime change for the
+    /// foreground `component`. An alive shadow record in the task is
+    /// coin-flipped back to the top; without one, a *second* record of
+    /// the component is created. Either way the previous top becomes
+    /// the shadow.
+    pub fn start_sunny(
         &mut self,
-        intent: &Intent,
-        task_id: TaskId,
+        component: &str,
         now: SimTime,
         handled: ConfigChanges,
     ) -> StartResult {
+        let task_id = self.front_task(component);
         let current_top = self.stack.task(task_id).and_then(TaskRecord::top);
 
         // Coin-flip: search the task for an alive shadow-state record.
@@ -295,11 +195,9 @@ impl Atms {
             };
         }
 
-        // First runtime change: create a *second* instance of the same
-        // component (the stock same-as-top test is bypassed for SUNNY),
-        // push it, and shadow the previous top.
-        let record = self.create_record(intent.component, handled);
-        self.push_record(task_id, affinity_of(intent.component), record);
+        // First runtime change: push a second instance of the same
+        // component and shadow the previous top.
+        let record = self.push_new_record(task_id, component, handled);
         if let Some(prev) = current_top {
             if let Some(r) = self.records.get_mut(&prev) {
                 r.set_shadow(true, now);
@@ -313,47 +211,54 @@ impl Atms {
         }
     }
 
-    fn create_record(&mut self, component: &str, handled: ConfigChanges) -> ActivityRecordId {
+    /// The task `component`'s package names, created if missing, brought
+    /// to the front.
+    fn front_task(&mut self, component: &str) -> TaskId {
+        let affinity = affinity_of(component);
+        let task = self
+            .stack
+            .task_by_affinity(affinity)
+            .unwrap_or_else(|| self.stack.create_task(affinity));
+        self.stack.move_task_to_front(task);
+        task
+    }
+
+    /// Creates a record for `component` and pushes it onto `task`.
+    fn push_new_record(
+        &mut self,
+        task: TaskId,
+        component: &str,
+        handled: ConfigChanges,
+    ) -> ActivityRecordId {
         let id = ActivityRecordId::new(self.record_ids.next());
         self.records.insert(
             id,
             ActivityRecord::new(id, component, self.global_config, handled),
         );
+        if let Some(task) = self.stack.task_mut(task) {
+            task.push(id);
+        }
         id
     }
 
     /// `ActivityRecord.ensureActivityConfiguration`: decides how `record`
-    /// reacts to the current global configuration. `prevent_relaunch` is
-    /// the paper's modification — RCHDroid "skips this test and always
-    /// prevents restarting".
-    ///
-    /// The record's stored configuration is updated in every non-`NoChange`
-    /// case.
-    ///
-    /// # Errors
-    ///
-    /// [`AtmsError::UnknownRecord`] for stale tokens.
-    pub fn ensure_activity_configuration(
+    /// reacts to the current global configuration, and stores that
+    /// configuration on the record unless nothing changed.
+    fn ensure_activity_configuration(
         &mut self,
         record: ActivityRecordId,
-        prevent_relaunch: bool,
-    ) -> Result<ConfigDecision, AtmsError> {
+    ) -> Option<ConfigDecision> {
         let global = self.global_config;
-        let r = self
-            .records
-            .get_mut(&record)
-            .ok_or(AtmsError::UnknownRecord(record))?;
+        let r = self.records.get_mut(&record)?;
         let diff = r.config.diff(&global);
         if diff.is_empty() {
-            return Ok(ConfigDecision::NoChange);
+            return Some(ConfigDecision::NoChange);
         }
         r.config = global;
         if diff.is_subset_of(r.handled_changes) {
-            Ok(ConfigDecision::HandledByApp(diff))
-        } else if prevent_relaunch {
-            Ok(ConfigDecision::PreventedRelaunch(diff))
+            Some(ConfigDecision::HandledByApp(diff))
         } else {
-            Ok(ConfigDecision::Relaunch(diff))
+            Some(ConfigDecision::Relaunch(diff))
         }
     }
 
@@ -402,13 +307,13 @@ impl Atms {
         Ok(())
     }
 
-    /// Rolls back a SUNNY start whose sunny instance could not be brought
+    /// Rolls back a sunny start whose sunny instance could not be brought
     /// up (RCHDroid's fallback-restart path): the record the starter just
     /// put on top is destroyed, and `previous_top` — the record that was
     /// foreground before the start — is un-shadowed, resumed and
     /// reordered back to the top. After this the stack looks exactly as
-    /// it did before [`Atms::start_activity_with_mask`] ran, so it never
-    /// references an instance that failed to come up.
+    /// it did before [`Atms::start_sunny`] ran, so it never references an
+    /// instance that failed to come up.
     ///
     /// # Errors
     ///
@@ -419,13 +324,8 @@ impl Atms {
         previous_top: ActivityRecordId,
         now: SimTime,
     ) -> Result<(), AtmsError> {
-        match start.disposition {
-            StartDisposition::CreatedNew | StartDisposition::FlippedShadow { .. } => {
-                if start.record != previous_top {
-                    let _ = self.destroy_record(start.record);
-                }
-            }
-            StartDisposition::ReusedTop => {}
+        if start.record != previous_top {
+            let _ = self.destroy_record(start.record);
         }
         let r = self
             .records
@@ -495,30 +395,28 @@ mod tests {
         Atms::new(Configuration::phone_portrait())
     }
 
+    fn launch(a: &mut Atms, component: &str) -> StartResult {
+        a.start_activity(component, ConfigChanges::NONE)
+    }
+
+    fn sunny(a: &mut Atms, component: &str, secs: u64) -> StartResult {
+        a.start_sunny(component, SimTime::from_secs(secs), ConfigChanges::NONE)
+    }
+
     #[test]
     fn first_start_creates_task_and_record() {
         let mut a = atms();
-        let res = a.start_activity(&Intent::new("com.x/.Main"));
+        let res = launch(&mut a, "com.x/.Main");
         assert_eq!(res.disposition, StartDisposition::CreatedNew);
         assert_eq!(a.foreground_record(), Some(res.record));
         assert_eq!(a.alive_record_count(), 1);
     }
 
     #[test]
-    fn default_flag_reuses_top_same_component() {
-        let mut a = atms();
-        let first = a.start_activity(&Intent::new("com.x/.Main"));
-        let second = a.start_activity(&Intent::new("com.x/.Main"));
-        assert_eq!(second.disposition, StartDisposition::ReusedTop);
-        assert_eq!(second.record, first.record);
-        assert_eq!(a.alive_record_count(), 1);
-    }
-
-    #[test]
     fn different_component_stacks_in_same_task() {
         let mut a = atms();
-        a.start_activity(&Intent::new("com.x/.Main"));
-        let detail = a.start_activity(&Intent::new("com.x/.Detail"));
+        launch(&mut a, "com.x/.Main");
+        let detail = launch(&mut a, "com.x/.Detail");
         assert_eq!(detail.disposition, StartDisposition::CreatedNew);
         let task = a.stack().top_task().unwrap();
         assert_eq!(task.len(), 2);
@@ -528,10 +426,10 @@ mod tests {
     #[test]
     fn sunny_start_creates_second_instance_and_shadows_previous() {
         let mut a = atms();
-        let first = a.start_activity(&Intent::new("com.x/.Main"));
-        let sunny = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(1));
-        assert_eq!(sunny.disposition, StartDisposition::CreatedNew);
-        assert_ne!(sunny.record, first.record);
+        let first = launch(&mut a, "com.x/.Main");
+        let second = sunny(&mut a, "com.x/.Main", 1);
+        assert_eq!(second.disposition, StartDisposition::CreatedNew);
+        assert_ne!(second.record, first.record);
         assert!(a.record(first.record).unwrap().is_shadow());
         assert_eq!(a.shadow_records(), vec![first.record]);
         // Both instances of the SAME component coexist in one task.
@@ -541,9 +439,9 @@ mod tests {
     #[test]
     fn second_sunny_start_coin_flips() {
         let mut a = atms();
-        let first = a.start_activity(&Intent::new("com.x/.Main"));
-        let second = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(1));
-        let third = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(2));
+        let first = launch(&mut a, "com.x/.Main");
+        let second = sunny(&mut a, "com.x/.Main", 1);
+        let third = sunny(&mut a, "com.x/.Main", 2);
         // No third record: the shadow (first) was flipped back to sunny.
         assert_eq!(
             third.disposition,
@@ -561,13 +459,11 @@ mod tests {
     #[test]
     fn coin_flip_alternates_indefinitely() {
         let mut a = atms();
-        let r0 = a.start_activity(&Intent::new("com.x/.Main")).record;
-        let r1 = a
-            .start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(1))
-            .record;
+        let r0 = launch(&mut a, "com.x/.Main").record;
+        let r1 = sunny(&mut a, "com.x/.Main", 1).record;
         let mut expect = [r0, r1];
         for i in 2..10u64 {
-            let res = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(i));
+            let res = sunny(&mut a, "com.x/.Main", i);
             assert!(matches!(
                 res.disposition,
                 StartDisposition::FlippedShadow { .. }
@@ -582,84 +478,45 @@ mod tests {
     #[test]
     fn sunny_after_shadow_gc_creates_again() {
         let mut a = atms();
-        let first = a.start_activity(&Intent::new("com.x/.Main")).record;
-        let _second = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(1));
+        let first = launch(&mut a, "com.x/.Main").record;
+        let _second = sunny(&mut a, "com.x/.Main", 1);
         // GC the shadow (first).
         a.destroy_record(first).unwrap();
-        let third = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(2));
+        let third = sunny(&mut a, "com.x/.Main", 2);
         assert_eq!(third.disposition, StartDisposition::CreatedNew);
         assert_ne!(third.record, first);
     }
 
     #[test]
-    fn clear_top_pops_back_to_existing_instance() {
-        let mut a = atms();
-        let main = a.start_activity(&Intent::new("com.x/.Main")).record;
-        a.start_activity(&Intent::new("com.x/.Detail"));
-        a.start_activity(&Intent::new("com.x/.Settings"));
-        assert_eq!(a.stack().top_task().unwrap().len(), 3);
-
-        let res = a.start_activity(&Intent::new("com.x/.Main").with_flags(IntentFlags::CLEAR_TOP));
-        assert_eq!(res.record, main);
-        assert_eq!(res.disposition, StartDisposition::ReusedTop);
-        assert_eq!(
-            a.stack().top_task().unwrap().len(),
-            1,
-            "everything above destroyed"
-        );
-        assert_eq!(a.alive_record_count(), 1);
-        assert_eq!(a.foreground_record(), Some(main));
-    }
-
-    #[test]
-    fn clear_top_without_existing_instance_creates() {
-        let mut a = atms();
-        a.start_activity(&Intent::new("com.x/.Main"));
-        let res = a.start_activity(&Intent::new("com.x/.Other").with_flags(IntentFlags::CLEAR_TOP));
-        assert_eq!(res.disposition, StartDisposition::CreatedNew);
-        assert_eq!(a.stack().top_task().unwrap().len(), 2);
-    }
-
-    #[test]
     fn ensure_configuration_relaunches_by_default() {
         let mut a = atms();
-        let rec = a.start_activity(&Intent::new("com.x/.Main")).record;
-        a.update_global_config(Configuration::phone_landscape());
-        let d = a.ensure_activity_configuration(rec, false).unwrap();
+        let rec = launch(&mut a, "com.x/.Main").record;
+        let (fore, d) = a
+            .update_global_config(Configuration::phone_landscape())
+            .unwrap();
+        assert_eq!(fore, rec);
         assert!(matches!(d, ConfigDecision::Relaunch(_)));
-        // Config was applied: a second call sees no change.
-        let d2 = a.ensure_activity_configuration(rec, false).unwrap();
-        assert_eq!(d2, ConfigDecision::NoChange);
+        // Config was applied: the same update again sees no change.
+        assert_eq!(
+            a.update_global_config(Configuration::phone_landscape()),
+            Some((rec, ConfigDecision::NoChange))
+        );
     }
 
     #[test]
     fn ensure_configuration_honours_handled_mask() {
         let mut a = atms();
-        let rec = a
-            .start_activity_with_mask(
-                &Intent::new("com.x/.Main"),
-                SimTime::ZERO,
-                ConfigChanges::ALL,
-            )
-            .record;
-        a.update_global_config(Configuration::phone_landscape());
-        let d = a.ensure_activity_configuration(rec, false).unwrap();
+        a.start_activity("com.x/.Main", ConfigChanges::ALL);
+        let (_, d) = a
+            .update_global_config(Configuration::phone_landscape())
+            .unwrap();
         assert!(matches!(d, ConfigDecision::HandledByApp(_)));
-    }
-
-    #[test]
-    fn ensure_configuration_prevented_for_rchdroid() {
-        let mut a = atms();
-        let rec = a.start_activity(&Intent::new("com.x/.Main")).record;
-        a.update_global_config(Configuration::phone_landscape());
-        let d = a.ensure_activity_configuration(rec, true).unwrap();
-        assert!(matches!(d, ConfigDecision::PreventedRelaunch(_)));
     }
 
     #[test]
     fn destroy_record_empties_task() {
         let mut a = atms();
-        let rec = a.start_activity(&Intent::new("com.x/.Main")).record;
+        let rec = launch(&mut a, "com.x/.Main").record;
         a.destroy_record(rec).unwrap();
         assert!(a.stack().is_empty());
         assert_eq!(a.alive_record_count(), 0);
@@ -671,7 +528,7 @@ mod tests {
         let mut a = atms();
         let bogus = ActivityRecordId::new(99);
         assert_eq!(
-            a.ensure_activity_configuration(bogus, false),
+            a.set_record_state(bogus, RecordState::Resumed),
             Err(AtmsError::UnknownRecord(bogus))
         );
         assert!(a.destroy_record(bogus).is_err());
@@ -680,8 +537,8 @@ mod tests {
     #[test]
     fn rollback_of_created_sunny_start_restores_the_stack() {
         let mut a = atms();
-        let first = a.start_activity(&Intent::new("com.x/.Main")).record;
-        let start = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(1));
+        let first = launch(&mut a, "com.x/.Main").record;
+        let start = sunny(&mut a, "com.x/.Main", 1);
         assert!(a.record(first).unwrap().is_shadow());
 
         a.rollback_sunny_start(&start, first, SimTime::from_secs(1))
@@ -697,12 +554,10 @@ mod tests {
     #[test]
     fn rollback_of_flipped_sunny_start_restores_the_stack() {
         let mut a = atms();
-        let r0 = a.start_activity(&Intent::new("com.x/.Main")).record;
-        let r1 = a
-            .start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(1))
-            .record;
+        let r0 = launch(&mut a, "com.x/.Main").record;
+        let r1 = sunny(&mut a, "com.x/.Main", 1).record;
         // Second change coin-flips r0 back to the top; r1 becomes shadow.
-        let flip = a.start_activity_at(&Intent::sunny("com.x/.Main"), SimTime::from_secs(2));
+        let flip = sunny(&mut a, "com.x/.Main", 2);
         assert_eq!(flip.record, r0);
 
         // The flip could not be brought up on the thread side: roll back.
@@ -721,8 +576,8 @@ mod tests {
     #[test]
     fn separate_apps_get_separate_tasks() {
         let mut a = atms();
-        a.start_activity(&Intent::new("com.x/.Main"));
-        a.start_activity(&Intent::new("com.y/.Main"));
+        launch(&mut a, "com.x/.Main");
+        launch(&mut a, "com.y/.Main");
         assert_eq!(a.stack().len(), 2);
         assert_eq!(a.stack().top_task().unwrap().affinity, "com.y");
     }

@@ -7,7 +7,7 @@ use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog}
 use core::fmt;
 use droidsim_app::{Activity, ActivityInstanceId};
 use droidsim_app::{ActivityState, ActivityThread, AppModel, AsyncWork, ThreadError};
-use droidsim_atms::{Atms, AtmsError, ConfigDecision, Intent, RecordState, StartDisposition};
+use droidsim_atms::{Atms, AtmsError, RecordState, StartDisposition};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_kernel::SimTime;
 use droidsim_metrics::FaultMetrics;
@@ -17,10 +17,6 @@ use std::panic::{self, AssertUnwindSafe};
 /// Which path a runtime change took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChangeKind {
-    /// The global configuration did not actually change.
-    NoChange,
-    /// The app declared `android:configChanges` and handled it in place.
-    HandledByApp,
     /// First change: a new sunny instance was created and coupled
     /// (RCHDroid-init in the paper's plots).
     Init,
@@ -95,9 +91,6 @@ pub enum HandlerError {
     /// Migration failure the ladder could not absorb below rung 3 (an
     /// app-logic crash stock Android would die on too).
     Migration(MigrationError),
-    /// A protocol invariant the handler relies on was violated (these
-    /// replace what used to be `unreachable!` panics).
-    Internal(&'static str),
 }
 
 impl fmt::Display for HandlerError {
@@ -108,7 +101,6 @@ impl fmt::Display for HandlerError {
             HandlerError::Atms(e) => write!(f, "{e}"),
             HandlerError::View(e) => write!(f, "{e}"),
             HandlerError::Migration(e) => write!(f, "{e}"),
-            HandlerError::Internal(what) => write!(f, "handler invariant violated: {what}"),
         }
     }
 }
@@ -250,8 +242,10 @@ impl RchDroid {
         self.engine.metrics()
     }
 
-    /// Handles a runtime configuration change for the foreground activity
-    /// (the ATMS global configuration must already be updated).
+    /// Handles a runtime configuration change that needs a restart for
+    /// the foreground activity: [`Atms::update_global_config`] already
+    /// ran and answered [`droidsim_atms::ConfigDecision::Relaunch`], and
+    /// RCHDroid prevents that restart (§3.1).
     ///
     /// Implements steps ①–③ of Fig. 3: shadow the current instance,
     /// sunny-start (create or coin-flip), restore state and couple the
@@ -278,39 +272,6 @@ impl RchDroid {
         let old_instance = thread
             .instance_for_token(fore_record)
             .ok_or(HandlerError::NoForegroundActivity)?;
-
-        // RCHDroid always prevents the relaunch test (§3.1).
-        let decision = atms.ensure_activity_configuration(fore_record, true)?;
-        match decision {
-            ConfigDecision::NoChange => {
-                let view_count = thread.instance(old_instance)?.tree.view_count();
-                return Ok(ChangeOutcome {
-                    kind: ChangeKind::NoChange,
-                    sunny_instance: old_instance,
-                    shadow_instance: thread.current_shadow(),
-                    view_count,
-                    fault: None,
-                });
-            }
-            ConfigDecision::HandledByApp(_) => {
-                let activity = thread.instance_mut(old_instance)?;
-                model.on_configuration_changed(activity);
-                let view_count = activity.tree.view_count();
-                return Ok(ChangeOutcome {
-                    kind: ChangeKind::HandledByApp,
-                    sunny_instance: old_instance,
-                    shadow_instance: thread.current_shadow(),
-                    view_count,
-                    fault: None,
-                });
-            }
-            ConfigDecision::Relaunch(_) => {
-                return Err(HandlerError::Internal(
-                    "prevent_relaunch=true never yields Relaunch",
-                ));
-            }
-            ConfigDecision::PreventedRelaunch(_) => {}
-        }
 
         // Ablation: with coin-flipping disabled, release any existing
         // shadow so the starter's search finds nothing and every change
@@ -347,8 +308,7 @@ impl RchDroid {
 
         // Step ②: sunny-start through the ATMS (creates or coin-flips).
         let component = thread.instance(old_instance)?.component();
-        let start =
-            atms.start_activity_with_mask(&Intent::sunny(component), now, model.handled_changes());
+        let start = atms.start_sunny(component, now, model.handled_changes());
 
         match start.disposition {
             StartDisposition::CreatedNew => {
@@ -431,9 +391,6 @@ impl RchDroid {
                     fault: None,
                 })
             }
-            StartDisposition::ReusedTop => Err(HandlerError::Internal(
-                "SUNNY starts never reuse the top record",
-            )),
         }
     }
 
@@ -695,7 +652,7 @@ mod tests {
         let model = SimpleApp::with_views(views);
         let mut atms = Atms::new(Configuration::phone_portrait());
         let mut thread = ActivityThread::new();
-        let start = atms.start_activity(&Intent::new(model.component_name()));
+        let start = atms.start_activity(model.component_name(), model.handled_changes());
         let instance = thread.perform_launch_activity(
             &model,
             start.record,
@@ -754,47 +711,6 @@ mod tests {
             2,
             "never a third instance"
         );
-    }
-
-    #[test]
-    fn no_change_short_circuits() {
-        let mut rig = boot(2);
-        let same = *rig.atms.global_config();
-        rig.atms.update_global_config(same);
-        let outcome = rig
-            .rch
-            .handle_configuration_change(&mut rig.thread, &mut rig.atms, &rig.model, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(outcome.kind, ChangeKind::NoChange);
-        assert_eq!(rig.thread.alive_instances().len(), 1);
-    }
-
-    #[test]
-    fn self_handling_app_stays_in_place() {
-        let model = SimpleApp::builder(2)
-            .handles(droidsim_config::ConfigChanges::ALL)
-            .build();
-        let mut atms = Atms::new(Configuration::phone_portrait());
-        let mut thread = ActivityThread::new();
-        let start = atms.start_activity_with_mask(
-            &Intent::new(model.component_name()),
-            SimTime::ZERO,
-            model.handled_changes(),
-        );
-        let instance = thread.perform_launch_activity(
-            &model,
-            start.record,
-            Configuration::phone_portrait(),
-            None,
-        );
-        thread.resume_sequence(instance, false).unwrap();
-        let mut rch = RchDroid::new();
-        atms.update_global_config(Configuration::phone_landscape());
-        let outcome = rch
-            .handle_configuration_change(&mut thread, &mut atms, &model, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(outcome.kind, ChangeKind::HandledByApp);
-        assert_eq!(thread.alive_instances().len(), 1);
     }
 
     #[test]

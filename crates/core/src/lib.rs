@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use droidsim_app::{ActivityThread, AppModel, SimpleApp};
-//! use droidsim_atms::{Atms, Intent};
+//! use droidsim_atms::{Atms, ConfigDecision};
 //! use droidsim_config::Configuration;
 //! use droidsim_kernel::SimTime;
 //! use rchdroid::{ChangeKind, RchDroid};
@@ -35,14 +35,16 @@
 //! let model = SimpleApp::with_views(4);
 //! let mut atms = Atms::new(Configuration::phone_portrait());
 //! let mut thread = ActivityThread::new();
-//! let start = atms.start_activity(&Intent::new(model.component_name()));
+//! let start = atms.start_activity(model.component_name(), model.handled_changes());
 //! let instance = thread.perform_launch_activity(
 //!     &model, start.record, Configuration::phone_portrait(), None);
 //! thread.resume_sequence(instance, false).unwrap();
 //!
-//! // A rotation arrives: RCHDroid handles it without restarting.
+//! // A rotation arrives. The ATMS says it needs a restart, and
+//! // RCHDroid handles it without one.
+//! let (_, decision) = atms.update_global_config(Configuration::phone_landscape()).unwrap();
+//! assert!(matches!(decision, ConfigDecision::Relaunch(_)));
 //! let mut rch = RchDroid::new();
-//! atms.update_global_config(Configuration::phone_landscape());
 //! let outcome = rch
 //!     .handle_configuration_change(&mut thread, &mut atms, &model, SimTime::from_millis(17))
 //!     .unwrap();

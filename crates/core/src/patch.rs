@@ -37,20 +37,20 @@ pub fn patch_inventory() -> Vec<PatchEntry> {
                            modify the invalidate function to catch updates",
             loc: 79,
             reproduced_in: "droidsim_view::ViewTree::{peer_in,invalidate,\
-                            drain_invalidations}",
+                            drain_invalidations}: every tree records its invalidations",
         },
         PatchEntry {
             class: "ViewGroup",
             modification: "Add dispatchShadowStateChanged / dispatchSunnyStateChanged",
             loc: 12,
-            reproduced_in: "droidsim_view::ViewTree::{dispatch_shadow_state_changed,\
-                            dispatch_sunny_state_changed}",
+            reproduced_in: "rchdroid::RchDroid::on_async_delivered reads the shadow's \
+                            invalidations; droidsim_app::ActivityState holds the role",
         },
         PatchEntry {
             class: "Intent",
             modification: "Add the sunny flag",
             loc: 4,
-            reproduced_in: "droidsim_atms::IntentFlags::SUNNY",
+            reproduced_in: "droidsim_atms::Atms::start_sunny",
         },
         PatchEntry {
             class: "ActivityThread",
@@ -68,7 +68,7 @@ pub fn patch_inventory() -> Vec<PatchEntry> {
                            ensureActivityConfiguration to avoid relaunching",
             loc: 11,
             reproduced_in: "droidsim_atms::ActivityRecord::{is_shadow,set_shadow}, \
-                            droidsim_atms::Atms::ensure_activity_configuration",
+                            droidsim_atms::Atms::update_global_config",
         },
         PatchEntry {
             class: "ActivityStack",
@@ -81,7 +81,7 @@ pub fn patch_inventory() -> Vec<PatchEntry> {
             modification: "Modify startActivityUnchecked / setTaskFromIntentActivity for \
                            the coin-flipping scheme",
             loc: 41,
-            reproduced_in: "droidsim_atms::Atms::start_activity_with_mask (SUNNY path)",
+            reproduced_in: "droidsim_atms::Atms::start_sunny",
         },
     ]
 }

@@ -4,7 +4,7 @@ use crate::events::{DeviceEvent, HandlingPath};
 use crate::process::AppProcess;
 use core::fmt;
 use droidsim_app::{AppModel, AsyncSpec};
-use droidsim_atms::{Atms, ConfigDecision, Intent, RecordState};
+use droidsim_atms::{Atms, ConfigDecision, RecordState};
 use droidsim_config::Configuration;
 use droidsim_faults::FaultPlan;
 use droidsim_kernel::{SimDuration, SimTime, Xoshiro256};
@@ -201,11 +201,9 @@ impl Device {
             process.rch = rchdroid::RchDroid::with_options(policy, options);
         }
 
-        let start = self.atms.start_activity_with_mask(
-            &Intent::new(process.model.component_name()),
-            self.clock,
-            handled,
-        );
+        let start = self
+            .atms
+            .start_activity(process.model.component_name(), handled);
         let instance = process.thread.perform_launch_activity(
             process.model.as_ref(),
             start.record,
@@ -510,8 +508,9 @@ impl Device {
     }
 
     /// Applies a runtime configuration change and handles it for the
-    /// foreground app per the device's mode. The virtual clock advances by
-    /// the handling latency.
+    /// foreground app per the device's mode. The ATMS decides the change
+    /// once, and the mode picks how that verdict is carried out. The
+    /// virtual clock advances by the handling latency.
     ///
     /// # Errors
     ///
@@ -527,66 +526,57 @@ impl Device {
         if self.is_crashed(&component) {
             return Err(DeviceError::AppCrashed(component.to_string()));
         }
-        let record = self
+        let (record, decision) = self
             .atms
-            .foreground_record()
+            .update_global_config(config)
             .ok_or(DeviceError::NoForegroundApp)?;
-        self.atms.update_global_config(config);
 
         let p = self.apps.get_mut(&component).expect("installed");
         let profile = p.cost_profile();
         let now = self.clock;
 
-        let (path, latency) = match self.mode {
-            HandlingMode::Android10 => {
-                let decision = self
-                    .atms
-                    .ensure_activity_configuration(record, false)
-                    .map_err(|e| DeviceError::Handling(e.to_string()))?;
-                match decision {
-                    ConfigDecision::NoChange => (HandlingPath::NoChange, SimDuration::ZERO),
-                    ConfigDecision::HandledByApp(_) => {
-                        if let Some(instance) = p.foreground_instance() {
-                            let activity = p
-                                .thread
-                                .instance_mut(instance)
-                                .map_err(|e| DeviceError::Handling(e.to_string()))?;
-                            p.model.on_configuration_changed(activity);
-                        }
-                        (
-                            HandlingPath::HandledByApp,
-                            self.cost.handled_by_app(&profile),
-                        )
-                    }
-                    ConfigDecision::Relaunch(_) => {
-                        // Stock relaunch: save, destroy, recreate, resume.
-                        // Async tasks keep running against the dead
-                        // instance — the crash scenario.
-                        let model = p.model.as_ref();
-                        let (current, saved) = p
-                            .thread
-                            .instance_for_token(record)
-                            .and_then(|id| p.thread.instance(id).ok())
-                            .map(|a| (a.id(), a.save_instance_state(model)))
-                            .ok_or(DeviceError::NoForegroundApp)?;
-                        let config = *self.atms.global_config();
-                        p.thread
-                            .relaunch(model, current, config, Some(&saved))
-                            .map_err(|e| DeviceError::Handling(e.to_string()))?;
-                        let _ = self.atms.set_record_state(record, RecordState::Resumed);
-                        (
-                            HandlingPath::Relaunch,
-                            self.cost.android10_relaunch(&profile),
-                        )
-                    }
-                    ConfigDecision::PreventedRelaunch(_) => {
-                        return Err(DeviceError::Handling(
-                            "prevent=false never yields PreventedRelaunch".to_owned(),
-                        ));
-                    }
+        let (path, latency) = match (decision, self.mode) {
+            (ConfigDecision::NoChange, _) => (HandlingPath::NoChange, SimDuration::ZERO),
+            // RuntimeDroid's patch takes the change before the manifest
+            // is read, so only stock and RCHDroid honour the declaration.
+            (
+                ConfigDecision::HandledByApp(_),
+                HandlingMode::Android10 | HandlingMode::RchDroid(..),
+            ) => {
+                if let Some(instance) = p.foreground_instance() {
+                    let activity = p
+                        .thread
+                        .instance_mut(instance)
+                        .map_err(|e| DeviceError::Handling(e.to_string()))?;
+                    p.model.on_configuration_changed(activity);
                 }
+                (
+                    HandlingPath::HandledByApp,
+                    self.cost.handled_by_app(&profile),
+                )
             }
-            HandlingMode::RchDroid(..) => {
+            (_, HandlingMode::Android10) => {
+                // Stock relaunch: save, destroy, recreate, resume. Async
+                // tasks keep running against the dead instance — the
+                // crash scenario.
+                let model = p.model.as_ref();
+                let (current, saved) = p
+                    .thread
+                    .instance_for_token(record)
+                    .and_then(|id| p.thread.instance(id).ok())
+                    .map(|a| (a.id(), a.save_instance_state(model)))
+                    .ok_or(DeviceError::NoForegroundApp)?;
+                let config = *self.atms.global_config();
+                p.thread
+                    .relaunch(model, current, config, Some(&saved))
+                    .map_err(|e| DeviceError::Handling(e.to_string()))?;
+                let _ = self.atms.set_record_state(record, RecordState::Resumed);
+                (
+                    HandlingPath::Relaunch,
+                    self.cost.android10_relaunch(&profile),
+                )
+            }
+            (_, HandlingMode::RchDroid(..)) => {
                 let outcome = match p.rch.handle_configuration_change(
                     &mut p.thread,
                     &mut self.atms,
@@ -609,11 +599,6 @@ impl Device {
                     }
                 };
                 match outcome.kind {
-                    ChangeKind::NoChange => (HandlingPath::NoChange, SimDuration::ZERO),
-                    ChangeKind::HandledByApp => (
-                        HandlingPath::HandledByApp,
-                        self.cost.handled_by_app(&profile),
-                    ),
                     ChangeKind::Init => (HandlingPath::RchInit, self.cost.rchdroid_init(&profile)),
                     ChangeKind::Flip => (HandlingPath::RchFlip, self.cost.rchdroid_flip(&profile)),
                     // Rung 2: the change degraded to the stock restart
@@ -624,9 +609,9 @@ impl Device {
                     ),
                 }
             }
-            HandlingMode::RuntimeDroid => {
+            (_, HandlingMode::RuntimeDroid) => {
                 p.rtd
-                    .handle_configuration_change(&mut p.thread, &mut self.atms, p.model.as_ref())
+                    .handle_configuration_change(&mut p.thread, &self.atms, p.model.as_ref())
                     .map_err(|e| DeviceError::Handling(e.to_string()))?;
                 (
                     HandlingPath::RuntimeDroidInPlace,
@@ -1131,11 +1116,18 @@ mod tests {
 
     #[test]
     fn no_change_is_free() {
-        let (mut d, _) = device_with_app(HandlingMode::rchdroid_default(), 2);
-        let same = *d.configuration();
-        let report = d.change_configuration(same).unwrap();
-        assert_eq!(report.path, HandlingPath::NoChange);
-        assert_eq!(report.latency, SimDuration::ZERO);
+        for mode in [
+            HandlingMode::Android10,
+            HandlingMode::rchdroid_default(),
+            HandlingMode::RuntimeDroid,
+        ] {
+            let (mut d, c) = device_with_app(mode, 2);
+            let same = *d.configuration();
+            let report = d.change_configuration(same).unwrap();
+            assert_eq!(report.path, HandlingPath::NoChange, "{mode:?}");
+            assert_eq!(report.latency, SimDuration::ZERO, "{mode:?}");
+            assert!(d.process(&c).unwrap().latencies().is_empty(), "{mode:?}");
+        }
     }
 
     #[test]

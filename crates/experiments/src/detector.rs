@@ -13,51 +13,17 @@
 //! *live non-foreground* instance (RCHDroid's shadow): state missing
 //! there is the same masked loss seen from the other side — the user
 //! meets it on the next odd rotation — and is reported as
-//! [`DetectionReport::latent_after_two`].
+//! [`Verdict::latent_after_two`].
+//!
+//! The oracle reports the same [`Verdict`] the static analyzer predicts,
+//! so the differential gate compares the two field by field.
 
+use droidsim_analysis::Verdict;
 use droidsim_app::Activity;
 use droidsim_device::{Device, HandlingMode};
 use droidsim_kernel::SimDuration;
 use rch_workloads::{DataLossClass, GenericApp, GenericAppSpec};
 use std::collections::BTreeSet;
-
-/// What the oracle found for one app under one system.
-#[derive(Debug, Clone)]
-pub struct DetectionReport {
-    /// App name.
-    pub app: String,
-    /// State items lost after a single rotation.
-    pub lost_after_one: Vec<String>,
-    /// State items lost after the double rotation (foreground instance).
-    pub lost_after_two: Vec<String>,
-    /// State items missing from a live non-foreground (shadow-state)
-    /// instance after the double rotation — loss the coin flip masks
-    /// from the foreground check.
-    pub latent_after_two: Vec<String>,
-    /// Whether the app crashed during the check.
-    pub crashed: bool,
-}
-
-impl DetectionReport {
-    /// The oracle's verdict: does this app have a runtime-change issue
-    /// under the checked system?
-    pub fn has_issue(&self) -> bool {
-        self.crashed
-            || !self.lost_after_one.is_empty()
-            || !self.lost_after_two.is_empty()
-            || !self.latent_after_two.is_empty()
-    }
-
-    fn crashed_report(app: &str) -> DetectionReport {
-        DetectionReport {
-            app: app.to_owned(),
-            lost_after_one: Vec::new(),
-            lost_after_two: Vec::new(),
-            latent_after_two: Vec::new(),
-            crashed: true,
-        }
-    }
-}
 
 /// One probe of the app's live instances: the keys `lost_in` reports
 /// for the *foreground* instance, and those it reports for any other
@@ -115,24 +81,29 @@ struct Probe {
     latent: Vec<String>,
 }
 
-/// Runs the oracle for one app under one system.
-pub fn check(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionReport {
+/// Runs the oracle for one app under one system. An app that fails
+/// before it can be probed has an issue: it is reported as crashed.
+pub fn check(spec: &GenericAppSpec, mode: HandlingMode) -> Verdict {
+    rotate_twice(spec, mode).unwrap_or_else(|| Verdict {
+        crashed: true,
+        ..Verdict::clean(&spec.name)
+    })
+}
+
+/// [`check`]'s schedule; `None` when the app failed before a probe.
+fn rotate_twice(spec: &GenericAppSpec, mode: HandlingMode) -> Option<Verdict> {
     let mut device = Device::new(mode);
     let probe = spec.build();
-    let Ok(component) = device.install_and_launch(
-        Box::new(spec.build()),
-        spec.base_memory_bytes,
-        spec.complexity,
-    ) else {
-        // Failing to even launch is an issue; there is nothing to probe.
-        return DetectionReport::crashed_report(&spec.name);
-    };
-    if device
+    let component = device
+        .install_and_launch(
+            Box::new(spec.build()),
+            spec.base_memory_bytes,
+            spec.complexity,
+        )
+        .ok()?;
+    device
         .with_foreground_activity_mut(|a| probe.apply_user_state(a))
-        .is_err()
-    {
-        return DetectionReport::crashed_report(&spec.name);
-    }
+        .ok()?;
     if spec.uses_async_task {
         let _ = device.start_async_on_foreground(spec.async_task());
     }
@@ -154,18 +125,19 @@ pub fn check(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionReport {
         (p.foreground, p.latent)
     };
 
-    DetectionReport {
+    Some(Verdict {
         app: spec.name.clone(),
+        crashed,
         lost_after_one,
         lost_after_two,
         latent_after_two,
-        crashed,
-    }
+    })
 }
 
 /// The dynamic data-loss oracle: drives the scenario's lifecycle
 /// interleaving (per [`DataLossClass`]) and diffs pre-change field state
-/// against what each live instance shows afterwards.
+/// against what each live instance shows afterwards. An app that fails
+/// before it can be probed is reported as crashed.
 ///
 /// Rotation-based classes mirror [`check`]'s double-rotation schedule
 /// (the single-rotation probe catches what RCHDroid's coin flip masks,
@@ -175,38 +147,39 @@ pub fn check(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionReport {
 /// parked helper, reclaims it under memory pressure — the ATMS retains
 /// the save bundle, the persistent store survives by definition — and
 /// switches back.
-pub fn check_dataloss(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionReport {
+pub fn check_dataloss(spec: &GenericAppSpec, mode: HandlingMode) -> Verdict {
     let Some(class) = spec.dataloss.as_ref().map(|dl| dl.class) else {
-        return DetectionReport {
-            app: spec.name.clone(),
-            lost_after_one: Vec::new(),
-            lost_after_two: Vec::new(),
-            latent_after_two: Vec::new(),
-            crashed: false,
-        };
+        return Verdict::clean(&spec.name);
     };
+    run_dataloss(spec, class, mode).unwrap_or_else(|| Verdict {
+        crashed: true,
+        ..Verdict::clean(&spec.name)
+    })
+}
+
+/// [`check_dataloss`]'s schedule for `class`; `None` when the app failed
+/// before a probe.
+fn run_dataloss(
+    spec: &GenericAppSpec,
+    class: DataLossClass,
+    mode: HandlingMode,
+) -> Option<Verdict> {
     let mut device = Device::new(mode);
     let app = spec.build();
     // The probe shares the installed copy's persistent store: state it
     // applies through the foreground activity writes the same "disk"
     // the installed model's on_create reads back.
     let probe = app.shared_probe();
-    let Ok(component) =
-        device.install_and_launch(Box::new(app), spec.base_memory_bytes, spec.complexity)
-    else {
-        return DetectionReport::crashed_report(&spec.name);
-    };
-
+    let component = device
+        .install_and_launch(Box::new(app), spec.base_memory_bytes, spec.complexity)
+        .ok()?;
     match class {
         DataLossClass::StopRestart
         | DataLossClass::SubStateOwner
         | DataLossClass::InputInFlight => {
-            if device
+            device
                 .with_foreground_activity_mut(|a| probe.apply_dataloss_state(a))
-                .is_err()
-            {
-                return DetectionReport::crashed_report(&spec.name);
-            }
+                .ok()?;
             let _ = device.rotate();
             let lost_after_one = if device.is_crashed(&component) {
                 Vec::new()
@@ -221,13 +194,13 @@ pub fn check_dataloss(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionRep
                 let p = lost_items(&device, &component, |a| lost_fields(&probe, a));
                 (p.foreground, p.latent)
             };
-            DetectionReport {
+            Some(Verdict {
                 app: spec.name.clone(),
+                crashed,
                 lost_after_one,
                 lost_after_two,
                 latent_after_two,
-                crashed,
-            }
+            })
         }
         DataLossClass::AsyncRace => {
             if let Some(task) = spec.dataloss_async_task() {
@@ -243,52 +216,44 @@ pub fn check_dataloss(spec: &GenericAppSpec, mode: HandlingMode) -> DetectionRep
                 let p = lost_items(&device, &component, |a| lost_fields(&probe, a));
                 (p.foreground, p.latent)
             };
-            DetectionReport {
+            Some(Verdict {
                 app: spec.name.clone(),
+                crashed,
                 // Nothing to lose before the write lands.
                 lost_after_one: Vec::new(),
                 lost_after_two,
                 latent_after_two,
-                crashed,
-            }
+            })
         }
         DataLossClass::ProcessDeath => {
-            if device
+            device
                 .with_foreground_activity_mut(|a| probe.apply_dataloss_state(a))
-                .is_err()
-            {
-                return DetectionReport::crashed_report(&spec.name);
-            }
+                .ok()?;
             // Background the app behind a parked helper, reclaim it,
             // come back.
             let parker = GenericAppSpec::sized("DlParkerApp", "1K+", false);
-            if device
+            device
                 .install_and_launch(
                     Box::new(parker.build()),
                     parker.base_memory_bytes,
                     parker.complexity,
                 )
-                .is_err()
-                || {
-                    device.trigger_memory_pressure();
-                    device.switch_to_app(&component).is_err()
-                }
-            {
-                return DetectionReport::crashed_report(&spec.name);
-            }
+                .ok()?;
+            device.trigger_memory_pressure();
+            device.switch_to_app(&component).ok()?;
             let crashed = device.is_crashed(&component);
             let lost = if crashed {
                 Vec::new()
             } else {
                 lost_items(&device, &component, |a| lost_fields(&probe, a)).foreground
             };
-            DetectionReport {
+            Some(Verdict {
                 app: spec.name.clone(),
+                crashed,
                 lost_after_one: lost.clone(),
                 lost_after_two: lost,
                 latent_after_two: Vec::new(),
-                crashed,
-            }
+            })
         }
     }
 }
@@ -298,7 +263,7 @@ pub fn flagged(specs: &[GenericAppSpec], mode: HandlingMode) -> Vec<String> {
     specs
         .iter()
         .map(|s| check(s, mode))
-        .filter(DetectionReport::has_issue)
+        .filter(Verdict::has_issue)
         .map(|r| r.app)
         .collect()
 }

@@ -2,9 +2,9 @@
 //!
 //! For every corpus app under all three handling schemes — stock
 //! Android 10, RCHDroid, and the RuntimeDroid hot-reload baseline —
-//! the static analyzer's [`droidsim_analysis::StaticVerdict`] must
-//! equal the dynamic oracle's [`crate::detector::DetectionReport`]
-//! *field by field*: crash flag, `lost_after_one`, `lost_after_two`
+//! the static analyzer's [`droidsim_analysis::Verdict`] must equal the
+//! one the dynamic oracle ([`crate::detector::check`]) observes *field
+//! by field*: crash flag, `lost_after_one`, `lost_after_two`
 //! and `latent_after_two`, not just the boolean verdict. The analyzer
 //! checks the simulator and the simulator checks the analyzer: a
 //! disagreement means one of them mis-models the change protocol, and

@@ -9,10 +9,11 @@
 //!     8.6 → 20.2 ms.
 
 use crate::Study;
+use droidsim_app::SimpleApp;
 use droidsim_device::{Device, DeviceEvent, HandlingMode, HandlingPath};
 use droidsim_fleet::{Digest, FleetConfig};
 use droidsim_kernel::SimDuration;
-use rch_workloads::{benchmark_app, view_sweep, BENCHMARK_BASE_MEMORY};
+use rch_workloads::{view_sweep, BENCHMARK_BASE_MEMORY};
 
 /// One sweep point of Fig. 10(a).
 #[derive(Debug, Clone, Copy)]
@@ -95,14 +96,18 @@ fn measure(views: usize) -> (Fig10aRow, Fig10bRow) {
     // Android-10 relaunch latency.
     let mut stock = Device::new(HandlingMode::Android10);
     stock
-        .install_and_launch(Box::new(benchmark_app(views)), BENCHMARK_BASE_MEMORY, 1.0)
+        .install_and_launch(
+            Box::new(SimpleApp::with_views(views)),
+            BENCHMARK_BASE_MEMORY,
+            1.0,
+        )
         .expect("launch");
     let android10_ms = stock.rotate().expect("rotate").latency.as_millis_f64();
 
     // RCHDroid: first change (init), then steady-state flips; plus the
     // async migration measurement on the same device.
     let mut rch = Device::new(HandlingMode::rchdroid_default());
-    let app = benchmark_app(views);
+    let app = SimpleApp::with_views(views);
     let task = app.button_task();
     rch.install_and_launch(Box::new(app), BENCHMARK_BASE_MEMORY, 1.0)
         .expect("launch");

@@ -10,9 +10,10 @@
 //! past ≈50 s almost no gap exceeds the threshold and all three curves
 //! flatten, which is why the paper picks THRESH_T = 50 s.
 
+use droidsim_app::SimpleApp;
 use droidsim_device::{Device, DeviceEvent, HandlingMode};
 use droidsim_kernel::{SimDuration, SimTime, Xoshiro256};
-use rch_workloads::{benchmark_app, BENCHMARK_BASE_MEMORY};
+use rch_workloads::BENCHMARK_BASE_MEMORY;
 use rchdroid::GcPolicy;
 
 /// Workload length in minutes (§5.5: ten minutes).
@@ -109,7 +110,11 @@ pub fn run_one_seeded(thresh_t_secs: u64, seed: u64) -> Fig11Row {
     };
     let mut device = Device::new(HandlingMode::rchdroid_with_policy(policy));
     let component = device
-        .install_and_launch(Box::new(benchmark_app(32)), BENCHMARK_BASE_MEMORY, 1.0)
+        .install_and_launch(
+            Box::new(SimpleApp::with_views(32)),
+            BENCHMARK_BASE_MEMORY,
+            1.0,
+        )
         .expect("launch");
 
     let schedule = change_schedule(seed);

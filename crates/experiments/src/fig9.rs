@@ -17,10 +17,11 @@
 //! chosen so sampled peaks match the paper's 11 % (Android-10), 15 %
 //! (RCHDroid first change) and 12 % (RCHDroid second change).
 
+use droidsim_app::SimpleApp;
 use droidsim_device::{Device, DeviceEvent, HandlingMode, HandlingPath};
 use droidsim_kernel::{SimDuration, SimTime};
 use droidsim_metrics::{TracePoint, Tracer};
-use rch_workloads::{benchmark_app, BENCHMARK_BASE_MEMORY};
+use rch_workloads::BENCHMARK_BASE_MEMORY;
 
 /// Per-path CPU utilisation during a handling burst (calibrated; see
 /// module docs).
@@ -87,7 +88,7 @@ impl Fig9 {
 /// Runs the scripted timeline under one mode and samples the trace.
 pub fn run_mode(mode: HandlingMode, label: &'static str) -> SystemTrace {
     let mut device = Device::new(mode);
-    let app = benchmark_app(4);
+    let app = SimpleApp::with_views(4);
     let task = app.button_task();
     let component = device
         .install_and_launch(Box::new(app), BENCHMARK_BASE_MEMORY, 1.0)

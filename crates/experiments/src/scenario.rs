@@ -33,12 +33,6 @@ impl RunConfig {
         }
     }
 
-    /// Enables the in-flight async task.
-    pub fn with_async(mut self) -> Self {
-        self.with_async_task = true;
-        self
-    }
-
     /// Sets the number of changes.
     pub fn changes(mut self, n: usize) -> Self {
         self.changes = n;

@@ -19,7 +19,7 @@
 //!   versus one 92.87 s system image deployment for RCHDroid.
 
 use droidsim_app::{ActivityInstanceId, ActivityThread, AppModel, ThreadError};
-use droidsim_atms::{ActivityRecordId, Atms, AtmsError, ConfigDecision};
+use droidsim_atms::Atms;
 
 /// The outcome of RuntimeDroid's in-place handling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +40,6 @@ pub enum RtdError {
     NoForegroundActivity,
     /// Activity-thread failure.
     Thread(ThreadError),
-    /// ATMS failure.
-    Atms(AtmsError),
 }
 
 impl core::fmt::Display for RtdError {
@@ -49,7 +47,6 @@ impl core::fmt::Display for RtdError {
         match self {
             RtdError::NoForegroundActivity => write!(f, "no foreground activity"),
             RtdError::Thread(e) => write!(f, "{e}"),
-            RtdError::Atms(e) => write!(f, "{e}"),
         }
     }
 }
@@ -59,12 +56,6 @@ impl std::error::Error for RtdError {}
 impl From<ThreadError> for RtdError {
     fn from(e: ThreadError) -> Self {
         RtdError::Thread(e)
-    }
-}
-
-impl From<AtmsError> for RtdError {
-    fn from(e: AtmsError) -> Self {
-        RtdError::Atms(e)
     }
 }
 
@@ -79,38 +70,28 @@ impl RuntimeDroid {
         RuntimeDroid
     }
 
-    /// Handles a runtime change for the foreground activity: saves the
-    /// hierarchy state, re-inflates the layout for the new configuration
-    /// *into the same instance*, and restores the state. Dynamic views
-    /// (added by code, absent from the layout resource) are lost.
+    /// Handles a runtime change for the foreground activity, once
+    /// [`Atms::update_global_config`] found the configuration changed:
+    /// saves the hierarchy state, re-inflates the layout for the new
+    /// configuration *into the same instance*, and restores the state.
+    /// The patch takes the change before the manifest is read, so a
+    /// self-handling app is hot-reloaded too. Dynamic views (added by
+    /// code, absent from the layout resource) are lost.
     ///
     /// # Errors
     ///
     /// [`RtdError::NoForegroundActivity`] without a foreground activity;
-    /// propagated thread/ATMS errors otherwise.
+    /// propagated thread errors otherwise.
     pub fn handle_configuration_change(
         &self,
         thread: &mut ActivityThread,
-        atms: &mut Atms,
+        atms: &Atms,
         model: &dyn AppModel,
     ) -> Result<RtdOutcome, RtdError> {
-        let record: ActivityRecordId = atms
+        let instance = atms
             .foreground_record()
+            .and_then(|record| thread.instance_for_token(record))
             .ok_or(RtdError::NoForegroundActivity)?;
-        let instance = thread
-            .instance_for_token(record)
-            .ok_or(RtdError::NoForegroundActivity)?;
-        // The patched app masks the relaunch (equivalent to RCHDroid's
-        // prevent flag at the record level).
-        let decision = atms.ensure_activity_configuration(record, true)?;
-        if decision == ConfigDecision::NoChange {
-            let a = thread.instance(instance)?;
-            return Ok(RtdOutcome {
-                instance,
-                view_count: a.tree.view_count(),
-                dropped_dynamic_views: 0,
-            });
-        }
 
         // Hot reload: re-inflate the layout resource for the new config,
         // through the process's inflation cache like any creation.
@@ -229,7 +210,6 @@ pub mod deployment {
 mod tests {
     use super::*;
     use droidsim_app::SimpleApp;
-    use droidsim_atms::Intent;
     use droidsim_config::Configuration;
     use droidsim_view::{ViewKind, ViewOp};
 
@@ -237,7 +217,7 @@ mod tests {
         let model = SimpleApp::with_views(3);
         let mut atms = Atms::new(Configuration::phone_portrait());
         let mut thread = ActivityThread::new();
-        let start = atms.start_activity(&Intent::new(model.component_name()));
+        let start = atms.start_activity(model.component_name(), model.handled_changes());
         let instance = thread.perform_launch_activity(
             &model,
             start.record,
@@ -253,7 +233,7 @@ mod tests {
         let (model, mut atms, mut thread, instance) = boot();
         atms.update_global_config(Configuration::phone_landscape());
         let outcome = RuntimeDroid::new()
-            .handle_configuration_change(&mut thread, &mut atms, &model)
+            .handle_configuration_change(&mut thread, &atms, &model)
             .unwrap();
         assert_eq!(outcome.instance, instance);
         assert_eq!(thread.alive_instances().len(), 1, "no second instance ever");
@@ -269,7 +249,7 @@ mod tests {
             .put_i32("field", 9);
         atms.update_global_config(Configuration::phone_landscape());
         RuntimeDroid::new()
-            .handle_configuration_change(&mut thread, &mut atms, &model)
+            .handle_configuration_change(&mut thread, &atms, &model)
             .unwrap();
         assert_eq!(
             thread.instance(instance).unwrap().member_state.i32("field"),
@@ -287,7 +267,7 @@ mod tests {
         }
         atms.update_global_config(Configuration::phone_landscape());
         RuntimeDroid::new()
-            .handle_configuration_change(&mut thread, &mut atms, &model)
+            .handle_configuration_change(&mut thread, &atms, &model)
             .unwrap();
         let a = thread.instance(instance).unwrap();
         let root = a.tree.find_by_id_name("root").unwrap();
@@ -308,7 +288,7 @@ mod tests {
         }
         atms.update_global_config(Configuration::phone_landscape());
         let outcome = RuntimeDroid::new()
-            .handle_configuration_change(&mut thread, &mut atms, &model)
+            .handle_configuration_change(&mut thread, &atms, &model)
             .unwrap();
         assert_eq!(outcome.dropped_dynamic_views, 1);
         let a = thread.instance(instance).unwrap();
@@ -327,7 +307,7 @@ mod tests {
             .unwrap();
         atms.update_global_config(Configuration::phone_landscape());
         RuntimeDroid::new()
-            .handle_configuration_change(&mut thread, &mut atms, &model)
+            .handle_configuration_change(&mut thread, &atms, &model)
             .unwrap();
         let due = thread.take_due_async(droidsim_kernel::SimTime::from_secs(5));
         thread.deliver_async(&model, &due[0]).unwrap();
@@ -341,17 +321,5 @@ mod tests {
         assert_eq!(mods, vec![2077, 854, 772, 1259, 1271, 1605, 1722, 760]);
         let (lo, hi) = (mods.iter().min().unwrap(), mods.iter().max().unwrap());
         assert_eq!((*lo, *hi), (760, 2077), "the 760–2077 LoC range of §5.7");
-    }
-
-    #[test]
-    fn no_change_is_a_cheap_no_op() {
-        let (model, mut atms, mut thread, instance) = boot();
-        let same = *atms.global_config();
-        atms.update_global_config(same);
-        let outcome = RuntimeDroid::new()
-            .handle_configuration_change(&mut thread, &mut atms, &model)
-            .unwrap();
-        assert_eq!(outcome.instance, instance);
-        assert_eq!(outcome.dropped_dynamic_views, 0);
     }
 }

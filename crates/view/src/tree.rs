@@ -5,10 +5,13 @@
 //! [`ViewOp`], hierarchy state save/restore, invalidation), the tree also
 //! carries the *hook points* the paper's patch adds to `View`/`ViewGroup`
 //! (Table 2): each view's **sunny peer** (81+79 LoC of the patch), read
-//! off the coupled tree's id-name index ([`ViewTree::peer_in`]), and
-//! shadow/sunny dispatch along the tree (12 LoC in `ViewGroup`).
-//! The hooks are inert unless a change handler uses them, so with no
-//! handler installed the tree behaves exactly like stock Android 10.
+//! off the coupled tree's id-name index ([`ViewTree::peer_in`]). The
+//! shadow/sunny role that `ViewGroup` dispatches along the tree (12 LoC)
+//! is not kept here: the activity's state and its ATMS record hold it.
+//! Every tree records its invalidations, and RCHDroid reads the
+//! shadow's. The hooks are inert unless a change handler uses them, so
+//! with no handler installed the tree behaves exactly like stock
+//! Android 10.
 //!
 //! # Writes go through the tree
 //!
@@ -301,13 +304,6 @@ pub struct ViewTree {
     pending_pos: IdMap<ViewId, usize>,
     /// Raw (uncoalesced) invalidations since the last drain.
     raw_pending: usize,
-    /// RCHDroid hook: when true the tree is in the Shadow state — it is
-    /// invisible but alive, and its invalidations are what lazy migration
-    /// consumes.
-    shadow: bool,
-    /// RCHDroid hook: when true the tree belongs to the Sunny (foreground)
-    /// activity.
-    sunny: bool,
     /// Cached `android:id` name → view id index, kept as each view is
     /// pushed ([`ViewTree::add_view`] and the inflater) instead of being
     /// rebuilt for every peer lookup. Invariant: always equal to
@@ -368,8 +364,6 @@ impl ViewTree {
             pending: Vec::new(),
             pending_pos: IdMap::default(),
             raw_pending: 0,
-            shadow: false,
-            sunny: false,
             id_name_index: NameIndex {
                 base: Rc::new(names),
                 added: IdMap::default(),
@@ -934,34 +928,6 @@ impl ViewTree {
 
     // ---- RCHDroid hook points (Table 2 patch surface) ----
 
-    /// Whether the tree is in the Shadow state.
-    pub fn is_shadow(&self) -> bool {
-        self.shadow
-    }
-
-    /// Whether the tree is in the Sunny state.
-    pub fn is_sunny(&self) -> bool {
-        self.sunny
-    }
-
-    /// `ViewGroup.dispatchShadowStateChanged`: flips the shadow flag for
-    /// the whole tree.
-    pub fn dispatch_shadow_state_changed(&mut self, shadow: bool) {
-        self.shadow = shadow;
-        if shadow {
-            self.sunny = false;
-        }
-    }
-
-    /// `ViewGroup.dispatchSunnyStateChanged`: flips the sunny flag for the
-    /// whole tree.
-    pub fn dispatch_sunny_state_changed(&mut self, sunny: bool) {
-        self.sunny = sunny;
-        if sunny {
-            self.shadow = false;
-        }
-    }
-
     /// `Activity.getAllSunnyViews`: the hash table of id name → view id
     /// for this tree, which is the essence-based mapping itself: a
     /// view's sunny peer is its name's entry here ([`ViewTree::peer_in`]).
@@ -1408,15 +1374,6 @@ mod tests {
             .unwrap();
         assert_eq!(clone.id_name_index.added.len(), 1);
         assert_eq!(*clone.id_name_index(), clone.rebuild_id_name_index());
-    }
-
-    #[test]
-    fn shadow_sunny_dispatch_is_exclusive() {
-        let (mut t, ..) = tree_with_views();
-        t.dispatch_sunny_state_changed(true);
-        assert!(t.is_sunny() && !t.is_shadow());
-        t.dispatch_shadow_state_changed(true);
-        assert!(t.is_shadow() && !t.is_sunny());
     }
 
     #[test]

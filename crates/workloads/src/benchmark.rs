@@ -1,17 +1,12 @@
-//! The synthetic benchmark apps (§5.1's second app-set): layouts of N
-//! `ImageView`s plus one `Button` whose press starts a 5-second AsyncTask
-//! that updates every image.
-
-use droidsim_app::SimpleApp;
+//! The synthetic benchmark apps (§5.1's second app-set) are
+//! `droidsim_app::SimpleApp::with_views(n)`: layouts of N `ImageView`s
+//! plus one `Button` whose press starts a 5-second AsyncTask that updates
+//! every image. This module holds their base memory, the Fig. 10 sweep
+//! and a deep-tree variant.
 
 /// Base PSS assumed for the benchmark app process (small: it is a
 /// single-activity skeleton).
 pub const BENCHMARK_BASE_MEMORY: u64 = 40 * 1024 * 1024;
-
-/// Builds the benchmark app with `views` ImageViews.
-pub fn benchmark_app(views: usize) -> SimpleApp {
-    SimpleApp::with_views(views)
-}
 
 /// The view-count sweep of Fig. 10: 2⁰ … 2⁴.
 pub fn view_sweep() -> Vec<usize> {
@@ -72,7 +67,7 @@ impl droidsim_app::AppModel for DeepApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use droidsim_app::AppModel;
+    use droidsim_app::{AppModel, SimpleApp};
 
     #[test]
     fn sweep_is_powers_of_two() {
@@ -81,7 +76,7 @@ mod tests {
 
     #[test]
     fn benchmark_app_has_requested_views() {
-        let app = benchmark_app(8);
+        let app = SimpleApp::with_views(8);
         assert_eq!(app.image_count(), 8);
         assert_eq!(app.component_name(), "com.bench/.Main");
         assert_eq!(app.button_task().result.ops.len(), 8);

@@ -24,7 +24,7 @@ pub mod generic;
 pub mod top100;
 pub mod tp27;
 
-pub use benchmark::{benchmark_app, view_sweep, DeepApp, BENCHMARK_BASE_MEMORY};
+pub use benchmark::{view_sweep, DeepApp, BENCHMARK_BASE_MEMORY};
 pub use dataloss::{
     dataloss_specs, DataLossClass, DataLossField, DataLossScenario, FieldOwner, FieldPersistence,
     DATALOSS_APPS_PER_CLASS,

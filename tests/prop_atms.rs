@@ -1,13 +1,13 @@
-//! Property tests: ATMS invariants under random intent streams.
+//! Property tests: ATMS invariants under random start streams.
 
-use droidsim_atms::{Atms, Intent, IntentFlags, StartDisposition};
-use droidsim_config::Configuration;
+use droidsim_atms::Atms;
+use droidsim_config::{ConfigChanges, Configuration};
 use droidsim_kernel::SimTime;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum AtmsAction {
-    Start { app: u8, activity: u8, flags: u8 },
+    Start { app: u8, activity: u8 },
     SunnyStart,
     DestroyForeground,
     UpdateConfig(bool),
@@ -15,24 +15,11 @@ enum AtmsAction {
 
 fn arb_action() -> impl Strategy<Value = AtmsAction> {
     prop_oneof![
-        (0u8..3, 0u8..3, 0u8..4).prop_map(|(app, activity, flags)| AtmsAction::Start {
-            app,
-            activity,
-            flags
-        }),
+        (0u8..3, 0u8..3).prop_map(|(app, activity)| AtmsAction::Start { app, activity }),
         Just(AtmsAction::SunnyStart),
         Just(AtmsAction::DestroyForeground),
         any::<bool>().prop_map(AtmsAction::UpdateConfig),
     ]
-}
-
-fn flags_of(code: u8) -> IntentFlags {
-    match code {
-        0 => IntentFlags::NONE,
-        1 => IntentFlags::NEW_TASK,
-        2 => IntentFlags::SINGLE_TOP,
-        _ => IntentFlags::CLEAR_TOP,
-    }
 }
 
 fn run_script(script: &[AtmsAction]) -> Atms {
@@ -42,20 +29,16 @@ fn run_script(script: &[AtmsAction]) -> Atms {
         clock += 1;
         let now = SimTime::from_secs(clock);
         match action {
-            AtmsAction::Start {
-                app,
-                activity,
-                flags,
-            } => {
+            AtmsAction::Start { app, activity } => {
                 let component = format!("com.app{app}/.Activity{activity}");
-                atms.start_activity_at(&Intent::new(&component).with_flags(flags_of(*flags)), now);
+                atms.start_activity(&component, ConfigChanges::NONE);
             }
             AtmsAction::SunnyStart => {
                 if let Some(record) = atms.foreground_record() {
                     let component = atms.record(record).unwrap().component().to_owned();
-                    let res = atms.start_activity_at(&Intent::sunny(&component), now);
-                    // A SUNNY start never silently no-ops.
-                    assert_ne!(res.disposition, StartDisposition::ReusedTop);
+                    let res = atms.start_sunny(&component, now, ConfigChanges::NONE);
+                    // A sunny start always ends with its record in front.
+                    assert_eq!(atms.foreground_record(), Some(res.record));
                 }
             }
             AtmsAction::DestroyForeground => {
@@ -84,6 +67,23 @@ fn run_script(script: &[AtmsAction]) -> Atms {
         }
     }
     atms
+}
+
+/// The script this suite's exploration once shrank a failure to:
+/// without releasing the coupled shadow first, destroying the
+/// foreground would leave the shadow record on top.
+#[test]
+fn destroying_a_sunny_foreground_leaves_no_shadow() {
+    let atms = run_script(&[
+        AtmsAction::Start {
+            app: 0,
+            activity: 0,
+        },
+        AtmsAction::SunnyStart,
+        AtmsAction::DestroyForeground,
+    ]);
+    assert!(atms.stack().is_empty());
+    assert!(atms.shadow_records().is_empty());
 }
 
 proptest! {

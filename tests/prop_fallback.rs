@@ -4,7 +4,7 @@
 //! intact.
 
 use droidsim_app::{ActivityInstanceId, ActivityThread, AppModel, SimpleApp};
-use droidsim_atms::{ActivityRecordId, Atms, Intent, RecordState};
+use droidsim_atms::{ActivityRecordId, Atms, RecordState};
 use droidsim_config::Configuration;
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_kernel::SimTime;
@@ -24,7 +24,7 @@ fn boot(views: usize) -> Rig {
     let model = SimpleApp::with_views(views);
     let mut atms = Atms::new(Configuration::phone_portrait());
     let mut thread = ActivityThread::new();
-    let start = atms.start_activity(&Intent::new(model.component_name()));
+    let start = atms.start_activity(model.component_name(), model.handled_changes());
     let instance =
         thread.perform_launch_activity(&model, start.record, Configuration::phone_portrait(), None);
     thread.resume_sequence(instance, false).unwrap();

@@ -10,7 +10,7 @@
 //! user content is never interned.
 
 use droidsim_app::{Activity, ActivityInstanceId, ActivityThread, AppModel, FragmentSpec};
-use droidsim_atms::{ActivityRecordId, Atms, Intent};
+use droidsim_atms::{ActivityRecordId, Atms};
 use droidsim_bundle::Bundle;
 use droidsim_config::Configuration;
 use droidsim_kernel::Symbol;
@@ -515,7 +515,7 @@ fn launched_generic_app(
     let model = spec.build();
     let mut atms = Atms::new(Configuration::phone_portrait());
     let mut thread = ActivityThread::new();
-    let start = atms.start_activity(&Intent::new(model.component_name()));
+    let start = atms.start_activity(model.component_name(), model.handled_changes());
     let instance =
         thread.perform_launch_activity(&model, start.record, Configuration::phone_portrait(), None);
     thread.resume_sequence(instance, false).unwrap();
@@ -777,7 +777,7 @@ proptest! {
         let landscape = Configuration::phone_landscape();
         atms.update_global_config(landscape);
         RuntimeDroid::new()
-            .handle_configuration_change(&mut thread, &mut atms, &model)
+            .handle_configuration_change(&mut thread, &atms, &model)
             .unwrap();
         let expected = oracle_hot_reload(&old, &model, &landscape);
         prop_assert_eq!(&thread.instance(instance).unwrap().tree, &expected);
@@ -1177,7 +1177,7 @@ fn user_content_never_enters_the_interner() {
     }
     atms.update_global_config(Configuration::phone_landscape());
     RuntimeDroid::new()
-        .handle_configuration_change(&mut thread, &mut atms, &model)
+        .handle_configuration_change(&mut thread, &atms, &model)
         .unwrap();
 
     assert_eq!(written.len(), 17);
